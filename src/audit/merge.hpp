@@ -11,7 +11,7 @@
 //   * Cross-process order: all captures timestamp with CLOCK_MONOTONIC of
 //     one machine (the loopback fleets this targets), so a k-way merge by
 //     time across rings yields a valid interleaving.
-//   * Pairing: wire-v1 frames carry no sequence numbers (the format is
+//   * Pairing: wire frames carry no sequence numbers (the format is
 //     frozen), so a Recv is matched to the oldest unmatched Send with the
 //     same (from, to, txn, payload) — exact under per-link FIFO transport,
 //     and degrading gracefully (unmatched events counted, never crashing)

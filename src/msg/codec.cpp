@@ -1,5 +1,7 @@
 #include "msg/codec.hpp"
 
+#include <limits>
+
 #include "common/assert.hpp"
 #include "common/buffer.hpp"
 
@@ -13,11 +15,13 @@ namespace {
 // Encoding conventions (the compact wire format):
 //  * integers ride as LEB128 varints (`uv`), values as zigzag varints (`zz`),
 //    so the common small-number case costs one byte instead of 4-8;
-//  * 0/1 interest masks are bit-packed to ceil(k/8) bytes;
+//  * 0/1 write and mode masks are bit-packed to ceil(k/8) bytes;
 //  * version lists are delta-coded: Vals is key-ordered, so consecutive
 //    WriteKey seqs are non-decreasing and each entry stores only the delta;
 //  * List histories are position-ascending, so positions delta-code the
-//    same way.
+//    same way;
+//  * a READ's object ids (get-tag-arr) are strictly ascending and ride as
+//    gaps, so the request costs O(|I|) bytes, not k bits.
 // A writer id of kInvalidNode (the initial version's placeholder w0) maps to
 // varint 0 rather than a 5-byte max-u32 varint.
 
@@ -59,19 +63,15 @@ void put_versions(W& w, const std::vector<Version>& vs) {
 }
 
 std::vector<Version> get_versions(BufReader& r) {
-  const std::uint64_t n = r.uv();
-  std::vector<Version> vs;
-  vs.reserve(n);
   std::uint64_t prev_seq = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
+  return r.cvec<Version>([&prev_seq](BufReader& r2) {
     Version v;
-    prev_seq += static_cast<std::uint64_t>(r.zz());
+    prev_seq += static_cast<std::uint64_t>(r2.zz());
     v.key.seq = prev_seq;
-    v.key.writer = get_writer(r);
-    v.value = r.zz();
-    vs.push_back(v);
-  }
-  return vs;
+    v.key.writer = get_writer(r2);
+    v.value = r2.zz();
+    return v;
+  });
 }
 
 /// List history, position delta-coded (GetTagArrResp); coordinators ship it
@@ -88,18 +88,60 @@ void put_history(W& w, const std::vector<ListedKey>& h) {
 }
 
 std::vector<ListedKey> get_history(BufReader& r) {
-  const std::uint64_t n = r.uv();
-  std::vector<ListedKey> h;
-  h.reserve(n);
   Tag prev = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ListedKey lk;
-    prev += static_cast<std::uint64_t>(r.zz());
-    lk.position = prev;
-    lk.key = get_key(r);
-    h.push_back(lk);
+  return r.cvec<ListedKey>([&prev](BufReader& r2) {
+    prev += static_cast<std::uint64_t>(r2.zz());
+    return ListedKey{prev, get_key(r2)};
+  });
+}
+
+/// A READ's object ids (GetTagArrReq): strictly ascending, so each id rides
+/// as its gap to the previous one (the first as its gap to 0).
+template <typename W>
+void put_read_set(W& w, const std::vector<ObjectId>& objs) {
+  w.uv(objs.size());
+  ObjectId prev = 0;
+  for (std::size_t i = 0; i < objs.size(); ++i) {
+    SNOW_CHECK_MSG(i == 0 || objs[i] > prev, "get-tag-arr object ids must strictly ascend");
+    w.uv(objs[i] - prev);
+    prev = objs[i];
   }
-  return h;
+}
+
+std::vector<ObjectId> get_read_set(BufReader& r) {
+  std::uint64_t prev = 0;
+  bool first = true;
+  return r.cvec<ObjectId>([&](BufReader& r2) {
+    const std::uint64_t gap = r2.uv();
+    if (!first && gap == 0) throw CodecError("get-tag-arr object ids not strictly ascending");
+    if (gap > std::numeric_limits<ObjectId>::max() - prev) {
+      throw CodecError("get-tag-arr object id out of range");
+    }
+    first = false;
+    prev += gap;
+    return static_cast<ObjectId>(prev);
+  });
+}
+
+/// Tag-array slots (GetTagArrResp, AdaptTagArrResp): per slot obj, kappa_i,
+/// and the object's List history under the position-delta rule above.
+template <typename W>
+void put_tag_entries(W& w, const std::vector<TagArrEntry>& entries) {
+  w.cvec(entries, [](auto& w2, const TagArrEntry& e) {
+    w2.uv(e.obj);
+    put_key(w2, e.latest);
+    put_history(w2, e.history);
+  });
+}
+
+std::vector<TagArrEntry> get_tag_entries(BufReader& r) {
+  return r.cvec<TagArrEntry>([](BufReader& r2) {
+    TagArrEntry e;
+    e.obj = static_cast<ObjectId>(r2.uv());
+    e.latest = get_key(r2);
+    e.history = get_history(r2);
+    return e;
+  });
 }
 
 /// Replication log records: flat field-by-field encode.  Unused fields cost
@@ -145,13 +187,11 @@ struct Encoder {
   void operator()(const InfoReaderAck& p) { w.uv(p.tag); }
   void operator()(const UpdateCoorReq& p) { put_key(w, p.key); w.mask(p.mask); }
   void operator()(const UpdateCoorAck& p) { w.uv(p.tag); w.uv(p.watermark); }
-  void operator()(const GetTagArrReq& p) { w.mask(p.want); }
+  void operator()(const GetTagArrReq& p) { put_read_set(w, p.objs); }
   void operator()(const GetTagArrResp& p) {
     w.uv(p.tag);
     w.uv(p.watermark);
-    w.cvec(p.latest, [](auto& w2, const WriteKey& k) { put_key(w2, k); });
-    w.cvec(p.history,
-           [](auto& w2, const std::vector<ListedKey>& h) { put_history(w2, h); });
+    put_tag_entries(w, p.entries);
   }
   void operator()(const ReadValReq& p) { w.uv(p.obj); put_key(w, p.key); w.uv(p.watermark); }
   void operator()(const ReadValResp& p) {
@@ -203,7 +243,7 @@ struct Encoder {
   void operator()(const AdaptTagArrResp& p) {
     w.uv(p.tag);
     w.uv(p.watermark);
-    w.cvec(p.latest, [](auto& w2, const WriteKey& k) { put_key(w2, k); });
+    put_tag_entries(w, p.entries);
     w.mask(p.modes);
     w.uv(p.mode_epoch);
   }
@@ -271,15 +311,14 @@ UpdateCoorAck Decoder::get<UpdateCoorAck>() {
 }
 template <>
 GetTagArrReq Decoder::get<GetTagArrReq>() {
-  GetTagArrReq p; p.want = r.mask(); return p;
+  GetTagArrReq p; p.objs = get_read_set(r); return p;
 }
 template <>
 GetTagArrResp Decoder::get<GetTagArrResp>() {
   GetTagArrResp p;
   p.tag = r.uv();
   p.watermark = r.uv();
-  p.latest = r.cvec<WriteKey>([](BufReader& r2) { return get_key(r2); });
-  p.history = r.cvec<std::vector<ListedKey>>([](BufReader& r2) { return get_history(r2); });
+  p.entries = get_tag_entries(r);
   return p;
 }
 template <>
@@ -426,7 +465,7 @@ AdaptTagArrResp Decoder::get<AdaptTagArrResp>() {
   AdaptTagArrResp p;
   p.tag = r.uv();
   p.watermark = r.uv();
-  p.latest = r.cvec<WriteKey>([](BufReader& r2) { return get_key(r2); });
+  p.entries = get_tag_entries(r);
   p.modes = r.mask();
   p.mode_epoch = r.uv();
   return p;
@@ -490,11 +529,12 @@ Payload decode_alternative(std::size_t index, BufReader& r) {
 
 static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one byte");
 
-// snowkit-wire-v1 FREEZE (docs/WIRE.md): the payload tag is the variant
-// index, and both the TCP transport and the checked-in fuzz trace files
-// depend on these numbers.  APPEND new payloads to the variant; reordering
-// or inserting breaks every stored trace and any mixed-version fleet, so it
-// requires a wire-version bump.  These asserts pin the frozen assignment.
+// Payload-tag FREEZE (docs/WIRE.md): the payload tag is the variant index,
+// and both the TCP transport and the checked-in fuzz trace files depend on
+// these numbers.  APPEND new payloads to the variant; reordering or
+// inserting breaks every stored trace and any mixed-version fleet, so it
+// requires a wire-version bump.  These asserts pin the frozen assignment,
+// which snowkit-wire-v2 kept (v2 redefined only the bodies of tags 6, 7, 36).
 template <typename T>
 constexpr std::size_t payload_tag = Payload{T{}}.index();
 static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&
@@ -515,7 +555,7 @@ static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&
               payload_tag<ReplAppendReq> == 30 && payload_tag<ReplAppendAck> == 31 &&
               payload_tag<ReplJoinReq> == 32 && payload_tag<ReplJoinResp> == 33 &&
               payload_tag<TakeoverNotice> == 34 && payload_tag<NodeDownNotice> == 35,
-              "snowkit-wire-v1 payload tags are frozen (docs/WIRE.md): append new payloads, "
+              "snowkit-wire payload tags are frozen (docs/WIRE.md): append new payloads, "
               "never reorder; a reorder requires a wire-version bump");
 
 // Adaptive-layer payloads, appended in PR 10.  A separate assert so the
@@ -524,7 +564,7 @@ static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&
 static_assert(payload_tag<AdaptTagArrResp> == 36 && payload_tag<ReadValBatchReq> == 37 &&
               payload_tag<ReadValBatchResp> == 38 && payload_tag<ReadValsBatchReq> == 39 &&
               payload_tag<ReadValsBatchResp> == 40,
-              "snowkit-wire-v1 adaptive payload tags are frozen (docs/WIRE.md): append new "
+              "snowkit-wire adaptive payload tags are frozen (docs/WIRE.md): append new "
               "payloads, never reorder; a reorder requires a wire-version bump");
 
 }  // namespace

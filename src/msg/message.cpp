@@ -1,6 +1,9 @@
 #include "msg/message.hpp"
 
+#include <algorithm>
 #include <sstream>
+
+#include "common/assert.hpp"
 
 namespace snowkit {
 
@@ -95,6 +98,14 @@ int version_count(const Payload& p) {
   }
   if (is_read_response(p)) return 1;
   return 0;
+}
+
+const TagArrEntry& tag_entry(const std::vector<TagArrEntry>& entries, ObjectId obj) {
+  const auto it = std::lower_bound(entries.begin(), entries.end(), obj,
+                                   [](const TagArrEntry& e, ObjectId o) { return e.obj < o; });
+  SNOW_CHECK_MSG(it != entries.end() && it->obj == obj,
+                 "tag array has no entry for object " << obj);
+  return *it;
 }
 
 std::string describe(const Message& m) {

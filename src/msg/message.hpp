@@ -29,6 +29,11 @@ bool is_read_request(const Payload& p);
 bool is_read_response(const Payload& p);
 int version_count(const Payload& p);
 
+/// The entry for `obj` in a tag array's ascending `entries`.  The
+/// coordinator answers every object a reader names, so a missing entry is a
+/// protocol bug and aborts.
+const TagArrEntry& tag_entry(const std::vector<TagArrEntry>& entries, ObjectId obj);
+
 std::string describe(const Message& m);
 
 }  // namespace snowkit

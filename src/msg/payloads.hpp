@@ -84,21 +84,29 @@ struct UpdateCoorAck {
   friend bool operator==(const UpdateCoorAck&, const UpdateCoorAck&) = default;
 };
 
-/// get-tag-arr: reader -> coordinator s*.
+/// get-tag-arr: reader -> coordinator s*, naming the READ's objects I.
 struct GetTagArrReq {
-  std::vector<std::uint8_t> want;  ///< interest mask over objects (I).
+  std::vector<ObjectId> objs;  ///< I, ascending and de-duplicated.
   friend bool operator==(const GetTagArrReq&, const GetTagArrReq&) = default;
 };
 
-/// (t_r, (kappa_1..kappa_k)): coordinator -> reader.  For Algorithm C the
-/// response additionally carries, per requested object, the key history
-/// (position, key) up to t_r so the reader can run the feasibility descent
-/// (see DESIGN.md §5 and proto/algo_c).
+/// One object's slot of a tag array: kappa_i and, for Algorithm C, the
+/// object's live List history (position, key) so the reader can run the
+/// feasibility descent (see proto/algo_c).
+struct TagArrEntry {
+  ObjectId obj{0};
+  WriteKey latest;                 ///< kappa_i: the newest key listed for obj.
+  std::vector<ListedKey> history;  ///< algo-c only; empty otherwise.
+  friend bool operator==(const TagArrEntry&, const TagArrEntry&) = default;
+};
+
+/// (t_r, (kappa_i)_{i in I}): coordinator -> reader.  Pseudocode 6's array
+/// restricted to the objects the READ named — the reader never consults the
+/// others, so the response scales with |I|, not with k.
 struct GetTagArrResp {
   Tag tag{0};
   Tag watermark{0};  ///< coordinator read watermark; readers piggyback it on read-val.
-  std::vector<WriteKey> latest;              ///< kappa_i per object (index-aligned).
-  std::vector<std::vector<ListedKey>> history;  ///< optional; per requested object.
+  std::vector<TagArrEntry> entries;  ///< one per requested object, ascending obj.
   friend bool operator==(const GetTagArrResp&, const GetTagArrResp&) = default;
 };
 
@@ -306,7 +314,7 @@ struct SimpleWriteAck {
 //
 // Replication envelopes all carry txn = kInvalidTxn, so the SNOW monitors
 // never count replica traffic as transaction rounds.  Tags 30-35; appended
-// per the snowkit-wire-v1 freeze (docs/WIRE.md).
+// per the payload-tag freeze (docs/WIRE.md).
 
 /// One entry of a shard's replicated operation log: the primary's mutations
 /// to its VersionStores (and, on the coordinator shard, its CoorList),
@@ -403,25 +411,27 @@ struct NodeDownNotice {
 
 // --- adaptive meta-protocol (proto/adaptive) --------------------------------
 //
-// Tags 36-40; appended per the snowkit-wire-v1 freeze (docs/WIRE.md).  The
+// Tags 36-40; appended per the payload-tag freeze (docs/WIRE.md).  The
 // adaptive layer serializes every READ exactly like Algorithm B (serve
 // latest[obj] at the coordinator cut t_r); per-object modes only change the
 // MESSAGE SHAPE of the value fetch, never the version selected, which is why
 // a mode switch can ride an existing leg instead of needing a barrier.
 
 /// Coordinator -> reader, the adaptive tag-array response (replaces
-/// GetTagArrResp on the adaptive read path).  `modes` is the per-object
-/// fetch-mode mask (bit i = 1 iff object i is in C-mode, i.e. readers should
-/// prefetch its version list in round 1).  `mode_epoch` fences switches:
-/// readers adopt `modes` only when `mode_epoch` is >= their cached epoch, so
-/// a held or reordered response can never roll the mode table backwards —
-/// and an in-flight read always completes under the plan it started with.
+/// GetTagArrResp on the adaptive read path).  `entries` are the requested
+/// objects' kappa_i, exactly as in GetTagArrResp (histories stay empty).
+/// `modes` is the full-width per-object fetch-mode mask (bit i = 1 iff
+/// object i is in C-mode, i.e. readers should prefetch its version list in
+/// round 1).  `mode_epoch` fences switches: readers adopt `modes` only when
+/// `mode_epoch` is >= their cached epoch, so a held or reordered response
+/// can never roll the mode table backwards — and an in-flight read always
+/// completes under the plan it started with.
 struct AdaptTagArrResp {
   Tag tag{0};
   Tag watermark{0};
-  std::vector<WriteKey> latest;    ///< kappa_i per object (index-aligned).
-  std::vector<std::uint8_t> modes; ///< per-object fetch mode (1 = C/prefetch).
-  std::uint64_t mode_epoch{0};     ///< bumps on every coordinator switch.
+  std::vector<TagArrEntry> entries;  ///< one per requested object, ascending obj.
+  std::vector<std::uint8_t> modes;   ///< per-object fetch mode (1 = C/prefetch).
+  std::uint64_t mode_epoch{0};       ///< bumps on every coordinator switch.
   friend bool operator==(const AdaptTagArrResp&, const AdaptTagArrResp&) = default;
 };
 

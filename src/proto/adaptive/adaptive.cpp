@@ -160,6 +160,7 @@ class ServerAdapt final : public Node {
     if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
       SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
+      if (!list_->admits(from, *uc)) return;
       if (repl_ != nullptr) {
         handle_update_coor(from, m.txn, *uc);
       } else {
@@ -169,20 +170,12 @@ class ServerAdapt final : public Node {
       }
       return;
     }
-    if (std::holds_alternative<GetTagArrReq>(m.payload)) {
+    if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
       SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
       list_->register_reader(from, m.txn);
-      AdaptTagArrResp resp;
-      // t_r is the newest List position overall (Lemma 20 P2; see algo_b).
-      resp.tag = list_->tag();
-      resp.watermark = list_->watermark();
-      resp.latest.resize(k_);
-      for (std::size_t i = 0; i < k_; ++i) {
-        resp.latest[i] = list_->latest(static_cast<ObjectId>(i));
-      }
-      resp.modes = modes_;
-      resp.mode_epoch = mode_epoch_;
-      send(from, Message{m.txn, resp});
+      GetTagArrResp ta = list_->tag_arr(gt->objs, /*with_history=*/false);
+      send(from, Message{m.txn, AdaptTagArrResp{ta.tag, ta.watermark, std::move(ta.entries),
+                                                 modes_, mode_epoch_}});
       return;
     }
     SNOW_UNREACHABLE("adaptive server got unexpected payload");
@@ -380,10 +373,7 @@ class ReaderAdapt final : public Node, public ReadClientApi {
     pending_->prefetched.clear();
     pending_->prefetch_outstanding = 0;
     pending_->round2_sent = false;
-    GetTagArrReq req;
-    req.want.assign(k_, 0);
-    for (ObjectId obj : pending_->objs) req.want[obj] = 1;
-    send(routes_.node_of(coor_shard_), Message{pending_->txn, req});
+    send(routes_.node_of(coor_shard_), Message{pending_->txn, tag_arr_req(pending_->objs)});
     // Prefetch (one batched frame per server shard): C-mode objects always —
     // their write rate says any cache entry is probably stale — and, when the
     // cache is on, objects with NO cache entry, since those are certain to
@@ -416,7 +406,7 @@ class ReaderAdapt final : public Node, public ReadClientApi {
       mode_epoch_ = ta.mode_epoch;
     }
     for (ObjectId obj : pending_->objs) {
-      const WriteKey& key = ta.latest[obj];
+      const WriteKey& key = tag_entry(ta.entries, obj).latest;
       pending_->want[obj] = key;
       if (cache_reads_ || broken_cache_) {
         const auto it = cache_.find(obj);

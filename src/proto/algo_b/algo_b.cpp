@@ -122,6 +122,7 @@ class ServerB final : public Node {
     if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
       SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
+      if (!list_->admits(from, *uc)) return;
       if (repl_ != nullptr) {
         handle_update_coor(from, m.txn, *uc);
       } else {
@@ -130,20 +131,10 @@ class ServerB final : public Node {
       }
       return;
     }
-    if (std::holds_alternative<GetTagArrReq>(m.payload)) {
+    if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
       SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
       list_->register_reader(from, m.txn);
-      GetTagArrResp resp;
-      // t_r is the newest List position overall so that reads never order
-      // before a write that already completed (Lemma 20 P2); per-object
-      // version choice still uses the per-object newest entry.
-      resp.tag = list_->tag();
-      resp.watermark = list_->watermark();
-      resp.latest.resize(k_);
-      for (std::size_t i = 0; i < k_; ++i) {
-        resp.latest[i] = list_->latest(static_cast<ObjectId>(i));
-      }
-      send(from, Message{m.txn, resp});
+      send(from, Message{m.txn, list_->tag_arr(gt->objs, /*with_history=*/false)});
       return;
     }
     SNOW_UNREACHABLE("algo-b server got unexpected payload");
@@ -187,8 +178,8 @@ class ServerB final : public Node {
 class ReaderB final : public Node, public ReadClientApi {
  public:
   ReaderB(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool replicated)
-      : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
-        replicated_(replicated), routes_(place.num_servers()) {}
+      : rec_(rec), place_(place), coor_shard_(coor_shard), replicated_(replicated),
+        routes_(place.num_servers()) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -198,7 +189,7 @@ class ReaderB final : public Node, public ReadClientApi {
     pending_->txn = txn;
     pending_->objs = objs;
     pending_->cb = std::move(cb);
-    send(routes_.node_of(coor_shard_), Message{txn, tag_arr_req()});
+    send(routes_.node_of(coor_shard_), Message{txn, tag_arr_req(pending_->objs)});
   }
 
   NodeId node_id() const override { return id(); }
@@ -219,9 +210,10 @@ class ReaderB final : public Node, public ReadClientApi {
       pending_->tag = ta->tag;
       pending_->watermark = ta->watermark;
       for (ObjectId obj : pending_->objs) {
-        pending_->want[obj] = ta->latest[obj];
+        const WriteKey& key = tag_entry(ta->entries, obj).latest;
+        pending_->want[obj] = key;
         send(routes_.node_of(place_.shard_of(obj)),
-             Message{m.txn, ReadValReq{obj, ta->latest[obj], ta->watermark}});
+             Message{m.txn, ReadValReq{obj, key, ta->watermark}});
       }
       return;
     }
@@ -258,13 +250,6 @@ class ReaderB final : public Node, public ReadClientApi {
     ReadCallback cb;
   };
 
-  GetTagArrReq tag_arr_req() const {
-    GetTagArrReq req;
-    req.want.assign(k_, 0);
-    for (ObjectId obj : pending_->objs) req.want[obj] = 1;
-    return req;
-  }
-
   void restart_round() {
     // A correct fleet converges in a handful of attempts (one per failover
     // or GC race).  Exhausting the budget means the List names a key some
@@ -276,7 +261,7 @@ class ReaderB final : public Node, public ReadClientApi {
     if (++pending_->attempts >= 100) return;
     pending_->want.clear();
     pending_->got.clear();
-    send(routes_.node_of(coor_shard_), Message{pending_->txn, tag_arr_req()});
+    send(routes_.node_of(coor_shard_), Message{pending_->txn, tag_arr_req(pending_->objs)});
   }
 
   void on_takeover(const TakeoverNotice& tn) {
@@ -310,7 +295,6 @@ class ReaderB final : public Node, public ReadClientApi {
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
   std::size_t coor_shard_;
   bool replicated_;
   ShardRoutes routes_;

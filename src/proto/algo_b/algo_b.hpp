@@ -2,8 +2,10 @@
 // transactions in the multi-writer multi-reader (MWMR) setting, with no
 // client-to-client communication.  READs take exactly two rounds:
 //
-//   get-tag-array: reader -> coordinator s*, which returns (t_r, kappa_1..k)
-//                  — the newest key per object in the coordinator's List;
+//   get-tag-array: reader -> coordinator s*, which returns t_r and kappa_i
+//                  — the newest key in the coordinator's List — for each
+//                  object i the READ names (the paper's array restricted
+//                  to the read set: the reader never consults the rest);
 //   read-value:    reader -> each object's server with the exact key kappa_i;
 //                  servers respond non-blocking with exactly one version.
 //

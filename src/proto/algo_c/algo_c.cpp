@@ -108,6 +108,7 @@ class ServerC final : public Node {
     if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
       SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
+      if (!list_->admits(from, *uc)) return;
       if (repl_ != nullptr) {
         handle_update_coor(from, m.txn, *uc);
       } else {
@@ -119,7 +120,7 @@ class ServerC final : public Node {
     if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
       SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
       list_->register_reader(from, m.txn);
-      send(from, Message{m.txn, build_tag_arr(*gt)});
+      send(from, Message{m.txn, list_->tag_arr(gt->objs, /*with_history=*/true)});
       return;
     }
     SNOW_UNREACHABLE("algo-c server got unexpected payload");
@@ -154,28 +155,6 @@ class ServerC final : public Node {
     });
   }
 
-  GetTagArrResp build_tag_arr(const GetTagArrReq& req) const {
-    GetTagArrResp resp;
-    // t_r is the newest List position overall (Lemma 20 P2; see algo_b).
-    // The feasibility descent may settle lower, but only past positions of
-    // writes still concurrent with the READ, so no real-time inversion.
-    resp.tag = list_->tag();
-    resp.watermark = list_->watermark();
-    resp.latest.resize(k_);
-    resp.history.resize(k_);
-    for (std::size_t i = 0; i < k_; ++i) {
-      const ObjectId obj = static_cast<ObjectId>(i);
-      resp.latest[i] = list_->latest(obj);
-      if (i < req.want.size() && req.want[i] != 0) {
-        // The live history: the object's anchor entry plus everything above
-        // the watermark — all a READ registered at or after this instant can
-        // legally resolve against.
-        resp.history[i] = list_->history_vec(obj);
-      }
-    }
-    return resp;
-  }
-
   std::size_t k_;
   bool is_coordinator_;
   bool gc_;
@@ -187,8 +166,8 @@ class ServerC final : public Node {
 class ReaderC final : public Node, public ReadClientApi {
  public:
   ReaderC(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, bool may_retry)
-      : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
-        may_retry_(may_retry), routes_(place.num_servers()) {}
+      : rec_(rec), place_(place), coor_shard_(coor_shard), may_retry_(may_retry),
+        routes_(place.num_servers()) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -247,10 +226,7 @@ class ReaderC final : public Node, public ReadClientApi {
   void send_round() {
     pending_->tag_arr.reset();
     pending_->vals.clear();
-    GetTagArrReq req;
-    req.want.assign(k_, 0);
-    for (ObjectId obj : pending_->objs) req.want[obj] = 1;
-    send(routes_.node_of(coor_shard_), Message{pending_->txn, req});
+    send(routes_.node_of(coor_shard_), Message{pending_->txn, tag_arr_req(pending_->objs)});
     for (ObjectId obj : pending_->objs) {
       send(routes_.node_of(place_.shard_of(obj)), Message{pending_->txn, ReadValsReq{obj}});
     }
@@ -262,9 +238,11 @@ class ReaderC final : public Node, public ReadClientApi {
     const GetTagArrResp& ta = *pending_->tag_arr;
     // Feasibility descent over List positions t_r >= t >= 0 (header comment).
     // Candidate cuts: t_r and every listed position (others change nothing).
+    // Settling below t_r only passes positions of writes still concurrent
+    // with the READ, so there is no real-time inversion.
     std::vector<Tag> cuts{ta.tag};
-    for (ObjectId obj : pending_->objs) {
-      for (const ListedKey& lk : ta.history[obj]) {
+    for (const TagArrEntry& e : ta.entries) {
+      for (const ListedKey& lk : e.history) {
         if (lk.position <= ta.tag) cuts.push_back(lk.position);
       }
     }
@@ -294,7 +272,7 @@ class ReaderC final : public Node, public ReadClientApi {
       // unresolvable — infeasible, NOT "the initial version": treating it as
       // kappa_0 could resurrect a pruned prefix as a stale read.
       const WriteKey* key = nullptr;
-      for (const ListedKey& lk : ta.history[obj]) {
+      for (const ListedKey& lk : tag_entry(ta.entries, obj).history) {
         if (lk.position <= t) key = &lk.key;  // history is position-ascending
       }
       if (key == nullptr) return false;
@@ -328,7 +306,6 @@ class ReaderC final : public Node, public ReadClientApi {
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
   std::size_t coor_shard_;
   bool may_retry_;
   ShardRoutes routes_;

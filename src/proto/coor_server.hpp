@@ -27,8 +27,8 @@ namespace snowkit {
 class CoorServer final : public Node {
  public:
   CoorServer(std::size_t k, bool is_coordinator, bool gc = false)
-      : k_(k), is_coordinator_(is_coordinator), gc_(gc) {
-    if (is_coordinator_) list_.emplace(k_);
+      : is_coordinator_(is_coordinator), gc_(gc) {
+    if (is_coordinator_) list_.emplace(k);
   }
 
   void on_message(NodeId from, const Message& m) override {
@@ -51,29 +51,21 @@ class CoorServer final : public Node {
     if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
       SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
-      SNOW_CHECK(uc->mask.size() == k_);
+      if (!list_->admits(from, *uc)) return;
       const Tag pos = list_->push(uc->key, uc->mask);
       send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
       return;
     }
-    if (std::holds_alternative<GetTagArrReq>(m.payload)) {
+    if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
       SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
       list_->register_reader(from, m.txn);
-      GetTagArrResp resp;
-      resp.tag = list_->tag();  // Lemma-20 P2; see algo_b
-      resp.watermark = list_->watermark();
-      resp.latest.resize(k_);
-      for (std::size_t i = 0; i < k_; ++i) {
-        resp.latest[i] = list_->latest(static_cast<ObjectId>(i));
-      }
-      send(from, Message{m.txn, resp});
+      send(from, Message{m.txn, list_->tag_arr(gt->objs, /*with_history=*/false)});
       return;
     }
     SNOW_UNREACHABLE("coor-server got unexpected payload");
   }
 
  private:
-  std::size_t k_;
   bool is_coordinator_;
   bool gc_;
   std::map<ObjectId, VersionStore> stores_;  ///< per hosted object.

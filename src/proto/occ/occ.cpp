@@ -15,8 +15,7 @@ namespace {
 class ReaderO final : public Node, public ReadClientApi {
  public:
   ReaderO(HistoryRecorder& rec, const Placement& place, NodeId coordinator, int max_optimistic)
-      : rec_(rec), place_(place), k_(place.num_objects()), coordinator_(coordinator),
-        max_optimistic_(max_optimistic) {}
+      : rec_(rec), place_(place), coordinator_(coordinator), max_optimistic_(max_optimistic) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -73,10 +72,7 @@ class ReaderO final : public Node, public ReadClientApi {
     ++pending_->rounds;
     pending_->tag_arr.reset();
     pending_->got.clear();
-    GetTagArrReq req;
-    req.want.assign(k_, 0);
-    for (ObjectId obj : pending_->objs) req.want[obj] = 1;
-    send(coordinator_, Message{pending_->txn, req});
+    send(coordinator_, Message{pending_->txn, tag_arr_req(pending_->objs)});
     for (const auto& [obj, key] : pending_->guesses) {
       send(place_.server_node(obj),
            Message{pending_->txn, ReadValReq{obj, key, pending_->watermark}});
@@ -108,7 +104,7 @@ class ReaderO final : public Node, public ReadClientApi {
     bool validated = !missed;
     for (ObjectId obj : pending_->objs) {
       if (!validated) break;
-      if (!(ta.latest[obj] == pending_->guesses.at(obj))) validated = false;
+      if (!(tag_entry(ta.entries, obj).latest == pending_->guesses.at(obj))) validated = false;
     }
     if (validated) {
       // The values just fetched are still the newest per object as of the
@@ -118,7 +114,7 @@ class ReaderO final : public Node, public ReadClientApi {
     }
 
     // Validation failed: adopt the newer keys and retry.
-    for (ObjectId obj : pending_->objs) pending_->guesses[obj] = ta.latest[obj];
+    for (ObjectId obj : pending_->objs) pending_->guesses[obj] = tag_entry(ta.entries, obj).latest;
     if (max_optimistic_ > 0 && pending_->rounds >= max_optimistic_) {
       // Bounded fallback: one pessimistic round reading exactly the cut the
       // last tag array named (no re-validation needed — Algorithm B).
@@ -151,7 +147,6 @@ class ReaderO final : public Node, public ReadClientApi {
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
   NodeId coordinator_;
   int max_optimistic_;
   std::optional<Pending> pending_;

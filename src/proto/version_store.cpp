@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.hpp"
 #include "metrics/gc_stats.hpp"
 
 namespace snowkit {
@@ -129,9 +130,35 @@ void CoorList::advance_() {
   }
 }
 
-std::vector<ListedKey> CoorList::history_vec(ObjectId obj) const {
-  const auto& h = history_.at(obj);
-  return std::vector<ListedKey>(h.begin(), h.end());
+bool CoorList::admits(NodeId from, const UpdateCoorReq& uc) const {
+  if (uc.mask.size() == k_) return true;
+  SNOW_WARN("dropping update-coor from node " << from << ": mask covers " << uc.mask.size()
+                                              << " objects, expected " << k_);
+  return false;
+}
+
+GetTagArrResp CoorList::tag_arr(const std::vector<ObjectId>& objs, bool with_history) const {
+  GetTagArrResp resp;
+  // t_r is the newest List position overall so that reads never order
+  // before a write that already completed (Lemma 20 P2); per-object
+  // version choice still uses the per-object newest entry.
+  resp.tag = tag();
+  resp.watermark = watermark_;
+  resp.entries.reserve(objs.size());
+  for (ObjectId obj : objs) {
+    if (obj >= k_) continue;
+    TagArrEntry& e = resp.entries.emplace_back(TagArrEntry{obj, latest_[obj], {}});
+    // The live history: the anchor plus everything above the watermark —
+    // all a READ registered at or after this instant can resolve against.
+    if (with_history) e.history.assign(history_[obj].begin(), history_[obj].end());
+  }
+  return resp;
+}
+
+GetTagArrReq tag_arr_req(std::vector<ObjectId> objs) {
+  std::sort(objs.begin(), objs.end());
+  objs.erase(std::unique(objs.begin(), objs.end()), objs.end());
+  return GetTagArrReq{std::move(objs)};
 }
 
 std::size_t CoorList::entries() const {

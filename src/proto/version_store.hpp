@@ -134,6 +134,11 @@ class CoorList {
   /// write mask.
   Tag push(const WriteKey& key, const std::vector<std::uint8_t>& mask);
 
+  /// update-coor masks are untrusted wire input: true iff `uc`'s mask covers
+  /// exactly the k objects.  Otherwise logs a warning, and the server drops
+  /// the request before it reaches push() or the replicated log.
+  bool admits(NodeId from, const UpdateCoorReq& uc) const;
+
   /// Newest position handed out (Lemma-20 P2's t_r).
   Tag tag() const { return count_ - 1; }
 
@@ -157,8 +162,11 @@ class CoorList {
   /// newest entry at or below the watermark — plus every entry above it.
   const std::deque<ListedKey>& history(ObjectId obj) const { return history_.at(obj); }
 
-  /// history() materialized for a wire payload.
-  std::vector<ListedKey> history_vec(ObjectId obj) const;
+  /// The get-tag-arr answer: Pseudocode 6's tag array restricted to the
+  /// READ's objects `objs`, each with latest() and — for Algorithm C,
+  /// `with_history` — its live history().  O(|objs|), independent of k.
+  /// Ids >= k, which only a malformed request can name, are skipped.
+  GetTagArrResp tag_arr(const std::vector<ObjectId>& objs, bool with_history) const;
 
   /// Live history entries across all objects (occupancy metric).
   std::size_t entries() const;
@@ -179,6 +187,10 @@ class CoorList {
   };
   std::map<NodeId, ReaderSlot> floors_;  ///< in-flight READ floors by reader node.
 };
+
+/// A reader's get-tag-arr for a READ over `objs` (any order): the ids
+/// sorted and de-duplicated, as the wire format requires.
+GetTagArrReq tag_arr_req(std::vector<ObjectId> objs);
 
 /// Consumes the watermark-GC notices every CoorList-based server handles
 /// identically — finalize (store finalize + watermark advance), finalize-coor

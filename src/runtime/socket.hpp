@@ -1,4 +1,4 @@
-// snowkit-wire-v1 framing + TCP socket helpers for NetRuntime.
+// snowkit-wire-v2 framing + TCP socket helpers for NetRuntime.
 //
 // The stream format (frozen in docs/WIRE.md) wraps the existing message
 // codec (msg/codec.cpp, reused verbatim via encode_message_into) in
@@ -20,7 +20,7 @@
 // never the process (NetRuntime uses try_decode_message for frame
 // payloads).  What remains trusted is only control-plane INTENT: a
 // well-formed SHUTDOWN from any greeted peer stops the daemon, so fleet
-// ports must sit behind the operator's network boundary — snowkit-wire-v1
+// ports must sit behind the operator's network boundary — snowkit-wire-v2
 // has no peer authentication (see the trust model note in net_runtime.hpp).
 #pragma once
 
@@ -35,13 +35,16 @@ namespace snowkit::net {
 
 /// "SNWK" little-endian: the first 4 body bytes of every HELLO.
 inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
-/// snowkit-wire-v1.  Bump on any incompatible codec or framing change
-/// (docs/WIRE.md is the contract; fuzz trace files share the codec layer).
-inline constexpr std::uint64_t kWireVersion = 1;
-/// Frames above this are a protocol error, not a large message: the biggest
-/// legitimate payload (a GetTagArrResp carrying full histories) is orders of
-/// magnitude smaller, so an absurd length prefix means a desynced or hostile
-/// stream and must not drive a multi-gigabyte allocation.
+/// snowkit-wire-v2: v1's framing and payload tags, with read-set-sized
+/// bodies for get-tag-arr, tag-arr and adapt-tag-arr (tags 6, 7, 36).  Bump
+/// on any incompatible codec or framing change (docs/WIRE.md is the
+/// contract); peers of another version are refused at HELLO.
+inline constexpr std::uint64_t kWireVersion = 2;
+/// Frames above this are a protocol error, not a large message: legitimate
+/// payloads scale with a READ's objects or a server's live version chains
+/// and stay orders of magnitude smaller, so an absurd length prefix means a
+/// desynced or hostile stream and must not drive a multi-gigabyte
+/// allocation.
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
 
 enum class FrameType : std::uint8_t {
@@ -99,7 +102,7 @@ struct IoSlice {
 /// past whatever the kernel actually accepted — including a partial write
 /// that stops at ANY byte offset inside or across frame boundaries (the next
 /// gather resumes mid-frame).  Frames are never re-encoded, split or merged:
-/// coalescing is purely how many of the SAME snowkit-wire-v1 bytes share one
+/// coalescing is purely how many of the SAME snowkit-wire-v2 bytes share one
 /// syscall, which frame_roundtrip_test proves by comparing gathered bytes
 /// against the flat reference stream.
 ///

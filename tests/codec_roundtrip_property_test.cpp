@@ -38,19 +38,27 @@ std::vector<Version> rversions(Xoshiro256& rng) {
   return v;
 }
 
-std::vector<WriteKey> rkeys(Xoshiro256& rng) {
-  std::vector<WriteKey> v(rng.below(10));
-  for (auto& e : v) e = rkey(rng);
+TagArrEntry rtag_entry(Xoshiro256& rng) {
+  std::vector<ListedKey> history(rng.below(8));
+  for (auto& e : history) e = rlisted(rng);
+  return {ru32(rng), rkey(rng), std::move(history)};
+}
+
+std::vector<TagArrEntry> rtag_entries(Xoshiro256& rng) {
+  std::vector<TagArrEntry> v(rng.below(6));
+  for (auto& e : v) e = rtag_entry(rng);
   return v;
 }
 
-std::vector<std::vector<ListedKey>> rhistory(Xoshiro256& rng) {
-  std::vector<std::vector<ListedKey>> h(rng.below(6));
-  for (auto& per_obj : h) {
-    per_obj.resize(rng.below(8));
-    for (auto& e : per_obj) e = rlisted(rng);
+// A READ's object ids are strictly ascending by contract (gap-coded).
+std::vector<ObjectId> rread_set(Xoshiro256& rng) {
+  std::vector<ObjectId> objs(rng.below(10));
+  ObjectId next = static_cast<ObjectId>(rng.below(1u << 24));
+  for (auto& o : objs) {
+    o = next;
+    next += 1 + static_cast<ObjectId>(rng.below(1u << 16));
   }
-  return h;
+  return objs;
 }
 
 // --- per-alternative generators ----------------------------------------------
@@ -71,11 +79,9 @@ UpdateCoorReq make_random(Xoshiro256& rng) { return {rkey(rng), rmask(rng)}; }
 template <>
 UpdateCoorAck make_random(Xoshiro256& rng) { return {ru64(rng), ru64(rng)}; }
 template <>
-GetTagArrReq make_random(Xoshiro256& rng) { return {rmask(rng)}; }
+GetTagArrReq make_random(Xoshiro256& rng) { return {rread_set(rng)}; }
 template <>
-GetTagArrResp make_random(Xoshiro256& rng) {
-  return {ru64(rng), ru64(rng), rkeys(rng), rhistory(rng)};
-}
+GetTagArrResp make_random(Xoshiro256& rng) { return {ru64(rng), ru64(rng), rtag_entries(rng)}; }
 template <>
 ReadValReq make_random(Xoshiro256& rng) { return {ru32(rng), rkey(rng), ru64(rng)}; }
 template <>
@@ -170,7 +176,7 @@ BatchReadEntry rentry(Xoshiro256& rng) { return {ru32(rng), rkey(rng)}; }
 
 template <>
 AdaptTagArrResp make_random(Xoshiro256& rng) {
-  return {ru64(rng), ru64(rng), rkeys(rng), rmask(rng), ru64(rng)};
+  return {ru64(rng), ru64(rng), rtag_entries(rng), rmask(rng), ru64(rng)};
 }
 template <>
 ReadValBatchReq make_random(Xoshiro256& rng) {
@@ -239,8 +245,8 @@ TEST(CodecRoundtripProperty, ReusedBufferShrinksAndGrowsCorrectly) {
   // A big message followed by a small one into the same buffer must not leave
   // stale trailing bytes (BufWriter clears, keeps capacity).
   Xoshiro256 rng(7);
-  GetTagArrResp big{1, 0, rkeys(rng), rhistory(rng)};
-  while (big.latest.size() < 4) big.latest.push_back(rkey(rng));
+  GetTagArrResp big{1, 0, rtag_entries(rng)};
+  while (big.entries.size() < 4) big.entries.push_back(rtag_entry(rng));
   Message big_msg{9, big};
   Message small_msg{10, SimpleReadReq{3}};
 

@@ -40,24 +40,45 @@ TEST(Codec, InfoReader) {
 TEST(Codec, InfoReaderAck) { roundtrip(InfoReaderAck{99}); }
 TEST(Codec, UpdateCoor) { roundtrip(UpdateCoorReq{WriteKey{2, 3}, {0, 1}}); }
 TEST(Codec, UpdateCoorAck) { roundtrip(UpdateCoorAck{12}); }
-TEST(Codec, GetTagArr) { roundtrip(GetTagArrReq{{1, 1, 0}}); }
+TEST(Codec, GetTagArr) {
+  // The READ's object ids ride as gaps from the previous id.
+  const Message m{7, GetTagArrReq{{3, 4, 200, 70000}}};
+  const auto bytes = encode_message(m);
+  EXPECT_EQ(decode_message(bytes), m);
+  // txn, tag, count, then the gaps 3, 1, 196 (2 bytes) and 69800 (3 bytes).
+  EXPECT_EQ(bytes.size(), 1u + 1u + 1u + (1u + 1u + 2u + 3u));
+}
 
 TEST(Codec, GetTagArrRespWithHistory) {
   GetTagArrResp resp;
   resp.tag = 4;
-  resp.latest = {WriteKey{1, 0}, WriteKey{2, 1}};
-  resp.history = {{ListedKey{0, kInitialKey}, ListedKey{3, WriteKey{1, 0}}}, {}};
+  resp.entries = {
+      TagArrEntry{2, WriteKey{1, 0}, {ListedKey{0, kInitialKey}, ListedKey{3, WriteKey{1, 0}}}},
+      TagArrEntry{9, WriteKey{2, 1}, {}}};
   Message m{11, resp};
   const Message back = decode_message(encode_message(m));
+  EXPECT_EQ(back, m);
   const auto& p = std::get<GetTagArrResp>(back.payload);
   EXPECT_EQ(p.tag, 4u);
-  ASSERT_EQ(p.latest.size(), 2u);
-  EXPECT_EQ(p.latest[1], (WriteKey{2, 1}));
-  ASSERT_EQ(p.history.size(), 2u);
-  ASSERT_EQ(p.history[0].size(), 2u);
-  EXPECT_EQ(p.history[0][1].position, 3u);
-  EXPECT_EQ(p.history[0][1].key, (WriteKey{1, 0}));
-  EXPECT_TRUE(p.history[1].empty());
+  EXPECT_EQ(tag_entry(p.entries, 9).latest, (WriteKey{2, 1}));
+  const auto& h = tag_entry(p.entries, 2).history;
+  ASSERT_EQ(h.size(), 2u);
+  EXPECT_EQ(h[1].position, 3u);
+  EXPECT_EQ(h[1].key, (WriteKey{1, 0}));
+  EXPECT_TRUE(tag_entry(p.entries, 9).history.empty());
+}
+
+TEST(Codec, AdaptTagArrRespKeepsAFullWidthModeTable) {
+  const Message m{12, AdaptTagArrResp{5, 3, {TagArrEntry{1, WriteKey{4, 2}, {}}},
+                                      {0, 1, 0, 0, 1, 1, 0, 0, 0, 1}, 6}};
+  EXPECT_EQ(decode_message(encode_message(m)), m);
+}
+
+TEST(Codec, TagEntryLookupAbortsOnAMissingObject) {
+  const std::vector<TagArrEntry> entries{TagArrEntry{1, WriteKey{1, 0}, {}},
+                                         TagArrEntry{5, WriteKey{2, 0}, {}}};
+  EXPECT_EQ(tag_entry(entries, 5).latest, (WriteKey{2, 0}));
+  EXPECT_DEATH(tag_entry(entries, 3), "no entry for object 3");
 }
 
 TEST(Codec, ReadVal) { roundtrip(ReadValReq{0, WriteKey{5, 5}}); }
@@ -118,20 +139,56 @@ TEST(Codec, TryDecodeRejectsMalformedBytes) {
   EXPECT_FALSE(try_decode_message({0x00, 0xFF}, out, err));
   // Empty buffer.
   EXPECT_FALSE(try_decode_message({}, out, err));
-  // Truncated: valid prefix of a real message, cut at every byte offset.
-  const auto full = encode_message(Message{7, Payload{GetTagArrResp{
-      4, 2, {WriteKey{1, 0}, WriteKey{2, 1}}, {{ListedKey{1, WriteKey{1, 0}}}}}}});
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    std::vector<std::uint8_t> prefix(full.begin(),
-                                     full.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(try_decode_message(prefix, out, err)) << "cut at " << cut;
+  // Truncated: valid prefix of each tag-array body, cut at every byte offset.
+  const std::vector<TagArrEntry> entries{
+      TagArrEntry{3, WriteKey{1, 0}, {ListedKey{1, WriteKey{1, 0}}, ListedKey{4, WriteKey{2, 1}}}},
+      TagArrEntry{300, WriteKey{2, 1}, {}}};
+  for (const Payload& p : {Payload{GetTagArrReq{{3, 300, 70000}}},
+                           Payload{GetTagArrResp{4, 2, entries}},
+                           Payload{AdaptTagArrResp{4, 2, entries, {1, 0, 1}, 9}}}) {
+    const auto full = encode_message(Message{7, p});
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
+      std::vector<std::uint8_t> prefix(full.begin(),
+                                       full.begin() + static_cast<std::ptrdiff_t>(cut));
+      EXPECT_FALSE(try_decode_message(prefix, out, err))
+          << payload_name(p) << " cut at " << cut;
+    }
+    // Trailing garbage after a complete payload.
+    auto padded = full;
+    padded.push_back(0x00);
+    EXPECT_FALSE(try_decode_message(padded, out, err)) << payload_name(p);
+    // And the full buffer still decodes.
+    EXPECT_TRUE(try_decode_message(full, out, err)) << err;
+    EXPECT_EQ(out, (Message{7, p}));
   }
-  // Trailing garbage after a complete payload.
-  auto padded = full;
-  padded.push_back(0x00);
-  EXPECT_FALSE(try_decode_message(padded, out, err));
-  // And the full buffer still decodes.
-  EXPECT_TRUE(try_decode_message(full, out, err)) << err;
+}
+
+TEST(Codec, TryDecodeRejectsMalformedReadSets) {
+  Message out;
+  std::string err;
+  // txn 0, tag 6 (get-tag-arr), then the read set.
+  // A repeated id (zero gap after the first) is not strictly ascending.
+  EXPECT_FALSE(try_decode_message({0x00, 0x06, 0x02, 0x05, 0x00}, out, err));
+  EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
+  // Gaps summing past the ObjectId range.
+  EXPECT_FALSE(try_decode_message(
+      {0x00, 0x06, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x01}, out, err));
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  // A count larger than the buffer.
+  EXPECT_FALSE(try_decode_message({0x00, 0x06, 0x7F, 0x01}, out, err));
+  // A leading zero id is fine.
+  ASSERT_TRUE(try_decode_message({0x00, 0x06, 0x02, 0x00, 0x01}, out, err)) << err;
+  EXPECT_EQ(std::get<GetTagArrReq>(out.payload).objs, (std::vector<ObjectId>{0, 1}));
+}
+
+TEST(Codec, TryDecodeRejectsHugeListCounts) {
+  // A history count of 2^63 inside a tag-arr used to reach vector::reserve
+  // unchecked; it must be a decode error like any other bad length.
+  Message out;
+  std::string err;
+  const std::vector<std::uint8_t> bytes{0x00, 0x07, 0x01, 0x00, 0x01, 0x02, 0x01, 0x00, 0x80,
+                                        0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01};
+  EXPECT_FALSE(try_decode_message(bytes, out, err));
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// snowkit-wire-v1 framing at the byte boundary: encoded frames must survive
+// snowkit-wire-v2 framing at the byte boundary: encoded frames must survive
 // arbitrary TCP segmentation (split at EVERY byte offset and reassembled
 // through the NetRuntime framing decoder), and malformed streams — garbage
 // prefixes, truncations, absurd lengths — must surface as decoder ERRORS,
@@ -24,12 +24,16 @@ std::vector<Message> corpus() {
   msgs.push_back(Message{7, WriteValReq{WriteKey{3, 1}, 2, -40}});
   msgs.push_back(Message{8, InfoReaderReq{WriteKey{1, 0}, {1, 0, 1, 1, 0, 0, 1, 0, 1}}});
   msgs.push_back(Message{9, UpdateCoorAck{12, 5}});
+  msgs.push_back(Message{10, GetTagArrReq{{0, 5, 130, 4095}}});
   GetTagArrResp tagarr;
   tagarr.tag = 900;
   tagarr.watermark = 890;
-  tagarr.latest = {WriteKey{5, 0}, WriteKey{9, 2}, kInitialKey};
-  tagarr.history = {{ListedKey{1, WriteKey{1, 0}}, ListedKey{4, WriteKey{2, 1}}}, {}, {}};
+  tagarr.entries = {
+      TagArrEntry{5, WriteKey{5, 0}, {ListedKey{1, WriteKey{1, 0}}, ListedKey{4, WriteKey{2, 1}}}},
+      TagArrEntry{130, WriteKey{9, 2}, {}}, TagArrEntry{4095, kInitialKey, {}}};
   msgs.push_back(Message{10, tagarr});
+  msgs.push_back(Message{10, AdaptTagArrResp{900, 890, {TagArrEntry{5, WriteKey{5, 0}, {}}},
+                                             {1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 1}, 3}});
   ReadValsResp vals;
   vals.obj = 1;
   vals.versions = {Version{kInitialKey, 0}, Version{WriteKey{2, 0}, 77},
@@ -215,9 +219,30 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
   // Wrong wire version must be rejected, not silently accepted.
-  std::vector<std::uint8_t> v2{0x53, 0x4E, 0x57, 0x4B, 0x02, 0x00};
-  EXPECT_FALSE(net::parse_hello(v2, hello, err));
+  std::vector<std::uint8_t> v3{0x53, 0x4E, 0x57, 0x4B, 0x03, 0x00};
+  EXPECT_FALSE(net::parse_hello(v3, hello, err));
   EXPECT_NE(err.find("wire version"), std::string::npos);
+}
+
+TEST(FrameRoundtrip, V2PeerRefusesAV1Hello) {
+  // v1 peers ship k-wide tag arrays that v2 decodes as garbage: the HELLO
+  // gate must refuse them by name before any MSG frame is parsed.
+  ASSERT_EQ(net::kWireVersion, 2u);
+  std::vector<std::uint8_t> bytes;
+  net::append_hello(bytes, 1);
+  FrameDecoder dec;
+  dec.feed(bytes);
+  Frame f;
+  ASSERT_EQ(dec.next(f), FrameDecoder::Status::kFrame);
+  net::HelloBody hello;
+  std::string err;
+  ASSERT_TRUE(net::parse_hello(f.body, hello, err)) << err;
+  // The same HELLO with the version varint rewritten to 1.
+  auto v1 = f.body;
+  ASSERT_EQ(v1[4], 0x02);
+  v1[4] = 0x01;
+  EXPECT_FALSE(net::parse_hello(v1, hello, err));
+  EXPECT_EQ(err, "wire version 1 (expected 2)");
 }
 
 TEST(FrameRoundtrip, FramedCodecBytesMatchEncodeMessage) {

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "checker/tag_order.hpp"
@@ -381,6 +382,93 @@ TEST(NetRuntime, MisroutedFrameDropsConnectionNotProcess) {
   driver.start();
   driver.wait();
   EXPECT_EQ(client.rec->snapshot().completed_reads(), 5u);
+
+  client.rt->broadcast_shutdown();
+  client.rt->stop();
+  server.rt->stop();
+}
+
+TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
+  SKIP_WITHOUT_TRANSPORT();
+  // Frames that decode fine but carry hostile CONTENT for the coordinator:
+  // update-coor write masks that do not cover the k objects (CoorList::push
+  // would abort on them) and a get-tag-arr naming ids >= k (latest() would
+  // throw).  The algo-b coordinator must drop the first without listing or
+  // acking them, answer the second for its valid ids only, and then still
+  // serve a real workload.
+  const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
+  FleetProc server;
+  server.build(fleet, 0);
+  server.rt->start();
+  // Servers 0-1 (coordinator 0) in process 0; reader 2 and writer 3 in the
+  // client process whose HELLO the attacker presents.
+  const NodeId coordinator = 0, reader = 2, writer = 3;
+  ASSERT_TRUE(server.rt->owns(coordinator));
+  ASSERT_EQ(server.rt->owner_of(reader), fleet.client_index());
+  ASSERT_EQ(server.rt->owner_of(writer), fleet.client_index());
+
+  const int fd = raw_connect(fleet.processes[0].port);
+  ASSERT_GE(fd, 0);
+  std::vector<std::uint8_t> bytes;
+  net::append_hello(bytes, fleet.client_index());
+  for (const std::vector<std::uint8_t>& mask :
+       {std::vector<std::uint8_t>{}, std::vector<std::uint8_t>{1},
+        std::vector<std::uint8_t>(3, 1), std::vector<std::uint8_t>(100'000, 1)}) {
+    net::append_msg(bytes, writer, coordinator,
+                    Message{1, UpdateCoorReq{WriteKey{1, writer}, mask}});
+  }
+  net::append_msg(bytes, reader, coordinator, Message{1, GetTagArrReq{{1, 2, 70'000}}});
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+
+  // The coordinator handles one link's frames in order, so the tag array
+  // arriving proves every update-coor before it was consumed — and none of
+  // them may have been acked.
+  std::optional<GetTagArrResp> tag_arr;
+  net::FrameDecoder dec;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!tag_arr && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    std::uint8_t buf[4096];
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    ASSERT_GT(n, 0) << "the coordinator dropped a well-formed link";
+    dec.feed(buf, static_cast<std::size_t>(n));
+    net::Frame f;
+    while (dec.next(f) == net::FrameDecoder::Status::kFrame) {
+      if (f.type != net::FrameType::kMsg) continue;
+      net::MsgHeader hdr;
+      std::string err;
+      ASSERT_TRUE(net::parse_msg_header(f.body, hdr, err)) << err;
+      const Message m = net::decode_msg_payload(f.body, hdr.payload_offset);
+      EXPECT_FALSE(std::holds_alternative<UpdateCoorAck>(m.payload))
+          << "a malformed update-coor was listed";
+      if (const auto* ta = std::get_if<GetTagArrResp>(&m.payload)) tag_arr = *ta;
+    }
+  }
+  ::close(fd);
+  ASSERT_TRUE(tag_arr.has_value()) << "no tag array from the coordinator";
+  EXPECT_EQ(tag_arr->tag, 0u);  // nothing was listed
+  ASSERT_EQ(tag_arr->entries.size(), 1u);
+  EXPECT_EQ(tag_arr->entries[0].obj, 1u);
+  EXPECT_EQ(tag_arr->entries[0].latest, kInitialKey);
+
+  FleetProc client;
+  client.build(fleet, fleet.client_index());
+  client.rt->start();
+  client.rt->wait_connected();
+  WorkloadSpec spec;
+  spec.ops_per_reader = 5;
+  spec.ops_per_writer = 5;
+  spec.read_span = 2;
+  spec.write_span = 2;
+  WorkloadDriver driver(*client.rt, *client.sys, spec);
+  driver.start();
+  driver.wait();
+  const History h = client.rec->snapshot();
+  EXPECT_EQ(h.completed_reads(), 5u);
+  EXPECT_EQ(h.completed_writes(), 5u);
+  const auto verdict = check_tag_order(h);
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
 
   client.rt->broadcast_shutdown();
   client.rt->stop();

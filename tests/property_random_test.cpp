@@ -147,6 +147,13 @@ struct CoorCase {
   std::uint64_t seed;
 };
 
+// Without a printer gtest dumps the raw bytes of the case, which start with
+// the std::string's data pointer, so the discovered test name would change
+// with every address-space layout.
+void PrintTo(const CoorCase& c, std::ostream* os) {
+  *os << c.kind << " coor=" << c.coordinator << " seed=" << c.seed;
+}
+
 class CoordinatorSweep : public testing::TestWithParam<CoorCase> {};
 
 TEST_P(CoordinatorSweep, AnyCoordinatorPreservesS) {

@@ -1,6 +1,8 @@
-// VersionStore: the per-server Vals set of the paper's pseudocode.
+// VersionStore: the per-server Vals set of the paper's pseudocode, and the
+// coordinator List's tag-array answers.
 #include <gtest/gtest.h>
 
+#include "msg/codec.hpp"
 #include "proto/version_store.hpp"
 
 namespace snowkit {
@@ -73,6 +75,90 @@ TEST(VersionStore, KeysFromDifferentWritersDistinct) {
   s.insert(WriteKey{1, 1}, 20);  // same seq, different writer
   EXPECT_EQ(s.get(WriteKey{1, 0}), 10);
   EXPECT_EQ(s.get(WriteKey{1, 1}), 20);
+}
+
+/// A CoorList over k objects with three WRITEs to objects 7, 200 and k-1,
+/// the first two finalized.
+CoorList three_writes(std::size_t k) {
+  CoorList list(k);
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    std::vector<std::uint8_t> mask(k, 0);
+    mask[7] = mask[200] = mask[k - 1] = 1;
+    list.push(WriteKey{seq, 1}, mask);
+  }
+  list.finalize(2);
+  return list;
+}
+
+TEST(CoorList, TagArrAnswersOnlyTheReadSet) {
+  const CoorList list = three_writes(256);
+  const GetTagArrReq req = tag_arr_req({200, 7, 200});
+  EXPECT_EQ(req.objs, (std::vector<ObjectId>{7, 200}));
+
+  const GetTagArrResp b = list.tag_arr(req.objs, /*with_history=*/false);
+  EXPECT_EQ(b.tag, 3u);
+  EXPECT_EQ(b.watermark, 2u);
+  ASSERT_EQ(b.entries.size(), 2u);
+  EXPECT_EQ(b.entries[0].obj, 7u);
+  EXPECT_EQ(b.entries[1].obj, 200u);
+  for (const TagArrEntry& e : b.entries) {
+    EXPECT_EQ(e.latest, (WriteKey{3, 1}));
+    EXPECT_TRUE(e.history.empty());
+  }
+
+  // Algorithm C adds each object's live history: the anchor at the
+  // watermark plus everything above it.
+  const GetTagArrResp c = list.tag_arr(req.objs, /*with_history=*/true);
+  const std::vector<ListedKey> live{ListedKey{2, WriteKey{2, 1}}, ListedKey{3, WriteKey{3, 1}}};
+  EXPECT_EQ(tag_entry(c.entries, 7).history, live);
+  EXPECT_EQ(tag_entry(c.entries, 200).history, live);
+
+  // An untouched object still answers with the initial key.
+  EXPECT_EQ(list.tag_arr({9}, false).entries.at(0).latest, kInitialKey);
+}
+
+TEST(CoorList, TagArrSkipsObjectsOutsideTheKeySpace) {
+  // Only a malformed request can name an id >= k; the coordinator answers
+  // for the rest instead of throwing from latest().
+  const CoorList list = three_writes(256);
+  const GetTagArrResp resp = list.tag_arr({7, 256, 4'000'000'000u}, /*with_history=*/true);
+  ASSERT_EQ(resp.entries.size(), 1u);
+  EXPECT_EQ(resp.entries[0].obj, 7u);
+  EXPECT_TRUE(list.tag_arr({}, true).entries.empty());
+}
+
+TEST(CoorList, AdmitsOnlyFullWidthWriteMasks) {
+  const CoorList list(4);
+  EXPECT_TRUE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {1, 0, 0, 1}}));
+  EXPECT_FALSE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {1, 0, 1}}));
+  EXPECT_FALSE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {1, 0, 0, 1, 1}}));
+  EXPECT_FALSE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {}}));
+}
+
+TEST(TagArrSize, FixedReadSetCostsTheSameBytesAtAnyObjectCount) {
+  // The get-tag-arr exchange scales with the READ, not with k: for one
+  // 2-object READ the request and the algo-b, algo-c and adaptive replies
+  // encode to the same size at every object count.  The adaptive reply's
+  // full-width mode table is its one deliberate O(k) field, so its bytes are
+  // measured and taken out explicitly.
+  std::vector<std::vector<std::size_t>> sizes;
+  for (const std::size_t k : {256u, 4096u, 65536u}) {
+    const CoorList list = three_writes(k);
+    const GetTagArrReq req = tag_arr_req({200, 7});
+    const GetTagArrResp b = list.tag_arr(req.objs, /*with_history=*/false);
+    const GetTagArrResp c = list.tag_arr(req.objs, /*with_history=*/true);
+    const std::vector<std::uint8_t> modes(k, 0);
+    const std::size_t mode_table = encoded_size(Message{5, AdaptTagArrResp{0, 0, {}, modes, 0}}) -
+                                   encoded_size(Message{5, AdaptTagArrResp{}});
+    const AdaptTagArrResp adapt{b.tag, b.watermark, b.entries, modes, 1};
+    sizes.push_back({encoded_size(Message{5, req}), encoded_size(Message{5, b}),
+                     encoded_size(Message{5, c}), encoded_size(Message{5, adapt}) - mode_table});
+  }
+  EXPECT_EQ(sizes[0], sizes[1]);
+  EXPECT_EQ(sizes[0], sizes[2]);
+  // And small in absolute terms: a request of a few bytes, one key per object.
+  EXPECT_LE(sizes[0][0], 8u);
+  EXPECT_LE(sizes[0][1], 16u);
 }
 
 TEST(WriteKeyTest, OrderingAndHash) {
