@@ -47,7 +47,7 @@ class BufWriter {
   void i64(std::int64_t v) { raw(&v, sizeof v); }
 
   /// LEB128 varint: 1 byte for values < 128, the common case for object ids,
-  /// tags, masks lengths and delta-coded positions on the wire.
+  /// tags, set sizes and delta-coded positions on the wire.
   void uv(std::uint64_t v) {
     while (v >= 0x80) {
       buf_->push_back(static_cast<std::uint8_t>(v) | 0x80);
@@ -77,23 +77,6 @@ class BufWriter {
   void cvec(const std::vector<T>& v, Fn&& write_elem) {
     uv(v.size());
     for (const auto& e : v) write_elem(*this, e);
-  }
-
-  /// A 0/1 mask bit-packed to ceil(n/8) bytes after a varint length.  Bytes
-  /// other than 0/1 would decode as 1 — fail fast at the violating caller
-  /// instead of corrupting silently.
-  void mask(const std::vector<std::uint8_t>& m) {
-    uv(m.size());
-    std::uint8_t acc = 0;
-    for (std::size_t i = 0; i < m.size(); ++i) {
-      SNOW_CHECK_MSG(m[i] <= 1, "mask byte " << int(m[i]) << " is not 0/1");
-      if (m[i] != 0) acc |= static_cast<std::uint8_t>(1u << (i % 8));
-      if (i % 8 == 7) {
-        buf_->push_back(acc);
-        acc = 0;
-      }
-    }
-    if (m.size() % 8 != 0) buf_->push_back(acc);
   }
 
   std::vector<std::uint8_t> take() { return std::move(*buf_); }
@@ -141,11 +124,6 @@ class SizeWriter {
   void cvec(const std::vector<T>& v, Fn&& write_elem) {
     uv(v.size());
     for (const auto& e : v) write_elem(*this, e);
-  }
-
-  void mask(const std::vector<std::uint8_t>& m) {
-    uv(m.size());
-    n_ += (m.size() + 7) / 8;
   }
 
   std::size_t size() const { return n_; }
@@ -209,18 +187,6 @@ class BufReader {
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_elem(*this));
     return v;
-  }
-
-  std::vector<std::uint8_t> mask() {
-    const std::uint64_t n = uv();
-    if (n > 8 * buf_.size()) throw CodecError("mask length exceeds buffer");
-    std::vector<std::uint8_t> m(n, 0);
-    std::uint8_t acc = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      if (i % 8 == 0) acc = u8();
-      m[i] = (acc >> (i % 8)) & 1;
-    }
-    return m;
   }
 
   bool done() const { return pos_ == buf_.size(); }

@@ -15,13 +15,14 @@ namespace {
 // Encoding conventions (the compact wire format):
 //  * integers ride as LEB128 varints (`uv`), values as zigzag varints (`zz`),
 //    so the common small-number case costs one byte instead of 4-8;
-//  * 0/1 write and mode masks are bit-packed to ceil(k/8) bytes;
 //  * version lists are delta-coded: Vals is key-ordered, so consecutive
 //    WriteKey seqs are non-decreasing and each entry stores only the delta;
 //  * List histories are position-ascending, so positions delta-code the
 //    same way;
-//  * a READ's object ids (get-tag-arr) are strictly ascending and ride as
-//    gaps, so the request costs O(|I|) bytes, not k bits.
+//  * object sets — a READ's objects (get-tag-arr), a WRITE's objects
+//    (update-coor, info-reader, kListPush records) and the adaptive mode
+//    delta — are strictly ascending and ride as gaps, so every such field
+//    costs O(|set|) bytes, never k bits.
 // A writer id of kInvalidNode (the initial version's placeholder w0) maps to
 // varint 0 rather than a 5-byte max-u32 varint.
 
@@ -95,32 +96,39 @@ std::vector<ListedKey> get_history(BufReader& r) {
   });
 }
 
-/// A READ's object ids (GetTagArrReq): strictly ascending, so each id rides
-/// as its gap to the previous one (the first as its gap to 0).
+/// An object set (read sets, write sets, mode deltas): strictly ascending,
+/// so each id rides as its gap to the previous one (the first as its gap to
+/// 0).  `what` names the field in errors.
 template <typename W>
-void put_read_set(W& w, const std::vector<ObjectId>& objs) {
+void put_obj_set(W& w, const std::vector<ObjectId>& objs, const char* what) {
   w.uv(objs.size());
   ObjectId prev = 0;
   for (std::size_t i = 0; i < objs.size(); ++i) {
-    SNOW_CHECK_MSG(i == 0 || objs[i] > prev, "get-tag-arr object ids must strictly ascend");
+    SNOW_CHECK_MSG(i == 0 || objs[i] > prev, what << " object ids must strictly ascend");
     w.uv(objs[i] - prev);
     prev = objs[i];
   }
 }
 
-std::vector<ObjectId> get_read_set(BufReader& r) {
+/// The decoding side: unsorted or duplicate ids are a CodecError, and so is
+/// an empty set where `nonempty` (a WRITE writes at least one object).
+std::vector<ObjectId> get_obj_set(BufReader& r, const char* what, bool nonempty) {
   std::uint64_t prev = 0;
   bool first = true;
-  return r.cvec<ObjectId>([&](BufReader& r2) {
+  std::vector<ObjectId> objs = r.cvec<ObjectId>([&](BufReader& r2) {
     const std::uint64_t gap = r2.uv();
-    if (!first && gap == 0) throw CodecError("get-tag-arr object ids not strictly ascending");
+    if (!first && gap == 0) {
+      throw CodecError(std::string(what) + " object ids not strictly ascending");
+    }
     if (gap > std::numeric_limits<ObjectId>::max() - prev) {
-      throw CodecError("get-tag-arr object id out of range");
+      throw CodecError(std::string(what) + " object id out of range");
     }
     first = false;
     prev += gap;
     return static_cast<ObjectId>(prev);
   });
+  if (nonempty && objs.empty()) throw CodecError(std::string(what) + " names no object");
+  return objs;
 }
 
 /// Tag-array slots (GetTagArrResp, AdaptTagArrResp): per slot obj, kappa_i,
@@ -154,7 +162,7 @@ void put_repl_record(W& w, const ReplRecord& r) {
   w.zz(r.value);
   w.uv(r.position);
   w.uv(r.watermark);
-  w.mask(r.mask);
+  put_obj_set(w, r.objs, "kListPush");
   w.uv(r.txn);
   put_writer(w, r.writer);
   w.uv(r.epoch);
@@ -169,7 +177,7 @@ ReplRecord get_repl_record(BufReader& r) {
   rec.value = r.zz();
   rec.position = r.uv();
   rec.watermark = r.uv();
-  rec.mask = r.mask();
+  rec.objs = get_obj_set(r, "kListPush", rec.kind == ReplRecord::kListPush);
   rec.txn = r.uv();
   rec.writer = get_writer(r);
   rec.epoch = r.uv();
@@ -183,11 +191,20 @@ struct Encoder {
 
   void operator()(const WriteValReq& p) { put_key(w, p.key); w.uv(p.obj); w.zz(p.value); }
   void operator()(const WriteValAck& p) { put_key(w, p.key); w.uv(p.obj); }
-  void operator()(const InfoReaderReq& p) { put_key(w, p.key); w.mask(p.mask); }
+  void operator()(const InfoReaderReq& p) {
+    put_key(w, p.key);
+    put_obj_set(w, p.objs, "info-reader");
+  }
   void operator()(const InfoReaderAck& p) { w.uv(p.tag); }
-  void operator()(const UpdateCoorReq& p) { put_key(w, p.key); w.mask(p.mask); }
+  void operator()(const UpdateCoorReq& p) {
+    put_key(w, p.key);
+    put_obj_set(w, p.objs, "update-coor");
+  }
   void operator()(const UpdateCoorAck& p) { w.uv(p.tag); w.uv(p.watermark); }
-  void operator()(const GetTagArrReq& p) { put_read_set(w, p.objs); }
+  void operator()(const GetTagArrReq& p) {
+    put_obj_set(w, p.objs, "get-tag-arr");
+    w.uv(p.mode_epoch);
+  }
   void operator()(const GetTagArrResp& p) {
     w.uv(p.tag);
     w.uv(p.watermark);
@@ -244,8 +261,10 @@ struct Encoder {
     w.uv(p.tag);
     w.uv(p.watermark);
     put_tag_entries(w, p.entries);
-    w.mask(p.modes);
     w.uv(p.mode_epoch);
+    w.uv(p.mode_base);
+    put_obj_set(w, p.c_mode, "C-mode");
+    put_obj_set(w, p.b_mode, "B-mode");
   }
   void operator()(const ReadValBatchReq& p) {
     w.uv(p.watermark);
@@ -295,7 +314,10 @@ WriteValAck Decoder::get<WriteValAck>() {
 }
 template <>
 InfoReaderReq Decoder::get<InfoReaderReq>() {
-  InfoReaderReq p; p.key = get_key(r); p.mask = r.mask(); return p;
+  InfoReaderReq p;
+  p.key = get_key(r);
+  p.objs = get_obj_set(r, "info-reader", /*nonempty=*/true);
+  return p;
 }
 template <>
 InfoReaderAck Decoder::get<InfoReaderAck>() {
@@ -303,7 +325,10 @@ InfoReaderAck Decoder::get<InfoReaderAck>() {
 }
 template <>
 UpdateCoorReq Decoder::get<UpdateCoorReq>() {
-  UpdateCoorReq p; p.key = get_key(r); p.mask = r.mask(); return p;
+  UpdateCoorReq p;
+  p.key = get_key(r);
+  p.objs = get_obj_set(r, "update-coor", /*nonempty=*/true);
+  return p;
 }
 template <>
 UpdateCoorAck Decoder::get<UpdateCoorAck>() {
@@ -311,7 +336,10 @@ UpdateCoorAck Decoder::get<UpdateCoorAck>() {
 }
 template <>
 GetTagArrReq Decoder::get<GetTagArrReq>() {
-  GetTagArrReq p; p.objs = get_read_set(r); return p;
+  GetTagArrReq p;
+  p.objs = get_obj_set(r, "get-tag-arr", /*nonempty=*/false);
+  p.mode_epoch = r.uv();
+  return p;
 }
 template <>
 GetTagArrResp Decoder::get<GetTagArrResp>() {
@@ -466,8 +494,14 @@ AdaptTagArrResp Decoder::get<AdaptTagArrResp>() {
   p.tag = r.uv();
   p.watermark = r.uv();
   p.entries = get_tag_entries(r);
-  p.modes = r.mask();
   p.mode_epoch = r.uv();
+  p.mode_base = r.uv();
+  if (p.mode_base > p.mode_epoch) throw CodecError("mode delta based past its epoch");
+  p.c_mode = get_obj_set(r, "C-mode", /*nonempty=*/false);
+  p.b_mode = get_obj_set(r, "B-mode", /*nonempty=*/false);
+  if (p.mode_base == 0 && !p.b_mode.empty()) {
+    throw CodecError("mode snapshot lists B-mode objects");
+  }
   return p;
 }
 template <>
@@ -534,7 +568,8 @@ static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one b
 // these numbers.  APPEND new payloads to the variant; reordering or
 // inserting breaks every stored trace and any mixed-version fleet, so it
 // requires a wire-version bump.  These asserts pin the frozen assignment,
-// which snowkit-wire-v2 kept (v2 redefined only the bodies of tags 6, 7, 36).
+// which snowkit-wire-v2 and v3 kept (v2 redefined only the bodies of tags 6,
+// 7 and 36; v3 those of 2, 4, 6, 36 and the replication record).
 template <typename T>
 constexpr std::size_t payload_tag = Payload{T{}}.index();
 static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&

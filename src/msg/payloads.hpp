@@ -24,8 +24,8 @@ struct Version {
   friend bool operator==(const Version&, const Version&) = default;
 };
 
-/// A List entry (kappa, (b_1..b_k)) plus its position, used when the
-/// coordinator ships per-object key history to readers (Algorithm C).
+/// A List entry's key plus its position, used when the coordinator ships
+/// per-object key history to readers (Algorithm C).
 struct ListedKey {
   Tag position{0};   ///< index of this entry in List (1-based; 0 = initial).
   WriteKey key;
@@ -52,9 +52,11 @@ struct WriteValAck {
 };
 
 /// info-reader: writer -> reader (Algorithm A; this is the C2C message).
+/// `objs` is the paper's (b_1..b_k) written as the set {i : b_i = 1}, so the
+/// message scales with the WRITE, not with k.
 struct InfoReaderReq {
   WriteKey key;
-  std::vector<std::uint8_t> mask;  ///< b_1..b_k, 1 iff object i was written.
+  std::vector<ObjectId> objs;  ///< the written objects W, ascending, non-empty.
   friend bool operator==(const InfoReaderReq&, const InfoReaderReq&) = default;
 };
 
@@ -65,10 +67,11 @@ struct InfoReaderAck {
   friend bool operator==(const InfoReaderAck&, const InfoReaderAck&) = default;
 };
 
-/// update-coor: writer -> coordinator s* (Algorithms B and C).
+/// update-coor: writer -> coordinator s* (Algorithms B and C), carrying
+/// (kappa, b_1..b_k) as the written set {i : b_i = 1}.
 struct UpdateCoorReq {
   WriteKey key;
-  std::vector<std::uint8_t> mask;
+  std::vector<ObjectId> objs;  ///< the written objects W, ascending, non-empty.
 
   friend bool operator==(const UpdateCoorReq&, const UpdateCoorReq&) = default;
 };
@@ -85,8 +88,11 @@ struct UpdateCoorAck {
 };
 
 /// get-tag-arr: reader -> coordinator s*, naming the READ's objects I.
+/// `mode_epoch` is the adaptive reader's adopted mode epoch, the base the
+/// coordinator computes its mode delta against (0 for every other reader).
 struct GetTagArrReq {
   std::vector<ObjectId> objs;  ///< I, ascending and de-duplicated.
+  std::uint64_t mode_epoch{0};
   friend bool operator==(const GetTagArrReq&, const GetTagArrReq&) = default;
 };
 
@@ -323,7 +329,7 @@ struct ReplRecord {
   enum Kind : std::uint8_t {
     kInsert = 0,        ///< VersionStore::insert(key, value) on `obj`.
     kFinalize = 1,      ///< finalize(key, position) + advance_watermark on `obj`.
-    kListPush = 2,      ///< CoorList::push(key, mask) -> must yield `position`.
+    kListPush = 2,      ///< CoorList::push(key, objs) -> must yield `position`.
     kCoorFinalize = 3,  ///< CoorList::finalize(position).
     kEpoch = 4,         ///< local-only WAL marker: epoch/role change (never shipped).
   };
@@ -333,11 +339,11 @@ struct ReplRecord {
   Value value{kInitialValue};
   Tag position{0};
   Tag watermark{0};
-  std::vector<std::uint8_t> mask;  ///< kListPush: the update-coor interest mask.
-  TxnId txn{kInvalidTxn};          ///< kListPush: the writer's txn (retry dedup).
-  NodeId writer{kInvalidNode};     ///< kListPush: the writer node (retry dedup).
-  std::uint64_t epoch{0};          ///< kEpoch: new epoch value.
-  std::uint8_t primary{0};         ///< kEpoch: 1 iff the appender is primary.
+  std::vector<ObjectId> objs;   ///< kListPush: the update-coor write set.
+  TxnId txn{kInvalidTxn};       ///< kListPush: the writer's txn (retry dedup).
+  NodeId writer{kInvalidNode};  ///< kListPush: the writer node (retry dedup).
+  std::uint64_t epoch{0};       ///< kEpoch: new epoch value.
+  std::uint8_t primary{0};      ///< kEpoch: 1 iff the appender is primary.
 
   friend bool operator==(const ReplRecord&, const ReplRecord&) = default;
 };
@@ -420,18 +426,25 @@ struct NodeDownNotice {
 /// Coordinator -> reader, the adaptive tag-array response (replaces
 /// GetTagArrResp on the adaptive read path).  `entries` are the requested
 /// objects' kappa_i, exactly as in GetTagArrResp (histories stay empty).
-/// `modes` is the full-width per-object fetch-mode mask (bit i = 1 iff
-/// object i is in C-mode, i.e. readers should prefetch its version list in
-/// round 1).  `mode_epoch` fences switches: readers adopt `modes` only when
-/// `mode_epoch` is >= their cached epoch, so a held or reordered response
-/// can never roll the mode table backwards — and an in-flight read always
-/// completes under the plan it started with.
+///
+/// The rest brings the reader's per-object fetch-mode table (C-mode = prefetch
+/// the version list in round 1) up to the coordinator's table at
+/// `mode_epoch`, which bumps on every switch.  With `mode_base` > 0 it is a
+/// DELTA against the table at epoch `mode_base` (the epoch the reader named
+/// in its get-tag-arr): every object that flipped since then, listed in
+/// `c_mode` or `b_mode` by its current mode.  With `mode_base` == 0 it is a
+/// SNAPSHOT: `c_mode` is the whole C-mode set and replaces the reader's
+/// table.  Readers adopt only when `mode_epoch` is >= their own epoch, so a
+/// held or reordered response can never roll the table backwards — and an
+/// in-flight read always completes under the plan it started with.
 struct AdaptTagArrResp {
   Tag tag{0};
   Tag watermark{0};
   std::vector<TagArrEntry> entries;  ///< one per requested object, ascending obj.
-  std::vector<std::uint8_t> modes;   ///< per-object fetch mode (1 = C/prefetch).
-  std::uint64_t mode_epoch{0};       ///< bumps on every coordinator switch.
+  std::uint64_t mode_epoch{0};       ///< the coordinator's switch count.
+  std::uint64_t mode_base{0};        ///< delta base epoch; 0 = snapshot.
+  std::vector<ObjectId> c_mode;      ///< ascending: objects now in C-mode.
+  std::vector<ObjectId> b_mode;      ///< ascending: objects flipped back to B (deltas only).
   friend bool operator==(const AdaptTagArrResp&, const AdaptTagArrResp&) = default;
 };
 

@@ -31,7 +31,7 @@ class ServerAdapt final : public Node {
               std::optional<Replicator::Config> repl = std::nullopt,
               std::unique_ptr<WalStorage> wal = nullptr)
       : k_(k), is_coordinator_(is_coordinator), gc_(gc), up_(switch_up), down_(switch_down),
-        tau_ns_(ewma_tau_ns) {
+        tau_ns_(ewma_tau_ns), modes_(k) {
     if (is_coordinator_) {
       list_.emplace(k_);
       reset_adaptive_state();
@@ -73,6 +73,7 @@ class ServerAdapt final : public Node {
         return;
       }
     }
+    if (misrouted(from, m, is_coordinator_)) return;
     if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
       if (repl_ != nullptr) {
         ReplRecord rec;
@@ -149,7 +150,6 @@ class ServerAdapt final : public Node {
         return;
       }
       if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-        SNOW_CHECK_MSG(is_coordinator_, "finalize-coor sent to non-coordinator");
         ReplRecord rec;
         rec.kind = ReplRecord::kCoorFinalize;
         rec.position = fc->position;
@@ -157,25 +157,24 @@ class ServerAdapt final : public Node {
         return;
       }
     }
-    if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
+    if (handle_gc_notice(from, m, gc_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
       if (!list_->admits(from, *uc)) return;
       if (repl_ != nullptr) {
         handle_update_coor(from, m.txn, *uc);
       } else {
-        observe_write(uc->mask);
-        const Tag pos = list_->push(uc->key, uc->mask);
+        observe_write(uc->objs);
+        const Tag pos = list_->push(uc->key, uc->objs);
         send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
       }
       return;
     }
     if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
       list_->register_reader(from, m.txn);
       GetTagArrResp ta = list_->tag_arr(gt->objs, /*with_history=*/false);
-      send(from, Message{m.txn, AdaptTagArrResp{ta.tag, ta.watermark, std::move(ta.entries),
-                                                 modes_, mode_epoch_}});
+      AdaptTagArrResp resp{ta.tag, ta.watermark, std::move(ta.entries)};
+      modes_.answer(gt->mode_epoch, resp);
+      send(from, Message{m.txn, std::move(resp)});
       return;
     }
     SNOW_UNREACHABLE("adaptive server got unexpected payload");
@@ -183,36 +182,31 @@ class ServerAdapt final : public Node {
 
  private:
   void reset_adaptive_state() {
-    modes_.assign(k_, 0);
+    modes_ = ModeTable(k_);
     ewma_.assign(k_, 0.0);
     ewma_last_.assign(k_, 0);
-    mode_epoch_ = 0;
   }
 
   /// Per-object write-rate tracker: decay the credit by exp(-dt/tau), add 1
-  /// per masked object, flip the mode with hysteresis.  Runs on the primary
+  /// per written object, flip the mode with hysteresis.  Runs on the primary
   /// at update-coor time, so it observes exactly the listing traffic; it
   /// reads only Runtime::now_ns (virtual in the sim), so replayed schedules
-  /// re-derive identical switch sequences.
-  void observe_write(const std::vector<std::uint8_t>& mask) {
+  /// re-derive identical switch sequences.  O(|W|): admits() has already
+  /// checked every id is < k.
+  void observe_write(const std::vector<ObjectId>& objs) {
     const TimeNs now = rt().now_ns();
-    const std::size_t n = std::min(k_, mask.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mask[i] == 0) continue;
-      double& credit = ewma_[i];
-      if (now > ewma_last_[i]) {
-        credit *= std::exp(-static_cast<double>(now - ewma_last_[i]) /
+    for (ObjectId obj : objs) {
+      double& credit = ewma_[obj];
+      if (now > ewma_last_[obj]) {
+        credit *= std::exp(-static_cast<double>(now - ewma_last_[obj]) /
                            static_cast<double>(tau_ns_));
       }
       credit += 1.0;
-      ewma_last_[i] = now;
-      const std::uint8_t want = modes_[i] == 0 ? (credit >= up_ ? 1 : 0)
-                                               : (credit <= down_ ? 0 : 1);
-      if (want != modes_[i]) {
-        modes_[i] = want;
-        ++mode_epoch_;
+      ewma_last_[obj] = now;
+      const bool c_mode = modes_.c_mode(obj) ? credit > down_ : credit >= up_;
+      if (modes_.set(obj, c_mode)) {
         ++switches_;
-        rt().note_switch(static_cast<ObjectId>(i), want);
+        rt().note_switch(obj, c_mode ? 1 : 0);
       }
     }
   }
@@ -231,11 +225,11 @@ class ServerAdapt final : public Node {
       case Replicator::PushStatus::kNew:
         break;
     }
-    observe_write(uc.mask);
+    observe_write(uc.objs);
     ReplRecord rec;
     rec.kind = ReplRecord::kListPush;
     rec.key = uc.key;
-    rec.mask = uc.mask;
+    rec.objs = uc.objs;
     rec.txn = txn;
     rec.writer = from;
     rec.position = repl_->next_push_position();
@@ -255,10 +249,9 @@ class ServerAdapt final : public Node {
   std::optional<CoorList> list_;      ///< coordinator only.
   std::unique_ptr<Replicator> repl_;  ///< replicas=2 only.
   // Advisory adaptive state (coordinator only; dies with the lineage).
-  std::vector<std::uint8_t> modes_;
+  ModeTable modes_;
   std::vector<double> ewma_;
   std::vector<TimeNs> ewma_last_;
-  std::uint64_t mode_epoch_{0};
   std::uint64_t switches_{0};
 };
 
@@ -273,9 +266,8 @@ class ReaderAdapt final : public Node, public ReadClientApi {
  public:
   ReaderAdapt(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard,
               bool replicated, bool cache_reads, bool broken_cache)
-      : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
-        replicated_(replicated), cache_reads_(cache_reads), broken_cache_(broken_cache),
-        routes_(place.num_servers()), modes_(k_, 0) {}
+      : rec_(rec), place_(place), coor_shard_(coor_shard), replicated_(replicated),
+        cache_reads_(cache_reads), broken_cache_(broken_cache), routes_(place.num_servers()) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -292,7 +284,7 @@ class ReaderAdapt final : public Node, public ReadClientApi {
 
   const AdaptiveStats& stats() const { return stats_; }
 
-  void on_message(NodeId, const Message& m) override {
+  void on_message(NodeId from, const Message& m) override {
     if (const auto* tn = std::get_if<TakeoverNotice>(&m.payload)) {
       on_takeover(*tn);
       return;
@@ -305,7 +297,7 @@ class ReaderAdapt final : public Node, public ReadClientApi {
       } else {
         SNOW_CHECK(pending_ && pending_->txn == m.txn);
       }
-      on_tag_arr(*ta);
+      on_tag_arr(from, *ta);
       return;
     }
     if (const auto* pf = std::get_if<ReadValsBatchResp>(&m.payload)) {
@@ -373,7 +365,9 @@ class ReaderAdapt final : public Node, public ReadClientApi {
     pending_->prefetched.clear();
     pending_->prefetch_outstanding = 0;
     pending_->round2_sent = false;
-    send(routes_.node_of(coor_shard_), Message{pending_->txn, tag_arr_req(pending_->objs)});
+    GetTagArrReq req = tag_arr_req(pending_->objs);
+    req.mode_epoch = modes_.epoch();
+    send(routes_.node_of(coor_shard_), Message{pending_->txn, std::move(req)});
     // Prefetch (one batched frame per server shard): C-mode objects always —
     // their write rate says any cache entry is probably stale — and, when the
     // cache is on, objects with NO cache entry, since those are certain to
@@ -383,7 +377,7 @@ class ReaderAdapt final : public Node, public ReadClientApi {
     std::map<std::size_t, ReadValsBatchReq> by_shard;
     for (ObjectId obj : pending_->objs) {
       const bool uncached = cache_reads_ && cache_.find(obj) == cache_.end();
-      if (modes_[obj] == 0 && !uncached) continue;
+      if (!modes_.c_mode(obj) && !uncached) continue;
       auto& batch = by_shard[place_.shard_of(obj)];
       batch.watermark = last_watermark_;
       batch.objs.push_back(obj);
@@ -394,17 +388,15 @@ class ReaderAdapt final : public Node, public ReadClientApi {
     }
   }
 
-  void on_tag_arr(const AdaptTagArrResp& ta) {
+  void on_tag_arr(NodeId from, const AdaptTagArrResp& ta) {
     pending_->have_tag_arr = true;
     pending_->tag = ta.tag;
     pending_->watermark = ta.watermark;
     last_watermark_ = std::max(last_watermark_, ta.watermark);
-    // Epoch fence: adopt the mode table only when it is at least as new as
-    // the one we hold, so a held/reordered response can't roll modes back.
-    if (ta.mode_epoch >= mode_epoch_ && ta.modes.size() == k_) {
-      modes_ = ta.modes;
-      mode_epoch_ = ta.mode_epoch;
-    }
+    // Epoch fence (ModeView::adopt): a held/reordered response can't roll
+    // modes back.  Only the current coordinator's answers count: a straggler
+    // from a deposed lineage is a delta against a table we reset.
+    if (from == routes_.node_of(coor_shard_)) modes_.adopt(ta);
     for (ObjectId obj : pending_->objs) {
       const WriteKey& key = tag_entry(ta.entries, obj).latest;
       pending_->want[obj] = key;
@@ -481,8 +473,7 @@ class ReaderAdapt final : public Node, public ReadClientApi {
     if (tn.shard == coor_shard_) {
       // New coordinator lineage: its mode epochs restart from zero, so our
       // fence must too.
-      modes_.assign(k_, 0);
-      mode_epoch_ = 0;
+      modes_.reset();
     }
     if (!pending_) return;
     restart_round();
@@ -510,14 +501,12 @@ class ReaderAdapt final : public Node, public ReadClientApi {
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
   std::size_t coor_shard_;
   bool replicated_;
   bool cache_reads_;
   bool broken_cache_;
   ShardRoutes routes_;
-  std::vector<std::uint8_t> modes_;  ///< adopted per-object fetch modes.
-  std::uint64_t mode_epoch_{0};
+  ModeView modes_;  ///< adopted per-object fetch modes.
   Tag last_watermark_{0};
   std::map<ObjectId, Version> cache_;  ///< (key, value) per object.
   AdaptiveStats stats_;
@@ -592,6 +581,49 @@ const ProtocolRegistration kRegisterAdaptive{
     }};
 
 }  // namespace
+
+bool ModeTable::set(ObjectId obj, bool c_mode) {
+  const bool flipped = c_mode ? c_objs_.insert(obj).second : c_objs_.erase(obj) != 0;
+  if (!flipped) return false;
+  ++epoch_;
+  flips_.push_back(obj);
+  if (flips_.size() > k_) flips_.pop_front();
+  return true;
+}
+
+void ModeTable::answer(std::uint64_t reader_epoch, AdaptTagArrResp& resp) const {
+  resp.mode_epoch = epoch_;
+  resp.c_mode.clear();
+  resp.b_mode.clear();
+  // flips_ holds exactly the flips that made epochs (epoch_ - size, epoch_].
+  if (reader_epoch != 0 && reader_epoch <= epoch_ && epoch_ - reader_epoch <= flips_.size()) {
+    std::vector<ObjectId> flipped(flips_.end() - static_cast<std::ptrdiff_t>(epoch_ - reader_epoch),
+                                  flips_.end());
+    std::sort(flipped.begin(), flipped.end());
+    flipped.erase(std::unique(flipped.begin(), flipped.end()), flipped.end());
+    if (flipped.size() <= c_objs_.size()) {
+      resp.mode_base = reader_epoch;
+      for (ObjectId obj : flipped) (c_mode(obj) ? resp.c_mode : resp.b_mode).push_back(obj);
+      return;
+    }
+  }
+  resp.mode_base = 0;
+  resp.c_mode.assign(c_objs_.begin(), c_objs_.end());
+}
+
+bool ModeView::adopt(const AdaptTagArrResp& resp) {
+  if (resp.mode_epoch < epoch_) return false;
+  if (resp.mode_base == 0) {
+    c_objs_ = std::set<ObjectId>(resp.c_mode.begin(), resp.c_mode.end());
+  } else if (resp.mode_base <= epoch_) {
+    for (ObjectId obj : resp.b_mode) c_objs_.erase(obj);
+    c_objs_.insert(resp.c_mode.begin(), resp.c_mode.end());
+  } else {
+    return false;
+  }
+  epoch_ = resp.mode_epoch;
+  return true;
+}
 
 void AdaptiveOptions::validate() const {
   if (!(switch_up > 0.0) || !(switch_down >= 0.0)) {

@@ -24,20 +24,25 @@
 //    TakeoverNotice epoch bump.
 //
 // The coordinator tracks per-object write rates with a lazily-decayed EWMA
-// over update-coor masks and flips modes with hysteresis (switch_up /
-// switch_down).  Each flip bumps a mode epoch that rides AdaptTagArrResp;
-// readers adopt a mode table only at equal-or-newer epochs, so reordered
-// responses can never roll modes backwards, and a READ in flight completes
-// under the plan it started with.  Switches are reported through
+// over update-coor write sets and flips modes with hysteresis (switch_up /
+// switch_down).  Each flip bumps a mode epoch (ModeTable below).  Readers
+// name the epoch they hold in get-tag-arr, and AdaptTagArrResp answers with
+// the objects that flipped since then — a delta, not a k-wide table.
+// Readers adopt only at equal-or-newer epochs, so reordered responses can
+// never roll modes backwards, and a READ in flight completes under the plan
+// it started with.  Switches are reported through
 // Runtime::note_switch, which the sim's schedule recorder turns into
 // kSwitch ScheduleLog annotations (replayable, ddmin-shrinkable).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <set>
 #include <string>
 
+#include "msg/payloads.hpp"
 #include "proto/api.hpp"
 
 namespace snowkit {
@@ -92,6 +97,57 @@ struct AdaptiveStats {
   std::uint64_t prefetch_resolved{0};    ///< objects resolved from a C-mode prefetch.
   std::uint64_t round2_objects{0};       ///< objects fetched via ReadValBatchReq.
   std::uint64_t switches{0};             ///< coordinator mode flips (note_switch calls).
+};
+
+/// The coordinator's per-object fetch-mode table (C-mode = readers prefetch
+/// the object's version list in round 1).  Every flip bumps epoch() and
+/// enters a flip log of at most k flips; answer() turns that log into a
+/// reader's delta.  Advisory state: never replicated, reset with the lineage.
+class ModeTable {
+ public:
+  explicit ModeTable(std::size_t num_objects) : k_(num_objects) {}
+
+  bool c_mode(ObjectId obj) const { return c_objs_.count(obj) != 0; }
+  std::uint64_t epoch() const { return epoch_; }
+
+  /// Sets `obj`'s mode; returns true, having bumped the epoch, iff it flipped.
+  bool set(ObjectId obj, bool c_mode);
+
+  /// Fills `resp`'s mode fields for a reader whose table is at
+  /// `reader_epoch`: a delta against it (base = reader_epoch) when the flip
+  /// log reaches back that far and the delta lists no more objects than a
+  /// snapshot would; otherwise a snapshot (base 0) — always for a reader at
+  /// epoch 0 or ahead of this table.  O(flips since reader_epoch) or O(|C|).
+  void answer(std::uint64_t reader_epoch, AdaptTagArrResp& resp) const;
+
+ private:
+  std::size_t k_;                ///< bounds the flip log.
+  std::set<ObjectId> c_objs_;    ///< the C-mode objects; all others are B.
+  std::deque<ObjectId> flips_;   ///< the newest flips; back() made epoch_.
+  std::uint64_t epoch_{0};
+};
+
+/// A reader's adopted copy of a coordinator's ModeTable.
+class ModeView {
+ public:
+  bool c_mode(ObjectId obj) const { return c_objs_.count(obj) != 0; }
+  std::uint64_t epoch() const { return epoch_; }
+
+  /// Adopts `resp`'s table iff its epoch is at least ours and it applies:
+  /// a snapshot replaces the table; a delta applies iff its base is at or
+  /// below our epoch (the objects it omits cannot have flipped since).
+  /// Returns whether it adopted.
+  bool adopt(const AdaptTagArrResp& resp);
+
+  /// Back to the all-B table at epoch 0: a new coordinator lineage.
+  void reset() {
+    c_objs_.clear();
+    epoch_ = 0;
+  }
+
+ private:
+  std::set<ObjectId> c_objs_;
+  std::uint64_t epoch_{0};
 };
 
 /// ProtocolSystem refinement exposing the adaptive counters; callers that

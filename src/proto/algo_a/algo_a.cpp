@@ -31,9 +31,7 @@ class ServerA final : public Node {
 class ReaderA final : public Node, public ReadClientApi {
  public:
   ReaderA(HistoryRecorder& rec, const Placement& place)
-      : rec_(rec), place_(place), k_(place.num_objects()) {
-    list_.push_back({kInitialKey, std::vector<std::uint8_t>(k_, 1)});
-  }
+      : rec_(rec), place_(place), latest_(place.num_objects(), kInitialKey) {}
 
   void read(std::vector<ObjectId> objs, ReadCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
@@ -47,10 +45,9 @@ class ReaderA final : public Node, public ReadClientApi {
     // over the objects read): any WRITE that completed before this READ was
     // invoked already sits in List, so P2 (no real-time inversion) holds
     // even for writes touching other objects.
-    pending_->tag = static_cast<Tag>(list_.size() - 1);
+    pending_->tag = list_len_ - 1;
     for (ObjectId obj : objs) {
-      const std::size_t j = latest_entry_for(obj);
-      send(place_.server_node(obj), Message{txn, ReadValReq{obj, list_[j].first}});
+      send(place_.server_node(obj), Message{txn, ReadValReq{obj, latest_.at(obj)}});
     }
   }
 
@@ -58,9 +55,10 @@ class ReaderA final : public Node, public ReadClientApi {
 
   void on_message(NodeId from, const Message& m) override {
     if (const auto* ir = std::get_if<InfoReaderReq>(&m.payload)) {
-      SNOW_CHECK(ir->mask.size() == k_);
-      list_.push_back({ir->key, ir->mask});
-      send(from, Message{m.txn, InfoReaderAck{static_cast<Tag>(list_.size() - 1)}});
+      // List only matters through each object's newest entry, so appending
+      // (kappa, b_1..b_k) updates latest_ for the written objects.
+      for (ObjectId obj : ir->objs) latest_.at(obj) = ir->key;
+      send(from, Message{m.txn, InfoReaderAck{list_len_++}});
       return;
     }
     if (const auto* rr = std::get_if<ReadValResp>(&m.payload)) {
@@ -81,13 +79,6 @@ class ReaderA final : public Node, public ReadClientApi {
     ReadCallback cb;
   };
 
-  std::size_t latest_entry_for(ObjectId obj) const {
-    for (std::size_t j = list_.size(); j-- > 0;) {
-      if (list_[j].second[obj] != 0) return j;
-    }
-    SNOW_UNREACHABLE("List[0] covers every object");
-  }
-
   void complete() {
     ReadResult result;
     result.txn = pending_->txn;
@@ -101,15 +92,15 @@ class ReaderA final : public Node, public ReadClientApi {
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
-  std::vector<std::pair<WriteKey, std::vector<std::uint8_t>>> list_;
+  Tag list_len_{1};               ///< List length; List[0] is the initial entry.
+  std::vector<WriteKey> latest_;  ///< per object: the key of its newest List entry.
   std::optional<Pending> pending_;
 };
 
 class WriterA final : public Node, public WriteClientApi {
  public:
   WriterA(HistoryRecorder& rec, const Placement& place, std::vector<NodeId> readers)
-      : rec_(rec), place_(place), k_(place.num_objects()), readers_(std::move(readers)) {}
+      : rec_(rec), place_(place), readers_(std::move(readers)) {}
 
   void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
     SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
@@ -118,12 +109,11 @@ class WriterA final : public Node, public WriteClientApi {
     pending_.emplace();
     pending_->txn = txn;
     pending_->key = WriteKey{++z_, id()};
-    pending_->mask.assign(k_, 0);
+    pending_->objs = write_set(writes);
     pending_->await_server_acks = writes.size();
     pending_->await_reader_acks = readers_.size();
     pending_->cb = std::move(cb);
     for (const auto& [obj, value] : writes) {
-      pending_->mask[obj] = 1;
       send(place_.server_node(obj), Message{txn, WriteValReq{pending_->key, obj, value}});
     }
   }
@@ -137,7 +127,7 @@ class WriterA final : public Node, public WriteClientApi {
         // info-reader phase: the C2C step.  With multiple readers (the
         // deliberately unsafe Fig. 1(a) demo) all readers are informed.
         for (NodeId r : readers_) {
-          send(r, Message{m.txn, InfoReaderReq{pending_->key, pending_->mask}});
+          send(r, Message{m.txn, InfoReaderReq{pending_->key, pending_->objs}});
         }
       }
       return;
@@ -161,7 +151,7 @@ class WriterA final : public Node, public WriteClientApi {
   struct Pending {
     TxnId txn{kInvalidTxn};
     WriteKey key;
-    std::vector<std::uint8_t> mask;
+    std::vector<ObjectId> objs;  ///< the write set W, ascending.
     std::size_t await_server_acks{0};
     std::size_t await_reader_acks{0};
     Tag tag{0};
@@ -170,7 +160,6 @@ class WriterA final : public Node, public WriteClientApi {
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
   std::vector<NodeId> readers_;
   std::uint64_t z_ = 0;
   std::optional<Pending> pending_;

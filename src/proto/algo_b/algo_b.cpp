@@ -67,6 +67,7 @@ class ServerB final : public Node {
         return;
       }
     }
+    if (misrouted(from, m, is_coordinator_)) return;
     if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
       if (repl_ != nullptr) {
         ReplRecord rec;
@@ -111,7 +112,6 @@ class ServerB final : public Node {
         return;
       }
       if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-        SNOW_CHECK_MSG(is_coordinator_, "finalize-coor sent to non-coordinator");
         ReplRecord rec;
         rec.kind = ReplRecord::kCoorFinalize;
         rec.position = fc->position;
@@ -119,20 +119,18 @@ class ServerB final : public Node {
         return;
       }
     }
-    if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
+    if (handle_gc_notice(from, m, gc_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
       if (!list_->admits(from, *uc)) return;
       if (repl_ != nullptr) {
         handle_update_coor(from, m.txn, *uc);
       } else {
-        const Tag pos = list_->push(uc->key, uc->mask);
+        const Tag pos = list_->push(uc->key, uc->objs);
         send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
       }
       return;
     }
     if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
       list_->register_reader(from, m.txn);
       send(from, Message{m.txn, list_->tag_arr(gt->objs, /*with_history=*/false)});
       return;
@@ -157,7 +155,7 @@ class ServerB final : public Node {
     ReplRecord rec;
     rec.kind = ReplRecord::kListPush;
     rec.key = uc.key;
-    rec.mask = uc.mask;
+    rec.objs = uc.objs;
     rec.txn = txn;
     rec.writer = from;
     rec.position = repl_->next_push_position();

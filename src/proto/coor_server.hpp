@@ -1,6 +1,6 @@
 // The server of Pseudocode 6, shared by Algorithm B and the optimistic
 // one-version (OCC) reader: per-object Vals version stores plus, on the
-// coordinator s*, the List of WRITE-transaction masks (a CoorList with
+// coordinator s*, the List of WRITE-transaction entries (a CoorList with
 // incremental per-object indexes) with get-tag-arr / update-coor.  One
 // server instance may host many objects under a sharded Placement; every
 // request names its object, so the stores stay disjoint.
@@ -32,6 +32,7 @@ class CoorServer final : public Node {
   }
 
   void on_message(NodeId from, const Message& m) override {
+    if (misrouted(from, m, is_coordinator_)) return;
     if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
       stores_[wv->obj].insert(wv->key, wv->value);
       send(from, Message{m.txn, WriteValAck{wv->key, wv->obj}});
@@ -48,16 +49,14 @@ class CoorServer final : public Node {
                                             v.has_value()}});
       return;
     }
-    if (handle_gc_notice(from, m, gc_, is_coordinator_, stores_, list_)) return;
+    if (handle_gc_notice(from, m, gc_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "update-coor sent to non-coordinator");
       if (!list_->admits(from, *uc)) return;
-      const Tag pos = list_->push(uc->key, uc->mask);
+      const Tag pos = list_->push(uc->key, uc->objs);
       send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
       return;
     }
     if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
-      SNOW_CHECK_MSG(is_coordinator_, "get-tag-arr sent to non-coordinator");
       list_->register_reader(from, m.txn);
       send(from, Message{m.txn, list_->tag_arr(gt->objs, /*with_history=*/false)});
       return;

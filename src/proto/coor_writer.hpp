@@ -2,7 +2,9 @@
 //   write-value:  (write-val, (kappa, v_i)) to every server in the write set,
 //                 await all acks;
 //   update-coor:  (update-coor, (kappa, b_1..b_k)) to the coordinator s*,
-//                 which appends to List and returns the tag t_w.
+//                 which appends to List and returns the tag t_w.  The mask
+//                 travels as the write set {i : b_i = 1}, so nothing the
+//                 writer builds or sends grows with k.
 //
 // Object->server routing goes through the system's Placement, so the write
 // set may span fewer servers than objects (sharded fleets); servers answer
@@ -32,6 +34,7 @@
 #include "common/assert.hpp"
 #include "proto/api.hpp"
 #include "proto/replica.hpp"
+#include "proto/version_store.hpp"
 
 namespace snowkit {
 
@@ -39,7 +42,7 @@ class CoorWriter final : public Node, public WriteClientApi {
  public:
   CoorWriter(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard,
              bool send_finalize, bool replicated = false)
-      : rec_(rec), place_(place), k_(place.num_objects()), coor_shard_(coor_shard),
+      : rec_(rec), place_(place), coor_shard_(coor_shard),
         send_finalize_(send_finalize), replicated_(replicated), routes_(place.num_servers()) {}
 
   void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
@@ -50,10 +53,9 @@ class CoorWriter final : public Node, public WriteClientApi {
     pending_->txn = txn;
     pending_->key = WriteKey{++z_, id()};
     pending_->writes = writes;
-    pending_->mask.assign(k_, 0);
+    pending_->objs = write_set(writes);
     pending_->cb = std::move(cb);
     for (const auto& [obj, value] : writes) {
-      pending_->mask[obj] = 1;
       pending_->unacked.insert(obj);
       send(routes_.node_of(place_.shard_of(obj)),
            Message{txn, WriteValReq{pending_->key, obj, value}});
@@ -77,7 +79,7 @@ class CoorWriter final : public Node, public WriteClientApi {
       if (pending_->unacked.empty()) {
         pending_->coor_sent = true;
         send(routes_.node_of(coor_shard_),
-             Message{m.txn, UpdateCoorReq{pending_->key, pending_->mask}});
+             Message{m.txn, UpdateCoorReq{pending_->key, pending_->objs}});
       }
       return;
     }
@@ -110,7 +112,7 @@ class CoorWriter final : public Node, public WriteClientApi {
     TxnId txn{kInvalidTxn};
     WriteKey key;
     std::vector<std::pair<ObjectId, Value>> writes;
-    std::vector<std::uint8_t> mask;
+    std::vector<ObjectId> objs;  ///< the write set W, ascending.
     std::set<ObjectId> unacked;  ///< objects whose write-val ack is still owed.
     bool coor_sent{false};       ///< phase two: update-coor is in flight.
     WriteCallback cb;
@@ -128,13 +130,12 @@ class CoorWriter final : public Node, public WriteClientApi {
         send(tn.node, Message{pending_->txn, WriteValReq{pending_->key, obj, value}});
       }
     } else if (tn.shard == coor_shard_) {
-      send(tn.node, Message{pending_->txn, UpdateCoorReq{pending_->key, pending_->mask}});
+      send(tn.node, Message{pending_->txn, UpdateCoorReq{pending_->key, pending_->objs}});
     }
   }
 
   HistoryRecorder& rec_;
   Placement place_;
-  std::size_t k_;
   std::size_t coor_shard_;
   bool send_finalize_;
   bool replicated_;

@@ -114,7 +114,12 @@ WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes) {
   if (bytes.empty()) return out;
   if (bytes.size() < kWalMagicLen ||
       std::memcmp(bytes.data(), kWalMagic, kWalMagicLen) != 0) {
-    throw std::invalid_argument("WAL head is not the snowkit-wal-v1 magic");
+    static constexpr char kV1Magic[] = "snowkit-wal-v1\n";
+    if (bytes.size() >= kWalMagicLen && std::memcmp(bytes.data(), kV1Magic, kWalMagicLen) == 0) {
+      throw std::invalid_argument(
+          "WAL is snowkit-wal-v1 (k-bit List masks); this build reads snowkit-wal-v2 only");
+    }
+    throw std::invalid_argument("WAL head is not the snowkit-wal-v2 magic");
   }
   out.fresh = false;
   std::size_t off = kWalMagicLen;
@@ -293,7 +298,7 @@ void Replicator::apply_record(const ReplRecord& rec) {
     }
     case ReplRecord::kListPush: {
       SNOW_CHECK(list_->has_value());
-      const Tag got = (*list_)->push(rec.key, rec.mask);
+      const Tag got = (*list_)->push(rec.key, rec.objs);
       SNOW_CHECK_MSG(got == rec.position,
                      "replicated List push landed at " << got << ", expected " << rec.position);
       dedup_[rec.writer] = PushInfo{rec.txn, rec.position, true};

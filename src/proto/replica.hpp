@@ -43,8 +43,11 @@
 // simulator's detector is exact, so recorded schedules never hit this; the
 // net failover smoke kills processes for real.
 //
-// WAL format (`snowkit-wal-v1`): the magic line, then length-prefixed
+// WAL format (`snowkit-wal-v2`): the magic line, then length-prefixed
 // batches [u32le len][encode_message(ReplAppendReq)][u64le FNV-1a(payload)].
+// Records use the snowkit-wire-v3 body, so a kListPush record carries the
+// WRITE's object set (ascending, gap-coded) and costs O(|W|) bytes; v1 logged
+// a k-bit mask instead, and a v1 log is refused by name rather than misread.
 // Any malformed, checksum-failing, short, or non-contiguous trailing batch
 // is a torn tail: replay recovers the preceding prefix and stops.  Epoch and
 // role changes are persisted as local-only kEpoch records that never ship
@@ -70,7 +73,7 @@ namespace snowkit {
 
 // --- write-ahead log storage -------------------------------------------------
 
-inline constexpr char kWalMagic[] = "snowkit-wal-v1\n";
+inline constexpr char kWalMagic[] = "snowkit-wal-v2\n";
 inline constexpr std::size_t kWalMagicLen = sizeof(kWalMagic) - 1;
 
 /// Durable append-only byte storage for one replica's WAL.
@@ -140,7 +143,8 @@ struct WalReplayResult {
 /// (short, checksum mismatch, undecodable, wrong payload type, or a
 /// first_seq that does not extend the log contiguously) ends replay with
 /// torn=true.  Bytes that exist but do not start with the magic throw
-/// std::invalid_argument — that is corruption of the head, not a torn tail.
+/// std::invalid_argument — that is corruption of the head, not a torn tail;
+/// a `snowkit-wal-v1` head gets its own message naming both versions.
 WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes);
 
 // --- client-side shard routing -----------------------------------------------

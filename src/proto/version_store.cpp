@@ -88,15 +88,25 @@ CoorList::CoorList(std::size_t num_objects) : k_(num_objects) {
   for (auto& h : history_) h.push_back(ListedKey{0, kInitialKey});
 }
 
-Tag CoorList::push(const WriteKey& key, const std::vector<std::uint8_t>& mask) {
-  SNOW_CHECK(mask.size() == k_);
+Tag CoorList::push(const WriteKey& key, const std::vector<ObjectId>& objs) {
   const Tag pos = count_++;
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (mask[i] == 0) continue;
-    history_[i].push_back(ListedKey{pos, key});
-    latest_[i] = key;
+  for (ObjectId obj : objs) {
+    SNOW_CHECK_MSG(obj < k_, "List push names object " << obj << " >= k = " << k_);
+    std::deque<ListedKey>& h = history_[obj];
+    h.push_back(ListedKey{pos, key});
+    if (h.size() == 2) trimmable_.push_back(obj);
+    latest_[obj] = key;
   }
   return pos;
+}
+
+Tag CoorList::push(const WriteKey& key, const std::vector<std::uint8_t>& mask) {
+  SNOW_CHECK(mask.size() == k_);
+  std::vector<ObjectId> objs;
+  for (std::size_t i = 0; i < k_; ++i) {
+    if (mask[i] != 0) objs.push_back(static_cast<ObjectId>(i));
+  }
+  return push(key, objs);
 }
 
 void CoorList::finalize(Tag position) {
@@ -124,17 +134,31 @@ void CoorList::advance_() {
   if (w <= watermark_) return;
   watermark_ = w;
   GcCounters::global().on_watermark(w);
-  for (auto& h : history_) {
+  for (std::size_t i = 0; i < trimmable_.size();) {
     // Keep the newest entry at or below w (the anchor) plus everything above.
+    std::deque<ListedKey>& h = history_[trimmable_[i]];
     while (h.size() >= 2 && h[1].position <= w) h.pop_front();
+    if (h.size() >= 2) {
+      ++i;
+    } else {
+      trimmable_[i] = trimmable_.back();
+      trimmable_.pop_back();
+    }
   }
 }
 
 bool CoorList::admits(NodeId from, const UpdateCoorReq& uc) const {
-  if (uc.mask.size() == k_) return true;
-  SNOW_WARN("dropping update-coor from node " << from << ": mask covers " << uc.mask.size()
-                                              << " objects, expected " << k_);
-  return false;
+  if (uc.objs.empty()) {
+    SNOW_WARN("dropping update-coor from node " << from << ": empty write set");
+    return false;
+  }
+  for (ObjectId obj : uc.objs) {
+    if (obj < k_) continue;
+    SNOW_WARN("dropping update-coor from node " << from << ": object " << obj
+                                                << " outside the " << k_ << " objects");
+    return false;
+  }
+  return true;
 }
 
 GetTagArrResp CoorList::tag_arr(const std::vector<ObjectId>& objs, bool with_history) const {
@@ -155,10 +179,38 @@ GetTagArrResp CoorList::tag_arr(const std::vector<ObjectId>& objs, bool with_his
   return resp;
 }
 
-GetTagArrReq tag_arr_req(std::vector<ObjectId> objs) {
+namespace {
+
+std::vector<ObjectId> sorted_set(std::vector<ObjectId> objs) {
   std::sort(objs.begin(), objs.end());
   objs.erase(std::unique(objs.begin(), objs.end()), objs.end());
-  return GetTagArrReq{std::move(objs)};
+  return objs;
+}
+
+}  // namespace
+
+GetTagArrReq tag_arr_req(std::vector<ObjectId> objs) {
+  return GetTagArrReq{sorted_set(std::move(objs))};
+}
+
+std::vector<ObjectId> write_set(const std::vector<std::pair<ObjectId, Value>>& writes) {
+  std::vector<ObjectId> objs;
+  objs.reserve(writes.size());
+  for (const auto& [obj, value] : writes) objs.push_back(obj);
+  return sorted_set(std::move(objs));
+}
+
+bool misrouted(NodeId from, const Message& m, bool is_coordinator) {
+  if (is_coordinator) return false;
+  if (!std::holds_alternative<UpdateCoorReq>(m.payload) &&
+      !std::holds_alternative<GetTagArrReq>(m.payload) &&
+      !std::holds_alternative<FinalizeCoorReq>(m.payload) &&
+      !std::holds_alternative<ReadDoneReq>(m.payload)) {
+    return false;
+  }
+  SNOW_WARN("dropping " << payload_name(m.payload) << " from node " << from
+                        << ": this node is not the coordinator");
+  return true;
 }
 
 std::size_t CoorList::entries() const {
@@ -167,7 +219,7 @@ std::size_t CoorList::entries() const {
   return n;
 }
 
-bool handle_gc_notice(NodeId from, const Message& m, bool gc, bool is_coordinator,
+bool handle_gc_notice(NodeId from, const Message& m, bool gc,
                       std::map<ObjectId, VersionStore>& stores, std::optional<CoorList>& list) {
   if (const auto* fin = std::get_if<FinalizeReq>(&m.payload)) {
     if (gc) {
@@ -178,12 +230,10 @@ bool handle_gc_notice(NodeId from, const Message& m, bool gc, bool is_coordinato
     return true;
   }
   if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-    SNOW_CHECK_MSG(is_coordinator, "finalize-coor sent to non-coordinator");
     if (gc) list->finalize(fc->position);
     return true;
   }
   if (const auto* rd = std::get_if<ReadDoneReq>(&m.payload)) {
-    SNOW_CHECK_MSG(is_coordinator, "read-done sent to non-coordinator");
     list->reader_done(from, rd->txn);
     return true;
   }

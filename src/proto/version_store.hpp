@@ -8,10 +8,11 @@
 //    watermark.  The initial version (kappa_0, v0) is present from the start
 //    and finalized at List position 0.
 //
-//  * CoorList — the coordinator's List of (kappa, b_1..b_k) WRITE masks
-//    (Pseudocode 6), kept as incrementally-maintained per-object key
-//    histories plus the read-watermark bookkeeping: the max finalized
-//    position and the floors of in-flight READs.
+//  * CoorList — the coordinator's List of (kappa, b_1..b_k) WRITE entries
+//    (Pseudocode 6), each received as its write set {i : b_i = 1} and kept as
+//    incrementally-maintained per-object key histories plus the
+//    read-watermark bookkeeping: the max finalized position and the floors
+//    of in-flight READs.
 //
 // The watermark rule.  Let G be the newest List position whose WRITE has
 // completed (the coordinator learns completion from finalize-coor notices).
@@ -47,6 +48,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -130,13 +132,17 @@ class CoorList {
  public:
   explicit CoorList(std::size_t num_objects);
 
-  /// Appends a List entry; returns its position.  `mask` is the b_1..b_k
-  /// write mask.
+  /// Appends a List entry for the WRITE of `objs` (ids < k, as admits()
+  /// checks); returns its position.  O(|objs|).
+  Tag push(const WriteKey& key, const std::vector<ObjectId>& objs);
+
+  /// The same from a full-width b_1..b_k mask: an O(k) adapter kept only
+  /// for snowbench/replay.cpp, which still builds masks.
   Tag push(const WriteKey& key, const std::vector<std::uint8_t>& mask);
 
-  /// update-coor masks are untrusted wire input: true iff `uc`'s mask covers
-  /// exactly the k objects.  Otherwise logs a warning, and the server drops
-  /// the request before it reaches push() or the replicated log.
+  /// update-coor write sets are untrusted wire input: true iff `uc` names at
+  /// least one object and only ids < k.  Otherwise logs a warning, and the
+  /// server drops the request before it reaches push() or the replicated log.
   bool admits(NodeId from, const UpdateCoorReq& uc) const;
 
   /// Newest position handed out (Lemma-20 P2's t_r).
@@ -180,6 +186,9 @@ class CoorList {
   Tag watermark_{0};
   std::vector<std::deque<ListedKey>> history_;
   std::vector<WriteKey> latest_;
+  /// Objects whose history holds >= 2 entries, in no particular order: the
+  /// only ones a watermark advance can trim.
+  std::vector<ObjectId> trimmable_;
 
   struct ReaderSlot {
     TxnId txn{kInvalidTxn};
@@ -192,13 +201,25 @@ class CoorList {
 /// sorted and de-duplicated, as the wire format requires.
 GetTagArrReq tag_arr_req(std::vector<ObjectId> objs);
 
+/// A WRITE's object set W (update-coor, info-reader): its objects sorted and
+/// de-duplicated, as the wire format requires.
+std::vector<ObjectId> write_set(const std::vector<std::pair<ObjectId, Value>>& writes);
+
+/// Wrong-node requests are untrusted input like malformed write sets: true
+/// iff `m` is a coordinator-only request (update-coor, get-tag-arr,
+/// finalize-coor, read-done) and this node is not the coordinator.  Then it
+/// logs a warning, and the server drops the request.
+bool misrouted(NodeId from, const Message& m, bool is_coordinator);
+
 /// Consumes the watermark-GC notices every CoorList-based server handles
 /// identically — finalize (store finalize + watermark advance), finalize-coor
 /// (coordinator G bump) and read-done (floor deregistration).  Returns true
 /// when `m` was one of them, false for the caller to dispatch further.  With
 /// `gc` off the finalize notices are ignored (keep-everything mode) but
-/// read-done is still consumed, so GC on/off stays message-compatible.
-bool handle_gc_notice(NodeId from, const Message& m, bool gc, bool is_coordinator,
+/// read-done is still consumed, so GC on/off stays message-compatible.  The
+/// caller has already dropped misrouted() requests, so the coordinator-only
+/// notices reach a node that owns `list`.
+bool handle_gc_notice(NodeId from, const Message& m, bool gc,
                       std::map<ObjectId, VersionStore>& stores, std::optional<CoorList>& list);
 
 }  // namespace snowkit

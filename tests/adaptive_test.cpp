@@ -4,9 +4,13 @@
 // cache-invariant property suite in adaptive_cache_property_test.cpp.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "checker/snow_monitor.hpp"
+#include "common/rng.hpp"
 #include "checker/tag_order.hpp"
 #include "core/registry.hpp"
 #include "core/run_workload.hpp"
@@ -180,6 +184,101 @@ TEST(Adaptive, OptionsValidateFailFast) {
   opts = {};
   opts.replicas = 3;
   EXPECT_THROW(build_adaptive(sim, rec, Topology{2, 1, 1}, opts), std::invalid_argument);
+}
+
+/// A reader view holding exactly `table` at `epoch`, built the way a reader
+/// gets one: by adopting a snapshot.
+ModeView view_at(std::uint64_t epoch, const std::set<ObjectId>& table) {
+  ModeView view;
+  AdaptTagArrResp snapshot;
+  snapshot.mode_epoch = epoch;
+  snapshot.c_mode.assign(table.begin(), table.end());
+  EXPECT_TRUE(view.adopt(snapshot));
+  return view;
+}
+
+void expect_table(const ModeView& view, const std::set<ObjectId>& want, std::size_t k,
+                  const std::string& where) {
+  for (ObjectId obj = 0; obj < k; ++obj) {
+    EXPECT_EQ(view.c_mode(obj), want.count(obj) != 0) << where << " obj " << obj;
+  }
+}
+
+TEST(ModeDelta, AnyReaderEpochFromBaseToNowAdoptsTheCoordinatorTable) {
+  // Property: for a response answering reader epoch c, every reader whose
+  // table is the coordinator's at some c' with base <= c' <= mode_epoch —
+  // or any reader at all, for a base-0 snapshot — ends up holding exactly
+  // the coordinator's table at mode_epoch.  Long flip runs overflow the
+  // k-bounded flip log, so old epochs fall back to snapshots.
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Xoshiro256 rng(seed);
+    const std::size_t k = 1 + rng.below(12);
+    ModeTable table(k);
+    std::vector<std::set<ObjectId>> at{{}};  // the table at each epoch
+    const int steps = static_cast<int>(rng.below(4 * k + 8));
+    for (int i = 0; i < steps; ++i) {
+      const ObjectId obj = static_cast<ObjectId>(rng.below(k));
+      const bool c_mode = rng.below(2) == 1;
+      const bool flipped = table.set(obj, c_mode);
+      EXPECT_EQ(flipped, (at.back().count(obj) != 0) != c_mode);
+      if (!flipped) continue;
+      std::set<ObjectId> next = at.back();
+      if (c_mode) {
+        next.insert(obj);
+      } else {
+        next.erase(obj);
+      }
+      at.push_back(std::move(next));
+    }
+    const std::uint64_t now = table.epoch();
+    ASSERT_EQ(now + 1, at.size());
+    for (std::uint64_t c = 0; c <= now + 2; ++c) {
+      AdaptTagArrResp resp;
+      table.answer(c, resp);
+      const std::string where = "seed " + std::to_string(seed) + " c " + std::to_string(c);
+      EXPECT_EQ(resp.mode_epoch, now) << where;
+      if (c == 0 || c > now) EXPECT_EQ(resp.mode_base, 0u) << where;
+      if (resp.mode_base != 0) {
+        EXPECT_EQ(resp.mode_base, c) << where;
+        // A delta lists each flipped object once, by its current mode.
+        for (ObjectId obj : resp.c_mode) EXPECT_TRUE(at[now].count(obj)) << where;
+        for (ObjectId obj : resp.b_mode) EXPECT_FALSE(at[now].count(obj)) << where;
+        EXPECT_LE(resp.c_mode.size() + resp.b_mode.size(), k) << where;
+      } else {
+        EXPECT_TRUE(resp.b_mode.empty()) << where;
+        EXPECT_EQ(std::set<ObjectId>(resp.c_mode.begin(), resp.c_mode.end()), at[now]) << where;
+      }
+      for (std::uint64_t reader = resp.mode_base; reader <= now; ++reader) {
+        ModeView view = view_at(reader, at[reader]);
+        EXPECT_TRUE(view.adopt(resp)) << where << " reader " << reader;
+        EXPECT_EQ(view.epoch(), now);
+        expect_table(view, at[now], k, where + " reader " + std::to_string(reader));
+      }
+      // A reader ahead of the response never rolls back.
+      ModeView ahead = view_at(now + 1, {});
+      EXPECT_FALSE(ahead.adopt(resp)) << where;
+      EXPECT_EQ(ahead.epoch(), now + 1);
+    }
+  }
+}
+
+TEST(ModeDelta, DeltaAgainstANewerBaseIsRefusedAndTheFlipLogIsBoundedByK) {
+  ModeTable table(4);
+  for (int i = 0; i < 12; ++i) table.set(static_cast<ObjectId>(i % 4), i % 8 < 4);
+  ASSERT_EQ(table.epoch(), 12u);
+  AdaptTagArrResp resp;
+  // Within the last k = 4 flips: a delta.
+  table.answer(8, resp);
+  EXPECT_EQ(resp.mode_base, 8u);
+  // Further back than the flip log reaches: a snapshot.
+  table.answer(7, resp);
+  EXPECT_EQ(resp.mode_base, 0u);
+  // A reader whose table is older than a delta's base cannot apply it.
+  table.answer(10, resp);
+  ASSERT_EQ(resp.mode_base, 10u);
+  ModeView old = view_at(9, {});
+  EXPECT_FALSE(old.adopt(resp));
+  EXPECT_EQ(old.epoch(), 9u);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 // encoded_size (the allocation-free counting path).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "msg/codec.hpp"
 
@@ -20,13 +22,6 @@ std::int64_t ri64(Xoshiro256& rng) { return static_cast<std::int64_t>(rng.next()
 bool rbool(Xoshiro256& rng) { return (rng.next() & 1) != 0; }
 
 WriteKey rkey(Xoshiro256& rng) { return WriteKey{ru64(rng), ru32(rng)}; }
-
-// Interest masks are 0/1 by contract (the codec bit-packs them).
-std::vector<std::uint8_t> rmask(Xoshiro256& rng) {
-  std::vector<std::uint8_t> mask(rng.below(20));
-  for (auto& b : mask) b = static_cast<std::uint8_t>(rng.below(2));
-  return mask;
-}
 
 Version rversion(Xoshiro256& rng) { return Version{rkey(rng), ri64(rng)}; }
 
@@ -50,9 +45,10 @@ std::vector<TagArrEntry> rtag_entries(Xoshiro256& rng) {
   return v;
 }
 
-// A READ's object ids are strictly ascending by contract (gap-coded).
-std::vector<ObjectId> rread_set(Xoshiro256& rng) {
-  std::vector<ObjectId> objs(rng.below(10));
+// Object sets (read sets, write sets, mode deltas) are strictly ascending by
+// contract (gap-coded); write sets also name at least `min_size` objects.
+std::vector<ObjectId> robj_set(Xoshiro256& rng, std::size_t min_size = 0) {
+  std::vector<ObjectId> objs(min_size + rng.below(10));
   ObjectId next = static_cast<ObjectId>(rng.below(1u << 24));
   for (auto& o : objs) {
     o = next;
@@ -71,15 +67,15 @@ WriteValReq make_random(Xoshiro256& rng) { return {rkey(rng), ru32(rng), ri64(rn
 template <>
 WriteValAck make_random(Xoshiro256& rng) { return {rkey(rng), ru32(rng)}; }
 template <>
-InfoReaderReq make_random(Xoshiro256& rng) { return {rkey(rng), rmask(rng)}; }
+InfoReaderReq make_random(Xoshiro256& rng) { return {rkey(rng), robj_set(rng, 1)}; }
 template <>
 InfoReaderAck make_random(Xoshiro256& rng) { return {ru64(rng)}; }
 template <>
-UpdateCoorReq make_random(Xoshiro256& rng) { return {rkey(rng), rmask(rng)}; }
+UpdateCoorReq make_random(Xoshiro256& rng) { return {rkey(rng), robj_set(rng, 1)}; }
 template <>
 UpdateCoorAck make_random(Xoshiro256& rng) { return {ru64(rng), ru64(rng)}; }
 template <>
-GetTagArrReq make_random(Xoshiro256& rng) { return {rread_set(rng)}; }
+GetTagArrReq make_random(Xoshiro256& rng) { return {robj_set(rng), ru64(rng)}; }
 template <>
 GetTagArrResp make_random(Xoshiro256& rng) { return {ru64(rng), ru64(rng), rtag_entries(rng)}; }
 template <>
@@ -141,7 +137,7 @@ ReplRecord rrecord(Xoshiro256& rng) {
   rec.value = ri64(rng);
   rec.position = ru64(rng);
   rec.watermark = ru64(rng);
-  rec.mask = rmask(rng);
+  rec.objs = robj_set(rng, rec.kind == ReplRecord::kListPush ? 1 : 0);
   rec.txn = ru64(rng);
   rec.writer = ru32(rng);
   rec.epoch = ru64(rng);
@@ -176,7 +172,14 @@ BatchReadEntry rentry(Xoshiro256& rng) { return {ru32(rng), rkey(rng)}; }
 
 template <>
 AdaptTagArrResp make_random(Xoshiro256& rng) {
-  return {ru64(rng), ru64(rng), rtag_entries(rng), rmask(rng), ru64(rng)};
+  // A delta's base is at most its epoch; a snapshot (base 0) lists C-mode
+  // objects only.
+  AdaptTagArrResp p{ru64(rng), ru64(rng), rtag_entries(rng), ru64(rng)};
+  p.mode_base =
+      rbool(rng) ? 0 : p.mode_epoch - std::min<std::uint64_t>(rng.below(1000), p.mode_epoch);
+  p.c_mode = robj_set(rng);
+  if (p.mode_base != 0) p.b_mode = robj_set(rng);
+  return p;
 }
 template <>
 ReadValBatchReq make_random(Xoshiro256& rng) {

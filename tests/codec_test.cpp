@@ -30,23 +30,31 @@ TEST(Codec, WriteVal) {
 TEST(Codec, WriteValAck) { roundtrip(WriteValAck{WriteKey{1, 2}, 0}); }
 
 TEST(Codec, InfoReader) {
-  Message m{5, InfoReaderReq{WriteKey{8, 1}, {1, 0, 1}}};
+  Message m{5, InfoReaderReq{WriteKey{8, 1}, {0, 2}}};
   const Message back = decode_message(encode_message(m));
   const auto& p = std::get<InfoReaderReq>(back.payload);
   EXPECT_EQ(p.key, (WriteKey{8, 1}));
-  EXPECT_EQ(p.mask, (std::vector<std::uint8_t>{1, 0, 1}));
+  EXPECT_EQ(p.objs, (std::vector<ObjectId>{0, 2}));
 }
 
 TEST(Codec, InfoReaderAck) { roundtrip(InfoReaderAck{99}); }
-TEST(Codec, UpdateCoor) { roundtrip(UpdateCoorReq{WriteKey{2, 3}, {0, 1}}); }
+TEST(Codec, UpdateCoor) {
+  // The write set rides gap-coded like a read set.
+  const Message m{7, UpdateCoorReq{WriteKey{2, 3}, {1, 200}}};
+  const auto bytes = encode_message(m);
+  EXPECT_EQ(decode_message(bytes), m);
+  // txn, tag, key (seq, writer), count, then the gaps 1 and 199 (2 bytes).
+  EXPECT_EQ(bytes.size(), 1u + 1u + 2u + 1u + (1u + 2u));
+}
 TEST(Codec, UpdateCoorAck) { roundtrip(UpdateCoorAck{12}); }
 TEST(Codec, GetTagArr) {
   // The READ's object ids ride as gaps from the previous id.
-  const Message m{7, GetTagArrReq{{3, 4, 200, 70000}}};
+  const Message m{7, GetTagArrReq{{3, 4, 200, 70000}, 5}};
   const auto bytes = encode_message(m);
   EXPECT_EQ(decode_message(bytes), m);
-  // txn, tag, count, then the gaps 3, 1, 196 (2 bytes) and 69800 (3 bytes).
-  EXPECT_EQ(bytes.size(), 1u + 1u + 1u + (1u + 1u + 2u + 3u));
+  // txn, tag, count, the gaps 3, 1, 196 (2 bytes) and 69800 (3 bytes), and
+  // the reader's mode epoch.
+  EXPECT_EQ(bytes.size(), 1u + 1u + 1u + (1u + 1u + 2u + 3u) + 1u);
 }
 
 TEST(Codec, GetTagArrRespWithHistory) {
@@ -68,10 +76,18 @@ TEST(Codec, GetTagArrRespWithHistory) {
   EXPECT_TRUE(tag_entry(p.entries, 9).history.empty());
 }
 
-TEST(Codec, AdaptTagArrRespKeepsAFullWidthModeTable) {
-  const Message m{12, AdaptTagArrResp{5, 3, {TagArrEntry{1, WriteKey{4, 2}, {}}},
-                                      {0, 1, 0, 0, 1, 1, 0, 0, 0, 1}, 6}};
-  EXPECT_EQ(decode_message(encode_message(m)), m);
+TEST(Codec, AdaptTagArrRespCarriesAModeDeltaOrSnapshot) {
+  const std::vector<TagArrEntry> entries{TagArrEntry{1, WriteKey{4, 2}, {}}};
+  // A delta since epoch 4: object 9 flipped to C, objects 1 and 5 to B.
+  const Message delta{12, AdaptTagArrResp{5, 3, entries, 6, 4, {9}, {1, 5}}};
+  EXPECT_EQ(decode_message(encode_message(delta)), delta);
+  // A snapshot (base 0) of the C-mode set.
+  const Message snapshot{12, AdaptTagArrResp{5, 3, entries, 6, 0, {1, 4, 5, 9}, {}}};
+  EXPECT_EQ(decode_message(encode_message(snapshot)), snapshot);
+  // Mode bytes scale with the objects listed, not with k: an empty delta
+  // costs its base and two empty sets.
+  const Message none{12, AdaptTagArrResp{5, 3, entries, 6, 6, {}, {}}};
+  EXPECT_EQ(encoded_size(none), encoded_size(Message{12, GetTagArrResp{5, 3, entries}}) + 4u);
 }
 
 TEST(Codec, TagEntryLookupAbortsOnAMissingObject) {
@@ -143,9 +159,20 @@ TEST(Codec, TryDecodeRejectsMalformedBytes) {
   const std::vector<TagArrEntry> entries{
       TagArrEntry{3, WriteKey{1, 0}, {ListedKey{1, WriteKey{1, 0}}, ListedKey{4, WriteKey{2, 1}}}},
       TagArrEntry{300, WriteKey{2, 1}, {}}};
-  for (const Payload& p : {Payload{GetTagArrReq{{3, 300, 70000}}},
+  ReplRecord push;
+  push.kind = ReplRecord::kListPush;
+  push.key = WriteKey{3, 1};
+  push.position = 9;
+  push.objs = {2, 300, 70000};
+  push.txn = 40;
+  push.writer = 1;
+  for (const Payload& p : {Payload{InfoReaderReq{WriteKey{3, 1}, {2, 300}}},
+                           Payload{UpdateCoorReq{WriteKey{3, 1}, {2, 300, 70000}}},
+                           Payload{GetTagArrReq{{3, 300, 70000}, 200}},
                            Payload{GetTagArrResp{4, 2, entries}},
-                           Payload{AdaptTagArrResp{4, 2, entries, {1, 0, 1}, 9}}}) {
+                           Payload{AdaptTagArrResp{4, 2, entries, 9, 7, {5}, {2, 300}}},
+                           Payload{AdaptTagArrResp{4, 2, entries, 9, 0, {5, 300}, {}}},
+                           Payload{ReplAppendReq{1, 0, {push}}}}) {
     const auto full = encode_message(Message{7, p});
     for (std::size_t cut = 0; cut < full.size(); ++cut) {
       std::vector<std::uint8_t> prefix(full.begin(),
@@ -176,9 +203,63 @@ TEST(Codec, TryDecodeRejectsMalformedReadSets) {
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
   // A count larger than the buffer.
   EXPECT_FALSE(try_decode_message({0x00, 0x06, 0x7F, 0x01}, out, err));
-  // A leading zero id is fine.
-  ASSERT_TRUE(try_decode_message({0x00, 0x06, 0x02, 0x00, 0x01}, out, err)) << err;
+  // A leading zero id is fine (the last byte is the mode epoch).
+  ASSERT_TRUE(try_decode_message({0x00, 0x06, 0x02, 0x00, 0x01, 0x00}, out, err)) << err;
   EXPECT_EQ(std::get<GetTagArrReq>(out.payload).objs, (std::vector<ObjectId>{0, 1}));
+}
+
+TEST(Codec, TryDecodeRejectsMalformedWriteSets) {
+  Message out;
+  std::string err;
+  // txn 0, then tag 2 (info-reader) or 4 (update-coor), key (1, w0), and
+  // the write set.
+  for (const std::uint8_t tag : {0x02, 0x04}) {
+    // Unsorted: a wrapped gap would be huge, so "descending" shows up as a
+    // repeated id (zero gap) or an id past the ObjectId range.
+    EXPECT_FALSE(try_decode_message({0x00, tag, 0x01, 0x01, 0x02, 0x05, 0x00}, out, err));
+    EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
+    EXPECT_FALSE(try_decode_message(
+        {0x00, tag, 0x01, 0x01, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+    // Empty: a WRITE writes at least one object.
+    EXPECT_FALSE(try_decode_message({0x00, tag, 0x01, 0x01, 0x00}, out, err));
+    EXPECT_NE(err.find("names no object"), std::string::npos) << err;
+    // A one-object set at id 0 is fine.
+    ASSERT_TRUE(try_decode_message({0x00, tag, 0x01, 0x01, 0x01, 0x00}, out, err)) << err;
+  }
+  // A kListPush replication record must name its WRITE's objects too; other
+  // record kinds carry an empty set.
+  ReplRecord rec;
+  rec.kind = ReplRecord::kListPush;
+  EXPECT_FALSE(try_decode_message(encode_message(Message{kInvalidTxn, ReplAppendReq{1, 0, {rec}}}),
+                                  out, err));
+  EXPECT_NE(err.find("names no object"), std::string::npos) << err;
+  rec.kind = ReplRecord::kInsert;
+  ASSERT_TRUE(try_decode_message(encode_message(Message{kInvalidTxn, ReplAppendReq{1, 0, {rec}}}),
+                                 out, err))
+      << err;
+}
+
+TEST(Codec, TryDecodeRejectsMalformedModeDeltas) {
+  Message out;
+  std::string err;
+  // txn 0, tag 36, tag 5, watermark 3, no entries, then the mode fields.
+  const std::vector<std::uint8_t> head{0x00, 0x24, 0x05, 0x03, 0x00};
+  const auto with = [&head](std::vector<std::uint8_t> tail) {
+    std::vector<std::uint8_t> b = head;
+    b.insert(b.end(), tail.begin(), tail.end());
+    return b;
+  };
+  // epoch 6, base 4, C {9}, B {1}: valid.
+  ASSERT_TRUE(try_decode_message(with({0x06, 0x04, 0x01, 0x09, 0x01, 0x01}), out, err)) << err;
+  // A base past the epoch.
+  EXPECT_FALSE(try_decode_message(with({0x06, 0x07, 0x00, 0x00}), out, err));
+  EXPECT_NE(err.find("past its epoch"), std::string::npos) << err;
+  // A snapshot (base 0) that lists B-mode objects.
+  EXPECT_FALSE(try_decode_message(with({0x06, 0x00, 0x00, 0x01, 0x01}), out, err));
+  EXPECT_NE(err.find("snapshot"), std::string::npos) << err;
+  // A repeated C-mode id.
+  EXPECT_FALSE(try_decode_message(with({0x06, 0x04, 0x02, 0x09, 0x00, 0x00}), out, err));
 }
 
 TEST(Codec, TryDecodeRejectsHugeListCounts) {

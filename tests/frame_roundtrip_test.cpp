@@ -1,4 +1,4 @@
-// snowkit-wire-v2 framing at the byte boundary: encoded frames must survive
+// snowkit-wire-v3 framing at the byte boundary: encoded frames must survive
 // arbitrary TCP segmentation (split at EVERY byte offset and reassembled
 // through the NetRuntime framing decoder), and malformed streams — garbage
 // prefixes, truncations, absurd lengths — must surface as decoder ERRORS,
@@ -18,13 +18,14 @@ using net::FrameDecoder;
 using net::FrameType;
 
 /// A payload corpus spanning the codec's interesting shapes: fixed fields,
-/// bit-packed masks, delta-coded version lists and nested histories.
+/// gap-coded object sets, delta-coded version lists and nested histories.
 std::vector<Message> corpus() {
   std::vector<Message> msgs;
   msgs.push_back(Message{7, WriteValReq{WriteKey{3, 1}, 2, -40}});
-  msgs.push_back(Message{8, InfoReaderReq{WriteKey{1, 0}, {1, 0, 1, 1, 0, 0, 1, 0, 1}}});
+  msgs.push_back(Message{8, InfoReaderReq{WriteKey{1, 0}, {0, 2, 3, 6, 8, 70'000}}});
+  msgs.push_back(Message{8, UpdateCoorReq{WriteKey{4, 2}, {1, 130}}});
   msgs.push_back(Message{9, UpdateCoorAck{12, 5}});
-  msgs.push_back(Message{10, GetTagArrReq{{0, 5, 130, 4095}}});
+  msgs.push_back(Message{10, GetTagArrReq{{0, 5, 130, 4095}, 17}});
   GetTagArrResp tagarr;
   tagarr.tag = 900;
   tagarr.watermark = 890;
@@ -33,7 +34,9 @@ std::vector<Message> corpus() {
       TagArrEntry{130, WriteKey{9, 2}, {}}, TagArrEntry{4095, kInitialKey, {}}};
   msgs.push_back(Message{10, tagarr});
   msgs.push_back(Message{10, AdaptTagArrResp{900, 890, {TagArrEntry{5, WriteKey{5, 0}, {}}},
-                                             {1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 0, 1}, 3}});
+                                             3, 0, {0, 3, 5, 6, 11}, {}}});
+  msgs.push_back(Message{10, AdaptTagArrResp{900, 890, {TagArrEntry{5, WriteKey{5, 0}, {}}},
+                                             9, 7, {12}, {3, 4000}}});
   ReadValsResp vals;
   vals.obj = 1;
   vals.versions = {Version{kInitialKey, 0}, Version{WriteKey{2, 0}, 77},
@@ -219,15 +222,16 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
   // Wrong wire version must be rejected, not silently accepted.
-  std::vector<std::uint8_t> v3{0x53, 0x4E, 0x57, 0x4B, 0x03, 0x00};
-  EXPECT_FALSE(net::parse_hello(v3, hello, err));
+  std::vector<std::uint8_t> v4{0x53, 0x4E, 0x57, 0x4B, 0x04, 0x00};
+  EXPECT_FALSE(net::parse_hello(v4, hello, err));
   EXPECT_NE(err.find("wire version"), std::string::npos);
 }
 
-TEST(FrameRoundtrip, V2PeerRefusesAV1Hello) {
-  // v1 peers ship k-wide tag arrays that v2 decodes as garbage: the HELLO
-  // gate must refuse them by name before any MSG frame is parsed.
-  ASSERT_EQ(net::kWireVersion, 2u);
+TEST(FrameRoundtrip, V3PeerRefusesOlderHellos) {
+  // v1 peers ship k-wide tag arrays and v2 peers k-bit write masks and mode
+  // tables, all of which v3 decodes as garbage: the HELLO gate must refuse
+  // them by name before any MSG frame is parsed.
+  ASSERT_EQ(net::kWireVersion, 3u);
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, 1);
   FrameDecoder dec;
@@ -237,12 +241,14 @@ TEST(FrameRoundtrip, V2PeerRefusesAV1Hello) {
   net::HelloBody hello;
   std::string err;
   ASSERT_TRUE(net::parse_hello(f.body, hello, err)) << err;
-  // The same HELLO with the version varint rewritten to 1.
-  auto v1 = f.body;
-  ASSERT_EQ(v1[4], 0x02);
-  v1[4] = 0x01;
-  EXPECT_FALSE(net::parse_hello(v1, hello, err));
-  EXPECT_EQ(err, "wire version 1 (expected 2)");
+  // The same HELLO with the version varint rewritten to 1 and to 2.
+  for (const std::uint8_t old : {0x01, 0x02}) {
+    auto body = f.body;
+    ASSERT_EQ(body[4], 0x03);
+    body[4] = old;
+    EXPECT_FALSE(net::parse_hello(body, hello, err));
+    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 3)");
+  }
 }
 
 TEST(FrameRoundtrip, FramedCodecBytesMatchEncodeMessage) {

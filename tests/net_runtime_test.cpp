@@ -391,18 +391,20 @@ TEST(NetRuntime, MisroutedFrameDropsConnectionNotProcess) {
 TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
   SKIP_WITHOUT_TRANSPORT();
   // Frames that decode fine but carry hostile CONTENT for the coordinator:
-  // update-coor write masks that do not cover the k objects (CoorList::push
-  // would abort on them) and a get-tag-arr naming ids >= k (latest() would
-  // throw).  The algo-b coordinator must drop the first without listing or
-  // acking them, answer the second for its valid ids only, and then still
-  // serve a real workload.
+  // update-coor write sets naming ids >= k (CoorList::push would abort on
+  // them) and a get-tag-arr naming ids >= k (latest() would throw).  The
+  // algo-b coordinator must drop the first without listing or acking them
+  // and answer the second for its valid ids only.  Coordinator-only requests
+  // sent to the OTHER server (update-coor, get-tag-arr, finalize-coor,
+  // read-done) must be dropped with a warning, not abort it.  Both servers
+  // must then still serve a real workload.
   const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
   FleetProc server;
   server.build(fleet, 0);
   server.rt->start();
   // Servers 0-1 (coordinator 0) in process 0; reader 2 and writer 3 in the
   // client process whose HELLO the attacker presents.
-  const NodeId coordinator = 0, reader = 2, writer = 3;
+  const NodeId coordinator = 0, other = 1, reader = 2, writer = 3;
   ASSERT_TRUE(server.rt->owns(coordinator));
   ASSERT_EQ(server.rt->owner_of(reader), fleet.client_index());
   ASSERT_EQ(server.rt->owner_of(writer), fleet.client_index());
@@ -411,12 +413,19 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
   ASSERT_GE(fd, 0);
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, fleet.client_index());
-  for (const std::vector<std::uint8_t>& mask :
-       {std::vector<std::uint8_t>{}, std::vector<std::uint8_t>{1},
-        std::vector<std::uint8_t>(3, 1), std::vector<std::uint8_t>(100'000, 1)}) {
+  for (const std::vector<ObjectId>& objs :
+       {std::vector<ObjectId>{2}, std::vector<ObjectId>{0, 70'000},
+        std::vector<ObjectId>{4'000'000'000u}}) {
     net::append_msg(bytes, writer, coordinator,
-                    Message{1, UpdateCoorReq{WriteKey{1, writer}, mask}});
+                    Message{1, UpdateCoorReq{WriteKey{1, writer}, objs}});
   }
+  net::append_msg(bytes, writer, other, Message{1, UpdateCoorReq{WriteKey{1, writer}, {0, 1}}});
+  net::append_msg(bytes, reader, other, Message{1, GetTagArrReq{{0, 1}}});
+  net::append_msg(bytes, writer, other, Message{1, FinalizeCoorReq{1}});
+  net::append_msg(bytes, reader, other, Message{kInvalidTxn, ReadDoneReq{1}});
+  // A read-val behind them: its answer proves the other server consumed all
+  // four (one link's frames are handled in order) and is still alive.
+  net::append_msg(bytes, reader, other, Message{1, ReadValReq{1, kInitialKey, 0}});
   net::append_msg(bytes, reader, coordinator, Message{1, GetTagArrReq{{1, 2, 70'000}}});
   ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
 
@@ -424,9 +433,10 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
   // arriving proves every update-coor before it was consumed — and none of
   // them may have been acked.
   std::optional<GetTagArrResp> tag_arr;
+  std::optional<ReadValResp> read_val;
   net::FrameDecoder dec;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!tag_arr && std::chrono::steady_clock::now() < deadline) {
+  while (!(tag_arr && read_val) && std::chrono::steady_clock::now() < deadline) {
     pollfd pfd{fd, POLLIN, 0};
     if (::poll(&pfd, 1, 100) <= 0) continue;
     std::uint8_t buf[4096];
@@ -441,12 +451,18 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
       ASSERT_TRUE(net::parse_msg_header(f.body, hdr, err)) << err;
       const Message m = net::decode_msg_payload(f.body, hdr.payload_offset);
       EXPECT_FALSE(std::holds_alternative<UpdateCoorAck>(m.payload))
-          << "a malformed update-coor was listed";
-      if (const auto* ta = std::get_if<GetTagArrResp>(&m.payload)) tag_arr = *ta;
+          << "a malformed or misrouted update-coor was listed";
+      if (const auto* ta = std::get_if<GetTagArrResp>(&m.payload)) {
+        EXPECT_EQ(hdr.from, coordinator) << "a non-coordinator answered get-tag-arr";
+        tag_arr = *ta;
+      }
+      if (const auto* rv = std::get_if<ReadValResp>(&m.payload)) read_val = *rv;
     }
   }
   ::close(fd);
   ASSERT_TRUE(tag_arr.has_value()) << "no tag array from the coordinator";
+  ASSERT_TRUE(read_val.has_value()) << "no read-val answer from the other server";
+  EXPECT_EQ(read_val->key, kInitialKey);
   EXPECT_EQ(tag_arr->tag, 0u);  // nothing was listed
   ASSERT_EQ(tag_arr->entries.size(), 1u);
   EXPECT_EQ(tag_arr->entries[0].obj, 1u);

@@ -10,6 +10,7 @@
 
 #include "msg/codec.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -27,12 +28,13 @@ ReplRecord insert_rec(ObjectId obj, std::uint64_t seq, NodeId writer, Value v) {
   return r;
 }
 
-ReplRecord push_rec(std::uint64_t seq, NodeId writer, Tag position, TxnId txn) {
+ReplRecord push_rec(std::uint64_t seq, NodeId writer, Tag position, TxnId txn,
+                    std::vector<ObjectId> objs) {
   ReplRecord r;
   r.kind = ReplRecord::kListPush;
   r.key = WriteKey{seq, writer};
   r.position = position;
-  r.mask = {1, 0, 1};
+  r.objs = std::move(objs);
   r.txn = txn;
   r.writer = writer;
   return r;
@@ -57,14 +59,16 @@ std::vector<std::uint8_t> wal_bytes(const std::vector<ReplAppendReq>& batches) {
 
 /// A realistic WAL: a boot-time epoch marker, two record batches, a role
 /// change (takeover), and one batch from the new lineage.  kEpoch markers
-/// carry first_seq = current log size but consume no sequence numbers.
+/// carry first_seq = current log size but consume no sequence numbers.  The
+/// List pushes carry their WRITEs' object sets, multi-byte gaps included.
 std::vector<ReplAppendReq> sample_batches() {
   return {
       ReplAppendReq{0, 0, {epoch_rec(0, false)}},
       ReplAppendReq{0, 0, {insert_rec(0, 1, 10, 111), insert_rec(1, 1, 10, 222)}},
-      ReplAppendReq{0, 2, {push_rec(1, 10, 1, 900)}},
+      ReplAppendReq{0, 2, {push_rec(1, 10, 1, 900, {0, 1, 70'000})}},
       ReplAppendReq{1, 3, {epoch_rec(1, true)}},
-      ReplAppendReq{1, 3, {insert_rec(0, 2, 11, 333), insert_rec(2, 2, 11, 444)}},
+      ReplAppendReq{1, 3, {insert_rec(0, 2, 11, 333), insert_rec(2, 2, 11, 444),
+                           push_rec(2, 11, 2, 901, {0, 2})}},
   };
 }
 
@@ -124,6 +128,23 @@ TEST(ReplicaWal, NonMagicHeadThrows) {
   for (std::size_t cut = 1; cut < kWalMagicLen; ++cut) {
     const std::vector<std::uint8_t> head(full.begin(), full.begin() + cut);
     EXPECT_THROW(wal_replay(head), std::invalid_argument) << "cut at " << cut;
+  }
+}
+
+TEST(ReplicaWal, V1HeadIsRefusedByName) {
+  // A v1 log holds k-bit List masks where v2 expects write sets: replaying
+  // it would misread every kListPush, so the head check names both versions.
+  std::vector<std::uint8_t> bytes = wal_bytes(sample_batches());
+  const std::string v1 = "snowkit-wal-v1\n";
+  ASSERT_EQ(v1.size(), kWalMagicLen);
+  std::copy(v1.begin(), v1.end(), bytes.begin());
+  try {
+    wal_replay(bytes);
+    FAIL() << "a v1 WAL replayed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("snowkit-wal-v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("snowkit-wal-v2"), std::string::npos) << what;
   }
 }
 

@@ -256,11 +256,11 @@ TEST(CoorListProperty, HistoryWindowKeepsAnchorPlusAboveWatermark) {
 
 TEST(CoorListProperty, StaleReadDoneNeverUnpinsANewerRead) {
   CoorList list(1);
-  list.push(WriteKey{1, 0}, {1});
+  list.push(WriteKey{1, 0}, std::vector<ObjectId>{0});
   list.finalize(1);
   list.register_reader(7, /*txn=*/10);
   list.reader_done(7, /*txn=*/4);  // reordered notice from an older READ
-  list.push(WriteKey{2, 0}, {1});
+  list.push(WriteKey{2, 0}, std::vector<ObjectId>{0});
   list.finalize(2);
   EXPECT_EQ(list.watermark(), 1u) << "reader 7's floor must still pin the watermark";
   list.reader_done(7, /*txn=*/10);

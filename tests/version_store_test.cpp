@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "msg/codec.hpp"
+#include "proto/adaptive/adaptive.hpp"
 #include "proto/version_store.hpp"
 
 namespace snowkit {
@@ -82,9 +83,7 @@ TEST(VersionStore, KeysFromDifferentWritersDistinct) {
 CoorList three_writes(std::size_t k) {
   CoorList list(k);
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
-    std::vector<std::uint8_t> mask(k, 0);
-    mask[7] = mask[200] = mask[k - 1] = 1;
-    list.push(WriteKey{seq, 1}, mask);
+    list.push(WriteKey{seq, 1}, std::vector<ObjectId>{7, 200, static_cast<ObjectId>(k - 1)});
   }
   list.finalize(2);
   return list;
@@ -127,38 +126,68 @@ TEST(CoorList, TagArrSkipsObjectsOutsideTheKeySpace) {
   EXPECT_TRUE(list.tag_arr({}, true).entries.empty());
 }
 
-TEST(CoorList, AdmitsOnlyFullWidthWriteMasks) {
+TEST(CoorList, AdmitsOnlyWriteSetsInsideTheKeySpace) {
   const CoorList list(4);
-  EXPECT_TRUE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {1, 0, 0, 1}}));
-  EXPECT_FALSE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {1, 0, 1}}));
-  EXPECT_FALSE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {1, 0, 0, 1, 1}}));
+  EXPECT_TRUE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {0, 3}}));
+  EXPECT_TRUE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {2}}));
+  EXPECT_FALSE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {0, 4}}));
+  EXPECT_FALSE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {4'000'000'000u}}));
   EXPECT_FALSE(list.admits(1, UpdateCoorReq{WriteKey{1, 1}, {}}));
 }
 
 TEST(TagArrSize, FixedReadSetCostsTheSameBytesAtAnyObjectCount) {
   // The get-tag-arr exchange scales with the READ, not with k: for one
   // 2-object READ the request and the algo-b, algo-c and adaptive replies
-  // encode to the same size at every object count.  The adaptive reply's
-  // full-width mode table is its one deliberate O(k) field, so its bytes are
-  // measured and taken out explicitly.
+  // encode to the same size at every object count.  The adaptive reply
+  // carries the coordinator's mode delta for a reader one flip behind.
   std::vector<std::vector<std::size_t>> sizes;
   for (const std::size_t k : {256u, 4096u, 65536u}) {
     const CoorList list = three_writes(k);
     const GetTagArrReq req = tag_arr_req({200, 7});
     const GetTagArrResp b = list.tag_arr(req.objs, /*with_history=*/false);
     const GetTagArrResp c = list.tag_arr(req.objs, /*with_history=*/true);
-    const std::vector<std::uint8_t> modes(k, 0);
-    const std::size_t mode_table = encoded_size(Message{5, AdaptTagArrResp{0, 0, {}, modes, 0}}) -
-                                   encoded_size(Message{5, AdaptTagArrResp{}});
-    const AdaptTagArrResp adapt{b.tag, b.watermark, b.entries, modes, 1};
+    ModeTable modes(k);
+    modes.set(7, true);
+    modes.set(200, true);
+    AdaptTagArrResp adapt{b.tag, b.watermark, b.entries};
+    modes.answer(/*reader_epoch=*/1, adapt);
+    EXPECT_EQ(adapt.mode_base, 1u);
     sizes.push_back({encoded_size(Message{5, req}), encoded_size(Message{5, b}),
-                     encoded_size(Message{5, c}), encoded_size(Message{5, adapt}) - mode_table});
+                     encoded_size(Message{5, c}), encoded_size(Message{5, adapt})});
   }
   EXPECT_EQ(sizes[0], sizes[1]);
   EXPECT_EQ(sizes[0], sizes[2]);
   // And small in absolute terms: a request of a few bytes, one key per object.
   EXPECT_LE(sizes[0][0], 8u);
   EXPECT_LE(sizes[0][1], 16u);
+}
+
+TEST(WriteSetSize, FixedWriteSetCostsTheSameBytesAtAnyObjectCount) {
+  // The write path scales with the WRITE, not with k: a 2-object WRITE's
+  // update-coor, info-reader and replicated kListPush record encode to the
+  // same size at every object count.
+  std::vector<std::vector<std::size_t>> sizes;
+  for (const std::size_t k : {256u, 4096u, 65536u}) {
+    std::vector<std::pair<ObjectId, Value>> writes{{200, 1}, {7, 2}};
+    const std::vector<ObjectId> objs = write_set(writes);
+    EXPECT_EQ(objs, (std::vector<ObjectId>{7, 200}));
+    EXPECT_TRUE(CoorList(k).admits(3, UpdateCoorReq{WriteKey{9, 3}, objs}));
+    ReplRecord push;
+    push.kind = ReplRecord::kListPush;
+    push.key = WriteKey{9, 3};
+    push.position = 40;
+    push.objs = objs;
+    push.txn = 12;
+    push.writer = 3;
+    sizes.push_back({encoded_size(Message{12, UpdateCoorReq{WriteKey{9, 3}, objs}}),
+                     encoded_size(Message{12, InfoReaderReq{WriteKey{9, 3}, objs}}),
+                     encoded_size(Message{kInvalidTxn, ReplAppendReq{1, 40, {push}}})});
+  }
+  EXPECT_EQ(sizes[0], sizes[1]);
+  EXPECT_EQ(sizes[0], sizes[2]);
+  // And small in absolute terms: a key plus a few bytes of gaps.
+  EXPECT_LE(sizes[0][0], 8u);
+  EXPECT_LE(sizes[0][1], 8u);
 }
 
 TEST(WriteKeyTest, OrderingAndHash) {
