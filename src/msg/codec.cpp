@@ -20,9 +20,10 @@ namespace {
 //  * List histories are position-ascending, so positions delta-code the
 //    same way;
 //  * object sets — a READ's objects (get-tag-arr), a WRITE's objects
-//    (update-coor, info-reader, kListPush records) and the adaptive mode
-//    delta — are strictly ascending and ride as gaps, so every such field
-//    costs O(|set|) bytes, never k bits.
+//    (update-coor, info-reader, kListPush records), one server's share of a
+//    WRITE (write-val, its ack, finalize) and the adaptive mode delta — are
+//    strictly ascending and ride as gaps, so every such field costs
+//    O(|set|) bytes, never k bits.
 // A writer id of kInvalidNode (the initial version's placeholder w0) maps to
 // varint 0 rather than a 5-byte max-u32 varint.
 
@@ -98,24 +99,35 @@ std::vector<ListedKey> get_history(BufReader& r) {
 
 /// An object set (read sets, write sets, mode deltas): strictly ascending,
 /// so each id rides as its gap to the previous one (the first as its gap to
-/// 0).  `what` names the field in errors.
+/// 0).  `put_field` writes whatever rides after each id (write-val's value;
+/// nothing for a bare set).  `what` names the field in errors.
+template <typename W, typename T, typename IdOf, typename PutField>
+void put_ascending(W& w, const std::vector<T>& items, IdOf id_of, PutField put_field,
+                   const char* what) {
+  w.uv(items.size());
+  ObjectId prev = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const ObjectId obj = id_of(items[i]);
+    SNOW_CHECK_MSG(i == 0 || obj > prev, what << " object ids must strictly ascend");
+    w.uv(obj - prev);
+    put_field(w, items[i]);
+    prev = obj;
+  }
+}
+
 template <typename W>
 void put_obj_set(W& w, const std::vector<ObjectId>& objs, const char* what) {
-  w.uv(objs.size());
-  ObjectId prev = 0;
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    SNOW_CHECK_MSG(i == 0 || objs[i] > prev, what << " object ids must strictly ascend");
-    w.uv(objs[i] - prev);
-    prev = objs[i];
-  }
+  put_ascending(w, objs, [](ObjectId obj) { return obj; }, [](W&, ObjectId) {}, what);
 }
 
 /// The decoding side: unsorted or duplicate ids are a CodecError, and so is
 /// an empty set where `nonempty` (a WRITE writes at least one object).
-std::vector<ObjectId> get_obj_set(BufReader& r, const char* what, bool nonempty) {
+/// `get_item(r, obj)` reads the field after each id and builds the element.
+template <typename T, typename GetItem>
+std::vector<T> get_ascending(BufReader& r, const char* what, bool nonempty, GetItem get_item) {
   std::uint64_t prev = 0;
   bool first = true;
-  std::vector<ObjectId> objs = r.cvec<ObjectId>([&](BufReader& r2) {
+  std::vector<T> items = r.cvec<T>([&](BufReader& r2) {
     const std::uint64_t gap = r2.uv();
     if (!first && gap == 0) {
       throw CodecError(std::string(what) + " object ids not strictly ascending");
@@ -125,10 +137,14 @@ std::vector<ObjectId> get_obj_set(BufReader& r, const char* what, bool nonempty)
     }
     first = false;
     prev += gap;
-    return static_cast<ObjectId>(prev);
+    return get_item(r2, static_cast<ObjectId>(prev));
   });
-  if (nonempty && objs.empty()) throw CodecError(std::string(what) + " names no object");
-  return objs;
+  if (nonempty && items.empty()) throw CodecError(std::string(what) + " names no object");
+  return items;
+}
+
+std::vector<ObjectId> get_obj_set(BufReader& r, const char* what, bool nonempty) {
+  return get_ascending<ObjectId>(r, what, nonempty, [](BufReader&, ObjectId obj) { return obj; });
 }
 
 /// Tag-array slots (GetTagArrResp, AdaptTagArrResp): per slot obj, kappa_i,
@@ -189,8 +205,16 @@ template <typename W>
 struct Encoder {
   W& w;
 
-  void operator()(const WriteValReq& p) { put_key(w, p.key); w.uv(p.obj); w.zz(p.value); }
-  void operator()(const WriteValAck& p) { put_key(w, p.key); w.uv(p.obj); }
+  void operator()(const WriteValReq& p) {
+    put_key(w, p.key);
+    put_ascending(
+        w, p.writes, [](const auto& ov) { return ov.first; },
+        [](W& w2, const auto& ov) { w2.zz(ov.second); }, "write-val");
+  }
+  void operator()(const WriteValAck& p) {
+    put_key(w, p.key);
+    put_obj_set(w, p.objs, "write-val-ack");
+  }
   void operator()(const InfoReaderReq& p) {
     put_key(w, p.key);
     put_obj_set(w, p.objs, "info-reader");
@@ -217,7 +241,11 @@ struct Encoder {
   void operator()(const ReadValsReq& p) { w.uv(p.obj); }
   void operator()(const ReadValsResp& p) { w.uv(p.obj); put_versions(w, p.versions); }
   void operator()(const FinalizeReq& p) {
-    put_key(w, p.key); w.uv(p.obj); w.uv(p.position); w.uv(p.watermark);
+    put_key(w, p.key);
+    w.uv(p.position);
+    w.uv(p.watermark);
+    put_obj_set(w, p.objs, "finalize");
+    w.u8(p.coor ? 1 : 0);
   }
   void operator()(const FinalizeCoorReq& p) { w.uv(p.position); }
   void operator()(const ReadDoneReq& p) { w.uv(p.txn); }
@@ -305,12 +333,19 @@ struct Decoder {
 
 template <>
 WriteValReq Decoder::get<WriteValReq>() {
-  WriteValReq p; p.key = get_key(r); p.obj = static_cast<ObjectId>(r.uv()); p.value = r.zz();
+  WriteValReq p;
+  p.key = get_key(r);
+  p.writes = get_ascending<std::pair<ObjectId, Value>>(
+      r, "write-val", /*nonempty=*/true,
+      [](BufReader& r2, ObjectId obj) { return std::pair<ObjectId, Value>{obj, r2.zz()}; });
   return p;
 }
 template <>
 WriteValAck Decoder::get<WriteValAck>() {
-  WriteValAck p; p.key = get_key(r); p.obj = static_cast<ObjectId>(r.uv()); return p;
+  WriteValAck p;
+  p.key = get_key(r);
+  p.objs = get_obj_set(r, "write-val-ack", /*nonempty=*/true);
+  return p;
 }
 template <>
 InfoReaderReq Decoder::get<InfoReaderReq>() {
@@ -375,8 +410,13 @@ ReadValsResp Decoder::get<ReadValsResp>() {
 template <>
 FinalizeReq Decoder::get<FinalizeReq>() {
   FinalizeReq p;
-  p.key = get_key(r); p.obj = static_cast<ObjectId>(r.uv()); p.position = r.uv();
+  p.key = get_key(r);
+  p.position = r.uv();
   p.watermark = r.uv();
+  p.objs = get_obj_set(r, "finalize", /*nonempty=*/true);
+  const std::uint8_t coor = r.u8();
+  if (coor > 1) throw CodecError("finalize coor flag is neither 0 nor 1");
+  p.coor = coor == 1;
   return p;
 }
 template <>
@@ -568,8 +608,9 @@ static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one b
 // these numbers.  APPEND new payloads to the variant; reordering or
 // inserting breaks every stored trace and any mixed-version fleet, so it
 // requires a wire-version bump.  These asserts pin the frozen assignment,
-// which snowkit-wire-v2 and v3 kept (v2 redefined only the bodies of tags 6,
-// 7 and 36; v3 those of 2, 4, 6, 36 and the replication record).
+// which snowkit-wire-v2 to v4 kept (v2 redefined only the bodies of tags 6,
+// 7 and 36; v3 those of 2, 4, 6, 36 and the replication record; v4 those of
+// 0, 1 and 12).
 template <typename T>
 constexpr std::size_t payload_tag = Payload{T{}}.index();
 static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&

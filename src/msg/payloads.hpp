@@ -34,19 +34,21 @@ struct ListedKey {
 
 // --- Algorithms A / B / C (paper pseudocodes 4-7) -------------------------
 
-/// write-val: writer -> server s_i, carrying (kappa, v_i).
+/// write-val: writer -> one server, carrying (kappa, v_i) for every object
+/// of the WRITE that server hosts.  In the paper's model each object is its
+/// own server and `writes` has one entry; sharded fleets pack a server's
+/// objects into one frame.
 struct WriteValReq {
   WriteKey key;
-  ObjectId obj{0};
-  Value value{kInitialValue};
+  std::vector<std::pair<ObjectId, Value>> writes;  ///< ascending obj, non-empty.
 
   friend bool operator==(const WriteValReq&, const WriteValReq&) = default;
 };
 
-/// ack for write-val: server -> writer.
+/// ack for write-val: server -> writer, naming the objects it stored.
 struct WriteValAck {
   WriteKey key;
-  ObjectId obj{0};
+  std::vector<ObjectId> objs;  ///< ascending, non-empty.
 
   friend bool operator==(const WriteValAck&, const WriteValAck&) = default;
 };
@@ -156,18 +158,22 @@ struct ReadValsResp {
   friend bool operator==(const ReadValsResp&, const ReadValsResp&) = default;
 };
 
-/// finalize: writer -> server, piggybacking the List position assigned to a
-/// completed WRITE so servers can garbage-collect superseded versions.  This
-/// is snowkit's bounded-version extension for Algorithm C (DESIGN.md §5);
-/// it adds no round to any transaction.
+/// finalize: writer -> one server, piggybacking the List position assigned
+/// to a completed WRITE so the server can garbage-collect the versions it
+/// supersedes on each of `objs`.  This is snowkit's bounded-version
+/// extension for Algorithm C (DESIGN.md §5); it adds no round to any
+/// transaction.
 struct FinalizeReq {
   WriteKey key;
-  ObjectId obj{0};
   Tag position{0};
   /// Coordinator read watermark as of this write's update-coor ack; the
-  /// receiving store advances its watermark to it and prunes superseded
+  /// receiving stores advance their watermark to it and prune superseded
   /// finalized versions (proto/version_store.hpp states the safety rule).
   Tag watermark{0};
+  std::vector<ObjectId> objs;  ///< this server's objects of the WRITE, ascending, non-empty.
+  /// Set on the coordinator's shard: this frame also carries the
+  /// finalize-coor notice for `position`, which is then not sent separately.
+  bool coor{false};
 
   friend bool operator==(const FinalizeReq&, const FinalizeReq&) = default;
 };
@@ -176,7 +182,9 @@ struct FinalizeReq {
 /// WRITE at List `position` has completed.  The coordinator's max finalized
 /// position is the base of the read watermark: a position only counts into
 /// the watermark once its write finished, so every in-flight or future READ
-/// can still be served at or above it.
+/// can still be served at or above it.  Sent only when the WRITE touches no
+/// object on the coordinator's shard; otherwise that shard's finalize
+/// carries it (FinalizeReq::coor).
 struct FinalizeCoorReq {
   Tag position{0};
 

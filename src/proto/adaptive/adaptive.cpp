@@ -74,22 +74,7 @@ class ServerAdapt final : public Node {
       }
     }
     if (misrouted(from, m, is_coordinator_)) return;
-    if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-      if (repl_ != nullptr) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kInsert;
-        rec.obj = wv->obj;
-        rec.key = wv->key;
-        rec.value = wv->value;
-        const WriteValAck ack{wv->key, wv->obj};
-        repl_->append(std::move(rec),
-                      [this, from, txn = m.txn, ack] { send(from, Message{txn, ack}); });
-      } else {
-        stores_[wv->obj].insert(wv->key, wv->value);
-        send(from, Message{m.txn, WriteValAck{wv->key, wv->obj}});
-      }
-      return;
-    }
+    if (handle_write_path(rt(), id(), from, m, gc_, stores_, list_, repl_.get())) return;
     if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) {
       // Round-2 batch: every same-server object of one READ in one frame.
       ReadValBatchResp resp;
@@ -136,36 +121,10 @@ class ServerAdapt final : public Node {
       }
       return;
     }
-    if (repl_ != nullptr && gc_) {
-      // Finalize notices mutate GC state, so they ride the replicated log;
-      // read-done stays primary-local (reader floors are per-lineage).
-      if (const auto* fr = std::get_if<FinalizeReq>(&m.payload)) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kFinalize;
-        rec.obj = fr->obj;
-        rec.key = fr->key;
-        rec.position = fr->position;
-        rec.watermark = fr->watermark;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-      if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kCoorFinalize;
-        rec.position = fc->position;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-    }
-    if (handle_gc_notice(from, m, gc_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      if (!list_->admits(from, *uc)) return;
-      if (repl_ != nullptr) {
-        handle_update_coor(from, m.txn, *uc);
-      } else {
+      // A deduplicated retry is not credited to the write-rate tracker twice.
+      if (handle_update_coor(rt(), id(), from, m.txn, *uc, list_, repl_.get())) {
         observe_write(uc->objs);
-        const Tag pos = list_->push(uc->key, uc->objs);
-        send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
       }
       return;
     }
@@ -211,34 +170,6 @@ class ServerAdapt final : public Node {
     }
   }
 
-  void handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc) {
-    // Takeover-rerouted retries are deduplicated by (writer, txn): re-ack a
-    // listing the old lineage already committed, never double-list (and
-    // never double-credit the write-rate tracker).
-    switch (repl_->check_push(from, txn)) {
-      case Replicator::PushStatus::kPending:
-        return;  // already logged; the commit waiter will ack
-      case Replicator::PushStatus::kCommitted:
-        send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from),
-                                              list_->watermark()}});
-        return;
-      case Replicator::PushStatus::kNew:
-        break;
-    }
-    observe_write(uc.objs);
-    ReplRecord rec;
-    rec.kind = ReplRecord::kListPush;
-    rec.key = uc.key;
-    rec.objs = uc.objs;
-    rec.txn = txn;
-    rec.writer = from;
-    rec.position = repl_->next_push_position();
-    const Tag pos = rec.position;
-    repl_->append(std::move(rec), [this, from, txn, pos] {
-      send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
-    });
-  }
-
   std::size_t k_;
   bool is_coordinator_;
   bool gc_;
@@ -281,6 +212,7 @@ class ReaderAdapt final : public Node, public ReadClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   const AdaptiveStats& stats() const { return stats_; }
 

@@ -11,10 +11,11 @@ namespace {
 class ServerA final : public Node {
  public:
   void on_message(NodeId from, const Message& m) override {
-    if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-      stores_[wv->obj].insert(wv->key, wv->value);
-      send(from, Message{m.txn, WriteValAck{wv->key, wv->obj}});
-    } else if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
+    if (handle_write_path(rt(), id(), from, m, /*gc=*/false, stores_, no_list_,
+                          /*repl=*/nullptr)) {
+      return;
+    }
+    if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
       // Non-blocking + one-version: respond immediately with exactly the
       // requested version.  Algorithm A guarantees kappa_i is present: its
       // write-val was acked before the info-reader that put it in List.
@@ -26,6 +27,7 @@ class ServerA final : public Node {
 
  private:
   std::map<ObjectId, VersionStore> stores_;  ///< per hosted object.
+  std::optional<CoorList> no_list_;          ///< algo-a has no coordinator.
 };
 
 class ReaderA final : public Node, public ReadClientApi {
@@ -52,6 +54,7 @@ class ReaderA final : public Node, public ReadClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId from, const Message& m) override {
     if (const auto* ir = std::get_if<InfoReaderReq>(&m.payload)) {
@@ -110,15 +113,18 @@ class WriterA final : public Node, public WriteClientApi {
     pending_->txn = txn;
     pending_->key = WriteKey{++z_, id()};
     pending_->objs = write_set(writes);
-    pending_->await_server_acks = writes.size();
     pending_->await_reader_acks = readers_.size();
     pending_->cb = std::move(cb);
-    for (const auto& [obj, value] : writes) {
-      send(place_.server_node(obj), Message{txn, WriteValReq{pending_->key, obj, value}});
+    // One write-val per server, carrying all of its objects.
+    auto by_shard = write_vals_by_shard(place_, pending_->key, writes);
+    pending_->await_server_acks = by_shard.size();
+    for (auto& [shard, wv] : by_shard) {
+      send(static_cast<NodeId>(shard), Message{txn, std::move(wv)});
     }
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     if (std::holds_alternative<WriteValAck>(m.payload)) {
@@ -152,7 +158,7 @@ class WriterA final : public Node, public WriteClientApi {
     TxnId txn{kInvalidTxn};
     WriteKey key;
     std::vector<ObjectId> objs;  ///< the write set W, ascending.
-    std::size_t await_server_acks{0};
+    std::size_t await_server_acks{0};  ///< one ack per written server.
     std::size_t await_reader_acks{0};
     Tag tag{0};
     WriteCallback cb;

@@ -68,22 +68,7 @@ class ServerB final : public Node {
       }
     }
     if (misrouted(from, m, is_coordinator_)) return;
-    if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-      if (repl_ != nullptr) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kInsert;
-        rec.obj = wv->obj;
-        rec.key = wv->key;
-        rec.value = wv->value;
-        const WriteValAck ack{wv->key, wv->obj};
-        repl_->append(std::move(rec),
-                      [this, from, txn = m.txn, ack] { send(from, Message{txn, ack}); });
-      } else {
-        stores_[wv->obj].insert(wv->key, wv->value);
-        send(from, Message{m.txn, WriteValAck{wv->key, wv->obj}});
-      }
-      return;
-    }
+    if (handle_write_path(rt(), id(), from, m, gc_, stores_, list_, repl_.get())) return;
     if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
       VersionStore& vals = stores_[rv->obj];
       if (gc_) vals.advance_watermark(rv->watermark);
@@ -98,36 +83,8 @@ class ServerB final : public Node {
       }
       return;
     }
-    if (repl_ != nullptr && gc_) {
-      // The finalize notices mutate GC state, so they ride the replicated
-      // log; read-done stays primary-local (reader floors are per-lineage).
-      if (const auto* fr = std::get_if<FinalizeReq>(&m.payload)) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kFinalize;
-        rec.obj = fr->obj;
-        rec.key = fr->key;
-        rec.position = fr->position;
-        rec.watermark = fr->watermark;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-      if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kCoorFinalize;
-        rec.position = fc->position;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-    }
-    if (handle_gc_notice(from, m, gc_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      if (!list_->admits(from, *uc)) return;
-      if (repl_ != nullptr) {
-        handle_update_coor(from, m.txn, *uc);
-      } else {
-        const Tag pos = list_->push(uc->key, uc->objs);
-        send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
-      }
+      handle_update_coor(rt(), id(), from, m.txn, *uc, list_, repl_.get());
       return;
     }
     if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
@@ -139,32 +96,6 @@ class ServerB final : public Node {
   }
 
  private:
-  void handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc) {
-    // A writer re-routed by a takeover re-sends its update-coor: re-ack if
-    // the old lineage's listing survived, otherwise list it fresh.
-    switch (repl_->check_push(from, txn)) {
-      case Replicator::PushStatus::kPending:
-        return;  // already logged; the commit waiter will ack
-      case Replicator::PushStatus::kCommitted:
-        send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from),
-                                              list_->watermark()}});
-        return;
-      case Replicator::PushStatus::kNew:
-        break;
-    }
-    ReplRecord rec;
-    rec.kind = ReplRecord::kListPush;
-    rec.key = uc.key;
-    rec.objs = uc.objs;
-    rec.txn = txn;
-    rec.writer = from;
-    rec.position = repl_->next_push_position();
-    const Tag pos = rec.position;
-    repl_->append(std::move(rec), [this, from, txn, pos] {
-      send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
-    });
-  }
-
   std::size_t k_;
   bool is_coordinator_;
   bool gc_;
@@ -191,6 +122,7 @@ class ReaderB final : public Node, public ReadClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     if (const auto* tn = std::get_if<TakeoverNotice>(&m.payload)) {

@@ -61,22 +61,7 @@ class ServerC final : public Node {
       }
     }
     if (misrouted(from, m, is_coordinator_)) return;
-    if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-      if (repl_ != nullptr) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kInsert;
-        rec.obj = wv->obj;
-        rec.key = wv->key;
-        rec.value = wv->value;
-        const WriteValAck ack{wv->key, wv->obj};
-        repl_->append(std::move(rec),
-                      [this, from, txn = m.txn, ack] { send(from, Message{txn, ack}); });
-      } else {
-        store(wv->obj).insert(wv->key, wv->value);
-        send(from, Message{m.txn, WriteValAck{wv->key, wv->obj}});
-      }
-      return;
-    }
+    if (handle_write_path(rt(), id(), from, m, gc_, stores_, list_, repl_.get())) return;
     if (std::holds_alternative<ReadValsReq>(m.payload)) {
       const auto& req = std::get<ReadValsReq>(m.payload);
       // Bounded response: the live chain — with the watermark flowing this
@@ -84,36 +69,8 @@ class ServerC final : public Node {
       send(from, Message{m.txn, ReadValsResp{req.obj, store(req.obj).all()}});
       return;
     }
-    if (repl_ != nullptr && gc_) {
-      // Finalize notices mutate GC state, so they ride the replicated log;
-      // read-done stays primary-local (reader floors are per-lineage).
-      if (const auto* fr = std::get_if<FinalizeReq>(&m.payload)) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kFinalize;
-        rec.obj = fr->obj;
-        rec.key = fr->key;
-        rec.position = fr->position;
-        rec.watermark = fr->watermark;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-      if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-        ReplRecord rec;
-        rec.kind = ReplRecord::kCoorFinalize;
-        rec.position = fc->position;
-        repl_->append(std::move(rec), nullptr);
-        return;
-      }
-    }
-    if (handle_gc_notice(from, m, gc_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      if (!list_->admits(from, *uc)) return;
-      if (repl_ != nullptr) {
-        handle_update_coor(from, m.txn, *uc);
-      } else {
-        const Tag pos = list_->push(uc->key, uc->objs);
-        send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
-      }
+      handle_update_coor(rt(), id(), from, m.txn, *uc, list_, repl_.get());
       return;
     }
     if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
@@ -126,32 +83,6 @@ class ServerC final : public Node {
 
  private:
   VersionStore& store(ObjectId obj) { return stores_[obj]; }
-
-  void handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc) {
-    // Takeover-rerouted retries are deduplicated by (writer, txn): re-ack a
-    // listing the old lineage already committed, never double-list.
-    switch (repl_->check_push(from, txn)) {
-      case Replicator::PushStatus::kPending:
-        return;  // already logged; the commit waiter will ack
-      case Replicator::PushStatus::kCommitted:
-        send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from),
-                                              list_->watermark()}});
-        return;
-      case Replicator::PushStatus::kNew:
-        break;
-    }
-    ReplRecord rec;
-    rec.kind = ReplRecord::kListPush;
-    rec.key = uc.key;
-    rec.objs = uc.objs;
-    rec.txn = txn;
-    rec.writer = from;
-    rec.position = repl_->next_push_position();
-    const Tag pos = rec.position;
-    repl_->append(std::move(rec), [this, from, txn, pos] {
-      send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
-    });
-  }
 
   std::size_t k_;
   bool is_coordinator_;
@@ -180,6 +111,7 @@ class ReaderC final : public Node, public ReadClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     if (const auto* tn = std::get_if<TakeoverNotice>(&m.payload)) {
@@ -188,9 +120,7 @@ class ReaderC final : public Node, public ReadClientApi {
       // attempt remain safe to consume (see GetTagArrResp below).
       if (!routes_.update(tn->shard, tn->node, tn->epoch)) return;
       if (!pending_) return;
-      SNOW_CHECK_MSG(pending_->attempts < 100, "algo-c read livelocked across failovers");
-      ++pending_->attempts;
-      send_round();
+      retry();
       return;
     }
     if (const auto* ta = std::get_if<GetTagArrResp>(&m.payload)) {
@@ -257,7 +187,17 @@ class ReaderC final : public Node, public ReadClientApi {
     // No feasible cut: only possible when server-side GC raced this READ
     // (or a failover handed us mixed-lineage snapshots).
     SNOW_CHECK_MSG(may_retry_, "algo-c descent failed without GC enabled");
-    SNOW_CHECK_MSG(pending_->attempts < 100, "algo-c read livelocked under GC");
+    retry();
+  }
+
+  void retry() {
+    // Same give-up discipline as ReaderB::restart_round: a correct fleet
+    // converges in a handful of attempts (one per failover or GC race).
+    // Exhausting the budget means a shard lost a version the List names —
+    // e.g. the broken-lostack stub dropping an acknowledged insert.  GIVE UP
+    // instead of aborting the client: the unanswered READ surfaces as a
+    // liveness violation in the oracle, a conviction rather than a crash.
+    if (pending_->attempts >= 100) return;
     ++pending_->attempts;
     send_round();
   }

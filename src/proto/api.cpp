@@ -44,6 +44,24 @@ TxnRequest write_txn(std::vector<std::pair<ObjectId, Value>> writes) {
   return req;
 }
 
+void check_txn_objects(const TxnRequest& req, std::size_t num_objects) {
+  std::vector<ObjectId> objs = req.reads;
+  for (const auto& [obj, value] : req.writes) objs.push_back(obj);
+  const char* what = req.is_read() ? "READ" : "WRITE";
+  for (ObjectId obj : objs) {
+    if (obj >= num_objects) {
+      throw std::invalid_argument(std::string(what) + " names object " + std::to_string(obj) +
+                                  ", outside the " + std::to_string(num_objects) + " objects");
+    }
+  }
+  std::sort(objs.begin(), objs.end());
+  const auto dup = std::adjacent_find(objs.begin(), objs.end());
+  if (dup != objs.end()) {
+    throw std::invalid_argument(std::string(what) + " names object " + std::to_string(*dup) +
+                                " more than once");
+  }
+}
+
 // --- unified-client hub -------------------------------------------------------
 
 namespace {
@@ -80,6 +98,7 @@ struct ProtocolSystem::ClientHub {
       ClientSlot* slot = req.is_read() ? read_slot : write_slot;
       SNOW_CHECK_MSG(slot != nullptr, "protocol system '" << hub->sys->name() << "' has no "
                      << (req.is_read() ? "read" : "write") << " clients for this request");
+      check_txn_objects(req, hub->sys->num_objects());
       {
         std::lock_guard<std::mutex> lock(slot->mu);
         if (slot->busy) {
@@ -178,6 +197,7 @@ TxnClient& ProtocolSystem::client(std::size_t i) {
 }
 
 void invoke_read(Runtime& rt, ReadClientApi& client, std::vector<ObjectId> objs, ReadCallback cb) {
+  check_txn_objects(read_txn(objs), client.num_objects());
   rt.post(client.node_id(), [&client, objs = std::move(objs), cb = std::move(cb)]() mutable {
     client.read(std::move(objs), std::move(cb));
   });
@@ -185,6 +205,7 @@ void invoke_read(Runtime& rt, ReadClientApi& client, std::vector<ObjectId> objs,
 
 void invoke_write(Runtime& rt, WriteClientApi& client,
                   std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) {
+  check_txn_objects(write_txn(writes), client.num_objects());
   rt.post(client.node_id(), [&client, writes = std::move(writes), cb = std::move(cb)]() mutable {
     client.write(std::move(writes), std::move(cb));
   });

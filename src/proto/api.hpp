@@ -161,6 +161,8 @@ class ReadClientApi {
   virtual void read(std::vector<ObjectId> objs, ReadCallback cb) = 0;
 
   virtual NodeId node_id() const = 0;
+  /// The system's object count k (ids are [0, k)).
+  virtual std::size_t num_objects() const = 0;
 };
 
 /// A write-client: executes only WRITE transactions.
@@ -172,6 +174,8 @@ class WriteClientApi {
   virtual void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) = 0;
 
   virtual NodeId node_id() const = 0;
+  /// The system's object count k (ids are [0, k)).
+  virtual std::size_t num_objects() const = 0;
 };
 
 // --- assembled systems --------------------------------------------------------
@@ -221,10 +225,19 @@ class ProtocolSystem {
   std::unique_ptr<ClientHub> hub_;
 };
 
-/// Posts a read invocation onto the client's executor.
+/// The client-boundary check every READ and WRITE passes before anything is
+/// posted: throws std::invalid_argument when the transaction names an object
+/// twice or an id >= k.  A repeated object would wedge a READ (its
+/// completion counts distinct objects) and has no encoding in a WRITE's
+/// per-server write-val.
+void check_txn_objects(const TxnRequest& req, std::size_t num_objects);
+
+/// Posts a read invocation onto the client's executor, after
+/// check_txn_objects.
 void invoke_read(Runtime& rt, ReadClientApi& client, std::vector<ObjectId> objs, ReadCallback cb);
 
-/// Posts a write invocation onto the client's executor.
+/// Posts a write invocation onto the client's executor, after
+/// check_txn_objects.
 void invoke_write(Runtime& rt, WriteClientApi& client,
                   std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb);
 

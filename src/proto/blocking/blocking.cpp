@@ -92,6 +92,7 @@ class ReaderL final : public Node, public ReadClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     const auto* g = std::get_if<LockGrant>(&m.payload);
@@ -151,6 +152,7 @@ class WriterL final : public Node, public WriteClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     if (std::holds_alternative<LockGrant>(m.payload)) {

@@ -33,11 +33,7 @@ class CoorServer final : public Node {
 
   void on_message(NodeId from, const Message& m) override {
     if (misrouted(from, m, is_coordinator_)) return;
-    if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-      stores_[wv->obj].insert(wv->key, wv->value);
-      send(from, Message{m.txn, WriteValAck{wv->key, wv->obj}});
-      return;
-    }
+    if (handle_write_path(rt(), id(), from, m, gc_, stores_, list_, /*repl=*/nullptr)) return;
     if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
       VersionStore& vals = stores_[rv->obj];
       if (gc_) vals.advance_watermark(rv->watermark);
@@ -49,11 +45,8 @@ class CoorServer final : public Node {
                                             v.has_value()}});
       return;
     }
-    if (handle_gc_notice(from, m, gc_, stores_, list_)) return;
     if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      if (!list_->admits(from, *uc)) return;
-      const Tag pos = list_->push(uc->key, uc->objs);
-      send(from, Message{m.txn, UpdateCoorAck{pos, list_->watermark()}});
+      handle_update_coor(rt(), id(), from, m.txn, *uc, list_, /*repl=*/nullptr);
       return;
     }
     if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {

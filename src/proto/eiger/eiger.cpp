@@ -132,6 +132,7 @@ class ReaderE final : public Node, public ReadClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     if (const auto* r = std::get_if<EigerReadResp>(&m.payload)) {
@@ -222,6 +223,7 @@ class WriterE final : public Node, public WriteClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     const auto* ack = std::get_if<EigerWriteAck>(&m.payload);

@@ -30,6 +30,7 @@ class ReaderO final : public Node, public ReadClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     if (const auto* ta = std::get_if<GetTagArrResp>(&m.payload)) {

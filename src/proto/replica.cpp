@@ -252,50 +252,45 @@ Tag Replicator::committed_position(NodeId writer) const {
   return dedup_.at(writer).position;
 }
 
-void Replicator::append(ReplRecord rec, CommitFn on_commit) {
+void Replicator::append(std::vector<ReplRecord> recs, CommitFn on_commit) {
   SNOW_CHECK_MSG(primary_, "append on a backup replica");
-  const std::size_t index = log_.size();
-  if (rec.kind == ReplRecord::kListPush) {
-    // List entries stay invisible (un-applied) until commit: no get-tag-arr
-    // may observe a listing a crash could still lose.
-    dedup_[rec.writer] = PushInfo{rec.txn, rec.position, false};
-    ++pending_pushes_;
-  } else {
-    apply_record(rec);
+  SNOW_CHECK(!recs.empty());
+  const std::size_t first = log_.size();
+  for (const ReplRecord& rec : recs) {
+    if (rec.kind == ReplRecord::kListPush) {
+      // List entries stay invisible (un-applied) until commit: no get-tag-arr
+      // may observe a listing a crash could still lose.
+      dedup_[rec.writer] = PushInfo{rec.txn, rec.position, false};
+      ++pending_pushes_;
+    } else {
+      apply_record(rec);
+    }
+    log_.push_back(rec);
   }
-  log_.push_back(rec);
+  const std::size_t end = log_.size();
   ReplAppendReq batch;
   batch.epoch = epoch_;
-  batch.first_seq = index;
-  batch.records.push_back(std::move(rec));
+  batch.first_seq = first;
+  batch.records = std::move(recs);
   wal_->append(wal_frame_batch(batch));
   if (peer_alive_) {
     send_(cfg_.peer, Message{kInvalidTxn, std::move(batch)});
     if (cfg_.unsafe_ack) {
       // Fault injection: acknowledge before the backup confirms.
-      commit_index(index);
+      commit_range(first, end);
       if (on_commit) on_commit();
     } else {
-      waiters_.push_back(Waiter{index + 1, index, std::move(on_commit)});
+      waiters_.push_back(Waiter{end, first, std::move(on_commit)});
     }
   } else {
     // Solo: the backup is (believed) dead, commit locally.
-    commit_index(index);
+    commit_range(first, end);
     if (on_commit) on_commit();
   }
 }
 
 void Replicator::apply_record(const ReplRecord& rec) {
   switch (rec.kind) {
-    case ReplRecord::kInsert:
-      (*stores_)[rec.obj].insert(rec.key, rec.value);
-      break;
-    case ReplRecord::kFinalize: {
-      VersionStore& vs = (*stores_)[rec.obj];
-      vs.finalize(rec.key, rec.position);
-      vs.advance_watermark(rec.watermark);
-      break;
-    }
     case ReplRecord::kListPush: {
       SNOW_CHECK(list_->has_value());
       const Tag got = (*list_)->push(rec.key, rec.objs);
@@ -304,20 +299,17 @@ void Replicator::apply_record(const ReplRecord& rec) {
       dedup_[rec.writer] = PushInfo{rec.txn, rec.position, true};
       break;
     }
-    case ReplRecord::kCoorFinalize:
-      SNOW_CHECK(list_->has_value());
-      (*list_)->finalize(rec.position);
-      break;
     case ReplRecord::kEpoch:
       break;  // local-only WAL marker, no state effect
     default:
-      SNOW_UNREACHABLE("unknown ReplRecord kind");
+      apply_store_record(rec, *stores_, *list_);
   }
 }
 
-void Replicator::commit_index(std::size_t index) {
-  const ReplRecord& rec = log_[index];
-  if (rec.kind == ReplRecord::kListPush) {
+void Replicator::commit_range(std::size_t first, std::size_t end) {
+  for (std::size_t i = first; i < end; ++i) {
+    const ReplRecord& rec = log_[i];
+    if (rec.kind != ReplRecord::kListPush) continue;
     SNOW_CHECK(pending_pushes_ > 0);
     --pending_pushes_;
     apply_record(rec);
@@ -328,7 +320,7 @@ void Replicator::flush_ready() {
   while (!waiters_.empty() && waiters_.front().seq <= acked_seq_) {
     Waiter w = std::move(waiters_.front());
     waiters_.pop_front();
-    commit_index(w.index);
+    commit_range(w.first, w.seq);
     if (w.fn) w.fn();
   }
 }
@@ -337,7 +329,7 @@ void Replicator::flush_all() {
   while (!waiters_.empty()) {
     Waiter w = std::move(waiters_.front());
     waiters_.pop_front();
-    commit_index(w.index);
+    commit_range(w.first, w.seq);
     if (w.fn) w.fn();
   }
 }

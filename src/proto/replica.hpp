@@ -5,8 +5,10 @@
 //
 //   * The PRIMARY serves all client traffic and streams its state mutations
 //     (VersionStore inserts/finalizes, CoorList pushes/finalizes) to the
-//     BACKUP as a sequenced log of ReplRecords, writing each record to a
-//     local WAL before shipping it.
+//     BACKUP as a sequenced log of ReplRecords.  Each client message is one
+//     batch — a write-val's inserts, a finalize's per-object finalizes plus
+//     the coordinator's, an update-coor's push — written to the local WAL
+//     with one fdatasync and shipped as one ReplAppendReq before its ack.
 //
 //   * Acknowledged means replicated: the primary defers WriteValAck and
 //     UpdateCoorAck until the backup has acked the covering log prefix (or
@@ -45,9 +47,12 @@
 //
 // WAL format (`snowkit-wal-v2`): the magic line, then length-prefixed
 // batches [u32le len][encode_message(ReplAppendReq)][u64le FNV-1a(payload)].
-// Records use the snowkit-wire-v3 body, so a kListPush record carries the
-// WRITE's object set (ascending, gap-coded) and costs O(|W|) bytes; v1 logged
-// a k-bit mask instead, and a v1 log is refused by name rather than misread.
+// Records use the snowkit-wire-v3 body (unchanged in v4), so a kListPush
+// record carries the WRITE's object set (ascending, gap-coded) and costs
+// O(|W|) bytes; v1 logged a k-bit mask instead, and a v1 log is refused by
+// name rather than misread.  A batch holds every record of one handler step,
+// so a torn tail always ends at a step boundary: a write-val's inserts are
+// recovered all together or not at all.
 // Any malformed, checksum-failing, short, or non-contiguous trailing batch
 // is a torn tail: replay recovers the preceding prefix and stops.  Epoch and
 // role changes are persisted as local-only kEpoch records that never ship
@@ -249,16 +254,19 @@ class Replicator {
   PushStatus check_push(NodeId writer, TxnId txn) const;
   Tag committed_position(NodeId writer) const;
 
-  /// Appends a record to the replicated log (primary only).  Non-push kinds
-  /// apply to the local state immediately; `on_commit` (may be null) fires
-  /// once the record is covered by a backup ack — or immediately when the
-  /// backup is down (solo) or unsafe_ack is set.
-  void append(ReplRecord rec, CommitFn on_commit);
+  /// Appends every record one handler step produces (the kInserts of a
+  /// write-val, the kFinalizes and kCoorFinalize of a finalize, one
+  /// kListPush) to the replicated log as ONE batch: one WAL frame, one
+  /// fdatasync, one ReplAppendReq and one commit waiter (primary only).
+  /// Non-push kinds apply to the local state immediately; `on_commit` (may
+  /// be null) fires once the whole batch is covered by a backup ack — or
+  /// immediately when the backup is down (solo) or unsafe_ack is set.
+  void append(std::vector<ReplRecord> recs, CommitFn on_commit);
 
  private:
   struct Waiter {
-    std::uint64_t seq{0};     ///< commit when acked_seq_ >= seq.
-    std::size_t index{0};     ///< log_ index of the record.
+    std::uint64_t seq{0};     ///< commit when acked_seq_ >= seq (the batch end).
+    std::size_t first{0};     ///< log_ index of the batch's first record.
     CommitFn fn;
   };
   struct PushInfo {
@@ -268,7 +276,7 @@ class Replicator {
   };
 
   void apply_record(const ReplRecord& rec);
-  void commit_index(std::size_t index);
+  void commit_range(std::size_t first, std::size_t end);
   void flush_ready();
   void flush_all();
   void persist_epoch();

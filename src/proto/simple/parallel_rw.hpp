@@ -54,6 +54,7 @@ class ParallelReader final : public Node, public ReadClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     const auto* r = std::get_if<SimpleReadResp>(&m.payload);
@@ -100,6 +101,7 @@ class ParallelWriter final : public Node, public WriteClientApi {
   }
 
   NodeId node_id() const override { return id(); }
+  std::size_t num_objects() const override { return place_.num_objects(); }
 
   void on_message(NodeId, const Message& m) override {
     SNOW_CHECK(std::holds_alternative<SimpleWriteAck>(m.payload));

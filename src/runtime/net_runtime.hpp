@@ -6,7 +6,7 @@
 // the node ids (NetOptions::owner) and only owned nodes get executors and
 // receive on_start.  A send between two locally-owned nodes goes through the
 // local mailbox exactly like ThreadRuntime; a send to a remote node is
-// framed (runtime/socket.hpp, snowkit-wire-v3: the codec bytes of
+// framed (runtime/socket.hpp, snowkit-wire-v4: the codec bytes of
 // encode_message_into behind a length prefix and a routing header) and
 // shipped over a per-peer TCP connection.  Protocols run unmodified: the
 // paper's model — clients and servers as separate processes over
@@ -49,13 +49,13 @@
 // plus bytes already handed to the dead socket (TCP's contract).  The SNOW
 // protocols tolerate that only at fleet shutdown, where the SHUTDOWN frame
 // (broadcast_shutdown) already ends the run; mid-run process crashes are out
-// of scope for snowkit-wire-v3.
+// of scope for snowkit-wire-v4.
 //
 // Trust model: a peer's only credential is its unauthenticated HELLO, so
 // every byte off the wire is handled as untrusted input — malformed frames,
 // misrouted headers, foreign sender nodes and undecodable payloads drop the
 // connection, pre-HELLO connections are capped/bounded/deadlined, and
-// nothing a network peer sends can abort the process.  What wire-v3 does
+// nothing a network peer sends can abort the process.  What wire-v4 does
 // NOT defend against is control-plane spoofing: any process that can reach
 // a fleet port and speak the public HELLO can deliver a SHUTDOWN (stopping
 // the daemon) or displace a genuine peer's connection.  Fleet ports belong

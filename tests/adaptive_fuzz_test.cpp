@@ -96,6 +96,64 @@ TEST(AdaptiveFuzz, CrashRestartSchedulesStayGreenAcrossTheTrio) {
   }
 }
 
+/// The sharded slice: replicated, with fewer servers than objects under range
+/// placement, so objects 0 and 1 always share shard 0 (the coordinator's,
+/// and the crash victim).  A multi-object WRITE then travels as one
+/// write-val per server, logged as one multi-record replication batch.
+FuzzCase sharded_case(const std::string& protocol, std::uint64_t seed) {
+  FuzzCase c = generate_case(protocol, GenParams{}, seed);
+  c.replicas = 2;
+  c.num_servers = c.num_objects - 1;
+  c.placement = PlacementKind::kRange;
+  return c;
+}
+
+TEST(AdaptiveFuzz, ShardedCrashSchedulesHitBatchedWriteValsAndStayGreen) {
+  // Crash schedules, as the broken-lostack battery runs them.  Restarts are
+  // left out: a request queued for the primary before it died can reach the
+  // restarted replica mid-rejoin, which parks it (Replicator::defer_client)
+  // and fails the N check — a rejoin defect independent of batching
+  // (see ROADMAP), reached here at algo-b seed 2 with a restart at 55.
+  std::size_t write_vals = 0;
+  std::size_t written_objects = 0;
+  for (const std::string& protocol : kStrictTrio) {
+    for (std::uint64_t seed = 1; seed <= kCrashSeeds; ++seed) {
+      const FuzzCase c = sharded_case(protocol, seed);
+      for (const std::size_t crash_at : kCrashPoints) {
+        const CaseRun run = run_case_with_crash(c, /*victim=*/0, crash_at);
+        const OracleReport report = check_run(protocol, run);
+        EXPECT_FALSE(report.violation)
+            << protocol << " seed " << seed << " crash_at " << crash_at << ": " << report.checker
+            << ": " << report.explanation;
+        EXPECT_TRUE(run.completed) << protocol << " seed " << seed << " crash_at " << crash_at
+                                   << ": workload wedged across failover";
+        for (const Action& a : run.trace.actions()) {
+          write_vals += a.kind == ActionKind::Send && a.msg == "write-val" ? 1 : 0;
+        }
+        for (const FuzzOp& op : c.ops) written_objects += op.is_read ? 0 : op.objects.size();
+      }
+    }
+  }
+  // Fewer write-vals than written objects (takeover re-sends included):
+  // the slice really exercises write-vals carrying several objects.
+  EXPECT_LT(write_vals, written_objects);
+}
+
+TEST(AdaptiveFuzz, BrokenLostackIsConvictedOnTheShardedSlice) {
+  // The vacuity guard for the slice above: acking before replication must
+  // still lose an acknowledged write when the acked batch holds several
+  // inserts.
+  for (std::uint64_t seed = 1; seed <= kConvictionSeeds; ++seed) {
+    const FuzzCase c = sharded_case("broken-lostack", seed);
+    for (const std::size_t crash_at : kCrashPoints) {
+      const CaseRun run = run_case_with_crash(c, /*victim=*/0, crash_at);
+      if (check_run("broken-lostack", run).violation) return;
+    }
+  }
+  FAIL() << "broken-lostack ran clean on " << kConvictionSeeds
+         << " sharded crash-schedule seeds: the sharded slice is vacuous";
+}
+
 TEST(AdaptiveFuzz, SwitchDecisionsLandInTheLogAndReplayByteIdentically) {
   for (std::uint64_t seed : {1ull, 5ull, 9ull}) {
     const FuzzCase c = switching_case(seed);

@@ -27,6 +27,38 @@ struct Rig {
   }
 };
 
+TEST(AlgoC, ExhaustedRetriesGiveUpInsteadOfAborting) {
+  // A List that names a version no server holds (what a replication layer
+  // losing an acknowledged insert produces) makes every descent infeasible.
+  // After its retry budget the reader must give up — the READ stays
+  // unanswered, a liveness conviction — rather than abort the process.
+  Rig rig(2, 1, 1, 1, /*gc=*/true);
+  const NodeId reader = rig.sys->reader(0).node_id();
+  rig.sim.hold_matching([reader](NodeId from, NodeId, const Message&) { return from == reader; });
+  bool completed = false;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult&) { completed = true; });
+  rig.sim.run_until_idle();
+  ASSERT_FALSE(rig.sim.held().empty());
+  const TxnId txn = rig.sim.held().front().msg.txn;
+  const WriteKey lost{5, 9};
+  GetTagArrResp ta{1, 0, {}};
+  for (const ObjectId obj : {0u, 1u}) ta.entries.push_back({obj, lost, {ListedKey{1, lost}}});
+  for (int attempt = 0; attempt < 120; ++attempt) {
+    rig.sim.send(0, reader, Message{txn, ta});
+    for (const ObjectId obj : {0u, 1u}) {
+      rig.sim.send(obj, reader, Message{txn, ReadValsResp{obj, {Version{kInitialKey, 0}}}});
+    }
+    rig.sim.run_until_idle();
+  }
+  EXPECT_FALSE(completed);
+  // One get-tag-arr per attempt, and no more once the budget is spent.
+  std::size_t tag_arr_requests = 0;
+  for (const auto& h : rig.sim.held()) {
+    tag_arr_requests += std::holds_alternative<GetTagArrReq>(h.msg.payload) ? 1 : 0;
+  }
+  EXPECT_EQ(tag_arr_requests, 100u);
+}
+
 TEST(AlgoC, WriteThenReadRoundTrip) {
   Rig rig(3, 1, 1);
   invoke_write(rig.sim, rig.sys->writer(0), {{0, 1}, {2, 3}}, [](const WriteResult&) {});

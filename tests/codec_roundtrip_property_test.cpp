@@ -63,9 +63,13 @@ template <typename T>
 T make_random(Xoshiro256& rng);
 
 template <>
-WriteValReq make_random(Xoshiro256& rng) { return {rkey(rng), ru32(rng), ri64(rng)}; }
+WriteValReq make_random(Xoshiro256& rng) {
+  WriteValReq p{rkey(rng), {}};
+  for (ObjectId obj : robj_set(rng, 1)) p.writes.emplace_back(obj, ri64(rng));
+  return p;
+}
 template <>
-WriteValAck make_random(Xoshiro256& rng) { return {rkey(rng), ru32(rng)}; }
+WriteValAck make_random(Xoshiro256& rng) { return {rkey(rng), robj_set(rng, 1)}; }
 template <>
 InfoReaderReq make_random(Xoshiro256& rng) { return {rkey(rng), robj_set(rng, 1)}; }
 template <>
@@ -90,7 +94,7 @@ template <>
 ReadValsResp make_random(Xoshiro256& rng) { return {ru32(rng), rversions(rng)}; }
 template <>
 FinalizeReq make_random(Xoshiro256& rng) {
-  return {rkey(rng), ru32(rng), ru64(rng), ru64(rng)};
+  return {rkey(rng), ru64(rng), ru64(rng), robj_set(rng, 1), rbool(rng)};
 }
 template <>
 FinalizeCoorReq make_random(Xoshiro256& rng) { return {ru64(rng)}; }

@@ -18,16 +18,26 @@ void roundtrip(T payload, TxnId txn = 7) {
 }
 
 TEST(Codec, WriteVal) {
-  roundtrip(WriteValReq{WriteKey{3, 9}, 1, 42});
-  Message m{5, WriteValReq{WriteKey{3, 9}, 1, 42}};
-  const Message back = decode_message(encode_message(m));
+  // One server's share of a WRITE: its objects gap-coded, each followed by
+  // its zigzag value.
+  roundtrip(WriteValReq{WriteKey{3, 9}, {{1, 42}}});
+  const Message m{5, WriteValReq{WriteKey{3, 9}, {{1, 42}, {200, -3}}}};
+  const auto bytes = encode_message(m);
+  const Message back = decode_message(bytes);
+  EXPECT_EQ(back, m);
   const auto& p = std::get<WriteValReq>(back.payload);
   EXPECT_EQ(p.key, (WriteKey{3, 9}));
-  EXPECT_EQ(p.obj, 1u);
-  EXPECT_EQ(p.value, 42);
+  EXPECT_EQ(p.writes, (std::vector<std::pair<ObjectId, Value>>{{1, 42}, {200, -3}}));
+  // txn, tag, key (seq, writer), count, gap 1 + zz(42), gap 199 (2 bytes) +
+  // zz(-3).
+  EXPECT_EQ(bytes.size(), 1u + 1u + 2u + 1u + (1u + 1u) + (2u + 1u));
 }
 
-TEST(Codec, WriteValAck) { roundtrip(WriteValAck{WriteKey{1, 2}, 0}); }
+TEST(Codec, WriteValAck) {
+  roundtrip(WriteValAck{WriteKey{1, 2}, {0}});
+  const Message m{5, WriteValAck{WriteKey{1, 2}, {0, 7}}};
+  EXPECT_EQ(decode_message(encode_message(m)), m);
+}
 
 TEST(Codec, InfoReader) {
   Message m{5, InfoReaderReq{WriteKey{8, 1}, {0, 2}}};
@@ -110,7 +120,17 @@ TEST(Codec, ReadValsRespVersions) {
   EXPECT_EQ(p.versions[1].value, 77);
 }
 
-TEST(Codec, Finalize) { roundtrip(FinalizeReq{WriteKey{9, 9}, 3, 17}); }
+TEST(Codec, Finalize) {
+  roundtrip(FinalizeReq{WriteKey{9, 9}, 3, 17, {2}, false});
+  for (const bool coor : {false, true}) {
+    const Message m{5, FinalizeReq{WriteKey{9, 9}, 3, 17, {2, 5}, coor}};
+    const auto bytes = encode_message(m);
+    EXPECT_EQ(decode_message(bytes), m);
+    // txn, tag, key, position, watermark, count + gaps 2 and 3, coor byte.
+    EXPECT_EQ(bytes.size(), 1u + 1u + 2u + 1u + 1u + (1u + 2u) + 1u);
+    EXPECT_EQ(bytes.back(), coor ? 1 : 0);
+  }
+}
 TEST(Codec, EigerWrite) { roundtrip(EigerWriteReq{0, 5, 3}); }
 TEST(Codec, EigerWriteAck) { roundtrip(EigerWriteAck{0, 7, 7}); }
 TEST(Codec, EigerRead) { roundtrip(EigerReadReq{1, 2}); }
@@ -141,7 +161,7 @@ TEST(Codec, VersionCountClassifier) {
 // try_decode_message is the UNTRUSTED entry point (network frames): every
 // malformation must error-return, never abort.
 TEST(Codec, TryDecodeAcceptsValidBytes) {
-  const Message m{5, Payload{WriteValReq{WriteKey{3, 9}, 1, 42}}};
+  const Message m{5, Payload{WriteValReq{WriteKey{3, 9}, {{1, 42}}}}};
   Message out;
   std::string err;
   ASSERT_TRUE(try_decode_message(encode_message(m), out, err)) << err;
@@ -166,7 +186,10 @@ TEST(Codec, TryDecodeRejectsMalformedBytes) {
   push.objs = {2, 300, 70000};
   push.txn = 40;
   push.writer = 1;
-  for (const Payload& p : {Payload{InfoReaderReq{WriteKey{3, 1}, {2, 300}}},
+  for (const Payload& p : {Payload{WriteValReq{WriteKey{3, 1}, {{2, -1}, {300, 70000}}}},
+                           Payload{WriteValAck{WriteKey{3, 1}, {2, 300}}},
+                           Payload{FinalizeReq{WriteKey{3, 1}, 9, 4, {2, 300}, true}},
+                           Payload{InfoReaderReq{WriteKey{3, 1}, {2, 300}}},
                            Payload{UpdateCoorReq{WriteKey{3, 1}, {2, 300, 70000}}},
                            Payload{GetTagArrReq{{3, 300, 70000}, 200}},
                            Payload{GetTagArrResp{4, 2, entries}},
@@ -238,6 +261,48 @@ TEST(Codec, TryDecodeRejectsMalformedWriteSets) {
   ASSERT_TRUE(try_decode_message(encode_message(Message{kInvalidTxn, ReplAppendReq{1, 0, {rec}}}),
                                  out, err))
       << err;
+}
+
+TEST(Codec, TryDecodeRejectsMalformedServerShares) {
+  Message out;
+  std::string err;
+  // txn 0, tag 0 (write-val), key (1, w0), then the object set with a value
+  // after each id.
+  EXPECT_FALSE(try_decode_message({0x00, 0x00, 0x01, 0x01, 0x00}, out, err));
+  EXPECT_NE(err.find("names no object"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message({0x00, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x00, 0x04}, out,
+                                  err));
+  EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
+  ASSERT_TRUE(try_decode_message({0x00, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x01, 0x04}, out,
+                                 err))
+      << err;
+  EXPECT_EQ(std::get<WriteValReq>(out.payload).writes,
+            (std::vector<std::pair<ObjectId, Value>>{{5, 1}, {6, 2}}));
+  // Tag 1 (write-val-ack): key, then the acked set.
+  EXPECT_FALSE(try_decode_message({0x00, 0x01, 0x01, 0x01, 0x00}, out, err));
+  EXPECT_NE(err.find("names no object"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message({0x00, 0x01, 0x01, 0x01, 0x02, 0x05, 0x00}, out, err));
+  EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message(
+      {0x00, 0x01, 0x01, 0x01, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  // Tag 12 (finalize): key (1, writer 0), position 3, watermark 2, the set,
+  // coor.
+  const auto finalize = [](std::vector<std::uint8_t> set, std::uint8_t coor) {
+    std::vector<std::uint8_t> b{0x00, 0x0C, 0x01, 0x01, 0x03, 0x02};
+    b.insert(b.end(), set.begin(), set.end());
+    b.push_back(coor);
+    return b;
+  };
+  EXPECT_FALSE(try_decode_message(finalize({0x00}, 0), out, err));
+  EXPECT_NE(err.find("names no object"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message(finalize({0x02, 0x05, 0x00}, 0), out, err));
+  EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message(finalize({0x01, 0x05}, 2), out, err));
+  EXPECT_NE(err.find("coor flag"), std::string::npos) << err;
+  ASSERT_TRUE(try_decode_message(finalize({0x01, 0x05}, 1), out, err)) << err;
+  EXPECT_EQ(std::get<FinalizeReq>(out.payload),
+            (FinalizeReq{WriteKey{1, 0}, 3, 2, {5}, true}));
 }
 
 TEST(Codec, TryDecodeRejectsMalformedModeDeltas) {

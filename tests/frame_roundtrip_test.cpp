@@ -1,4 +1,4 @@
-// snowkit-wire-v3 framing at the byte boundary: encoded frames must survive
+// snowkit-wire-v4 framing at the byte boundary: encoded frames must survive
 // arbitrary TCP segmentation (split at EVERY byte offset and reassembled
 // through the NetRuntime framing decoder), and malformed streams — garbage
 // prefixes, truncations, absurd lengths — must surface as decoder ERRORS,
@@ -21,7 +21,7 @@ using net::FrameType;
 /// gap-coded object sets, delta-coded version lists and nested histories.
 std::vector<Message> corpus() {
   std::vector<Message> msgs;
-  msgs.push_back(Message{7, WriteValReq{WriteKey{3, 1}, 2, -40}});
+  msgs.push_back(Message{7, WriteValReq{WriteKey{3, 1}, {{2, -40}, {5, 1}}}});
   msgs.push_back(Message{8, InfoReaderReq{WriteKey{1, 0}, {0, 2, 3, 6, 8, 70'000}}});
   msgs.push_back(Message{8, UpdateCoorReq{WriteKey{4, 2}, {1, 130}}});
   msgs.push_back(Message{9, UpdateCoorAck{12, 5}});
@@ -222,16 +222,17 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
   // Wrong wire version must be rejected, not silently accepted.
-  std::vector<std::uint8_t> v4{0x53, 0x4E, 0x57, 0x4B, 0x04, 0x00};
-  EXPECT_FALSE(net::parse_hello(v4, hello, err));
+  std::vector<std::uint8_t> v5{0x53, 0x4E, 0x57, 0x4B, 0x05, 0x00};
+  EXPECT_FALSE(net::parse_hello(v5, hello, err));
   EXPECT_NE(err.find("wire version"), std::string::npos);
 }
 
-TEST(FrameRoundtrip, V3PeerRefusesOlderHellos) {
-  // v1 peers ship k-wide tag arrays and v2 peers k-bit write masks and mode
-  // tables, all of which v3 decodes as garbage: the HELLO gate must refuse
-  // them by name before any MSG frame is parsed.
-  ASSERT_EQ(net::kWireVersion, 3u);
+TEST(FrameRoundtrip, V4PeerRefusesOlderHellos) {
+  // v1 peers ship k-wide tag arrays, v2 peers k-bit write masks and mode
+  // tables, and v3 peers one write-val, ack and finalize per object — all of
+  // which v4 decodes as garbage: the HELLO gate must refuse them by name
+  // before any MSG frame is parsed.
+  ASSERT_EQ(net::kWireVersion, 4u);
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, 1);
   FrameDecoder dec;
@@ -241,13 +242,13 @@ TEST(FrameRoundtrip, V3PeerRefusesOlderHellos) {
   net::HelloBody hello;
   std::string err;
   ASSERT_TRUE(net::parse_hello(f.body, hello, err)) << err;
-  // The same HELLO with the version varint rewritten to 1 and to 2.
-  for (const std::uint8_t old : {0x01, 0x02}) {
+  // The same HELLO with the version varint rewritten to 1, 2 and 3.
+  for (const std::uint8_t old : {0x01, 0x02, 0x03}) {
     auto body = f.body;
-    ASSERT_EQ(body[4], 0x03);
+    ASSERT_EQ(body[4], 0x04);
     body[4] = old;
     EXPECT_FALSE(net::parse_hello(body, hello, err));
-    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 3)");
+    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 4)");
   }
 }
 

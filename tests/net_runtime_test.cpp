@@ -336,14 +336,14 @@ TEST(NetRuntime, MisroutedFrameDropsConnectionNotProcess) {
   // `to` not owned by this process.
   std::vector<std::uint8_t> misrouted;
   net::append_msg(misrouted, foreign, foreign,
-                  Message{1, Payload{WriteValReq{WriteKey{0, 1}, 0, 7}}});
+                  Message{1, Payload{WriteValReq{WriteKey{0, 1}, {{0, 7}}}}});
   attack(misrouted, "server accepted a misrouted destination node");
 
   // `to` fine, but `from` names a node the claimed peer does not own:
   // replying to it would abort in send().  Node 0 is owned by the server
   // itself, never by the client the HELLO claims.
   std::vector<std::uint8_t> foreign_from;
-  net::append_msg(foreign_from, 0, 0, Message{2, Payload{WriteValReq{WriteKey{0, 1}, 0, 7}}});
+  net::append_msg(foreign_from, 0, 0, Message{2, Payload{WriteValReq{WriteKey{0, 1}, {{0, 7}}}}});
   attack(foreign_from, "server accepted a foreign sender node");
 
   // Routing header fine, payload bytes garbage: the worker's
@@ -396,8 +396,9 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
   // algo-b coordinator must drop the first without listing or acking them
   // and answer the second for its valid ids only.  Coordinator-only requests
   // sent to the OTHER server (update-coor, get-tag-arr, finalize-coor,
-  // read-done) must be dropped with a warning, not abort it.  Both servers
-  // must then still serve a real workload.
+  // read-done) must be dropped with a warning, not abort it, and so must the
+  // coordinator part of a finalize whose `coor` flag reaches it.  Both
+  // servers must then still serve a real workload.
   const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
   FleetProc server;
   server.build(fleet, 0);
@@ -423,8 +424,13 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
   net::append_msg(bytes, reader, other, Message{1, GetTagArrReq{{0, 1}}});
   net::append_msg(bytes, writer, other, Message{1, FinalizeCoorReq{1}});
   net::append_msg(bytes, reader, other, Message{kInvalidTxn, ReadDoneReq{1}});
+  // A valid write-val, then its finalize with the coordinator flag set: the
+  // object part applies, the coordinator part is dropped.
+  net::append_msg(bytes, writer, other, Message{1, WriteValReq{WriteKey{1, writer}, {{1, 5}}}});
+  net::append_msg(bytes, writer, other,
+                  Message{1, FinalizeReq{WriteKey{1, writer}, 1, 0, {1}, /*coor=*/true}});
   // A read-val behind them: its answer proves the other server consumed all
-  // four (one link's frames are handled in order) and is still alive.
+  // of them (one link's frames are handled in order) and is still alive.
   net::append_msg(bytes, reader, other, Message{1, ReadValReq{1, kInitialKey, 0}});
   net::append_msg(bytes, reader, coordinator, Message{1, GetTagArrReq{{1, 2, 70'000}}});
   ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));

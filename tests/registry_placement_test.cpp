@@ -146,6 +146,44 @@ TEST_P(EveryProtocol, BuildsByNameAndPassesCheckers) {
   }
 }
 
+// The client boundary refuses a READ or WRITE that names an object twice or
+// an id >= k, before anything is posted: a repeated READ object would wedge
+// completion (it counts distinct objects) and a repeated WRITE object has no
+// per-server write-val encoding.  A valid transaction still completes after.
+TEST_P(EveryProtocol, RefusesRepeatedOrOutOfRangeObjectsAtTheClientBoundary) {
+  const std::string& name = GetParam();
+  SimRuntime sim(make_uniform_delay(10, 4000, 11));
+  HistoryRecorder rec(3);
+  auto sys = build_protocol(name, sim, rec, SystemConfig{3, 1, 1});
+  TxnClient& client = sys->client(0);
+  const auto refused = [&](TxnRequest req) {
+    EXPECT_THROW(client.submit(std::move(req), [](const TxnResult&) {}), std::invalid_argument);
+  };
+  refused(read_txn({1, 1}));
+  refused(read_txn({0, 3}));
+  refused(write_txn({{2, 5}, {2, 6}}));
+  refused(write_txn({{7, 5}}));
+  EXPECT_THROW(invoke_read(sim, sys->reader(0), {2, 0, 2}, [](const ReadResult&) {}),
+               std::invalid_argument);
+  EXPECT_THROW(invoke_read(sim, sys->reader(0), {3}, [](const ReadResult&) {}),
+               std::invalid_argument);
+  EXPECT_THROW(invoke_write(sim, sys->writer(0), {{0, 1}, {0, 2}}, [](const WriteResult&) {}),
+               std::invalid_argument);
+  EXPECT_THROW(invoke_write(sim, sys->writer(0), {{3, 1}}, [](const WriteResult&) {}),
+               std::invalid_argument);
+  sim.run_until_idle();
+  EXPECT_EQ(rec.snapshot().txns.size(), 0u) << "a refused transaction reached the protocol";
+  int done = 0;
+  client.submit(write_txn({{2, 5}, {0, 6}}), [&](const TxnResult&) { ++done; });
+  sim.run_until_idle();
+  client.submit(read_txn({0, 2}), [&](const TxnResult& r) {
+    ++done;
+    EXPECT_EQ(r.values.size(), 2u);
+  });
+  sim.run_until_idle();
+  EXPECT_EQ(done, 2);
+}
+
 INSTANTIATE_TEST_SUITE_P(Registry, EveryProtocol, testing::ValuesIn(registered_protocols()),
                          [](const testing::TestParamInfo<std::string>& info) {
                            std::string n = info.param;

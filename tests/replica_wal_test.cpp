@@ -12,6 +12,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -169,6 +172,57 @@ TEST(ReplicaWal, TruncationAtEveryOffsetRecoversAPrefix) {
   // (cut == kWalMagicLen is the boundary before the first frame; cutting at
   // full.size() never enters the loop).
   EXPECT_EQ(frame_boundaries, batches.size());
+}
+
+TEST(ReplicaWal, TornLogOfBatchedStepsStopsAtAStepBoundary) {
+  // The WAL as a primary writes it: one batch per handler step — a
+  // write-val's three inserts, the update-coor's push, and the finalize's
+  // three object finalizes plus the coordinator's.  Tearing it at any byte
+  // recovers whole steps only: never a write-val with some of its inserts.
+  auto owned = std::make_unique<MemWal>();
+  MemWal* disk = owned.get();
+  std::map<ObjectId, VersionStore> stores;
+  std::optional<CoorList> list(std::in_place, 4);
+  Replicator::Config cfg;
+  cfg.self = 0;
+  cfg.peer = 1;
+  cfg.has_list = true;
+  cfg.num_objects = 4;
+  Replicator repl(cfg, std::move(owned), [](NodeId, Message) {}, [](NodeId, const Message&) {},
+                  &stores, &list);
+  repl.boot();
+  repl.append({insert_rec(0, 1, 9, 10), insert_rec(1, 1, 9, 11), insert_rec(3, 1, 9, 13)},
+              nullptr);
+  repl.append({push_rec(1, 9, 1, 50, {0, 1, 3})}, nullptr);
+  std::vector<ReplRecord> fin;
+  for (const ObjectId obj : {0u, 1u, 3u}) {
+    ReplRecord r;
+    r.kind = ReplRecord::kFinalize;
+    r.obj = obj;
+    r.key = WriteKey{1, 9};
+    r.position = 1;
+    fin.push_back(r);
+  }
+  ReplRecord coor;
+  coor.kind = ReplRecord::kCoorFinalize;
+  coor.position = 1;
+  fin.push_back(coor);
+  repl.append(fin, nullptr);
+  ASSERT_EQ(repl.log_size(), 8u);
+
+  const std::vector<std::uint8_t> full = disk->bytes();
+  const WalReplayResult whole = wal_replay(full);
+  ASSERT_FALSE(whole.torn);
+  ASSERT_EQ(whole.records.size(), 8u);
+  const std::vector<std::size_t> step_ends{0, 3, 4, 8};
+  for (std::size_t cut = kWalMagicLen; cut < full.size(); ++cut) {
+    const std::vector<std::uint8_t> head(full.begin(), full.begin() + cut);
+    WalReplayResult r;
+    ASSERT_NO_THROW(r = wal_replay(head)) << "cut at " << cut;
+    EXPECT_TRUE(is_prefix(r.records, whole.records)) << "cut at " << cut;
+    EXPECT_NE(std::find(step_ends.begin(), step_ends.end(), r.records.size()), step_ends.end())
+        << "cut at " << cut << " recovered " << r.records.size() << " records, mid-step";
+  }
 }
 
 TEST(ReplicaWal, SingleByteCorruptionAfterMagicNeverInventsRecords) {
