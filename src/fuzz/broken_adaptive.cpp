@@ -13,6 +13,7 @@
 // blind and CI fails.
 #include "core/registry.hpp"
 #include "proto/adaptive/adaptive.hpp"
+#include "proto/version_server.hpp"
 
 namespace snowkit {
 namespace {
@@ -35,11 +36,7 @@ const ProtocolRegistration kRegisterBrokenAdaptive{
     },
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
       AdaptiveOptions o;
-      o.coordinator = static_cast<std::size_t>(opts.get_int("coordinator", 0));
-      o.gc_versions = opts.get_bool("gc_versions", true);
-      o.replicas = static_cast<std::size_t>(opts.get_int("replicas", 1));
-      o.wal_dir = opts.get("wal_dir", "");
-      o.unsafe_ack = opts.get_bool("unsafe_ack", false);
+      read_fleet_options(opts, o);
       o.broken_cache = true;  // the planted bug
       o.name = "broken-adaptive";
       return build_adaptive(rt, rec, cfg, o);

@@ -13,6 +13,7 @@
 // failover fuzzing has gone vacuous and CI fails.
 #include "core/registry.hpp"
 #include "proto/algo_b/algo_b.hpp"
+#include "proto/version_server.hpp"
 
 namespace snowkit {
 namespace {
@@ -34,9 +35,8 @@ const ProtocolRegistration kRegisterBrokenLostack{
     },
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
       AlgoBOptions o;
+      read_fleet_options(opts, o);
       o.name = "broken-lostack";
-      o.coordinator = static_cast<std::size_t>(opts.get_int("coordinator", 0));
-      o.wal_dir = opts.get("wal_dir", "");
       // Always replicated and always unsafe: without a backup to fail over
       // to there is no crash for the schedule to inject, and without the
       // premature ack there is no bug.

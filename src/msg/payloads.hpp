@@ -131,9 +131,11 @@ struct ReadValReq {
 };
 
 /// one-version response: server -> reader.  `found` is false when the named
-/// key is not (or no longer) in Vals — reachable only by speculative readers
-/// (occ) whose guessed key was superseded and garbage-collected; protocols
-/// that request watermark-protected keys always get found == true.
+/// key is not (or no longer) in Vals — reachable by speculative readers (occ)
+/// whose guessed key was superseded and garbage-collected, after a failover,
+/// and for a key no correct reader names; protocols that request
+/// watermark-protected keys from a failure-free fleet always get found ==
+/// true.
 struct ReadValResp {
   ObjectId obj{0};
   WriteKey key;

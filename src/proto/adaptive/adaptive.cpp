@@ -10,181 +10,10 @@
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
-#include "proto/coor_writer.hpp"
-#include "proto/replica.hpp"
-#include "proto/version_store.hpp"
+#include "proto/version_server.hpp"
 
 namespace snowkit {
 namespace {
-
-/// Server for the adaptive layer: the union of ServerB and ServerC plus the
-/// coordinator's per-object write-rate tracker.  Storage, GC and replication
-/// are byte-for-byte the algo-b/algo-c machinery; the adaptive additions are
-/// the batched read handlers (answered immediately — N holds) and the EWMA /
-/// mode table, which is ADVISORY state: it is never replicated, never
-/// WAL-logged, and resets with the lineage on crash, because modes only
-/// shape messages, never the version a READ serves.
-class ServerAdapt final : public Node {
- public:
-  ServerAdapt(std::size_t k, bool is_coordinator, bool gc, double switch_up,
-              double switch_down, TimeNs ewma_tau_ns,
-              std::optional<Replicator::Config> repl = std::nullopt,
-              std::unique_ptr<WalStorage> wal = nullptr)
-      : k_(k), is_coordinator_(is_coordinator), gc_(gc), up_(switch_up), down_(switch_down),
-        tau_ns_(ewma_tau_ns), modes_(k) {
-    if (is_coordinator_) {
-      list_.emplace(k_);
-      reset_adaptive_state();
-    }
-    if (repl) {
-      repl_ = std::make_unique<Replicator>(
-          std::move(*repl), std::move(wal),
-          [this](NodeId to, Message m) { send(to, std::move(m)); },
-          [this](NodeId from, const Message& m) { on_message(from, m); }, &stores_, &list_);
-    }
-  }
-
-  void on_start() override {
-    if (repl_ != nullptr) {
-      rt().watch_node(id(), repl_->peer_node());
-      repl_->boot();
-    }
-  }
-
-  bool supports_crash() const override { return repl_ != nullptr; }
-
-  void on_crash() override {
-    stores_.clear();
-    if (is_coordinator_) {
-      list_.emplace(k_);
-      reset_adaptive_state();  // advisory state dies with the lineage
-    }
-    repl_->on_crash();
-  }
-
-  std::uint64_t switches() const { return switches_; }
-
-  void on_message(NodeId from, const Message& m) override {
-    if (repl_ != nullptr) {
-      if (repl_->consume(from, m)) return;
-      if (!repl_->is_primary()) {
-        // Stale route: park or redirect, never drop (see defer_client).
-        repl_->defer_client(from, m);
-        return;
-      }
-    }
-    if (misrouted(from, m, is_coordinator_)) return;
-    if (handle_write_path(rt(), id(), from, m, gc_, stores_, list_, repl_.get())) return;
-    if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) {
-      // Round-2 batch: every same-server object of one READ in one frame.
-      ReadValBatchResp resp;
-      resp.entries.reserve(rb->entries.size());
-      for (const BatchReadEntry& e : rb->entries) {
-        VersionStore& vals = stores_[e.obj];
-        if (gc_) vals.advance_watermark(rb->watermark);
-        if (repl_ != nullptr) {
-          // Failover can GC past a key an old lineage promised: answer
-          // found=false and the reader restarts from the coordinator.
-          const auto v = vals.try_get(e.key);
-          resp.entries.push_back({e.obj, e.key, v.value_or(kInitialValue), v.has_value()});
-        } else {
-          resp.entries.push_back({e.obj, e.key, vals.get(e.key), true});
-        }
-      }
-      send(from, Message{m.txn, resp});
-      return;
-    }
-    if (const auto* pb = std::get_if<ReadValsBatchReq>(&m.payload)) {
-      // Round-1 prefetch: bounded version lists for the READ's C-mode
-      // objects on this server (the live chain — <=|W|+1 with GC flowing).
-      ReadValsBatchResp resp;
-      resp.entries.reserve(pb->objs.size());
-      for (ObjectId obj : pb->objs) {
-        VersionStore& vals = stores_[obj];
-        if (gc_) vals.advance_watermark(pb->watermark);
-        resp.entries.push_back({obj, vals.all()});
-      }
-      send(from, Message{m.txn, resp});
-      return;
-    }
-    if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
-      // Un-batched fallback path, identical to ServerB (not used by
-      // ReaderAdapt, but the server stays a strict superset of B).
-      VersionStore& vals = stores_[rv->obj];
-      if (gc_) vals.advance_watermark(rv->watermark);
-      if (repl_ != nullptr) {
-        const auto v = vals.try_get(rv->key);
-        send(from, Message{m.txn, ReadValResp{rv->obj, rv->key,
-                                              v.value_or(kInitialValue), v.has_value()}});
-      } else {
-        send(from, Message{m.txn, ReadValResp{rv->obj, rv->key, vals.get(rv->key)}});
-      }
-      return;
-    }
-    if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      // A deduplicated retry is not credited to the write-rate tracker twice.
-      if (handle_update_coor(rt(), id(), from, m.txn, *uc, list_, repl_.get())) {
-        observe_write(uc->objs);
-      }
-      return;
-    }
-    if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
-      list_->register_reader(from, m.txn);
-      GetTagArrResp ta = list_->tag_arr(gt->objs, /*with_history=*/false);
-      AdaptTagArrResp resp{ta.tag, ta.watermark, std::move(ta.entries)};
-      modes_.answer(gt->mode_epoch, resp);
-      send(from, Message{m.txn, std::move(resp)});
-      return;
-    }
-    SNOW_UNREACHABLE("adaptive server got unexpected payload");
-  }
-
- private:
-  void reset_adaptive_state() {
-    modes_ = ModeTable(k_);
-    ewma_.assign(k_, 0.0);
-    ewma_last_.assign(k_, 0);
-  }
-
-  /// Per-object write-rate tracker: decay the credit by exp(-dt/tau), add 1
-  /// per written object, flip the mode with hysteresis.  Runs on the primary
-  /// at update-coor time, so it observes exactly the listing traffic; it
-  /// reads only Runtime::now_ns (virtual in the sim), so replayed schedules
-  /// re-derive identical switch sequences.  O(|W|): admits() has already
-  /// checked every id is < k.
-  void observe_write(const std::vector<ObjectId>& objs) {
-    const TimeNs now = rt().now_ns();
-    for (ObjectId obj : objs) {
-      double& credit = ewma_[obj];
-      if (now > ewma_last_[obj]) {
-        credit *= std::exp(-static_cast<double>(now - ewma_last_[obj]) /
-                           static_cast<double>(tau_ns_));
-      }
-      credit += 1.0;
-      ewma_last_[obj] = now;
-      const bool c_mode = modes_.c_mode(obj) ? credit > down_ : credit >= up_;
-      if (modes_.set(obj, c_mode)) {
-        ++switches_;
-        rt().note_switch(obj, c_mode ? 1 : 0);
-      }
-    }
-  }
-
-  std::size_t k_;
-  bool is_coordinator_;
-  bool gc_;
-  double up_;
-  double down_;
-  TimeNs tau_ns_;
-  std::map<ObjectId, VersionStore> stores_;
-  std::optional<CoorList> list_;      ///< coordinator only.
-  std::unique_ptr<Replicator> repl_;  ///< replicas=2 only.
-  // Advisory adaptive state (coordinator only; dies with the lineage).
-  ModeTable modes_;
-  std::vector<double> ewma_;
-  std::vector<TimeNs> ewma_last_;
-  std::uint64_t switches_{0};
-};
 
 /// Adaptive reader.  Round 1: get-tag-arr to the coordinator plus batched
 /// prefetches for C-mode and locally-uncached objects.  At the tag array,
@@ -448,19 +277,18 @@ class ReaderAdapt final : public Node, public ReadClientApi {
 class SystemAdapt final : public AdaptiveSystem {
  public:
   SystemAdapt(std::string name, const SystemConfig& cfg, Runtime& rt,
-              std::vector<ReaderAdapt*> readers, std::vector<CoorWriter*> writers,
-              std::vector<ServerAdapt*> coordinators)
-      : AdaptiveSystem(std::move(name), cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)), coordinators_(std::move(coordinators)) {}
+              std::vector<const ReaderAdapt*> readers, VersionFleet fleet)
+      : AdaptiveSystem(std::move(name), cfg, rt), adapt_readers_(std::move(readers)),
+        fleet_(std::move(fleet)) {}
 
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
+  std::size_t num_readers() const override { return fleet_.readers.size(); }
+  std::size_t num_writers() const override { return fleet_.writers.size(); }
+  ReadClientApi& reader(std::size_t i) override { return *fleet_.readers.at(i); }
+  WriteClientApi& writer(std::size_t i) override { return *fleet_.writers.at(i); }
 
   AdaptiveStats stats() const override {
     AdaptiveStats total;
-    for (const ReaderAdapt* r : readers_) {
+    for (const ReaderAdapt* r : adapt_readers_) {
       const AdaptiveStats& s = r->stats();
       total.reads += s.reads;
       total.one_round_reads += s.one_round_reads;
@@ -470,14 +298,13 @@ class SystemAdapt final : public AdaptiveSystem {
       total.prefetch_resolved += s.prefetch_resolved;
       total.round2_objects += s.round2_objects;
     }
-    for (const ServerAdapt* c : coordinators_) total.switches += c->switches();
+    for (const VersionServer* c : fleet_.coordinators) total.switches += c->tracker()->switches();
     return total;
   }
 
  private:
-  std::vector<ReaderAdapt*> readers_;
-  std::vector<CoorWriter*> writers_;
-  std::vector<ServerAdapt*> coordinators_;  ///< primary (+ backup) coordinator shard.
+  std::vector<const ReaderAdapt*> adapt_readers_;  ///< fleet_.readers, typed.
+  VersionFleet fleet_;
 };
 
 const ProtocolRegistration kRegisterAdaptive{
@@ -498,11 +325,7 @@ const ProtocolRegistration kRegisterAdaptive{
     },
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
       AdaptiveOptions o;
-      o.coordinator = static_cast<std::size_t>(opts.get_int("coordinator", 0));
-      o.gc_versions = opts.get_bool("gc_versions", true);
-      o.replicas = static_cast<std::size_t>(opts.get_int("replicas", 1));
-      o.wal_dir = opts.get("wal_dir", "");
-      o.unsafe_ack = opts.get_bool("unsafe_ack", false);
+      read_fleet_options(opts, o);
       if (opts.has("switch_up")) o.switch_up = std::stod(opts.get("switch_up"));
       if (opts.has("switch_down")) o.switch_down = std::stod(opts.get("switch_down"));
       if (opts.has("ewma_tau_ms")) {
@@ -557,6 +380,35 @@ bool ModeView::adopt(const AdaptTagArrResp& resp) {
   return true;
 }
 
+WriteRateTracker::WriteRateTracker(std::size_t num_objects, double switch_up,
+                                   double switch_down, TimeNs ewma_tau_ns)
+    : k_(num_objects), up_(switch_up), down_(switch_down), tau_ns_(ewma_tau_ns),
+      modes_(num_objects), ewma_(num_objects, 0.0), ewma_last_(num_objects, 0) {}
+
+void WriteRateTracker::reset() {
+  modes_ = ModeTable(k_);
+  ewma_.assign(k_, 0.0);
+  ewma_last_.assign(k_, 0);
+}
+
+void WriteRateTracker::observe(Runtime& rt, const std::vector<ObjectId>& objs) {
+  const TimeNs now = rt.now_ns();
+  for (ObjectId obj : objs) {
+    double& credit = ewma_[obj];
+    if (now > ewma_last_[obj]) {
+      credit *= std::exp(-static_cast<double>(now - ewma_last_[obj]) /
+                         static_cast<double>(tau_ns_));
+    }
+    credit += 1.0;
+    ewma_last_[obj] = now;
+    const bool c_mode = modes_.c_mode(obj) ? credit > down_ : credit >= up_;
+    if (modes_.set(obj, c_mode)) {
+      ++switches_;
+      rt.note_switch(obj, c_mode ? 1 : 0);
+    }
+  }
+}
+
 void AdaptiveOptions::validate() const {
   if (!(switch_up > 0.0) || !(switch_down >= 0.0)) {
     throw std::invalid_argument("adaptive switch thresholds must be positive");
@@ -577,80 +429,18 @@ void AdaptiveOptions::validate() const {
 
 std::unique_ptr<ProtocolSystem> build_adaptive(Runtime& rt, HistoryRecorder& rec,
                                                const SystemConfig& cfg, AdaptiveOptions opts) {
-  cfg.validate();
   opts.validate();
-  const Placement place(cfg);
-  if (opts.coordinator >= place.num_servers()) {
-    throw std::invalid_argument("coordinator shard " + std::to_string(opts.coordinator) +
-                                " out of range (servers = " +
-                                std::to_string(place.num_servers()) + ")");
-  }
-  rec.attach_runtime(&rt);
-  const bool repl = opts.replicas == 2;
-  const std::size_t servers = place.num_servers();
-  const NodeId base = static_cast<NodeId>(servers + cfg.num_readers + cfg.num_writers);
-  std::vector<NodeId> clients;
-  for (std::size_t i = 0; i < cfg.num_readers + cfg.num_writers; ++i) {
-    clients.push_back(static_cast<NodeId>(servers + i));
-  }
-  const auto make_wal = [&opts](NodeId node) -> std::unique_ptr<WalStorage> {
-    if (opts.wal_dir.empty()) return std::make_unique<MemWal>();
-    return std::make_unique<FileWal>(opts.wal_dir + "/node-" + std::to_string(node) + ".wal");
-  };
-  const auto repl_cfg = [&](std::size_t s, bool primary_side) {
-    Replicator::Config c;
-    c.shard = s;
-    c.self = primary_side ? static_cast<NodeId>(s) : static_cast<NodeId>(base + s);
-    c.peer = primary_side ? static_cast<NodeId>(base + s) : static_cast<NodeId>(s);
-    c.start_primary = primary_side;
-    c.has_list = s == opts.coordinator;
-    c.num_objects = cfg.num_objects;
-    c.notify = clients;
-    c.unsafe_ack = opts.unsafe_ack;
-    return c;
-  };
-  std::vector<ServerAdapt*> coordinators;
-  for (std::size_t i = 0; i < servers; ++i) {
-    auto node = repl ? std::make_unique<ServerAdapt>(
-                           cfg.num_objects, i == opts.coordinator, opts.gc_versions,
-                           opts.switch_up, opts.switch_down, opts.ewma_tau_ns,
-                           repl_cfg(i, true), make_wal(static_cast<NodeId>(i)))
-                     : std::make_unique<ServerAdapt>(cfg.num_objects, i == opts.coordinator,
-                                                     opts.gc_versions, opts.switch_up,
-                                                     opts.switch_down, opts.ewma_tau_ns);
-    if (i == opts.coordinator) coordinators.push_back(node.get());
-    const NodeId id = rt.add_node(std::move(node));
-    SNOW_CHECK(id == i);  // servers occupy node ids [0, s)
-  }
-  std::vector<ReaderAdapt*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderAdapt>(rec, place, opts.coordinator, repl,
-                                              opts.cache_reads, opts.broken_cache);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<CoorWriter*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, opts.coordinator,
-                                             /*send_finalize=*/opts.gc_versions, repl);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  if (repl) {
-    // Backup shards live AFTER the clients so existing node layouts (and the
-    // scripted adversary schedules that rely on them) are unchanged.
-    for (std::size_t s = 0; s < servers; ++s) {
-      auto node = std::make_unique<ServerAdapt>(
-          cfg.num_objects, s == opts.coordinator, opts.gc_versions, opts.switch_up,
-          opts.switch_down, opts.ewma_tau_ns, repl_cfg(s, false),
-          make_wal(static_cast<NodeId>(base + s)));
-      if (s == opts.coordinator) coordinators.push_back(node.get());
-      const NodeId id = rt.add_node(std::move(node));
-      SNOW_CHECK(id == base + s);
-    }
-  }
-  return std::make_unique<SystemAdapt>(opts.name, cfg, rt, std::move(readers),
-                                       std::move(writers), std::move(coordinators));
+  VersionFleetSpec spec = fleet_spec(opts);
+  spec.tracker.emplace(cfg.num_objects, opts.switch_up, opts.switch_down, opts.ewma_tau_ns);
+  std::vector<const ReaderAdapt*> readers;
+  VersionFleet fleet =
+      build_version_fleet(rt, rec, cfg, spec, [&](const Placement& place, bool replicated) {
+        auto node = std::make_unique<ReaderAdapt>(rec, place, opts.coordinator, replicated,
+                                                  opts.cache_reads, opts.broken_cache);
+        readers.push_back(node.get());
+        return add_reader_node(rt, std::move(node));
+      });
+  return std::make_unique<SystemAdapt>(opts.name, cfg, rt, std::move(readers), std::move(fleet));
 }
 
 }  // namespace snowkit

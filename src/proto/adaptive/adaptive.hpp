@@ -41,6 +41,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "msg/payloads.hpp"
 #include "proto/api.hpp"
@@ -125,6 +126,42 @@ class ModeTable {
   std::set<ObjectId> c_objs_;    ///< the C-mode objects; all others are B.
   std::deque<ObjectId> flips_;   ///< the newest flips; back() made epoch_.
   std::uint64_t epoch_{0};
+};
+
+/// The coordinator's per-object write-rate tracker: a lazily-decayed EWMA of
+/// each object's listed WRITEs that flips its ModeTable entry with
+/// hysteresis.  It observes exactly the listing traffic: the server credits
+/// it only for a newly listed WRITE, never for a deduplicated retry.  It
+/// reads only Runtime::now_ns (virtual in the sim), so replayed schedules
+/// re-derive identical switch sequences.  Advisory state: never replicated,
+/// never WAL-logged, and reset with the lineage on crash, because modes only
+/// shape messages, never the version a READ serves.
+class WriteRateTracker {
+ public:
+  WriteRateTracker(std::size_t num_objects, double switch_up, double switch_down,
+                   TimeNs ewma_tau_ns);
+
+  /// Credits a listed WRITE of `objs` (ids < k, as CoorList::admits
+  /// checked): decays each credit by exp(-dt/tau), adds 1, and flips the
+  /// mode across the band, reporting each flip through Runtime::note_switch.
+  /// O(|objs|).
+  void observe(Runtime& rt, const std::vector<ObjectId>& objs);
+
+  /// Crash: credits and modes die with the lineage; the switch count stays.
+  void reset();
+
+  const ModeTable& modes() const { return modes_; }
+  std::uint64_t switches() const { return switches_; }
+
+ private:
+  std::size_t k_;
+  double up_;
+  double down_;
+  TimeNs tau_ns_;
+  ModeTable modes_;
+  std::vector<double> ewma_;
+  std::vector<TimeNs> ewma_last_;
+  std::uint64_t switches_{0};
 };
 
 /// A reader's adopted copy of a coordinator's ModeTable.

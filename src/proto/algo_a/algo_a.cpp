@@ -4,31 +4,10 @@
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
+#include "proto/version_server.hpp"
 
 namespace snowkit {
 namespace {
-
-class ServerA final : public Node {
- public:
-  void on_message(NodeId from, const Message& m) override {
-    if (handle_write_path(rt(), id(), from, m, /*gc=*/false, stores_, no_list_,
-                          /*repl=*/nullptr)) {
-      return;
-    }
-    if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
-      // Non-blocking + one-version: respond immediately with exactly the
-      // requested version.  Algorithm A guarantees kappa_i is present: its
-      // write-val was acked before the info-reader that put it in List.
-      send(from, Message{m.txn, ReadValResp{rv->obj, rv->key, stores_[rv->obj].get(rv->key)}});
-    } else {
-      SNOW_UNREACHABLE("algo-a server got unexpected payload");
-    }
-  }
-
- private:
-  std::map<ObjectId, VersionStore> stores_;  ///< per hosted object.
-  std::optional<CoorList> no_list_;          ///< algo-a has no coordinator.
-};
 
 class ReaderA final : public Node, public ReadClientApi {
  public:
@@ -171,23 +150,6 @@ class WriterA final : public Node, public WriteClientApi {
   std::optional<Pending> pending_;
 };
 
-class SystemA final : public ProtocolSystem {
- public:
-  SystemA(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderA*> readers,
-          std::vector<WriterA*> writers)
-      : ProtocolSystem("algo-a", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderA*> readers_;
-  std::vector<WriterA*> writers_;
-};
-
 const ProtocolRegistration kRegisterAlgoA{
     ProtocolTraits{
         .name = "algo-a",
@@ -216,24 +178,27 @@ std::unique_ptr<ProtocolSystem> build_algo_a(Runtime& rt, HistoryRecorder& rec,
                  "intentionally unsafe multi-reader demo");
   const Placement place(cfg);
   rec.attach_runtime(&rt);
+  // No coordinator and no GC: Algorithm A's List lives at the reader, and
+  // the version server serves its read-vals and write path.
   for (std::size_t i = 0; i < place.num_servers(); ++i) {
-    const NodeId id = rt.add_node(std::make_unique<ServerA>());
+    VersionServer::Config server;
+    server.num_objects = cfg.num_objects;
+    const NodeId id = rt.add_node(std::make_unique<VersionServer>(std::move(server)));
     SNOW_CHECK(id == i);  // servers occupy node ids [0, s)
   }
-  std::vector<ReaderA*> readers;
+  VersionFleet fleet;
   std::vector<NodeId> reader_ids;
   for (std::size_t i = 0; i < cfg.num_readers; ++i) {
     auto node = std::make_unique<ReaderA>(rec, place);
-    readers.push_back(node.get());
+    fleet.readers.push_back(node.get());
     reader_ids.push_back(rt.add_node(std::move(node)));
   }
-  std::vector<WriterA*> writers;
   for (std::size_t i = 0; i < cfg.num_writers; ++i) {
     auto node = std::make_unique<WriterA>(rec, place, reader_ids);
-    writers.push_back(node.get());
+    fleet.writers.push_back(node.get());
     rt.add_node(std::move(node));
   }
-  return std::make_unique<SystemA>(cfg, rt, std::move(readers), std::move(writers));
+  return std::make_unique<VersionSystem>("algo-a", cfg, rt, std::move(fleet));
 }
 
 }  // namespace snowkit

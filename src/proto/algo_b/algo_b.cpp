@@ -2,107 +2,14 @@
 
 #include <map>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
-#include "proto/coor_writer.hpp"
-#include "proto/replica.hpp"
-#include "proto/version_store.hpp"
+#include "proto/version_server.hpp"
 
 namespace snowkit {
 namespace {
-
-/// Server for Algorithm B.  Every server stores per-object Vals; the
-/// coordinator s* additionally maintains List (as a CoorList with
-/// incremental per-object indexes) and answers get-tag-arr / update-coor.
-///
-/// With GC on (the default), writers fan out finalize notices carrying the
-/// coordinator's read watermark and readers piggyback it on read-val, so
-/// Vals retains only the per-object anchor plus versions above the watermark
-/// — reads still carry exactly one version, and a requested key can never be
-/// pruned while its READ is registered (see proto/version_store.hpp).
-///
-/// With `replicas 2` the server embeds a Replicator (proto/replica.hpp):
-/// state mutations go through the replicated log, write acks wait for the
-/// backup, and the whole node survives crash/restart through its WAL.  Reads
-/// are still served immediately — replication never blocks them.
-class ServerB final : public Node {
- public:
-  ServerB(std::size_t k, bool is_coordinator, bool gc,
-          std::optional<Replicator::Config> repl = std::nullopt,
-          std::unique_ptr<WalStorage> wal = nullptr)
-      : k_(k), is_coordinator_(is_coordinator), gc_(gc) {
-    if (is_coordinator_) list_.emplace(k_);
-    if (repl) {
-      repl_ = std::make_unique<Replicator>(
-          std::move(*repl), std::move(wal),
-          [this](NodeId to, Message m) { send(to, std::move(m)); },
-          [this](NodeId from, const Message& m) { on_message(from, m); }, &stores_, &list_);
-    }
-  }
-
-  void on_start() override {
-    if (repl_ != nullptr) {
-      rt().watch_node(id(), repl_->peer_node());
-      repl_->boot();
-    }
-  }
-
-  bool supports_crash() const override { return repl_ != nullptr; }
-
-  void on_crash() override {
-    stores_.clear();
-    if (is_coordinator_) list_.emplace(k_);
-    repl_->on_crash();
-  }
-
-  void on_message(NodeId from, const Message& m) override {
-    if (repl_ != nullptr) {
-      if (repl_->consume(from, m)) return;
-      if (!repl_->is_primary()) {
-        // Stale route: park or redirect, never drop (see defer_client).
-        repl_->defer_client(from, m);
-        return;
-      }
-    }
-    if (misrouted(from, m, is_coordinator_)) return;
-    if (handle_write_path(rt(), id(), from, m, gc_, stores_, list_, repl_.get())) return;
-    if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
-      VersionStore& vals = stores_[rv->obj];
-      if (gc_) vals.advance_watermark(rv->watermark);
-      if (repl_ != nullptr) {
-        // Failover can GC past a key an old lineage promised: answer
-        // found=false and the reader restarts from the coordinator.
-        const auto v = vals.try_get(rv->key);
-        send(from, Message{m.txn, ReadValResp{rv->obj, rv->key,
-                                              v.value_or(kInitialValue), v.has_value()}});
-      } else {
-        send(from, Message{m.txn, ReadValResp{rv->obj, rv->key, vals.get(rv->key)}});
-      }
-      return;
-    }
-    if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      handle_update_coor(rt(), id(), from, m.txn, *uc, list_, repl_.get());
-      return;
-    }
-    if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
-      list_->register_reader(from, m.txn);
-      send(from, Message{m.txn, list_->tag_arr(gt->objs, /*with_history=*/false)});
-      return;
-    }
-    SNOW_UNREACHABLE("algo-b server got unexpected payload");
-  }
-
- private:
-  std::size_t k_;
-  bool is_coordinator_;
-  bool gc_;
-  std::map<ObjectId, VersionStore> stores_;
-  std::optional<CoorList> list_;  ///< coordinator only.
-  std::unique_ptr<Replicator> repl_;  ///< replicas=2 only.
-};
 
 class ReaderB final : public Node, public ReadClientApi {
  public:
@@ -231,23 +138,6 @@ class ReaderB final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class SystemB final : public ProtocolSystem {
- public:
-  SystemB(std::string name, const SystemConfig& cfg, Runtime& rt,
-          std::vector<ReaderB*> readers, std::vector<CoorWriter*> writers)
-      : ProtocolSystem(std::move(name), cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderB*> readers_;
-  std::vector<CoorWriter*> writers_;
-};
-
 const ProtocolRegistration kRegisterAlgoB{
     ProtocolTraits{
         .name = "algo-b",
@@ -264,11 +154,7 @@ const ProtocolRegistration kRegisterAlgoB{
     },
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
       AlgoBOptions o;
-      o.coordinator = static_cast<std::size_t>(opts.get_int("coordinator", 0));
-      o.gc_versions = opts.get_bool("gc_versions", true);
-      o.replicas = static_cast<std::size_t>(opts.get_int("replicas", 1));
-      o.wal_dir = opts.get("wal_dir", "");
-      o.unsafe_ack = opts.get_bool("unsafe_ack", false);
+      read_fleet_options(opts, o);
       return build_algo_b(rt, rec, cfg, o);
     }};
 
@@ -276,74 +162,12 @@ const ProtocolRegistration kRegisterAlgoB{
 
 std::unique_ptr<ProtocolSystem> build_algo_b(Runtime& rt, HistoryRecorder& rec,
                                              const SystemConfig& cfg, AlgoBOptions opts) {
-  cfg.validate();
-  const Placement place(cfg);
-  if (opts.coordinator >= place.num_servers()) {
-    throw std::invalid_argument("coordinator shard " + std::to_string(opts.coordinator) +
-                                " out of range (servers = " +
-                                std::to_string(place.num_servers()) + ")");
-  }
-  if (opts.replicas != 1 && opts.replicas != 2) {
-    throw std::invalid_argument("algo-b supports replicas 1 or 2, got " +
-                                std::to_string(opts.replicas));
-  }
-  rec.attach_runtime(&rt);
-  const bool repl = opts.replicas == 2;
-  const std::size_t servers = place.num_servers();
-  const NodeId base = static_cast<NodeId>(servers + cfg.num_readers + cfg.num_writers);
-  std::vector<NodeId> clients;
-  for (std::size_t i = 0; i < cfg.num_readers + cfg.num_writers; ++i) {
-    clients.push_back(static_cast<NodeId>(servers + i));
-  }
-  const auto make_wal = [&opts](NodeId node) -> std::unique_ptr<WalStorage> {
-    if (opts.wal_dir.empty()) return std::make_unique<MemWal>();
-    return std::make_unique<FileWal>(opts.wal_dir + "/node-" + std::to_string(node) + ".wal");
-  };
-  const auto repl_cfg = [&](std::size_t s, bool primary_side) {
-    Replicator::Config c;
-    c.shard = s;
-    c.self = primary_side ? static_cast<NodeId>(s) : static_cast<NodeId>(base + s);
-    c.peer = primary_side ? static_cast<NodeId>(base + s) : static_cast<NodeId>(s);
-    c.start_primary = primary_side;
-    c.has_list = s == opts.coordinator;
-    c.num_objects = cfg.num_objects;
-    c.notify = clients;
-    c.unsafe_ack = opts.unsafe_ack;
-    return c;
-  };
-  for (std::size_t i = 0; i < servers; ++i) {
-    auto node = repl ? std::make_unique<ServerB>(cfg.num_objects, i == opts.coordinator,
-                                                 opts.gc_versions, repl_cfg(i, true),
-                                                 make_wal(static_cast<NodeId>(i)))
-                     : std::make_unique<ServerB>(cfg.num_objects, i == opts.coordinator,
-                                                 opts.gc_versions);
-    const NodeId id = rt.add_node(std::move(node));
-    SNOW_CHECK(id == i);  // servers occupy node ids [0, s)
-  }
-  std::vector<ReaderB*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderB>(rec, place, opts.coordinator, repl);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<CoorWriter*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, opts.coordinator,
-                                             /*send_finalize=*/opts.gc_versions, repl);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  if (repl) {
-    // Backup shards live AFTER the clients so existing node layouts (and the
-    // scripted adversary schedules that rely on them) are unchanged.
-    for (std::size_t s = 0; s < servers; ++s) {
-      const NodeId id = rt.add_node(std::make_unique<ServerB>(
-          cfg.num_objects, s == opts.coordinator, opts.gc_versions, repl_cfg(s, false),
-          make_wal(static_cast<NodeId>(base + s))));
-      SNOW_CHECK(id == base + s);
-    }
-  }
-  return std::make_unique<SystemB>(opts.name, cfg, rt, std::move(readers), std::move(writers));
+  VersionFleet fleet = build_version_fleet(
+      rt, rec, cfg, fleet_spec(opts), [&](const Placement& place, bool replicated) {
+        auto reader = std::make_unique<ReaderB>(rec, place, opts.coordinator, replicated);
+        return add_reader_node(rt, std::move(reader));
+      });
+  return std::make_unique<VersionSystem>(opts.name, cfg, rt, std::move(fleet));
 }
 
 }  // namespace snowkit

@@ -3,94 +3,14 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
-#include "proto/coor_writer.hpp"
-#include "proto/replica.hpp"
-#include "proto/version_store.hpp"
+#include "proto/version_server.hpp"
 
 namespace snowkit {
 namespace {
-
-/// Server for Algorithm C.  Replication (replicas=2) mirrors algo-b's
-/// ServerB: a Replicator consumes replication traffic first, backups
-/// park-or-redirect client traffic (Replicator::defer_client), state
-/// mutations ride the replicated log, and write acks wait for the backup.
-/// read-vals is served immediately from committed state — N holds across
-/// failover.
-class ServerC final : public Node {
- public:
-  ServerC(std::size_t k, bool is_coordinator, bool gc,
-          std::optional<Replicator::Config> repl = std::nullopt,
-          std::unique_ptr<WalStorage> wal = nullptr)
-      : k_(k), is_coordinator_(is_coordinator), gc_(gc) {
-    if (is_coordinator_) list_.emplace(k_);
-    if (repl) {
-      repl_ = std::make_unique<Replicator>(
-          std::move(*repl), std::move(wal),
-          [this](NodeId to, Message m) { send(to, std::move(m)); },
-          [this](NodeId from, const Message& m) { on_message(from, m); }, &stores_, &list_);
-    }
-  }
-
-  void on_start() override {
-    if (repl_ != nullptr) {
-      rt().watch_node(id(), repl_->peer_node());
-      repl_->boot();
-    }
-  }
-
-  bool supports_crash() const override { return repl_ != nullptr; }
-
-  void on_crash() override {
-    stores_.clear();
-    if (is_coordinator_) list_.emplace(k_);
-    repl_->on_crash();
-  }
-
-  void on_message(NodeId from, const Message& m) override {
-    if (repl_ != nullptr) {
-      if (repl_->consume(from, m)) return;
-      if (!repl_->is_primary()) {
-        // Stale route: park or redirect, never drop (see defer_client).
-        repl_->defer_client(from, m);
-        return;
-      }
-    }
-    if (misrouted(from, m, is_coordinator_)) return;
-    if (handle_write_path(rt(), id(), from, m, gc_, stores_, list_, repl_.get())) return;
-    if (std::holds_alternative<ReadValsReq>(m.payload)) {
-      const auto& req = std::get<ReadValsReq>(m.payload);
-      // Bounded response: the live chain — with the watermark flowing this
-      // is the paper's <=|W|+1 candidate versions, not the full history.
-      send(from, Message{m.txn, ReadValsResp{req.obj, store(req.obj).all()}});
-      return;
-    }
-    if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-      handle_update_coor(rt(), id(), from, m.txn, *uc, list_, repl_.get());
-      return;
-    }
-    if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
-      list_->register_reader(from, m.txn);
-      send(from, Message{m.txn, list_->tag_arr(gt->objs, /*with_history=*/true)});
-      return;
-    }
-    SNOW_UNREACHABLE("algo-c server got unexpected payload");
-  }
-
- private:
-  VersionStore& store(ObjectId obj) { return stores_[obj]; }
-
-  std::size_t k_;
-  bool is_coordinator_;
-  bool gc_;
-  std::map<ObjectId, VersionStore> stores_;  ///< per hosted object.
-  std::optional<CoorList> list_;             ///< coordinator only.
-  std::unique_ptr<Replicator> repl_;         ///< replicas=2 only.
-};
 
 class ReaderC final : public Node, public ReadClientApi {
  public:
@@ -250,23 +170,6 @@ class ReaderC final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class SystemC final : public ProtocolSystem {
- public:
-  SystemC(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderC*> readers,
-          std::vector<CoorWriter*> writers)
-      : ProtocolSystem("algo-c", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderC*> readers_;
-  std::vector<CoorWriter*> writers_;
-};
-
 const ProtocolRegistration kRegisterAlgoC{
     ProtocolTraits{
         .name = "algo-c",
@@ -283,11 +186,7 @@ const ProtocolRegistration kRegisterAlgoC{
     },
     [](Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg, const BuildOptions& opts) {
       AlgoCOptions o;
-      o.coordinator = static_cast<std::size_t>(opts.get_int("coordinator", 0));
-      o.gc_versions = opts.get_bool("gc_versions", true);
-      o.replicas = static_cast<std::size_t>(opts.get_int("replicas", 1));
-      o.wal_dir = opts.get("wal_dir", "");
-      o.unsafe_ack = opts.get_bool("unsafe_ack", false);
+      read_fleet_options(opts, o);
       return build_algo_c(rt, rec, cfg, o);
     }};
 
@@ -295,75 +194,15 @@ const ProtocolRegistration kRegisterAlgoC{
 
 std::unique_ptr<ProtocolSystem> build_algo_c(Runtime& rt, HistoryRecorder& rec,
                                              const SystemConfig& cfg, AlgoCOptions opts) {
-  cfg.validate();
-  const Placement place(cfg);
-  if (opts.coordinator >= place.num_servers()) {
-    throw std::invalid_argument("coordinator shard " + std::to_string(opts.coordinator) +
-                                " out of range (servers = " +
-                                std::to_string(place.num_servers()) + ")");
-  }
-  if (opts.replicas != 1 && opts.replicas != 2) {
-    throw std::invalid_argument("algo-c supports replicas 1 or 2, got " +
-                                std::to_string(opts.replicas));
-  }
-  rec.attach_runtime(&rt);
-  const bool repl = opts.replicas == 2;
-  const std::size_t servers = place.num_servers();
-  const NodeId base = static_cast<NodeId>(servers + cfg.num_readers + cfg.num_writers);
-  std::vector<NodeId> clients;
-  for (std::size_t i = 0; i < cfg.num_readers + cfg.num_writers; ++i) {
-    clients.push_back(static_cast<NodeId>(servers + i));
-  }
-  const auto make_wal = [&opts](NodeId node) -> std::unique_ptr<WalStorage> {
-    if (opts.wal_dir.empty()) return std::make_unique<MemWal>();
-    return std::make_unique<FileWal>(opts.wal_dir + "/node-" + std::to_string(node) + ".wal");
-  };
-  const auto repl_cfg = [&](std::size_t s, bool primary_side) {
-    Replicator::Config c;
-    c.shard = s;
-    c.self = primary_side ? static_cast<NodeId>(s) : static_cast<NodeId>(base + s);
-    c.peer = primary_side ? static_cast<NodeId>(base + s) : static_cast<NodeId>(s);
-    c.start_primary = primary_side;
-    c.has_list = s == opts.coordinator;
-    c.num_objects = cfg.num_objects;
-    c.notify = clients;
-    c.unsafe_ack = opts.unsafe_ack;
-    return c;
-  };
-  for (std::size_t i = 0; i < servers; ++i) {
-    auto node = repl ? std::make_unique<ServerC>(cfg.num_objects, i == opts.coordinator,
-                                                 opts.gc_versions, repl_cfg(i, true),
-                                                 make_wal(static_cast<NodeId>(i)))
-                     : std::make_unique<ServerC>(cfg.num_objects, i == opts.coordinator,
-                                                 opts.gc_versions);
-    const NodeId id = rt.add_node(std::move(node));
-    SNOW_CHECK(id == i);
-  }
-  std::vector<ReaderC*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderC>(rec, place, opts.coordinator,
-                                          /*may_retry=*/opts.gc_versions || repl);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<CoorWriter*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, opts.coordinator,
-                                             /*send_finalize=*/opts.gc_versions, repl);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  if (repl) {
-    // Backup shards live AFTER the clients so existing node layouts (and the
-    // scripted adversary schedules that rely on them) are unchanged.
-    for (std::size_t s = 0; s < servers; ++s) {
-      const NodeId id = rt.add_node(std::make_unique<ServerC>(
-          cfg.num_objects, s == opts.coordinator, opts.gc_versions, repl_cfg(s, false),
-          make_wal(static_cast<NodeId>(base + s))));
-      SNOW_CHECK(id == base + s);
-    }
-  }
-  return std::make_unique<SystemC>(cfg, rt, std::move(readers), std::move(writers));
+  VersionFleetSpec spec = fleet_spec(opts);
+  spec.tag_history = true;
+  VersionFleet fleet =
+      build_version_fleet(rt, rec, cfg, spec, [&](const Placement& place, bool replicated) {
+        const bool may_retry = opts.gc_versions || replicated;
+        auto reader = std::make_unique<ReaderC>(rec, place, opts.coordinator, may_retry);
+        return add_reader_node(rt, std::move(reader));
+      });
+  return std::make_unique<VersionSystem>("algo-c", cfg, rt, std::move(fleet));
 }
 
 }  // namespace snowkit

@@ -51,6 +51,13 @@ struct SystemConfig {
 
   std::size_t server_count() const { return num_servers == 0 ? num_objects : num_servers; }
 
+  /// The node-id layout every protocol build follows: servers at [0, s),
+  /// then the readers, then the writers, then — with replicas 2 — one backup
+  /// per shard.  This is shard `shard`'s backup node.
+  NodeId backup_node(std::size_t shard) const {
+    return static_cast<NodeId>(server_count() + num_readers + num_writers + shard);
+  }
+
   /// Throws std::invalid_argument with a precise message on nonsense configs
   /// (no objects, no clients, no servers) instead of letting the error
   /// surface as downstream UB in OpStream / coordinator indexing.

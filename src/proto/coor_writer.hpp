@@ -1,4 +1,5 @@
-// The writer of Pseudocode 5, shared verbatim by Algorithms B and C:
+// The writer of Pseudocode 5, shared verbatim by Algorithms B and C and by
+// the adaptive and occ-reads protocols (build_version_fleet places it):
 //   write-value:  (write-val, (kappa, v_i)) to every server in the write set,
 //                 await all acks;
 //   update-coor:  (update-coor, (kappa, b_1..b_k)) to the coordinator s*,

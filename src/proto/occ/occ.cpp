@@ -2,12 +2,10 @@
 
 #include <map>
 #include <optional>
-#include <stdexcept>
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
-#include "proto/coor_server.hpp"
-#include "proto/coor_writer.hpp"
+#include "proto/version_server.hpp"
 
 namespace snowkit {
 namespace {
@@ -153,23 +151,6 @@ class ReaderO final : public Node, public ReadClientApi {
   std::optional<Pending> pending_;
 };
 
-class SystemO final : public ProtocolSystem {
- public:
-  SystemO(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderO*> readers,
-          std::vector<CoorWriter*> writers)
-      : ProtocolSystem("occ-reads", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderO*> readers_;
-  std::vector<CoorWriter*> writers_;
-};
-
 const ProtocolRegistration kRegisterOcc{
     ProtocolTraits{
         .name = "occ-reads",
@@ -195,34 +176,15 @@ const ProtocolRegistration kRegisterOcc{
 
 std::unique_ptr<ProtocolSystem> build_occ(Runtime& rt, HistoryRecorder& rec,
                                           const SystemConfig& cfg, OccOptions opts) {
-  cfg.validate();
-  const Placement place(cfg);
-  if (opts.coordinator >= place.num_servers()) {
-    throw std::invalid_argument("coordinator shard " + std::to_string(opts.coordinator) +
-                                " out of range (servers = " +
-                                std::to_string(place.num_servers()) + ")");
-  }
-  rec.attach_runtime(&rt);
-  for (std::size_t i = 0; i < place.num_servers(); ++i) {
-    const NodeId id = rt.add_node(std::make_unique<CoorServer>(
-        cfg.num_objects, i == opts.coordinator, opts.gc_versions));
-    SNOW_CHECK(id == i);
-  }
-  const NodeId coor = static_cast<NodeId>(opts.coordinator);
-  std::vector<ReaderO*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderO>(rec, place, coor, opts.max_optimistic_rounds);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<CoorWriter*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, coor,
-                                             /*send_finalize=*/opts.gc_versions);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  return std::make_unique<SystemO>(cfg, rt, std::move(readers), std::move(writers));
+  VersionFleetSpec spec;
+  spec.coordinator = opts.coordinator;
+  spec.gc_versions = opts.gc_versions;
+  const auto coor = static_cast<NodeId>(opts.coordinator);
+  VersionFleet fleet = build_version_fleet(rt, rec, cfg, spec, [&](const Placement& place, bool) {
+    auto reader = std::make_unique<ReaderO>(rec, place, coor, opts.max_optimistic_rounds);
+    return add_reader_node(rt, std::move(reader));
+  });
+  return std::make_unique<VersionSystem>("occ-reads", cfg, rt, std::move(fleet));
 }
 
 }  // namespace snowkit

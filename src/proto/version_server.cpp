@@ -1,0 +1,312 @@
+#include "proto/version_server.hpp"
+
+#include <stdexcept>
+#include <utility>
+
+#include "common/assert.hpp"
+#include "common/logging.hpp"
+#include "proto/coor_writer.hpp"
+
+namespace snowkit {
+
+namespace {
+
+/// Logs `recs` through `repl` as one batch, or applies them at once without
+/// replication; `on_commit` runs when they are committed.
+template <typename OnCommit>
+void commit_step(std::vector<ReplRecord> recs, std::map<ObjectId, VersionStore>& stores,
+                 std::optional<CoorList>& list, Replicator* repl, OnCommit on_commit) {
+  if (repl != nullptr) {
+    repl->append(std::move(recs), std::move(on_commit));
+    return;
+  }
+  for (const ReplRecord& rec : recs) apply_store_record(rec, stores, list);
+  on_commit();
+}
+
+constexpr auto kNoAck = [] {};
+
+ReplRecord coor_finalize_record(Tag position) {
+  ReplRecord rec;
+  rec.kind = ReplRecord::kCoorFinalize;
+  rec.position = position;
+  return rec;
+}
+
+}  // namespace
+
+VersionServer::VersionServer(Config cfg)
+    : k_(cfg.num_objects), is_coordinator_(cfg.is_coordinator), gc_(cfg.gc),
+      tag_history_(cfg.tag_history), tracker_(std::move(cfg.tracker)) {
+  if (is_coordinator_) list_.emplace(k_);
+  if (cfg.repl) {
+    repl_ = std::make_unique<Replicator>(
+        std::move(*cfg.repl), std::move(cfg.wal),
+        [this](NodeId to, Message m) { send(to, std::move(m)); },
+        [this](NodeId from, const Message& m) { on_message(from, m); }, &stores_, &list_);
+  }
+}
+
+void VersionServer::on_start() {
+  if (repl_ != nullptr) {
+    rt().watch_node(id(), repl_->peer_node());
+    repl_->boot();
+  }
+}
+
+void VersionServer::on_crash() {
+  stores_.clear();
+  if (is_coordinator_) list_.emplace(k_);
+  if (tracker_) tracker_->reset();
+  repl_->on_crash();
+}
+
+void VersionServer::on_message(NodeId from, const Message& m) {
+  if (repl_ != nullptr) {
+    if (repl_->consume(from, m)) return;
+    if (!repl_->is_primary()) {
+      // Stale route: park or redirect, never drop (see defer_client).
+      repl_->defer_client(from, m);
+      return;
+    }
+  }
+  if (misrouted(from, m)) return;
+  if (handle_write_path(from, m)) return;
+  if (serve_read(from, m)) return;
+  if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
+    // A deduplicated retry is not credited to the write-rate tracker twice.
+    if (handle_update_coor(from, m.txn, *uc) && tracker_) tracker_->observe(rt(), uc->objs);
+    return;
+  }
+  if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
+    answer_tag_arr(from, m.txn, *gt);
+    return;
+  }
+  // Replies, other protocols' requests: nothing a peer sends may abort us.
+  SNOW_WARN("dropping " << payload_name(m.payload) << " from node " << from
+                        << ": not a version-server request");
+}
+
+bool VersionServer::misrouted(NodeId from, const Message& m) const {
+  if (is_coordinator_) return false;
+  if (!std::holds_alternative<UpdateCoorReq>(m.payload) &&
+      !std::holds_alternative<GetTagArrReq>(m.payload) &&
+      !std::holds_alternative<FinalizeCoorReq>(m.payload) &&
+      !std::holds_alternative<ReadDoneReq>(m.payload)) {
+    return false;
+  }
+  SNOW_WARN("dropping " << payload_name(m.payload) << " from node " << from
+                        << ": this node is not the coordinator");
+  return true;
+}
+
+VersionStore& VersionServer::store(ObjectId obj, Tag watermark) {
+  VersionStore& vals = stores_[obj];
+  if (gc_) vals.advance_watermark(watermark);
+  return vals;
+}
+
+bool VersionServer::serve_read(NodeId from, const Message& m) {
+  if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
+    // One version, the one named.  A miss: a speculative occ key, a key GC'd
+    // past by a failover, or a request no correct reader sends.
+    const std::optional<Value> v = store(rv->obj, rv->watermark).try_get(rv->key);
+    send(from, Message{m.txn, ReadValResp{rv->obj, rv->key, v.value_or(kInitialValue),
+                                          v.has_value()}});
+    return true;
+  }
+  if (const auto* rv = std::get_if<ReadValsReq>(&m.payload)) {
+    // Bounded response: the live chain — with the watermark flowing this is
+    // the paper's <=|W|+1 candidate versions, not the full history.
+    send(from, Message{m.txn, ReadValsResp{rv->obj, stores_[rv->obj].all()}});
+    return true;
+  }
+  if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) {
+    // Round-2 batch: every same-server object of one READ in one frame.
+    ReadValBatchResp resp;
+    resp.entries.reserve(rb->entries.size());
+    for (const BatchReadEntry& e : rb->entries) {
+      const std::optional<Value> v = store(e.obj, rb->watermark).try_get(e.key);
+      resp.entries.push_back({e.obj, e.key, v.value_or(kInitialValue), v.has_value()});
+    }
+    send(from, Message{m.txn, std::move(resp)});
+    return true;
+  }
+  if (const auto* pb = std::get_if<ReadValsBatchReq>(&m.payload)) {
+    // Round-1 prefetch: the live chains of one READ's objects on this server.
+    ReadValsBatchResp resp;
+    resp.entries.reserve(pb->objs.size());
+    for (ObjectId obj : pb->objs) resp.entries.push_back({obj, store(obj, pb->watermark).all()});
+    send(from, Message{m.txn, std::move(resp)});
+    return true;
+  }
+  return false;
+}
+
+void VersionServer::answer_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& gt) {
+  list_->register_reader(from, txn);
+  GetTagArrResp ta = list_->tag_arr(gt.objs, tag_history_);
+  if (!tracker_) {
+    send(from, Message{txn, std::move(ta)});
+    return;
+  }
+  AdaptTagArrResp resp;
+  resp.tag = ta.tag;
+  resp.watermark = ta.watermark;
+  resp.entries = std::move(ta.entries);
+  tracker_->modes().answer(gt.mode_epoch, resp);
+  send(from, Message{txn, std::move(resp)});
+}
+
+bool VersionServer::handle_write_path(NodeId from, const Message& m) {
+  Replicator* repl = repl_.get();
+  if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
+    std::vector<ReplRecord> recs(wv->writes.size());
+    WriteValAck ack{wv->key, {}};
+    ack.objs.reserve(wv->writes.size());
+    for (std::size_t i = 0; i < wv->writes.size(); ++i) {
+      recs[i].kind = ReplRecord::kInsert;
+      recs[i].obj = wv->writes[i].first;
+      recs[i].key = wv->key;
+      recs[i].value = wv->writes[i].second;
+      ack.objs.push_back(wv->writes[i].first);
+    }
+    commit_step(std::move(recs), stores_, list_, repl,
+                [this, from, txn = m.txn, ack = std::move(ack)]() mutable {
+                  send(from, Message{txn, std::move(ack)});
+                });
+    return true;
+  }
+  if (const auto* fin = std::get_if<FinalizeReq>(&m.payload)) {
+    if (fin->coor && !list_) {
+      SNOW_WARN("dropping the finalize-coor part of finalize from node "
+                << from << ": this node is not the coordinator");
+    }
+    if (!gc_) return true;
+    std::vector<ReplRecord> recs(fin->objs.size());
+    for (std::size_t i = 0; i < fin->objs.size(); ++i) {
+      recs[i].kind = ReplRecord::kFinalize;
+      recs[i].obj = fin->objs[i];
+      recs[i].key = fin->key;
+      recs[i].position = fin->position;
+      recs[i].watermark = fin->watermark;
+    }
+    if (fin->coor && list_) recs.push_back(coor_finalize_record(fin->position));
+    commit_step(std::move(recs), stores_, list_, repl, kNoAck);
+    return true;
+  }
+  if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
+    if (gc_) commit_step({coor_finalize_record(fc->position)}, stores_, list_, repl, kNoAck);
+    return true;
+  }
+  if (const auto* rd = std::get_if<ReadDoneReq>(&m.payload)) {
+    // Primary-local even when replicated: reader floors are per-lineage.
+    if (list_) list_->reader_done(from, rd->txn);
+    return true;
+  }
+  return false;
+}
+
+bool VersionServer::handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc) {
+  if (!list_->admits(from, uc)) return false;
+  if (repl_ == nullptr) {
+    const Tag pos = list_->push(uc.key, uc.objs);
+    send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
+    return true;
+  }
+  switch (repl_->check_push(from, txn)) {
+    case Replicator::PushStatus::kPending:
+      return false;  // already logged; the commit waiter will ack
+    case Replicator::PushStatus::kCommitted:
+      send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from), list_->watermark()}});
+      return false;
+    case Replicator::PushStatus::kNew:
+      break;
+  }
+  ReplRecord rec;
+  rec.kind = ReplRecord::kListPush;
+  rec.key = uc.key;
+  rec.objs = uc.objs;
+  rec.txn = txn;
+  rec.writer = from;
+  rec.position = repl_->next_push_position();
+  const Tag pos = rec.position;
+  repl_->append({std::move(rec)}, [this, from, txn, pos] {
+    send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
+  });
+  return true;
+}
+
+// --- the shared fleet --------------------------------------------------------
+
+VersionFleet build_version_fleet(Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg,
+                                 const VersionFleetSpec& spec, const AddReader& add_reader) {
+  cfg.validate();
+  const Placement place(cfg);
+  const std::size_t servers = place.num_servers();
+  if (spec.coordinator >= servers) {
+    throw std::invalid_argument("coordinator shard " + std::to_string(spec.coordinator) +
+                                " out of range (servers = " + std::to_string(servers) + ")");
+  }
+  if (spec.replicas != 1 && spec.replicas != 2) {
+    throw std::invalid_argument("replicas must be 1 or 2, got " + std::to_string(spec.replicas));
+  }
+  rec.attach_runtime(&rt);
+  const bool repl = spec.replicas == 2;
+  std::vector<NodeId> clients;
+  for (std::size_t i = 0; i < cfg.num_readers + cfg.num_writers; ++i) {
+    clients.push_back(static_cast<NodeId>(servers + i));
+  }
+
+  VersionFleet fleet;
+  // Shard s's primary (node s) or, with `backup`, its backup replica.
+  const auto add_server = [&](std::size_t s, bool backup) {
+    const NodeId self = backup ? cfg.backup_node(s) : static_cast<NodeId>(s);
+    VersionServer::Config c;
+    c.num_objects = cfg.num_objects;
+    c.is_coordinator = s == spec.coordinator;
+    c.gc = spec.gc_versions;
+    c.tag_history = spec.tag_history;
+    if (c.is_coordinator) c.tracker = spec.tracker;
+    if (repl) {
+      Replicator::Config r;
+      r.shard = s;
+      r.self = self;
+      r.peer = backup ? static_cast<NodeId>(s) : cfg.backup_node(s);
+      r.start_primary = !backup;
+      r.has_list = c.is_coordinator;
+      r.num_objects = cfg.num_objects;
+      r.notify = clients;
+      r.unsafe_ack = spec.unsafe_ack;
+      c.repl = std::move(r);
+      if (spec.wal_dir.empty()) {
+        c.wal = std::make_unique<MemWal>();
+      } else {
+        c.wal = std::make_unique<FileWal>(spec.wal_dir + "/node-" + std::to_string(self) + ".wal");
+      }
+    }
+    auto node = std::make_unique<VersionServer>(std::move(c));
+    if (s == spec.coordinator) fleet.coordinators.push_back(node.get());
+    const NodeId id = rt.add_node(std::move(node));
+    SNOW_CHECK(id == self);
+  };
+
+  for (std::size_t s = 0; s < servers; ++s) add_server(s, /*backup=*/false);
+  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
+    fleet.readers.push_back(add_reader(place, repl));
+  }
+  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
+    auto node = std::make_unique<CoorWriter>(rec, place, spec.coordinator,
+                                             /*send_finalize=*/spec.gc_versions, repl);
+    fleet.writers.push_back(node.get());
+    rt.add_node(std::move(node));
+  }
+  // Backups come AFTER the clients so the unreplicated layout (and the
+  // scripted adversary schedules that rely on it) is unchanged.
+  if (repl) {
+    for (std::size_t s = 0; s < servers; ++s) add_server(s, /*backup=*/true);
+  }
+  return fleet;
+}
+
+}  // namespace snowkit

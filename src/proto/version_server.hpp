@@ -1,0 +1,171 @@
+// The version server of Pseudocodes 5-7, and the fleet every protocol built
+// on it shares: algo-a, algo-b, algo-c, adaptive and occ-reads.
+//
+// In the paper Algorithms B and C share the writer and the server's write
+// path; they differ only in how a READ is served.  So one Node serves all of
+// them.  Every server keeps per-object Vals version stores; the coordinator
+// s* also keeps the List (a CoorList) and answers get-tag-arr / update-coor.
+// One server may host many objects under a sharded Placement; every request
+// names its object, so the stores stay disjoint.
+//
+// The server answers every read request any of these protocols sends —
+// read-val (B, occ, A), read-vals (C), read-val-batch and read-vals-batch
+// (adaptive).  The payload types do not overlap, so no handler asks which
+// protocol it serves.  Reads are answered at once (N), from committed state,
+// with the versions named: a key that is not (or no longer) in Vals is
+// answered with found == false.  That is reachable for occ's speculative
+// keys, after a failover GC'd past a key an old lineage promised, and for
+// requests no correct reader sends — none of them may abort the server.
+// The only per-protocol parts live at the coordinator: what its get-tag-arr
+// reply carries (latest keys, with algo-c's history, or adaptive's
+// AdaptTagArrResp with a mode delta) and adaptive's write-rate tracker.
+//
+// With `gc` on, the watermark flow of proto/version_store.hpp is active:
+// finalize notices and read piggybacks advance per-object watermarks and
+// prune superseded versions.  With a Replicator (replicas 2) state mutations
+// ride the replicated log, write acks wait for the backup, and the node
+// survives crash/restart through its WAL (proto/replica.hpp).
+#pragma once
+
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/registry.hpp"
+#include "proto/adaptive/adaptive.hpp"
+#include "proto/api.hpp"
+#include "proto/replica.hpp"
+#include "proto/version_store.hpp"
+
+namespace snowkit {
+
+class VersionServer final : public Node {
+ public:
+  struct Config {
+    std::size_t num_objects{0};
+    bool is_coordinator{false};
+    /// Watermark version GC: finalize notices and read piggybacks apply.
+    bool gc{false};
+    /// Algorithm C: get-tag-arr replies carry each object's live history.
+    bool tag_history{false};
+    /// Adaptive's coordinator: the write-rate tracker; the get-tag-arr reply
+    /// becomes an AdaptTagArrResp with the tracker's mode delta.
+    std::optional<WriteRateTracker> tracker;
+    /// Set for replicas 2, together with `wal`.
+    std::optional<Replicator::Config> repl;
+    std::unique_ptr<WalStorage> wal;
+  };
+
+  explicit VersionServer(Config cfg);
+
+  void on_start() override;
+  bool supports_crash() const override { return repl_ != nullptr; }
+  void on_crash() override;
+  void on_message(NodeId from, const Message& m) override;
+
+  /// Adaptive's coordinator only; null elsewhere.
+  const WriteRateTracker* tracker() const { return tracker_ ? &*tracker_ : nullptr; }
+
+ private:
+  bool misrouted(NodeId from, const Message& m) const;
+  bool serve_read(NodeId from, const Message& m);
+  bool handle_write_path(NodeId from, const Message& m);
+  bool handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc);
+  void answer_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& gt);
+  VersionStore& store(ObjectId obj, Tag watermark);
+
+  std::size_t k_;
+  bool is_coordinator_;
+  bool gc_;
+  bool tag_history_;
+  std::map<ObjectId, VersionStore> stores_;    ///< per hosted object.
+  std::optional<CoorList> list_;               ///< coordinator only.
+  std::unique_ptr<Replicator> repl_;           ///< replicas 2 only.
+  std::optional<WriteRateTracker> tracker_;    ///< adaptive coordinator only.
+};
+
+// --- the shared fleet --------------------------------------------------------
+
+/// The settings a protocol picks for its VersionServer fleet.
+struct VersionFleetSpec {
+  std::size_t coordinator{0};  ///< coordinator shard s*.
+  bool gc_versions{true};
+  std::size_t replicas{1};     ///< 1, or 2 for primary/backup shards.
+  std::string wal_dir;         ///< empty: in-memory WALs.
+  bool unsafe_ack{false};      ///< FAULT INJECTION ONLY (Replicator::Config).
+  bool tag_history{false};     ///< VersionServer::Config::tag_history.
+  /// Adaptive: the coordinator's tracker, copied into its primary and its
+  /// backup.  Empty elsewhere.
+  std::optional<WriteRateTracker> tracker;
+};
+
+/// The client nodes of an assembled fleet, plus its coordinator servers.
+struct VersionFleet {
+  std::vector<ReadClientApi*> readers;
+  std::vector<WriteClientApi*> writers;
+  std::vector<const VersionServer*> coordinators;  ///< primary, then backup.
+};
+
+/// Adds one reader node to the runtime and returns it; `place` is the
+/// fleet's placement and `replicated` whether shards have backups.
+using AddReader = std::function<ReadClientApi*(const Placement& place, bool replicated)>;
+
+/// Registers reader `node` with `rt` and returns it: the usual AddReader body.
+template <typename Reader>
+ReadClientApi* add_reader_node(Runtime& rt, std::unique_ptr<Reader> node) {
+  ReadClientApi* reader = node.get();
+  rt.add_node(std::move(node));
+  return reader;
+}
+
+/// Assembles a VersionServer fleet: validates `cfg` and `spec` (throwing
+/// std::invalid_argument), then registers the servers at node ids [0, s),
+/// `cfg.num_readers` readers through `add_reader`, the CoorWriters, and with
+/// replicas 2 the backups at SystemConfig::backup_node — each with its WAL
+/// and Replicator::Config.
+VersionFleet build_version_fleet(Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg,
+                                 const VersionFleetSpec& spec, const AddReader& add_reader);
+
+/// The registry keys every replicable VersionServer protocol shares:
+/// coordinator, gc_versions, replicas, wal_dir and unsafe_ack.
+template <typename Options>
+void read_fleet_options(const BuildOptions& in, Options& out) {
+  out.coordinator = static_cast<std::size_t>(in.get_int("coordinator", 0));
+  out.gc_versions = in.get_bool("gc_versions", true);
+  out.replicas = static_cast<std::size_t>(in.get_int("replicas", 1));
+  out.wal_dir = in.get("wal_dir", "");
+  out.unsafe_ack = in.get_bool("unsafe_ack", false);
+}
+
+/// The fleet spec of those five settings in a protocol's options struct.
+template <typename Options>
+VersionFleetSpec fleet_spec(const Options& o) {
+  VersionFleetSpec spec;
+  spec.coordinator = o.coordinator;
+  spec.gc_versions = o.gc_versions;
+  spec.replicas = o.replicas;
+  spec.wal_dir = o.wal_dir;
+  spec.unsafe_ack = o.unsafe_ack;
+  return spec;
+}
+
+/// A protocol system over a fleet's reader and writer nodes.
+class VersionSystem final : public ProtocolSystem {
+ public:
+  VersionSystem(std::string name, const SystemConfig& cfg, Runtime& rt, VersionFleet fleet)
+      : ProtocolSystem(std::move(name), cfg, rt), fleet_(std::move(fleet)) {}
+
+  std::size_t num_readers() const override { return fleet_.readers.size(); }
+  std::size_t num_writers() const override { return fleet_.writers.size(); }
+  ReadClientApi& reader(std::size_t i) override { return *fleet_.readers.at(i); }
+  WriteClientApi& writer(std::size_t i) override { return *fleet_.writers.at(i); }
+
+ private:
+  VersionFleet fleet_;
+};
+
+}  // namespace snowkit

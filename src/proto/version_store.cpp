@@ -5,8 +5,6 @@
 #include "common/logging.hpp"
 #include "metrics/gc_stats.hpp"
 #include "proto/api.hpp"
-#include "proto/replica.hpp"
-#include "runtime/runtime.hpp"
 
 namespace snowkit {
 
@@ -217,19 +215,6 @@ std::map<std::size_t, WriteValReq> write_vals_by_shard(
   return by_shard;
 }
 
-bool misrouted(NodeId from, const Message& m, bool is_coordinator) {
-  if (is_coordinator) return false;
-  if (!std::holds_alternative<UpdateCoorReq>(m.payload) &&
-      !std::holds_alternative<GetTagArrReq>(m.payload) &&
-      !std::holds_alternative<FinalizeCoorReq>(m.payload) &&
-      !std::holds_alternative<ReadDoneReq>(m.payload)) {
-    return false;
-  }
-  SNOW_WARN("dropping " << payload_name(m.payload) << " from node " << from
-                        << ": this node is not the coordinator");
-  return true;
-}
-
 std::size_t CoorList::entries() const {
   std::size_t n = 0;
   for (const auto& h : history_) n += h.size();
@@ -255,115 +240,6 @@ void apply_store_record(const ReplRecord& rec, std::map<ObjectId, VersionStore>&
     default:
       SNOW_UNREACHABLE("unknown ReplRecord kind");
   }
-}
-
-namespace {
-
-/// Logs `recs` through `repl` as one batch, or applies them at once without
-/// replication; `on_commit` runs when they are committed.
-template <typename OnCommit>
-void commit_step(std::vector<ReplRecord> recs, std::map<ObjectId, VersionStore>& stores,
-                 std::optional<CoorList>& list, Replicator* repl, OnCommit on_commit) {
-  if (repl != nullptr) {
-    repl->append(std::move(recs), std::move(on_commit));
-    return;
-  }
-  for (const ReplRecord& rec : recs) apply_store_record(rec, stores, list);
-  on_commit();
-}
-
-constexpr auto kNoAck = [] {};
-
-ReplRecord coor_finalize_record(Tag position) {
-  ReplRecord rec;
-  rec.kind = ReplRecord::kCoorFinalize;
-  rec.position = position;
-  return rec;
-}
-
-}  // namespace
-
-bool handle_write_path(Runtime& rt, NodeId self, NodeId from, const Message& m, bool gc,
-                       std::map<ObjectId, VersionStore>& stores, std::optional<CoorList>& list,
-                       Replicator* repl) {
-  if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-    std::vector<ReplRecord> recs(wv->writes.size());
-    WriteValAck ack{wv->key, {}};
-    ack.objs.reserve(wv->writes.size());
-    for (std::size_t i = 0; i < wv->writes.size(); ++i) {
-      recs[i].kind = ReplRecord::kInsert;
-      recs[i].obj = wv->writes[i].first;
-      recs[i].key = wv->key;
-      recs[i].value = wv->writes[i].second;
-      ack.objs.push_back(wv->writes[i].first);
-    }
-    commit_step(std::move(recs), stores, list, repl,
-                [&rt, self, from, txn = m.txn, ack = std::move(ack)]() mutable {
-                  rt.send(self, from, Message{txn, std::move(ack)});
-                });
-    return true;
-  }
-  if (const auto* fin = std::get_if<FinalizeReq>(&m.payload)) {
-    if (fin->coor && !list) {
-      SNOW_WARN("dropping the finalize-coor part of finalize from node "
-                << from << ": this node is not the coordinator");
-    }
-    if (!gc) return true;
-    std::vector<ReplRecord> recs(fin->objs.size());
-    for (std::size_t i = 0; i < fin->objs.size(); ++i) {
-      recs[i].kind = ReplRecord::kFinalize;
-      recs[i].obj = fin->objs[i];
-      recs[i].key = fin->key;
-      recs[i].position = fin->position;
-      recs[i].watermark = fin->watermark;
-    }
-    if (fin->coor && list) recs.push_back(coor_finalize_record(fin->position));
-    commit_step(std::move(recs), stores, list, repl, kNoAck);
-    return true;
-  }
-  if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-    if (gc) commit_step({coor_finalize_record(fc->position)}, stores, list, repl, kNoAck);
-    return true;
-  }
-  if (const auto* rd = std::get_if<ReadDoneReq>(&m.payload)) {
-    // Primary-local even when replicated: reader floors are per-lineage.
-    if (list) list->reader_done(from, rd->txn);
-    return true;
-  }
-  return false;
-}
-
-bool handle_update_coor(Runtime& rt, NodeId self, NodeId from, TxnId txn,
-                        const UpdateCoorReq& uc, std::optional<CoorList>& list,
-                        Replicator* repl) {
-  if (!list->admits(from, uc)) return false;
-  if (repl == nullptr) {
-    const Tag pos = list->push(uc.key, uc.objs);
-    rt.send(self, from, Message{txn, UpdateCoorAck{pos, list->watermark()}});
-    return true;
-  }
-  switch (repl->check_push(from, txn)) {
-    case Replicator::PushStatus::kPending:
-      return false;  // already logged; the commit waiter will ack
-    case Replicator::PushStatus::kCommitted:
-      rt.send(self, from,
-              Message{txn, UpdateCoorAck{repl->committed_position(from), list->watermark()}});
-      return false;
-    case Replicator::PushStatus::kNew:
-      break;
-  }
-  ReplRecord rec;
-  rec.kind = ReplRecord::kListPush;
-  rec.key = uc.key;
-  rec.objs = uc.objs;
-  rec.txn = txn;
-  rec.writer = from;
-  rec.position = repl->next_push_position();
-  const Tag pos = rec.position;
-  repl->append({std::move(rec)}, [&rt, self, from, txn, pos, &list] {
-    rt.send(self, from, Message{txn, UpdateCoorAck{pos, list->watermark()}});
-  });
-  return true;
 }
 
 }  // namespace snowkit

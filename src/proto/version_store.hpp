@@ -1,7 +1,8 @@
 // Shared multi-version storage with read-watermark garbage collection.
 //
-// Two pieces, shared by algorithms B/C, the occ reader's CoorServer and (in
-// spirit) eiger's version chains:
+// Two pieces, kept by proto/version_server.hpp's VersionServer for algo-a,
+// algo-b, algo-c, adaptive and occ-reads (and mirrored in spirit by eiger's
+// version chains):
 //
 //  * VersionStore — one per-object version chain: the `Vals ⊆ K × V_i` set of
 //    the paper's pseudocode (§5.2), extended with finalization metadata and a
@@ -59,8 +60,6 @@
 namespace snowkit {
 
 class Placement;
-class Replicator;
-class Runtime;
 
 /// One object's version chain with watermark GC.  Deterministic: iteration
 /// is in WriteKey order everywhere, so identical op sequences produce
@@ -215,47 +214,11 @@ std::map<std::size_t, WriteValReq> write_vals_by_shard(
     const Placement& place, const WriteKey& key,
     const std::vector<std::pair<ObjectId, Value>>& writes);
 
-/// Wrong-node requests are untrusted input like malformed write sets: true
-/// iff `m` is a coordinator-only request (update-coor, get-tag-arr,
-/// finalize-coor, read-done) and this node is not the coordinator.  Then it
-/// logs a warning, and the server drops the request.  A finalize with its
-/// `coor` flag set is not coordinator-only (its objects are this node's):
-/// handle_write_path drops just the coordinator part.
-bool misrouted(NodeId from, const Message& m, bool is_coordinator);
-
 /// Applies one state mutation — kInsert, kFinalize (finalize + watermark
 /// advance) or kCoorFinalize — to a server's stores and List.  The one place
 /// these records take effect: a replicated server's log (Replicator) and an
-/// unreplicated server's write path (handle_write_path) both land here.
+/// unreplicated server's write path (VersionServer) both land here.
 void apply_store_record(const ReplRecord& rec, std::map<ObjectId, VersionStore>& stores,
                         std::optional<CoorList>& list);
-
-/// The write path every version server shares, replicated or not:
-///  * write-val: insert each listed object's version, then ack the set;
-///  * finalize: finalize + watermark-advance each listed object and, when
-///    `coor` is set, the coordinator's finalize (G bump) too;
-///  * finalize-coor: the coordinator's finalize alone;
-///  * read-done: floor deregistration.
-/// Each message becomes the ReplRecords it implies.  With `repl` they ride
-/// the replicated log as one batch and the write-val ack waits for its
-/// commit; with `repl` == nullptr they apply at once.  Returns true when `m`
-/// was one of these, false for the caller to dispatch further.  With `gc`
-/// off the finalize notices are ignored (keep-everything mode).  The caller
-/// has already dropped misrouted() requests; a finalize whose `coor` reaches
-/// a node without a List still finalizes its objects, and its coordinator
-/// part is dropped with a warning.
-bool handle_write_path(Runtime& rt, NodeId self, NodeId from, const Message& m, bool gc,
-                       std::map<ObjectId, VersionStore>& stores, std::optional<CoorList>& list,
-                       Replicator* repl);
-
-/// update-coor at the coordinator (which owns `list`): drops what admits()
-/// refuses, lists the WRITE and acks its position with the watermark.  With
-/// `repl` the push rides the replicated log and the ack waits for its
-/// commit; a writer re-routed by a takeover re-sends its update-coor, which
-/// is deduplicated by (writer, txn) — re-acked if the old lineage's listing
-/// survived, never listed twice.  Returns true iff a new WRITE was listed.
-bool handle_update_coor(Runtime& rt, NodeId self, NodeId from, TxnId txn,
-                        const UpdateCoorReq& uc, std::optional<CoorList>& list,
-                        Replicator* repl);
 
 }  // namespace snowkit

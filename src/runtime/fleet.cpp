@@ -22,17 +22,13 @@ std::size_t FleetConfig::owner_of(NodeId node) const {
     // S goes to server process s*P/S.
     return static_cast<std::size_t>(node) * sprocs / shards;
   }
-  if (replicas == 2) {
-    // Backup nodes are registered AFTER the clients (build_algo_b/c), at ids
-    // [base, base + shards).  The backup of shard s lives on the server
+  if (replicas == 2 && node >= system.backup_node(0) && node < system.backup_node(shards)) {
+    // The backup of shard s (SystemConfig::backup_node) lives on the server
     // process AFTER s's primary (cyclically) — validate() requires >= 2
     // server processes, so primary and backup never share a process and one
     // SIGKILL never takes both copies of a shard.
-    const std::size_t base = shards + system.num_readers + system.num_writers;
-    if (node >= base && node < base + shards) {
-      const std::size_t s = node - base;
-      return (s * sprocs / shards + 1) % sprocs;
-    }
+    const std::size_t s = node - system.backup_node(0);
+    return (s * sprocs / shards + 1) % sprocs;
   }
   return client_index();
 }
@@ -202,7 +198,7 @@ FleetConfig parse_fleet_text(const std::string& text) {
   fleet.processes = std::move(servers);
   fleet.processes.push_back(clients.front());
   // Protocol factories only see BuildOptions, so the replicas line mirrors
-  // itself there (build_algo_b/c read it back); fleet_text skips the mirror
+  // itself there (the protocol builders read it back); fleet_text skips the mirror
   // so the round-trip stays one `replicas` line.
   if (fleet.replicas == 2) fleet.options.set("replicas", std::int64_t{2});
   fleet.validate();

@@ -497,6 +497,91 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
   server.rt->stop();
 }
 
+TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
+  SKIP_WITHOUT_TRANSPORT();
+  // Frames that decode fine but that no algo-b reader sends: a read-val for
+  // a key the server never stored, a read-vals (algo-c's request), a tag
+  // array (a reply) and an eiger read.  The server must answer the first
+  // with found == false, may serve the read-vals, must drop the rest, and
+  // must then still serve a real workload.
+  const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
+  FleetProc server;
+  server.build(fleet, 0);
+  server.rt->start();
+  const NodeId other = 1, reader = 2;  // server 1 is not the coordinator
+  ASSERT_TRUE(server.rt->owns(other));
+  ASSERT_EQ(server.rt->owner_of(reader), fleet.client_index());
+
+  const int fd = raw_connect(fleet.processes[0].port);
+  ASSERT_GE(fd, 0);
+  const WriteKey absent{42, 7};
+  std::vector<std::uint8_t> bytes;
+  net::append_hello(bytes, fleet.client_index());
+  net::append_msg(bytes, reader, other, Message{1, ReadValReq{1, absent, 0}});
+  net::append_msg(bytes, reader, other, Message{1, ReadValsReq{1}});
+  net::append_msg(bytes, reader, other, Message{1, GetTagArrResp{}});
+  net::append_msg(bytes, reader, other, Message{1, EigerReadReq{1, 3}});
+  // A read-val behind them: its answer proves the server consumed them all
+  // (one link's frames are handled in order) and is still alive.
+  net::append_msg(bytes, reader, other, Message{2, ReadValReq{1, kInitialKey, 0}});
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+
+  std::vector<ReadValResp> read_vals;
+  int others = 0;
+  net::FrameDecoder dec;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (read_vals.size() < 2 && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    std::uint8_t buf[4096];
+    const ssize_t n = ::read(fd, buf, sizeof buf);
+    ASSERT_GT(n, 0) << "the server dropped a well-formed link";
+    dec.feed(buf, static_cast<std::size_t>(n));
+    net::Frame f;
+    while (dec.next(f) == net::FrameDecoder::Status::kFrame) {
+      if (f.type != net::FrameType::kMsg) continue;
+      net::MsgHeader hdr;
+      std::string err;
+      ASSERT_TRUE(net::parse_msg_header(f.body, hdr, err)) << err;
+      const Message m = net::decode_msg_payload(f.body, hdr.payload_offset);
+      if (const auto* rv = std::get_if<ReadValResp>(&m.payload)) {
+        read_vals.push_back(*rv);
+      } else if (!std::holds_alternative<ReadValsResp>(m.payload)) {
+        ++others;
+      }
+    }
+  }
+  ::close(fd);
+  ASSERT_EQ(read_vals.size(), 2u) << "the server stopped answering";
+  EXPECT_EQ(read_vals[0].key, absent);
+  EXPECT_FALSE(read_vals[0].found);
+  EXPECT_EQ(read_vals[1].key, kInitialKey);
+  EXPECT_TRUE(read_vals[1].found);
+  EXPECT_EQ(others, 0) << "the server answered a payload it does not serve";
+
+  FleetProc client;
+  client.build(fleet, fleet.client_index());
+  client.rt->start();
+  client.rt->wait_connected();
+  WorkloadSpec spec;
+  spec.ops_per_reader = 5;
+  spec.ops_per_writer = 5;
+  spec.read_span = 2;
+  spec.write_span = 2;
+  WorkloadDriver driver(*client.rt, *client.sys, spec);
+  driver.start();
+  driver.wait();
+  const History h = client.rec->snapshot();
+  EXPECT_EQ(h.completed_reads(), 5u);
+  EXPECT_EQ(h.completed_writes(), 5u);
+  const auto verdict = check_tag_order(h);
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
+
+  client.rt->broadcast_shutdown();
+  client.rt->stop();
+  server.rt->stop();
+}
+
 TEST(NetRuntime, OversizedHandshakeIsDropped) {
   SKIP_WITHOUT_TRANSPORT();
   // A pre-HELLO peer is untrusted: a valid-looking length prefix trickling

@@ -1,0 +1,116 @@
+// The one version server behind algo-a, algo-b, algo-c, adaptive and
+// occ-reads answers every read request any of them sends, names a key it
+// does not hold with found == false, and drops any payload it does not serve
+// with a warning: nothing a peer sends may abort a server.  Sent on the
+// simulator from a probe node, then a real workload must still pass.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
+
+#include "checker/tag_order.hpp"
+#include "core/registry.hpp"
+#include "core/run_workload.hpp"
+#include "core/system.hpp"
+#include "sim/sim_runtime.hpp"
+
+namespace snowkit {
+namespace {
+
+/// Records every reply a server sends it.
+class Probe final : public Node {
+ public:
+  void on_message(NodeId from, const Message& m) override { got[from].push_back(m.payload); }
+  std::map<NodeId, std::vector<Payload>> got;
+};
+
+/// A key no WRITE of the workload below ever uses.
+const WriteKey kAbsent{99, 99};
+
+/// Every read request type, each naming kAbsent where it names a key, and
+/// payloads no version server serves: replies, another protocol's request and
+/// a C2C message.
+std::vector<Message> hostile_messages(ObjectId obj) {
+  return {
+      Message{1, ReadValReq{obj, kAbsent, 0}},
+      Message{1, ReadValsReq{obj}},
+      Message{1, ReadValBatchReq{0, {{obj, kAbsent}}}},
+      Message{1, ReadValsBatchReq{0, {obj}}},
+      Message{1, ReadValResp{obj, kAbsent, 7, true}},
+      Message{1, GetTagArrResp{}},
+      Message{1, ReadValsBatchResp{}},
+      Message{1, EigerReadReq{obj, 1}},
+      Message{1, InfoReaderReq{kAbsent, {obj}}},
+      Message{1, UpdateCoorAck{1, 0}},
+  };
+}
+
+struct Case {
+  const char* protocol;
+  std::size_t replicas;
+};
+
+TEST(VersionServer, ForeignPayloadsAndAbsentKeysDoNotAbortAnyServer) {
+  for (const Case c : {Case{"algo-a", 1}, Case{"algo-b", 1}, Case{"algo-b", 2},
+                       Case{"algo-c", 1}, Case{"adaptive", 1}, Case{"occ-reads", 1}}) {
+    SCOPED_TRACE(std::string(c.protocol) + " replicas " + std::to_string(c.replicas));
+    SimRuntime sim(make_uniform_delay(10, 4000, 3));
+    HistoryRecorder rec(3);
+    BuildOptions opts;
+    if (c.replicas == 2) opts.set("replicas", std::int64_t{2});
+    auto sys = build_protocol(c.protocol, sim, rec, SystemConfig{3, 1, 2}, opts);
+    auto probe_node = std::make_unique<Probe>();
+    Probe& probe = *probe_node;
+    const NodeId prober = sim.add_node(std::move(probe_node));
+    sim.run_until_idle();  // replica boot
+
+    for (NodeId server = 0; server < sys->num_servers(); ++server) {
+      for (const Message& m : hostile_messages(server)) {
+        sim.post(prober, [&sim, prober, server, m] { sim.send(prober, server, m); });
+      }
+    }
+    sim.run_until_idle();
+
+    // The four read requests are answered (in any order: the network
+    // reorders), misses as found == false; every other payload is dropped
+    // without a reply.
+    for (NodeId server = 0; server < sys->num_servers(); ++server) {
+      SCOPED_TRACE("server " + std::to_string(server));
+      std::map<std::string, const Payload*> by_name;
+      for (const Payload& p : probe.got[server]) by_name[payload_name(p)] = &p;
+      ASSERT_EQ(probe.got[server].size(), 4u);
+      ASSERT_EQ(by_name.size(), 4u);
+      const auto& rv = std::get<ReadValResp>(*by_name.at("read-val-resp"));
+      EXPECT_EQ(rv.key, kAbsent);
+      EXPECT_FALSE(rv.found);
+      const auto& vals = std::get<ReadValsResp>(*by_name.at("read-vals-resp"));
+      ASSERT_EQ(vals.versions.size(), 1u);
+      EXPECT_EQ(vals.versions[0].key, kInitialKey);
+      const auto& batch = std::get<ReadValBatchResp>(*by_name.at("read-val-batch-resp"));
+      ASSERT_EQ(batch.entries.size(), 1u);
+      EXPECT_FALSE(batch.entries[0].found);
+      const auto& prefetch = std::get<ReadValsBatchResp>(*by_name.at("read-vals-batch-resp"));
+      ASSERT_EQ(prefetch.entries.size(), 1u);
+    }
+
+    WorkloadSpec spec;
+    spec.ops_per_reader = 10;
+    spec.ops_per_writer = 6;
+    spec.read_span = 2;
+    spec.write_span = 2;
+    spec.seed = 9;
+    WorkloadDriver driver(sim, *sys, spec);
+    driver.start();
+    sim.run_until_idle();
+    ASSERT_TRUE(driver.done());
+    const History h = rec.snapshot();
+    EXPECT_EQ(h.completed_reads(), 10u);
+    EXPECT_EQ(h.completed_writes(), 12u);
+    const auto verdict = check_tag_order(h);
+    EXPECT_TRUE(verdict.ok) << verdict.explanation;
+  }
+}
+
+}  // namespace
+}  // namespace snowkit
