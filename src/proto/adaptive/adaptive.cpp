@@ -22,113 +22,31 @@ namespace {
 /// latest[obj]), prefetched list, or a batched round-2 fetch.  Whatever the
 /// source, the value served is the one stored under latest[obj], so the
 /// history is exactly what ReaderB would have produced.
-class ReaderAdapt final : public Node, public ReadClientApi {
+class ReaderAdapt final : public ReadClient {
  public:
   ReaderAdapt(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard,
               bool replicated, bool cache_reads, bool broken_cache)
-      : rec_(rec), place_(place), coor_shard_(coor_shard), replicated_(replicated),
-        cache_reads_(cache_reads), broken_cache_(broken_cache), routes_(place.num_servers()) {}
-
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
-    SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
-    SNOW_CHECK(!objs.empty());
-    const TxnId txn = rec_.begin_read(id(), objs);
-    pending_.emplace();
-    pending_->txn = txn;
-    pending_->objs = std::move(objs);
-    pending_->cb = std::move(cb);
-    send_round1();
-  }
-
-  NodeId node_id() const override { return id(); }
-  std::size_t num_objects() const override { return place_.num_objects(); }
+      : ReadClient(rec, place, replicated, /*may_retry=*/replicated), coor_shard_(coor_shard),
+        cache_reads_(cache_reads), broken_cache_(broken_cache) {}
 
   const AdaptiveStats& stats() const { return stats_; }
 
-  void on_message(NodeId from, const Message& m) override {
-    if (const auto* tn = std::get_if<TakeoverNotice>(&m.payload)) {
-      on_takeover(*tn);
-      return;
-    }
-    if (const auto* ta = std::get_if<AdaptTagArrResp>(&m.payload)) {
-      if (replicated_) {
-        // Tolerate stale and duplicate responses (failover retries): only
-        // the first tag array per attempt drives this round.
-        if (!pending_ || pending_->txn != m.txn || pending_->have_tag_arr) return;
-      } else {
-        SNOW_CHECK(pending_ && pending_->txn == m.txn);
-      }
-      on_tag_arr(from, *ta);
-      return;
-    }
-    if (const auto* pf = std::get_if<ReadValsBatchResp>(&m.payload)) {
-      if (!pending_ || pending_->txn != m.txn) return;
-      // Any snapshot is safe to consume, even from a superseded attempt:
-      // resolution only ever serves the value stored under latest[obj], and
-      // keys name immutable versions.  A stale list missing the key just
-      // sends that object to round 2.
-      for (const ObjectVersions& e : pf->entries) {
-        pending_->max_versions =
-            std::max(pending_->max_versions, static_cast<int>(e.versions.size()));
-        pending_->prefetched[e.obj] = e.versions;
-      }
-      if (pending_->prefetch_outstanding > 0) --pending_->prefetch_outstanding;
-      if (pending_->have_tag_arr) {
-        resolve_prefetched();
-        maybe_send_round2();
-        maybe_complete();
-      }
-      return;
-    }
-    if (const auto* rb = std::get_if<ReadValBatchResp>(&m.payload)) {
-      if (!pending_ || pending_->txn != m.txn) return;
-      for (const BatchReadResult& e : rb->entries) {
-        const auto it = pending_->want.find(e.obj);
-        if (it == pending_->want.end() || !(it->second == e.key)) continue;  // stale attempt
-        if (!e.found) {
-          if (replicated_) {
-            // GC raced the failover past our key: restart from the coordinator.
-            restart_round();
-            return;
-          }
-          SNOW_CHECK_MSG(e.found, "adaptive requested a watermark-protected key; it must exist");
-        }
-        pending_->got[e.obj] = e.value;
-      }
-      maybe_complete();
-      return;
-    }
-    SNOW_UNREACHABLE("adaptive reader got unexpected payload");
-  }
-
  private:
-  struct Pending {
-    TxnId txn{kInvalidTxn};
-    std::vector<ObjectId> objs;
-    ReadCallback cb;
-    bool have_tag_arr{false};
-    Tag tag{0};
-    Tag watermark{0};
-    std::map<ObjectId, WriteKey> want;  ///< this attempt's target keys.
-    std::map<ObjectId, Value> got;
-    std::map<ObjectId, std::vector<Version>> prefetched;
-    std::size_t prefetch_outstanding{0};
-    bool round2_sent{false};
-    int attempts{1};
-    int rounds{1};       ///< accumulated client send-waves, for finish_read.
-    int max_versions{1};
-  };
-
-  void send_round1() {
-    pending_->have_tag_arr = false;
-    pending_->want.clear();
-    pending_->got.clear();
-    pending_->prefetched.clear();
-    pending_->prefetch_outstanding = 0;
-    pending_->round2_sent = false;
-    GetTagArrReq req = tag_arr_req(pending_->objs);
+  void attempt() override {
+    if (attempts() == 1) {  // a new READ
+      rounds_ = 0;
+      max_versions_ = 1;
+    }
+    ++rounds_;
+    have_tag_arr_ = false;
+    want_.clear();
+    got_.clear();
+    prefetched_.clear();
+    prefetch_outstanding_ = 0;
+    round2_sent_ = false;
+    GetTagArrReq req = tag_arr_req(objs());
     req.mode_epoch = modes_.epoch();
-    send(routes_.node_of(coor_shard_), Message{pending_->txn, std::move(req)});
+    send(route(coor_shard_), Message{txn(), std::move(req)});
     // Prefetch (one batched frame per server shard): C-mode objects always —
     // their write rate says any cache entry is probably stale — and, when the
     // cache is on, objects with NO cache entry, since those are certain to
@@ -136,31 +54,73 @@ class ReaderAdapt final : public Node, public ReadClientApi {
     // mode table thus governs exactly the contested case: a cached object
     // whose proof may or may not hold at the tag array.
     std::map<std::size_t, ReadValsBatchReq> by_shard;
-    for (ObjectId obj : pending_->objs) {
+    for (ObjectId obj : objs()) {
       const bool uncached = cache_reads_ && cache_.find(obj) == cache_.end();
       if (!modes_.c_mode(obj) && !uncached) continue;
-      auto& batch = by_shard[place_.shard_of(obj)];
+      auto& batch = by_shard[place().shard_of(obj)];
       batch.watermark = last_watermark_;
       batch.objs.push_back(obj);
     }
     for (auto& [shard, batch] : by_shard) {
-      send(routes_.node_of(shard), Message{pending_->txn, std::move(batch)});
-      ++pending_->prefetch_outstanding;
+      send(route(shard), Message{txn(), std::move(batch)});
+      ++prefetch_outstanding_;
     }
   }
 
+  bool on_reply(NodeId from, const Message& m) override {
+    if (const auto* ta = std::get_if<AdaptTagArrResp>(&m.payload)) {
+      // Only the first tag array per attempt drives this round; later ones
+      // are duplicates or a superseded attempt's (failover retries).
+      if (!have_tag_arr_) on_tag_arr(from, *ta);
+      return true;
+    }
+    if (const auto* pf = std::get_if<ReadValsBatchResp>(&m.payload)) {
+      // Any snapshot is safe to consume, even from a superseded attempt:
+      // resolution only ever serves the value stored under latest[obj], and
+      // keys name immutable versions.  A stale list missing the key just
+      // sends that object to round 2.
+      for (const ObjectVersions& e : pf->entries) {
+        max_versions_ = std::max(max_versions_, static_cast<int>(e.versions.size()));
+        prefetched_[e.obj] = e.versions;
+      }
+      if (prefetch_outstanding_ > 0) --prefetch_outstanding_;
+      if (have_tag_arr_) {
+        resolve_prefetched();
+        maybe_send_round2();
+        maybe_complete();
+      }
+      return true;
+    }
+    if (const auto* rb = std::get_if<ReadValBatchResp>(&m.payload)) {
+      for (const BatchReadResult& e : rb->entries) {
+        const auto it = want_.find(e.obj);
+        if (it == want_.end() || !(it->second == e.key)) continue;  // stale attempt
+        if (!e.found) {
+          // Only a failover can race GC past a watermark-protected key:
+          // restart from the coordinator.
+          retry("adaptive requested a watermark-protected key that is gone");
+          return true;
+        }
+        got_[e.obj] = e.value;
+      }
+      maybe_complete();
+      return true;
+    }
+    return false;
+  }
+
   void on_tag_arr(NodeId from, const AdaptTagArrResp& ta) {
-    pending_->have_tag_arr = true;
-    pending_->tag = ta.tag;
-    pending_->watermark = ta.watermark;
+    have_tag_arr_ = true;
+    tag_ = ta.tag;
+    watermark_ = ta.watermark;
     last_watermark_ = std::max(last_watermark_, ta.watermark);
     // Epoch fence (ModeView::adopt): a held/reordered response can't roll
     // modes back.  Only the current coordinator's answers count: a straggler
     // from a deposed lineage is a delta against a table we reset.
-    if (from == routes_.node_of(coor_shard_)) modes_.adopt(ta);
-    for (ObjectId obj : pending_->objs) {
+    if (from == route(coor_shard_)) modes_.adopt(ta);
+    for (ObjectId obj : objs()) {
       const WriteKey& key = tag_entry(ta.entries, obj).latest;
-      pending_->want[obj] = key;
+      want_[obj] = key;
       if (cache_reads_ || broken_cache_) {
         const auto it = cache_.find(obj);
         // The freshness proof: the cached key must BE the per-object newest
@@ -169,7 +129,7 @@ class ReaderAdapt final : public Node, public ReadClientApi {
         // object's server would return for latest[obj].  broken_cache skips
         // the proof — the planted stale-read bug.
         if (it != cache_.end() && (broken_cache_ || it->second.key == key)) {
-          pending_->got[obj] = it->second.value;
+          got_[obj] = it->second.value;
           ++stats_.cache_hits;
           continue;
         }
@@ -182,14 +142,14 @@ class ReaderAdapt final : public Node, public ReadClientApi {
   }
 
   void resolve_prefetched() {
-    for (const auto& [obj, versions] : pending_->prefetched) {
-      if (pending_->got.count(obj) != 0) continue;
-      const auto wit = pending_->want.find(obj);
-      if (wit == pending_->want.end()) continue;
+    for (const auto& [obj, versions] : prefetched_) {
+      if (got_.count(obj) != 0) continue;
+      const auto wit = want_.find(obj);
+      if (wit == want_.end()) continue;
       const auto it = std::find_if(versions.begin(), versions.end(),
                                    [&](const Version& v) { return v.key == wit->second; });
       if (it == versions.end()) continue;  // write-val raced the listing: round 2
-      pending_->got[obj] = it->value;
+      got_[obj] = it->value;
       ++stats_.prefetch_resolved;
     }
   }
@@ -197,34 +157,22 @@ class ReaderAdapt final : public Node, public ReadClientApi {
   void maybe_send_round2() {
     // Wait for every round-1 prefetch before deciding: a list that is about
     // to arrive usually resolves its objects for free.
-    if (pending_->round2_sent || pending_->prefetch_outstanding > 0) return;
+    if (round2_sent_ || prefetch_outstanding_ > 0) return;
     std::map<std::size_t, ReadValBatchReq> by_shard;
-    for (ObjectId obj : pending_->objs) {
-      if (pending_->got.count(obj) != 0) continue;
-      auto& batch = by_shard[place_.shard_of(obj)];
-      batch.watermark = pending_->watermark;
-      batch.entries.push_back({obj, pending_->want.at(obj)});
+    for (ObjectId obj : objs()) {
+      if (got_.count(obj) != 0) continue;
+      auto& batch = by_shard[place().shard_of(obj)];
+      batch.watermark = watermark_;
+      batch.entries.push_back({obj, want_.at(obj)});
       ++stats_.round2_objects;
     }
     if (by_shard.empty()) return;
-    pending_->round2_sent = true;
-    ++pending_->rounds;
-    for (auto& [shard, batch] : by_shard) {
-      send(routes_.node_of(shard), Message{pending_->txn, std::move(batch)});
-    }
+    round2_sent_ = true;
+    ++rounds_;
+    for (auto& [shard, batch] : by_shard) send(route(shard), Message{txn(), std::move(batch)});
   }
 
-  void restart_round() {
-    // Same give-up discipline as ReaderB: a correct fleet converges in a
-    // handful of attempts; exhausting the budget surfaces as a liveness
-    // conviction rather than a harness crash.
-    if (++pending_->attempts >= 100) return;
-    ++pending_->rounds;
-    send_round1();
-  }
-
-  void on_takeover(const TakeoverNotice& tn) {
-    if (!routes_.update(tn.shard, tn.node, tn.epoch)) return;
+  void on_takeover(const TakeoverNotice& tn) override {
     // The cache invariant: no entry survives a TakeoverNotice epoch bump.
     // (The key-match proof alone already makes surviving entries safe; the
     // wipe keeps failover reasoning local and is what the property test
@@ -236,55 +184,52 @@ class ReaderAdapt final : public Node, public ReadClientApi {
       // fence must too.
       modes_.reset();
     }
-    if (!pending_) return;
-    restart_round();
+    if (in_flight()) retry("a shard failed over");
   }
 
   void maybe_complete() {
-    if (!pending_->have_tag_arr || pending_->got.size() != pending_->objs.size()) return;
+    if (!have_tag_arr_ || got_.size() != objs().size()) return;
     // Deregister from watermark accounting (fire-and-forget, sender-keyed).
-    send(routes_.node_of(coor_shard_), Message{kInvalidTxn, ReadDoneReq{pending_->txn}});
-    ReadResult result;
-    result.txn = pending_->txn;
-    for (ObjectId obj : pending_->objs) {
-      const Value v = pending_->got.at(obj);
-      result.values.emplace_back(obj, v);
-      if (cache_reads_ || broken_cache_) cache_[obj] = Version{pending_->want.at(obj), v};
+    send(route(coor_shard_), Message{kInvalidTxn, ReadDoneReq{txn()}});
+    std::vector<std::pair<ObjectId, Value>> values;
+    for (ObjectId obj : objs()) {
+      const Value v = got_.at(obj);
+      values.emplace_back(obj, v);
+      if (cache_reads_ || broken_cache_) cache_[obj] = Version{want_.at(obj), v};
     }
     ++stats_.reads;
-    if (pending_->rounds == 1) ++stats_.one_round_reads;
-    rec_.finish_read(pending_->txn, result.values, pending_->tag, pending_->rounds,
-                     pending_->max_versions);
-    auto cb = std::move(pending_->cb);
-    pending_.reset();
-    cb(result);
+    if (rounds_ == 1) ++stats_.one_round_reads;
+    finish(std::move(values), tag_, rounds_, max_versions_);
   }
 
-  HistoryRecorder& rec_;
-  Placement place_;
   std::size_t coor_shard_;
-  bool replicated_;
   bool cache_reads_;
   bool broken_cache_;
-  ShardRoutes routes_;
   ModeView modes_;  ///< adopted per-object fetch modes.
   Tag last_watermark_{0};
   std::map<ObjectId, Version> cache_;  ///< (key, value) per object.
   AdaptiveStats stats_;
-  std::optional<Pending> pending_;
+  // The READ in flight: rounds (client send-waves, for finish_read) and the
+  // largest prefetched list span its attempts; the rest is per attempt.
+  int rounds_{0};
+  int max_versions_{1};
+  bool have_tag_arr_{false};
+  Tag tag_{0};
+  Tag watermark_{0};
+  std::map<ObjectId, WriteKey> want_;  ///< this attempt's target keys.
+  std::map<ObjectId, Value> got_;
+  std::map<ObjectId, std::vector<Version>> prefetched_;
+  std::size_t prefetch_outstanding_{0};
+  bool round2_sent_{false};
 };
 
 class SystemAdapt final : public AdaptiveSystem {
  public:
   SystemAdapt(std::string name, const SystemConfig& cfg, Runtime& rt,
               std::vector<const ReaderAdapt*> readers, VersionFleet fleet)
-      : AdaptiveSystem(std::move(name), cfg, rt), adapt_readers_(std::move(readers)),
-        fleet_(std::move(fleet)) {}
-
-  std::size_t num_readers() const override { return fleet_.readers.size(); }
-  std::size_t num_writers() const override { return fleet_.writers.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *fleet_.readers.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *fleet_.writers.at(i); }
+      : AdaptiveSystem(std::move(name), cfg, rt, std::move(fleet.readers),
+                       std::move(fleet.writers)),
+        adapt_readers_(std::move(readers)), coordinators_(std::move(fleet.coordinators)) {}
 
   AdaptiveStats stats() const override {
     AdaptiveStats total;
@@ -298,13 +243,13 @@ class SystemAdapt final : public AdaptiveSystem {
       total.prefetch_resolved += s.prefetch_resolved;
       total.round2_objects += s.round2_objects;
     }
-    for (const VersionServer* c : fleet_.coordinators) total.switches += c->tracker()->switches();
+    for (const VersionServer* c : coordinators_) total.switches += c->tracker()->switches();
     return total;
   }
 
  private:
-  std::vector<const ReaderAdapt*> adapt_readers_;  ///< fleet_.readers, typed.
-  VersionFleet fleet_;
+  std::vector<const ReaderAdapt*> adapt_readers_;  ///< the readers, typed.
+  std::vector<const VersionServer*> coordinators_;
 };
 
 const ProtocolRegistration kRegisterAdaptive{
@@ -438,7 +383,7 @@ std::unique_ptr<ProtocolSystem> build_adaptive(Runtime& rt, HistoryRecorder& rec
         auto node = std::make_unique<ReaderAdapt>(rec, place, opts.coordinator, replicated,
                                                   opts.cache_reads, opts.broken_cache);
         readers.push_back(node.get());
-        return add_reader_node(rt, std::move(node));
+        return node;
       });
   return std::make_unique<SystemAdapt>(opts.name, cfg, rt, std::move(readers), std::move(fleet));
 }

@@ -45,6 +45,9 @@ TxnRequest write_txn(std::vector<std::pair<ObjectId, Value>> writes) {
 }
 
 void check_txn_objects(const TxnRequest& req, std::size_t num_objects) {
+  if (req.reads.empty() && req.writes.empty()) {
+    throw std::invalid_argument("a READ or WRITE must name at least one object");
+  }
   std::vector<ObjectId> objs = req.reads;
   for (const auto& [obj, value] : req.writes) objs.push_back(obj);
   const char* what = req.is_read() ? "READ" : "WRITE";
@@ -60,6 +63,88 @@ void check_txn_objects(const TxnRequest& req, std::size_t num_objects) {
     throw std::invalid_argument(std::string(what) + " names object " + std::to_string(*dup) +
                                 " more than once");
   }
+}
+
+// --- client nodes -------------------------------------------------------------
+
+ClientNode::ClientNode(HistoryRecorder& rec, const Placement& place, bool replicated,
+                       const char* kind)
+    : rec_(rec), place_(place), replicated_(replicated), kind_(kind),
+      routes_(place.num_servers()) {}
+
+void ClientNode::on_message(NodeId from, const Message& m) {
+  if (const auto* tn = std::get_if<TakeoverNotice>(&m.payload)) {
+    if (!replicated_) {
+      drop(LogLevel::Warn, from, m, "this fleet has no backups");
+    } else if (routes_.update(tn->shard, tn->node, tn->epoch)) {
+      on_takeover(*tn);
+    }
+    return;
+  }
+  if (on_peer(from, m)) return;
+  if (!in_flight() || m.txn != txn_) {
+    drop(m.txn <= newest_txn_ ? LogLevel::Debug : LogLevel::Warn, from, m,
+         in_flight() ? "it names another transaction" : "no transaction is in flight");
+    return;
+  }
+  if (!on_reply(from, m)) drop(LogLevel::Warn, from, m, "it is not a reply this protocol expects");
+}
+
+void ClientNode::drop(LogLevel level, NodeId from, const Message& m, const char* why) const {
+  SNOW_LOG(level, kind_ << " client " << id() << " dropping " << payload_name(m.payload)
+                        << " (txn " << m.txn << ") from node " << from << ": " << why);
+}
+
+ReadClient::ReadClient(HistoryRecorder& rec, const Placement& place, bool replicated,
+                       bool may_retry)
+    : ClientNode(rec, place, replicated, "READ"), may_retry_(may_retry) {}
+
+void ReadClient::read(std::vector<ObjectId> objs, ReadCallback cb) {
+  SNOW_CHECK_MSG(!in_flight(), "reader " << id() << " already has a READ in flight");
+  SNOW_CHECK(!objs.empty());
+  order(objs);
+  begin(rec().begin_read(id(), objs));
+  objs_ = std::move(objs);
+  cb_ = std::move(cb);
+  attempts_ = 1;
+  attempt();
+}
+
+void ReadClient::retry(const char* why) {
+  SNOW_CHECK_MSG(may_retry_, "reader " << id() << ": " << why << ", and no retry is legal here");
+  if (attempts_ >= kMaxReadAttempts) return;  // given up: the READ stays unanswered
+  ++attempts_;
+  attempt();
+}
+
+void ReadClient::finish(std::vector<std::pair<ObjectId, Value>> values, Tag tag, int rounds,
+                        int max_versions) {
+  ReadResult result{txn(), std::move(values)};
+  rec().finish_read(result.txn, result.values, tag, rounds, max_versions);
+  ReadCallback cb = std::move(cb_);
+  end();
+  cb(result);
+}
+
+WriteClient::WriteClient(HistoryRecorder& rec, const Placement& place, bool replicated)
+    : ClientNode(rec, place, replicated, "WRITE") {}
+
+void WriteClient::write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) {
+  SNOW_CHECK_MSG(!in_flight(), "writer " << id() << " already has a WRITE in flight");
+  SNOW_CHECK(!writes.empty());
+  order(writes);
+  begin(rec().begin_write(id(), writes));
+  writes_ = std::move(writes);
+  cb_ = std::move(cb);
+  start();
+}
+
+void WriteClient::finish(Tag tag, int rounds) {
+  rec().finish_write(txn(), tag, rounds);
+  const WriteResult result{txn()};
+  WriteCallback cb = std::move(cb_);
+  end();
+  cb(result);
 }
 
 // --- unified-client hub -------------------------------------------------------
@@ -89,8 +174,8 @@ struct ProtocolSystem::ClientHub {
     ClientHub* hub{nullptr};
     ClientSlot* read_slot{nullptr};    // null when the system has no readers
     ClientSlot* write_slot{nullptr};   // null when the system has no writers
-    ReadClientApi* reader{nullptr};
-    WriteClientApi* writer{nullptr};
+    ReadClient* reader{nullptr};
+    WriteClient* writer{nullptr};
 
     void submit(TxnRequest req, TxnCallback cb) override {
       SNOW_CHECK_MSG(req.reads.empty() != req.writes.empty(),
@@ -155,8 +240,10 @@ struct ProtocolSystem::ClientHub {
   std::vector<std::unique_ptr<UnifiedClient>> clients;
 };
 
-ProtocolSystem::ProtocolSystem(std::string name, const SystemConfig& cfg, Runtime& rt)
-    : name_(std::move(name)), cfg_(cfg), placement_(cfg), rt_(rt) {}
+ProtocolSystem::ProtocolSystem(std::string name, const SystemConfig& cfg, Runtime& rt,
+                               std::vector<ReadClient*> readers, std::vector<WriteClient*> writers)
+    : name_(std::move(name)), cfg_(cfg), placement_(cfg), rt_(rt), readers_(std::move(readers)),
+      writers_(std::move(writers)) {}
 
 ProtocolSystem::~ProtocolSystem() = default;
 
@@ -196,14 +283,14 @@ TxnClient& ProtocolSystem::client(std::size_t i) {
   return *hub_->clients[i];
 }
 
-void invoke_read(Runtime& rt, ReadClientApi& client, std::vector<ObjectId> objs, ReadCallback cb) {
+void invoke_read(Runtime& rt, ReadClient& client, std::vector<ObjectId> objs, ReadCallback cb) {
   check_txn_objects(read_txn(objs), client.num_objects());
   rt.post(client.node_id(), [&client, objs = std::move(objs), cb = std::move(cb)]() mutable {
     client.read(std::move(objs), std::move(cb));
   });
 }
 
-void invoke_write(Runtime& rt, WriteClientApi& client,
+void invoke_write(Runtime& rt, WriteClient& client,
                   std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) {
   check_txn_objects(write_txn(writes), client.num_objects());
   rt.post(client.node_id(), [&client, writes = std::move(writes), cb = std::move(cb)]() mutable {

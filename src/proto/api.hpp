@@ -6,11 +6,15 @@
 // optionally fewer servers with objects sharded across them via an
 // ObjectPlacement policy), some read-clients and some write-clients.
 //
-// Transactions are invoked through the unified TxnClient::submit API — a
-// TxnRequest carries either a read-set or a write-set — or through the
-// legacy ReadClientApi / WriteClientApi, which remain as thin shims during
-// migration.  Completion is delivered via callback on the client's executor
-// and recorded in the shared HistoryRecorder.
+// The read- and write-clients are nodes on the ReadClient / WriteClient
+// bases below, which own the transaction state machine every protocol
+// repeats; a protocol supplies only its sends, its reply handling and its
+// cut choice.  Drivers submit transactions through the unified
+// TxnClient::submit — a TxnRequest carries either a read-set or a write-set
+// — which queues onto those nodes; scripted schedules that need per-node
+// control call invoke_read / invoke_write on a node directly.  Completion is
+// delivered via callback on the client's executor and recorded in the
+// shared HistoryRecorder.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "history/history.hpp"
 #include "runtime/runtime.hpp"
@@ -154,46 +159,205 @@ class TxnClient {
   virtual void submit(TxnRequest req, TxnCallback cb) = 0;
 };
 
-// --- legacy split client interfaces (deprecated shims) -----------------------
+// --- client nodes -------------------------------------------------------------
 
-/// A read-client: executes only READ transactions (paper §2).
-/// Deprecated: prefer TxnClient via ProtocolSystem::client().
-class ReadClientApi {
+/// The attempts a READ may make before its reader gives up.  A correct fleet
+/// converges in a handful (one per failover or GC race); exhausting the
+/// budget means the List names a version no shard holds — e.g. the
+/// broken-lostack stub losing an acknowledged insert.  The READ then stays
+/// unanswered, which the oracle convicts as a liveness violation, instead of
+/// retrying forever or aborting the client.
+inline constexpr int kMaxReadAttempts = 100;
+
+/// Each client's view of which node serves each shard, ordered by epoch so
+/// reordered TakeoverNotices can never re-route backwards.  Per-client by
+/// value (never shared): every client node updates its own copy from the
+/// notices it receives on its own executor.
+class ShardRoutes {
  public:
-  virtual ~ReadClientApi() = default;
+  explicit ShardRoutes(std::size_t num_shards) {
+    entries_.resize(num_shards);
+    for (std::size_t s = 0; s < num_shards; ++s) entries_[s].node = static_cast<NodeId>(s);
+  }
 
+  NodeId node_of(std::size_t shard) const { return entries_.at(shard).node; }
+
+  /// Applies a takeover if its epoch is newer; returns whether it was.
+  bool update(std::size_t shard, NodeId node, std::uint64_t epoch) {
+    if (shard >= entries_.size()) return false;
+    Entry& e = entries_[shard];
+    if (epoch <= e.epoch) return false;
+    e.node = node;
+    e.epoch = epoch;
+    return true;
+  }
+
+ private:
+  struct Entry {
+    NodeId node{kInvalidNode};
+    std::uint64_t epoch{0};
+  };
+  std::vector<Entry> entries_;
+};
+
+/// What the read and write client bases share: one transaction in flight at
+/// a time (the paper's well-formedness), the shard routes, and the one
+/// on_message every protocol's client runs.  That on_message routes a
+/// TakeoverNotice to the shard routes (only on a replicated fleet, and calls
+/// on_takeover only when the epoch advances), offers every message to
+/// on_peer, and hands a reply to on_reply only when it names the
+/// transaction in flight.  Anything else is dropped with a warning, so no
+/// reply a peer sends — foreign, out of turn or naming another txn — can
+/// abort a client.  TxnIds grow, so a reply naming a txn older than the
+/// client's newest is a straggler of its own past (a superseded attempt's,
+/// or a prefetch an adaptive READ finished without, which is routine) and is
+/// dropped at debug level.  Invariant checks stay on in-turn replies: a
+/// reply forged with the matching txn can still trip them.
+class ClientNode : public Node {
+ public:
+  NodeId node_id() const { return id(); }
+  /// The system's object count k (ids are [0, k)).
+  std::size_t num_objects() const { return place_.num_objects(); }
+
+  void on_message(NodeId from, const Message& m) final;
+
+ protected:
+  ClientNode(HistoryRecorder& rec, const Placement& place, bool replicated, const char* kind);
+
+  /// A reply naming the transaction in flight; false if it is none of this
+  /// protocol's replies.  A reply the protocol recognises but ignores (a
+  /// duplicate, a superseded attempt's) returns true.
+  virtual bool on_reply(NodeId from, const Message& m) = 0;
+  /// Any message, before the txn filter, for traffic not tied to the
+  /// transaction in flight (algo-a's info-reader); true if consumed.
+  virtual bool on_peer(NodeId /*from*/, const Message& /*m*/) { return false; }
+  /// Shard `tn.shard` now routes to `tn.node` at a newer epoch.
+  virtual void on_takeover(const TakeoverNotice& /*tn*/) {}
+
+  bool in_flight() const { return txn_ != kInvalidTxn; }
+  /// The transaction in flight (kInvalidTxn when idle).
+  TxnId txn() const { return txn_; }
+  const Placement& place() const { return place_; }
+  HistoryRecorder& rec() const { return rec_; }
+  /// The node serving shard `shard` (its primary's successor after takeovers).
+  NodeId route(std::size_t shard) const { return routes_.node_of(shard); }
+  /// The node serving `obj`'s shard.
+  NodeId server_of(ObjectId obj) const { return route(place_.shard_of(obj)); }
+
+  void begin(TxnId txn) { txn_ = newest_txn_ = txn; }
+  void end() { txn_ = kInvalidTxn; }
+
+ private:
+  void drop(LogLevel level, NodeId from, const Message& m, const char* why) const;
+
+  HistoryRecorder& rec_;
+  Placement place_;
+  bool replicated_;
+  const char* kind_;  ///< "READ" or "WRITE", for the drop warnings.
+  ShardRoutes routes_;
+  TxnId txn_{kInvalidTxn};
+  TxnId newest_txn_{0};  ///< the last transaction begun (TxnIds start at 1).
+};
+
+/// A read-client node: executes only READ transactions (paper §2).  Scripted
+/// per-node schedules (src/theory, the fig1a bench, tests) drive a reader
+/// directly through invoke_read; TxnClient's hub queues onto the same nodes.
+///
+/// The base owns the READ's state machine; a protocol's reader supplies
+/// attempt() (an attempt's round-1 sends), on_reply() (reply handling and
+/// the cut choice) and, as it needs them, on_takeover() and on_peer(), and
+/// ends the READ with finish().
+class ReadClient : public ClientNode {
+ public:
   /// Invokes R(o_{i1}..o_{iq}).  Must be called on the client's executor
-  /// (use invoke_read below from driver code).  One outstanding transaction
-  /// per client (well-formedness).
-  virtual void read(std::vector<ObjectId> objs, ReadCallback cb) = 0;
+  /// (use invoke_read below from driver code) with no READ in flight.
+  void read(std::vector<ObjectId> objs, ReadCallback cb);
 
-  virtual NodeId node_id() const = 0;
-  /// The system's object count k (ids are [0, k)).
-  virtual std::size_t num_objects() const = 0;
+ protected:
+  /// `replicated`: shards have backups, so TakeoverNotices re-route them.
+  /// `may_retry`: a READ may legally re-run its attempt (a failover or a GC
+  /// race can defeat one); otherwise retry() is a checked failure.
+  ReadClient(HistoryRecorder& rec, const Placement& place, bool replicated = false,
+             bool may_retry = false);
+
+  /// Sends one attempt's round 1 for the READ in flight, resetting the
+  /// attempt's state.  Runs at invocation (attempts() == 1, where per-READ
+  /// state resets too) and on every retry().
+  virtual void attempt() = 0;
+  /// Puts the READ's objects in the order it begins with; blocking-2pl
+  /// sorts them (its lock order).  The identity by default.
+  virtual void order(std::vector<ObjectId>& /*objs*/) {}
+
+  const std::vector<ObjectId>& objs() const { return objs_; }
+  /// This READ's attempts so far, counting the current one.
+  int attempts() const { return attempts_; }
+
+  /// Re-runs attempt() for the READ in flight, within kMaxReadAttempts.
+  /// `why` says what defeated the attempt, for the check when no retry is
+  /// legal.
+  void retry(const char* why);
+
+  /// Completes the READ: records it, resets the state and runs the callback.
+  void finish(std::vector<std::pair<ObjectId, Value>> values, Tag tag, int rounds,
+              int max_versions);
+
+ private:
+  bool may_retry_;
+  std::vector<ObjectId> objs_;
+  int attempts_{0};
+  ReadCallback cb_;
 };
 
-/// A write-client: executes only WRITE transactions.
-/// Deprecated: prefer TxnClient via ProtocolSystem::client().
-class WriteClientApi {
+/// A write-client node: executes only WRITE transactions.  The base owns
+/// the WRITE's state machine; a protocol's writer supplies start() (the
+/// first step's sends) and on_reply(), and ends the WRITE with finish().
+class WriteClient : public ClientNode {
  public:
-  virtual ~WriteClientApi() = default;
+  /// Must be called on the client's executor (use invoke_write) with no
+  /// WRITE in flight.
+  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb);
 
-  virtual void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) = 0;
+ protected:
+  explicit WriteClient(HistoryRecorder& rec, const Placement& place, bool replicated = false);
 
-  virtual NodeId node_id() const = 0;
-  /// The system's object count k (ids are [0, k)).
-  virtual std::size_t num_objects() const = 0;
+  /// Sends the WRITE's first step.
+  virtual void start() = 0;
+  /// Puts the WRITE's pairs in the order it begins with; blocking-2pl sorts
+  /// them (its lock order).  The identity by default.
+  virtual void order(std::vector<std::pair<ObjectId, Value>>& /*writes*/) {}
+
+  const std::vector<std::pair<ObjectId, Value>>& writes() const { return writes_; }
+
+  /// Completes the WRITE: records it, resets the state and runs the callback.
+  void finish(Tag tag, int rounds);
+
+ private:
+  std::vector<std::pair<ObjectId, Value>> writes_;
+  WriteCallback cb_;
 };
+
+/// Registers `n` client nodes built by `make()` with `rt`, in order, and
+/// returns them.
+template <typename Client, typename Make>
+std::vector<Client*> add_clients(Runtime& rt, std::size_t n, Make make) {
+  std::vector<Client*> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto node = make();
+    out.push_back(node.get());
+    rt.add_node(std::move(node));
+  }
+  return out;
+}
 
 // --- assembled systems --------------------------------------------------------
 
-/// An assembled protocol instance on some runtime.  The base class owns the
-/// name, config and placement (so protocols share one object->server map) and
-/// provides the unified TxnClient view; concrete systems only expose their
-/// reader/writer node sets.
+/// An assembled protocol instance on some runtime: its name, config and
+/// placement (so protocols share one object->server map), its reader and
+/// writer nodes, and the unified TxnClient view over them.
 class ProtocolSystem {
  public:
-  ProtocolSystem(std::string name, const SystemConfig& cfg, Runtime& rt);
+  ProtocolSystem(std::string name, const SystemConfig& cfg, Runtime& rt,
+                 std::vector<ReadClient*> readers, std::vector<WriteClient*> writers);
   virtual ~ProtocolSystem();
 
   ProtocolSystem(const ProtocolSystem&) = delete;
@@ -207,10 +371,10 @@ class ProtocolSystem {
   std::size_t num_servers() const { return placement_.num_servers(); }
   NodeId server_node(ObjectId obj) const { return placement_.server_node(obj); }
 
-  virtual std::size_t num_readers() const = 0;
-  virtual std::size_t num_writers() const = 0;
-  virtual ReadClientApi& reader(std::size_t i) = 0;
-  virtual WriteClientApi& writer(std::size_t i) = 0;
+  std::size_t num_readers() const { return readers_.size(); }
+  std::size_t num_writers() const { return writers_.size(); }
+  ReadClient& reader(std::size_t i) { return *readers_.at(i); }
+  WriteClient& writer(std::size_t i) { return *writers_.at(i); }
 
   /// Number of unified clients: max(readers, writers).  Client i routes
   /// READs through reader (i mod R) and WRITEs through writer (i mod W),
@@ -228,24 +392,27 @@ class ProtocolSystem {
   SystemConfig cfg_;
   Placement placement_;
   Runtime& rt_;
+  std::vector<ReadClient*> readers_;
+  std::vector<WriteClient*> writers_;
   std::mutex hub_mu_;
   std::unique_ptr<ClientHub> hub_;
 };
 
 /// The client-boundary check every READ and WRITE passes before anything is
-/// posted: throws std::invalid_argument when the transaction names an object
-/// twice or an id >= k.  A repeated object would wedge a READ (its
+/// posted: throws std::invalid_argument when the transaction names no
+/// object, names one twice or names an id >= k.  An empty transaction has
+/// nothing to complete on, a repeated object would wedge a READ (its
 /// completion counts distinct objects) and has no encoding in a WRITE's
 /// per-server write-val.
 void check_txn_objects(const TxnRequest& req, std::size_t num_objects);
 
 /// Posts a read invocation onto the client's executor, after
 /// check_txn_objects.
-void invoke_read(Runtime& rt, ReadClientApi& client, std::vector<ObjectId> objs, ReadCallback cb);
+void invoke_read(Runtime& rt, ReadClient& client, std::vector<ObjectId> objs, ReadCallback cb);
 
 /// Posts a write invocation onto the client's executor, after
 /// check_txn_objects.
-void invoke_write(Runtime& rt, WriteClientApi& client,
+void invoke_write(Runtime& rt, WriteClient& client,
                   std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb);
 
 /// All object ids [0, k).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <optional>
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
@@ -75,147 +74,85 @@ class ServerL final : public Node {
   std::map<ObjectId, LockState> locks_;
 };
 
-class ReaderL final : public Node, public ReadClientApi {
+class ReaderL final : public ReadClient {
  public:
-  ReaderL(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
+  ReaderL(HistoryRecorder& rec, const Placement& place) : ReadClient(rec, place) {}
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
-    SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
-    SNOW_CHECK(!objs.empty());
-    std::sort(objs.begin(), objs.end());  // lock-ordering discipline
-    const TxnId txn = rec_.begin_read(id(), objs);
-    pending_.emplace();
-    pending_->txn = txn;
-    pending_->objs = std::move(objs);
-    pending_->cb = std::move(cb);
+ private:
+  void order(std::vector<ObjectId>& objs) override { std::sort(objs.begin(), objs.end()); }
+
+  void attempt() override {
+    values_.clear();
     request_next_lock();
   }
 
-  NodeId node_id() const override { return id(); }
-  std::size_t num_objects() const override { return place_.num_objects(); }
-
-  void on_message(NodeId, const Message& m) override {
+  bool on_reply(NodeId, const Message& m) override {
     const auto* g = std::get_if<LockGrant>(&m.payload);
-    SNOW_CHECK(g != nullptr && pending_ && pending_->txn == m.txn);
-    pending_->values.emplace_back(g->obj, g->value);
-    if (pending_->values.size() < pending_->objs.size()) {
+    if (g == nullptr) return false;
+    values_.emplace_back(g->obj, g->value);
+    if (values_.size() < objs().size()) {
       request_next_lock();
-      return;
+      return true;
     }
     // All shared locks held: this is the serialization point.  Release and
     // respond; releases need no acks.
-    for (ObjectId obj : pending_->objs) {
-      send(place_.server_node(obj), Message{pending_->txn, UnlockReq{obj}});
-    }
-    ReadResult result;
-    result.txn = pending_->txn;
-    result.values = pending_->values;
-    rec_.finish_read(pending_->txn, pending_->values, kInvalidTag,
-                     static_cast<int>(pending_->objs.size()), /*max_versions=*/1);
-    auto cb = std::move(pending_->cb);
-    pending_.reset();
-    cb(result);
+    for (ObjectId obj : objs()) send(server_of(obj), Message{txn(), UnlockReq{obj}});
+    finish(values_, kInvalidTag, static_cast<int>(objs().size()), /*max_versions=*/1);
+    return true;
   }
-
- private:
-  struct Pending {
-    TxnId txn{kInvalidTxn};
-    std::vector<ObjectId> objs;
-    std::vector<std::pair<ObjectId, Value>> values;
-    ReadCallback cb;
-  };
 
   void request_next_lock() {
-    const ObjectId obj = pending_->objs[pending_->values.size()];
-    send(place_.server_node(obj), Message{pending_->txn, LockReq{obj, /*exclusive=*/false}});
+    const ObjectId obj = objs()[values_.size()];
+    send(server_of(obj), Message{txn(), LockReq{obj, /*exclusive=*/false}});
   }
 
-  HistoryRecorder& rec_;
-  Placement place_;
-  std::optional<Pending> pending_;
+  std::vector<std::pair<ObjectId, Value>> values_;  ///< the READ in flight's grants.
 };
 
-class WriterL final : public Node, public WriteClientApi {
+class WriterL final : public WriteClient {
  public:
-  WriterL(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
+  WriterL(HistoryRecorder& rec, const Placement& place) : WriteClient(rec, place) {}
 
-  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
-    SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
-    SNOW_CHECK(!writes.empty());
+ private:
+  void order(std::vector<std::pair<ObjectId, Value>>& writes) override {
     std::sort(writes.begin(), writes.end());
-    const TxnId txn = rec_.begin_write(id(), writes);
-    pending_.emplace();
-    pending_->txn = txn;
-    pending_->writes = std::move(writes);
-    pending_->cb = std::move(cb);
+  }
+
+  void start() override {
+    locks_held_ = 0;
+    apply_acks_ = 0;
     request_next_lock();
   }
 
-  NodeId node_id() const override { return id(); }
-  std::size_t num_objects() const override { return place_.num_objects(); }
-
-  void on_message(NodeId, const Message& m) override {
+  bool on_reply(NodeId, const Message& m) override {
     if (std::holds_alternative<LockGrant>(m.payload)) {
-      SNOW_CHECK(pending_ && pending_->txn == m.txn);
-      ++pending_->locks_held;
-      if (pending_->locks_held < pending_->writes.size()) {
+      if (++locks_held_ < writes().size()) {
         request_next_lock();
-        return;
+        return true;
       }
       // All exclusive locks held: apply and release in one parallel round.
-      for (const auto& [obj, value] : pending_->writes) {
-        send(place_.server_node(obj), Message{pending_->txn, WriteUnlockReq{obj, value}});
+      for (const auto& [obj, value] : writes()) {
+        send(server_of(obj), Message{txn(), WriteUnlockReq{obj, value}});
       }
-      return;
+      return true;
     }
     if (std::holds_alternative<UnlockAck>(m.payload)) {
-      SNOW_CHECK(pending_ && pending_->txn == m.txn);
-      if (++pending_->apply_acks < pending_->writes.size()) return;
-      rec_.finish_write(pending_->txn, kInvalidTag,
-                        static_cast<int>(pending_->writes.size()) + 1);
-      auto cb = std::move(pending_->cb);
-      const WriteResult result{pending_->txn};
-      pending_.reset();
-      cb(result);
-      return;
+      if (++apply_acks_ == writes().size()) {
+        finish(kInvalidTag, static_cast<int>(writes().size()) + 1);
+      }
+      return true;
     }
-    SNOW_UNREACHABLE("blocking writer got unexpected payload");
+    return false;
   }
-
- private:
-  struct Pending {
-    TxnId txn{kInvalidTxn};
-    std::vector<std::pair<ObjectId, Value>> writes;
-    std::size_t locks_held{0};
-    std::size_t apply_acks{0};
-    WriteCallback cb;
-  };
 
   void request_next_lock() {
-    const ObjectId obj = pending_->writes[pending_->locks_held].first;
-    send(place_.server_node(obj), Message{pending_->txn, LockReq{obj, /*exclusive=*/true}});
+    const ObjectId obj = writes()[locks_held_].first;
+    send(server_of(obj), Message{txn(), LockReq{obj, /*exclusive=*/true}});
   }
 
-  HistoryRecorder& rec_;
-  Placement place_;
-  std::optional<Pending> pending_;
-};
-
-class SystemL final : public ProtocolSystem {
- public:
-  SystemL(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderL*> readers,
-          std::vector<WriterL*> writers)
-      : ProtocolSystem("blocking-2pl", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderL*> readers_;
-  std::vector<WriterL*> writers_;
+  // The WRITE in flight.
+  std::size_t locks_held_{0};
+  std::size_t apply_acks_{0};
 };
 
 const ProtocolRegistration kRegisterBlocking{
@@ -245,19 +182,12 @@ std::unique_ptr<ProtocolSystem> build_blocking(Runtime& rt, HistoryRecorder& rec
     const NodeId id = rt.add_node(std::make_unique<ServerL>());
     SNOW_CHECK(id == i);
   }
-  std::vector<ReaderL*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderL>(rec, place);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<WriterL*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<WriterL>(rec, place);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  return std::make_unique<SystemL>(cfg, rt, std::move(readers), std::move(writers));
+  auto readers = add_clients<ReadClient>(rt, cfg.num_readers,
+                                         [&] { return std::make_unique<ReaderL>(rec, place); });
+  auto writers = add_clients<WriteClient>(rt, cfg.num_writers,
+                                          [&] { return std::make_unique<WriterL>(rec, place); });
+  return std::make_unique<ProtocolSystem>("blocking-2pl", cfg, rt, std::move(readers),
+                                          std::move(writers));
 }
 
 }  // namespace snowkit

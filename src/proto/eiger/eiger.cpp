@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <set>
 
 #include "common/assert.hpp"
@@ -114,59 +113,38 @@ class ServerE final : public Node {
   std::map<NodeId, ReaderFloors> floors_;
 };
 
-class ReaderE final : public Node, public ReadClientApi {
+class ReaderE final : public ReadClient {
  public:
-  ReaderE(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
-
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
-    SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
-    SNOW_CHECK(!objs.empty());
-    const TxnId txn = rec_.begin_read(id(), objs);
-    pending_.emplace();
-    pending_->txn = txn;
-    pending_->objs = objs;
-    pending_->cb = std::move(cb);
-    for (ObjectId obj : objs) {
-      send(place_.server_node(obj), Message{txn, EigerReadReq{obj, clock_}});
-    }
-  }
-
-  NodeId node_id() const override { return id(); }
-  std::size_t num_objects() const override { return place_.num_objects(); }
-
-  void on_message(NodeId, const Message& m) override {
-    if (const auto* r = std::get_if<EigerReadResp>(&m.payload)) {
-      SNOW_CHECK(pending_ && pending_->txn == m.txn);
-      clock_ = std::max(clock_, r->lamport) + 1;
-      pending_->first[r->obj] = *r;
-      if (pending_->first.size() == pending_->objs.size()) first_round_done();
-      return;
-    }
-    if (const auto* r = std::get_if<EigerReadAtResp>(&m.payload)) {
-      SNOW_CHECK(pending_ && pending_->txn == m.txn);
-      clock_ = std::max(clock_, r->lamport) + 1;
-      pending_->second[r->obj] = r->value;
-      if (pending_->second.size() == pending_->objs.size()) complete(/*rounds=*/2);
-      return;
-    }
-    SNOW_UNREACHABLE("eiger reader got unexpected payload");
-  }
+  ReaderE(HistoryRecorder& rec, const Placement& place) : ReadClient(rec, place) {}
 
  private:
-  struct Pending {
-    TxnId txn{kInvalidTxn};
-    std::vector<ObjectId> objs;
-    std::map<ObjectId, EigerReadResp> first;
-    std::map<ObjectId, Value> second;
-    std::uint64_t effective{0};
-    ReadCallback cb;
-  };
+  void attempt() override {
+    first_.clear();
+    second_.clear();
+    for (ObjectId obj : objs()) send(server_of(obj), Message{txn(), EigerReadReq{obj, clock_}});
+  }
+
+  bool on_reply(NodeId, const Message& m) override {
+    if (const auto* r = std::get_if<EigerReadResp>(&m.payload)) {
+      clock_ = std::max(clock_, r->lamport) + 1;
+      first_[r->obj] = *r;
+      if (first_.size() == objs().size()) first_round_done();
+      return true;
+    }
+    if (const auto* r = std::get_if<EigerReadAtResp>(&m.payload)) {
+      clock_ = std::max(clock_, r->lamport) + 1;
+      second_[r->obj] = r->value;
+      if (second_.size() == objs().size()) complete(/*rounds=*/2);
+      return true;
+    }
+    return false;
+  }
 
   void first_round_done() {
     // Eiger's validity check: do the per-object logical intervals intersect?
     std::uint64_t lo = 0;
     std::uint64_t hi = ~0ull;
-    for (const auto& [obj, resp] : pending_->first) {
+    for (const auto& [obj, resp] : first_) {
       (void)obj;
       lo = std::max(lo, resp.valid_from);
       hi = std::min(hi, resp.valid_until);
@@ -174,97 +152,55 @@ class ReaderE final : public Node, public ReadClientApi {
     if (lo <= hi) {
       // Intervals overlap: accept the first-round values (one round).  This
       // is the acceptance path Fig. 5 exploits.
-      for (const auto& [obj, resp] : pending_->first) pending_->second[obj] = resp.value;
+      for (const auto& [obj, resp] : first_) second_[obj] = resp.value;
       complete(/*rounds=*/1);
       return;
     }
-    // Slow path: re-read everything at the effective time (second round).
-    pending_->effective = lo;
-    for (ObjectId obj : pending_->objs) {
-      send(place_.server_node(obj), Message{pending_->txn, EigerReadAtReq{obj, lo, clock_}});
+    // Slow path: re-read everything at the effective time t_eff = lo
+    // (second round).
+    for (ObjectId obj : objs()) {
+      send(server_of(obj), Message{txn(), EigerReadAtReq{obj, lo, clock_}});
     }
   }
 
   void complete(int rounds) {
     // Unpin this read's floors (fire-and-forget, one notice per server read).
     std::set<NodeId> servers;
-    for (ObjectId obj : pending_->objs) servers.insert(place_.server_node(obj));
-    for (NodeId s : servers) send(s, Message{kInvalidTxn, ReadDoneReq{pending_->txn}});
-    ReadResult result;
-    result.txn = pending_->txn;
-    for (ObjectId obj : pending_->objs) result.values.emplace_back(obj, pending_->second.at(obj));
-    rec_.finish_read(pending_->txn, result.values, kInvalidTag, rounds, /*max_versions=*/1);
-    auto cb = std::move(pending_->cb);
-    pending_.reset();
-    cb(result);
+    for (ObjectId obj : objs()) servers.insert(server_of(obj));
+    for (NodeId s : servers) send(s, Message{kInvalidTxn, ReadDoneReq{txn()}});
+    std::vector<std::pair<ObjectId, Value>> values;
+    for (ObjectId obj : objs()) values.emplace_back(obj, second_.at(obj));
+    finish(std::move(values), kInvalidTag, rounds, /*max_versions=*/1);
   }
 
-  HistoryRecorder& rec_;
-  Placement place_;
   std::uint64_t clock_ = 0;
-  std::optional<Pending> pending_;
+  // The READ in flight.
+  std::map<ObjectId, EigerReadResp> first_;
+  std::map<ObjectId, Value> second_;
 };
 
-class WriterE final : public Node, public WriteClientApi {
+class WriterE final : public WriteClient {
  public:
-  WriterE(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
+  WriterE(HistoryRecorder& rec, const Placement& place) : WriteClient(rec, place) {}
 
-  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
-    SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
-    SNOW_CHECK(!writes.empty());
-    const TxnId txn = rec_.begin_write(id(), writes);
-    pending_.emplace();
-    pending_->txn = txn;
-    pending_->await = writes.size();
-    pending_->cb = std::move(cb);
-    for (const auto& [obj, value] : writes) {
-      send(place_.server_node(obj), Message{txn, EigerWriteReq{obj, value, clock_}});
+ private:
+  void start() override {
+    await_ = writes().size();
+    for (const auto& [obj, value] : writes()) {
+      send(server_of(obj), Message{txn(), EigerWriteReq{obj, value, clock_}});
     }
   }
 
-  NodeId node_id() const override { return id(); }
-  std::size_t num_objects() const override { return place_.num_objects(); }
-
-  void on_message(NodeId, const Message& m) override {
+  bool on_reply(NodeId, const Message& m) override {
     const auto* ack = std::get_if<EigerWriteAck>(&m.payload);
-    SNOW_CHECK(ack != nullptr && pending_ && pending_->txn == m.txn);
+    if (ack == nullptr) return false;
     clock_ = std::max(clock_, ack->lamport) + 1;
-    if (--pending_->await != 0) return;
-    rec_.finish_write(pending_->txn, kInvalidTag, /*rounds=*/1);
-    auto cb = std::move(pending_->cb);
-    const WriteResult result{pending_->txn};
-    pending_.reset();
-    cb(result);
+    if (--await_ == 0) finish(kInvalidTag, /*rounds=*/1);
+    return true;
   }
 
- private:
-  struct Pending {
-    TxnId txn{kInvalidTxn};
-    std::size_t await{0};
-    WriteCallback cb;
-  };
-
-  HistoryRecorder& rec_;
-  Placement place_;
   std::uint64_t clock_ = 0;
-  std::optional<Pending> pending_;
-};
-
-class SystemE final : public ProtocolSystem {
- public:
-  SystemE(const SystemConfig& cfg, Runtime& rt, std::vector<ReaderE*> readers,
-          std::vector<WriterE*> writers)
-      : ProtocolSystem("eiger", cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ReaderE*> readers_;
-  std::vector<WriterE*> writers_;
+  std::size_t await_{0};  ///< acks the WRITE in flight still owes.
 };
 
 const ProtocolRegistration kRegisterEiger{
@@ -295,19 +231,12 @@ std::unique_ptr<ProtocolSystem> build_eiger(Runtime& rt, HistoryRecorder& rec,
     const NodeId id = rt.add_node(std::make_unique<ServerE>());
     SNOW_CHECK(id == i);
   }
-  std::vector<ReaderE*> readers;
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    auto node = std::make_unique<ReaderE>(rec, place);
-    readers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  std::vector<WriterE*> writers;
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<WriterE>(rec, place);
-    writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
-  return std::make_unique<SystemE>(cfg, rt, std::move(readers), std::move(writers));
+  auto readers = add_clients<ReadClient>(rt, cfg.num_readers,
+                                         [&] { return std::make_unique<ReaderE>(rec, place); });
+  auto writers = add_clients<WriteClient>(rt, cfg.num_writers,
+                                          [&] { return std::make_unique<WriterE>(rec, place); });
+  return std::make_unique<ProtocolSystem>("eiger", cfg, rt, std::move(readers),
+                                          std::move(writers));
 }
 
 }  // namespace snowkit

@@ -28,7 +28,8 @@ const ProtocolRegistration kRegisterNaive{
 
 std::unique_ptr<ProtocolSystem> build_naive(Runtime& rt, HistoryRecorder& rec,
                                             const SystemConfig& cfg) {
-  return detail::build_parallel("naive", rt, rec, cfg);
+  return detail::build_parallel("naive", rt, rec, cfg,
+                                [] { return std::make_unique<detail::ParallelServer>(); });
 }
 
 }  // namespace snowkit

@@ -10,100 +10,81 @@
 namespace snowkit {
 namespace {
 
-class ReaderO final : public Node, public ReadClientApi {
+class ReaderO final : public ReadClient {
  public:
-  ReaderO(HistoryRecorder& rec, const Placement& place, NodeId coordinator, int max_optimistic)
-      : rec_(rec), place_(place), coordinator_(coordinator), max_optimistic_(max_optimistic) {}
+  ReaderO(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard, int max_optimistic)
+      : ReadClient(rec, place), coor_shard_(coor_shard), max_optimistic_(max_optimistic) {}
 
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
-    SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
-    SNOW_CHECK(!objs.empty());
-    const TxnId txn = rec_.begin_read(id(), objs);
-    pending_.emplace();
-    pending_->txn = txn;
-    pending_->objs = std::move(objs);
-    pending_->cb = std::move(cb);
-    for (ObjectId obj : pending_->objs) pending_->guesses[obj] = kInitialKey;
+ private:
+  // One attempt per READ: a failed validation starts another round, not
+  // another attempt — the rounds are unbounded by design.
+  void attempt() override {
+    guesses_.clear();
+    for (ObjectId obj : objs()) guesses_[obj] = kInitialKey;
+    watermark_ = 0;
+    rounds_ = 0;
+    pessimistic_ = false;
     send_round();
   }
 
-  NodeId node_id() const override { return id(); }
-  std::size_t num_objects() const override { return place_.num_objects(); }
-
-  void on_message(NodeId, const Message& m) override {
+  bool on_reply(NodeId, const Message& m) override {
     if (const auto* ta = std::get_if<GetTagArrResp>(&m.payload)) {
-      if (!pending_ || pending_->txn != m.txn || pending_->pessimistic) return;
-      pending_->tag_arr = *ta;
+      if (pessimistic_) return true;
+      tag_arr_ = *ta;
       maybe_finish_round();
-      return;
+      return true;
     }
     if (const auto* rv = std::get_if<ReadValResp>(&m.payload)) {
-      if (!pending_ || pending_->txn != m.txn) return;
       // Only responses for the CURRENT guesses count; late responses from a
       // superseded round carry a stale key and are dropped.
-      auto it = pending_->guesses.find(rv->obj);
-      if (it == pending_->guesses.end() || !(it->second == rv->key)) return;
+      auto it = guesses_.find(rv->obj);
+      if (it == guesses_.end() || !(it->second == rv->key)) return true;
       // found == false means the speculative key was garbage-collected under
       // us — record the miss; it fails validation below and retries with the
       // tag array's (watermark-protected) keys.
-      pending_->got[rv->obj] = rv->found ? std::optional<Value>(rv->value) : std::nullopt;
+      got_[rv->obj] = rv->found ? std::optional<Value>(rv->value) : std::nullopt;
       maybe_finish_round();
-      return;
+      return true;
     }
-    SNOW_UNREACHABLE("occ reader got unexpected payload");
+    return false;
   }
 
- private:
-  struct Pending {
-    TxnId txn{kInvalidTxn};
-    std::vector<ObjectId> objs;
-    ReadCallback cb;
-    std::map<ObjectId, WriteKey> guesses;
-    std::map<ObjectId, std::optional<Value>> got;
-    std::optional<GetTagArrResp> tag_arr;
-    Tag watermark{0};  ///< newest coordinator watermark seen (read-val piggyback).
-    int rounds{0};
-    bool pessimistic{false};
-    Tag pessimistic_tag{0};
-  };
-
   void send_round() {
-    ++pending_->rounds;
-    pending_->tag_arr.reset();
-    pending_->got.clear();
-    send(coordinator_, Message{pending_->txn, tag_arr_req(pending_->objs)});
-    for (const auto& [obj, key] : pending_->guesses) {
-      send(place_.server_node(obj),
-           Message{pending_->txn, ReadValReq{obj, key, pending_->watermark}});
+    ++rounds_;
+    tag_arr_.reset();
+    got_.clear();
+    send(route(coor_shard_), Message{txn(), tag_arr_req(objs())});
+    for (const auto& [obj, key] : guesses_) {
+      send(server_of(obj), Message{txn(), ReadValReq{obj, key, watermark_}});
     }
   }
 
   void maybe_finish_round() {
-    if (pending_->got.size() != pending_->objs.size()) return;
+    if (got_.size() != objs().size()) return;
 
     bool missed = false;
-    for (const auto& [obj, v] : pending_->got) {
+    for (const auto& [obj, v] : got_) {
       (void)obj;
       if (!v.has_value()) missed = true;
     }
 
-    if (pending_->pessimistic) {
+    if (pessimistic_) {
       // Algorithm-B style second phase: the fetched keys were taken from a
       // tag array while this READ was registered, so they are
       // watermark-protected and form the cut at that array's tag
       // unconditionally.
       SNOW_CHECK_MSG(!missed, "occ pessimistic round requested a GC'd key");
-      complete(pending_->pessimistic_tag);
+      complete(pessimistic_tag_);
       return;
     }
 
-    if (!pending_->tag_arr) return;
-    const GetTagArrResp& ta = *pending_->tag_arr;
-    pending_->watermark = std::max(pending_->watermark, ta.watermark);
+    if (!tag_arr_) return;
+    const GetTagArrResp& ta = *tag_arr_;
+    watermark_ = std::max(watermark_, ta.watermark);
     bool validated = !missed;
-    for (ObjectId obj : pending_->objs) {
+    for (ObjectId obj : objs()) {
       if (!validated) break;
-      if (!(tag_entry(ta.entries, obj).latest == pending_->guesses.at(obj))) validated = false;
+      if (!(tag_entry(ta.entries, obj).latest == guesses_.at(obj))) validated = false;
     }
     if (validated) {
       // The values just fetched are still the newest per object as of the
@@ -113,17 +94,16 @@ class ReaderO final : public Node, public ReadClientApi {
     }
 
     // Validation failed: adopt the newer keys and retry.
-    for (ObjectId obj : pending_->objs) pending_->guesses[obj] = tag_entry(ta.entries, obj).latest;
-    if (max_optimistic_ > 0 && pending_->rounds >= max_optimistic_) {
+    for (ObjectId obj : objs()) guesses_[obj] = tag_entry(ta.entries, obj).latest;
+    if (max_optimistic_ > 0 && rounds_ >= max_optimistic_) {
       // Bounded fallback: one pessimistic round reading exactly the cut the
       // last tag array named (no re-validation needed — Algorithm B).
-      pending_->pessimistic = true;
-      pending_->pessimistic_tag = ta.tag;
-      ++pending_->rounds;
-      pending_->got.clear();
-      for (const auto& [obj, key] : pending_->guesses) {
-        send(place_.server_node(obj),
-             Message{pending_->txn, ReadValReq{obj, key, pending_->watermark}});
+      pessimistic_ = true;
+      pessimistic_tag_ = ta.tag;
+      ++rounds_;
+      got_.clear();
+      for (const auto& [obj, key] : guesses_) {
+        send(server_of(obj), Message{txn(), ReadValReq{obj, key, watermark_}});
       }
       return;
     }
@@ -132,23 +112,22 @@ class ReaderO final : public Node, public ReadClientApi {
 
   void complete(Tag tag) {
     // Deregister from watermark accounting (fire-and-forget, sender-keyed).
-    send(coordinator_, Message{kInvalidTxn, ReadDoneReq{pending_->txn}});
-    ReadResult result;
-    result.txn = pending_->txn;
-    for (ObjectId obj : pending_->objs) {
-      result.values.emplace_back(obj, *pending_->got.at(obj));
-    }
-    rec_.finish_read(pending_->txn, result.values, tag, pending_->rounds, /*max_versions=*/1);
-    auto cb = std::move(pending_->cb);
-    pending_.reset();
-    cb(result);
+    send(route(coor_shard_), Message{kInvalidTxn, ReadDoneReq{txn()}});
+    std::vector<std::pair<ObjectId, Value>> values;
+    for (ObjectId obj : objs()) values.emplace_back(obj, *got_.at(obj));
+    finish(std::move(values), tag, rounds_, /*max_versions=*/1);
   }
 
-  HistoryRecorder& rec_;
-  Placement place_;
-  NodeId coordinator_;
+  std::size_t coor_shard_;
   int max_optimistic_;
-  std::optional<Pending> pending_;
+  // The READ in flight.
+  std::map<ObjectId, WriteKey> guesses_;
+  std::map<ObjectId, std::optional<Value>> got_;
+  std::optional<GetTagArrResp> tag_arr_;
+  Tag watermark_{0};  ///< newest coordinator watermark seen (read-val piggyback).
+  int rounds_{0};
+  bool pessimistic_{false};
+  Tag pessimistic_tag_{0};
 };
 
 const ProtocolRegistration kRegisterOcc{
@@ -179,12 +158,11 @@ std::unique_ptr<ProtocolSystem> build_occ(Runtime& rt, HistoryRecorder& rec,
   VersionFleetSpec spec;
   spec.coordinator = opts.coordinator;
   spec.gc_versions = opts.gc_versions;
-  const auto coor = static_cast<NodeId>(opts.coordinator);
   VersionFleet fleet = build_version_fleet(rt, rec, cfg, spec, [&](const Placement& place, bool) {
-    auto reader = std::make_unique<ReaderO>(rec, place, coor, opts.max_optimistic_rounds);
-    return add_reader_node(rt, std::move(reader));
+    return std::make_unique<ReaderO>(rec, place, opts.coordinator, opts.max_optimistic_rounds);
   });
-  return std::make_unique<VersionSystem>("occ-reads", cfg, rt, std::move(fleet));
+  return std::make_unique<ProtocolSystem>("occ-reads", cfg, rt, std::move(fleet.readers),
+                                          std::move(fleet.writers));
 }
 
 }  // namespace snowkit

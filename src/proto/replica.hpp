@@ -152,40 +152,6 @@ struct WalReplayResult {
 /// a `snowkit-wal-v1` head gets its own message naming both versions.
 WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes);
 
-// --- client-side shard routing -----------------------------------------------
-
-/// Each client's view of which node serves each shard, ordered by epoch so
-/// reordered TakeoverNotices can never re-route backwards.  Per-client by
-/// value (never shared): every client node updates its own copy from the
-/// notices it receives on its own executor.
-class ShardRoutes {
- public:
-  ShardRoutes() = default;
-  explicit ShardRoutes(std::size_t num_shards) {
-    entries_.resize(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s) entries_[s].node = static_cast<NodeId>(s);
-  }
-
-  NodeId node_of(std::size_t shard) const { return entries_.at(shard).node; }
-
-  /// Applies a takeover if its epoch is newer; returns whether it was.
-  bool update(std::size_t shard, NodeId node, std::uint64_t epoch) {
-    if (shard >= entries_.size()) return false;
-    Entry& e = entries_[shard];
-    if (epoch <= e.epoch) return false;
-    e.node = node;
-    e.epoch = epoch;
-    return true;
-  }
-
- private:
-  struct Entry {
-    NodeId node{kInvalidNode};
-    std::uint64_t epoch{0};
-  };
-  std::vector<Entry> entries_;
-};
-
 // --- the replica state machine -----------------------------------------------
 
 /// One shard replica's replication engine, embedded in a server Node.  The

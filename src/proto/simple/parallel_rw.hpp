@@ -9,8 +9,10 @@
 // WRITEs (the fig1a bench exhibits concrete fractured reads).
 #pragma once
 
+#include <functional>
 #include <map>
-#include <optional>
+#include <memory>
+#include <string>
 
 #include "common/assert.hpp"
 #include "proto/api.hpp"
@@ -38,113 +40,55 @@ class ParallelServer final : public Node {
   std::map<ObjectId, Value> values_;  ///< latest value per hosted object.
 };
 
-class ParallelReader final : public Node, public ReadClientApi {
+class ParallelReader final : public ReadClient {
  public:
-  ParallelReader(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
-
-  void read(std::vector<ObjectId> objs, ReadCallback cb) override {
-    SNOW_CHECK_MSG(!pending_, "reader " << id() << " already has a READ in flight");
-    SNOW_CHECK(!objs.empty());
-    const TxnId txn = rec_.begin_read(id(), objs);
-    pending_.emplace();
-    pending_->txn = txn;
-    pending_->objs = objs;
-    pending_->cb = std::move(cb);
-    for (ObjectId obj : objs) send(place_.server_node(obj), Message{txn, SimpleReadReq{obj}});
-  }
-
-  NodeId node_id() const override { return id(); }
-  std::size_t num_objects() const override { return place_.num_objects(); }
-
-  void on_message(NodeId, const Message& m) override {
-    const auto* r = std::get_if<SimpleReadResp>(&m.payload);
-    SNOW_CHECK(r != nullptr && pending_ && pending_->txn == m.txn);
-    pending_->got[r->obj] = r->value;
-    if (pending_->got.size() != pending_->objs.size()) return;
-    ReadResult result;
-    result.txn = pending_->txn;
-    for (ObjectId obj : pending_->objs) result.values.emplace_back(obj, pending_->got.at(obj));
-    rec_.finish_read(pending_->txn, result.values, kInvalidTag, /*rounds=*/1, /*max_versions=*/1);
-    auto cb = std::move(pending_->cb);
-    pending_.reset();
-    cb(result);
-  }
+  ParallelReader(HistoryRecorder& rec, const Placement& place) : ReadClient(rec, place) {}
 
  private:
-  struct Pending {
-    TxnId txn{kInvalidTxn};
-    std::vector<ObjectId> objs;
-    std::map<ObjectId, Value> got;
-    ReadCallback cb;
-  };
+  void attempt() override {
+    got_.clear();
+    for (ObjectId obj : objs()) send(server_of(obj), Message{txn(), SimpleReadReq{obj}});
+  }
 
-  HistoryRecorder& rec_;
-  Placement place_;
-  std::optional<Pending> pending_;
+  bool on_reply(NodeId, const Message& m) override {
+    const auto* r = std::get_if<SimpleReadResp>(&m.payload);
+    if (r == nullptr) return false;
+    got_[r->obj] = r->value;
+    if (got_.size() < objs().size()) return true;
+    std::vector<std::pair<ObjectId, Value>> values;
+    for (ObjectId obj : objs()) values.emplace_back(obj, got_.at(obj));
+    finish(std::move(values), kInvalidTag, /*rounds=*/1, /*max_versions=*/1);
+    return true;
+  }
+
+  std::map<ObjectId, Value> got_;  ///< the READ in flight's values.
 };
 
-class ParallelWriter final : public Node, public WriteClientApi {
+class ParallelWriter final : public WriteClient {
  public:
-  ParallelWriter(HistoryRecorder& rec, const Placement& place) : rec_(rec), place_(place) {}
+  ParallelWriter(HistoryRecorder& rec, const Placement& place) : WriteClient(rec, place) {}
 
-  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) override {
-    SNOW_CHECK_MSG(!pending_, "writer " << id() << " already has a WRITE in flight");
-    SNOW_CHECK(!writes.empty());
-    const TxnId txn = rec_.begin_write(id(), writes);
-    pending_.emplace();
-    pending_->txn = txn;
-    pending_->await = writes.size();
-    pending_->cb = std::move(cb);
-    for (const auto& [obj, value] : writes) {
-      send(place_.server_node(obj), Message{txn, SimpleWriteReq{obj, value}});
+ private:
+  void start() override {
+    await_ = writes().size();
+    for (const auto& [obj, value] : writes()) {
+      send(server_of(obj), Message{txn(), SimpleWriteReq{obj, value}});
     }
   }
 
-  NodeId node_id() const override { return id(); }
-  std::size_t num_objects() const override { return place_.num_objects(); }
-
-  void on_message(NodeId, const Message& m) override {
-    SNOW_CHECK(std::holds_alternative<SimpleWriteAck>(m.payload));
-    SNOW_CHECK(pending_ && pending_->txn == m.txn);
-    if (--pending_->await != 0) return;
-    rec_.finish_write(pending_->txn, kInvalidTag, /*rounds=*/1);
-    auto cb = std::move(pending_->cb);
-    const WriteResult result{pending_->txn};
-    pending_.reset();
-    cb(result);
+  bool on_reply(NodeId, const Message& m) override {
+    if (!std::holds_alternative<SimpleWriteAck>(m.payload)) return false;
+    if (--await_ == 0) finish(kInvalidTag, /*rounds=*/1);
+    return true;
   }
 
- private:
-  struct Pending {
-    TxnId txn{kInvalidTxn};
-    std::size_t await{0};
-    WriteCallback cb;
-  };
-
-  HistoryRecorder& rec_;
-  Placement place_;
-  std::optional<Pending> pending_;
+  std::size_t await_{0};  ///< acks the WRITE in flight still owes.
 };
 
-/// Assembles servers/readers/writers for `simple` and `naive`.
-class ParallelSystem final : public ProtocolSystem {
- public:
-  ParallelSystem(std::string name, const SystemConfig& cfg, Runtime& rt,
-                 std::vector<ParallelReader*> readers, std::vector<ParallelWriter*> writers)
-      : ProtocolSystem(std::move(name), cfg, rt), readers_(std::move(readers)),
-        writers_(std::move(writers)) {}
-
-  std::size_t num_readers() const override { return readers_.size(); }
-  std::size_t num_writers() const override { return writers_.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *readers_.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *writers_.at(i); }
-
- private:
-  std::vector<ParallelReader*> readers_;
-  std::vector<ParallelWriter*> writers_;
-};
-
-std::unique_ptr<ProtocolSystem> build_parallel(std::string name, Runtime& rt, HistoryRecorder& rec,
-                                               const SystemConfig& cfg);
+/// Assembles servers (made by `make_server`), readers and writers for
+/// `simple`, `naive` and the broken-stale stub.
+std::unique_ptr<ProtocolSystem> build_parallel(
+    std::string name, Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg,
+    const std::function<std::unique_ptr<Node>()>& make_server);
 
 }  // namespace snowkit::detail

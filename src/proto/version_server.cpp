@@ -240,7 +240,7 @@ bool VersionServer::handle_update_coor(NodeId from, TxnId txn, const UpdateCoorR
 // --- the shared fleet --------------------------------------------------------
 
 VersionFleet build_version_fleet(Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg,
-                                 const VersionFleetSpec& spec, const AddReader& add_reader) {
+                                 const VersionFleetSpec& spec, const MakeReader& make_reader) {
   cfg.validate();
   const Placement place(cfg);
   const std::size_t servers = place.num_servers();
@@ -292,15 +292,12 @@ VersionFleet build_version_fleet(Runtime& rt, HistoryRecorder& rec, const System
   };
 
   for (std::size_t s = 0; s < servers; ++s) add_server(s, /*backup=*/false);
-  for (std::size_t i = 0; i < cfg.num_readers; ++i) {
-    fleet.readers.push_back(add_reader(place, repl));
-  }
-  for (std::size_t i = 0; i < cfg.num_writers; ++i) {
-    auto node = std::make_unique<CoorWriter>(rec, place, spec.coordinator,
-                                             /*send_finalize=*/spec.gc_versions, repl);
-    fleet.writers.push_back(node.get());
-    rt.add_node(std::move(node));
-  }
+  fleet.readers = add_clients<ReadClient>(rt, cfg.num_readers,
+                                          [&] { return make_reader(place, repl); });
+  fleet.writers = add_clients<WriteClient>(rt, cfg.num_writers, [&] {
+    return std::make_unique<CoorWriter>(rec, place, spec.coordinator,
+                                        /*send_finalize=*/spec.gc_versions, repl);
+  });
   // Backups come AFTER the clients so the unreplicated layout (and the
   // scripted adversary schedules that rely on it) is unchanged.
   if (repl) {

@@ -105,30 +105,23 @@ struct VersionFleetSpec {
 
 /// The client nodes of an assembled fleet, plus its coordinator servers.
 struct VersionFleet {
-  std::vector<ReadClientApi*> readers;
-  std::vector<WriteClientApi*> writers;
+  std::vector<ReadClient*> readers;
+  std::vector<WriteClient*> writers;
   std::vector<const VersionServer*> coordinators;  ///< primary, then backup.
 };
 
-/// Adds one reader node to the runtime and returns it; `place` is the
-/// fleet's placement and `replicated` whether shards have backups.
-using AddReader = std::function<ReadClientApi*(const Placement& place, bool replicated)>;
-
-/// Registers reader `node` with `rt` and returns it: the usual AddReader body.
-template <typename Reader>
-ReadClientApi* add_reader_node(Runtime& rt, std::unique_ptr<Reader> node) {
-  ReadClientApi* reader = node.get();
-  rt.add_node(std::move(node));
-  return reader;
-}
+/// Makes one reader node; `place` is the fleet's placement and `replicated`
+/// whether shards have backups.
+using MakeReader =
+    std::function<std::unique_ptr<ReadClient>(const Placement& place, bool replicated)>;
 
 /// Assembles a VersionServer fleet: validates `cfg` and `spec` (throwing
 /// std::invalid_argument), then registers the servers at node ids [0, s),
-/// `cfg.num_readers` readers through `add_reader`, the CoorWriters, and with
+/// `cfg.num_readers` readers made by `make_reader`, the CoorWriters, and with
 /// replicas 2 the backups at SystemConfig::backup_node — each with its WAL
 /// and Replicator::Config.
 VersionFleet build_version_fleet(Runtime& rt, HistoryRecorder& rec, const SystemConfig& cfg,
-                                 const VersionFleetSpec& spec, const AddReader& add_reader);
+                                 const VersionFleetSpec& spec, const MakeReader& make_reader);
 
 /// The registry keys every replicable VersionServer protocol shares:
 /// coordinator, gc_versions, replicas, wal_dir and unsafe_ack.
@@ -152,20 +145,5 @@ VersionFleetSpec fleet_spec(const Options& o) {
   spec.unsafe_ack = o.unsafe_ack;
   return spec;
 }
-
-/// A protocol system over a fleet's reader and writer nodes.
-class VersionSystem final : public ProtocolSystem {
- public:
-  VersionSystem(std::string name, const SystemConfig& cfg, Runtime& rt, VersionFleet fleet)
-      : ProtocolSystem(std::move(name), cfg, rt), fleet_(std::move(fleet)) {}
-
-  std::size_t num_readers() const override { return fleet_.readers.size(); }
-  std::size_t num_writers() const override { return fleet_.writers.size(); }
-  ReadClientApi& reader(std::size_t i) override { return *fleet_.readers.at(i); }
-  WriteClientApi& writer(std::size_t i) override { return *fleet_.writers.at(i); }
-
- private:
-  VersionFleet fleet_;
-};
 
 }  // namespace snowkit

@@ -58,12 +58,14 @@
 // payload that decodes is delivered, so the nodes themselves must not abort
 // on one: the version servers (proto/version_server.hpp) answer every read
 // request, a missing key with found == false, and drop anything else with a
-// warning.  Two gaps remain (ROADMAP item 3).  Client processes still abort
-// on hostile replies — readers and writers SNOW_CHECK or SNOW_UNREACHABLE on
-// an unexpected or out-of-turn reply — so a peer that presents a server
-// process's HELLO can abort a client.  And a finalize naming a version the
-// server never stored, or a List position already finalized under another
-// key, trips VersionStore::finalize's checks.  What wire-v4 does
+// warning; the client nodes (proto/api.hpp's ReadClient and WriteClient)
+// drop, with a warning, any reply that is foreign, arrives with no
+// transaction in flight or names another transaction.  Two gaps remain
+// (ROADMAP item 3).  An in-turn reply forged with the matching txn can still
+// trip a reader's protocol-invariant check (algo-b's "watermark-protected
+// key" check, for one).  And a finalize naming a version the server never
+// stored, or a List position already finalized under another key, trips
+// VersionStore::finalize's checks.  What wire-v4 does
 // NOT defend against is control-plane spoofing: any process that can reach
 // a fleet port and speak the public HELLO can deliver a SHUTDOWN (stopping
 // the daemon) or displace a genuine peer's connection.  Fleet ports belong

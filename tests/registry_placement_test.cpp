@@ -171,6 +171,10 @@ TEST_P(EveryProtocol, RefusesRepeatedOrOutOfRangeObjectsAtTheClientBoundary) {
                std::invalid_argument);
   EXPECT_THROW(invoke_write(sim, sys->writer(0), {{3, 1}}, [](const WriteResult&) {}),
                std::invalid_argument);
+  EXPECT_THROW(invoke_read(sim, sys->reader(0), {}, [](const ReadResult&) {}),
+               std::invalid_argument);
+  EXPECT_THROW(invoke_write(sim, sys->writer(0), {}, [](const WriteResult&) {}),
+               std::invalid_argument);
   sim.run_until_idle();
   EXPECT_EQ(rec.snapshot().txns.size(), 0u) << "a refused transaction reached the protocol";
   int done = 0;
