@@ -7,7 +7,7 @@
 // `snowkit_server` daemons hosting the server shards on 127.0.0.1, runs the
 // client process in-process on a NetRuntime, and drives an OPEN-LOOP
 // fixed-rate workload through the unified TxnClient API — unchanged protocol
-// code, unchanged driver, snowkit-wire-v4 frames on the wire.
+// code, unchanged driver, snowkit-wire-v5 frames on the wire.
 //
 // Each protocol is measured TWICE by default: a PACED open-loop run (5k
 // arrivals/s, sojourn percentiles — the longitudinal series, comparable

@@ -19,9 +19,10 @@ namespace {
 //    WriteKey seqs are non-decreasing and each entry stores only the delta;
 //  * List histories are position-ascending, so positions delta-code the
 //    same way;
-//  * object sets — a READ's objects (get-tag-arr), a WRITE's objects
-//    (update-coor, info-reader, kListPush records), one server's share of a
-//    WRITE (write-val, its ack, finalize) and the adaptive mode delta — are
+//  * object sets — a READ's objects (get-tag-arr), one server's share of a
+//    READ (read-val-batch, read-vals-batch), a WRITE's objects (update-coor,
+//    info-reader, kListPush records), one server's share of a WRITE
+//    (write-val, its ack, finalize) and the adaptive mode delta — are
 //    strictly ascending and ride as gaps, so every such field costs
 //    O(|set|) bytes, never k bits.
 // A writer id of kInvalidNode (the initial version's placeholder w0) maps to
@@ -99,8 +100,9 @@ std::vector<ListedKey> get_history(BufReader& r) {
 
 /// An object set (read sets, write sets, mode deltas): strictly ascending,
 /// so each id rides as its gap to the previous one (the first as its gap to
-/// 0).  `put_field` writes whatever rides after each id (write-val's value;
-/// nothing for a bare set).  `what` names the field in errors.
+/// 0).  `put_field` writes whatever rides after each id (write-val's value,
+/// read-val-batch's key; nothing for a bare set).  `what` names the field in
+/// errors.
 template <typename W, typename T, typename IdOf, typename PutField>
 void put_ascending(W& w, const std::vector<T>& items, IdOf id_of, PutField put_field,
                    const char* what) {
@@ -296,10 +298,9 @@ struct Encoder {
   }
   void operator()(const ReadValBatchReq& p) {
     w.uv(p.watermark);
-    w.cvec(p.entries, [](auto& w2, const BatchReadEntry& e) {
-      w2.uv(e.obj);
-      put_key(w2, e.key);
-    });
+    put_ascending(
+        w, p.entries, [](const BatchReadEntry& e) { return e.obj; },
+        [](W& w2, const BatchReadEntry& e) { put_key(w2, e.key); }, "read-val-batch");
   }
   void operator()(const ReadValBatchResp& p) {
     w.cvec(p.entries, [](auto& w2, const BatchReadResult& e) {
@@ -311,7 +312,7 @@ struct Encoder {
   }
   void operator()(const ReadValsBatchReq& p) {
     w.uv(p.watermark);
-    w.cvec(p.objs, [](auto& w2, ObjectId obj) { w2.uv(obj); });
+    put_obj_set(w, p.objs, "read-vals-batch");
   }
   void operator()(const ReadValsBatchResp& p) {
     w.cvec(p.entries, [](auto& w2, const ObjectVersions& e) {
@@ -548,12 +549,9 @@ template <>
 ReadValBatchReq Decoder::get<ReadValBatchReq>() {
   ReadValBatchReq p;
   p.watermark = r.uv();
-  p.entries = r.cvec<BatchReadEntry>([](BufReader& r2) {
-    BatchReadEntry e;
-    e.obj = static_cast<ObjectId>(r2.uv());
-    e.key = get_key(r2);
-    return e;
-  });
+  p.entries = get_ascending<BatchReadEntry>(
+      r, "read-val-batch", /*nonempty=*/true,
+      [](BufReader& r2, ObjectId obj) { return BatchReadEntry{obj, get_key(r2)}; });
   return p;
 }
 template <>
@@ -573,7 +571,7 @@ template <>
 ReadValsBatchReq Decoder::get<ReadValsBatchReq>() {
   ReadValsBatchReq p;
   p.watermark = r.uv();
-  p.objs = r.cvec<ObjectId>([](BufReader& r2) { return static_cast<ObjectId>(r2.uv()); });
+  p.objs = get_obj_set(r, "read-vals-batch", /*nonempty=*/true);
   return p;
 }
 template <>
@@ -608,9 +606,9 @@ static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one b
 // these numbers.  APPEND new payloads to the variant; reordering or
 // inserting breaks every stored trace and any mixed-version fleet, so it
 // requires a wire-version bump.  These asserts pin the frozen assignment,
-// which snowkit-wire-v2 to v4 kept (v2 redefined only the bodies of tags 6,
+// which snowkit-wire-v2 to v5 kept (v2 redefined only the bodies of tags 6,
 // 7 and 36; v3 those of 2, 4, 6, 36 and the replication record; v4 those of
-// 0, 1 and 12).
+// 0, 1 and 12; v5 those of 37 and 39, and left 8-11 without a sender).
 template <typename T>
 constexpr std::size_t payload_tag = Payload{T{}}.index();
 static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&

@@ -87,14 +87,9 @@ bool is_read_response(const Payload& p) {
 int version_count(const Payload& p) {
   if (const auto* rv = std::get_if<ReadValsResp>(&p)) return static_cast<int>(rv->versions.size());
   if (const auto* bv = std::get_if<ReadValsBatchResp>(&p)) {
-    // The O-property metric is versions per server SEND; a batched prefetch
-    // response honestly carries the SUM over its objects, not the max.
-    std::size_t total = 0;
-    for (const ObjectVersions& e : bv->entries) total += e.versions.size();
-    return static_cast<int>(total);
-  }
-  if (const auto* b = std::get_if<ReadValBatchResp>(&p)) {
-    return static_cast<int>(b->entries.size());
+    std::size_t most = 0;
+    for (const ObjectVersions& e : bv->entries) most = std::max(most, e.versions.size());
+    return static_cast<int>(most);
   }
   if (is_read_response(p)) return 1;
   return 0;

@@ -25,8 +25,12 @@ const char* payload_name(const Payload& p);
 bool is_read_request(const Payload& p);
 
 /// True if this payload is a server->client response carrying object
-/// versions; `version_count` says how many versions it carries (O property).
+/// versions.
 bool is_read_response(const Payload& p);
+/// The versions a read response carries per object, the unit of the O
+/// property and of the paper's version bounds: a batched response counts its
+/// largest per-object list (1 for read-val-batch-resp), not the sum over its
+/// objects.  0 for every other payload.
 int version_count(const Payload& p);
 
 /// The entry for `obj` in a tag array's ascending `entries`.  The

@@ -113,15 +113,18 @@ struct TagArrEntry {
 /// others, so the response scales with |I|, not with k.
 struct GetTagArrResp {
   Tag tag{0};
-  Tag watermark{0};  ///< coordinator read watermark; readers piggyback it on read-val.
+  Tag watermark{0};  ///< coordinator read watermark; readers piggyback it on read-val-batch.
   std::vector<TagArrEntry> entries;  ///< one per requested object, ascending obj.
   friend bool operator==(const GetTagArrResp&, const GetTagArrResp&) = default;
 };
 
+// Tags 8-11: the paper's per-object read-val and read-vals.  Since
+// snowkit-wire-v5 no reader sends them — every READ round goes out as one
+// read-val-batch or read-vals-batch per server (tags 37-40 below) — and the
+// version servers drop them like any payload they do not serve.  They keep
+// their tags, names and codec because the numbering is frozen (docs/WIRE.md).
+
 /// read-val: reader -> server s_i, naming the exact version kappa_i wanted.
-/// `watermark` piggybacks the coordinator watermark the reader saw in its tag
-/// array, so stores on the read path advance (and prune) with zero extra
-/// messages.
 struct ReadValReq {
   ObjectId obj{0};
   WriteKey key;
@@ -130,12 +133,7 @@ struct ReadValReq {
   friend bool operator==(const ReadValReq&, const ReadValReq&) = default;
 };
 
-/// one-version response: server -> reader.  `found` is false when the named
-/// key is not (or no longer) in Vals — reachable by speculative readers (occ)
-/// whose guessed key was superseded and garbage-collected, after a failover,
-/// and for a key no correct reader names; protocols that request
-/// watermark-protected keys from a failure-free fleet always get found ==
-/// true.
+/// one-version response: server -> reader (as BatchReadResult).
 struct ReadValResp {
   ObjectId obj{0};
   WriteKey key;
@@ -458,22 +456,32 @@ struct AdaptTagArrResp {
   friend bool operator==(const AdaptTagArrResp&, const AdaptTagArrResp&) = default;
 };
 
-/// One (object, exact key) fetch within a batched read-val.
+/// One (object, exact key) fetch within a read-val-batch.
 struct BatchReadEntry {
   ObjectId obj{0};
   WriteKey key;
   friend bool operator==(const BatchReadEntry&, const BatchReadEntry&) = default;
 };
 
-/// Reader -> server: all of this READ's round-2 read-vals for objects on one
-/// server, packed into a single frame (and thus a single coalescer write).
+/// read-val-batch: reader -> one server, the read-val (exact key kappa_i)
+/// of every object of one READ round that server hosts, in a single frame:
+/// algo-a's READ, algo-b's round 2, each occ-reads round and adaptive's
+/// round 2.
 struct ReadValBatchReq {
-  Tag watermark{0};  ///< piggybacked coordinator watermark, as in ReadValReq.
-  std::vector<BatchReadEntry> entries;
+  /// The coordinator watermark the reader saw in its tag array (0 for
+  /// algo-a), so stores on the read path advance (and prune) with zero
+  /// extra messages.
+  Tag watermark{0};
+  std::vector<BatchReadEntry> entries;  ///< ascending obj, non-empty.
   friend bool operator==(const ReadValBatchReq&, const ReadValBatchReq&) = default;
 };
 
-/// One resolved entry of a ReadValBatchReq (same semantics as ReadValResp).
+/// One resolved entry of a ReadValBatchReq: the value stored under `key`.
+/// `found` is false when the named key is not (or no longer) in Vals —
+/// reachable by speculative readers (occ) whose guessed key was superseded
+/// and garbage-collected, after a failover, and for a key no correct reader
+/// names; protocols that request watermark-protected keys from a
+/// failure-free fleet always get found == true.
 struct BatchReadResult {
   ObjectId obj{0};
   WriteKey key;
@@ -488,15 +496,18 @@ struct ReadValBatchResp {
   friend bool operator==(const ReadValBatchResp&, const ReadValBatchResp&) = default;
 };
 
-/// Reader -> server: round-1 prefetch of the full version lists for this
-/// READ's C-mode objects on one server (batched Algorithm-C read-vals).
+/// read-vals-batch: reader -> one server, the read-vals (live version list)
+/// of every object of one READ round that server hosts, in a single frame:
+/// algo-c's READ and adaptive's round-1 prefetch.
 struct ReadValsBatchReq {
-  Tag watermark{0};  ///< last watermark the reader saw (0 before any read).
-  std::vector<ObjectId> objs;
+  /// The last watermark the reader saw: adaptive's, or 0 (algo-c; a no-op
+  /// in VersionStore::advance_watermark).
+  Tag watermark{0};
+  std::vector<ObjectId> objs;  ///< ascending, non-empty.
   friend bool operator==(const ReadValsBatchReq&, const ReadValsBatchReq&) = default;
 };
 
-/// One object's version list within a batched prefetch response.
+/// One object's version list within a read-vals-batch response.
 struct ObjectVersions {
   ObjectId obj{0};
   std::vector<Version> versions;

@@ -53,18 +53,13 @@ class ReaderAdapt final : public ReadClient {
     // need a fetch and the prefetch turns their round 2 into round 1.  The
     // mode table thus governs exactly the contested case: a cached object
     // whose proof may or may not hold at the tag array.
-    std::map<std::size_t, ReadValsBatchReq> by_shard;
+    std::vector<ObjectId> prefetch;
     for (ObjectId obj : objs()) {
       const bool uncached = cache_reads_ && cache_.find(obj) == cache_.end();
-      if (!modes_.c_mode(obj) && !uncached) continue;
-      auto& batch = by_shard[place().shard_of(obj)];
-      batch.watermark = last_watermark_;
-      batch.objs.push_back(obj);
+      if (modes_.c_mode(obj) || uncached) prefetch.push_back(obj);
     }
-    for (auto& [shard, batch] : by_shard) {
-      send(route(shard), Message{txn(), std::move(batch)});
-      ++prefetch_outstanding_;
-    }
+    prefetch_outstanding_ =
+        send_by_shard(read_batches_by_shard(place(), last_watermark_, std::move(prefetch)));
   }
 
   bool on_reply(NodeId from, const Message& m) override {
@@ -158,18 +153,15 @@ class ReaderAdapt final : public ReadClient {
     // Wait for every round-1 prefetch before deciding: a list that is about
     // to arrive usually resolves its objects for free.
     if (round2_sent_ || prefetch_outstanding_ > 0) return;
-    std::map<std::size_t, ReadValBatchReq> by_shard;
-    for (ObjectId obj : objs()) {
-      if (got_.count(obj) != 0) continue;
-      auto& batch = by_shard[place().shard_of(obj)];
-      batch.watermark = watermark_;
-      batch.entries.push_back({obj, want_.at(obj)});
-      ++stats_.round2_objects;
+    std::map<ObjectId, WriteKey> missing;
+    for (const auto& [obj, key] : want_) {
+      if (got_.count(obj) == 0) missing.emplace(obj, key);
     }
-    if (by_shard.empty()) return;
+    if (missing.empty()) return;
+    stats_.round2_objects += missing.size();
     round2_sent_ = true;
     ++rounds_;
-    for (auto& [shard, batch] : by_shard) send(route(shard), Message{txn(), std::move(batch)});
+    send_by_shard(read_batches_by_shard(place(), watermark_, missing));
   }
 
   void on_takeover(const TakeoverNotice& tn) override {

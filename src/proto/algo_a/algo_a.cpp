@@ -22,9 +22,9 @@ class ReaderA final : public ReadClient {
     // even for writes touching other objects.
     tag_ = list_len_ - 1;
     got_.clear();
-    for (ObjectId obj : objs()) {
-      send(server_of(obj), Message{txn(), ReadValReq{obj, latest_.at(obj)}});
-    }
+    std::map<ObjectId, WriteKey> keys;
+    for (ObjectId obj : objs()) keys[obj] = latest_.at(obj);
+    send_by_shard(read_batches_by_shard(place(), /*watermark=*/0, keys));
   }
 
   bool on_peer(NodeId from, const Message& m) override {
@@ -38,9 +38,9 @@ class ReaderA final : public ReadClient {
   }
 
   bool on_reply(NodeId, const Message& m) override {
-    const auto* rr = std::get_if<ReadValResp>(&m.payload);
-    if (rr == nullptr) return false;
-    got_[rr->obj] = rr->value;
+    const auto* rb = std::get_if<ReadValBatchResp>(&m.payload);
+    if (rb == nullptr) return false;
+    for (const BatchReadResult& e : rb->entries) got_[e.obj] = e.value;
     if (got_.size() < objs().size()) return true;
     std::vector<std::pair<ObjectId, Value>> values;
     for (ObjectId obj : objs()) values.emplace_back(obj, got_.at(obj));
@@ -66,9 +66,7 @@ class WriterA final : public WriteClient {
     await_reader_acks_ = readers_.size();
     tag_ = 0;
     // One write-val per server, carrying all of its objects.
-    auto by_shard = write_vals_by_shard(place(), key_, writes());
-    await_server_acks_ = by_shard.size();
-    for (auto& [shard, wv] : by_shard) send(route(shard), Message{txn(), std::move(wv)});
+    await_server_acks_ = send_by_shard(write_vals_by_shard(place(), key_, writes()));
   }
 
   bool on_reply(NodeId, const Message& m) override {

@@ -8,9 +8,9 @@
 //   info-reader:  send (info-reader, (kappa, b_1..b_k)) to the reader —
 //                 a C2C message — and await (ack, t_w).
 // READ (reader r): for each object i, look up the newest List entry with
-//   b_i = 1, send (read-val, kappa_i) to s_i, and return the k values after
-//   one round.  Non-blocking, one round, one version: all of SNOW
-//   (Theorem 3).
+//   b_i = 1, send (read-val, kappa_i) to s_i — one read-val-batch per server
+//   for all of its objects — and return the values after one round.
+//   Non-blocking, one round, one version: all of SNOW (Theorem 3).
 //
 // The reader's List is the serialization order: a WRITE's tag is the List
 // index of its entry; a READ's tag is the largest index it used.  These tags

@@ -29,23 +29,22 @@ class ReaderB final : public ReadClient {
       if (!want_.empty()) return true;
       tag_ = ta->tag;
       watermark_ = ta->watermark;
-      for (ObjectId obj : objs()) {
-        const WriteKey& key = tag_entry(ta->entries, obj).latest;
-        want_[obj] = key;
-        send(server_of(obj), Message{m.txn, ReadValReq{obj, key, ta->watermark}});
-      }
+      for (ObjectId obj : objs()) want_[obj] = tag_entry(ta->entries, obj).latest;
+      send_by_shard(read_batches_by_shard(place(), watermark_, want_));
       return true;
     }
-    if (const auto* rr = std::get_if<ReadValResp>(&m.payload)) {
-      const auto it = want_.find(rr->obj);
-      if (it == want_.end() || !(it->second == rr->key)) return true;  // stale attempt
-      if (!rr->found) {
-        // Only a failover can race GC past a watermark-protected key:
-        // restart from the coordinator.
-        retry("algo-b requested a watermark-protected key that is gone");
-        return true;
+    if (const auto* rb = std::get_if<ReadValBatchResp>(&m.payload)) {
+      for (const BatchReadResult& e : rb->entries) {
+        const auto it = want_.find(e.obj);
+        if (it == want_.end() || !(it->second == e.key)) continue;  // stale attempt
+        if (!e.found) {
+          // Only a failover can race GC past a watermark-protected key:
+          // restart from the coordinator.
+          retry("algo-b requested a watermark-protected key that is gone");
+          return true;
+        }
+        got_[e.obj] = e.value;
       }
-      got_[rr->obj] = rr->value;
       if (got_.size() == objs().size()) complete();
       return true;
     }
@@ -60,10 +59,12 @@ class ReaderB final : public ReadClient {
       retry("the coordinator failed over");
       return;
     }
-    for (const auto& [obj, key] : want_) {  // empty while round 1 is in flight
-      if (place().shard_of(obj) != tn.shard || got_.count(obj) != 0) continue;
-      send(tn.node, Message{txn(), ReadValReq{obj, key, watermark_}});
+    // Re-send the failed-over shard's batch, minus what it already answered.
+    std::map<ObjectId, WriteKey> missing;  // empty while round 1 is in flight
+    for (const auto& [obj, key] : want_) {
+      if (place().shard_of(obj) == tn.shard && got_.count(obj) == 0) missing.emplace(obj, key);
     }
+    send_by_shard(read_batches_by_shard(place(), watermark_, missing));
   }
 
   void complete() {

@@ -6,8 +6,10 @@
 //                  — the newest key in the coordinator's List — for each
 //                  object i the READ names (the paper's array restricted
 //                  to the read set: the reader never consults the rest);
-//   read-value:    reader -> each object's server with the exact key kappa_i;
-//                  servers respond non-blocking with exactly one version.
+//   read-value:    reader -> each server, one read-val-batch naming the
+//                  exact key kappa_i of each object of the READ it hosts;
+//                  servers respond non-blocking with exactly one version per
+//                  object.
 //
 // WRITEs do write-value to the servers then update-coor to s* (which assigns
 // the List position = the Lemma-20 tag).  Theorem 4: every fair well-formed
@@ -29,10 +31,10 @@ struct AlgoBOptions {
   /// Which server shard acts as coordinator s* (index < server_count()).
   std::size_t coordinator{0};
   /// Watermark version GC (DEFAULT ON): writers fan out finalize notices and
-  /// readers piggyback the coordinator watermark on read-val, so Vals keeps
-  /// only the per-object anchor plus versions above the watermark.  READs
-  /// still see exactly one version either way; off restores keep-everything
-  /// Vals (the paper's literal state).
+  /// readers piggyback the coordinator watermark on read-val-batch, so Vals
+  /// keeps only the per-object anchor plus versions above the watermark.
+  /// READs still see exactly one version either way; off restores
+  /// keep-everything Vals (the paper's literal state).
   bool gc_versions{true};
   /// 1 = the paper's failure-free servers; 2 = crash-tolerant shards: each
   /// server gets a WAL-backed backup replica, acks wait for replication, and

@@ -23,7 +23,10 @@ class ReaderC final : public ReadClient {
     tag_arr_.reset();
     vals_.clear();
     send(route(coor_shard_), Message{txn(), tag_arr_req(objs())});
-    for (ObjectId obj : objs()) send(server_of(obj), Message{txn(), ReadValsReq{obj}});
+    // One read-vals-batch per server.  Watermark 0 leaves the stores'
+    // watermarks where the write path put them: they answer with the same
+    // live chains a per-object read-vals got.
+    send_by_shard(read_batches_by_shard(place(), /*watermark=*/0, objs()));
   }
 
   // Responses from a superseded attempt are indistinguishable from current
@@ -35,8 +38,8 @@ class ReaderC final : public ReadClient {
       maybe_complete();
       return true;
     }
-    if (const auto* rv = std::get_if<ReadValsResp>(&m.payload)) {
-      vals_[rv->obj] = rv->versions;
+    if (const auto* rv = std::get_if<ReadValsBatchResp>(&m.payload)) {
+      for (const ObjectVersions& e : rv->entries) vals_[e.obj] = e.versions;
       maybe_complete();
       return true;
     }

@@ -1,9 +1,10 @@
 // Algorithm C (paper §9, Pseudocodes 5 and 7): SNW + one-round READ
 // transactions in the MWMR setting, no client-to-client communication.
 // A READ sends, in a single parallel round, get-tag-arr to the coordinator
-// s* and read-vals to every server it reads; servers respond non-blocking,
-// but a read-vals response may carry multiple versions — up to the number of
-// concurrent WRITE transactions (the |W| entry of Fig. 1(b)).
+// s* and read-vals for every object it reads — one read-vals-batch per
+// server; servers respond non-blocking, but each object's list may carry
+// multiple versions — up to the number of concurrent WRITE transactions (the
+// |W| entry of Fig. 1(b)).
 //
 // Version selection.  Pseudocode 7 returns the value whose key matches the
 // coordinator's kappa_j.  Because read-vals may overtake a concurrent

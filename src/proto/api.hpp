@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -243,6 +244,13 @@ class ClientNode : public Node {
   NodeId route(std::size_t shard) const { return routes_.node_of(shard); }
   /// The node serving `obj`'s shard.
   NodeId server_of(ObjectId obj) const { return route(place_.shard_of(obj)); }
+  /// Sends each shard's payload of `by_shard` to the node serving that
+  /// shard, for the transaction in flight; returns how many it sent.
+  template <typename P>
+  std::size_t send_by_shard(std::map<std::size_t, P> by_shard) {
+    for (auto& [shard, p] : by_shard) send(route(shard), Message{txn_, std::move(p)});
+    return by_shard.size();
+  }
 
   void begin(TxnId txn) { txn_ = newest_txn_ = txn; }
   void end() { txn_ = kInvalidTxn; }

@@ -34,15 +34,17 @@ class ReaderO final : public ReadClient {
       maybe_finish_round();
       return true;
     }
-    if (const auto* rv = std::get_if<ReadValResp>(&m.payload)) {
-      // Only responses for the CURRENT guesses count; late responses from a
+    if (const auto* rb = std::get_if<ReadValBatchResp>(&m.payload)) {
+      // Only entries for the CURRENT guesses count; late entries from a
       // superseded round carry a stale key and are dropped.
-      auto it = guesses_.find(rv->obj);
-      if (it == guesses_.end() || !(it->second == rv->key)) return true;
-      // found == false means the speculative key was garbage-collected under
-      // us — record the miss; it fails validation below and retries with the
-      // tag array's (watermark-protected) keys.
-      got_[rv->obj] = rv->found ? std::optional<Value>(rv->value) : std::nullopt;
+      for (const BatchReadResult& e : rb->entries) {
+        auto it = guesses_.find(e.obj);
+        if (it == guesses_.end() || !(it->second == e.key)) continue;
+        // found == false means the speculative key was garbage-collected
+        // under us — record the miss; it fails validation below and retries
+        // with the tag array's (watermark-protected) keys.
+        got_[e.obj] = e.found ? std::optional<Value>(e.value) : std::nullopt;
+      }
       maybe_finish_round();
       return true;
     }
@@ -54,9 +56,7 @@ class ReaderO final : public ReadClient {
     tag_arr_.reset();
     got_.clear();
     send(route(coor_shard_), Message{txn(), tag_arr_req(objs())});
-    for (const auto& [obj, key] : guesses_) {
-      send(server_of(obj), Message{txn(), ReadValReq{obj, key, watermark_}});
-    }
+    send_by_shard(read_batches_by_shard(place(), watermark_, guesses_));
   }
 
   void maybe_finish_round() {
@@ -102,9 +102,7 @@ class ReaderO final : public ReadClient {
       pessimistic_tag_ = ta.tag;
       ++rounds_;
       got_.clear();
-      for (const auto& [obj, key] : guesses_) {
-        send(server_of(obj), Message{txn(), ReadValReq{obj, key, watermark_}});
-      }
+      send_by_shard(read_batches_by_shard(place(), watermark_, guesses_));
       return;
     }
     send_round();
@@ -124,7 +122,7 @@ class ReaderO final : public ReadClient {
   std::map<ObjectId, WriteKey> guesses_;
   std::map<ObjectId, std::optional<Value>> got_;
   std::optional<GetTagArrResp> tag_arr_;
-  Tag watermark_{0};  ///< newest coordinator watermark seen (read-val piggyback).
+  Tag watermark_{0};  ///< newest coordinator watermark seen (read-val-batch piggyback).
   int rounds_{0};
   bool pessimistic_{false};
   Tag pessimistic_tag_{0};

@@ -6,8 +6,9 @@
 // snowkit's concrete instance is an optimistic variant of Algorithm B:
 //
 //   round n:  in parallel, send get-tag-arr to the coordinator s* AND
-//             read-val(kappa_i^{n-1}) to each server, where kappa^{n-1} are
-//             the latest keys learned in round n-1 (kappa_0 initially).
+//             read-val(kappa_i^{n-1}) for each object — one read-val-batch
+//             per server — where kappa^{n-1} are the latest keys learned in
+//             round n-1 (kappa_0 initially).
 //   accept:   if the round-n tag array still names exactly the keys whose
 //             values were just fetched, those values are the consistent cut
 //             at t_r^n — finish with tag t_r^n.  Otherwise retry with the

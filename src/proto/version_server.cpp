@@ -1,5 +1,6 @@
 #include "proto/version_server.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -70,7 +71,7 @@ void VersionServer::on_message(NodeId from, const Message& m) {
       return;
     }
   }
-  if (misrouted(from, m)) return;
+  if (misrouted(from, m) || names_unknown_object(from, m)) return;
   if (handle_write_path(from, m)) return;
   if (serve_read(from, m)) return;
   if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
@@ -106,23 +107,28 @@ VersionStore& VersionServer::store(ObjectId obj, Tag watermark) {
   return vals;
 }
 
+bool VersionServer::names_unknown_object(NodeId from, const Message& m) const {
+  ObjectId top = 0;  // the largest id the request names
+  if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
+    for (const auto& [obj, value] : wv->writes) top = std::max(top, obj);
+  } else if (const auto* fin = std::get_if<FinalizeReq>(&m.payload)) {
+    for (ObjectId obj : fin->objs) top = std::max(top, obj);
+  } else if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) {
+    for (const BatchReadEntry& e : rb->entries) top = std::max(top, e.obj);
+  } else if (const auto* pb = std::get_if<ReadValsBatchReq>(&m.payload)) {
+    for (ObjectId obj : pb->objs) top = std::max(top, obj);
+  }
+  if (top < k_) return false;
+  SNOW_WARN("dropping " << payload_name(m.payload) << " from node " << from << ": object "
+                        << top << " outside the " << k_ << " objects");
+  return true;
+}
+
 bool VersionServer::serve_read(NodeId from, const Message& m) {
-  if (const auto* rv = std::get_if<ReadValReq>(&m.payload)) {
-    // One version, the one named.  A miss: a speculative occ key, a key GC'd
-    // past by a failover, or a request no correct reader sends.
-    const std::optional<Value> v = store(rv->obj, rv->watermark).try_get(rv->key);
-    send(from, Message{m.txn, ReadValResp{rv->obj, rv->key, v.value_or(kInitialValue),
-                                          v.has_value()}});
-    return true;
-  }
-  if (const auto* rv = std::get_if<ReadValsReq>(&m.payload)) {
-    // Bounded response: the live chain — with the watermark flowing this is
-    // the paper's <=|W|+1 candidate versions, not the full history.
-    send(from, Message{m.txn, ReadValsResp{rv->obj, stores_[rv->obj].all()}});
-    return true;
-  }
   if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) {
-    // Round-2 batch: every same-server object of one READ in one frame.
+    // One version per object, the one named, for every object of one READ
+    // on this server.  A miss: a speculative occ key, a key GC'd past by a
+    // failover, or a request no correct reader sends.
     ReadValBatchResp resp;
     resp.entries.reserve(rb->entries.size());
     for (const BatchReadEntry& e : rb->entries) {
@@ -133,7 +139,9 @@ bool VersionServer::serve_read(NodeId from, const Message& m) {
     return true;
   }
   if (const auto* pb = std::get_if<ReadValsBatchReq>(&m.payload)) {
-    // Round-1 prefetch: the live chains of one READ's objects on this server.
+    // The live chains of one READ's objects on this server: with the
+    // watermark flowing, each is the paper's <=|W|+1 candidate versions,
+    // not the full history.
     ReadValsBatchResp resp;
     resp.entries.reserve(pb->objs.size());
     for (ObjectId obj : pb->objs) resp.entries.push_back({obj, store(obj, pb->watermark).all()});

@@ -8,14 +8,19 @@
 // One server may host many objects under a sharded Placement; every request
 // names its object, so the stores stay disjoint.
 //
-// The server answers every read request any of these protocols sends —
-// read-val (B, occ, A), read-vals (C), read-val-batch and read-vals-batch
-// (adaptive).  The payload types do not overlap, so no handler asks which
-// protocol it serves.  Reads are answered at once (N), from committed state,
-// with the versions named: a key that is not (or no longer) in Vals is
-// answered with found == false.  That is reachable for occ's speculative
-// keys, after a failover GC'd past a key an old lineage promised, and for
-// requests no correct reader sends — none of them may abort the server.
+// Every READ round reaches a server as one frame naming all of the READ's
+// objects it hosts, and the server answers it with one frame: read-val-batch
+// asks for exact keys (A, B's round 2, occ's rounds, adaptive's round 2) and
+// read-vals-batch for live version chains (C's round, adaptive's prefetch).
+// No handler asks which protocol it serves.  The per-object read-val and
+// read-vals (payload tags 8-11) have no sender since snowkit-wire-v5 and are
+// dropped like any other payload the server does not serve.  Reads are
+// answered at once (N), from committed state, with the versions named: a key
+// that is not (or no longer) in Vals is answered with found == false.  That
+// is reachable for occ's speculative keys, after a failover GC'd past a key
+// an old lineage promised, and for requests no correct reader sends — none
+// of them may abort the server, and neither may a request naming an object
+// id >= k, which is dropped.
 // The only per-protocol parts live at the coordinator: what its get-tag-arr
 // reply carries (latest keys, with algo-c's history, or adaptive's
 // AdaptTagArrResp with a mode delta) and adaptive's write-rate tracker.
@@ -72,6 +77,9 @@ class VersionServer final : public Node {
 
  private:
   bool misrouted(NodeId from, const Message& m) const;
+  /// Object ids are untrusted: a request naming one >= k would make a store
+  /// for it.  True (and a warning) if `m` names any.
+  bool names_unknown_object(NodeId from, const Message& m) const;
   bool serve_read(NodeId from, const Message& m);
   bool handle_write_path(NodeId from, const Message& m);
   bool handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc);

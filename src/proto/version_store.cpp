@@ -215,6 +215,30 @@ std::map<std::size_t, WriteValReq> write_vals_by_shard(
   return by_shard;
 }
 
+std::map<std::size_t, ReadValBatchReq> read_batches_by_shard(
+    const Placement& place, Tag watermark, const std::map<ObjectId, WriteKey>& keys) {
+  std::map<std::size_t, ReadValBatchReq> by_shard;
+  for (const auto& [obj, key] : keys) {
+    ReadValBatchReq& batch = by_shard[place.shard_of(obj)];
+    batch.watermark = watermark;
+    batch.entries.push_back({obj, key});
+  }
+  return by_shard;
+}
+
+std::map<std::size_t, ReadValsBatchReq> read_batches_by_shard(const Placement& place,
+                                                              Tag watermark,
+                                                              std::vector<ObjectId> objs) {
+  std::sort(objs.begin(), objs.end());
+  std::map<std::size_t, ReadValsBatchReq> by_shard;
+  for (ObjectId obj : objs) {
+    ReadValsBatchReq& batch = by_shard[place.shard_of(obj)];
+    batch.watermark = watermark;
+    batch.objs.push_back(obj);
+  }
+  return by_shard;
+}
+
 std::size_t CoorList::entries() const {
   std::size_t n = 0;
   for (const auto& h : history_) n += h.size();

@@ -39,8 +39,8 @@
 //
 // Watermarks travel on existing messages only: update-coor acks carry W to
 // writers, writers forward it on their finalize fan-out, tag arrays carry it
-// to readers, and readers piggyback it on read-val — advancement costs no
-// extra round anywhere.  tests/version_store_gc_property_test.cpp checks the
+// to readers, and readers piggyback it on read-val-batch — advancement costs
+// no extra round anywhere.  tests/version_store_gc_property_test.cpp checks the
 // retention invariant, watermark monotonicity and the bounded-chain-length
 // consequence against a keep-everything reference model.
 #pragma once
@@ -213,6 +213,19 @@ std::vector<ObjectId> write_set(const std::vector<std::pair<ObjectId, Value>>& w
 std::map<std::size_t, WriteValReq> write_vals_by_shard(
     const Placement& place, const WriteKey& key,
     const std::vector<std::pair<ObjectId, Value>>& writes);
+
+/// A READ's exact-key fetches, one read-val-batch per server shard under
+/// `place`, keyed by shard: each names that shard's objects of `keys` in
+/// ascending order with their keys and carries `watermark`.
+std::map<std::size_t, ReadValBatchReq> read_batches_by_shard(
+    const Placement& place, Tag watermark, const std::map<ObjectId, WriteKey>& keys);
+
+/// A READ's version-list fetches, one read-vals-batch per server shard under
+/// `place`, keyed by shard: each names that shard's objects of `objs` (any
+/// order, no repeats) in ascending order and carries `watermark`.
+std::map<std::size_t, ReadValsBatchReq> read_batches_by_shard(const Placement& place,
+                                                              Tag watermark,
+                                                              std::vector<ObjectId> objs);
 
 /// Applies one state mutation — kInsert, kFinalize (finalize + watermark
 /// advance) or kCoorFinalize — to a server's stores and List.  The one place

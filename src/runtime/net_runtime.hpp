@@ -6,7 +6,7 @@
 // the node ids (NetOptions::owner) and only owned nodes get executors and
 // receive on_start.  A send between two locally-owned nodes goes through the
 // local mailbox exactly like ThreadRuntime; a send to a remote node is
-// framed (runtime/socket.hpp, snowkit-wire-v4: the codec bytes of
+// framed (runtime/socket.hpp, snowkit-wire-v5: the codec bytes of
 // encode_message_into behind a length prefix and a routing header) and
 // shipped over a per-peer TCP connection.  Protocols run unmodified: the
 // paper's model — clients and servers as separate processes over
@@ -49,7 +49,7 @@
 // plus bytes already handed to the dead socket (TCP's contract).  The SNOW
 // protocols tolerate that only at fleet shutdown, where the SHUTDOWN frame
 // (broadcast_shutdown) already ends the run; mid-run process crashes are out
-// of scope for snowkit-wire-v4.
+// of scope for snowkit-wire-v5.
 //
 // Trust model: a peer's only credential is its unauthenticated HELLO, so
 // every byte off the wire is handled as untrusted input — malformed frames,
@@ -57,15 +57,15 @@
 // connection, and pre-HELLO connections are capped/bounded/deadlined.  Every
 // payload that decodes is delivered, so the nodes themselves must not abort
 // on one: the version servers (proto/version_server.hpp) answer every read
-// request, a missing key with found == false, and drop anything else with a
-// warning; the client nodes (proto/api.hpp's ReadClient and WriteClient)
+// request, a missing key with found == false, and drop anything else, and
+// any request naming an object id >= k, with a warning; the client nodes (proto/api.hpp's ReadClient and WriteClient)
 // drop, with a warning, any reply that is foreign, arrives with no
 // transaction in flight or names another transaction.  Two gaps remain
 // (ROADMAP item 3).  An in-turn reply forged with the matching txn can still
 // trip a reader's protocol-invariant check (algo-b's "watermark-protected
 // key" check, for one).  And a finalize naming a version the server never
 // stored, or a List position already finalized under another key, trips
-// VersionStore::finalize's checks.  What wire-v4 does
+// VersionStore::finalize's checks.  What wire-v5 does
 // NOT defend against is control-plane spoofing: any process that can reach
 // a fleet port and speak the public HELLO can deliver a SHUTDOWN (stopping
 // the daemon) or displace a genuine peer's connection.  Fleet ports belong

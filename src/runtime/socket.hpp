@@ -1,4 +1,4 @@
-// snowkit-wire-v4 framing + TCP socket helpers for NetRuntime.
+// snowkit-wire-v5 framing + TCP socket helpers for NetRuntime.
 //
 // The stream format (frozen in docs/WIRE.md) wraps the existing message
 // codec (msg/codec.cpp, reused verbatim via encode_message_into) in
@@ -20,7 +20,7 @@
 // never the process (NetRuntime uses try_decode_message for frame
 // payloads).  What remains trusted is only control-plane INTENT: a
 // well-formed SHUTDOWN from any greeted peer stops the daemon, so fleet
-// ports must sit behind the operator's network boundary — snowkit-wire-v4
+// ports must sit behind the operator's network boundary — snowkit-wire-v5
 // has no peer authentication (see the trust model note in net_runtime.hpp).
 #pragma once
 
@@ -35,16 +35,20 @@ namespace snowkit::net {
 
 /// "SNWK" little-endian: the first 4 body bytes of every HELLO.
 inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
-/// snowkit-wire-v4: v1's framing and payload tags.  v2 sized get-tag-arr,
+/// snowkit-wire-v5: v1's framing and payload tags.  v2 sized get-tag-arr,
 /// tag-arr and adapt-tag-arr (tags 6, 7, 36) by the READ's objects; v3 sizes
 /// info-reader, update-coor and replication records by the WRITE's objects
 /// and ships adaptive mode tables as deltas (tags 2, 4, 6, 36), so no
 /// per-operation body grows with the object count.  v4 packs one server's
 /// share of a WRITE into one write-val, write-val-ack and finalize (tags 0,
-/// 1, 12), the last optionally carrying the finalize-coor notice.  Bump on
-/// any incompatible codec or framing change (docs/WIRE.md is the contract);
-/// peers of another version are refused at HELLO.
-inline constexpr std::uint64_t kWireVersion = 4;
+/// 1, 12), the last optionally carrying the finalize-coor notice.  v5 does
+/// the same for READs: every reader sends one read-val-batch or
+/// read-vals-batch per server per round (tags 37, 39, whose objects now
+/// ride as an ascending set), and the per-object read-val and read-vals
+/// (tags 8-11) have no sender.  Bump on any incompatible codec or framing
+/// change (docs/WIRE.md is the contract); peers of another version are
+/// refused at HELLO.
+inline constexpr std::uint64_t kWireVersion = 5;
 /// Frames above this are a protocol error, not a large message: legitimate
 /// payloads scale with a READ's objects or a server's live version chains
 /// and stay orders of magnitude smaller, so an absurd length prefix means a
@@ -107,7 +111,7 @@ struct IoSlice {
 /// past whatever the kernel actually accepted — including a partial write
 /// that stops at ANY byte offset inside or across frame boundaries (the next
 /// gather resumes mid-frame).  Frames are never re-encoded, split or merged:
-/// coalescing is purely how many of the SAME snowkit-wire-v4 bytes share one
+/// coalescing is purely how many of the SAME snowkit-wire-v5 bytes share one
 /// syscall, which frame_roundtrip_test proves by comparing gathered bytes
 /// against the flat reference stream.
 ///

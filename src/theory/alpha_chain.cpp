@@ -61,7 +61,7 @@ ScriptedRun run_scripted(const std::vector<std::pair<NodeId, NodeId>>& pre_r1_re
   // Hold r1's info-reader (the pivotal a_{k*+1}) and all read traffic.
   sim.hold_matching(script::any_of(
       {script::all_of({script::payload_is("info-reader"), script::to_node(kR1)}),
-       script::payload_is("read-val"), script::payload_is("read-val-resp")}));
+       script::payload_is("read-val-batch"), script::payload_is("read-val-batch-resp")}));
 
   // W writes (x1, y1); it stays open until r1's info-reader is released.
   bool w_done = false;

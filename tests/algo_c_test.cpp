@@ -46,7 +46,8 @@ TEST(AlgoC, ExhaustedRetriesGiveUpInsteadOfAborting) {
   for (int attempt = 0; attempt < 120; ++attempt) {
     rig.sim.send(0, reader, Message{txn, ta});
     for (const ObjectId obj : {0u, 1u}) {
-      rig.sim.send(obj, reader, Message{txn, ReadValsResp{obj, {Version{kInitialKey, 0}}}});
+      rig.sim.send(obj, reader,
+                   Message{txn, ReadValsBatchResp{{{obj, {Version{kInitialKey, 0}}}}}});
     }
     rig.sim.run_until_idle();
   }
@@ -106,10 +107,10 @@ TEST(AlgoC, StrictSerializabilityUnderManyWritersAndReaders) {
 }
 
 TEST(AlgoC, DescentHandlesOvertakingReadVals) {
-  // Force the race the descent exists for: the reader's read-vals reaches
-  // s_y BEFORE the concurrent write lands there, while get-tag-arr reaches
-  // the coordinator AFTER update-coor.  kappa_y is then missing from Vals_y
-  // and the reader must fall back to the previous cut.
+  // Force the race the descent exists for: the reader's read-vals-batch
+  // reaches s_y BEFORE the concurrent write lands there, while get-tag-arr
+  // reaches the coordinator AFTER update-coor.  kappa_y is then missing from
+  // Vals_y and the reader must fall back to the previous cut.
   SimRuntime sim;
   HistoryRecorder rec(2);
   AlgoCOptions opts;
@@ -120,7 +121,7 @@ TEST(AlgoC, DescentHandlesOvertakingReadVals) {
   // Script: hold W's write-val to s_y (object 1) and the READ's messages.
   sim.hold_matching(script::any_of(
       {script::all_of({script::payload_is("write-val"), script::to_node(1)}),
-       script::payload_is("read-vals"), script::payload_is("get-tag-arr")}));
+       script::payload_is("read-vals-batch"), script::payload_is("get-tag-arr")}));
 
   bool w_done = false;
   invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const WriteResult&) { w_done = true; });
@@ -134,10 +135,11 @@ TEST(AlgoC, DescentHandlesOvertakingReadVals) {
   });
   sim.run_until_idle();
 
-  // Deliver read-vals to BOTH servers now (s_y has no new version yet)...
-  ASSERT_TRUE(script::release_one(sim, script::all_of({script::payload_is("read-vals"),
+  // Deliver read-vals-batch to BOTH servers now (s_y has no new version
+  // yet)...
+  ASSERT_TRUE(script::release_one(sim, script::all_of({script::payload_is("read-vals-batch"),
                                                        script::to_node(0)})));
-  ASSERT_TRUE(script::release_one(sim, script::all_of({script::payload_is("read-vals"),
+  ASSERT_TRUE(script::release_one(sim, script::all_of({script::payload_is("read-vals-batch"),
                                                        script::to_node(1)})));
   sim.run_until_idle();
   // ...then let the write finish (write-val@s_y, update-coor)...
@@ -211,7 +213,7 @@ TEST(AlgoC, CoordinatorAlsoServesItsObject) {
   ReadResult result;
   invoke_read(rig.sim, rig.sys->reader(0), {0}, [&](const ReadResult& r) { result = r; });
   rig.sim.run_until_idle();
-  EXPECT_EQ(result.values[0].second, 77);  // get-tag-arr + read-vals both at s*
+  EXPECT_EQ(result.values[0].second, 77);  // get-tag-arr + read-vals-batch both at s*
 }
 
 }  // namespace

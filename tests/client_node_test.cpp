@@ -26,8 +26,9 @@ class Probe final : public Node {
 
 const WriteKey kAbsent{99, 99};
 
-/// One of every reply type any client consumes, plus a TakeoverNotice that
-/// advances no route, all naming `txn`.
+/// One of every reply type any client consumes, the per-object read replies
+/// no server sends since wire v5, and a TakeoverNotice that advances no
+/// route, all naming `txn`.
 std::vector<Message> replies(TxnId txn) {
   const ObjectId obj = 1;
   std::vector<Payload> payloads{

@@ -45,8 +45,9 @@ std::vector<TagArrEntry> rtag_entries(Xoshiro256& rng) {
   return v;
 }
 
-// Object sets (read sets, write sets, mode deltas) are strictly ascending by
-// contract (gap-coded); write sets also name at least `min_size` objects.
+// Object sets (read sets, write sets, read batches, mode deltas) are strictly
+// ascending by contract (gap-coded); write sets and read batches also name at
+// least `min_size` objects.
 std::vector<ObjectId> robj_set(Xoshiro256& rng, std::size_t min_size = 0) {
   std::vector<ObjectId> objs(min_size + rng.below(10));
   ObjectId next = static_cast<ObjectId>(rng.below(1u << 24));
@@ -172,8 +173,6 @@ TakeoverNotice make_random(Xoshiro256& rng) { return {ru64(rng), ru32(rng), ru64
 template <>
 NodeDownNotice make_random(Xoshiro256& rng) { return {ru32(rng)}; }
 
-BatchReadEntry rentry(Xoshiro256& rng) { return {ru32(rng), rkey(rng)}; }
-
 template <>
 AdaptTagArrResp make_random(Xoshiro256& rng) {
   // A delta's base is at most its epoch; a snapshot (base 0) lists C-mode
@@ -187,8 +186,8 @@ AdaptTagArrResp make_random(Xoshiro256& rng) {
 }
 template <>
 ReadValBatchReq make_random(Xoshiro256& rng) {
-  std::vector<BatchReadEntry> entries(rng.below(8));
-  for (auto& e : entries) e = rentry(rng);
+  std::vector<BatchReadEntry> entries;
+  for (ObjectId obj : robj_set(rng, 1)) entries.push_back({obj, rkey(rng)});
   return {ru64(rng), std::move(entries)};
 }
 template <>
@@ -198,11 +197,7 @@ ReadValBatchResp make_random(Xoshiro256& rng) {
   return {std::move(entries)};
 }
 template <>
-ReadValsBatchReq make_random(Xoshiro256& rng) {
-  std::vector<ObjectId> objs(rng.below(8));
-  for (auto& o : objs) o = ru32(rng);
-  return {ru64(rng), std::move(objs)};
-}
+ReadValsBatchReq make_random(Xoshiro256& rng) { return {ru64(rng), robj_set(rng, 1)}; }
 template <>
 ReadValsBatchResp make_random(Xoshiro256& rng) {
   std::vector<ObjectVersions> entries(rng.below(6));

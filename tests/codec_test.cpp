@@ -152,10 +152,43 @@ TEST(Codec, EncodedSizeMatches) {
   EXPECT_EQ(encoded_size(m), encode_message(m).size());
 }
 
+TEST(Codec, ReadBatches) {
+  // A server's share of one READ round: the objects ride as an ascending
+  // set, each gap followed by the key (read-val-batch) or nothing
+  // (read-vals-batch).  txn 7, tag, watermark 9, count 2, then the entries.
+  const ReadValBatchReq batch{9, {{5, WriteKey{3, 1}}, {300, kInitialKey}}};
+  EXPECT_EQ(encode_message(Message{7, batch}),
+            (std::vector<std::uint8_t>{0x07, 0x25, 0x09, 0x02, 0x05, 0x03, 0x02, 0xA7, 0x02,
+                                       0x00, 0x00}));
+  const ReadValsBatchReq lists{0, {5, 300}};
+  EXPECT_EQ(encode_message(Message{7, lists}),
+            (std::vector<std::uint8_t>{0x07, 0x27, 0x00, 0x02, 0x05, 0xA7, 0x02}));
+  for (const Payload& p :
+       {Payload{batch}, Payload{lists},
+        Payload{ReadValBatchResp{{{5, WriteKey{3, 1}, -4, true}, {300, kInitialKey, 0, false}}}},
+        Payload{ReadValsBatchResp{{{5, {Version{kInitialKey, 0}, Version{WriteKey{3, 1}, 8}}},
+                                   {300, {Version{kInitialKey, 0}}}}}}}) {
+    EXPECT_EQ(decode_message(encode_message(Message{7, p})), (Message{7, p}));
+  }
+}
+
 TEST(Codec, VersionCountClassifier) {
   EXPECT_EQ(version_count(Payload{ReadValResp{}}), 1);
   EXPECT_EQ(version_count(Payload{ReadValsResp{0, {Version{}, Version{}, Version{}}}}), 3);
   EXPECT_EQ(version_count(Payload{WriteValReq{}}), 0);
+  // A batched response counts versions per object, not per frame: one for
+  // every read-val-batch-resp entry, the longest list of a
+  // read-vals-batch-resp.
+  EXPECT_EQ(version_count(Payload{ReadValBatchResp{{{0, kInitialKey, 0, true},
+                                                    {1, kInitialKey, 0, true},
+                                                    {2, kInitialKey, 0, false}}}}),
+            1);
+  const std::vector<Version> two{Version{kInitialKey, 0}, Version{WriteKey{1, 0}, 1}};
+  const std::vector<Version> three{Version{kInitialKey, 0}, Version{WriteKey{1, 0}, 1},
+                                   Version{WriteKey{2, 0}, 2}};
+  EXPECT_EQ(version_count(Payload{ReadValsBatchResp{{{0, two}, {1, three}, {2, two}}}}), 3);
+  EXPECT_EQ(version_count(Payload{ReadValsBatchResp{{{4, two}}}}), 2);
+  EXPECT_EQ(version_count(Payload{ReadValBatchReq{0, {{0, kInitialKey}}}}), 0);
 }
 
 // try_decode_message is the UNTRUSTED entry point (network frames): every
@@ -192,6 +225,8 @@ TEST(Codec, TryDecodeRejectsMalformedBytes) {
                            Payload{InfoReaderReq{WriteKey{3, 1}, {2, 300}}},
                            Payload{UpdateCoorReq{WriteKey{3, 1}, {2, 300, 70000}}},
                            Payload{GetTagArrReq{{3, 300, 70000}, 200}},
+                           Payload{ReadValBatchReq{4, {{2, WriteKey{3, 1}}, {300, kInitialKey}}}},
+                           Payload{ReadValsBatchReq{4, {2, 300, 70000}}},
                            Payload{GetTagArrResp{4, 2, entries}},
                            Payload{AdaptTagArrResp{4, 2, entries, 9, 7, {5}, {2, 300}}},
                            Payload{AdaptTagArrResp{4, 2, entries, 9, 0, {5, 300}, {}}},
@@ -303,6 +338,33 @@ TEST(Codec, TryDecodeRejectsMalformedServerShares) {
   ASSERT_TRUE(try_decode_message(finalize({0x01, 0x05}, 1), out, err)) << err;
   EXPECT_EQ(std::get<FinalizeReq>(out.payload),
             (FinalizeReq{WriteKey{1, 0}, 3, 2, {5}, true}));
+}
+
+TEST(Codec, TryDecodeRejectsMalformedReadBatches) {
+  Message out;
+  std::string err;
+  // txn 0, tag 37 (read-val-batch), watermark 0, then the set with a key
+  // (seq 1, writer 0) after each id.
+  EXPECT_FALSE(try_decode_message({0x00, 0x25, 0x00, 0x00}, out, err));
+  EXPECT_NE(err.find("names no object"), std::string::npos) << err;
+  EXPECT_FALSE(
+      try_decode_message({0x00, 0x25, 0x00, 0x02, 0x05, 0x01, 0x01, 0x00, 0x01, 0x01}, out, err));
+  EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
+  ASSERT_TRUE(
+      try_decode_message({0x00, 0x25, 0x00, 0x02, 0x05, 0x01, 0x01, 0x02, 0x01, 0x01}, out, err))
+      << err;
+  EXPECT_EQ(std::get<ReadValBatchReq>(out.payload),
+            (ReadValBatchReq{0, {{5, WriteKey{1, 0}}, {7, WriteKey{1, 0}}}}));
+  // Tag 39 (read-vals-batch): watermark 0, then the bare set.
+  EXPECT_FALSE(try_decode_message({0x00, 0x27, 0x00, 0x00}, out, err));
+  EXPECT_NE(err.find("names no object"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message({0x00, 0x27, 0x00, 0x02, 0x05, 0x00}, out, err));
+  EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
+  EXPECT_FALSE(
+      try_decode_message({0x00, 0x27, 0x00, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  ASSERT_TRUE(try_decode_message({0x00, 0x27, 0x00, 0x01, 0x00}, out, err)) << err;
+  EXPECT_EQ(std::get<ReadValsBatchReq>(out.payload), (ReadValsBatchReq{0, {0}}));
 }
 
 TEST(Codec, TryDecodeRejectsMalformedModeDeltas) {

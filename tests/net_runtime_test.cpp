@@ -429,9 +429,10 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
   net::append_msg(bytes, writer, other, Message{1, WriteValReq{WriteKey{1, writer}, {{1, 5}}}});
   net::append_msg(bytes, writer, other,
                   Message{1, FinalizeReq{WriteKey{1, writer}, 1, 0, {1}, /*coor=*/true}});
-  // A read-val behind them: its answer proves the other server consumed all
-  // of them (one link's frames are handled in order) and is still alive.
-  net::append_msg(bytes, reader, other, Message{1, ReadValReq{1, kInitialKey, 0}});
+  // A read-val-batch behind them: its answer proves the other server
+  // consumed all of them (one link's frames are handled in order) and is
+  // still alive.
+  net::append_msg(bytes, reader, other, Message{1, ReadValBatchReq{0, {{1, kInitialKey}}}});
   net::append_msg(bytes, reader, coordinator, Message{1, GetTagArrReq{{1, 2, 70'000}}});
   ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
 
@@ -439,7 +440,7 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
   // arriving proves every update-coor before it was consumed — and none of
   // them may have been acked.
   std::optional<GetTagArrResp> tag_arr;
-  std::optional<ReadValResp> read_val;
+  std::optional<ReadValBatchResp> read_val;
   net::FrameDecoder dec;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (!(tag_arr && read_val) && std::chrono::steady_clock::now() < deadline) {
@@ -462,13 +463,14 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
         EXPECT_EQ(hdr.from, coordinator) << "a non-coordinator answered get-tag-arr";
         tag_arr = *ta;
       }
-      if (const auto* rv = std::get_if<ReadValResp>(&m.payload)) read_val = *rv;
+      if (const auto* rv = std::get_if<ReadValBatchResp>(&m.payload)) read_val = *rv;
     }
   }
   ::close(fd);
   ASSERT_TRUE(tag_arr.has_value()) << "no tag array from the coordinator";
-  ASSERT_TRUE(read_val.has_value()) << "no read-val answer from the other server";
-  EXPECT_EQ(read_val->key, kInitialKey);
+  ASSERT_TRUE(read_val.has_value()) << "no read-val-batch answer from the other server";
+  ASSERT_EQ(read_val->entries.size(), 1u);
+  EXPECT_EQ(read_val->entries[0].key, kInitialKey);
   EXPECT_EQ(tag_arr->tag, 0u);  // nothing was listed
   ASSERT_EQ(tag_arr->entries.size(), 1u);
   EXPECT_EQ(tag_arr->entries[0].obj, 1u);
@@ -499,34 +501,43 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
 
 TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
   SKIP_WITHOUT_TRANSPORT();
-  // Frames that decode fine but that no algo-b reader sends: a read-val for
-  // a key the server never stored, a read-vals (algo-c's request), a tag
-  // array (a reply) and an eiger read.  The server must answer the first
-  // with found == false, may serve the read-vals, must drop the rest, and
-  // must then still serve a real workload.
+  // Frames that decode fine but that no algo-b reader sends: a
+  // read-val-batch for a key the server never stored, the per-object
+  // read-val and read-vals no reader sends since wire v5, a read-vals-batch
+  // (algo-c's request), a tag array (a reply), an eiger read, and a
+  // read-val-batch and a write-val naming an object id >= k.  The server
+  // must answer the first with found == false, may serve the
+  // read-vals-batch, must drop the rest, and must then still serve a real
+  // workload.
   const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
   FleetProc server;
   server.build(fleet, 0);
   server.rt->start();
-  const NodeId other = 1, reader = 2;  // server 1 is not the coordinator
+  const NodeId other = 1, reader = 2, writer = 3;  // server 1 is not the coordinator
   ASSERT_TRUE(server.rt->owns(other));
   ASSERT_EQ(server.rt->owner_of(reader), fleet.client_index());
+  ASSERT_EQ(server.rt->owner_of(writer), fleet.client_index());
 
   const int fd = raw_connect(fleet.processes[0].port);
   ASSERT_GE(fd, 0);
   const WriteKey absent{42, 7};
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, fleet.client_index());
-  net::append_msg(bytes, reader, other, Message{1, ReadValReq{1, absent, 0}});
+  net::append_msg(bytes, reader, other, Message{1, ReadValBatchReq{0, {{1, absent}}}});
+  net::append_msg(bytes, reader, other, Message{1, ReadValReq{1, kInitialKey, 0}});
   net::append_msg(bytes, reader, other, Message{1, ReadValsReq{1}});
+  net::append_msg(bytes, reader, other, Message{1, ReadValsBatchReq{0, {1}}});
   net::append_msg(bytes, reader, other, Message{1, GetTagArrResp{}});
   net::append_msg(bytes, reader, other, Message{1, EigerReadReq{1, 3}});
-  // A read-val behind them: its answer proves the server consumed them all
-  // (one link's frames are handled in order) and is still alive.
-  net::append_msg(bytes, reader, other, Message{2, ReadValReq{1, kInitialKey, 0}});
+  net::append_msg(bytes, reader, other,
+                  Message{1, ReadValBatchReq{0, {{1, kInitialKey}, {2, kInitialKey}}}});
+  net::append_msg(bytes, writer, other, Message{1, WriteValReq{absent, {{70'000, 5}}}});
+  // A read-val-batch behind them: its answer proves the server consumed them
+  // all (one link's frames are handled in order) and is still alive.
+  net::append_msg(bytes, reader, other, Message{2, ReadValBatchReq{0, {{1, kInitialKey}}}});
   ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
 
-  std::vector<ReadValResp> read_vals;
+  std::vector<BatchReadResult> read_vals;
   int others = 0;
   net::FrameDecoder dec;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -544,9 +555,10 @@ TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
       std::string err;
       ASSERT_TRUE(net::parse_msg_header(f.body, hdr, err)) << err;
       const Message m = net::decode_msg_payload(f.body, hdr.payload_offset);
-      if (const auto* rv = std::get_if<ReadValResp>(&m.payload)) {
-        read_vals.push_back(*rv);
-      } else if (!std::holds_alternative<ReadValsResp>(m.payload)) {
+      if (const auto* rv = std::get_if<ReadValBatchResp>(&m.payload)) {
+        ASSERT_EQ(rv->entries.size(), 1u);
+        read_vals.push_back(rv->entries[0]);
+      } else if (!std::holds_alternative<ReadValsBatchResp>(m.payload)) {
         ++others;
       }
     }

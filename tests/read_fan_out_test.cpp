@@ -1,0 +1,239 @@
+// A READ round sends one frame per server, not one per object: a server
+// hosting several objects of a READ gets one read-val-batch or
+// read-vals-batch and answers one response, for algo-a, algo-b, algo-c and
+// occ-reads as for adaptive; a failover re-sends one batch for the shard it
+// moved; and a batched response counts its versions per object.  Counted by
+// payload on the simulator.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
+
+#include "checker/snow_monitor.hpp"
+#include "core/registry.hpp"
+#include "core/system.hpp"
+#include "sim/sim_runtime.hpp"
+
+namespace snowkit {
+namespace {
+
+/// Counts sends by payload name, and keeps each read-val-batch sent.
+struct Counter final : MessageObserver {
+  std::map<std::string, int> sent;
+  std::vector<std::pair<NodeId, ReadValBatchReq>> batches;  ///< (receiver, body).
+
+  void on_send(NodeId, NodeId to, const Message& m, std::size_t) override {
+    ++sent[payload_name(m.payload)];
+    if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) batches.emplace_back(to, *rb);
+  }
+  void on_deliver(NodeId, NodeId, const Message&) override {}
+
+  int operator[](const std::string& name) const {
+    const auto it = sent.find(name);
+    return it == sent.end() ? 0 : it->second;
+  }
+  int total() const {
+    int n = 0;
+    for (const auto& [name, count] : sent) n += count;
+    return n;
+  }
+  void reset() { *this = Counter{}; }
+};
+
+/// 4 objects; with `servers` = 2 under range placement objects {0, 1} live
+/// on shard 0 (the coordinator's) and {2, 3} on shard 1.
+struct Rig {
+  SimRuntime sim;
+  HistoryRecorder rec{4};
+  Counter count;
+  std::unique_ptr<ProtocolSystem> sys;
+
+  explicit Rig(const std::string& protocol, std::size_t servers = 2,
+               const BuildOptions& opts = {})
+      : sim(make_uniform_delay(10, 5000, 7)) {
+    SystemConfig cfg{4, 1, 1};
+    cfg.num_servers = servers;
+    cfg.placement = PlacementKind::kRange;
+    sys = ProtocolRegistry::global().build(protocol, sim, rec, cfg, opts);
+    sim.set_observer(&count);
+    sim.run_until_idle();  // replica boot
+    count.reset();
+  }
+
+  ReadResult read(std::vector<ObjectId> objs) {
+    ReadResult result;
+    bool done = false;
+    invoke_read(sim, sys->reader(0), std::move(objs), [&](const ReadResult& r) {
+      result = r;
+      done = true;
+    });
+    sim.run_until_idle();
+    EXPECT_TRUE(done);
+    return result;
+  }
+
+  void write(std::vector<std::pair<ObjectId, Value>> writes) {
+    bool done = false;
+    invoke_write(sim, sys->writer(0), std::move(writes), [&](const WriteResult&) { done = true; });
+    sim.run_until_idle();
+    ASSERT_TRUE(done);
+  }
+};
+
+TEST(ReadFanOut, AlgoBReadSendsOneBatchPerServer) {
+  Rig rig("algo-b");
+  rig.read({3, 0, 2, 1});
+  // get-tag-arr + tag-arr + 2 batches + 2 responses + read-done; one
+  // read-val and one response per object made it 11.
+  EXPECT_EQ(rig.count.total(), 7);
+  EXPECT_EQ(rig.count["get-tag-arr"], 1);
+  EXPECT_EQ(rig.count["tag-arr"], 1);
+  EXPECT_EQ(rig.count["read-val-batch"], 2);
+  EXPECT_EQ(rig.count["read-val-batch-resp"], 2);
+  EXPECT_EQ(rig.count["read-done"], 1);
+  EXPECT_EQ(rig.count["read-val"], 0);
+  ASSERT_EQ(rig.count.batches.size(), 2u);
+  for (const auto& [to, batch] : rig.count.batches) {
+    std::vector<ObjectId> objs;
+    for (const BatchReadEntry& e : batch.entries) objs.push_back(e.obj);
+    EXPECT_EQ(objs, to == 0u ? (std::vector<ObjectId>{0, 1}) : (std::vector<ObjectId>{2, 3}));
+  }
+}
+
+TEST(ReadFanOut, AlgoCReadSendsOneBatchPerServer) {
+  Rig rig("algo-c");
+  rig.write({{2, 20}, {1, 10}});
+  rig.count.reset();
+  const ReadResult r = rig.read({0, 1, 2, 3});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 10}, {2, 20}, {3, 0}}));
+  EXPECT_EQ(rig.count.total(), 7);  // 11 with one read-vals per object
+  EXPECT_EQ(rig.count["get-tag-arr"], 1);
+  EXPECT_EQ(rig.count["tag-arr"], 1);
+  EXPECT_EQ(rig.count["read-vals-batch"], 2);
+  EXPECT_EQ(rig.count["read-vals-batch-resp"], 2);
+  EXPECT_EQ(rig.count["read-done"], 1);
+  EXPECT_EQ(rig.count["read-vals"], 0);
+}
+
+TEST(ReadFanOut, AlgoAReadSendsOneBatchPerServer) {
+  Rig rig("algo-a");
+  rig.write({{0, 5}, {3, 7}});
+  rig.count.reset();
+  const ReadResult r = rig.read({0, 1, 2, 3});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 5}, {1, 0}, {2, 0}, {3, 7}}));
+  EXPECT_EQ(rig.count.total(), 4);  // 8 with one read-val per object
+  EXPECT_EQ(rig.count["read-val-batch"], 2);
+  EXPECT_EQ(rig.count["read-val-batch-resp"], 2);
+}
+
+TEST(ReadFanOut, OccValidatedOptimisticRoundSendsOneBatchPerServer) {
+  // No WRITE races the READ, so its first round validates.
+  Rig rig("occ-reads");
+  rig.read({0, 1, 2, 3});
+  EXPECT_EQ(rig.count.total(), 7);  // 11 with one read-val per object
+  EXPECT_EQ(rig.count["get-tag-arr"], 1);
+  EXPECT_EQ(rig.count["read-val-batch"], 2);
+  EXPECT_EQ(rig.count["read-val-batch-resp"], 2);
+  EXPECT_EQ(rig.count["read-done"], 1);
+  // After a WRITE the kappa_0 guesses fail validation: a second round, again
+  // one batch per server, now for the keys the tag array named.
+  rig.write({{1, 11}, {2, 12}});
+  rig.count.reset();
+  const ReadResult r = rig.read({0, 1, 2, 3});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 11}, {2, 12}, {3, 0}}));
+  EXPECT_EQ(rig.count["get-tag-arr"], 2);
+  EXPECT_EQ(rig.count["read-val-batch"], 4);
+  EXPECT_EQ(rig.count["read-val-batch-resp"], 4);
+}
+
+TEST(ReadFanOut, AdaptiveIsUnchanged) {
+  // Adaptive batched before the other readers did: a cold READ prefetches
+  // every uncached object, one batch per server; a warm one is served from
+  // its cache behind the tag array alone.
+  Rig rig("adaptive");
+  rig.read({0, 1, 2, 3});
+  EXPECT_EQ(rig.count.total(), 7);
+  EXPECT_EQ(rig.count["get-tag-arr"], 1);
+  EXPECT_EQ(rig.count["adapt-tag-arr"], 1);
+  EXPECT_EQ(rig.count["read-vals-batch"], 2);
+  EXPECT_EQ(rig.count["read-vals-batch-resp"], 2);
+  EXPECT_EQ(rig.count["read-done"], 1);
+  rig.count.reset();
+  rig.read({0, 1, 2, 3});
+  EXPECT_EQ(rig.count.total(), 3);
+  // A WRITE makes the cached keys of two objects stale: round 2 fetches
+  // both with one read-val-batch to their server.
+  rig.write({{2, 20}, {3, 30}});
+  rig.count.reset();
+  const ReadResult r = rig.read({0, 1, 2, 3});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 0}, {2, 20}, {3, 30}}));
+  EXPECT_EQ(rig.count.total(), 5);
+  EXPECT_EQ(rig.count["read-val-batch"], 1);
+  EXPECT_EQ(rig.count["read-val-batch-resp"], 1);
+}
+
+TEST(ReadFanOut, OneServerPerObjectKeepsThePaperFanOut) {
+  // The paper's model: every object is its own server, so each batch names
+  // one object and the fan-out is per object as in Pseudocodes 4-7.
+  for (const char* protocol : {"algo-a", "algo-b", "algo-c", "occ-reads"}) {
+    SCOPED_TRACE(protocol);
+    Rig rig(protocol, /*servers=*/0);
+    rig.read({0, 1, 2});
+    EXPECT_EQ(rig.count["read-val-batch"] + rig.count["read-vals-batch"], 3);
+    EXPECT_EQ(rig.count["read-val-batch-resp"] + rig.count["read-vals-batch-resp"], 3);
+  }
+}
+
+TEST(ReadFanOut, TakeoverResendsOneBatchForTheShardThatMoved) {
+  // Shard 1's primary dies with the READ's batch to it undelivered: the
+  // reader re-sends one batch, naming both of the shard's objects, to the
+  // backup that took over — and nothing for shard 0, which already answered.
+  Rig rig("algo-b", 2, BuildOptions{}.set("replicas", std::int64_t{2}));
+  rig.write({{1, 11}, {2, 22}});
+  rig.sim.hold_matching([](NodeId, NodeId to, const Message& m) {
+    return to == 1 && std::holds_alternative<ReadValBatchReq>(m.payload);
+  });
+  ReadResult result;
+  bool done = false;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2, 3}, [&](const ReadResult& r) {
+    result = r;
+    done = true;
+  });
+  rig.sim.run_until_idle();
+  ASSERT_FALSE(done);
+  ASSERT_EQ(rig.sim.held().size(), 1u);
+  rig.sim.hold_matching(nullptr);
+  rig.count.reset();
+  rig.sim.crash(1);
+  rig.sim.run_until_idle();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(result.values,
+            (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 11}, {2, 22}, {3, 0}}));
+  ASSERT_EQ(rig.count.batches.size(), 1u);
+  SystemConfig cfg{4, 1, 1};
+  cfg.num_servers = 2;
+  EXPECT_EQ(rig.count.batches[0].first, cfg.backup_node(1));
+  const std::vector<BatchReadEntry>& entries = rig.count.batches[0].second.entries;
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].obj, 2u);
+  EXPECT_EQ(entries[1].obj, 3u);
+  EXPECT_EQ(rig.count["get-tag-arr"], 0) << "a non-coordinator takeover restarted the READ";
+  rig.sim.release_all();  // the dead primary's batch goes nowhere
+  rig.sim.run_until_idle();
+}
+
+TEST(ReadFanOut, ABatchedResponseCountsVersionsPerObject) {
+  // Two objects on one server answer in one frame; that frame still carries
+  // one version per object, which is what the O property counts.
+  Rig rig("algo-b");
+  rig.write({{0, 1}, {1, 2}});
+  rig.read({0, 1});
+  const SnowTraceReport report = analyze_snow_trace(rig.sim.trace(), 2, rig.rec.snapshot());
+  EXPECT_EQ(rig.count["read-val-batch-resp"], 1);
+  EXPECT_EQ(report.max_versions_per_response, 1);
+  EXPECT_EQ(report.max_read_rounds, 2);
+}
+
+}  // namespace
+}  // namespace snowkit

@@ -44,13 +44,13 @@ History one_read_history(NodeId client, TxnId txn) {
 TEST(SnowMonitor, OneRoundNonBlockingRead) {
   TraceBuilder b;
   b.inv(2, 1);
-  const auto s1 = b.send(2, 0, 1, "read-val");
-  const auto s2 = b.send(2, 1, 1, "read-val");
-  b.recv(0, 2, 1, "read-val", s1);
-  const auto r1 = b.send(0, 2, 1, "read-val-resp", 1);
-  b.recv(1, 2, 1, "read-val", s2);
-  const auto r2 = b.send(1, 2, 1, "read-val-resp", 1);
-  b.recv(2, 0, 1, "read-val-resp", r1, 1).recv(2, 1, 1, "read-val-resp", r2, 1);
+  const auto s1 = b.send(2, 0, 1, "read-val-batch");
+  const auto s2 = b.send(2, 1, 1, "read-val-batch");
+  b.recv(0, 2, 1, "read-val-batch", s1);
+  const auto r1 = b.send(0, 2, 1, "read-val-batch-resp", 1);
+  b.recv(1, 2, 1, "read-val-batch", s2);
+  const auto r2 = b.send(1, 2, 1, "read-val-batch-resp", 1);
+  b.recv(2, 0, 1, "read-val-batch-resp", r1, 1).recv(2, 1, 1, "read-val-batch-resp", r2, 1);
   b.resp(2, 1);
   const auto report = analyze_snow_trace(b.t, 2, one_read_history(2, 1));
   EXPECT_TRUE(report.satisfies_n());
@@ -78,8 +78,8 @@ TEST(SnowMonitor, BlockedServerDetected) {
 TEST(SnowMonitor, NeverRespondedIsBlocking) {
   TraceBuilder b;
   b.inv(2, 1);
-  const auto s1 = b.send(2, 0, 1, "read-val");
-  b.recv(0, 2, 1, "read-val", s1);
+  const auto s1 = b.send(2, 0, 1, "read-val-batch");
+  b.recv(0, 2, 1, "read-val-batch", s1);
   const auto report = analyze_snow_trace(b.t, 2, one_read_history(2, 1));
   EXPECT_FALSE(report.satisfies_n());
 }
@@ -91,10 +91,10 @@ TEST(SnowMonitor, TwoRoundsCounted) {
   b.recv(0, 2, 1, "get-tag-arr", s1);
   const auto r1 = b.send(0, 2, 1, "tag-arr", 1);
   b.recv(2, 0, 1, "tag-arr", r1, 1);
-  const auto s2 = b.send(2, 1, 1, "read-val");
-  b.recv(1, 2, 1, "read-val", s2);
-  const auto r2 = b.send(1, 2, 1, "read-val-resp", 1);
-  b.recv(2, 1, 1, "read-val-resp", r2, 1);
+  const auto s2 = b.send(2, 1, 1, "read-val-batch");
+  b.recv(1, 2, 1, "read-val-batch", s2);
+  const auto r2 = b.send(1, 2, 1, "read-val-batch-resp", 1);
+  b.recv(2, 1, 1, "read-val-batch-resp", r2, 1);
   b.resp(2, 1);
   const auto report = analyze_snow_trace(b.t, 2, one_read_history(2, 1));
   EXPECT_EQ(report.max_read_rounds, 2);
@@ -105,10 +105,10 @@ TEST(SnowMonitor, TwoRoundsCounted) {
 TEST(SnowMonitor, MultiVersionResponseCounted) {
   TraceBuilder b;
   b.inv(2, 1);
-  const auto s1 = b.send(2, 0, 1, "read-vals");
-  b.recv(0, 2, 1, "read-vals", s1);
-  const auto r1 = b.send(0, 2, 1, "read-vals-resp", 4);
-  b.recv(2, 0, 1, "read-vals-resp", r1, 4);
+  const auto s1 = b.send(2, 0, 1, "read-vals-batch");
+  b.recv(0, 2, 1, "read-vals-batch", s1);
+  const auto r1 = b.send(0, 2, 1, "read-vals-batch-resp", 4);
+  b.recv(2, 0, 1, "read-vals-batch-resp", r1, 4);
   b.resp(2, 1);
   const auto report = analyze_snow_trace(b.t, 2, one_read_history(2, 1));
   EXPECT_EQ(report.max_versions_per_response, 4);

@@ -132,9 +132,9 @@ TEST(Fragments, BlockedServerIsNotANonBlockingFragment) {
   // Build a trace where the server consumes another input between recv and
   // send: extraction must fail (it is not a non-blocking fragment).
   Trace t;
-  t.append(Action{ActionKind::Recv, 0, /*node=*/0, /*peer=*/2, /*txn=*/1, "read-val", 1, 0});
+  t.append(Action{ActionKind::Recv, 0, /*node=*/0, /*peer=*/2, /*txn=*/1, "read-val-batch", 1, 0});
   t.append(Action{ActionKind::Recv, 0, 0, 3, 9, "write-val", 2, 0});
-  t.append(Action{ActionKind::Send, 0, 0, 2, 1, "read-val-resp", 3, 1});
+  t.append(Action{ActionKind::Send, 0, 0, 2, 1, "read-val-batch-resp", 3, 1});
   EXPECT_FALSE(extract_server_fragment(t, 1, 0, "F").has_value());
 }
 

@@ -1,8 +1,9 @@
 // The one version server behind algo-a, algo-b, algo-c, adaptive and
 // occ-reads answers every read request any of them sends, names a key it
-// does not hold with found == false, and drops any payload it does not serve
-// with a warning: nothing a peer sends may abort a server.  Sent on the
-// simulator from a probe node, then a real workload must still pass.
+// does not hold with found == false, and drops with a warning any payload it
+// does not serve and any request naming an object id >= k: nothing a peer
+// sends may abort a server or grow its state.  Sent on the simulator from a
+// probe node, then a real workload must still pass.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,6 +14,7 @@
 #include "core/registry.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
+#include "metrics/gc_stats.hpp"
 #include "sim/sim_runtime.hpp"
 
 namespace snowkit {
@@ -28,9 +30,10 @@ class Probe final : public Node {
 /// A key no WRITE of the workload below ever uses.
 const WriteKey kAbsent{99, 99};
 
-/// Every read request type, each naming kAbsent where it names a key, and
-/// payloads no version server serves: replies, another protocol's request and
-/// a C2C message.
+/// Both read request types, naming kAbsent where they name a key, and
+/// payloads no version server serves: the per-object read requests no reader
+/// sends since wire v5, replies, another protocol's request and a C2C
+/// message.
 std::vector<Message> hostile_messages(ObjectId obj) {
   return {
       Message{1, ReadValReq{obj, kAbsent, 0}},
@@ -72,26 +75,23 @@ TEST(VersionServer, ForeignPayloadsAndAbsentKeysDoNotAbortAnyServer) {
     }
     sim.run_until_idle();
 
-    // The four read requests are answered (in any order: the network
-    // reorders), misses as found == false; every other payload is dropped
+    // The two read requests are answered (in any order: the network
+    // reorders), a miss as found == false; every other payload is dropped
     // without a reply.
     for (NodeId server = 0; server < sys->num_servers(); ++server) {
       SCOPED_TRACE("server " + std::to_string(server));
       std::map<std::string, const Payload*> by_name;
       for (const Payload& p : probe.got[server]) by_name[payload_name(p)] = &p;
-      ASSERT_EQ(probe.got[server].size(), 4u);
-      ASSERT_EQ(by_name.size(), 4u);
-      const auto& rv = std::get<ReadValResp>(*by_name.at("read-val-resp"));
-      EXPECT_EQ(rv.key, kAbsent);
-      EXPECT_FALSE(rv.found);
-      const auto& vals = std::get<ReadValsResp>(*by_name.at("read-vals-resp"));
-      ASSERT_EQ(vals.versions.size(), 1u);
-      EXPECT_EQ(vals.versions[0].key, kInitialKey);
+      ASSERT_EQ(probe.got[server].size(), 2u);
+      ASSERT_EQ(by_name.size(), 2u);
       const auto& batch = std::get<ReadValBatchResp>(*by_name.at("read-val-batch-resp"));
       ASSERT_EQ(batch.entries.size(), 1u);
+      EXPECT_EQ(batch.entries[0].key, kAbsent);
       EXPECT_FALSE(batch.entries[0].found);
-      const auto& prefetch = std::get<ReadValsBatchResp>(*by_name.at("read-vals-batch-resp"));
-      ASSERT_EQ(prefetch.entries.size(), 1u);
+      const auto& vals = std::get<ReadValsBatchResp>(*by_name.at("read-vals-batch-resp"));
+      ASSERT_EQ(vals.entries.size(), 1u);
+      ASSERT_EQ(vals.entries[0].versions.size(), 1u);
+      EXPECT_EQ(vals.entries[0].versions[0].key, kInitialKey);
     }
 
     WorkloadSpec spec;
@@ -107,6 +107,59 @@ TEST(VersionServer, ForeignPayloadsAndAbsentKeysDoNotAbortAnyServer) {
     const History h = rec.snapshot();
     EXPECT_EQ(h.completed_reads(), 10u);
     EXPECT_EQ(h.completed_writes(), 12u);
+    const auto verdict = check_tag_order(h);
+    EXPECT_TRUE(verdict.ok) << verdict.explanation;
+  }
+}
+
+TEST(VersionServer, RequestsNamingObjectsOutsideKAreDropped) {
+  // Object ids are untrusted: a read or write request naming an id >= k must
+  // neither make a store for it nor be answered, and a finalize naming one
+  // must not trip VersionStore::finalize's checks.
+  for (const Case c : {Case{"algo-a", 1}, Case{"algo-b", 1}, Case{"algo-b", 2},
+                       Case{"algo-c", 1}, Case{"adaptive", 1}, Case{"occ-reads", 1}}) {
+    SCOPED_TRACE(std::string(c.protocol) + " replicas " + std::to_string(c.replicas));
+    SimRuntime sim(make_uniform_delay(10, 4000, 3));
+    const std::size_t k = 3;
+    HistoryRecorder rec(k);
+    BuildOptions opts;
+    if (c.replicas == 2) opts.set("replicas", std::int64_t{2});
+    auto sys = build_protocol(c.protocol, sim, rec, SystemConfig{k, 1, 2}, opts);
+    auto probe_node = std::make_unique<Probe>();
+    Probe& probe = *probe_node;
+    const NodeId prober = sim.add_node(std::move(probe_node));
+    sim.run_until_idle();  // replica boot
+
+    const std::vector<Message> forged{
+        Message{1, ReadValsBatchReq{0, {k}}},
+        Message{1, ReadValsBatchReq{0, {0, 4'000'000'000u}}},
+        Message{1, ReadValBatchReq{0, {{0, kInitialKey}, {k + 1, kInitialKey}}}},
+        Message{1, WriteValReq{kAbsent, {{k + 2, 5}}}},
+        Message{1, FinalizeReq{kAbsent, 1, 1, {k + 3}, false}},
+    };
+    const std::uint64_t inserted = GcCounters::global().snapshot().inserted;
+    for (NodeId server = 0; server < sys->num_servers(); ++server) {
+      for (const Message& m : forged) {
+        sim.post(prober, [&sim, prober, server, m] { sim.send(prober, server, m); });
+      }
+    }
+    sim.run_until_idle();
+    EXPECT_TRUE(probe.got.empty()) << "a server answered a request naming an id >= k";
+    EXPECT_EQ(GcCounters::global().snapshot().inserted, inserted)
+        << "a server made a store or a version for an id >= k";
+
+    WorkloadSpec spec;
+    spec.ops_per_reader = 10;
+    spec.ops_per_writer = 6;
+    spec.read_span = 2;
+    spec.write_span = 2;
+    spec.seed = 11;
+    WorkloadDriver driver(sim, *sys, spec);
+    driver.start();
+    sim.run_until_idle();
+    ASSERT_TRUE(driver.done());
+    const History h = rec.snapshot();
+    EXPECT_EQ(h.completed_reads(), 10u);
     const auto verdict = check_tag_order(h);
     EXPECT_TRUE(verdict.ok) << verdict.explanation;
   }
