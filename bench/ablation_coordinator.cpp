@@ -32,7 +32,7 @@ void run_coordinator_placement(const ScenarioOptions& opts, ScenarioResult& resu
       spec.seed = 17;
       BuildOptions bopts;
       bopts.set("coordinator", coor);
-      const Topology topo{8, 2, 2};
+      const SystemConfig topo{8, 2, 2};
       auto r = bench::run_sim_workload(kind, topo, spec, 17, bopts);
       bench::row({kind, coor == 0 ? "hot shard" : "cold shard",
                   bench::us(static_cast<double>(r.read_latency.p50_ns)),
@@ -63,7 +63,7 @@ void run_gc_ablation(const ScenarioOptions& opts, ScenarioResult& result) {
     spec.seed = 23;
     BuildOptions bopts;
     bopts.set("gc_versions", gc);
-    const Topology topo{2, 2, 4};
+    const SystemConfig topo{2, 2, 4};
     auto r = bench::run_sim_workload("algo-c", topo, spec, 23, bopts);
     int retried = 0;
     for (const auto& t : r.history.txns) {
@@ -99,7 +99,7 @@ void run_c2c_cost(const ScenarioOptions& opts, ScenarioResult& result) {
     spec.read_span = 3;
     spec.seed = 29;
     const std::size_t readers = 1;  // MWSR for a fair A comparison
-    const Topology topo{4, readers, 3};
+    const SystemConfig topo{4, readers, 3};
     auto r = bench::run_sim_workload(kind, topo, spec, 29);
     bench::row({kind, bench::us(static_cast<double>(r.write_latency.p50_ns)),
                 bench::us(static_cast<double>(r.write_latency.p99_ns)),

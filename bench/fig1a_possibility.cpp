@@ -31,7 +31,7 @@ std::string snow_ok_cell(std::size_t writers, int seeds) {
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = static_cast<std::uint64_t>(seed);
-    auto r = bench::run_sim_workload("algo-a", Topology{2, 1, writers}, spec,
+    auto r = bench::run_sim_workload("algo-a", SystemConfig{2, 1, writers}, spec,
                                      static_cast<std::uint64_t>(seed));
     if (!r.tag_order_ok) return "UNEXPECTED S-violation: " + r.tag_order_note;
     if (!r.snow.satisfies_n() || !r.snow.satisfies_o()) return "UNEXPECTED N/O violation";
@@ -46,15 +46,15 @@ std::string three_client_cell() {
   HistoryRecorder rec(2);
   AlgoAOptions opts;
   opts.allow_multiple_readers = true;
-  auto sys = build_algo_a(sim, rec, Topology{2, 2, 1}, opts);
+  auto sys = build_algo_a(sim, rec, SystemConfig{2, 2, 1}, opts);
   sim.start();
   const NodeId r2 = sys->reader(1).node_id();
   sim.hold_matching(script::all_of({script::payload_is("info-reader"), script::to_node(r2)}));
-  invoke_write(sim, sys->writer(0), {{0, 1}, {1, 2}}, [](const WriteResult&) {});
+  invoke_write(sim, sys->writer(0), {{0, 1}, {1, 2}}, [](const TxnResult&) {});
   sim.run_until_idle();
-  invoke_read(sim, sys->reader(0), {0, 1}, [](const ReadResult&) {});
+  invoke_read(sim, sys->reader(0), {0, 1}, [](const TxnResult&) {});
   sim.run_until_idle();
-  invoke_read(sim, sys->reader(1), {0, 1}, [](const ReadResult&) {});
+  invoke_read(sim, sys->reader(1), {0, 1}, [](const TxnResult&) {});
   sim.run_until_idle();
   sim.release_all();
   sim.run_until_idle();

@@ -40,7 +40,7 @@ CellResult run_cell(const std::string& kind, std::size_t writers, std::uint64_t 
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    auto r = bench::run_sim_workload(kind, Topology{3, 2, writers}, spec, seed);
+    auto r = bench::run_sim_workload(kind, SystemConfig{3, 2, writers}, spec, seed);
     cell.rounds = std::max(cell.rounds, r.snow.max_read_rounds);
     cell.versions = std::max(cell.versions, r.snow.max_versions_per_response);
     cell.nonblocking = seed == 1 ? r.snow.satisfies_n() : (cell.nonblocking && r.snow.satisfies_n());

@@ -37,7 +37,7 @@ ScenarioResult run_scenario(const ScenarioOptions& opts) {
     spec.write_span = 1;  // single-object writes: isolates the Fig.5 read
                           // mechanism from mini-Eiger's non-atomic multi-put
     spec.seed = static_cast<std::uint64_t>(seed);
-    auto r = bench::run_sim_workload("eiger", Topology{3, 2, 2}, spec,
+    auto r = bench::run_sim_workload("eiger", SystemConfig{3, 2, 2}, spec,
                                      static_cast<std::uint64_t>(seed));
     auto verdict = check_strict_serializability(r.history, CheckOptions{500'000});
     if (verdict.exhausted) {

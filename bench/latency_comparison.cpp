@@ -54,7 +54,8 @@ void print_closed_loop_table(const ScenarioOptions& opts) {
     spec.write_span = 2;
     spec.zipf_theta = 0.9;
     spec.seed = 42;
-    auto r = bench::run_sim_workload(line.kind, Topology{4, line.readers, line.writers}, spec, 42);
+    const SystemConfig cfg{4, line.readers, line.writers};
+    auto r = bench::run_sim_workload(line.kind, cfg, spec, 42);
     if (line.kind == "simple") floor_p50 = static_cast<double>(r.read_latency.p50_ns);
     bench::row({line.name, std::to_string(r.snow.max_read_rounds),
                 bench::us(static_cast<double>(r.read_latency.p50_ns)),
@@ -86,10 +87,9 @@ void run_open_loop_rows(const ScenarioOptions& opts, ScenarioResult& result) {
     dopts.arrival_interval_ns = 2'000'000;  // 500 ops/s: below fleet capacity,
                                             // so sojourn measures a stable queue
     dopts.read_fraction = 0.9;
-    auto r = bench::run_sim_workload(line.kind, Topology{4, line.readers, line.writers}, spec,
-                                     opts.seed, {}, dopts);
-    auto rec = bench::sim_record(line.kind, Topology{4, line.readers, line.writers}, r,
-                                 r.sojourn_latency);
+    const SystemConfig cfg{4, line.readers, line.writers};
+    auto r = bench::run_sim_workload(line.kind, cfg, spec, opts.seed, {}, dopts);
+    auto rec = bench::sim_record(line.kind, cfg, r, r.sojourn_latency);
     rec.set("guarantee", line.guarantee);
     rec.set("max_read_rounds", std::to_string(r.snow.max_read_rounds));
     bench::row({line.kind, std::to_string(rec.ops),
@@ -114,7 +114,7 @@ void print_contention_sensitivity(const ScenarioOptions& opts) {
       spec.read_span = 2;
       spec.write_span = 2;
       spec.seed = 7;
-      auto r = bench::run_sim_workload(kind, Topology{2, 2, writers}, spec, 7);
+      auto r = bench::run_sim_workload(kind, SystemConfig{2, 2, writers}, spec, 7);
       bench::row({kind, std::to_string(writers),
                   bench::us(static_cast<double>(r.read_latency.p50_ns)),
                   bench::us(static_cast<double>(r.read_latency.p99_ns))},

@@ -244,8 +244,7 @@ NetRun run_net_protocol(const std::string& protocol, std::size_t readers, std::s
     // previous completion, so the fleet runs at the transport's closed-loop
     // ceiling instead of a fixed offered load.  Closed loops have no arrival
     // backlog, hence no sojourn; read latency comes from the history below.
-    dopts.mode = ArrivalMode::kClosedLoop;
-    dopts.mixed = true;
+    dopts.mode = ArrivalMode::kMixedClosedLoop;
     const std::size_t clients = readers + writers;
     dopts.ops_per_client = std::max<std::size_t>(1, total_ops / clients);
     total_ops = dopts.ops_per_client * clients;

@@ -32,7 +32,7 @@ void run_version_growth(const ScenarioOptions& opts, ScenarioResult& result) {
     spec.seed = 41;
     BuildOptions bopts;
     bopts.set("gc_versions", gc);
-    const Topology topo{2, 2, 4};
+    const SystemConfig topo{2, 2, 4};
     const GcSnapshot before = GcCounters::global().snapshot();
     auto r = bench::run_sim_workload("algo-c", topo, spec, 41, bopts);
     const GcSnapshot gc_delta = GcCounters::global().snapshot().delta(before);
@@ -82,7 +82,7 @@ void run_servers_sweep(const ScenarioOptions& opts, ScenarioResult& result) {
       spec.write_span = 2;
       spec.seed = k;
       const std::size_t readers = kind == "algo-a" ? 1 : 2;
-      const Topology topo{k, readers, 2};
+      const SystemConfig topo{k, readers, 2};
       auto r = bench::run_sim_workload(kind, topo, spec, k);
       const std::size_t txns = r.history.completed_reads() + r.history.completed_writes();
       bench::row({kind, std::to_string(k), std::to_string(r.snow.max_read_rounds),
@@ -113,7 +113,7 @@ void print_multiget_width(const ScenarioOptions& opts) {
       spec.ops_per_writer = opts.scaled(10);
       spec.read_span = span;
       spec.seed = span;
-      auto r = bench::run_sim_workload(kind, Topology{16, 2, 2}, spec, span);
+      auto r = bench::run_sim_workload(kind, SystemConfig{16, 2, 2}, spec, span);
       bench::row({kind, std::to_string(span),
                   bench::us(static_cast<double>(r.read_latency.p50_ns)),
                   bench::us(static_cast<double>(r.read_latency.p99_ns))},

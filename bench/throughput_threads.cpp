@@ -227,7 +227,7 @@ ThreadsRun run_threads_once(const std::string& kind, std::size_t readers, std::s
   WireStats wire;
   rt.set_observer(&wire);
   HistoryRecorder rec(4);
-  auto sys = build_protocol(kind, rt, rec, Topology{4, readers, writers});
+  auto sys = build_protocol(kind, rt, rec, SystemConfig{4, readers, writers});
   rt.start();
   WorkloadSpec spec;
   spec.ops_per_reader = ops_per_reader;

@@ -24,7 +24,7 @@ void run_table(const ScenarioOptions& opts, ScenarioResult& result) {
     spec.write_span = 2;
     spec.seed = writers;
 
-    const Topology topo{2, 2, writers};
+    const SystemConfig topo{2, 2, writers};
     BuildOptions nogc;
     nogc.set("gc_versions", false);  // GC is the default now; baseline opts out
     auto base = bench::run_sim_workload("algo-c", topo, spec, writers, nogc);
@@ -60,7 +60,7 @@ void print_rounds_vs_span(const ScenarioOptions& opts) {
     spec.ops_per_writer = opts.scaled(20);
     spec.read_span = span;
     spec.seed = 9;
-    auto r = bench::run_sim_workload("algo-c", Topology{8, 2, 2}, spec, 9);
+    auto r = bench::run_sim_workload("algo-c", SystemConfig{8, 2, 2}, spec, 9);
     bench::row({std::to_string(span), std::to_string(r.snow.max_read_rounds),
                 bench::us(static_cast<double>(r.read_latency.p50_ns))},
                widths);

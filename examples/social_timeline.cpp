@@ -33,7 +33,7 @@ Outcome run_timeline(const std::string& kind, std::uint64_t seed) {
   // read spans 4 shards; 100 page loads per reader vs 10 posts per writer.
   SimRuntime rt(make_uniform_delay(50'000, 2'000'000, seed));
   HistoryRecorder recorder(8);
-  auto system = build_protocol(kind, rt, recorder, Topology{8, 2, 2});
+  auto system = build_protocol(kind, rt, recorder, SystemConfig{8, 2, 2});
   WorkloadSpec spec;
   spec.ops_per_reader = 100;
   spec.ops_per_writer = 10;
@@ -41,7 +41,7 @@ Outcome run_timeline(const std::string& kind, std::uint64_t seed) {
   spec.write_span = 2;  // post+reply written atomically
   spec.zipf_theta = 0.9;  // hot users
   spec.seed = seed;
-  ClosedLoopDriver driver(rt, *system, spec);
+  WorkloadDriver driver(rt, *system, spec);
   driver.start();
   rt.run_until_idle();
 

@@ -1,36 +1,45 @@
 // Workload driver + history-derived run statistics.
 //
 // WorkloadDriver pushes a WorkloadSpec through a ProtocolSystem's unified
-// TxnClient API on either substrate.  Three arrival disciplines:
+// TxnClient API on any runtime.  DriverOptions::mode picks one of three
+// arrival disciplines:
 //
-//  * split closed loop (default, the seed's ClosedLoopDriver): reader i
-//    chains ops_per_reader READs, writer j chains ops_per_writer WRITEs —
-//    every client always has exactly one transaction in flight (the paper's
-//    well-formedness condition);
-//  * mixed closed loop: each unified client chains ops_per_client operations,
+//  * kClosedLoop (default): reader i chains ops_per_reader READs, writer j
+//    chains ops_per_writer WRITEs — every client always has exactly one
+//    transaction in flight (the paper's well-formedness condition);
+//  * kMixedClosedLoop: each unified client chains ops_per_client operations,
 //    choosing READ vs WRITE per op with probability read_fraction;
-//  * open loop: total_ops arrivals paced by runtime timers (virtual time on
-//    SimRuntime, wall clock on ThreadRuntime/NetRuntime), READ vs WRITE by
-//    read_fraction.  Arrivals beyond a busy protocol client queue inside
-//    TxnClient — genuine open-loop backlog.
+//  * kOpenLoop: total_ops arrivals paced by runtime timers (virtual time on
+//    SimRuntime, wall clock on ThreadRuntime/NetRuntime).  Arrivals beyond a
+//    busy protocol client queue inside TxnClient — genuine open-loop backlog.
 //
-// Open-loop pacing tracks ABSOLUTE deadlines: arrival k is due at
-// start + k * interval, the timer callback issues every overdue arrival
-// (catch-up) and re-arms for the next deadline.  Posting the next timer
-// relative to "after the previous callback ran" — the pre-fix behaviour —
+// Both closed loops run one chain per client: each operation is submitted
+// from its predecessor's completion.
+//
+// Open loop has one pacer: `arrival_shards` independent timer chains, each
+// anchored on its own locally-owned node and submitting round-robin on its
+// own slice of the protocol client slots.  A chain tracks ABSOLUTE
+// deadlines: arrival k is due at start + k * interval, the timer callback
+// issues every overdue arrival (catch-up) and re-arms for the next deadline.
+// Posting the next timer relative to "after the previous callback ran"
 // silently stretched the period by the callback latency, so the delivered
 // rate under-shot the nominal rate and the sojourn histogram suffered
-// coordinated omission.  Sojourn is measured from the INTENDED deadline,
-// so a late arrival's queueing delay is charged to the system, not hidden.
+// coordinated omission.  Sojourn is measured from the INTENDED deadline, so
+// a late arrival's queueing delay is charged to the system, not hidden.
 //
-// Engine mode (DriverOptions::traffic): arrivals are generated by a
-// TrafficModel (workload/workload.hpp) instead of the legacy per-client
-// OpStreams, and pacing is SHARDED across `arrival_shards` independent
-// timer chains anchored on distinct locally-owned nodes — one process
-// emulates ~10^6 logical clients as aggregate arrival processes (a logical
-// client is a stream identity, never a thread).  Shard s paces at
-// interval * S with a phase offset of s * interval, so the aggregate
-// process keeps the nominal spacing.
+// Where arrivals come from:
+//
+//  * with DriverOptions::traffic, each shard draws from its own TrafficShard
+//    (workload/workload.hpp): popularity, span distributions, a rate curve
+//    and a slice of ~10^6 logical clients (a logical client is a stream
+//    identity, never a thread).  Shard s paces at interval * S with a phase
+//    offset of s * interval, so the aggregate process keeps the nominal
+//    spacing;
+//  * without one, the pacer runs exactly one shard, anchored on the first
+//    locally-owned node.  READ vs WRITE comes from one driver-wide coin
+//    (probability read_fraction), objects from the chosen client's OpStream,
+//    and clients take turns round-robin, one arrival every
+//    arrival_interval_ns.
 //
 // With SimRuntime, call start() and then sim.run_until_idle(); with
 // ThreadRuntime, call start() then wait().
@@ -50,34 +59,34 @@
 namespace snowkit {
 
 enum class ArrivalMode {
-  kClosedLoop,  ///< next op issued from the previous op's completion.
-  kOpenLoop,    ///< ops issued at a fixed rate regardless of completions.
+  kClosedLoop,       ///< reader and writer chains; next op issued from the last completion.
+  kMixedClosedLoop,  ///< one chain per unified client, READ vs WRITE by read_fraction.
+  kOpenLoop,         ///< ops issued at a paced rate regardless of completions.
 };
 
 struct DriverOptions {
   ArrivalMode mode{ArrivalMode::kClosedLoop};
 
-  /// Closed loop only: route mixed READ/WRITE chains through the unified
-  /// clients instead of the split reader/writer chains.
-  bool mixed{false};
   /// Mixed closed loop: ops per unified client.
   std::size_t ops_per_client{0};
 
   /// Open loop: total operations across all clients.
   std::size_t total_ops{0};
-  /// Open loop: fixed inter-arrival gap (sim ns / wall ns).  Engine mode
-  /// treats this as the fallback when the TrafficModel's rate curve is empty.
+  /// Open loop: fixed inter-arrival gap (sim ns / wall ns).  With a
+  /// TrafficModel this is the fallback when its rate curve is empty.
   TimeNs arrival_interval_ns{100'000};
 
-  /// Mixed + open loop: probability an op is a READ transaction.
+  /// Mixed closed loop and open loop without a TrafficModel: probability an
+  /// op is a READ transaction.
   double read_fraction{0.9};
 
-  /// Open loop, engine mode: generate arrivals from this TrafficModel
-  /// (popularity, permuted ranks, span distributions, rate curve, logical
-  /// clients) instead of the legacy per-client OpStreams.
+  /// Open loop: generate arrivals from this TrafficModel (popularity,
+  /// permuted ranks, span distributions, rate curve, logical clients)
+  /// instead of the per-client OpStreams.
   std::optional<TrafficModel> traffic;
-  /// Engine mode: independent pacing shards (each an absolute-deadline
-  /// timer chain on its own locally-owned anchor node).  1 = unsharded.
+  /// Open loop: independent pacing shards (each an absolute-deadline timer
+  /// chain on its own locally-owned anchor node).  More than one needs a
+  /// TrafficModel to draw from.
   std::size_t arrival_shards{1};
 
   /// Test/diagnostic seam: runs synchronously on the arrival timer chain
@@ -97,8 +106,8 @@ class WorkloadDriver {
  public:
   WorkloadDriver(Runtime& rt, ProtocolSystem& sys, WorkloadSpec spec, DriverOptions opts = {});
 
-  /// Posts the first operation of every chain (closed loop) or schedules the
-  /// first arrival (open loop).
+  /// Posts the first operation of every chain (closed loops) or schedules
+  /// each shard's first arrival (open loop).
   void start();
 
   /// True once every submitted operation completed (safe from any thread).
@@ -139,49 +148,50 @@ class WorkloadDriver {
   LatencySummary sojourn_latency() const;
 
  private:
-  struct EngineShard {
+  /// One open-loop pacing chain.  Its state is touched only on its anchor's
+  /// executor, so it needs no locking.
+  struct ArrivalShard {
     NodeId anchor{0};          ///< locally-owned node whose executor paces this shard.
     TimeNs next_deadline{0};   ///< absolute due time of the next arrival.
     std::size_t arrivals_left{0};
     std::size_t next_client{0};  ///< round-robin cursor within [client_lo, client_hi).
     std::size_t client_lo{0};
     std::size_t client_hi{0};    ///< protocol client slots this shard submits on.
+    /// The arrival source; null for the one shard that draws from coin_ and
+    /// the per-client OpStreams.
     std::unique_ptr<TrafficShard> traffic;
   };
 
-  void issue_read_chain(std::size_t reader, std::size_t remaining);
-  void issue_write_chain(std::size_t writer, std::size_t remaining);
-  void issue_mixed_chain(std::size_t client, std::size_t remaining);
-  void schedule_arrival();
-  void arrival_tick();
-  void engine_schedule(std::size_t shard);
-  void engine_tick(std::size_t shard);
-  void submit_one(std::size_t client, bool is_read, TxnCallback cb);
-  void submit_arrival(std::size_t client, bool is_read, TimeNs deadline);
-  void submit_engine_arrival(EngineShard& sh, TimeNs deadline);
+  /// Submits the next op of `client`'s closed-loop chain, drawing its objects
+  /// from `stream`; `kind` fixes READ or WRITE, or is empty to toss the
+  /// client's coin.
+  void issue_chain(std::size_t client, OpStream& stream, std::optional<bool> kind,
+                   std::size_t remaining);
+  void schedule(std::size_t shard);
+  void tick(std::size_t shard);
+  TrafficArrival next_arrival(ArrivalShard& sh, std::size_t client);
+  TimeNs next_interval(ArrivalShard& sh, TimeNs elapsed);
+  /// The request for (`is_read`, `objs`); a WRITE gets fresh values.
+  TxnRequest make_request(bool is_read, std::vector<ObjectId> objs);
   void record_sojourn(TimeNs deadline);
   void note_arrival_issued();
-  TxnRequest next_request(std::size_t client, bool is_read);
   void op_finished(bool was_read);
 
   Runtime& rt_;
   ProtocolSystem& sys_;
   WorkloadSpec spec_;
   DriverOptions opts_;
-  std::vector<OpStream> reader_streams_;  ///< split mode: per reader.
-  std::vector<OpStream> writer_streams_;  ///< split mode: per writer.
-  std::vector<OpStream> client_streams_;  ///< mixed/open: per unified client.
-  /// READ/WRITE choice.  Open loop uses coin_ (single-threaded timer chain);
-  /// mixed closed loop uses one coin per client, since chains advance on
-  /// their own node executors concurrently under ThreadRuntime.
+  /// Closed loop: the readers' streams, then the writers'.  Mixed closed
+  /// loop and open loop without a TrafficModel: one per unified client.
+  std::vector<OpStream> streams_;
+  /// READ/WRITE choice.  Open loop uses coin_ (its one shard's chain is
+  /// single-threaded); mixed closed loop uses one coin per client, since
+  /// chains advance on their own node executors concurrently under
+  /// ThreadRuntime.
   Xoshiro256 coin_;
   std::vector<Xoshiro256> client_coins_;
   std::size_t total_ops_{0};
-  NodeId timer_node_{0};          ///< open-loop anchor: first locally-owned node.
-  std::size_t arrivals_left_{0};  ///< open loop; touched only on the timer chain.
-  std::size_t next_client_{0};    ///< open loop round-robin; timer chain only.
-  TimeNs next_deadline_{0};       ///< legacy open loop: absolute due time; timer chain only.
-  std::vector<EngineShard> shards_;  ///< engine mode only.
+  std::vector<ArrivalShard> shards_;  ///< open loop only.
   std::atomic<bool> paused_{false};
   std::atomic<std::size_t> arrivals_issued_{0};
   TimeNs start_ns_{0};                      ///< set once in start().
@@ -195,9 +205,6 @@ class WorkloadDriver {
   std::mutex mu_;
   std::condition_variable cv_;
 };
-
-/// Deprecated name for the default split-closed-loop configuration.
-using ClosedLoopDriver = WorkloadDriver;
 
 /// Latency summary over the completed READ (or WRITE) transactions of a
 /// history, using recorded invoke/respond timestamps.

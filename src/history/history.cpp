@@ -60,10 +60,13 @@ TxnId HistoryRecorder::begin_write(NodeId client,
 }
 
 TxnRecord& HistoryRecorder::locate(TxnId id) {
-  for (auto& t : txns_) {
-    if (t.id == id) return t;
-  }
-  SNOW_UNREACHABLE("unknown txn id in recorder");
+  // Newest first: a transaction finishing is almost always among the last
+  // few begun, so the search stays short however long the history grows.
+  // Ids are allocated outside the lock, so txns_ is not sorted by id.
+  const auto it = std::find_if(txns_.rbegin(), txns_.rend(),
+                               [id](const TxnRecord& t) { return t.id == id; });
+  SNOW_CHECK_MSG(it != txns_.rend(), "unknown txn id " << id << " in recorder");
+  return *it;
 }
 
 void HistoryRecorder::finish_read(TxnId id, std::vector<std::pair<ObjectId, Value>> reads, Tag tag,

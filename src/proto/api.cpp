@@ -99,7 +99,7 @@ ReadClient::ReadClient(HistoryRecorder& rec, const Placement& place, bool replic
                        bool may_retry)
     : ClientNode(rec, place, replicated, "READ"), may_retry_(may_retry) {}
 
-void ReadClient::read(std::vector<ObjectId> objs, ReadCallback cb) {
+void ReadClient::read(std::vector<ObjectId> objs, TxnCallback cb) {
   SNOW_CHECK_MSG(!in_flight(), "reader " << id() << " already has a READ in flight");
   SNOW_CHECK(!objs.empty());
   order(objs);
@@ -119,9 +119,9 @@ void ReadClient::retry(const char* why) {
 
 void ReadClient::finish(std::vector<std::pair<ObjectId, Value>> values, Tag tag, int rounds,
                         int max_versions) {
-  ReadResult result{txn(), std::move(values)};
+  const TxnResult result{txn(), /*is_read=*/true, std::move(values)};
   rec().finish_read(result.txn, result.values, tag, rounds, max_versions);
-  ReadCallback cb = std::move(cb_);
+  TxnCallback cb = std::move(cb_);
   end();
   cb(result);
 }
@@ -129,7 +129,7 @@ void ReadClient::finish(std::vector<std::pair<ObjectId, Value>> values, Tag tag,
 WriteClient::WriteClient(HistoryRecorder& rec, const Placement& place, bool replicated)
     : ClientNode(rec, place, replicated, "WRITE") {}
 
-void WriteClient::write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) {
+void WriteClient::write(std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb) {
   SNOW_CHECK_MSG(!in_flight(), "writer " << id() << " already has a WRITE in flight");
   SNOW_CHECK(!writes.empty());
   order(writes);
@@ -141,8 +141,8 @@ void WriteClient::write(std::vector<std::pair<ObjectId, Value>> writes, WriteCal
 
 void WriteClient::finish(Tag tag, int rounds) {
   rec().finish_write(txn(), tag, rounds);
-  const WriteResult result{txn()};
-  WriteCallback cb = std::move(cb_);
+  const TxnResult result{txn(), /*is_read=*/false, {}};
+  TxnCallback cb = std::move(cb_);
   end();
   cb(result);
 }
@@ -197,22 +197,13 @@ struct ProtocolSystem::ClientHub {
 
     void fire(ClientSlot* slot, TxnRequest req, TxnCallback cb) {
       Runtime& rt = hub->sys->runtime();
+      TxnCallback done = [this, slot, cb = std::move(cb)](const TxnResult& r) {
+        finish(slot, r, cb);
+      };
       if (req.is_read()) {
-        invoke_read(rt, *reader, std::move(req.reads),
-                    [this, slot, cb = std::move(cb)](const ReadResult& r) {
-                      TxnResult out;
-                      out.txn = r.txn;
-                      out.is_read = true;
-                      out.values = r.values;
-                      finish(slot, out, cb);
-                    });
+        invoke_read(rt, *reader, std::move(req.reads), std::move(done));
       } else {
-        invoke_write(rt, *writer, std::move(req.writes),
-                     [this, slot, cb = std::move(cb)](const WriteResult& w) {
-                       TxnResult out;
-                       out.txn = w.txn;
-                       finish(slot, out, cb);
-                     });
+        invoke_write(rt, *writer, std::move(req.writes), std::move(done));
       }
     }
 
@@ -283,7 +274,7 @@ TxnClient& ProtocolSystem::client(std::size_t i) {
   return *hub_->clients[i];
 }
 
-void invoke_read(Runtime& rt, ReadClient& client, std::vector<ObjectId> objs, ReadCallback cb) {
+void invoke_read(Runtime& rt, ReadClient& client, std::vector<ObjectId> objs, TxnCallback cb) {
   check_txn_objects(read_txn(objs), client.num_objects());
   rt.post(client.node_id(), [&client, objs = std::move(objs), cb = std::move(cb)]() mutable {
     client.read(std::move(objs), std::move(cb));
@@ -291,7 +282,7 @@ void invoke_read(Runtime& rt, ReadClient& client, std::vector<ObjectId> objs, Re
 }
 
 void invoke_write(Runtime& rt, WriteClient& client,
-                  std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb) {
+                  std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb) {
   check_txn_objects(write_txn(writes), client.num_objects());
   rt.post(client.node_id(), [&client, writes = std::move(writes), cb = std::move(cb)]() mutable {
     client.write(std::move(writes), std::move(cb));

@@ -12,9 +12,10 @@
 // cut choice.  Drivers submit transactions through the unified
 // TxnClient::submit — a TxnRequest carries either a read-set or a write-set
 // — which queues onto those nodes; scripted schedules that need per-node
-// control call invoke_read / invoke_write on a node directly.  Completion is
-// delivered via callback on the client's executor and recorded in the
-// shared HistoryRecorder.
+// control call invoke_read / invoke_write on a node directly.  Every path
+// completes the same way: one TxnResult (is_read set, the values for a
+// READ) handed to a TxnCallback on the client's executor, after the
+// transaction is recorded in the shared HistoryRecorder.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +43,9 @@ enum class PlacementKind : std::uint8_t {
   kRange,  ///< contiguous object ranges per server (locality-friendly).
 };
 
-/// Topology + placement for building a protocol instance.  The first three
-/// fields keep the seed Topology's order so `{k, readers, writers}` aggregate
-/// initialization continues to work.
+/// Object count, clients and placement for building a protocol instance.
+/// The first three fields are ordered so `{k, readers, writers}` aggregate
+/// initialization reads naturally.
 struct SystemConfig {
   std::size_t num_objects{2};
   std::size_t num_readers{1};
@@ -69,9 +70,6 @@ struct SystemConfig {
   /// surface as downstream UB in OpStream / coordinator indexing.
   void validate() const;
 };
-
-/// Deprecated name kept for migration; prefer SystemConfig.
-using Topology = SystemConfig;
 
 /// The resolved object->server map of a SystemConfig.  Servers always occupy
 /// node ids [0, num_servers) in registration order, so the map doubles as an
@@ -112,18 +110,6 @@ class Placement {
 
 // --- transaction requests & results ------------------------------------------
 
-struct ReadResult {
-  TxnId txn{kInvalidTxn};
-  std::vector<std::pair<ObjectId, Value>> values;
-};
-
-struct WriteResult {
-  TxnId txn{kInvalidTxn};
-};
-
-using ReadCallback = std::function<void(const ReadResult&)>;
-using WriteCallback = std::function<void(const WriteResult&)>;
-
 /// A transaction request: exactly one of `reads` / `writes` is non-empty
 /// (the paper's model has READ transactions and WRITE transactions, never
 /// mixed read-write transactions).
@@ -139,6 +125,9 @@ TxnRequest read_txn(std::vector<ObjectId> objs);
 /// Builds a WRITE-transaction request over `writes`.
 TxnRequest write_txn(std::vector<std::pair<ObjectId, Value>> writes);
 
+/// A completed transaction, READ or WRITE, as every completion path delivers
+/// it: TxnClient::submit, ReadClient::read, WriteClient::write and
+/// invoke_read / invoke_write.
 struct TxnResult {
   TxnId txn{kInvalidTxn};
   bool is_read{false};
@@ -277,9 +266,10 @@ class ClientNode : public Node {
 /// ends the READ with finish().
 class ReadClient : public ClientNode {
  public:
-  /// Invokes R(o_{i1}..o_{iq}).  Must be called on the client's executor
-  /// (use invoke_read below from driver code) with no READ in flight.
-  void read(std::vector<ObjectId> objs, ReadCallback cb);
+  /// Invokes R(o_{i1}..o_{iq}); `cb` gets a TxnResult with is_read set and
+  /// the values read.  Must be called on the client's executor (use
+  /// invoke_read below from driver code) with no READ in flight.
+  void read(std::vector<ObjectId> objs, TxnCallback cb);
 
  protected:
   /// `replicated`: shards have backups, so TakeoverNotices re-route them.
@@ -305,7 +295,8 @@ class ReadClient : public ClientNode {
   /// legal.
   void retry(const char* why);
 
-  /// Completes the READ: records it, resets the state and runs the callback.
+  /// Completes the READ: records it, resets the state and runs the callback
+  /// with the READ's TxnResult.
   void finish(std::vector<std::pair<ObjectId, Value>> values, Tag tag, int rounds,
               int max_versions);
 
@@ -313,7 +304,7 @@ class ReadClient : public ClientNode {
   bool may_retry_;
   std::vector<ObjectId> objs_;
   int attempts_{0};
-  ReadCallback cb_;
+  TxnCallback cb_;
 };
 
 /// A write-client node: executes only WRITE transactions.  The base owns
@@ -321,9 +312,10 @@ class ReadClient : public ClientNode {
 /// first step's sends) and on_reply(), and ends the WRITE with finish().
 class WriteClient : public ClientNode {
  public:
-  /// Must be called on the client's executor (use invoke_write) with no
-  /// WRITE in flight.
-  void write(std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb);
+  /// Invokes W(...); `cb` gets a TxnResult with is_read clear and no
+  /// values.  Must be called on the client's executor (use invoke_write)
+  /// with no WRITE in flight.
+  void write(std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb);
 
  protected:
   explicit WriteClient(HistoryRecorder& rec, const Placement& place, bool replicated = false);
@@ -336,12 +328,13 @@ class WriteClient : public ClientNode {
 
   const std::vector<std::pair<ObjectId, Value>>& writes() const { return writes_; }
 
-  /// Completes the WRITE: records it, resets the state and runs the callback.
+  /// Completes the WRITE: records it, resets the state and runs the callback
+  /// with the WRITE's TxnResult.
   void finish(Tag tag, int rounds);
 
  private:
   std::vector<std::pair<ObjectId, Value>> writes_;
-  WriteCallback cb_;
+  TxnCallback cb_;
 };
 
 /// Registers `n` client nodes built by `make()` with `rt`, in order, and
@@ -416,12 +409,12 @@ void check_txn_objects(const TxnRequest& req, std::size_t num_objects);
 
 /// Posts a read invocation onto the client's executor, after
 /// check_txn_objects.
-void invoke_read(Runtime& rt, ReadClient& client, std::vector<ObjectId> objs, ReadCallback cb);
+void invoke_read(Runtime& rt, ReadClient& client, std::vector<ObjectId> objs, TxnCallback cb);
 
 /// Posts a write invocation onto the client's executor, after
 /// check_txn_objects.
 void invoke_write(Runtime& rt, WriteClient& client,
-                  std::vector<std::pair<ObjectId, Value>> writes, WriteCallback cb);
+                  std::vector<std::pair<ObjectId, Value>> writes, TxnCallback cb);
 
 /// All object ids [0, k).
 std::vector<ObjectId> all_objects(std::size_t k);

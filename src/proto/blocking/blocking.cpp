@@ -24,8 +24,12 @@ class ServerL final : public Node {
       return;
     }
     if (const auto* wu = std::get_if<WriteUnlockReq>(&m.payload)) {
-      LockState& ls = locks_[wu->obj];
-      SNOW_CHECK_MSG(ls.exclusive_held, "write-unlock without exclusive lock");
+      const auto it = locks_.find(wu->obj);
+      if (it == locks_.end() || !it->second.exclusive_held) {
+        drop(from, m, "write-unlock without exclusive lock");
+        return;
+      }
+      LockState& ls = it->second;
       ls.value = wu->value;
       ls.exclusive_held = false;
       send(from, Message{m.txn, UnlockAck{wu->obj}});
@@ -33,16 +37,26 @@ class ServerL final : public Node {
       return;
     }
     if (const auto* u = std::get_if<UnlockReq>(&m.payload)) {
-      LockState& ls = locks_[u->obj];
-      SNOW_CHECK_MSG(ls.shared_count > 0, "shared unlock without shared lock");
+      const auto it = locks_.find(u->obj);
+      if (it == locks_.end() || it->second.shared_count == 0) {
+        drop(from, m, "shared unlock without shared lock");
+        return;
+      }
+      LockState& ls = it->second;
       --ls.shared_count;
       pump(u->obj, ls);
       return;
     }
-    SNOW_UNREACHABLE("blocking server got unexpected payload");
+    // Replies, other protocols' requests: nothing a peer sends may abort us.
+    drop(from, m, "not a lock-server request");
   }
 
  private:
+  static void drop(NodeId from, const Message& m, const char* why) {
+    SNOW_WARN("lock server dropping " << payload_name(m.payload) << " from node " << from
+                                      << ": " << why);
+  }
+
   struct Waiter {
     NodeId client{kInvalidNode};
     TxnId txn{kInvalidTxn};

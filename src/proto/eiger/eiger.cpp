@@ -67,7 +67,9 @@ class ServerE final : public Node {
       }
       return;
     }
-    SNOW_UNREACHABLE("eiger server got unexpected payload");
+    // Replies, other protocols' requests: nothing a peer sends may abort us.
+    SNOW_WARN("eiger server dropping " << payload_name(m.payload) << " from node " << from
+                                       << ": not an eiger request");
   }
 
  private:

@@ -33,7 +33,9 @@ class ParallelServer final : public Node {
       send(from, Message{m.txn, SimpleReadResp{r->obj, v}});
       return;
     }
-    SNOW_UNREACHABLE("parallel server got unexpected payload");
+    // Replies, other protocols' requests: nothing a peer sends may abort us.
+    SNOW_WARN("parallel server dropping " << payload_name(m.payload) << " from node " << from
+                                          << ": not a read or write request");
   }
 
  private:

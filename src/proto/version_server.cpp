@@ -124,6 +124,18 @@ bool VersionServer::names_unknown_object(NodeId from, const Message& m) const {
   return true;
 }
 
+bool VersionServer::names_unfinalizable_version(NodeId from, const FinalizeReq& fin) const {
+  for (ObjectId obj : fin.objs) {
+    const auto it = stores_.find(obj);
+    if (it != stores_.end() && it->second.can_finalize(fin.key, fin.position)) continue;
+    SNOW_WARN("dropping finalize from node " << from << ": object " << obj << " cannot finalize "
+                                             << to_string(fin.key) << " at position "
+                                             << fin.position);
+    return true;
+  }
+  return false;
+}
+
 bool VersionServer::serve_read(NodeId from, const Message& m) {
   if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) {
     // One version per object, the one named, for every object of one READ
@@ -190,7 +202,7 @@ bool VersionServer::handle_write_path(NodeId from, const Message& m) {
       SNOW_WARN("dropping the finalize-coor part of finalize from node "
                 << from << ": this node is not the coordinator");
     }
-    if (!gc_) return true;
+    if (!gc_ || names_unfinalizable_version(from, *fin)) return true;
     std::vector<ReplRecord> recs(fin->objs.size());
     for (std::size_t i = 0; i < fin->objs.size(); ++i) {
       recs[i].kind = ReplRecord::kFinalize;

@@ -80,6 +80,10 @@ class VersionServer final : public Node {
   /// Object ids are untrusted: a request naming one >= k would make a store
   /// for it.  True (and a warning) if `m` names any.
   bool names_unknown_object(NodeId from, const Message& m) const;
+  /// True (and a warning) if `fin` names a version one of its stores does
+  /// not hold, or a List position finalized under another key: applying it
+  /// would trip VersionStore::finalize's checks.
+  bool names_unfinalizable_version(NodeId from, const FinalizeReq& fin) const;
   bool serve_read(NodeId from, const Message& m);
   bool handle_write_path(NodeId from, const Message& m);
   bool handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc);

@@ -40,6 +40,14 @@ void VersionStore::finalize(const WriteKey& key, Tag position) {
   prune_();
 }
 
+bool VersionStore::can_finalize(const WriteKey& key, Tag position) const {
+  const auto it = vals_.find(key);
+  if (it == vals_.end()) return false;
+  if (it->second.position != kInvalidTag) return true;  // duplicate notice
+  const auto pit = by_pos_.find(position);
+  return pit == by_pos_.end() || pit->second == key;
+}
+
 void VersionStore::advance_watermark(Tag w) {
   if (w <= watermark_) return;  // monotone
   watermark_ = w;

@@ -81,6 +81,10 @@ class VersionStore {
   /// must be present (write-val precedes update-coor, which precedes any
   /// finalize — a miss is a protocol bug).
   void finalize(const WriteKey& key, Tag position);
+  /// Whether finalize(key, position) would pass its checks: `key` is held
+  /// and `position` is not finalized under another key.  Finalize frames are
+  /// untrusted, so a server drops one naming a version that fails this.
+  bool can_finalize(const WriteKey& key, Tag position) const;
 
   /// Raises the watermark (lower values are ignored — watermarks are
   /// monotone) and prunes finalized versions strictly below the new anchor.

@@ -13,7 +13,7 @@ namespace snowkit::theory {
 
 namespace {
 
-// Topology: s_x = node 0, s_y = node 1, r1 = node 2, r2 = node 3, w = node 4.
+// SystemConfig: s_x = node 0, s_y = node 1, r1 = node 2, r2 = node 3, w = node 4.
 constexpr NodeId kSx = 0;
 constexpr NodeId kSy = 1;
 constexpr NodeId kR1 = 2;
@@ -21,7 +21,7 @@ constexpr NodeId kR2 = 3;
 constexpr Value kX1 = 101;
 constexpr Value kY1 = 102;
 
-std::string values_str(const ReadResult& r) {
+std::string values_str(const TxnResult& r) {
   std::ostringstream oss;
   oss << "(";
   for (std::size_t i = 0; i < r.values.size(); ++i) {
@@ -55,7 +55,7 @@ ScriptedRun run_scripted(const std::vector<std::pair<NodeId, NodeId>>& pre_r1_re
   HistoryRecorder rec(2);
   AlgoAOptions opts;
   opts.allow_multiple_readers = true;
-  auto sys = build_algo_a(sim, rec, Topology{2, 2, 1}, opts);
+  auto sys = build_algo_a(sim, rec, SystemConfig{2, 2, 1}, opts);
   sim.start();
 
   // Hold r1's info-reader (the pivotal a_{k*+1}) and all read traffic.
@@ -65,18 +65,18 @@ ScriptedRun run_scripted(const std::vector<std::pair<NodeId, NodeId>>& pre_r1_re
 
   // W writes (x1, y1); it stays open until r1's info-reader is released.
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}}, [&](const WriteResult&) { w_done = true; });
+  invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}}, [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();
   SNOW_CHECK_MSG(!w_done, "W must be pending on r1's info-reader ack");
 
   ScriptedRun out;
-  ReadResult r1_result;
-  ReadResult r2_result;
+  TxnResult r1_result;
+  TxnResult r2_result;
   bool r1_done = false;
   bool r2_done = false;
 
   // I2: invoke R2; its request sends appear, deliveries stay held.
-  invoke_read(sim, sys->reader(1), {0, 1}, [&](const ReadResult& r) {
+  invoke_read(sim, sys->reader(1), {0, 1}, [&](const TxnResult& r) {
     r2_result = r;
     r2_done = true;
   });
@@ -93,7 +93,7 @@ ScriptedRun run_scripted(const std::vector<std::pair<NodeId, NodeId>>& pre_r1_re
   if (invoke_r1_after_r2_completes) SNOW_CHECK(r2_done);
 
   // I1: invoke R1.
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) {
     r1_result = r;
     r1_done = true;
   });

@@ -15,7 +15,7 @@ namespace {
 constexpr Value kX1 = 201;
 constexpr Value kY1 = 202;
 
-std::string values_str(const ReadResult& r) {
+std::string values_str(const TxnResult& r) {
   std::ostringstream oss;
   oss << "(";
   for (std::size_t i = 0; i < r.values.size(); ++i) {
@@ -40,7 +40,7 @@ struct DescentRun {
 DescentRun run_descent(int k) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_naive(sim, rec, Topology{2, 1, 1});
+  auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   // Hold all READ traffic; W's messages flow normally but we step them.
   sim.hold_matching(script::any_of(
@@ -48,9 +48,9 @@ DescentRun run_descent(int k) {
 
   bool w_done = false;
   bool r_done = false;
-  ReadResult r_result;
-  invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}}, [&](const WriteResult&) { w_done = true; });
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  TxnResult r_result;
+  invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}}, [&](const TxnResult&) { w_done = true; });
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) {
     r_result = r;
     r_done = true;
   });
@@ -94,17 +94,17 @@ TwoClientChainResult run_two_client_chain() {
   {
     SimRuntime sim;
     HistoryRecorder rec(2);
-    auto sys = build_naive(sim, rec, Topology{2, 1, 1});
+    auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
     sim.start();
     bool w_done = false;
     invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}},
-                 [&](const WriteResult&) { w_done = true; });
+                 [&](const TxnResult&) { w_done = true; });
     sim.run_until_idle();
     SNOW_CHECK(w_done);
     sim.hold_matching(script::payload_is("simple-read"));
-    ReadResult r_result;
+    TxnResult r_result;
     bool r_done = false;
-    invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+    invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) {
       r_result = r;
       r_done = true;
     });
@@ -124,19 +124,19 @@ TwoClientChainResult run_two_client_chain() {
   {
     SimRuntime sim;
     HistoryRecorder rec(2);
-    auto sys = build_naive(sim, rec, Topology{2, 1, 1});
+    auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
     sim.start();
     sim.hold_matching(script::payload_is("simple-read"));
-    ReadResult r_result;
+    TxnResult r_result;
     bool r_done = false;
-    invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+    invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) {
       r_result = r;
       r_done = true;
     });
     sim.run_until_idle();  // send(m_x), send(m_y) occur before INV(W)
     bool w_done = false;
     invoke_write(sim, sys->writer(0), {{0, kX1}, {1, kY1}},
-                 [&](const WriteResult&) { w_done = true; });
+                 [&](const TxnResult&) { w_done = true; });
     sim.run_until_idle();
     SNOW_CHECK(w_done && !r_done);
     sim.release_all();

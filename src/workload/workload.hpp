@@ -16,7 +16,7 @@
 //    mix, span distributions, piecewise rate curves, and a population of
 //    LOGICAL clients (stream identities, not threads) whose aggregate
 //    arrival process one driver shard emits.  core/run_workload.hpp's
-//    open-loop engine mode paces these.
+//    open-loop pacer draws from either layer.
 #pragma once
 
 #include <cstdint>

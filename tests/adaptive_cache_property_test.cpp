@@ -29,21 +29,21 @@ struct Rig {
   explicit Rig(std::size_t k, std::size_t readers = 1, std::size_t writers = 1,
                std::uint64_t seed = 1, AdaptiveOptions opts = {})
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
-    sys = build_adaptive(sim, rec, Topology{k, readers, writers}, opts);
+    sys = build_adaptive(sim, rec, SystemConfig{k, readers, writers}, opts);
     adaptive = dynamic_cast<AdaptiveSystem*>(sys.get());
   }
 };
 
-ReadResult read_now(Rig& rig, std::size_t reader, std::vector<ObjectId> objs) {
-  ReadResult result;
+TxnResult read_now(Rig& rig, std::size_t reader, std::vector<ObjectId> objs) {
+  TxnResult result;
   invoke_read(rig.sim, rig.sys->reader(reader), std::move(objs),
-              [&](const ReadResult& r) { result = r; });
+              [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   return result;
 }
 
 void write_now(Rig& rig, std::size_t writer, std::vector<std::pair<ObjectId, Value>> writes) {
-  invoke_write(rig.sim, rig.sys->writer(writer), std::move(writes), [](const WriteResult&) {});
+  invoke_write(rig.sim, rig.sys->writer(writer), std::move(writes), [](const TxnResult&) {});
   rig.sim.run_until_idle();
 }
 
@@ -68,7 +68,7 @@ TEST(AdaptiveCacheProperty, CountersReconcileExactlyWithIssuedReadRounds) {
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     ASSERT_TRUE(driver.done()) << "seed " << seed;
@@ -102,7 +102,7 @@ TEST(AdaptiveCacheProperty, HitServedOnlyWhileTheAnchorProofHolds) {
 
   // A write to object 0 moves latest[0]; its cached key no longer anchors.
   write_now(rig, 0, {{0, 3}});
-  const ReadResult r = read_now(rig, 0, {0, 1});
+  const TxnResult r = read_now(rig, 0, {0, 1});
   EXPECT_EQ(r.values[0].second, 3);
   EXPECT_EQ(r.values[1].second, 2);
   const AdaptiveStats s = rig.adaptive->stats();
@@ -133,7 +133,7 @@ TEST(AdaptiveCacheProperty, CacheNeverSurvivesATakeoverEpochBump) {
 
   // Post-failover READ rebuilds from the new lineage: all misses, correct
   // values (the backup replicated every acked write).
-  const ReadResult r = read_now(rig, 0, {0, 1});
+  const TxnResult r = read_now(rig, 0, {0, 1});
   EXPECT_EQ(r.values[0].second, 5);
   EXPECT_EQ(r.values[1].second, 6);
   const AdaptiveStats s = rig.adaptive->stats();
@@ -155,7 +155,7 @@ TEST(AdaptiveCacheProperty, ReconciliationAlsoHoldsWithTheCacheDisabled) {
   spec.ops_per_writer = 15;
   spec.read_span = 2;
   spec.seed = 7;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   ASSERT_TRUE(driver.done());

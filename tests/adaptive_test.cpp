@@ -30,28 +30,28 @@ struct Rig {
   explicit Rig(std::size_t k, std::size_t readers = 1, std::size_t writers = 1,
                std::uint64_t seed = 1, AdaptiveOptions opts = {})
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
-    sys = build_adaptive(sim, rec, Topology{k, readers, writers}, opts);
+    sys = build_adaptive(sim, rec, SystemConfig{k, readers, writers}, opts);
     adaptive = dynamic_cast<AdaptiveSystem*>(sys.get());
   }
 };
 
-ReadResult read_now(Rig& rig, std::size_t reader, std::vector<ObjectId> objs) {
-  ReadResult result;
+TxnResult read_now(Rig& rig, std::size_t reader, std::vector<ObjectId> objs) {
+  TxnResult result;
   invoke_read(rig.sim, rig.sys->reader(reader), std::move(objs),
-              [&](const ReadResult& r) { result = r; });
+              [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   return result;
 }
 
 void write_now(Rig& rig, std::size_t writer, std::vector<std::pair<ObjectId, Value>> writes) {
-  invoke_write(rig.sim, rig.sys->writer(writer), std::move(writes), [](const WriteResult&) {});
+  invoke_write(rig.sim, rig.sys->writer(writer), std::move(writes), [](const TxnResult&) {});
   rig.sim.run_until_idle();
 }
 
 TEST(Adaptive, WriteThenReadRoundTrip) {
   Rig rig(3);
   write_now(rig, 0, {{0, 1}, {1, 2}, {2, 3}});
-  const ReadResult result = read_now(rig, 0, {0, 2});
+  const TxnResult result = read_now(rig, 0, {0, 2});
   ASSERT_EQ(result.values.size(), 2u);
   EXPECT_EQ(result.values[0].second, 1);
   EXPECT_EQ(result.values[1].second, 3);
@@ -76,7 +76,7 @@ TEST(Adaptive, WriteHeavyObjectSwitchesToPrefetchMode) {
   // spanning only the C-mode object — prefetches Algorithm-C style and
   // completes in one round (object 1 stays B-mode and would cost a round 2).
   (void)read_now(rig, 0, {0, 1});
-  const ReadResult r2 = read_now(rig, 0, {0});
+  const TxnResult r2 = read_now(rig, 0, {0});
   EXPECT_EQ(r2.values[0].second, 60);
   const AdaptiveStats s = rig.adaptive->stats();
   EXPECT_GE(s.prefetch_resolved, 1u) << "C-mode object was never resolved from a prefetch";
@@ -90,7 +90,7 @@ TEST(Adaptive, CacheHitCompletesWithoutASecondRound) {
   ASSERT_NE(rig.adaptive, nullptr);
   write_now(rig, 0, {{0, 7}, {1, 8}});
   (void)read_now(rig, 0, {0, 1});  // populates the cache (two misses)
-  const ReadResult r2 = read_now(rig, 0, {0, 1});
+  const TxnResult r2 = read_now(rig, 0, {0, 1});
   EXPECT_EQ(r2.values[0].second, 7);
   EXPECT_EQ(r2.values[1].second, 8);
   const AdaptiveStats s = rig.adaptive->stats();
@@ -105,7 +105,7 @@ TEST(Adaptive, WriteInvalidatesExactlyTheOverwrittenObject) {
   write_now(rig, 0, {{0, 1}, {1, 2}});
   (void)read_now(rig, 0, {0, 1});
   write_now(rig, 0, {{0, 99}});  // supersedes the cached key for object 0 only
-  const ReadResult r = read_now(rig, 0, {0, 1});
+  const TxnResult r = read_now(rig, 0, {0, 1});
   EXPECT_EQ(r.values[0].second, 99) << "cache served a superseded version";
   EXPECT_EQ(r.values[1].second, 2);
   const AdaptiveStats s = rig.adaptive->stats();
@@ -124,7 +124,7 @@ TEST(Adaptive, BrokenCacheServesTheStaleVersion) {
   write_now(rig, 0, {{0, 1}});
   (void)read_now(rig, 0, {0});
   write_now(rig, 0, {{0, 2}});
-  const ReadResult r = read_now(rig, 0, {0});
+  const TxnResult r = read_now(rig, 0, {0});
   EXPECT_EQ(r.values[0].second, 1) << "broken_cache unexpectedly refetched — the planted "
                                       "bug is gone and the vacuity guard is meaningless";
   const auto verdict = check_tag_order(rig.rec.snapshot());
@@ -140,7 +140,7 @@ TEST(Adaptive, StrictSerializabilityUnderClosedLoopWorkload) {
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     EXPECT_TRUE(driver.done());
@@ -166,7 +166,7 @@ TEST(Adaptive, RegistryBuildsItWithZeroProtocolSpecificCode) {
   opts.set("switch_up", "6.0");
   opts.set("switch_down", "2.0");
   opts.set("ewma_tau_ms", 100);
-  auto sys = ProtocolRegistry::global().build("adaptive", sim, rec, Topology{2, 1, 1}, opts);
+  auto sys = ProtocolRegistry::global().build("adaptive", sim, rec, SystemConfig{2, 1, 1}, opts);
   EXPECT_EQ(sys->name(), "adaptive");
   EXPECT_NE(dynamic_cast<AdaptiveSystem*>(sys.get()), nullptr);
 }
@@ -177,13 +177,13 @@ TEST(Adaptive, OptionsValidateFailFast) {
   AdaptiveOptions opts;
   opts.switch_up = 1.0;
   opts.switch_down = 1.0;  // no hysteresis band
-  EXPECT_THROW(build_adaptive(sim, rec, Topology{2, 1, 1}, opts), std::invalid_argument);
+  EXPECT_THROW(build_adaptive(sim, rec, SystemConfig{2, 1, 1}, opts), std::invalid_argument);
   opts = {};
   opts.ewma_tau_ns = 0;
-  EXPECT_THROW(build_adaptive(sim, rec, Topology{2, 1, 1}, opts), std::invalid_argument);
+  EXPECT_THROW(build_adaptive(sim, rec, SystemConfig{2, 1, 1}, opts), std::invalid_argument);
   opts = {};
   opts.replicas = 3;
-  EXPECT_THROW(build_adaptive(sim, rec, Topology{2, 1, 1}, opts), std::invalid_argument);
+  EXPECT_THROW(build_adaptive(sim, rec, SystemConfig{2, 1, 1}, opts), std::invalid_argument);
 }
 
 /// A reader view holding exactly `table` at `epoch`, built the way a reader

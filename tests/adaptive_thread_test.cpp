@@ -18,14 +18,14 @@ namespace {
 TEST(AdaptiveThread, ConcurrentWorkloadIsStrictlySerializable) {
   ThreadRuntime rt;
   HistoryRecorder rec(4);
-  auto sys = build_protocol("adaptive", rt, rec, Topology{4, 3, 3});
+  auto sys = build_protocol("adaptive", rt, rec, SystemConfig{4, 3, 3});
   rt.start();
   WorkloadSpec spec;
   spec.ops_per_reader = 100;
   spec.ops_per_writer = 50;
   spec.read_span = 2;
   spec.write_span = 2;
-  ClosedLoopDriver driver(rt, *sys, spec);
+  WorkloadDriver driver(rt, *sys, spec);
   driver.start();
   driver.wait();
   rt.stop();
@@ -46,14 +46,14 @@ TEST(AdaptiveThread, WriteHeavyRunFlipsModesUnderThreads) {
   // write-heavy burst must trip B->C switches on the live coordinator.
   ThreadRuntime rt;
   HistoryRecorder rec(2);
-  auto sys = build_protocol("adaptive", rt, rec, Topology{2, 1, 2});
+  auto sys = build_protocol("adaptive", rt, rec, SystemConfig{2, 1, 2});
   rt.start();
   WorkloadSpec spec;
   spec.ops_per_reader = 30;
   spec.ops_per_writer = 100;
   spec.read_span = 2;
   spec.write_span = 1;
-  ClosedLoopDriver driver(rt, *sys, spec);
+  WorkloadDriver driver(rt, *sys, spec);
   driver.start();
   driver.wait();
   rt.stop();

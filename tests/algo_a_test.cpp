@@ -20,7 +20,7 @@ struct Rig {
 
   Rig(std::size_t k, std::size_t writers, std::uint64_t seed = 1)
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
-    sys = build_algo_a(sim, rec, Topology{k, 1, writers});
+    sys = build_algo_a(sim, rec, SystemConfig{k, 1, writers});
   }
 };
 
@@ -28,12 +28,12 @@ TEST(AlgoA, SingleWriteThenRead) {
   Rig rig(2, 1);
   bool w_done = false;
   invoke_write(rig.sim, rig.sys->writer(0), {{0, 10}, {1, 20}},
-               [&](const WriteResult&) { w_done = true; });
+               [&](const TxnResult&) { w_done = true; });
   rig.sim.run_until_idle();
   ASSERT_TRUE(w_done);
 
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   ASSERT_EQ(result.values.size(), 2u);
   EXPECT_EQ(result.values[0], (std::pair<ObjectId, Value>{0, 10}));
@@ -42,8 +42,8 @@ TEST(AlgoA, SingleWriteThenRead) {
 
 TEST(AlgoA, ReadBeforeAnyWriteReturnsInitial) {
   Rig rig(3, 1);
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2}, [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   for (const auto& [obj, v] : result.values) EXPECT_EQ(v, kInitialValue) << "object " << obj;
 }
@@ -51,10 +51,10 @@ TEST(AlgoA, ReadBeforeAnyWriteReturnsInitial) {
 TEST(AlgoA, PartialWriteSetLookup) {
   // Write only object 1; a read of {0,1} must see initial for 0.
   Rig rig(2, 1);
-  invoke_write(rig.sim, rig.sys->writer(0), {{1, 5}}, [](const WriteResult&) {});
+  invoke_write(rig.sim, rig.sys->writer(0), {{1, 5}}, [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, kInitialValue);
   EXPECT_EQ(result.values[1].second, 5);
@@ -66,16 +66,16 @@ TEST(AlgoA, ConcurrentReadIsSnapshotOfList) {
   // fractured mix), even though both servers already store the new values.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_algo_a(sim, rec, Topology{2, 1, 1});
+  auto sys = build_algo_a(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   sim.hold_matching(script::payload_is("info-reader"));
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const WriteResult&) { w_done = true; });
+  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();
   EXPECT_FALSE(w_done);  // blocked on info-reader ack
 
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, kInitialValue);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -96,7 +96,7 @@ TEST(AlgoA, TagOrderHoldsUnderRandomWorkload) {
     spec.read_span = 3;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     ASSERT_TRUE(driver.done());
@@ -112,7 +112,7 @@ TEST(AlgoA, SnowPropertiesHoldOnTrace) {
   spec.ops_per_reader = 30;
   spec.ops_per_writer = 10;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   const History h = rig.rec.snapshot();
@@ -129,7 +129,7 @@ TEST(AlgoA, WritesEventuallyCompleteUnderConcurrency) {
   WorkloadSpec spec;
   spec.ops_per_reader = 20;
   spec.ops_per_writer = 20;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   const History h = rig.rec.snapshot();
@@ -139,7 +139,7 @@ TEST(AlgoA, WritesEventuallyCompleteUnderConcurrency) {
 TEST(AlgoA, RefusesMultipleReadersByDefault) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  EXPECT_DEATH(build_algo_a(sim, rec, Topology{2, 2, 1}), "MWSR");
+  EXPECT_DEATH(build_algo_a(sim, rec, SystemConfig{2, 2, 1}), "MWSR");
 }
 
 TEST(AlgoA, MultiReaderDemoViolatesS) {
@@ -149,21 +149,21 @@ TEST(AlgoA, MultiReaderDemoViolatesS) {
   HistoryRecorder rec(2);
   AlgoAOptions opts;
   opts.allow_multiple_readers = true;
-  auto sys = build_algo_a(sim, rec, Topology{2, 2, 1}, opts);
+  auto sys = build_algo_a(sim, rec, SystemConfig{2, 2, 1}, opts);
   sim.start();
   const NodeId r2_node = sys->reader(1).node_id();
   sim.hold_matching(script::all_of({script::payload_is("info-reader"), script::to_node(r2_node)}));
 
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [](const WriteResult&) {});
+  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [](const TxnResult&) {});
   sim.run_until_idle();
 
-  ReadResult r1;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { r1 = r; });
+  TxnResult r1;
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) { r1 = r; });
   sim.run_until_idle();
   EXPECT_EQ(r1.values[0].second, 10);  // r1 sees the new version
 
-  ReadResult r2;
-  invoke_read(sim, sys->reader(1), {0, 1}, [&](const ReadResult& r) { r2 = r; });
+  TxnResult r2;
+  invoke_read(sim, sys->reader(1), {0, 1}, [&](const TxnResult& r) { r2 = r; });
   sim.run_until_idle();
   EXPECT_EQ(r2.values[0].second, kInitialValue);  // r2, later, sees the old one
 

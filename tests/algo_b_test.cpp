@@ -22,16 +22,16 @@ struct Rig {
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
     AlgoBOptions opts;
     opts.coordinator = coor;
-    sys = build_algo_b(sim, rec, Topology{k, readers, writers}, opts);
+    sys = build_algo_b(sim, rec, SystemConfig{k, readers, writers}, opts);
   }
 };
 
 TEST(AlgoB, WriteThenReadRoundTrip) {
   Rig rig(3, 1, 1);
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 1}, {1, 2}, {2, 3}}, [](const WriteResult&) {});
+  invoke_write(rig.sim, rig.sys->writer(0), {{0, 1}, {1, 2}, {2, 3}}, [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 2}, [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   ASSERT_EQ(result.values.size(), 2u);
   EXPECT_EQ(result.values[0].second, 1);
@@ -44,7 +44,7 @@ TEST(AlgoB, ExactlyTwoRoundsOneVersion) {
   spec.ops_per_reader = 25;
   spec.ops_per_writer = 10;
   spec.read_span = 3;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   const History h = rig.rec.snapshot();
@@ -65,7 +65,7 @@ TEST(AlgoB, StrictSerializabilityUnderManyWritersAndReaders) {
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     auto verdict = check_tag_order(rig.rec.snapshot());
@@ -81,7 +81,7 @@ TEST(AlgoB, VersionRequestedIsAlwaysPresent) {
   WorkloadSpec spec;
   spec.ops_per_reader = 80;
   spec.ops_per_writer = 40;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();  // VersionStore::get aborts if a key were missing
   EXPECT_TRUE(driver.done());
@@ -89,10 +89,10 @@ TEST(AlgoB, VersionRequestedIsAlwaysPresent) {
 
 TEST(AlgoB, NonDefaultCoordinator) {
   Rig rig(3, 1, 1, /*seed=*/5, /*coor=*/2);
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 7}}, [](const WriteResult&) {});
+  invoke_write(rig.sim, rig.sys->writer(0), {{0, 7}}, [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 7);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -105,16 +105,16 @@ TEST(AlgoB, ReadConcurrentWithWriteGetsConsistentCut) {
   // but the coordinator's List does not — a READ must return the old cut.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_algo_b(sim, rec, Topology{2, 1, 1});
+  auto sys = build_algo_b(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   sim.hold_matching(script::payload_is("update-coor"));
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const WriteResult&) { w_done = true; });
+  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();
   EXPECT_FALSE(w_done);
 
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, kInitialValue);
   EXPECT_EQ(result.values[1].second, kInitialValue);

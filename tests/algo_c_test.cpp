@@ -23,7 +23,7 @@ struct Rig {
       : sim(make_uniform_delay(10, 5000, seed)), rec(k) {
     AlgoCOptions opts;
     opts.gc_versions = gc;
-    sys = build_algo_c(sim, rec, Topology{k, readers, writers}, opts);
+    sys = build_algo_c(sim, rec, SystemConfig{k, readers, writers}, opts);
   }
 };
 
@@ -36,7 +36,7 @@ TEST(AlgoC, ExhaustedRetriesGiveUpInsteadOfAborting) {
   const NodeId reader = rig.sys->reader(0).node_id();
   rig.sim.hold_matching([reader](NodeId from, NodeId, const Message&) { return from == reader; });
   bool completed = false;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult&) { completed = true; });
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult&) { completed = true; });
   rig.sim.run_until_idle();
   ASSERT_FALSE(rig.sim.held().empty());
   const TxnId txn = rig.sim.held().front().msg.txn;
@@ -62,10 +62,10 @@ TEST(AlgoC, ExhaustedRetriesGiveUpInsteadOfAborting) {
 
 TEST(AlgoC, WriteThenReadRoundTrip) {
   Rig rig(3, 1, 1);
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 1}, {2, 3}}, [](const WriteResult&) {});
+  invoke_write(rig.sim, rig.sys->writer(0), {{0, 1}, {2, 3}}, [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2}, [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 1);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -78,7 +78,7 @@ TEST(AlgoC, OneRoundMultipleVersions) {
   spec.ops_per_reader = 30;
   spec.ops_per_writer = 20;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   const History h = rig.rec.snapshot();
@@ -98,7 +98,7 @@ TEST(AlgoC, StrictSerializabilityUnderManyWritersAndReaders) {
     spec.read_span = 3;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     auto verdict = check_tag_order(rig.rec.snapshot());
@@ -115,7 +115,7 @@ TEST(AlgoC, DescentHandlesOvertakingReadVals) {
   HistoryRecorder rec(2);
   AlgoCOptions opts;
   opts.gc_versions = false;  // GC-off: the descent must SETTLE (no retry path)
-  auto sys = build_algo_c(sim, rec, Topology{2, 1, 1}, opts);
+  auto sys = build_algo_c(sim, rec, SystemConfig{2, 1, 1}, opts);
   sim.start();
 
   // Script: hold W's write-val to s_y (object 1) and the READ's messages.
@@ -124,12 +124,12 @@ TEST(AlgoC, DescentHandlesOvertakingReadVals) {
        script::payload_is("read-vals-batch"), script::payload_is("get-tag-arr")}));
 
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const WriteResult&) { w_done = true; });
+  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();  // write-val@s_x delivered+acked; write-val@s_y held
 
-  ReadResult result;
+  TxnResult result;
   bool r_done = false;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) {
     result = r;
     r_done = true;
   });
@@ -171,13 +171,13 @@ TEST(AlgoC, GcBoundsResponseSizes) {
     HistoryRecorder rec(2);
     AlgoCOptions opts;
     opts.gc_versions = gc;
-    auto sys = build_algo_c(sim, rec, Topology{2, 1, 2}, opts);
+    auto sys = build_algo_c(sim, rec, SystemConfig{2, 1, 2}, opts);
     WorkloadSpec spec;
     spec.ops_per_reader = 40;
     spec.ops_per_writer = 40;
     spec.read_span = 2;
     spec.write_span = 2;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     auto verdict = check_tag_order(rec.snapshot());
@@ -198,7 +198,7 @@ TEST(AlgoC, GcPreservesStrictSerializabilityAcrossSeeds) {
     spec.ops_per_writer = 20;
     spec.read_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+    WorkloadDriver driver(rig.sim, *rig.sys, spec);
     driver.start();
     rig.sim.run_until_idle();
     auto verdict = check_tag_order(rig.rec.snapshot());
@@ -208,10 +208,10 @@ TEST(AlgoC, GcPreservesStrictSerializabilityAcrossSeeds) {
 
 TEST(AlgoC, CoordinatorAlsoServesItsObject) {
   Rig rig(2, 1, 1);
-  invoke_write(rig.sim, rig.sys->writer(0), {{0, 77}}, [](const WriteResult&) {});
+  invoke_write(rig.sim, rig.sys->writer(0), {{0, 77}}, [](const TxnResult&) {});
   rig.sim.run_until_idle();
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0}, [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 77);  // get-tag-arr + read-vals-batch both at s*
 }

@@ -51,7 +51,7 @@ std::vector<ChunkFile> load_all(const std::string& dir) {
 /// Runs `protocol` on ThreadRuntime with the recorder attached and returns
 /// the merged audit.  Each driver pass runs back-to-back on the same system
 /// (phases let a test order writes before reads).
-audit::MergedAudit captured_run(const std::string& protocol, Topology topo,
+audit::MergedAudit captured_run(const std::string& protocol, SystemConfig topo,
                                 const std::vector<WorkloadSpec>& phases) {
   const std::string dir = fresh_dir(protocol);
   CaptureOptions copts;
@@ -88,7 +88,7 @@ TEST(AuditCheckE2E, CapturedAlgoBRunRechecksGreen) {
   spec.read_span = 2;
   spec.write_span = 2;
   spec.seed = 21;
-  const auto merged = captured_run("algo-b", Topology{3, 2, 2}, {spec});
+  const auto merged = captured_run("algo-b", SystemConfig{3, 2, 2}, {spec});
 
   EXPECT_EQ(merged.total_drops, 0u);
   EXPECT_EQ(merged.unmatched_recvs, 0u);
@@ -130,7 +130,7 @@ TEST(AuditCheckE2E, BrokenStaleCaptureIsFlagged) {
   reads.ops_per_writer = 0;
   reads.read_span = 2;
   reads.seed = 6;
-  const auto merged = captured_run("broken-stale", Topology{2, 2, 1}, {writes, reads});
+  const auto merged = captured_run("broken-stale", SystemConfig{2, 2, 1}, {writes, reads});
 
   const auto verdict = audit::check_merged(merged);
   EXPECT_TRUE(verdict.violation);

@@ -15,11 +15,11 @@ namespace {
 TEST(Blocking, WriteThenRead) {
   SimRuntime sim;
   HistoryRecorder rec(3);
-  auto sys = build_blocking(sim, rec, Topology{3, 1, 1});
-  invoke_write(sim, sys->writer(0), {{0, 1}, {2, 3}}, [](const WriteResult&) {});
+  auto sys = build_blocking(sim, rec, SystemConfig{3, 1, 1});
+  invoke_write(sim, sys->writer(0), {{0, 1}, {2, 3}}, [](const TxnResult&) {});
   sim.run_until_idle();
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(sim, sys->reader(0), {0, 1, 2}, [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 1);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -30,14 +30,14 @@ TEST(Blocking, StrictlySerializableUnderContention) {
   for (std::uint64_t seed : {41ull, 42ull, 43ull}) {
     SimRuntime sim(make_uniform_delay(10, 4000, seed));
     HistoryRecorder rec(3);
-    auto sys = build_blocking(sim, rec, Topology{3, 2, 2});
+    auto sys = build_blocking(sim, rec, SystemConfig{3, 2, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 15;
     spec.ops_per_writer = 10;
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     ASSERT_TRUE(driver.done()) << "deadlock at seed " << seed;
@@ -51,17 +51,17 @@ TEST(Blocking, ReaderBlocksBehindWriterLock) {
   // lock request must wait — the N property fails, observably in the trace.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_blocking(sim, rec, Topology{2, 1, 1});
+  auto sys = build_blocking(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   sim.hold_matching(script::payload_is("write-unlock"));
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 9}, {1, 9}}, [&](const WriteResult&) { w_done = true; });
+  invoke_write(sim, sys->writer(0), {{0, 9}, {1, 9}}, [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();
   EXPECT_FALSE(w_done);  // locks held, writes not applied
 
   bool r_done = false;
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  TxnResult result;
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) {
     result = r;
     r_done = true;
   });
@@ -85,9 +85,9 @@ TEST(Blocking, ReaderBlocksBehindWriterLock) {
 TEST(Blocking, RoundsGrowWithReadSpan) {
   SimRuntime sim;
   HistoryRecorder rec(4);
-  auto sys = build_blocking(sim, rec, Topology{4, 1, 0});
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1, 2, 3}, [&](const ReadResult& r) { result = r; });
+  auto sys = build_blocking(sim, rec, SystemConfig{4, 1, 0});
+  TxnResult result;
+  invoke_read(sim, sys->reader(0), {0, 1, 2, 3}, [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   const History h = rec.snapshot();
   EXPECT_EQ(max_read_rounds(h), 4);  // sequential lock acquisition
@@ -99,11 +99,11 @@ TEST(Blocking, NoDeadlockWithOpposingAccessOrders) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     SimRuntime sim(make_uniform_delay(10, 2000, seed));
     HistoryRecorder rec(2);
-    auto sys = build_blocking(sim, rec, Topology{2, 1, 1});
+    auto sys = build_blocking(sim, rec, SystemConfig{2, 1, 1});
     bool r_done = false;
     bool w_done = false;
-    invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult&) { r_done = true; });
-    invoke_write(sim, sys->writer(0), {{1, 5}, {0, 6}}, [&](const WriteResult&) { w_done = true; });
+    invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult&) { r_done = true; });
+    invoke_write(sim, sys->writer(0), {{1, 5}, {0, 6}}, [&](const TxnResult&) { w_done = true; });
     sim.run_until_idle();
     EXPECT_TRUE(r_done && w_done) << "seed " << seed;
   }

@@ -29,7 +29,7 @@ TEST_P(ChaosSweep, StrictProtocolsSurviveUnboundedReordering) {
   const std::size_t readers = c.kind == "algo-a" ? 1 : 2;
   BuildOptions opts;
   if (c.seed % 2 == 0) opts.set("gc_versions", true);  // alternate GC mode
-  auto sys = build_protocol(c.kind, sim, rec, Topology{3, readers, 2}, opts);
+  auto sys = build_protocol(c.kind, sim, rec, SystemConfig{3, readers, 2}, opts);
 
   WorkloadSpec spec;
   spec.ops_per_reader = 25;
@@ -37,7 +37,7 @@ TEST_P(ChaosSweep, StrictProtocolsSurviveUnboundedReordering) {
   spec.read_span = 2;
   spec.write_span = 2;
   spec.seed = c.seed;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
 
   ChaosOptions chaos;
@@ -87,14 +87,14 @@ TEST(ChaosSweep, NaiveFracturesFrequentlyUnderChaos) {
   for (std::uint64_t seed = 1; seed <= runs; ++seed) {
     SimRuntime sim;
     HistoryRecorder rec(2);
-    auto sys = build_protocol("naive", sim, rec, Topology{2, 1, 2});
+    auto sys = build_protocol("naive", sim, rec, SystemConfig{2, 1, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 20;
     spec.ops_per_writer = 10;
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     ChaosOptions chaos;
     chaos.seed = seed;
@@ -109,12 +109,12 @@ TEST(ChaosSweep, BlockingStaysSerializableAndLive) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     SimRuntime sim;
     HistoryRecorder rec(2);
-    auto sys = build_protocol("blocking-2pl", sim, rec, Topology{2, 2, 2});
+    auto sys = build_protocol("blocking-2pl", sim, rec, SystemConfig{2, 2, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 10;
     spec.ops_per_writer = 8;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     ChaosOptions chaos;
     chaos.seed = seed + 77;
@@ -138,12 +138,12 @@ TEST(ChaosEdgeCases, DegenerateProbabilitiesTerminateWithBoundedDecisions) {
   for (const Edge edge : {Edge{0.0, 0.0}, Edge{1.0, 0.0}, Edge{0.0, 1.0}, Edge{1.0, 1.0}}) {
     SimRuntime sim;
     HistoryRecorder rec(2);
-    auto sys = build_protocol("algo-b", sim, rec, Topology{2, 1, 2});
+    auto sys = build_protocol("algo-b", sim, rec, SystemConfig{2, 1, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 10;
     spec.ops_per_writer = 8;
     spec.seed = 3;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     ChaosOptions chaos;
     chaos.seed = 9;
@@ -169,12 +169,12 @@ TEST(ChaosEdgeCases, DegenerateProbabilitiesTerminateWithBoundedDecisions) {
 TEST(ChaosEdgeCases, MaxDecisionsGuardForcesTermination) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_protocol("algo-b", sim, rec, Topology{2, 1, 2});
+  auto sys = build_protocol("algo-b", sim, rec, SystemConfig{2, 1, 2});
   WorkloadSpec spec;
   spec.ops_per_reader = 10;
   spec.ops_per_writer = 8;
   spec.seed = 5;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   ChaosOptions chaos;
   chaos.seed = 2;
@@ -191,12 +191,12 @@ TEST(ChaosSweep, ChaosIsDeterministicPerSeed) {
   auto run = [](std::uint64_t seed) {
     SimRuntime sim;
     HistoryRecorder rec(2);
-    auto sys = build_protocol("algo-b", sim, rec, Topology{2, 1, 1});
+    auto sys = build_protocol("algo-b", sim, rec, SystemConfig{2, 1, 1});
     WorkloadSpec spec;
     spec.ops_per_reader = 10;
     spec.ops_per_writer = 5;
     spec.seed = 1;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     ChaosOptions chaos;
     chaos.seed = seed;

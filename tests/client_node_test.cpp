@@ -94,9 +94,9 @@ TEST(ClientNodes, ForeignAndStaleRepliesDoNotAbortAnyClient) {
       return std::find(clients.begin(), clients.end(), from) != clients.end();
     });
     int done = 0;
-    invoke_read(sim, sys->reader(0), {0, 2}, [&](const ReadResult&) { ++done; });
-    invoke_write(sim, sys->writer(0), {{0, 5}, {1, 6}}, [&](const WriteResult&) { ++done; });
-    invoke_write(sim, sys->writer(1), {{2, 7}}, [&](const WriteResult&) { ++done; });
+    invoke_read(sim, sys->reader(0), {0, 2}, [&](const TxnResult&) { ++done; });
+    invoke_write(sim, sys->writer(0), {{0, 5}, {1, 6}}, [&](const TxnResult&) { ++done; });
+    invoke_write(sim, sys->writer(1), {{2, 7}}, [&](const TxnResult&) { ++done; });
     sim.run_until_idle();
     ASSERT_FALSE(sim.held().empty());
     barrage(1000);

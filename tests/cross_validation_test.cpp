@@ -26,14 +26,14 @@ TEST_P(CheckerCrossValidation, TagOrderAndSearchAgree) {
   SimRuntime sim(make_uniform_delay(10, 6000, c.seed));
   HistoryRecorder rec(3);
   const std::size_t readers = c.kind == "algo-a" ? 1 : 2;  // A is MWSR
-  auto sys = build_protocol(c.kind, sim, rec, Topology{3, readers, 2});
+  auto sys = build_protocol(c.kind, sim, rec, SystemConfig{3, readers, 2});
   WorkloadSpec spec;
   spec.ops_per_reader = 10;  // small so the exact search stays fast
   spec.ops_per_writer = 5;
   spec.read_span = 2;
   spec.write_span = 2;
   spec.seed = c.seed;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const History h = rec.snapshot();
@@ -75,14 +75,14 @@ TEST(DetectorSoundness, FractureAndStaleImplySearchRejection) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     SimRuntime sim(make_uniform_delay(10, 4000, seed));
     HistoryRecorder rec(2);
-    auto sys = build_protocol("algo-b", sim, rec, Topology{2, 1, 2});
+    auto sys = build_protocol("algo-b", sim, rec, SystemConfig{2, 1, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 8;
     spec.ops_per_writer = 5;
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     History h = rec.snapshot();
@@ -112,13 +112,13 @@ TEST(DetectorSoundness, CleanHistoriesTriggerNoDetector) {
   for (std::uint64_t seed = 20; seed <= 26; ++seed) {
     SimRuntime sim(make_uniform_delay(10, 4000, seed));
     HistoryRecorder rec(3);
-    auto sys = build_protocol("algo-c", sim, rec, Topology{3, 2, 2});
+    auto sys = build_protocol("algo-c", sim, rec, SystemConfig{3, 2, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 15;
     spec.ops_per_writer = 8;
     spec.read_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     const History h = rec.snapshot();

@@ -27,14 +27,14 @@ TEST_P(EdgeTopology, RunsToQuiescenceAndStaysCorrect) {
   const EdgeCase& c = GetParam();
   SimRuntime sim(make_uniform_delay(10, 3000, 99));
   HistoryRecorder rec(c.objects);
-  auto sys = build_protocol(c.kind, sim, rec, Topology{c.objects, c.readers, c.writers});
+  auto sys = build_protocol(c.kind, sim, rec, SystemConfig{c.objects, c.readers, c.writers});
   WorkloadSpec spec;
   spec.ops_per_reader = 25;
   spec.ops_per_writer = 15;
   spec.read_span = c.read_span;
   spec.write_span = c.write_span;
   spec.seed = 123;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   ASSERT_TRUE(driver.done());
@@ -84,13 +84,13 @@ TEST(EdgeTopology, SingleShardSystemTriviallySerializesEverything) {
   for (const char* kind : {"naive", "simple"}) {
     SimRuntime sim(make_uniform_delay(10, 3000, 7));
     HistoryRecorder rec(1);
-    auto sys = build_protocol(kind, sim, rec, Topology{1, 2, 2});
+    auto sys = build_protocol(kind, sim, rec, SystemConfig{1, 2, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 20;
     spec.ops_per_writer = 15;
     spec.read_span = 1;
     spec.write_span = 1;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     auto verdict = check_strict_serializability(rec.snapshot(), CheckOptions{2'000'000});

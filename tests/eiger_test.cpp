@@ -16,11 +16,11 @@ namespace {
 TEST(Eiger, BasicWriteRead) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_eiger(sim, rec, Topology{2, 1, 1});
-  invoke_write(sim, sys->writer(0), {{0, 5}, {1, 6}}, [](const WriteResult&) {});
+  auto sys = build_eiger(sim, rec, SystemConfig{2, 1, 1});
+  invoke_write(sim, sys->writer(0), {{0, 5}, {1, 6}}, [](const TxnResult&) {});
   sim.run_until_idle();
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 5);
   EXPECT_EQ(result.values[1].second, 6);
@@ -29,12 +29,12 @@ TEST(Eiger, BasicWriteRead) {
 TEST(Eiger, ReadsAreBoundedAtTwoNonBlockingRounds) {
   SimRuntime sim(make_uniform_delay(10, 5000, 77));
   HistoryRecorder rec(4);
-  auto sys = build_eiger(sim, rec, Topology{4, 2, 2});
+  auto sys = build_eiger(sim, rec, SystemConfig{4, 2, 2});
   WorkloadSpec spec;
   spec.ops_per_reader = 40;
   spec.ops_per_writer = 30;
   spec.read_span = 3;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const History h = rec.snapshot();
@@ -50,23 +50,23 @@ TEST(Eiger, SlowPathReReadsAtEffectiveTime) {
   // interleave a write between the READ's two server arrivals.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_eiger(sim, rec, Topology{2, 1, 1});
+  auto sys = build_eiger(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   for (int i = 1; i <= 3; ++i) {
-    invoke_write(sim, sys->writer(0), {{0, i * 10}}, [](const WriteResult&) {});
+    invoke_write(sim, sys->writer(0), {{0, i * 10}}, [](const TxnResult&) {});
     sim.run_until_idle();
   }
   // Hold the READ's request to s_1; deliver to s_0 first; then another write
   // to object 1 bumps s_1's clock past s_0's interval before m_y arrives.
   sim.hold_matching(script::all_of({script::payload_is("eiger-read"), script::to_node(1)}));
-  ReadResult result;
+  TxnResult result;
   bool r_done = false;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) {
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) {
     result = r;
     r_done = true;
   });
   sim.run_until_idle();
-  invoke_write(sim, sys->writer(0), {{1, 99}}, [](const WriteResult&) {});
+  invoke_write(sim, sys->writer(0), {{1, 99}}, [](const TxnResult&) {});
   sim.run_until_idle();
   sim.hold_matching(nullptr);
   sim.release_all();
@@ -87,20 +87,20 @@ TEST(Eiger, Fig5ViolationScripted) {
   // missing w2 violates strict serializability.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_eiger(sim, rec, Topology{2, 1, 2});
+  auto sys = build_eiger(sim, rec, SystemConfig{2, 1, 2});
   sim.start();
   const ObjectId A = 0;
   const ObjectId B = 1;
 
   // w1 = write(B, 1) by CW1, completes.
-  invoke_write(sim, sys->writer(0), {{B, 1}}, [](const WriteResult&) {});
+  invoke_write(sim, sys->writer(0), {{B, 1}}, [](const TxnResult&) {});
   sim.run_until_idle();
 
   // R = {rA, rB} invoked; hold rA (to S_A); deliver rB at S_B now (before w2).
   sim.hold_matching(script::all_of({script::payload_is("eiger-read"), script::to_node(A)}));
-  ReadResult result;
+  TxnResult result;
   bool r_done = false;
-  invoke_read(sim, sys->reader(0), {A, B}, [&](const ReadResult& r) {
+  invoke_read(sim, sys->reader(0), {A, B}, [&](const TxnResult& r) {
     result = r;
     r_done = true;
   });
@@ -110,10 +110,10 @@ TEST(Eiger, Fig5ViolationScripted) {
   // w2 = write(B, 2) by CW1 completes; then w3 = write(A, 3) by CW2 —
   // invoked strictly after w2's response.
   bool w2_done = false;
-  invoke_write(sim, sys->writer(0), {{B, 2}}, [&](const WriteResult&) { w2_done = true; });
+  invoke_write(sim, sys->writer(0), {{B, 2}}, [&](const TxnResult&) { w2_done = true; });
   sim.run_until_idle();
   ASSERT_TRUE(w2_done);
-  invoke_write(sim, sys->writer(1), {{A, 3}}, [](const WriteResult&) {});
+  invoke_write(sim, sys->writer(1), {{A, 3}}, [](const TxnResult&) {});
   sim.run_until_idle();
 
   // Now deliver rA at S_A: returns w3 with a low logical interval that
@@ -139,13 +139,13 @@ TEST(Eiger, RandomWorkloadsStayCausallyPlausibleButMayViolateS) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SimRuntime sim(make_uniform_delay(10, 3000, seed));
     HistoryRecorder rec(3);
-    auto sys = build_eiger(sim, rec, Topology{3, 2, 2});
+    auto sys = build_eiger(sim, rec, SystemConfig{3, 2, 2});
     WorkloadSpec spec;
     spec.ops_per_reader = 12;
     spec.ops_per_writer = 6;
     spec.read_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     auto verdict = check_strict_serializability(rec.snapshot(), CheckOptions{200'000});

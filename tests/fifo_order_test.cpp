@@ -98,7 +98,7 @@ TEST(FifoOrder, LegacyModePreservesPerSenderFifo) { run_fifo_flood(/*batched=*/f
 TEST(FifoOrder, TagOrderHoldsUnderBatchedDelivery) {
   ThreadRuntime rt;  // default = batched fast path
   HistoryRecorder rec(3);
-  auto sys = build_protocol("algo-b", rt, rec, Topology{3, 2, 2});
+  auto sys = build_protocol("algo-b", rt, rec, SystemConfig{3, 2, 2});
   rt.start();
   WorkloadSpec spec;
   spec.ops_per_reader = 150;

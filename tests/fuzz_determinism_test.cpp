@@ -95,13 +95,13 @@ TEST(FuzzDeterminism, GcOnOffByteIdenticalWhenNoPruningIsVisible) {
       HistoryRecorder rec(3);
       BuildOptions opts;
       opts.set("gc_versions", gc);
-      auto sys = build_protocol(kind, sim, rec, Topology{3, 2, 1}, opts);
+      auto sys = build_protocol(kind, sim, rec, SystemConfig{3, 2, 1}, opts);
       WorkloadSpec spec;
       spec.ops_per_reader = 12;
       spec.ops_per_writer = 0;  // read-only: no finalize traffic either way
       spec.read_span = 2;
       spec.seed = 5;
-      ClosedLoopDriver driver(sim, *sys, spec);
+      WorkloadDriver driver(sim, *sys, spec);
       driver.start();
       sim.run_until_idle();
       traces[gc ? 1 : 0] = encode_trace(sim.trace());
@@ -124,18 +124,18 @@ TEST(FuzzDeterminism, GcOnOffAgreeOnQuiescentStateAndSafety) {
         HistoryRecorder rec(3);
         BuildOptions opts;
         opts.set("gc_versions", gc);
-        auto sys = build_protocol(kind, sim, rec, Topology{3, 2, 1}, opts);
+        auto sys = build_protocol(kind, sim, rec, SystemConfig{3, 2, 1}, opts);
         WorkloadSpec spec;
         spec.ops_per_reader = 15;
         spec.ops_per_writer = 15;
         spec.read_span = 2;
         spec.write_span = 2;
         spec.seed = seed;
-        ClosedLoopDriver driver(sim, *sys, spec);
+        WorkloadDriver driver(sim, *sys, spec);
         driver.start();
         sim.run_until_idle();
-        ReadResult result;
-        invoke_read(sim, sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+        TxnResult result;
+        invoke_read(sim, sys->reader(0), {0, 1, 2}, [&](const TxnResult& r) { result = r; });
         sim.run_until_idle();
         finals[gc ? 1 : 0] = result.values;
         auto verdict = check_tag_order(rec.snapshot());

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "history/history.hpp"
 
@@ -96,6 +97,31 @@ TEST(History, ThreadSafeConcurrentRecording) {
   EXPECT_EQ(ids.size(), h.txns.size());
   // Order counters strictly increasing per txn (invoke < respond).
   for (const auto& t : h.txns) EXPECT_LT(t.invoke_order, t.respond_order);
+}
+
+TEST(History, FinishesInAnyOrderAcrossALongHistory) {
+  // Clients finish out of begin order: evens newest-first, then odds
+  // oldest-first.  Each finish must land on its own record.
+  HistoryRecorder rec(2);
+  std::vector<TxnId> ids;
+  for (int i = 0; i < 2000; ++i) {
+    ids.push_back(i % 2 == 0 ? rec.begin_read(static_cast<NodeId>(i), {0})
+                             : rec.begin_write(static_cast<NodeId>(i), {{1, i}}));
+  }
+  for (int i = 1998; i >= 0; i -= 2) {
+    rec.finish_read(ids[static_cast<std::size_t>(i)], {{0, i}}, static_cast<Tag>(i), 1, 1);
+  }
+  for (int i = 1; i < 2000; i += 2) rec.finish_write(ids[static_cast<std::size_t>(i)], i, 2);
+  const History h = rec.snapshot();
+  EXPECT_EQ(h.completed_reads(), 1000u);
+  EXPECT_EQ(h.completed_writes(), 1000u);
+  for (int i = 0; i < 2000; ++i) {
+    const TxnRecord* t = h.find(ids[static_cast<std::size_t>(i)]);
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->client, static_cast<NodeId>(i));
+    EXPECT_EQ(t->tag, static_cast<Tag>(i));
+    if (i % 2 == 0) EXPECT_EQ(t->reads[0].second, i);
+  }
 }
 
 TEST(History, NextIdAllocatesWithoutRecording) {

@@ -1,4 +1,4 @@
-// WireStats observer + ClosedLoopDriver + latency summarization.
+// WireStats observer + WorkloadDriver + latency summarization.
 #include <gtest/gtest.h>
 
 #include "core/run_workload.hpp"
@@ -16,8 +16,8 @@ TEST(WireStats, CountsMessagesAndBytesOnSim) {
   WireStats wire;
   sim.set_observer(&wire);
   HistoryRecorder rec(2);
-  auto sys = build_protocol("simple", sim, rec, Topology{2, 1, 1});
-  invoke_write(sim, sys->writer(0), {{0, 1}, {1, 2}}, [](const WriteResult&) {});
+  auto sys = build_protocol("simple", sim, rec, SystemConfig{2, 1, 1});
+  invoke_write(sim, sys->writer(0), {{0, 1}, {1, 2}}, [](const TxnResult&) {});
   sim.run_until_idle();
   EXPECT_EQ(wire.messages(), 4u);  // 2 writes + 2 acks
   EXPECT_GT(wire.bytes(), 0u);
@@ -44,11 +44,11 @@ TEST(WireStats, ResetClears) {
 TEST(Driver, CompletesExactOpCounts) {
   SimRuntime sim;
   HistoryRecorder rec(3);
-  auto sys = build_protocol("algo-b", sim, rec, Topology{3, 2, 2});
+  auto sys = build_protocol("algo-b", sim, rec, SystemConfig{3, 2, 2});
   WorkloadSpec spec;
   spec.ops_per_reader = 7;
   spec.ops_per_writer = 5;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   EXPECT_EQ(driver.total_ops(), 2u * 7 + 2u * 5);
   driver.start();
   sim.run_until_idle();
@@ -61,12 +61,12 @@ TEST(Driver, CompletesExactOpCounts) {
 TEST(Driver, UniqueWriteValuesAcrossWriters) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_protocol("algo-b", sim, rec, Topology{2, 1, 3});
+  auto sys = build_protocol("algo-b", sim, rec, SystemConfig{2, 1, 3});
   WorkloadSpec spec;
   spec.ops_per_reader = 1;
   spec.ops_per_writer = 20;
   spec.write_span = 2;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   std::set<Value> values;
@@ -84,11 +84,11 @@ TEST(Driver, UniqueWriteValuesAcrossWriters) {
 TEST(Driver, ZeroOpsIsANoop) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_protocol("simple", sim, rec, Topology{2, 1, 1});
+  auto sys = build_protocol("simple", sim, rec, SystemConfig{2, 1, 1});
   WorkloadSpec spec;
   spec.ops_per_reader = 0;
   spec.ops_per_writer = 0;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   EXPECT_TRUE(driver.done());
@@ -98,12 +98,12 @@ TEST(Driver, ZeroOpsIsANoop) {
 TEST(Driver, WaitBlocksUntilDoneOnThreads) {
   ThreadRuntime rt;
   HistoryRecorder rec(2);
-  auto sys = build_protocol("simple", rt, rec, Topology{2, 2, 1});
+  auto sys = build_protocol("simple", rt, rec, SystemConfig{2, 2, 1});
   rt.start();
   WorkloadSpec spec;
   spec.ops_per_reader = 50;
   spec.ops_per_writer = 20;
-  ClosedLoopDriver driver(rt, *sys, spec);
+  WorkloadDriver driver(rt, *sys, spec);
   driver.start();
   driver.wait();
   EXPECT_TRUE(driver.done());

@@ -16,11 +16,11 @@ namespace {
 TEST(OccReads, UncontendedReadTakesOneRound) {
   SimRuntime sim;
   HistoryRecorder rec(3);
-  auto sys = build_protocol("occ-reads", sim, rec, Topology{3, 1, 1});
-  invoke_write(sim, sys->writer(0), {{0, 5}, {2, 7}}, [](const WriteResult&) {});
+  auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{3, 1, 1});
+  invoke_write(sim, sys->writer(0), {{0, 5}, {2, 7}}, [](const TxnResult&) {});
   sim.run_until_idle();
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1, 2}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(sim, sys->reader(0), {0, 1, 2}, [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 5);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -28,8 +28,8 @@ TEST(OccReads, UncontendedReadTakesOneRound) {
   const History h = rec.snapshot();
   // One optimistic round sufficed... except for the very first read after a
   // write: guesses start at kappa_0, so exactly one retry.  Re-read:
-  ReadResult again;
-  invoke_read(sim, sys->reader(0), {0, 2}, [&](const ReadResult& r) { again = r; });
+  TxnResult again;
+  invoke_read(sim, sys->reader(0), {0, 2}, [&](const TxnResult& r) { again = r; });
   sim.run_until_idle();
   const History h2 = rec.snapshot();
   EXPECT_EQ(h2.txns.back().rounds, 2) << "first read re-validates once after the write";
@@ -40,14 +40,14 @@ TEST(OccReads, StrictSerializabilityAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SimRuntime sim(make_uniform_delay(10, 6000, seed));
     HistoryRecorder rec(3);
-    auto sys = build_protocol("occ-reads", sim, rec, Topology{3, 2, 3});
+    auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{3, 2, 3});
     WorkloadSpec spec;
     spec.ops_per_reader = 40;
     spec.ops_per_writer = 25;
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     ASSERT_TRUE(driver.done());
@@ -59,12 +59,12 @@ TEST(OccReads, StrictSerializabilityAcrossSeeds) {
 TEST(OccReads, OneVersionAndNonBlockingOnTrace) {
   SimRuntime sim(make_uniform_delay(10, 5000, 3));
   HistoryRecorder rec(3);
-  auto sys = build_protocol("occ-reads", sim, rec, Topology{3, 2, 2});
+  auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{3, 2, 2});
   WorkloadSpec spec;
   spec.ops_per_reader = 30;
   spec.ops_per_writer = 15;
   spec.read_span = 2;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const History h = rec.snapshot();
@@ -79,7 +79,7 @@ TEST(OccReads, ContentionForcesRetries) {
   // face of the unbounded worst case that keeps (inf,1) an inf cell.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_protocol("occ-reads", sim, rec, Topology{2, 1, 1});
+  auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   sim.hold_matching(script::any_of(
       {script::payload_is("update-coor"), script::payload_is("get-tag-arr")}));
@@ -88,7 +88,7 @@ TEST(OccReads, ContentionForcesRetries) {
   int writes_done = 0;
   std::function<void()> next_write = [&] {
     invoke_write(sim, sys->writer(0), {{0, 10 + writes_done}, {1, 20 + writes_done}},
-                 [&](const WriteResult&) {
+                 [&](const TxnResult&) {
                    ++writes_done;
                    if (writes_done < 4) next_write();
                  });
@@ -97,7 +97,7 @@ TEST(OccReads, ContentionForcesRetries) {
   sim.run_until_idle();
 
   bool r_done = false;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult&) { r_done = true; });
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult&) { r_done = true; });
   sim.run_until_idle();  // round 1's get-tag-arr is held
   EXPECT_FALSE(r_done);
 
@@ -125,14 +125,14 @@ TEST(OccReads, BoundedFallbackCapsRounds) {
   HistoryRecorder rec(2);
   BuildOptions opts;
   opts.set("max_optimistic_rounds", 2);
-  auto sys = build_protocol("occ-reads", sim, rec, Topology{2, 2, 4}, opts);
+  auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{2, 2, 4}, opts);
   WorkloadSpec spec;
   spec.ops_per_reader = 60;
   spec.ops_per_writer = 60;  // heavy write contention
   spec.read_span = 2;
   spec.write_span = 2;
   spec.seed = 5;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const History h = rec.snapshot();
@@ -145,14 +145,14 @@ TEST(OccReads, RoundsGrowUnderWriteContention) {
   // Statistical: with many writers, some reads need >1 round.
   SimRuntime sim(make_uniform_delay(10, 8000, 9));
   HistoryRecorder rec(2);
-  auto sys = build_protocol("occ-reads", sim, rec, Topology{2, 2, 4});
+  auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{2, 2, 4});
   WorkloadSpec spec;
   spec.ops_per_reader = 80;
   spec.ops_per_writer = 80;
   spec.read_span = 2;
   spec.write_span = 2;
   spec.seed = 9;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   EXPECT_GT(max_read_rounds(rec.snapshot()), 1);

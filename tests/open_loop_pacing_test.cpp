@@ -41,7 +41,7 @@ TEST(OpenLoopPacing, DeliveredRateSurvivesSlowCallback) {
   for (int attempt = 0; attempt < 3 && best < 0.9 * nominal; ++attempt) {
     ThreadRuntime rt;
     HistoryRecorder rec(4);
-    auto sys = build_protocol("algo-b", rt, rec, Topology{4, 2, 2});
+    auto sys = build_protocol("algo-b", rt, rec, SystemConfig{4, 2, 2});
     rt.start();
     WorkloadSpec spec;
     spec.seed = 5;
@@ -67,7 +67,7 @@ TEST(OpenLoopPacing, DeliveredRateSurvivesSlowCallback) {
       << "coordinated omission: delivered " << best << " ops/s of " << nominal;
 }
 
-// Engine mode on the simulator: virtual-time pacing, exact counts, green
+// A TrafficModel on the simulator: virtual-time pacing, exact counts, green
 // tag order — and determinism (the whole point of seeded TrafficShards).
 TEST(OpenLoopPacing, EngineModeOnSimIsDeterministic) {
   auto run = [](std::uint64_t seed) {
@@ -108,7 +108,7 @@ TEST(OpenLoopPacing, EngineModeOnSimIsDeterministic) {
 TEST(OpenLoopPacing, ShardedEngineDeliversAggregateRate) {
   ThreadRuntime rt;
   HistoryRecorder rec(8);
-  auto sys = build_protocol("algo-b", rt, rec, Topology{8, 4, 4});
+  auto sys = build_protocol("algo-b", rt, rec, SystemConfig{8, 4, 4});
   rt.start();
   WorkloadSpec spec;
   spec.seed = 9;
@@ -224,7 +224,7 @@ TEST(OpenLoopPacing, PoissonEngineModeOnSimIsDeterministic) {
 TEST(OpenLoopPacing, PauseResumeCatchesUpAndChargesSojourn) {
   ThreadRuntime rt;
   HistoryRecorder rec(4);
-  auto sys = build_protocol("algo-b", rt, rec, Topology{4, 2, 2});
+  auto sys = build_protocol("algo-b", rt, rec, SystemConfig{4, 2, 2});
   rt.start();
   WorkloadSpec spec;
   spec.seed = 31;

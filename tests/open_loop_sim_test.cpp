@@ -8,6 +8,8 @@
 // posting order), which the arrival chain depends on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "checker/tag_order.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
@@ -144,6 +146,36 @@ TEST(OpenLoopOnSim, SurvivesChaosScheduling) {
   EXPECT_EQ(driver.completed_reads() + driver.completed_writes(), 30u);
   const auto verdict = check_tag_order(rec.snapshot());
   EXPECT_TRUE(verdict.ok) << verdict.explanation;
+}
+
+TEST(DriverOptionsValidation, RejectsOptionsItCannotHonour) {
+  SimRuntime sim;
+  HistoryRecorder rec(4);
+  auto sys = build_protocol("algo-b", sim, rec, SystemConfig{4, 2, 2});
+  WorkloadSpec spec;
+  spec.read_span = 2;
+  spec.write_span = 2;
+  DriverOptions paced;
+  paced.mode = ArrivalMode::kOpenLoop;
+  paced.total_ops = 10;
+  EXPECT_NO_THROW(WorkloadDriver(sim, *sys, spec, paced));
+
+  // Only a TrafficModel can feed more than one pacing shard.
+  DriverOptions sharded = paced;
+  sharded.arrival_shards = 2;
+  EXPECT_THROW(WorkloadDriver(sim, *sys, spec, sharded), std::invalid_argument);
+  sharded.arrival_shards = 0;
+  EXPECT_THROW(WorkloadDriver(sim, *sys, spec, sharded), std::invalid_argument);
+
+  DriverOptions unpaced = paced;
+  unpaced.arrival_interval_ns = 0;
+  EXPECT_THROW(WorkloadDriver(sim, *sys, spec, unpaced), std::invalid_argument);
+
+  DriverOptions closed_traffic;
+  closed_traffic.mode = ArrivalMode::kMixedClosedLoop;
+  closed_traffic.ops_per_client = 5;
+  closed_traffic.traffic = TrafficModel{};
+  EXPECT_THROW(WorkloadDriver(sim, *sys, spec, closed_traffic), std::invalid_argument);
 }
 
 }  // namespace

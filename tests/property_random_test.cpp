@@ -42,7 +42,7 @@ TEST_P(ProtocolSweep, InvariantsHoldUnderRandomAsynchrony) {
   const SweepCase& c = GetParam();
   SimRuntime sim(make_uniform_delay(10, 5000, c.seed * 1299721));
   HistoryRecorder rec(c.objects);
-  auto sys = build_protocol(c.kind, sim, rec, Topology{c.objects, c.readers, c.writers});
+  auto sys = build_protocol(c.kind, sim, rec, SystemConfig{c.objects, c.readers, c.writers});
 
   WorkloadSpec spec;
   spec.ops_per_reader = 40;
@@ -51,7 +51,7 @@ TEST_P(ProtocolSweep, InvariantsHoldUnderRandomAsynchrony) {
   spec.write_span = std::min<std::size_t>(2, c.objects);
   spec.zipf_theta = (c.seed % 2 == 0) ? 0.0 : 0.9;
   spec.seed = c.seed;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   ASSERT_TRUE(driver.done()) << "stuck transactions (W or liveness broken)";
@@ -123,14 +123,14 @@ TEST_P(AlgoCGcSweep, GcKeepsStrictSerializability) {
   HistoryRecorder rec(4);
   BuildOptions opts;
   opts.set("gc_versions", true);
-  auto sys = build_protocol("algo-c", sim, rec, Topology{4, 2, 4}, opts);
+  auto sys = build_protocol("algo-c", sim, rec, SystemConfig{4, 2, 4}, opts);
   WorkloadSpec spec;
   spec.ops_per_reader = 50;
   spec.ops_per_writer = 30;
   spec.read_span = 3;
   spec.write_span = 2;
   spec.seed = seed;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const auto verdict = check_tag_order(rec.snapshot());
@@ -162,13 +162,13 @@ TEST_P(CoordinatorSweep, AnyCoordinatorPreservesS) {
   HistoryRecorder rec(4);
   BuildOptions opts;
   opts.set("coordinator", c.coordinator);
-  auto sys = build_protocol(c.kind, sim, rec, Topology{4, 2, 2}, opts);
+  auto sys = build_protocol(c.kind, sim, rec, SystemConfig{4, 2, 2}, opts);
   WorkloadSpec spec;
   spec.ops_per_reader = 30;
   spec.ops_per_writer = 15;
   spec.read_span = 2;
   spec.seed = c.seed;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const auto verdict = check_tag_order(rec.snapshot());

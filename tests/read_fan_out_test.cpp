@@ -61,10 +61,10 @@ struct Rig {
     count.reset();
   }
 
-  ReadResult read(std::vector<ObjectId> objs) {
-    ReadResult result;
+  TxnResult read(std::vector<ObjectId> objs) {
+    TxnResult result;
     bool done = false;
-    invoke_read(sim, sys->reader(0), std::move(objs), [&](const ReadResult& r) {
+    invoke_read(sim, sys->reader(0), std::move(objs), [&](const TxnResult& r) {
       result = r;
       done = true;
     });
@@ -75,7 +75,7 @@ struct Rig {
 
   void write(std::vector<std::pair<ObjectId, Value>> writes) {
     bool done = false;
-    invoke_write(sim, sys->writer(0), std::move(writes), [&](const WriteResult&) { done = true; });
+    invoke_write(sim, sys->writer(0), std::move(writes), [&](const TxnResult&) { done = true; });
     sim.run_until_idle();
     ASSERT_TRUE(done);
   }
@@ -105,7 +105,7 @@ TEST(ReadFanOut, AlgoCReadSendsOneBatchPerServer) {
   Rig rig("algo-c");
   rig.write({{2, 20}, {1, 10}});
   rig.count.reset();
-  const ReadResult r = rig.read({0, 1, 2, 3});
+  const TxnResult r = rig.read({0, 1, 2, 3});
   EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 10}, {2, 20}, {3, 0}}));
   EXPECT_EQ(rig.count.total(), 7);  // 11 with one read-vals per object
   EXPECT_EQ(rig.count["get-tag-arr"], 1);
@@ -120,7 +120,7 @@ TEST(ReadFanOut, AlgoAReadSendsOneBatchPerServer) {
   Rig rig("algo-a");
   rig.write({{0, 5}, {3, 7}});
   rig.count.reset();
-  const ReadResult r = rig.read({0, 1, 2, 3});
+  const TxnResult r = rig.read({0, 1, 2, 3});
   EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 5}, {1, 0}, {2, 0}, {3, 7}}));
   EXPECT_EQ(rig.count.total(), 4);  // 8 with one read-val per object
   EXPECT_EQ(rig.count["read-val-batch"], 2);
@@ -140,7 +140,7 @@ TEST(ReadFanOut, OccValidatedOptimisticRoundSendsOneBatchPerServer) {
   // one batch per server, now for the keys the tag array named.
   rig.write({{1, 11}, {2, 12}});
   rig.count.reset();
-  const ReadResult r = rig.read({0, 1, 2, 3});
+  const TxnResult r = rig.read({0, 1, 2, 3});
   EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 11}, {2, 12}, {3, 0}}));
   EXPECT_EQ(rig.count["get-tag-arr"], 2);
   EXPECT_EQ(rig.count["read-val-batch"], 4);
@@ -166,7 +166,7 @@ TEST(ReadFanOut, AdaptiveIsUnchanged) {
   // both with one read-val-batch to their server.
   rig.write({{2, 20}, {3, 30}});
   rig.count.reset();
-  const ReadResult r = rig.read({0, 1, 2, 3});
+  const TxnResult r = rig.read({0, 1, 2, 3});
   EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 0}, {2, 20}, {3, 30}}));
   EXPECT_EQ(rig.count.total(), 5);
   EXPECT_EQ(rig.count["read-val-batch"], 1);
@@ -194,9 +194,9 @@ TEST(ReadFanOut, TakeoverResendsOneBatchForTheShardThatMoved) {
   rig.sim.hold_matching([](NodeId, NodeId to, const Message& m) {
     return to == 1 && std::holds_alternative<ReadValBatchReq>(m.payload);
   });
-  ReadResult result;
+  TxnResult result;
   bool done = false;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2, 3}, [&](const ReadResult& r) {
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2, 3}, [&](const TxnResult& r) {
     result = r;
     done = true;
   });

@@ -163,17 +163,17 @@ TEST_P(EveryProtocol, RefusesRepeatedOrOutOfRangeObjectsAtTheClientBoundary) {
   refused(read_txn({0, 3}));
   refused(write_txn({{2, 5}, {2, 6}}));
   refused(write_txn({{7, 5}}));
-  EXPECT_THROW(invoke_read(sim, sys->reader(0), {2, 0, 2}, [](const ReadResult&) {}),
+  EXPECT_THROW(invoke_read(sim, sys->reader(0), {2, 0, 2}, [](const TxnResult&) {}),
                std::invalid_argument);
-  EXPECT_THROW(invoke_read(sim, sys->reader(0), {3}, [](const ReadResult&) {}),
+  EXPECT_THROW(invoke_read(sim, sys->reader(0), {3}, [](const TxnResult&) {}),
                std::invalid_argument);
-  EXPECT_THROW(invoke_write(sim, sys->writer(0), {{0, 1}, {0, 2}}, [](const WriteResult&) {}),
+  EXPECT_THROW(invoke_write(sim, sys->writer(0), {{0, 1}, {0, 2}}, [](const TxnResult&) {}),
                std::invalid_argument);
-  EXPECT_THROW(invoke_write(sim, sys->writer(0), {{3, 1}}, [](const WriteResult&) {}),
+  EXPECT_THROW(invoke_write(sim, sys->writer(0), {{3, 1}}, [](const TxnResult&) {}),
                std::invalid_argument);
-  EXPECT_THROW(invoke_read(sim, sys->reader(0), {}, [](const ReadResult&) {}),
+  EXPECT_THROW(invoke_read(sim, sys->reader(0), {}, [](const TxnResult&) {}),
                std::invalid_argument);
-  EXPECT_THROW(invoke_write(sim, sys->writer(0), {}, [](const WriteResult&) {}),
+  EXPECT_THROW(invoke_write(sim, sys->writer(0), {}, [](const TxnResult&) {}),
                std::invalid_argument);
   sim.run_until_idle();
   EXPECT_EQ(rec.snapshot().txns.size(), 0u) << "a refused transaction reached the protocol";
@@ -280,7 +280,7 @@ TEST(WorkloadDriverApi, MixedClosedLoopCompletesExactCounts) {
   spec.write_span = 2;
   spec.seed = 3;
   DriverOptions opts;
-  opts.mixed = true;
+  opts.mode = ArrivalMode::kMixedClosedLoop;
   opts.ops_per_client = 25;
   opts.read_fraction = 0.6;
   WorkloadDriver driver(sim, *sys, spec, opts);

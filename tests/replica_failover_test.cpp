@@ -34,11 +34,11 @@ struct Rig {
     if (algo_c) {
       AlgoCOptions opts;
       opts.replicas = 2;
-      sys = build_algo_c(sim, rec, Topology{k, readers, writers}, opts);
+      sys = build_algo_c(sim, rec, SystemConfig{k, readers, writers}, opts);
     } else {
       AlgoBOptions opts;
       opts.replicas = 2;
-      sys = build_algo_b(sim, rec, Topology{k, readers, writers}, opts);
+      sys = build_algo_b(sim, rec, SystemConfig{k, readers, writers}, opts);
     }
   }
 };
@@ -56,7 +56,7 @@ TEST(ReplicaFailover, AlgoBReplicatedFleetKeepsTwoRoundsOneVersion) {
   spec.ops_per_reader = 25;
   spec.ops_per_writer = 10;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   EXPECT_TRUE(driver.done());
@@ -75,7 +75,7 @@ TEST(ReplicaFailover, AlgoCReplicatedFleetKeepsOneRound) {
   spec.ops_per_reader = 25;
   spec.ops_per_writer = 10;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   rig.sim.run_until_idle();
   EXPECT_TRUE(driver.done());
@@ -96,7 +96,7 @@ void crash_mid_workload(bool algo_c, std::size_t victim_shard, std::uint64_t see
   spec.read_span = 2;
   spec.write_span = 2;
   spec.seed = seed;
-  ClosedLoopDriver driver(rig.sim, *rig.sys, spec);
+  WorkloadDriver driver(rig.sim, *rig.sys, spec);
   driver.start();
   // Let some transactions commit, then kill the primary with traffic in
   // flight.  Shard 0 is the coordinator, so victim_shard=0 also exercises
@@ -140,13 +140,13 @@ TEST(ReplicaFailover, RestartedPrimaryRejoinsAndTakesOverAgain) {
   auto write = [&](Value a, Value b) {
     bool done = false;
     invoke_write(rig.sim, rig.sys->writer(0), {{0, a}, {1, b}},
-                 [&](const WriteResult&) { done = true; });
+                 [&](const TxnResult&) { done = true; });
     rig.sim.run_until_idle();
     EXPECT_TRUE(done);
   };
   auto read = [&](Value a, Value b) {
-    ReadResult result;
-    invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+    TxnResult result;
+    invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
     rig.sim.run_until_idle();
     ASSERT_EQ(result.values.size(), 2u);
     EXPECT_EQ(result.values[0].second, a);
@@ -185,7 +185,7 @@ TEST(ReplicaFailover, UpdateCoorRetryIsDeduplicatedNotDoubleListed) {
   rig.sim.hold_matching(script::payload_is("update-coor-ack"));
   bool w_done = false;
   invoke_write(rig.sim, rig.sys->writer(0), {{0, 10}, {1, 20}},
-               [&](const WriteResult&) { w_done = true; });
+               [&](const TxnResult&) { w_done = true; });
   rig.sim.run_until_idle();
   ASSERT_FALSE(w_done);  // listed and replicated, but the ack is held
   ASSERT_GE(rig.sim.held_count(), 1u);
@@ -195,8 +195,8 @@ TEST(ReplicaFailover, UpdateCoorRetryIsDeduplicatedNotDoubleListed) {
   rig.sim.run_until_idle();
   EXPECT_TRUE(w_done) << "retry against the new coordinator was not re-acked";
 
-  ReadResult result;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
   ASSERT_EQ(result.values.size(), 2u);
   EXPECT_EQ(result.values[0].second, 10);

@@ -16,12 +16,12 @@ namespace {
 TEST(Simple, OneRoundNonBlocking) {
   SimRuntime sim(make_uniform_delay(10, 3000, 5));
   HistoryRecorder rec(4);
-  auto sys = build_simple(sim, rec, Topology{4, 2, 1});
+  auto sys = build_simple(sim, rec, SystemConfig{4, 2, 1});
   WorkloadSpec spec;
   spec.ops_per_reader = 20;
   spec.ops_per_writer = 10;
   spec.read_span = 3;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const History h = rec.snapshot();
@@ -36,16 +36,16 @@ TEST(Naive, FracturedReadUnderAdversary) {
   // fracture (x1, y0) — the concrete face of the SNOW Theorem.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_naive(sim, rec, Topology{2, 1, 1});
+  auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
   sim.hold_matching(script::all_of({script::payload_is("simple-write"), script::to_node(1)}));
   bool w_done = false;
-  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const WriteResult&) { w_done = true; });
+  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();  // object 0 updated; object 1's write held
   EXPECT_FALSE(w_done);
 
-  ReadResult result;
-  invoke_read(sim, sys->reader(0), {0, 1}, [&](const ReadResult& r) { result = r; });
+  TxnResult result;
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
   sim.run_until_idle();
   EXPECT_EQ(result.values[0].second, 10);
   EXPECT_EQ(result.values[1].second, kInitialValue);
@@ -66,11 +66,11 @@ TEST(Naive, BenignSchedulesLookSerializable) {
   // a property of adversarial interleavings, not of every run.
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_naive(sim, rec, Topology{2, 1, 1});
+  auto sys = build_naive(sim, rec, SystemConfig{2, 1, 1});
   for (int i = 1; i <= 5; ++i) {
-    invoke_write(sim, sys->writer(0), {{0, i * 10}, {1, i * 10 + 1}}, [](const WriteResult&) {});
+    invoke_write(sim, sys->writer(0), {{0, i * 10}, {1, i * 10 + 1}}, [](const TxnResult&) {});
     sim.run_until_idle();
-    invoke_read(sim, sys->reader(0), {0, 1}, [](const ReadResult&) {});
+    invoke_read(sim, sys->reader(0), {0, 1}, [](const TxnResult&) {});
     sim.run_until_idle();
   }
   auto verdict = check_strict_serializability(rec.snapshot());
@@ -90,7 +90,7 @@ TEST(Naive, ProtocolRegistryTraits) {
 TEST(Simple, BuildViaRegistry) {
   SimRuntime sim;
   HistoryRecorder rec(2);
-  auto sys = build_protocol("simple", sim, rec, Topology{2, 1, 1});
+  auto sys = build_protocol("simple", sim, rec, SystemConfig{2, 1, 1});
   EXPECT_EQ(sys->name(), "simple");
   EXPECT_EQ(sys->num_objects(), 2u);
   EXPECT_EQ(sys->num_readers(), 1u);

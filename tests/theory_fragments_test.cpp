@@ -19,11 +19,11 @@ struct ScriptedRead {
   TxnId txn{kInvalidTxn};
 
   ScriptedRead() {
-    sys = build_naive(sim, rec, Topology{2, 1, 0});
+    sys = build_naive(sim, rec, SystemConfig{2, 1, 0});
     sim.start();
     sim.hold_matching(script::any_of(
         {script::payload_is("simple-read"), script::payload_is("simple-read-resp")}));
-    invoke_read(sim, sys->reader(0), {0, 1}, [](const ReadResult&) {});
+    invoke_read(sim, sys->reader(0), {0, 1}, [](const TxnResult&) {});
     sim.run_until_idle();
     const NodeId reader = sys->reader(0).node_id();
     script::release_one_and_drain(sim, script::to_node(0));       // Fx

@@ -12,13 +12,13 @@ namespace {
 TEST(ThreadRuntime, AlgoBWorkloadIsStrictlySerializable) {
   ThreadRuntime rt;
   HistoryRecorder rec(3);
-  auto sys = build_protocol("algo-b", rt, rec, Topology{3, 2, 2});
+  auto sys = build_protocol("algo-b", rt, rec, SystemConfig{3, 2, 2});
   rt.start();
   WorkloadSpec spec;
   spec.ops_per_reader = 100;
   spec.ops_per_writer = 50;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rt, *sys, spec);
+  WorkloadDriver driver(rt, *sys, spec);
   driver.start();
   driver.wait();
   rt.stop();
@@ -29,13 +29,13 @@ TEST(ThreadRuntime, AlgoBWorkloadIsStrictlySerializable) {
 TEST(ThreadRuntime, AlgoCWorkloadIsStrictlySerializable) {
   ThreadRuntime rt;
   HistoryRecorder rec(3);
-  auto sys = build_protocol("algo-c", rt, rec, Topology{3, 2, 2});
+  auto sys = build_protocol("algo-c", rt, rec, SystemConfig{3, 2, 2});
   rt.start();
   WorkloadSpec spec;
   spec.ops_per_reader = 100;
   spec.ops_per_writer = 50;
   spec.read_span = 3;
-  ClosedLoopDriver driver(rt, *sys, spec);
+  WorkloadDriver driver(rt, *sys, spec);
   driver.start();
   driver.wait();
   rt.stop();
@@ -46,13 +46,13 @@ TEST(ThreadRuntime, AlgoCWorkloadIsStrictlySerializable) {
 TEST(ThreadRuntime, AlgoAMwsrUnderThreads) {
   ThreadRuntime rt;
   HistoryRecorder rec(4);
-  auto sys = build_protocol("algo-a", rt, rec, Topology{4, 1, 3});
+  auto sys = build_protocol("algo-a", rt, rec, SystemConfig{4, 1, 3});
   rt.start();
   WorkloadSpec spec;
   spec.ops_per_reader = 150;
   spec.ops_per_writer = 40;
   spec.read_span = 2;
-  ClosedLoopDriver driver(rt, *sys, spec);
+  WorkloadDriver driver(rt, *sys, spec);
   driver.start();
   driver.wait();
   rt.stop();
@@ -63,12 +63,12 @@ TEST(ThreadRuntime, AlgoAMwsrUnderThreads) {
 TEST(ThreadRuntime, BlockingProtocolDrainsWithoutDeadlock) {
   ThreadRuntime rt;
   HistoryRecorder rec(2);
-  auto sys = build_protocol("blocking-2pl", rt, rec, Topology{2, 2, 2});
+  auto sys = build_protocol("blocking-2pl", rt, rec, SystemConfig{2, 2, 2});
   rt.start();
   WorkloadSpec spec;
   spec.ops_per_reader = 50;
   spec.ops_per_writer = 30;
-  ClosedLoopDriver driver(rt, *sys, spec);
+  WorkloadDriver driver(rt, *sys, spec);
   driver.start();
   driver.wait();
   rt.stop();
@@ -78,9 +78,9 @@ TEST(ThreadRuntime, BlockingProtocolDrainsWithoutDeadlock) {
 TEST(ThreadRuntime, StopIsIdempotentAndDrains) {
   ThreadRuntime rt;
   HistoryRecorder rec(2);
-  auto sys = build_protocol("simple", rt, rec, Topology{2, 1, 1});
+  auto sys = build_protocol("simple", rt, rec, SystemConfig{2, 1, 1});
   rt.start();
-  ClosedLoopDriver driver(rt, *sys, WorkloadSpec{.ops_per_reader = 5, .ops_per_writer = 5});
+  WorkloadDriver driver(rt, *sys, WorkloadSpec{.ops_per_reader = 5, .ops_per_writer = 5});
   driver.start();
   driver.wait();
   rt.stop();

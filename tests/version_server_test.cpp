@@ -165,5 +165,54 @@ TEST(VersionServer, RequestsNamingObjectsOutsideKAreDropped) {
   }
 }
 
+TEST(VersionServer, ForgedFinalizesAreDropped) {
+  // A finalize naming a key the store does not hold, or a List position
+  // already finalized under another key, would trip VersionStore::finalize's
+  // checks; the server drops it before a replicated primary logs it.
+  for (const Case c :
+       {Case{"algo-b", 1}, Case{"algo-b", 2}, Case{"algo-c", 1}, Case{"adaptive", 1}}) {
+    SCOPED_TRACE(std::string(c.protocol) + " replicas " + std::to_string(c.replicas));
+    SimRuntime sim(make_uniform_delay(10, 4000, 3));
+    const std::size_t k = 3;
+    HistoryRecorder rec(k);
+    BuildOptions opts;
+    if (c.replicas == 2) opts.set("replicas", std::int64_t{2});
+    auto sys = build_protocol(c.protocol, sim, rec, SystemConfig{k, 1, 2}, opts);
+    auto probe_node = std::make_unique<Probe>();
+    const NodeId prober = sim.add_node(std::move(probe_node));
+    sim.run_until_idle();  // replica boot
+
+    // Every store holds `forged` unfinalized, and position 0 is finalized
+    // under the initial key.
+    const WriteKey forged{1, 98};
+    const auto send_all = [&](const Message& m) {
+      for (NodeId server = 0; server < sys->num_servers(); ++server) {
+        sim.post(prober, [&sim, prober, server, m] { sim.send(prober, server, m); });
+      }
+      sim.run_until_idle();
+    };
+    for (ObjectId obj = 0; obj < k; ++obj) send_all(Message{1, WriteValReq{forged, {{obj, 5}}}});
+    for (ObjectId obj = 0; obj < k; ++obj) {
+      send_all(Message{1, FinalizeReq{kAbsent, 1, 0, {obj}, false}});
+      send_all(Message{1, FinalizeReq{forged, 0, 0, {obj}, true}});
+    }
+
+    WorkloadSpec spec;
+    spec.ops_per_reader = 10;
+    spec.ops_per_writer = 6;
+    spec.read_span = 2;
+    spec.write_span = 2;
+    spec.seed = 11;
+    WorkloadDriver driver(sim, *sys, spec);
+    driver.start();
+    sim.run_until_idle();
+    ASSERT_TRUE(driver.done());
+    const History h = rec.snapshot();
+    EXPECT_EQ(h.completed_reads(), 10u);
+    const auto verdict = check_tag_order(h);
+    EXPECT_TRUE(verdict.ok) << verdict.explanation;
+  }
+}
+
 }  // namespace
 }  // namespace snowkit

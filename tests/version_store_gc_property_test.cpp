@@ -274,14 +274,14 @@ int run_protocol_once(const std::string& kind, std::uint64_t seed, std::size_t o
   const GcSnapshot before = GcCounters::global().snapshot();
   SimRuntime sim(make_uniform_delay(10, 40'000, seed));
   HistoryRecorder rec(3);
-  auto sys = build_protocol(kind, sim, rec, Topology{3, 2, 3});
+  auto sys = build_protocol(kind, sim, rec, SystemConfig{3, 2, 3});
   WorkloadSpec spec;
   spec.ops_per_reader = ops;
   spec.ops_per_writer = ops;
   spec.read_span = 2;
   spec.write_span = 2;
   spec.seed = seed;
-  ClosedLoopDriver driver(sim, *sys, spec);
+  WorkloadDriver driver(sim, *sys, spec);
   driver.start();
   sim.run_until_idle();
   const History h = rec.snapshot();
@@ -330,14 +330,14 @@ TEST(VersionStoreGcProperty, OccPessimisticFallbackUnderGcStaysSafe) {
     BuildOptions opts;
     opts.set("gc_versions", true);
     opts.set("max_optimistic_rounds", 1);
-    auto sys = build_protocol("occ-reads", sim, rec, Topology{2, 2, 3}, opts);
+    auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{2, 2, 3}, opts);
     WorkloadSpec spec;
     spec.ops_per_reader = 25;
     spec.ops_per_writer = 40;
     spec.read_span = 2;
     spec.write_span = 2;
     spec.seed = seed;
-    ClosedLoopDriver driver(sim, *sys, spec);
+    WorkloadDriver driver(sim, *sys, spec);
     driver.start();
     sim.run_until_idle();
     const History h = rec.snapshot();

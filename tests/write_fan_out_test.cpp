@@ -61,7 +61,7 @@ struct Rig {
 
   void write(std::vector<std::pair<ObjectId, Value>> writes) {
     bool done = false;
-    invoke_write(sim, sys->writer(0), std::move(writes), [&](const WriteResult&) { done = true; });
+    invoke_write(sim, sys->writer(0), std::move(writes), [&](const TxnResult&) { done = true; });
     sim.run_until_idle();
     ASSERT_TRUE(done);
   }
@@ -118,7 +118,7 @@ TEST(WriteFanOut, FoldedFinalizeCoorStillAdvancesTheWatermark) {
   rig.write({{0, 10}, {1, 11}});
   ASSERT_EQ(rig.count["finalize-coor"], 0);
   bool done = false;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 3}, [&](const ReadResult& r) {
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 3}, [&](const TxnResult& r) {
     done = true;
     EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 10}, {3, 0}}));
   });
