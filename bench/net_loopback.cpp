@@ -3,11 +3,12 @@
 //
 // Per protocol line, the scenario deploys the fleet the paper's model
 // describes (§2: clients and servers as separate processes over asynchronous
-// channels): it writes a fleet file (runtime/fleet.hpp), fork/execs THREE
-// `snowkit_server` daemons hosting the server shards on 127.0.0.1, runs the
-// client process in-process on a NetRuntime, and drives an OPEN-LOOP
-// fixed-rate workload through the unified TxnClient API — unchanged protocol
-// code, unchanged driver, snowkit-wire-v5 frames on the wire.
+// channels): DaemonFleet (runtime/daemon_fleet.hpp) writes the fleet file
+// and launches THREE `snowkit_server` daemons hosting the server shards on
+// 127.0.0.1; the scenario runs the client process in-process on a
+// NetRuntime and drives an OPEN-LOOP fixed-rate workload through the
+// unified TxnClient API — unchanged protocol code, unchanged driver,
+// snowkit-wire-v5 frames on the wire.
 //
 // Each protocol is measured TWICE by default: a PACED open-loop run (5k
 // arrivals/s, sojourn percentiles — the longitudinal series, comparable
@@ -24,19 +25,18 @@
 #include "bench_util.hpp"
 
 #ifdef __linux__
-#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 
 #include "audit/capture.hpp"
+#include "runtime/daemon_fleet.hpp"
 #include "runtime/fleet.hpp"
 
 namespace snowkit {
@@ -47,115 +47,6 @@ using bench::ScenarioOptions;
 using bench::ScenarioResult;
 
 #ifdef __linux__
-
-/// The snowkit_server binary next to this executable (same build dir), or
-/// $SNOWKIT_SERVER_BIN.
-std::string server_binary() {
-  if (const char* env = std::getenv("SNOWKIT_SERVER_BIN")) return env;
-  std::error_code ec;
-  const auto self = std::filesystem::read_symlink("/proc/self/exe", ec);
-  if (ec) throw std::runtime_error("net_loopback: cannot resolve /proc/self/exe");
-  const auto candidate = self.parent_path() / "snowkit_server";
-  if (!std::filesystem::exists(candidate)) {
-    throw std::runtime_error("net_loopback: " + candidate.string() +
-                             " not found (build the snowkit_server target, or set "
-                             "SNOWKIT_SERVER_BIN)");
-  }
-  return candidate.string();
-}
-
-struct ServerProcs {
-  std::vector<pid_t> pids;
-  std::string config_path;
-
-  ~ServerProcs() {
-    reap(/*grace_ms=*/5000);
-    if (!config_path.empty()) {
-      std::error_code ec;
-      std::filesystem::remove(config_path, ec);
-    }
-  }
-
-  /// True if any daemon has already exited (it should only exit after the
-  /// client's SHUTDOWN broadcast — mid-run this means the fleet is broken).
-  bool any_exited() {
-    for (pid_t& pid : pids) {
-      if (pid <= 0) continue;
-      int status = 0;
-      if (::waitpid(pid, &status, WNOHANG) == pid) {
-        pid = -1;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// Waits for every daemon to exit; SIGKILLs stragglers past the grace
-  /// window.  Returns true iff all exited 0 on their own.
-  bool reap(int grace_ms) {
-    bool clean = true;
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(grace_ms);
-    for (pid_t& pid : pids) {
-      if (pid <= 0) continue;
-      int status = 0;
-      while (true) {
-        const pid_t r = ::waitpid(pid, &status, WNOHANG);
-        if (r == pid) {
-          clean = clean && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-          pid = -1;
-          break;
-        }
-        if (r < 0) {  // already reaped / never started
-          pid = -1;
-          break;
-        }
-        if (std::chrono::steady_clock::now() >= deadline) {
-          ::kill(pid, SIGKILL);
-          ::waitpid(pid, &status, 0);
-          clean = false;
-          pid = -1;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-    return clean;
-  }
-};
-
-/// Writes the fleet file and spawns one snowkit_server per server process.
-/// A non-empty audit_dir turns on each daemon's flight recorder.
-void spawn_servers(const FleetConfig& fleet, ServerProcs& procs, const std::string& audit_dir) {
-  const std::string bin = server_binary();
-  const auto dir = std::filesystem::temp_directory_path();
-  procs.config_path =
-      (dir / ("snowkit_fleet_" + std::to_string(::getpid()) + "_" + fleet.protocol + ".cfg"))
-          .string();
-  {
-    std::ofstream f(procs.config_path, std::ios::trunc);
-    if (!f) throw std::runtime_error("net_loopback: cannot write " + procs.config_path);
-    f << fleet_text(fleet);
-  }
-  for (std::size_t i = 0; i < fleet.server_processes(); ++i) {
-    const pid_t pid = ::fork();
-    if (pid < 0) throw std::runtime_error("net_loopback: fork failed");
-    if (pid == 0) {
-      const std::string index = std::to_string(i);
-      if (audit_dir.empty()) {
-        ::execl(bin.c_str(), bin.c_str(), "--config", procs.config_path.c_str(), "--index",
-                index.c_str(), "--quiet", static_cast<char*>(nullptr));
-      } else {
-        ::execl(bin.c_str(), bin.c_str(), "--config", procs.config_path.c_str(), "--index",
-                index.c_str(), "--audit-dir", audit_dir.c_str(), "--quiet",
-                static_cast<char*>(nullptr));
-      }
-      std::perror("execl snowkit_server");
-      ::_exit(127);
-    }
-    procs.pids.push_back(pid);
-  }
-}
 
 struct NetRun {
   std::uint64_t ops{0};
@@ -207,8 +98,10 @@ NetRun run_net_protocol(const std::string& protocol, std::size_t readers, std::s
 
   const std::string audit_dir = audit_dir_for(protocol);
 
-  ServerProcs procs;
-  spawn_servers(fleet, procs, audit_dir);
+  const auto config = std::filesystem::temp_directory_path() /
+                      ("snowkit_fleet_" + std::to_string(::getpid()) + "_" + protocol + ".cfg");
+  DaemonFleet procs(fleet, DaemonFiles{config.string(), audit_dir, "", ""});
+  procs.spawn();
 
   NetRuntime rt(fleet.net_options(fleet.client_index()));
   WireStats wire;

@@ -27,19 +27,17 @@
 #include "bench_util.hpp"
 
 #ifdef __linux__
-#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <thread>
 
 #include "core/churn.hpp"
 #include "metrics/wire_stats.hpp"
+#include "runtime/daemon_fleet.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/thread_runtime.hpp"
 
@@ -160,75 +158,7 @@ BenchRecord cell_record(const std::string& kind, double theta, double read_fract
 
 #ifdef __linux__
 
-// --- churn over a real TCP fleet (net_loopback's daemon-spawn idiom) ---------
-
-std::string server_binary() {
-  if (const char* env = std::getenv("SNOWKIT_SERVER_BIN")) return env;
-  std::error_code ec;
-  const auto self = std::filesystem::read_symlink("/proc/self/exe", ec);
-  if (ec) throw std::runtime_error("skew: cannot resolve /proc/self/exe");
-  const auto candidate = self.parent_path() / "snowkit_server";
-  if (!std::filesystem::exists(candidate)) {
-    throw std::runtime_error("skew: " + candidate.string() +
-                             " not found (build snowkit_server or set SNOWKIT_SERVER_BIN)");
-  }
-  return candidate.string();
-}
-
-struct ServerProcs {
-  std::vector<pid_t> pids;
-  std::string config_path;
-
-  ~ServerProcs() {
-    reap(5000);
-    if (!config_path.empty()) {
-      std::error_code ec;
-      std::filesystem::remove(config_path, ec);
-    }
-  }
-
-  bool any_exited() {
-    for (pid_t& pid : pids) {
-      if (pid <= 0) continue;
-      int status = 0;
-      if (::waitpid(pid, &status, WNOHANG) == pid) {
-        pid = -1;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool reap(int grace_ms) {
-    bool clean = true;
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(grace_ms);
-    for (pid_t& pid : pids) {
-      if (pid <= 0) continue;
-      int status = 0;
-      while (true) {
-        const pid_t r = ::waitpid(pid, &status, WNOHANG);
-        if (r == pid) {
-          clean = clean && WIFEXITED(status) && WEXITSTATUS(status) == 0;
-          pid = -1;
-          break;
-        }
-        if (r < 0) {
-          pid = -1;
-          break;
-        }
-        if (std::chrono::steady_clock::now() >= deadline) {
-          ::kill(pid, SIGKILL);
-          ::waitpid(pid, &status, 0);
-          clean = false;
-          pid = -1;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-    return clean;
-  }
-};
+// --- churn over a real TCP fleet -------------------------------------------
 
 struct ChurnRun {
   std::uint64_t ops{0};
@@ -254,28 +184,10 @@ ChurnRun run_churn_fleet(const std::string& protocol, std::size_t total_ops, Tim
   }
   fleet.validate();
 
-  ServerProcs procs;
-  const std::string bin = server_binary();
-  const auto dir = std::filesystem::temp_directory_path();
-  procs.config_path =
-      (dir / ("snowkit_skew_fleet_" + std::to_string(::getpid()) + ".cfg")).string();
-  {
-    std::ofstream f(procs.config_path, std::ios::trunc);
-    if (!f) throw std::runtime_error("skew: cannot write " + procs.config_path);
-    f << fleet_text(fleet);
-  }
-  for (std::size_t i = 0; i < fleet.server_processes(); ++i) {
-    const pid_t pid = ::fork();
-    if (pid < 0) throw std::runtime_error("skew: fork failed");
-    if (pid == 0) {
-      const std::string index = std::to_string(i);
-      ::execl(bin.c_str(), bin.c_str(), "--config", procs.config_path.c_str(), "--index",
-              index.c_str(), "--quiet", static_cast<char*>(nullptr));
-      std::perror("execl snowkit_server");
-      ::_exit(127);
-    }
-    procs.pids.push_back(pid);
-  }
+  const auto config = std::filesystem::temp_directory_path() /
+                      ("snowkit_skew_fleet_" + std::to_string(::getpid()) + ".cfg");
+  DaemonFleet procs(fleet, DaemonFiles{config.string(), "", "", ""});
+  procs.spawn();
 
   NetRuntime rt(fleet.net_options(fleet.client_index()));
   HistoryRecorder rec(fleet.system.num_objects);

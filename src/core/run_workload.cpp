@@ -287,12 +287,25 @@ void WorkloadDriver::tick(std::size_t shard) {
   if (sh.arrivals_left > 0) schedule(shard);
 }
 
+WorkloadDriver::~WorkloadDriver() {
+  // The last completion notifies under mu_ after done() turns true; wait it
+  // out before the members go.
+  std::lock_guard<std::mutex> lock(mu_);
+}
+
 void WorkloadDriver::op_finished(bool was_read) {
   (was_read ? reads_done_ : writes_done_).fetch_add(1, std::memory_order_acq_rel);
-  if (remaining_ops_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cv_.notify_all();
+  // Every op but the last counts down lock-free.  The last one counts down
+  // under mu_, so a caller that sees done() and destroys the driver blocks
+  // in the destructor until this notify has finished.
+  std::size_t left = remaining_ops_.load(std::memory_order_acquire);
+  while (left > 1 &&
+         !remaining_ops_.compare_exchange_weak(left, left - 1, std::memory_order_acq_rel)) {
   }
+  if (left > 1) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  remaining_ops_.fetch_sub(1, std::memory_order_acq_rel);
+  cv_.notify_all();
 }
 
 bool WorkloadDriver::done() const {

@@ -105,6 +105,10 @@ struct DriverOptions {
 class WorkloadDriver {
  public:
   WorkloadDriver(Runtime& rt, ProtocolSystem& sys, WorkloadSpec spec, DriverOptions opts = {});
+  /// Waits out the last completion's notify, so a closed-loop driver may go
+  /// as soon as done() is true.  An open-loop shard's last tick can still
+  /// be running then: keep an open-loop driver until the runtime stops.
+  ~WorkloadDriver();
 
   /// Posts the first operation of every chain (closed loops) or schedules
   /// each shard's first arrival (open loop).

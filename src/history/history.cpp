@@ -24,48 +24,44 @@ std::size_t History::completed_writes() const {
 }
 
 TxnId HistoryRecorder::begin_read(NodeId client, const std::vector<ObjectId>& objs) {
-  const TxnId id = next_id_.fetch_add(1, std::memory_order_relaxed);
   TxnRecord rec;
-  rec.id = id;
   rec.client = client;
   rec.is_read = true;
   rec.invoke_ns = rt_ ? rt_->now_ns() : 0;
   rec.invoke_order = next_order_.fetch_add(1, std::memory_order_relaxed);
   rec.reads.reserve(objs.size());
   for (ObjectId o : objs) rec.reads.emplace_back(o, kInitialValue);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    txns_.push_back(std::move(rec));
-  }
+  const TxnId id = record(std::move(rec));
   if (rt_) rt_->note_invoke(client, id);
   return id;
 }
 
 TxnId HistoryRecorder::begin_write(NodeId client,
                                    const std::vector<std::pair<ObjectId, Value>>& writes) {
-  const TxnId id = next_id_.fetch_add(1, std::memory_order_relaxed);
   TxnRecord rec;
-  rec.id = id;
   rec.client = client;
   rec.is_read = false;
   rec.invoke_ns = rt_ ? rt_->now_ns() : 0;
   rec.invoke_order = next_order_.fetch_add(1, std::memory_order_relaxed);
   rec.writes = writes;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    txns_.push_back(std::move(rec));
-  }
+  const TxnId id = record(std::move(rec));
   if (rt_) rt_->note_invoke(client, id);
   return id;
 }
 
+TxnId HistoryRecorder::record(TxnRecord rec) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Allocated under the lock, so txns_ stays sorted by id; next_id() may
+  // leave gaps, which the binary search in locate() does not mind.
+  rec.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  txns_.push_back(std::move(rec));
+  return txns_.back().id;
+}
+
 TxnRecord& HistoryRecorder::locate(TxnId id) {
-  // Newest first: a transaction finishing is almost always among the last
-  // few begun, so the search stays short however long the history grows.
-  // Ids are allocated outside the lock, so txns_ is not sorted by id.
-  const auto it = std::find_if(txns_.rbegin(), txns_.rend(),
-                               [id](const TxnRecord& t) { return t.id == id; });
-  SNOW_CHECK_MSG(it != txns_.rend(), "unknown txn id " << id << " in recorder");
+  const auto it = std::lower_bound(txns_.begin(), txns_.end(), id,
+                                   [](const TxnRecord& t, TxnId want) { return t.id < want; });
+  SNOW_CHECK_MSG(it != txns_.end() && it->id == id, "unknown txn id " << id << " in recorder");
   return *it;
 }
 

@@ -83,6 +83,9 @@ class HistoryRecorder {
   std::size_t num_objects() const { return num_objects_; }
 
  private:
+  /// Appends `rec` under a freshly allocated id and returns that id.
+  TxnId record(TxnRecord rec);
+  /// The record of txn `id`: a binary search of the id-sorted txns_.
   TxnRecord& locate(TxnId id);
 
   std::size_t num_objects_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "core/registry.hpp"
@@ -13,38 +15,39 @@ namespace {
 /// Lock-manager server.  One independent lock table entry per hosted object;
 /// grants are FIFO per object: a request waits iff an earlier conflicting
 /// request holds or awaits that object's lock, so writers are never starved
-/// by a stream of readers.
+/// by a stream of readers.  Each lock records its holders, and only a holder
+/// may release it: an unlock from any other (client, txn) is dropped.
 class ServerL final : public Node {
  public:
   void on_message(NodeId from, const Message& m) override {
+    const Owner sender{from, m.txn};
     if (const auto* lr = std::get_if<LockReq>(&m.payload)) {
       LockState& ls = locks_[lr->obj];
-      ls.waiters.push_back(Waiter{from, m.txn, lr->exclusive});
+      ls.waiters.push_back(Waiter{sender, lr->exclusive});
       pump(lr->obj, ls);
       return;
     }
     if (const auto* wu = std::get_if<WriteUnlockReq>(&m.payload)) {
       const auto it = locks_.find(wu->obj);
-      if (it == locks_.end() || !it->second.exclusive_held) {
+      if (it == locks_.end() || it->second.exclusive != sender) {
         drop(from, m, "write-unlock without exclusive lock");
         return;
       }
       LockState& ls = it->second;
       ls.value = wu->value;
-      ls.exclusive_held = false;
+      ls.exclusive.reset();
       send(from, Message{m.txn, UnlockAck{wu->obj}});
       pump(wu->obj, ls);
       return;
     }
     if (const auto* u = std::get_if<UnlockReq>(&m.payload)) {
+      // A READ locks each of its objects once, so a holder appears once.
       const auto it = locks_.find(u->obj);
-      if (it == locks_.end() || it->second.shared_count == 0) {
+      if (it == locks_.end() || std::erase(it->second.shared, sender) == 0) {
         drop(from, m, "shared unlock without shared lock");
         return;
       }
-      LockState& ls = it->second;
-      --ls.shared_count;
-      pump(u->obj, ls);
+      pump(u->obj, it->second);
       return;
     }
     // Replies, other protocols' requests: nothing a peer sends may abort us.
@@ -57,16 +60,22 @@ class ServerL final : public Node {
                                       << ": " << why);
   }
 
-  struct Waiter {
+  /// One transaction of one client: who holds or awaits a lock.
+  struct Owner {
     NodeId client{kInvalidNode};
     TxnId txn{kInvalidTxn};
+    bool operator==(const Owner&) const = default;
+  };
+
+  struct Waiter {
+    Owner owner;
     bool exclusive{false};
   };
 
   struct LockState {
     Value value = kInitialValue;
-    bool exclusive_held = false;
-    int shared_count = 0;
+    std::optional<Owner> exclusive;  ///< the writer holding the lock, if any.
+    std::vector<Owner> shared;       ///< the readers holding the lock.
     std::deque<Waiter> waiters;
   };
 
@@ -74,13 +83,13 @@ class ServerL final : public Node {
     while (!ls.waiters.empty()) {
       const Waiter& w = ls.waiters.front();
       if (w.exclusive) {
-        if (ls.exclusive_held || ls.shared_count > 0) break;
-        ls.exclusive_held = true;
+        if (ls.exclusive || !ls.shared.empty()) break;
+        ls.exclusive = w.owner;
       } else {
-        if (ls.exclusive_held) break;
-        ++ls.shared_count;
+        if (ls.exclusive) break;
+        ls.shared.push_back(w.owner);
       }
-      send(w.client, Message{w.txn, LockGrant{obj, ls.value}});
+      send(w.owner.client, Message{w.owner.txn, LockGrant{obj, ls.value}});
       ls.waiters.pop_front();
     }
   }

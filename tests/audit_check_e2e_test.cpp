@@ -4,15 +4,8 @@
 // broken-stale fault stub must be flagged from its capture alone.
 #include <gtest/gtest.h>
 
-#ifdef __linux__
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
-#include <csignal>
-#include <cstdlib>
+#include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +15,8 @@
 #include "audit/query.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
+#include "fleet_e2e.hpp"
+#include "runtime/daemon_fleet.hpp"
 #include "runtime/fleet.hpp"
 #include "runtime/thread_runtime.hpp"
 
@@ -168,32 +163,12 @@ TEST(AuditCheckE2E, BrokenStaleTcpFleetCaptureIsFlagged) {
     fleet.processes.push_back({"127.0.0.1", port});
   }
 
-  const std::string dir = fresh_dir("tcp_fleet");
-  std::filesystem::create_directories(dir);
-  const auto cfg_path = std::filesystem::path(dir) / "fleet.cfg";
-  {
-    std::ofstream f(cfg_path, std::ios::trunc);
-    ASSERT_TRUE(f) << cfg_path;
-    f << fleet_text(fleet);
-  }
-  const std::string bin = [] {
-    if (const char* env = std::getenv("SNOWKIT_SERVER_BIN")) return std::string(env);
-    const auto self = std::filesystem::read_symlink("/proc/self/exe");
-    return (self.parent_path() / "snowkit_server").string();
-  }();
-
-  std::vector<pid_t> daemons;
-  for (std::size_t i = 0; i < fleet.client_index(); ++i) {
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-      const std::string idx = std::to_string(i);
-      ::execl(bin.c_str(), bin.c_str(), "--config", cfg_path.c_str(), "--index", idx.c_str(),
-              "--audit-dir", dir.c_str(), "--quiet", static_cast<char*>(nullptr));
-      ::_exit(127);
-    }
-    daemons.push_back(pid);
-  }
+  // Every process writes its chunks into the one shared audit dir.
+  const ScratchDir root("audit_e2e_tcp_fleet");
+  const std::string dir = root.path + "/audit";
+  DaemonFleet daemons(fleet, DaemonFiles{root.path + "/fleet.cfg", dir, "", ""});
+  daemons.spawn();
+  ASSERT_TRUE(daemons.wait_listening(std::chrono::seconds(15))) << "a daemon never listened";
 
   // Client process: its own capture stream chained onto the runtime, plus
   // the fleet's only HistoryRecorder (clients live here).
@@ -240,15 +215,9 @@ TEST(AuditCheckE2E, BrokenStaleTcpFleetCaptureIsFlagged) {
     EXPECT_EQ(cap.stats().drops, 0u);
   }
 
-  for (const pid_t pid : daemons) {
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "daemon exited abnormally (status " << status << ")";
-  }
+  EXPECT_TRUE(daemons.reap(/*grace_ms=*/15'000)) << "a daemon exited abnormally";
 
   const auto merged = audit::merge_chunks(load_all(dir));
-  std::filesystem::remove_all(dir);
   EXPECT_EQ(merged.processes, 4u);  // 3 daemons + the driving client
   EXPECT_EQ(merged.total_drops, 0u);
   ASSERT_TRUE(merged.history.has_value());

@@ -4,24 +4,16 @@
 // chunk regression check.
 #include <gtest/gtest.h>
 
-#ifdef __linux__
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 #include <chrono>
-#include <csignal>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <thread>
+#include <string>
+#include <vector>
 
 #include "audit/merge.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
+#include "fleet_e2e.hpp"
+#include "runtime/daemon_fleet.hpp"
 #include "runtime/fleet.hpp"
 
 namespace snowkit {
@@ -32,12 +24,6 @@ namespace {
 TEST(AuditServerSigterm, RequiresLinux) { GTEST_SKIP() << "TCP transport requires Linux"; }
 
 #else
-
-std::string server_binary() {
-  if (const char* env = std::getenv("SNOWKIT_SERVER_BIN")) return env;
-  const auto self = std::filesystem::read_symlink("/proc/self/exe");
-  return (self.parent_path() / "snowkit_server").string();
-}
 
 FleetConfig make_fleet(const std::string& protocol) {
   FleetConfig fleet;
@@ -52,76 +38,14 @@ FleetConfig make_fleet(const std::string& protocol) {
   return fleet;
 }
 
-bool wait_listening(std::uint16_t port, int timeout_ms) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    ::close(fd);
-    if (rc == 0) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
-
-struct Daemon {
-  pid_t pid{-1};
-  std::string config_path;
-  std::string audit_dir;
-
-  ~Daemon() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-    }
-    std::error_code ec;
-    std::filesystem::remove(config_path, ec);
-    std::filesystem::remove_all(audit_dir, ec);
-  }
-};
-
-/// Forks snowkit_server --index 0 with audit capture on; returns once its
-/// listen port accepts (daemon up) or fails the test.
-void spawn_daemon(const FleetConfig& fleet, Daemon& d, const std::string& tag) {
-  const auto tmp = std::filesystem::temp_directory_path();
-  const auto uniq = tag + "_" + std::to_string(static_cast<unsigned>(::getpid()));
-  d.config_path = (tmp / ("snowkit_sigterm_" + uniq + ".cfg")).string();
-  d.audit_dir = (tmp / ("snowkit_sigterm_audit_" + uniq)).string();
-  std::filesystem::remove_all(d.audit_dir);
-  {
-    std::ofstream f(d.config_path, std::ios::trunc);
-    ASSERT_TRUE(f) << d.config_path;
-    f << fleet_text(fleet);
-  }
-  const std::string bin = server_binary();
-  d.pid = ::fork();
-  ASSERT_GE(d.pid, 0);
-  if (d.pid == 0) {
-    ::execl(bin.c_str(), bin.c_str(), "--config", d.config_path.c_str(), "--index", "0",
-            "--audit-dir", d.audit_dir.c_str(), "--quiet", static_cast<char*>(nullptr));
-    ::_exit(127);
-  }
-  ASSERT_TRUE(wait_listening(fleet.processes[0].port, 15'000)) << "daemon never listened";
-}
-
-/// SIGTERM + reap; asserts exit 0 and that every chunk in the audit dir
-/// loads (i.e. is sealed — load_chunk throws on a torn file).
-std::vector<audit::ChunkFile> terminate_and_verify(Daemon& d) {
-  EXPECT_EQ(::kill(d.pid, SIGTERM), 0);
-  int status = 0;
-  EXPECT_EQ(::waitpid(d.pid, &status, 0), d.pid);
-  d.pid = -1;
-  EXPECT_TRUE(WIFEXITED(status)) << "daemon did not exit cleanly on SIGTERM";
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+/// SIGTERMs daemon 0 and asserts exit 0 and that every chunk in the audit
+/// dir loads (i.e. is sealed — load_chunk throws on a torn file).
+std::vector<audit::ChunkFile> terminate_and_verify(DaemonFleet& daemon,
+                                                   const std::string& audit_dir) {
+  EXPECT_TRUE(daemon.terminate(0)) << "daemon did not exit cleanly on SIGTERM";
 
   std::vector<audit::ChunkFile> chunks;
-  for (const auto& entry : std::filesystem::directory_iterator(d.audit_dir)) {
+  for (const auto& entry : std::filesystem::directory_iterator(audit_dir)) {
     EXPECT_NE(entry.path().extension(), ".tmp") << "unrenamed partial chunk left behind";
     if (entry.path().extension() == ".auditchunk") {
       chunks.push_back(audit::load_chunk(entry.path().string()));
@@ -133,9 +57,12 @@ std::vector<audit::ChunkFile> terminate_and_verify(Daemon& d) {
 TEST(AuditServerSigterm, IdleDaemonSealsFinalChunkOnSigterm) {
   if (!net::transport_supported()) GTEST_SKIP() << "TCP transport requires Linux";
   const FleetConfig fleet = make_fleet("simple");
-  Daemon d;
-  spawn_daemon(fleet, d, "idle");
-  const auto chunks = terminate_and_verify(d);
+  const ScratchDir dir("sigterm_idle");
+  const std::string audit_dir = dir.path + "/audit";
+  DaemonFleet daemon(fleet, DaemonFiles{dir.path + "/fleet.cfg", audit_dir, "", ""});
+  daemon.spawn();
+  ASSERT_TRUE(daemon.wait_listening(std::chrono::seconds(15))) << "daemon never listened";
+  const auto chunks = terminate_and_verify(daemon, audit_dir);
   // Even with zero traffic the close path seals a final (empty) chunk — the
   // clean-shutdown marker.
   ASSERT_EQ(chunks.size(), 1u);
@@ -146,8 +73,11 @@ TEST(AuditServerSigterm, IdleDaemonSealsFinalChunkOnSigterm) {
 TEST(AuditServerSigterm, SigtermAfterTrafficLeavesOnlySealedChunks) {
   if (!net::transport_supported()) GTEST_SKIP() << "TCP transport requires Linux";
   const FleetConfig fleet = make_fleet("algo-b");
-  Daemon d;
-  spawn_daemon(fleet, d, "traffic");
+  const ScratchDir dir("sigterm_traffic");
+  const std::string audit_dir = dir.path + "/audit";
+  DaemonFleet daemon(fleet, DaemonFiles{dir.path + "/fleet.cfg", audit_dir, "", ""});
+  daemon.spawn();
+  ASSERT_TRUE(daemon.wait_listening(std::chrono::seconds(15))) << "daemon never listened";
 
   // Drive a real workload from an in-test client process, then walk away
   // WITHOUT broadcasting SHUTDOWN — SIGTERM is the only stop signal the
@@ -170,7 +100,7 @@ TEST(AuditServerSigterm, SigtermAfterTrafficLeavesOnlySealedChunks) {
     rt.stop();
   }
 
-  const auto chunks = terminate_and_verify(d);
+  const auto chunks = terminate_and_verify(daemon, audit_dir);
   ASSERT_FALSE(chunks.empty());
   std::uint64_t events = 0;
   for (const auto& c : chunks) events += c.events.size();

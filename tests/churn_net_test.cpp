@@ -8,29 +8,16 @@
 // in the failover e2e), and a green tag-order check.
 #include <gtest/gtest.h>
 
-#ifdef __linux__
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 #include <chrono>
-#include <csignal>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "checker/tag_order.hpp"
 #include "core/churn.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
+#include "fleet_e2e.hpp"
+#include "runtime/daemon_fleet.hpp"
 #include "runtime/fleet.hpp"
 
 namespace snowkit {
@@ -42,133 +29,25 @@ TEST(ChurnNetE2E, RequiresLinux) { GTEST_SKIP() << "TCP transport requires Linux
 
 #else
 
-std::string server_binary() {
-  if (const char* env = std::getenv("SNOWKIT_SERVER_BIN")) return env;
-  const auto self = std::filesystem::read_symlink("/proc/self/exe");
-  return (self.parent_path() / "snowkit_server").string();
-}
-
-bool wait_listening(std::uint16_t port, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    ::close(fd);
-    if (rc == 0) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
-
-struct Daemon {
-  pid_t pid{-1};
-  std::string stats_json;
-
-  bool sigterm() {
-    if (pid <= 0) return false;
-    if (::kill(pid, SIGTERM) != 0) return false;
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid) return false;
-    pid = -1;
-    return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-  }
-
-  ~Daemon() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-    }
-  }
-};
-
-struct Fixture {
-  FleetConfig fleet;
-  std::string root;
-  std::vector<Daemon> daemons;
-
-  ~Fixture() {
-    daemons.clear();
-    std::error_code ec;
-    std::filesystem::remove_all(root, ec);
-  }
-};
-
-/// Reads one numeric field from a snowkit_server --stats-json file.  The
-/// format is a flat JSON object with numeric values; a missing key is -1.
-long long stats_field(const std::string& path, const std::string& key) {
-  std::ifstream f(path);
-  if (!f) return -1;
-  std::stringstream ss;
-  ss << f.rdbuf();
-  const std::string text = ss.str();
-  const auto at = text.find("\"" + key + "\":");
-  if (at == std::string::npos) return -1;
-  return std::atoll(text.c_str() + at + key.size() + 3);
-}
-
-void spawn_daemons(Fixture& fx) {
-  const auto tmp = std::filesystem::temp_directory_path();
-  fx.root =
-      (tmp / ("snowkit_churn_" + std::to_string(static_cast<unsigned>(::getpid())))).string();
-  std::filesystem::remove_all(fx.root);
-  std::filesystem::create_directories(fx.root);
-  const std::string cfg = fx.root + "/fleet.cfg";
-  {
-    std::ofstream f(cfg, std::ios::trunc);
-    ASSERT_TRUE(f) << cfg;
-    f << fleet_text(fx.fleet);
-  }
-  const std::string bin = server_binary();
-  fx.daemons.resize(fx.fleet.server_processes());
-  for (std::size_t i = 0; i < fx.daemons.size(); ++i) {
-    Daemon& d = fx.daemons[i];
-    d.stats_json = fx.root + "/stats" + std::to_string(i) + ".json";
-    const std::string index = std::to_string(i);
-    d.pid = ::fork();
-    ASSERT_GE(d.pid, 0);
-    if (d.pid == 0) {
-      ::execl(bin.c_str(), bin.c_str(), "--config", cfg.c_str(), "--index", index.c_str(),
-              "--stats-json", d.stats_json.c_str(), "--quiet", static_cast<char*>(nullptr));
-      ::_exit(127);
-    }
-  }
-  for (std::size_t i = 0; i < fx.daemons.size(); ++i) {
-    ASSERT_TRUE(wait_listening(fx.fleet.processes[i].port, 15'000))
-        << "daemon " << i << " never listened";
-  }
-}
-
-bool wait_done(const WorkloadDriver& driver, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (driver.done()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return driver.done();
-}
-
 TEST(ChurnNetE2E, ChurningClientLosesNoAckedWriteAndScoresReconnects) {
   if (!net::transport_supported()) GTEST_SKIP() << "TCP transport requires Linux";
-  Fixture fx;
-  fx.fleet.protocol = "algo-b";
-  fx.fleet.system.num_objects = 8;
-  fx.fleet.system.num_readers = 2;
-  fx.fleet.system.num_writers = 2;
-  fx.fleet.system.num_servers = 3;
+  FleetConfig fleet;
+  fleet.protocol = "algo-b";
+  fleet.system.num_objects = 8;
+  fleet.system.num_readers = 2;
+  fleet.system.num_writers = 2;
+  fleet.system.num_servers = 3;
   for (const std::uint16_t port : net::pick_free_ports(4)) {
-    fx.fleet.processes.push_back({"127.0.0.1", port});
+    fleet.processes.push_back({"127.0.0.1", port});
   }
-  spawn_daemons(fx);
-  ASSERT_FALSE(HasFatalFailure());
+  const ScratchDir dir("churn");
+  DaemonFleet daemons(fleet, DaemonFiles{dir.path + "/fleet.cfg", "", "", dir.path + "/stats"});
+  daemons.spawn();
+  ASSERT_TRUE(daemons.wait_listening(std::chrono::seconds(15))) << "a daemon never listened";
 
-  NetRuntime rt(fx.fleet.net_options(fx.fleet.client_index()));
-  HistoryRecorder rec(fx.fleet.system.num_objects);
-  auto sys = build_protocol(fx.fleet.protocol, rt, rec, fx.fleet.system, fx.fleet.options);
+  NetRuntime rt(fleet.net_options(fleet.client_index()));
+  HistoryRecorder rec(fleet.system.num_objects);
+  auto sys = build_protocol(fleet.protocol, rt, rec, fleet.system, fleet.options);
   rt.start();
   ASSERT_TRUE(rt.wait_connected_for(15'000'000'000ull));
 
@@ -217,42 +96,9 @@ TEST(ChurnNetE2E, ChurningClientLosesNoAckedWriteAndScoresReconnects) {
   EXPECT_GE(client_stats.churn_stalls, rep.cycles_run);
   EXPECT_GT(client_stats.reconnects, 0u) << "no reconnect ever happened — churn was a no-op";
 
-  // Zero lost acked writes: watermark + max-tag read-back (failover idiom).
-  const std::uint64_t watermark = [&] {
-    std::uint64_t max_order = 0;
-    for (const TxnRecord& t : rec.snapshot().txns) max_order = std::max(max_order, t.respond_order);
-    return max_order;
-  }();
-  WorkloadSpec readback;
-  readback.ops_per_reader = 4;
-  readback.ops_per_writer = 0;
-  readback.read_span = fx.fleet.system.num_objects;
-  readback.write_span = 1;
-  readback.seed = 43;
-  WorkloadDriver reader(rt, *sys, readback);
-  reader.start();
-  ASSERT_TRUE(wait_done(reader, 60'000)) << "read-back phase wedged";
-
-  const History h = rec.snapshot();
-  std::map<ObjectId, std::pair<Tag, Value>> winner;
-  for (const TxnRecord& t : h.txns) {
-    if (t.is_read || !t.complete) continue;
-    ASSERT_NE(t.tag, kInvalidTag);
-    for (const auto& [obj, val] : t.writes) {
-      auto it = winner.find(obj);
-      if (it == winner.end() || t.tag > it->second.first) winner[obj] = {t.tag, val};
-    }
-  }
-  EXPECT_EQ(winner.size(), fx.fleet.system.num_objects);
-  for (const TxnRecord& t : h.txns) {
-    if (!t.is_read || !t.complete || t.invoke_order <= watermark) continue;
-    for (const auto& [obj, val] : t.reads) {
-      ASSERT_TRUE(winner.count(obj));
-      EXPECT_EQ(val, winner[obj].second)
-          << "object " << obj << ": read-back saw value " << val << " but the max-tag "
-          << "acknowledged write put " << winner[obj].second << " — a write was lost";
-    }
-  }
+  // Zero lost acked writes: max-tag read-back, as in the failover e2e.
+  const History h = expect_no_lost_acked_write(rt, *sys, rec, /*seed=*/43);
+  ASSERT_FALSE(HasFatalFailure());
   const auto verdict = check_tag_order(h);
   EXPECT_TRUE(verdict.ok) << verdict.explanation;
 
@@ -261,13 +107,12 @@ TEST(ChurnNetE2E, ChurningClientLosesNoAckedWriteAndScoresReconnects) {
 
   // The servers' side: clean exits, and at least one daemon scored the
   // reconnect from the re-accepted client link in its --stats-json.
-  long long server_reconnects = 0;
-  for (std::size_t i = 0; i < fx.daemons.size(); ++i) {
-    EXPECT_TRUE(fx.daemons[i].sigterm()) << "daemon " << i << " did not exit cleanly";
-    const long long r = stats_field(fx.daemons[i].stats_json, "tcp_reconnects");
-    ASSERT_GE(r, 0) << "daemon " << i << " wrote no stats json";
-    server_reconnects += r;
+  for (std::size_t i = 0; i < daemons.size(); ++i) {
+    EXPECT_TRUE(daemons.terminate(i)) << "daemon " << i << " did not exit cleanly";
+    ASSERT_TRUE(daemons.stats(i).count("tcp_reconnects")) << "daemon " << i
+                                                          << " wrote no stats json";
   }
+  const double server_reconnects = daemons.summed_stats()["tcp_reconnects"];
   EXPECT_GT(server_reconnects, 0) << "no server saw the dropped client link come back";
 }
 

@@ -8,19 +8,9 @@
 // object, and the merged audit of the surviving processes re-checks green.
 #include <gtest/gtest.h>
 
-#ifdef __linux__
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
-
 #include <chrono>
-#include <csignal>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
@@ -32,6 +22,8 @@
 #include "checker/tag_order.hpp"
 #include "core/run_workload.hpp"
 #include "core/system.hpp"
+#include "fleet_e2e.hpp"
+#include "runtime/daemon_fleet.hpp"
 #include "runtime/fleet.hpp"
 
 namespace snowkit {
@@ -42,69 +34,6 @@ namespace {
 TEST(FailoverE2E, RequiresLinux) { GTEST_SKIP() << "TCP transport requires Linux"; }
 
 #else
-
-std::string server_binary() {
-  if (const char* env = std::getenv("SNOWKIT_SERVER_BIN")) return env;
-  const auto self = std::filesystem::read_symlink("/proc/self/exe");
-  return (self.parent_path() / "snowkit_server").string();
-}
-
-bool wait_listening(std::uint16_t port, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    const int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    ::close(fd);
-    if (rc == 0) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
-
-struct Daemon {
-  pid_t pid{-1};
-  std::string audit_dir;
-  std::string wal_dir;
-
-  void sigkill() {
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-      pid = -1;
-    }
-  }
-
-  /// Clean stop: SIGTERM seals every audit chunk.  Returns exit status ok.
-  bool sigterm() {
-    if (pid <= 0) return false;
-    if (::kill(pid, SIGTERM) != 0) return false;
-    int status = 0;
-    if (::waitpid(pid, &status, 0) != pid) return false;
-    pid = -1;
-    return WIFEXITED(status) && WEXITSTATUS(status) == 0;
-  }
-
-  ~Daemon() { sigkill(); }
-};
-
-struct Fixture {
-  FleetConfig fleet;
-  std::string root;  ///< scratch dir holding config, wal dirs, audit dirs.
-  bool keep{false};  ///< SNOWKIT_FAILOVER_KEEP_DIR: leave artifacts for CI.
-  std::vector<Daemon> daemons;
-
-  ~Fixture() {
-    daemons.clear();  // kill before removing their dirs
-    if (keep) return;
-    std::error_code ec;
-    std::filesystem::remove_all(root, ec);
-  }
-};
 
 FleetConfig make_replicated_fleet() {
   FleetConfig fleet;
@@ -125,63 +54,11 @@ FleetConfig make_replicated_fleet() {
   return fleet;
 }
 
-void spawn_daemons(Fixture& fx) {
-  // CI points this at a workspace path so the job can re-run `snowkit_audit
-  // check` over the surviving chunks with the real CLI afterwards.
-  if (const char* keep = std::getenv("SNOWKIT_FAILOVER_KEEP_DIR")) {
-    fx.root = keep;
-    fx.keep = true;
-  } else {
-    const auto tmp = std::filesystem::temp_directory_path();
-    fx.root = (tmp / ("snowkit_failover_" + std::to_string(static_cast<unsigned>(::getpid()))))
-                  .string();
-  }
-  std::filesystem::remove_all(fx.root);
-  std::filesystem::create_directories(fx.root);
-  const std::string cfg = fx.root + "/fleet.cfg";
-  {
-    std::ofstream f(cfg, std::ios::trunc);
-    ASSERT_TRUE(f) << cfg;
-    f << fleet_text(fx.fleet);
-  }
-  const std::string bin = server_binary();
-  fx.daemons.resize(fx.fleet.server_processes());
-  for (std::size_t i = 0; i < fx.daemons.size(); ++i) {
-    Daemon& d = fx.daemons[i];
-    d.audit_dir = fx.root + "/audit" + std::to_string(i);
-    d.wal_dir = fx.root + "/wal" + std::to_string(i);
-    const std::string index = std::to_string(i);
-    d.pid = ::fork();
-    ASSERT_GE(d.pid, 0);
-    if (d.pid == 0) {
-      ::execl(bin.c_str(), bin.c_str(), "--config", cfg.c_str(), "--index", index.c_str(),
-              "--audit-dir", d.audit_dir.c_str(), "--wal-dir", d.wal_dir.c_str(), "--quiet",
-              static_cast<char*>(nullptr));
-      ::_exit(127);
-    }
-  }
-  for (std::size_t i = 0; i < fx.daemons.size(); ++i) {
-    ASSERT_TRUE(wait_listening(fx.fleet.processes[i].port, 15'000))
-        << "daemon " << i << " never listened";
-  }
-}
-
-/// driver.wait() with a deadline: a wedged failover must fail the test, not
-/// hang the ctest job until its global timeout.
-bool wait_done(const WorkloadDriver& driver, int timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (driver.done()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return driver.done();
-}
-
 /// Loads every SEALED chunk in `dir`; torn chunks (a SIGKILLed writer's
 /// unsealed tail) are skipped, mirroring what an operator can actually
 /// recover after a crash.
-void load_sealed_chunks(const std::string& dir, std::vector<audit::ChunkFile>& out) {
-  if (!std::filesystem::is_directory(dir)) return;
+std::vector<audit::ChunkFile> load_sealed_chunks(const std::string& dir) {
+  std::vector<audit::ChunkFile> out;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() != ".auditchunk") continue;
     try {
@@ -190,30 +67,37 @@ void load_sealed_chunks(const std::string& dir, std::vector<audit::ChunkFile>& o
       // torn final chunk of a killed process — unrecoverable by design
     }
   }
+  return out;
 }
 
 TEST(FailoverE2E, PrimaryDaemonSigkillMidRunLosesNoAckedWrite) {
   if (!net::transport_supported()) GTEST_SKIP() << "TCP transport requires Linux";
-  Fixture fx;
-  fx.fleet = make_replicated_fleet();
-  spawn_daemons(fx);
-  ASSERT_FALSE(HasFatalFailure());
+  const FleetConfig fleet = make_replicated_fleet();
+  // One audit dir for every process's chunks, one WAL dir for every
+  // daemon's logs.  CI points SNOWKIT_FAILOVER_KEEP_DIR at a workspace path
+  // so the job can re-run `snowkit_audit check` over the surviving chunks
+  // with the real CLI afterwards.
+  const ScratchDir dir("failover", std::getenv("SNOWKIT_FAILOVER_KEEP_DIR"));
+  const DaemonFiles files{dir.path + "/fleet.cfg", dir.path + "/audit", dir.path + "/wal", ""};
+  DaemonFleet daemons(fleet, files);
+  daemons.spawn();
+  ASSERT_TRUE(daemons.wait_listening(std::chrono::seconds(15))) << "a daemon never listened";
 
   // The client process, with a lossless audit capture so the merged run
   // keeps the checkers conclusive on the client's side of the story.
   audit::CaptureOptions copts;
-  copts.dir = fx.root + "/audit_client";
-  copts.process_index = static_cast<std::uint32_t>(fx.fleet.client_index());
-  copts.protocol = fx.fleet.protocol;
-  copts.num_servers = static_cast<std::uint32_t>(fx.fleet.system.server_count());
-  copts.fleet_text = fleet_text(fx.fleet);
+  copts.dir = files.audit_dir;
+  copts.process_index = static_cast<std::uint32_t>(fleet.client_index());
+  copts.protocol = fleet.protocol;
+  copts.num_servers = static_cast<std::uint32_t>(fleet.system.server_count());
+  copts.fleet_text = fleet_text(fleet);
   copts.ring_capacity = 1 << 16;
   audit::AuditCapture cap(copts);
 
-  NetRuntime rt(fx.fleet.net_options(fx.fleet.client_index()));
+  NetRuntime rt(fleet.net_options(fleet.client_index()));
   rt.set_observer(&cap);
-  HistoryRecorder rec(fx.fleet.system.num_objects);
-  auto sys = build_protocol(fx.fleet.protocol, rt, rec, fx.fleet.system, fx.fleet.options);
+  HistoryRecorder rec(fleet.system.num_objects);
+  auto sys = build_protocol(fleet.protocol, rt, rec, fleet.system, fleet.options);
   rt.start();
   ASSERT_TRUE(rt.wait_connected_for(15'000'000'000ull));
 
@@ -233,7 +117,7 @@ TEST(FailoverE2E, PrimaryDaemonSigkillMidRunLosesNoAckedWrite) {
   // Kill the daemon hosting shard 0's primary (process 0; the backup lives
   // on process 1 by the fleet's cyclic placement).  SIGKILL: no shutdown
   // path, no sealed final chunk, exactly a crash.
-  fx.daemons[0].sigkill();
+  daemons.kill(0);
 
   ASSERT_TRUE(wait_done(driver, 120'000)) << "workload wedged across the failover: "
                                           << driver.completed_reads() << " reads + "
@@ -242,56 +126,25 @@ TEST(FailoverE2E, PrimaryDaemonSigkillMidRunLosesNoAckedWrite) {
   EXPECT_EQ(driver.completed_reads(), 2u * 600u);
   EXPECT_EQ(driver.completed_writes(), 2u * 400u);
 
-  // Phase 2: every write above is acknowledged and finished, so full-span
-  // reads must observe, per object, exactly the value of the max-tag write
-  // covering it — a missing one IS a lost acknowledged write.
-  const std::uint64_t watermark = [&] {
-    std::uint64_t max_order = 0;
-    for (const TxnRecord& t : rec.snapshot().txns) max_order = std::max(max_order, t.respond_order);
-    return max_order;
-  }();
-  WorkloadSpec readback;
-  readback.ops_per_reader = 4;
-  readback.ops_per_writer = 0;
-  readback.read_span = fx.fleet.system.num_objects;
-  readback.write_span = 1;
-  readback.seed = 31;
-  WorkloadDriver reader(rt, *sys, readback);
-  reader.start();
-  ASSERT_TRUE(wait_done(reader, 60'000)) << "read-back phase wedged";
-
-  const History h = rec.snapshot();
-  std::map<ObjectId, std::pair<Tag, Value>> winner;  // max-tag write per object
-  for (const TxnRecord& t : h.txns) {
-    if (t.is_read || !t.complete) continue;
-    ASSERT_NE(t.tag, kInvalidTag);
-    for (const auto& [obj, val] : t.writes) {
-      auto it = winner.find(obj);
-      if (it == winner.end() || t.tag > it->second.first) winner[obj] = {t.tag, val};
-    }
-  }
-  EXPECT_EQ(winner.size(), fx.fleet.system.num_objects);
-  for (const TxnRecord& t : h.txns) {
-    if (!t.is_read || !t.complete || t.invoke_order <= watermark) continue;
-    for (const auto& [obj, val] : t.reads) {
-      ASSERT_TRUE(winner.count(obj));
-      EXPECT_EQ(val, winner[obj].second)
-          << "object " << obj << ": read-back saw value " << val << " but the max-tag "
-          << "acknowledged write put " << winner[obj].second << " — a write was lost";
-    }
-  }
+  // Phase 2: zero lost acked writes, by max-tag read-back through the
+  // failed-over backup.
+  const History h = expect_no_lost_acked_write(rt, *sys, rec, /*seed=*/31);
+  ASSERT_FALSE(HasFatalFailure());
   const auto verdict = check_tag_order(h);
   EXPECT_TRUE(verdict.ok) << verdict.explanation;
 
   // Replication really persisted: the surviving daemons wrote WAL bytes.
-  for (std::size_t i = 1; i < fx.daemons.size(); ++i) {
-    std::uintmax_t bytes = 0;
-    if (std::filesystem::is_directory(fx.daemons[i].wal_dir)) {
-      for (const auto& e : std::filesystem::directory_iterator(fx.daemons[i].wal_dir)) {
-        bytes += std::filesystem::file_size(e.path());
-      }
-    }
-    EXPECT_GT(bytes, 0u) << "daemon " << i << " wrote no WAL";
+  // The WAL dir is shared; each file is node-<id>.wal, owned by the process
+  // FleetConfig::owner_of names.
+  std::map<std::size_t, std::uintmax_t> wal_bytes;  // by fleet process
+  for (const auto& e : std::filesystem::directory_iterator(files.wal_dir)) {
+    const std::string name = e.path().stem().string();  // node-<id>
+    ASSERT_EQ(name.rfind("node-", 0), 0u) << e.path();
+    const auto node = static_cast<NodeId>(std::stoul(name.substr(5)));
+    wal_bytes[fleet.owner_of(node)] += std::filesystem::file_size(e.path());
+  }
+  for (std::size_t i = 1; i < daemons.size(); ++i) {
+    EXPECT_GT(wal_bytes[i], 0u) << "daemon " << i << " wrote no WAL";
   }
 
   // Seal and collect the audit: client capture + clean SIGTERM of the two
@@ -300,14 +153,16 @@ TEST(FailoverE2E, PrimaryDaemonSigkillMidRunLosesNoAckedWrite) {
   cap.set_history(h);
   cap.close();
   EXPECT_EQ(cap.stats().drops, 0u);
-  EXPECT_TRUE(fx.daemons[1].sigterm()) << "surviving daemon 1 did not exit cleanly";
-  EXPECT_TRUE(fx.daemons[2].sigterm()) << "surviving daemon 2 did not exit cleanly";
+  EXPECT_TRUE(daemons.terminate(1)) << "surviving daemon 1 did not exit cleanly";
+  EXPECT_TRUE(daemons.terminate(2)) << "surviving daemon 2 did not exit cleanly";
 
-  std::vector<audit::ChunkFile> chunks;
-  load_sealed_chunks(copts.dir, chunks);
-  const std::size_t client_chunks = chunks.size();
+  // One audit dir holds every process's chunks, named by process index.
+  const std::vector<audit::ChunkFile> chunks = load_sealed_chunks(files.audit_dir);
+  std::size_t client_chunks = 0;
+  for (const audit::ChunkFile& c : chunks) {
+    if (c.meta.process_index == fleet.client_index()) ++client_chunks;
+  }
   ASSERT_GT(client_chunks, 0u);
-  for (const Daemon& d : fx.daemons) load_sealed_chunks(d.audit_dir, chunks);
   ASSERT_GT(chunks.size(), client_chunks) << "survivors sealed no chunks";
 
   // The merged surviving capture must re-check green: the kill may make some

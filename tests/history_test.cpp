@@ -101,13 +101,17 @@ TEST(History, ThreadSafeConcurrentRecording) {
 
 TEST(History, FinishesInAnyOrderAcrossALongHistory) {
   // Clients finish out of begin order: evens newest-first, then odds
-  // oldest-first.  Each finish must land on its own record.
+  // oldest-first.  Each finish must land on its own record, across the
+  // id gaps that next_id() leaves between recorded transactions.
   HistoryRecorder rec(2);
   std::vector<TxnId> ids;
+  TxnId gaps = 0;
   for (int i = 0; i < 2000; ++i) {
+    for (int gap = 0; gap < i % 3; ++gap, ++gaps) rec.next_id();
     ids.push_back(i % 2 == 0 ? rec.begin_read(static_cast<NodeId>(i), {0})
                              : rec.begin_write(static_cast<NodeId>(i), {{1, i}}));
   }
+  EXPECT_EQ(ids.back() - ids.front() + 1, 2000 + gaps);
   for (int i = 1998; i >= 0; i -= 2) {
     rec.finish_read(ids[static_cast<std::size_t>(i)], {{0, i}}, static_cast<Tag>(i), 1, 1);
   }

@@ -4,6 +4,8 @@
 // unlock for a lock nobody holds: any registry protocol runs under
 // snowkit_server, so nothing a network peer sends may abort one.  Sent on
 // the simulator from a probe node, then a real workload must still pass.
+// The lock server also records who holds each lock, so an unlock forged
+// while another client holds it releases nothing.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -81,6 +83,62 @@ TEST(ServerHostileInput, ForeignPayloadsAndForgedUnlocksDoNotAbortAnyServer) {
       const auto verdict = check_strict_serializability(h);
       EXPECT_TRUE(verdict.ok) << verdict.explanation;
     }
+  }
+}
+
+/// Lock grants `probe` has received.
+std::size_t grants(const Probe& probe) {
+  std::size_t n = 0;
+  for (const auto& [from, payloads] : probe.got) {
+    for (const Payload& p : payloads) n += std::holds_alternative<LockGrant>(p) ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(ServerHostileInput, ForgedUnlockDoesNotReleaseAHeldLock) {
+  // Holder takes object 0's lock, waiter queues a conflicting request, and a
+  // forger (a third node, naming the holder's txn) and the waiter itself
+  // send unlocks.  The waiter must get no grant until the holder releases.
+  for (const bool exclusive_holder : {true, false}) {
+    SCOPED_TRACE(exclusive_holder ? "exclusive holder" : "shared holder");
+    SimRuntime sim(make_uniform_delay(10, 4000, 3));
+    HistoryRecorder rec(1);
+    auto sys = build_protocol("blocking-2pl", sim, rec, SystemConfig{1, 1, 1});
+    auto add_probe = [&sim] {
+      auto node = std::make_unique<Probe>();
+      Probe& ref = *node;
+      return std::pair<NodeId, Probe*>{sim.add_node(std::move(node)), &ref};
+    };
+    const auto [holder, holder_probe] = add_probe();
+    const auto [waiter, waiter_probe] = add_probe();
+    const auto [forger, forger_probe] = add_probe();
+    const NodeId server = 0;
+    const ObjectId obj = 0;
+    const TxnId held_txn = 901;
+    const TxnId waiting_txn = 902;
+    auto send = [&sim, server](NodeId from, Message m) {
+      sim.post(from, [&sim, from, server, m] { sim.send(from, server, m); });
+      sim.run_until_idle();
+    };
+    auto unlock = [&](TxnId txn) {
+      return exclusive_holder ? Message{txn, WriteUnlockReq{obj, 77}}
+                              : Message{txn, UnlockReq{obj}};
+    };
+
+    send(holder, Message{held_txn, LockReq{obj, exclusive_holder}});
+    ASSERT_EQ(grants(*holder_probe), 1u);
+    send(waiter, Message{waiting_txn, LockReq{obj, /*exclusive=*/true}});
+    ASSERT_EQ(grants(*waiter_probe), 0u);
+
+    send(forger, unlock(held_txn));
+    send(waiter, unlock(held_txn));
+    send(waiter, unlock(waiting_txn));
+    EXPECT_EQ(grants(*waiter_probe), 0u)
+        << "a forged unlock released a lock its holder still holds";
+    EXPECT_TRUE(forger_probe->got.empty()) << "the forger's unlock was acknowledged";
+
+    send(holder, unlock(held_txn));
+    EXPECT_EQ(grants(*waiter_probe), 1u) << "the holder's unlock released nothing";
   }
 }
 

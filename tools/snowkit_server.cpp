@@ -194,7 +194,12 @@ int main(int argc, char** argv) {
     }
     auto sys = snowkit::build_protocol(fleet.protocol, rt, rec, fleet.system, options);
 
+    rt.start();
+
 #ifdef __linux__
+    // Started after rt.start(), which throws when the listen port is taken:
+    // a joinable thread must not be unwound past.  A signal that arrives
+    // earlier stays pending (blocked above) until sigwait() consumes it.
     std::thread signal_thread([&rt, &sigs] {
       int sig = 0;
       while (sigwait(&sigs, &sig) != 0) {
@@ -202,8 +207,6 @@ int main(int argc, char** argv) {
       if (sig != SIGUSR1) rt.request_shutdown();
     });
 #endif
-
-    rt.start();
 
     if (!quiet) {
       std::size_t owned = 0;
