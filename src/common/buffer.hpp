@@ -181,7 +181,12 @@ class BufReader {
 
   template <typename T, typename Fn>
   std::vector<T> cvec(Fn&& read_elem) {
-    const std::uint64_t n = uv();
+    return cvec<T>(uv(), read_elem);
+  }
+
+  /// cvec whose count `n` was already read (packed into another varint).
+  template <typename T, typename Fn>
+  std::vector<T> cvec(std::uint64_t n, Fn&& read_elem) {
     if (n > buf_.size()) throw CodecError("cvec length exceeds buffer");
     std::vector<T> v;
     v.reserve(n);

@@ -272,6 +272,12 @@ void WorkloadDriver::tick(std::size_t shard) {
     sh.next_client = (sh.next_client + 1) % (sh.client_hi - sh.client_lo);
     TrafficArrival a = next_arrival(sh, client);
     note_arrival_issued();
+    if (opts_.after_arrival) opts_.after_arrival();
+    sh.next_deadline += next_interval(sh, deadline - start_ns_) * stride;
+    // The shard's last arrival can complete the run, and the caller may
+    // destroy the driver as soon as done() is true: nothing touches `this`
+    // after that submit.
+    const bool last = sh.arrivals_left == 0;
     // Sojourn measures from the INTENDED deadline, not the (possibly late)
     // issuance instant: a paced client that fell behind still "arrived" on
     // schedule, so the delay it suffered is queueing, not a shorter wait —
@@ -281,10 +287,9 @@ void WorkloadDriver::tick(std::size_t shard) {
                                  record_sojourn(deadline);
                                  op_finished(r.is_read);
                                });
-    if (opts_.after_arrival) opts_.after_arrival();
-    sh.next_deadline += next_interval(sh, deadline - start_ns_) * stride;
+    if (last) return;
   }
-  if (sh.arrivals_left > 0) schedule(shard);
+  schedule(shard);
 }
 
 WorkloadDriver::~WorkloadDriver() {

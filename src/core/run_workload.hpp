@@ -90,9 +90,10 @@ struct DriverOptions {
   std::size_t arrival_shards{1};
 
   /// Test/diagnostic seam: runs synchronously on the arrival timer chain
-  /// after each arrival is submitted — a deliberately slow hook models a
-  /// slow completion path without touching protocol code (the pacing
-  /// regression test injects a sleep here).  Default: none.
+  /// as each arrival is issued, just before it is submitted — a
+  /// deliberately slow hook models a slow completion path without touching
+  /// protocol code (the pacing regression test injects a sleep here).
+  /// Default: none.
   std::function<void()> after_arrival;
 
   /// First write value this driver hands out.  The checkers identify writers
@@ -105,9 +106,9 @@ struct DriverOptions {
 class WorkloadDriver {
  public:
   WorkloadDriver(Runtime& rt, ProtocolSystem& sys, WorkloadSpec spec, DriverOptions opts = {});
-  /// Waits out the last completion's notify, so a closed-loop driver may go
-  /// as soon as done() is true.  An open-loop shard's last tick can still
-  /// be running then: keep an open-loop driver until the runtime stops.
+  /// Waits out the last completion's notify, so a driver may go as soon as
+  /// done() is true: an open-loop shard's last tick touches nothing after
+  /// submitting its last arrival.
   ~WorkloadDriver();
 
   /// Posts the first operation of every chain (closed loops) or schedules

@@ -310,15 +310,26 @@ struct Encoder {
       w2.u8(e.found ? 1 : 0);
     });
   }
+  // The coordinator fold (wire v6) adds no byte to a batch that does not
+  // fold: the request's coor bit rides in its watermark varint
+  // (2 * watermark + coor) and the response's tag-array kind in its entry
+  // count (4 * count + kind: 0 none, 1 tag-arr, 2 adapt-tag-arr).  The
+  // folded get-tag-arr or reply follows the batch, encoded exactly as the
+  // standalone payload's body.
   void operator()(const ReadValsBatchReq& p) {
-    w.uv(p.watermark);
+    SNOW_CHECK_MSG(p.watermark <= std::numeric_limits<Tag>::max() / 2,
+                   "read-vals-batch watermark " << p.watermark << " leaves no room for coor");
+    w.uv(p.watermark * 2 + (p.tag_arr ? 1 : 0));
     put_obj_set(w, p.objs, "read-vals-batch");
+    if (p.tag_arr) (*this)(*p.tag_arr);
   }
   void operator()(const ReadValsBatchResp& p) {
-    w.cvec(p.entries, [](auto& w2, const ObjectVersions& e) {
-      w2.uv(e.obj);
-      put_versions(w2, e.versions);
-    });
+    w.uv(p.entries.size() * 4 + (p.tag_arr ? p.tag_arr->index() + 1 : 0));
+    for (const ObjectVersions& e : p.entries) {
+      w.uv(e.obj);
+      put_versions(w, e.versions);
+    }
+    if (p.tag_arr) std::visit(*this, *p.tag_arr);
   }
 };
 
@@ -570,19 +581,29 @@ ReadValBatchResp Decoder::get<ReadValBatchResp>() {
 template <>
 ReadValsBatchReq Decoder::get<ReadValsBatchReq>() {
   ReadValsBatchReq p;
-  p.watermark = r.uv();
+  const std::uint64_t head = r.uv();
+  p.watermark = head / 2;
   p.objs = get_obj_set(r, "read-vals-batch", /*nonempty=*/true);
+  if (head % 2 == 1) {
+    p.tag_arr = get<GetTagArrReq>();
+    if (p.tag_arr->objs.empty()) throw CodecError("folded get-tag-arr names no object");
+  }
   return p;
 }
 template <>
 ReadValsBatchResp Decoder::get<ReadValsBatchResp>() {
   ReadValsBatchResp p;
-  p.entries = r.cvec<ObjectVersions>([](BufReader& r2) {
+  const std::uint64_t head = r.uv();
+  const std::uint64_t kind = head % 4;
+  if (kind == 3) throw CodecError("read-vals-batch-resp tag-array kind is not 0, 1 or 2");
+  p.entries = r.cvec<ObjectVersions>(head / 4, [](BufReader& r2) {
     ObjectVersions e;
     e.obj = static_cast<ObjectId>(r2.uv());
     e.versions = get_versions(r2);
     return e;
   });
+  if (kind == 1) p.tag_arr = get<GetTagArrResp>();
+  if (kind == 2) p.tag_arr = get<AdaptTagArrResp>();
   return p;
 }
 
@@ -606,9 +627,10 @@ static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one b
 // these numbers.  APPEND new payloads to the variant; reordering or
 // inserting breaks every stored trace and any mixed-version fleet, so it
 // requires a wire-version bump.  These asserts pin the frozen assignment,
-// which snowkit-wire-v2 to v5 kept (v2 redefined only the bodies of tags 6,
+// which snowkit-wire-v2 to v6 kept (v2 redefined only the bodies of tags 6,
 // 7 and 36; v3 those of 2, 4, 6, 36 and the replication record; v4 those of
-// 0, 1 and 12; v5 those of 37 and 39, and left 8-11 without a sender).
+// 0, 1 and 12; v5 those of 37 and 39, and left 8-11 without a sender; v6
+// those of 39 and 40, which fold get-tag-arr and its reply).
 template <typename T>
 constexpr std::size_t payload_tag = Payload{T{}}.index();
 static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&

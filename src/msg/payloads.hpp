@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -327,7 +328,9 @@ struct SimpleWriteAck {
 // --- per-shard primary/backup replication (proto/replica.hpp) ---------------
 //
 // Replication envelopes all carry txn = kInvalidTxn, so the SNOW monitors
-// never count replica traffic as transaction rounds.  Tags 30-35; appended
+// never count replica traffic as transaction rounds.  The one exception is
+// a backup's redirect of a client request (a TakeoverNotice), which names
+// that request's txn because it answers it.  Tags 30-35; appended
 // per the payload-tag freeze (docs/WIRE.md).
 
 /// One entry of a shard's replicated operation log: the primary's mutations
@@ -504,6 +507,11 @@ struct ReadValsBatchReq {
   /// in VersionStore::advance_watermark).
   Tag watermark{0};
   std::vector<ObjectId> objs;  ///< ascending, non-empty.
+  /// Set on the coordinator's shard (the `coor` bit): this frame also
+  /// carries the round's get-tag-arr, whose I names the whole READ (not
+  /// just this server's objects, and never empty); no separate get-tag-arr
+  /// is sent.
+  std::optional<GetTagArrReq> tag_arr;
   friend bool operator==(const ReadValsBatchReq&, const ReadValsBatchReq&) = default;
 };
 
@@ -514,9 +522,16 @@ struct ObjectVersions {
   friend bool operator==(const ObjectVersions&, const ObjectVersions&) = default;
 };
 
+/// The coordinator's answer to a get-tag-arr: Algorithm C's tag array, or
+/// adaptive's with its mode delta.
+using TagArrReply = std::variant<GetTagArrResp, AdaptTagArrResp>;
+
 /// Server -> reader: the batched multi-version responses.
 struct ReadValsBatchResp {
   std::vector<ObjectVersions> entries;
+  /// The coordinator's answer to a folded get-tag-arr (ReadValsBatchReq::
+  /// tag_arr); empty on every other server's response.
+  std::optional<TagArrReply> tag_arr;
   friend bool operator==(const ReadValsBatchResp&, const ReadValsBatchResp&) = default;
 };
 

@@ -16,8 +16,10 @@ namespace snowkit {
 namespace {
 
 /// Adaptive reader.  Round 1: get-tag-arr to the coordinator plus batched
-/// prefetches for C-mode and locally-uncached objects.  At the tag array,
-/// every object resolves
+/// prefetches for C-mode, locally-uncached and coordinator-shard objects,
+/// the get-tag-arr riding in the coordinator shard's prefetch when the READ
+/// reads that shard (and alone otherwise).  At the tag array, every object
+/// resolves
 /// through the first applicable source — client cache (iff the cached key IS
 /// latest[obj]), prefetched list, or a batched round-2 fetch.  Whatever the
 /// source, the value served is the one stored under latest[obj], so the
@@ -46,20 +48,25 @@ class ReaderAdapt final : public ReadClient {
     round2_sent_ = false;
     GetTagArrReq req = tag_arr_req(objs());
     req.mode_epoch = modes_.epoch();
-    send(route(coor_shard_), Message{txn(), std::move(req)});
     // Prefetch (one batched frame per server shard): C-mode objects always —
     // their write rate says any cache entry is probably stale — and, when the
     // cache is on, objects with NO cache entry, since those are certain to
-    // need a fetch and the prefetch turns their round 2 into round 1.  The
-    // mode table thus governs exactly the contested case: a cached object
-    // whose proof may or may not hold at the tag array.
+    // need a fetch and the prefetch turns their round 2 into round 1.
+    // Objects on the coordinator's shard always: their batch carries the
+    // get-tag-arr, so they cost no frame, and the coordinator reads their
+    // lists in the step that builds the tag array, so each list holds
+    // latest[obj] and never sends the object to round 2.  The mode table
+    // thus governs exactly the contested case: a cached object on another
+    // shard whose proof may or may not hold at the tag array.
     std::vector<ObjectId> prefetch;
     for (ObjectId obj : objs()) {
       const bool uncached = cache_reads_ && cache_.find(obj) == cache_.end();
-      if (modes_.c_mode(obj) || uncached) prefetch.push_back(obj);
+      const bool on_coordinator = place().shard_of(obj) == coor_shard_;
+      if (modes_.c_mode(obj) || uncached || on_coordinator) prefetch.push_back(obj);
     }
-    prefetch_outstanding_ =
-        send_by_shard(read_batches_by_shard(place(), last_watermark_, std::move(prefetch)));
+    prefetch_outstanding_ = send_tag_arr_round(
+        coor_shard_, std::move(req),
+        read_batches_by_shard(place(), last_watermark_, std::move(prefetch)));
   }
 
   bool on_reply(NodeId from, const Message& m) override {

@@ -17,6 +17,10 @@
 //  * C-mode (write-hot objects): prefetch the server's bounded version list
 //    (ReadValsBatchReq) in parallel with get-tag-arr; when latest[obj] is in
 //    the snapshot the read finishes in one round, Algorithm-C style.
+//  * The coordinator's shard: its objects are prefetched whatever their
+//    mode, in the read-vals-batch that carries the get-tag-arr.  The
+//    coordinator reads their lists in the step that builds the tag array,
+//    so those objects always resolve in round 1, at no extra frame.
 //  * Client cache: readers remember (key, value) per object from completed
 //    READs.  A later READ serves the cached value iff the fresh tag array
 //    proves the cached key IS still latest[obj] — keys name immutable

@@ -22,11 +22,12 @@ class ReaderC final : public ReadClient {
   void attempt() override {
     tag_arr_.reset();
     vals_.clear();
-    send(route(coor_shard_), Message{txn(), tag_arr_req(objs())});
-    // One read-vals-batch per server.  Watermark 0 leaves the stores'
-    // watermarks where the write path put them: they answer with the same
-    // live chains a per-object read-vals got.
-    send_by_shard(read_batches_by_shard(place(), /*watermark=*/0, objs()));
+    // One read-vals-batch per server, the coordinator's carrying the
+    // get-tag-arr.  Watermark 0 leaves the stores' watermarks where the
+    // write path put them: they answer with the same live chains a
+    // per-object read-vals got.
+    send_tag_arr_round(coor_shard_, tag_arr_req(objs()),
+                       read_batches_by_shard(place(), /*watermark=*/0, objs()));
   }
 
   // Responses from a superseded attempt are indistinguishable from current

@@ -2,9 +2,11 @@
 // transactions in the MWMR setting, no client-to-client communication.
 // A READ sends, in a single parallel round, get-tag-arr to the coordinator
 // s* and read-vals for every object it reads — one read-vals-batch per
-// server; servers respond non-blocking, but each object's list may carry
-// multiple versions — up to the number of concurrent WRITE transactions (the
-// |W| entry of Fig. 1(b)).
+// server, s*'s carrying the get-tag-arr when the READ reads s*'s shard, so
+// that s* too gets one frame.  Servers respond non-blocking, but each
+// object's list may carry multiple versions: up to |W| + 1, where |W|
+// counts the WRITEs whose interval overlaps the READ's (the |W| entry of
+// Fig. 1(b)).
 //
 // Version selection.  Pseudocode 7 returns the value whose key matches the
 // coordinator's kappa_j.  Because read-vals may overtake a concurrent

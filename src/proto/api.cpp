@@ -82,6 +82,16 @@ void ClientNode::on_message(NodeId from, const Message& m) {
     return;
   }
   if (on_peer(from, m)) return;
+  if (const auto* rv = std::get_if<ReadValsBatchResp>(&m.payload); rv && rv->tag_arr) {
+    // The tag array may complete the READ, so the batch passes the txn
+    // filter again after it.
+    const auto as_payload = [](const auto& reply) { return Payload{reply}; };
+    deliver(from, Message{m.txn, std::visit(as_payload, *rv->tag_arr)});
+  }
+  deliver(from, m);
+}
+
+void ClientNode::deliver(NodeId from, const Message& m) {
   if (!in_flight() || m.txn != txn_) {
     drop(m.txn <= newest_txn_ ? LogLevel::Debug : LogLevel::Warn, from, m,
          in_flight() ? "it names another transaction" : "no transaction is in flight");
@@ -108,6 +118,17 @@ void ReadClient::read(std::vector<ObjectId> objs, TxnCallback cb) {
   cb_ = std::move(cb);
   attempts_ = 1;
   attempt();
+}
+
+std::size_t ReadClient::send_tag_arr_round(std::size_t coor_shard, GetTagArrReq gt,
+                                           std::map<std::size_t, ReadValsBatchReq> batches) {
+  const auto coor = batches.find(coor_shard);
+  if (coor == batches.end()) {
+    send(route(coor_shard), Message{txn(), std::move(gt)});
+  } else {
+    coor->second.tag_arr = std::move(gt);
+  }
+  return send_by_shard(std::move(batches));
 }
 
 void ReadClient::retry(const char* why) {

@@ -201,7 +201,9 @@ class ShardRoutes {
 /// abort a client.  TxnIds grow, so a reply naming a txn older than the
 /// client's newest is a straggler of its own past (a superseded attempt's,
 /// or a prefetch an adaptive READ finished without, which is routine) and is
-/// dropped at debug level.  Invariant checks stay on in-turn replies: a
+/// dropped at debug level.  A read-vals-batch-resp that carries the
+/// coordinator's folded tag array reaches on_reply as two replies: the tag
+/// array first, then the batch.  Invariant checks stay on in-turn replies: a
 /// reply forged with the matching txn can still trip them.
 class ClientNode : public Node {
  public:
@@ -245,6 +247,8 @@ class ClientNode : public Node {
   void end() { txn_ = kInvalidTxn; }
 
  private:
+  /// Hands `m` to on_reply if it names the transaction in flight.
+  void deliver(NodeId from, const Message& m);
   void drop(LogLevel level, NodeId from, const Message& m, const char* why) const;
 
   HistoryRecorder& rec_;
@@ -289,6 +293,14 @@ class ReadClient : public ClientNode {
   const std::vector<ObjectId>& objs() const { return objs_; }
   /// This READ's attempts so far, counting the current one.
   int attempts() const { return attempts_; }
+
+  /// Sends one round that asks the coordinator shard `coor_shard` for the
+  /// tag array `gt` and each shard of `batches` for its version lists.
+  /// When `batches` holds the coordinator's shard, its batch carries `gt`
+  /// and no separate get-tag-arr goes out: one frame per server, the
+  /// coordinator included.  Returns how many batches it sent.
+  std::size_t send_tag_arr_round(std::size_t coor_shard, GetTagArrReq gt,
+                                 std::map<std::size_t, ReadValsBatchReq> batches);
 
   /// Re-runs attempt() for the READ in flight, within kMaxReadAttempts.
   /// `why` says what defeated the attempt, for the check when no retry is

@@ -547,14 +547,14 @@ void Replicator::defer_client(NodeId from, const Message& m) {
   }
   // Synced backup: our epoch IS the primary's, so the redirect carries an
   // epoch strictly newer than whatever stale route made the sender pick us.
-  send_(from, Message{kInvalidTxn, TakeoverNotice{cfg_.shard, cfg_.peer, epoch_}});
+  send_(from, Message{m.txn, TakeoverNotice{cfg_.shard, cfg_.peer, epoch_}});
 }
 
 void Replicator::redirect_parked() {
   const std::vector<std::pair<NodeId, Message>> parked = std::move(parked_);
   parked_.clear();
   for (const auto& [from, m] : parked) {
-    send_(from, Message{kInvalidTxn, TakeoverNotice{cfg_.shard, cfg_.peer, epoch_}});
+    send_(from, Message{m.txn, TakeoverNotice{cfg_.shard, cfg_.peer, epoch_}});
   }
 }
 

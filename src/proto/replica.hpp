@@ -207,7 +207,8 @@ class Replicator {
   /// so the message parks until the join resolves: replayed locally if we
   /// promote, redirected with the freshly-learned epoch otherwise.  Silently
   /// dropping instead would wedge the sender forever — the sim has no
-  /// client retransmit timers.
+  /// client retransmit timers.  A redirect names the request's txn, so a
+  /// synced backup's is the answer to that request (N).
   void defer_client(NodeId from, const Message& m);
 
   /// The List position the next append()ed kListPush will commit at (its

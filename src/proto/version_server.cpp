@@ -80,7 +80,8 @@ void VersionServer::on_message(NodeId from, const Message& m) {
     return;
   }
   if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
-    answer_tag_arr(from, m.txn, *gt);
+    std::visit([&](auto&& reply) { send(from, Message{m.txn, std::move(reply)}); },
+               answer_tag_arr(from, m.txn, *gt));
     return;
   }
   // Replies, other protocols' requests: nothing a peer sends may abort us.
@@ -151,10 +152,19 @@ bool VersionServer::serve_read(NodeId from, const Message& m) {
     return true;
   }
   if (const auto* pb = std::get_if<ReadValsBatchReq>(&m.payload)) {
+    // A folded get-tag-arr is answered first, registering the READ before
+    // the stores are read: the order a get-tag-arr sent ahead of the batch
+    // on the same FIFO link gave.
+    ReadValsBatchResp resp;
+    if (pb->tag_arr && list_) {
+      resp.tag_arr = answer_tag_arr(from, m.txn, *pb->tag_arr);
+    } else if (pb->tag_arr) {
+      SNOW_WARN("dropping the get-tag-arr part of read-vals-batch from node "
+                << from << ": this node is not the coordinator");
+    }
     // The live chains of one READ's objects on this server: with the
     // watermark flowing, each is the paper's <=|W|+1 candidate versions,
     // not the full history.
-    ReadValsBatchResp resp;
     resp.entries.reserve(pb->objs.size());
     for (ObjectId obj : pb->objs) resp.entries.push_back({obj, store(obj, pb->watermark).all()});
     send(from, Message{m.txn, std::move(resp)});
@@ -163,19 +173,16 @@ bool VersionServer::serve_read(NodeId from, const Message& m) {
   return false;
 }
 
-void VersionServer::answer_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& gt) {
+TagArrReply VersionServer::answer_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& gt) {
   list_->register_reader(from, txn);
   GetTagArrResp ta = list_->tag_arr(gt.objs, tag_history_);
-  if (!tracker_) {
-    send(from, Message{txn, std::move(ta)});
-    return;
-  }
+  if (!tracker_) return ta;
   AdaptTagArrResp resp;
   resp.tag = ta.tag;
   resp.watermark = ta.watermark;
   resp.entries = std::move(ta.entries);
   tracker_->modes().answer(gt.mode_epoch, resp);
-  send(from, Message{txn, std::move(resp)});
+  return resp;
 }
 
 bool VersionServer::handle_write_path(NodeId from, const Message& m) {

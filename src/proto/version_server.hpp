@@ -12,6 +12,10 @@
 // objects it hosts, and the server answers it with one frame: read-val-batch
 // asks for exact keys (A, B's round 2, occ's rounds, adaptive's round 2) and
 // read-vals-batch for live version chains (C's round, adaptive's prefetch).
+// On the coordinator's shard a read-vals-batch may also carry the READ's
+// get-tag-arr; the coordinator answers it in the same response, registering
+// the READ and building the tag array before it reads the stores, and any
+// other server answers the batch and drops that part with a warning.
 // No handler asks which protocol it serves.  The per-object read-val and
 // read-vals (payload tags 8-11) have no sender since snowkit-wire-v5 and are
 // dropped like any other payload the server does not serve.  Reads are
@@ -87,7 +91,9 @@ class VersionServer final : public Node {
   bool serve_read(NodeId from, const Message& m);
   bool handle_write_path(NodeId from, const Message& m);
   bool handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc);
-  void answer_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& gt);
+  /// Registers `from`'s READ `txn` for watermark accounting and builds the
+  /// reply to its get-tag-arr, standalone or folded into a read-vals-batch.
+  TagArrReply answer_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& gt);
   VersionStore& store(ObjectId obj, Tag watermark);
 
   std::size_t k_;

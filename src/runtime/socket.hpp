@@ -35,7 +35,7 @@ namespace snowkit::net {
 
 /// "SNWK" little-endian: the first 4 body bytes of every HELLO.
 inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
-/// snowkit-wire-v5: v1's framing and payload tags.  v2 sized get-tag-arr,
+/// snowkit-wire-v6: v1's framing and payload tags.  v2 sized get-tag-arr,
 /// tag-arr and adapt-tag-arr (tags 6, 7, 36) by the READ's objects; v3 sizes
 /// info-reader, update-coor and replication records by the WRITE's objects
 /// and ships adaptive mode tables as deltas (tags 2, 4, 6, 36), so no
@@ -45,10 +45,13 @@ inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
 /// the same for READs: every reader sends one read-val-batch or
 /// read-vals-batch per server per round (tags 37, 39, whose objects now
 /// ride as an ascending set), and the per-object read-val and read-vals
-/// (tags 8-11) have no sender.  Bump on any incompatible codec or framing
+/// (tags 8-11) have no sender.  v6 folds the get-tag-arr into the
+/// coordinator shard's read-vals-batch and its reply into that batch's
+/// response (tags 39, 40), so a READ sends one frame per server per round,
+/// the coordinator included.  Bump on any incompatible codec or framing
 /// change (docs/WIRE.md is the contract); peers of another version are
 /// refused at HELLO.
-inline constexpr std::uint64_t kWireVersion = 5;
+inline constexpr std::uint64_t kWireVersion = 6;
 /// Frames above this are a protocol error, not a large message: legitimate
 /// payloads scale with a READ's objects or a server's live version chains
 /// and stay orders of magnitude smaller, so an absurd length prefix means a

@@ -28,6 +28,13 @@ Pred of_txn(TxnId txn) {
   return [txn](NodeId, NodeId, const Message& m) { return m.txn == txn; };
 }
 
+Pred asks_tag_arr() {
+  return [](NodeId, NodeId, const Message& m) {
+    const auto* batch = std::get_if<ReadValsBatchReq>(&m.payload);
+    return std::holds_alternative<GetTagArrReq>(m.payload) || (batch && batch->tag_arr);
+  };
+}
+
 Pred all_of(std::vector<Pred> preds) {
   return [preds = std::move(preds)](NodeId f, NodeId t, const Message& m) {
     for (const auto& p : preds) {

@@ -21,6 +21,9 @@ Pred from_node(NodeId from);
 Pred between(NodeId from, NodeId to);
 Pred payload_is(std::string name);
 Pred of_txn(TxnId txn);
+/// A READ's request for the coordinator's tag array: a standalone
+/// get-tag-arr, or a read-vals-batch carrying one (coor set).
+Pred asks_tag_arr();
 Pred all_of(std::vector<Pred> preds);
 Pred any_of(std::vector<Pred> preds);
 Pred negate(Pred p);

@@ -52,10 +52,12 @@ TEST(AlgoC, ExhaustedRetriesGiveUpInsteadOfAborting) {
     rig.sim.run_until_idle();
   }
   EXPECT_FALSE(completed);
-  // One get-tag-arr per attempt, and no more once the budget is spent.
+  // One tag-array request per attempt (folded into s*'s read-vals-batch),
+  // and no more once the budget is spent.
+  const script::Pred asks_tag_arr = script::asks_tag_arr();
   std::size_t tag_arr_requests = 0;
   for (const auto& h : rig.sim.held()) {
-    tag_arr_requests += std::holds_alternative<GetTagArrReq>(h.msg.payload) ? 1 : 0;
+    tag_arr_requests += asks_tag_arr(h.from, h.to, h.msg) ? 1 : 0;
   }
   EXPECT_EQ(tag_arr_requests, 100u);
 }
@@ -110,12 +112,14 @@ TEST(AlgoC, DescentHandlesOvertakingReadVals) {
   // Force the race the descent exists for: the reader's read-vals-batch
   // reaches s_y BEFORE the concurrent write lands there, while get-tag-arr
   // reaches the coordinator AFTER update-coor.  kappa_y is then missing from
-  // Vals_y and the reader must fall back to the previous cut.
+  // Vals_y and the reader must fall back to the previous cut.  s* is a third
+  // server the READ does not read, so its get-tag-arr travels alone.
   SimRuntime sim;
-  HistoryRecorder rec(2);
+  HistoryRecorder rec(3);
   AlgoCOptions opts;
   opts.gc_versions = false;  // GC-off: the descent must SETTLE (no retry path)
-  auto sys = build_algo_c(sim, rec, SystemConfig{2, 1, 1}, opts);
+  opts.coordinator = 2;
+  auto sys = build_algo_c(sim, rec, SystemConfig{3, 1, 1}, opts);
   sim.start();
 
   // Script: hold W's write-val to s_y (object 1) and the READ's messages.
@@ -152,6 +156,55 @@ TEST(AlgoC, DescentHandlesOvertakingReadVals) {
   sim.run_until_idle();
   ASSERT_TRUE(r_done);
   // Descent must have settled on the old consistent cut.
+  EXPECT_EQ(result.values[0].second, kInitialValue);
+  EXPECT_EQ(result.values[1].second, kInitialValue);
+  auto verdict = check_tag_order(rec.snapshot());
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
+}
+
+TEST(AlgoC, DescentHandlesOvertakingReadValsWithAFoldedTagArray) {
+  // The same race with s* on s_x's shard: get-tag-arr rides s_x's
+  // read-vals-batch, so the tag array and Vals_x are read in one step.
+  // Vals_y is still read before the write lands there and the tag array
+  // after update-coor, so kappa_y is again missing from Vals_y.
+  SimRuntime sim;
+  HistoryRecorder rec(2);
+  AlgoCOptions opts;
+  opts.gc_versions = false;  // GC-off: the descent must SETTLE (no retry path)
+  auto sys = build_algo_c(sim, rec, SystemConfig{2, 1, 1}, opts);
+  sim.start();
+
+  sim.hold_matching(script::any_of(
+      {script::all_of({script::payload_is("write-val"), script::to_node(1)}),
+       script::payload_is("read-vals-batch"), script::asks_tag_arr()}));
+
+  bool w_done = false;
+  invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const TxnResult&) { w_done = true; });
+  sim.run_until_idle();  // write-val@s_x delivered+acked; write-val@s_y held
+
+  TxnResult result;
+  bool r_done = false;
+  invoke_read(sim, sys->reader(0), {0, 1}, [&](const TxnResult& r) {
+    result = r;
+    r_done = true;
+  });
+  sim.run_until_idle();
+  ASSERT_EQ(sim.held().size(), 3u);  // write-val@s_y and one batch per server: no get-tag-arr
+
+  // Deliver read-vals-batch to s_y now (no new version yet)...
+  ASSERT_TRUE(script::release_one(sim, script::all_of({script::payload_is("read-vals-batch"),
+                                                       script::to_node(1)})));
+  sim.run_until_idle();
+  // ...then let the write finish (write-val@s_y, update-coor)...
+  ASSERT_TRUE(script::release_one(sim, script::payload_is("write-val")));
+  sim.run_until_idle();
+  ASSERT_TRUE(w_done);
+  // ...and only now deliver s_x's batch with the folded get-tag-arr: t_r
+  // names the new write, whose key is absent from the Vals_y snapshot.
+  ASSERT_TRUE(script::release_one(sim, script::all_of({script::asks_tag_arr(),
+                                                       script::to_node(0)})));
+  sim.run_until_idle();
+  ASSERT_TRUE(r_done);
   EXPECT_EQ(result.values[0].second, kInitialValue);
   EXPECT_EQ(result.values[1].second, kInitialValue);
   auto verdict = check_tag_order(rec.snapshot());
@@ -213,7 +266,7 @@ TEST(AlgoC, CoordinatorAlsoServesItsObject) {
   TxnResult result;
   invoke_read(rig.sim, rig.sys->reader(0), {0}, [&](const TxnResult& r) { result = r; });
   rig.sim.run_until_idle();
-  EXPECT_EQ(result.values[0].second, 77);  // get-tag-arr + read-vals-batch both at s*
+  EXPECT_EQ(result.values[0].second, 77);  // one read-vals-batch to s*, get-tag-arr folded in
 }
 
 }  // namespace

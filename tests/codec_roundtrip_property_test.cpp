@@ -197,12 +197,30 @@ ReadValBatchResp make_random(Xoshiro256& rng) {
   return {std::move(entries)};
 }
 template <>
-ReadValsBatchReq make_random(Xoshiro256& rng) { return {ru64(rng), robj_set(rng, 1)}; }
+ReadValsBatchReq make_random(Xoshiro256& rng) {
+  // The watermark shares its varint with the coor bit, so it stays below
+  // 2^63; half fold a get-tag-arr, whose I is never empty.
+  ReadValsBatchReq p{ru64(rng) / 2, robj_set(rng, 1)};
+  if (rbool(rng)) p.tag_arr = GetTagArrReq{robj_set(rng, 1), ru64(rng)};
+  return p;
+}
 template <>
 ReadValsBatchResp make_random(Xoshiro256& rng) {
   std::vector<ObjectVersions> entries(rng.below(6));
   for (auto& e : entries) e = {ru32(rng), rversions(rng)};
-  return {std::move(entries)};
+  // The tag-array section: none, a tag-arr or an adapt-tag-arr.
+  ReadValsBatchResp p{std::move(entries)};
+  switch (rng.below(3)) {
+    case 1:
+      p.tag_arr = make_random<GetTagArrResp>(rng);
+      break;
+    case 2:
+      p.tag_arr = make_random<AdaptTagArrResp>(rng);
+      break;
+    default:
+      break;
+  }
+  return p;
 }
 
 template <std::size_t I = 0>

@@ -160,6 +160,8 @@ TEST(Codec, ReadBatches) {
   EXPECT_EQ(encode_message(Message{7, batch}),
             (std::vector<std::uint8_t>{0x07, 0x25, 0x09, 0x02, 0x05, 0x03, 0x02, 0xA7, 0x02,
                                        0x00, 0x00}));
+  // read-vals-batch's first varint is 2 * watermark + coor (0: no folded
+  // get-tag-arr).
   const ReadValsBatchReq lists{0, {5, 300}};
   EXPECT_EQ(encode_message(Message{7, lists}),
             (std::vector<std::uint8_t>{0x07, 0x27, 0x00, 0x02, 0x05, 0xA7, 0x02}));
@@ -168,6 +170,43 @@ TEST(Codec, ReadBatches) {
         Payload{ReadValBatchResp{{{5, WriteKey{3, 1}, -4, true}, {300, kInitialKey, 0, false}}}},
         Payload{ReadValsBatchResp{{{5, {Version{kInitialKey, 0}, Version{WriteKey{3, 1}, 8}}},
                                    {300, {Version{kInitialKey, 0}}}}}}}) {
+    EXPECT_EQ(decode_message(encode_message(Message{7, p})), (Message{7, p}));
+  }
+}
+
+TEST(Codec, ReadValsBatchFoldsTheCoordinatorsTagArray) {
+  // The coordinator shard's batch: coor bit set (2 * watermark 0 + 1), the
+  // batch, then get-tag-arr's body — the whole READ's I {0, 5, 300} as
+  // gaps, and mode epoch 2.
+  const GetTagArrReq gt{{0, 5, 300}, 2};
+  const ReadValsBatchReq folded{0, {5, 300}, gt};
+  EXPECT_EQ(encode_message(Message{7, folded}),
+            (std::vector<std::uint8_t>{0x07, 0x27, 0x01, 0x02, 0x05, 0xA7, 0x02, 0x03, 0x00, 0x05,
+                                       0xA7, 0x02, 0x02}));
+  // Its response: 4 * entry count + the tag-array kind (0 none, 1 tag-arr,
+  // 2 adapt-tag-arr), the entries, then that reply's body: tag 4,
+  // watermark 2, no entries.
+  const std::vector<ObjectVersions> lists{{5, {Version{kInitialKey, 0}}}};
+  const ReadValsBatchResp plain{lists, std::nullopt};
+  const ReadValsBatchResp with_tag_arr{lists, GetTagArrResp{4, 2, {}}};
+  EXPECT_EQ(encode_message(Message{7, plain}),
+            (std::vector<std::uint8_t>{0x07, 0x28, 0x04, 0x05, 0x01, 0x00, 0x00, 0x00}));
+  EXPECT_EQ(encode_message(Message{7, with_tag_arr}),
+            (std::vector<std::uint8_t>{0x07, 0x28, 0x05, 0x05, 0x01, 0x00, 0x00, 0x00, 0x04, 0x02,
+                                       0x00}));
+  // A batch that does not fold pays nothing for the fold, and a fold costs
+  // the standalone body alone: the get-tag-arr's or reply's txn and tag
+  // bytes (and its frame) are what it saves.
+  EXPECT_EQ(encoded_size(Message{7, folded}),
+            encoded_size(Message{7, ReadValsBatchReq{0, {5, 300}}}) +
+                encoded_size(Message{7, gt}) - 2);
+  const std::vector<TagArrEntry> entries{TagArrEntry{5, WriteKey{1, 0}, {}}};
+  const AdaptTagArrResp adapt{4, 2, entries, 9, 7, {5}, {300}};
+  const ReadValsBatchResp with_adapt{lists, adapt};
+  EXPECT_EQ(encoded_size(Message{7, with_adapt}),
+            encoded_size(Message{7, plain}) + encoded_size(Message{7, adapt}) - 2);
+  for (const Payload& p : {Payload{folded}, Payload{plain}, Payload{with_tag_arr},
+                           Payload{with_adapt}}) {
     EXPECT_EQ(decode_message(encode_message(Message{7, p})), (Message{7, p}));
   }
 }
@@ -227,6 +266,11 @@ TEST(Codec, TryDecodeRejectsMalformedBytes) {
                            Payload{GetTagArrReq{{3, 300, 70000}, 200}},
                            Payload{ReadValBatchReq{4, {{2, WriteKey{3, 1}}, {300, kInitialKey}}}},
                            Payload{ReadValsBatchReq{4, {2, 300, 70000}}},
+                           Payload{ReadValsBatchReq{4, {2, 300}, GetTagArrReq{{2, 300, 70000}, 9}}},
+                           Payload{ReadValsBatchResp{{{2, {Version{WriteKey{3, 1}, -1}}}},
+                                                     GetTagArrResp{4, 2, entries}}},
+                           Payload{ReadValsBatchResp{
+                               {{2, {}}}, AdaptTagArrResp{4, 2, entries, 9, 7, {5}, {2, 300}}}},
                            Payload{GetTagArrResp{4, 2, entries}},
                            Payload{AdaptTagArrResp{4, 2, entries, 9, 7, {5}, {2, 300}}},
                            Payload{AdaptTagArrResp{4, 2, entries, 9, 0, {5, 300}, {}}},
@@ -365,6 +409,31 @@ TEST(Codec, TryDecodeRejectsMalformedReadBatches) {
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
   ASSERT_TRUE(try_decode_message({0x00, 0x27, 0x00, 0x01, 0x00}, out, err)) << err;
   EXPECT_EQ(std::get<ReadValsBatchReq>(out.payload), (ReadValsBatchReq{0, {0}}));
+  // With the coor bit set (first varint odd) the get-tag-arr body must
+  // follow, and its I names the READ's objects: never none, strictly
+  // ascending.
+  EXPECT_FALSE(try_decode_message({0x00, 0x27, 0x01, 0x01, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x00, 0x27, 0x01, 0x01, 0x00, 0x00, 0x00}, out, err));
+  EXPECT_NE(err.find("names no object"), std::string::npos) << err;
+  EXPECT_FALSE(
+      try_decode_message({0x00, 0x27, 0x01, 0x01, 0x00, 0x02, 0x05, 0x00, 0x00}, out, err));
+  EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
+  ASSERT_TRUE(
+      try_decode_message({0x00, 0x27, 0x03, 0x01, 0x00, 0x02, 0x00, 0x05, 0x03}, out, err))
+      << err;
+  EXPECT_EQ(std::get<ReadValsBatchReq>(out.payload),
+            (ReadValsBatchReq{1, {0}, GetTagArrReq{{0, 5}, 3}}));
+  // Tag 40 (read-vals-batch-resp): 4 * count + kind, where kind 3 means
+  // nothing and a kind's body must follow the entries.
+  EXPECT_FALSE(try_decode_message({0x00, 0x28, 0x03}, out, err));
+  EXPECT_NE(err.find("tag-array kind"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message({0x00, 0x28, 0x07, 0x05, 0x00}, out, err));
+  EXPECT_NE(err.find("tag-array kind"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message({0x00, 0x28, 0x01}, out, err));  // kind 1, no body
+  EXPECT_FALSE(try_decode_message({0x00, 0x28, 0x02, 0x04, 0x02, 0x00}, out, err));  // kind 2
+  ASSERT_TRUE(try_decode_message({0x00, 0x28, 0x01, 0x04, 0x02, 0x00}, out, err)) << err;
+  EXPECT_EQ(std::get<ReadValsBatchResp>(out.payload),
+            (ReadValsBatchResp{{}, GetTagArrResp{4, 2, {}}}));
 }
 
 TEST(Codec, TryDecodeRejectsMalformedModeDeltas) {
@@ -397,6 +466,11 @@ TEST(Codec, TryDecodeRejectsHugeListCounts) {
   const std::vector<std::uint8_t> bytes{0x00, 0x07, 0x01, 0x00, 0x01, 0x02, 0x01, 0x00, 0x80,
                                         0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01};
   EXPECT_FALSE(try_decode_message(bytes, out, err));
+  // The same for a read-vals-batch-resp, whose count shares a varint with
+  // the tag-array kind.
+  EXPECT_FALSE(try_decode_message(
+      {0x00, 0x28, 0xFC, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, out, err));
+  EXPECT_NE(err.find("exceeds buffer"), std::string::npos) << err;
 }
 
 }  // namespace

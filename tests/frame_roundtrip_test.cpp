@@ -1,4 +1,4 @@
-// snowkit-wire-v5 framing at the byte boundary: encoded frames must survive
+// snowkit-wire-v6 framing at the byte boundary: encoded frames must survive
 // arbitrary TCP segmentation (split at EVERY byte offset and reassembled
 // through the NetRuntime framing decoder), and malformed streams — garbage
 // prefixes, truncations, absurd lengths — must surface as decoder ERRORS,
@@ -44,6 +44,10 @@ std::vector<Message> corpus() {
   msgs.push_back(Message{11, vals});
   msgs.push_back(Message{11, ReadValBatchReq{890, {{5, WriteKey{5, 0}}, {4095, kInitialKey}}}});
   msgs.push_back(Message{11, ReadValsBatchReq{0, {0, 130, 70'000}}});
+  msgs.push_back(Message{11, ReadValsBatchReq{4, {0, 5}, GetTagArrReq{{0, 5, 130, 4095}, 3}}});
+  msgs.push_back(Message{11, ReadValsBatchResp{{ObjectVersions{1, vals.versions}}, tagarr}});
+  msgs.push_back(Message{11, ReadValsBatchResp{{ObjectVersions{5, {}}},
+                                               AdaptTagArrResp{900, 890, {}, 9, 7, {12}, {3}}}});
   msgs.push_back(Message{kInvalidTxn, ReadDoneReq{42}});
   msgs.push_back(Message{13, EigerReadResp{0, 123, 4, 9, 17}});
   return msgs;
@@ -224,18 +228,19 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
   // Wrong wire version must be rejected, not silently accepted.
-  std::vector<std::uint8_t> v6{0x53, 0x4E, 0x57, 0x4B, 0x06, 0x00};
-  EXPECT_FALSE(net::parse_hello(v6, hello, err));
+  std::vector<std::uint8_t> v7{0x53, 0x4E, 0x57, 0x4B, 0x07, 0x00};
+  EXPECT_FALSE(net::parse_hello(v7, hello, err));
   EXPECT_NE(err.find("wire version"), std::string::npos);
 }
 
-TEST(FrameRoundtrip, V5PeerRefusesOlderHellos) {
+TEST(FrameRoundtrip, V6PeerRefusesOlderHellos) {
   // v1 peers ship k-wide tag arrays, v2 peers k-bit write masks and mode
-  // tables, v3 peers one write-val, ack and finalize per object, and v4
-  // peers one read-val or read-vals per object and unsorted read batches —
-  // all of which v5 decodes as garbage or drops: the HELLO gate must refuse
-  // them by name before any MSG frame is parsed.
-  ASSERT_EQ(net::kWireVersion, 5u);
+  // tables, v3 peers one write-val, ack and finalize per object, v4 peers
+  // one read-val or read-vals per object and unsorted read batches, and v5
+  // peers read-vals-batches without the coor byte — all of which v6 decodes
+  // as garbage or drops: the HELLO gate must refuse them by name before any
+  // MSG frame is parsed.
+  ASSERT_EQ(net::kWireVersion, 6u);
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, 1);
   FrameDecoder dec;
@@ -245,13 +250,13 @@ TEST(FrameRoundtrip, V5PeerRefusesOlderHellos) {
   net::HelloBody hello;
   std::string err;
   ASSERT_TRUE(net::parse_hello(f.body, hello, err)) << err;
-  // The same HELLO with the version varint rewritten to 1, 2, 3 and 4.
-  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04}) {
+  // The same HELLO with the version varint rewritten to 1 through 5.
+  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04, 0x05}) {
     auto body = f.body;
-    ASSERT_EQ(body[4], 0x05);
+    ASSERT_EQ(body[4], 0x06);
     body[4] = old;
     EXPECT_FALSE(net::parse_hello(body, hello, err));
-    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 5)");
+    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 6)");
   }
 }
 

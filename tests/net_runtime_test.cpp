@@ -504,11 +504,12 @@ TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
   // Frames that decode fine but that no algo-b reader sends: a
   // read-val-batch for a key the server never stored, the per-object
   // read-val and read-vals no reader sends since wire v5, a read-vals-batch
-  // (algo-c's request), a tag array (a reply), an eiger read, and a
-  // read-val-batch and a write-val naming an object id >= k.  The server
-  // must answer the first with found == false, may serve the
-  // read-vals-batch, must drop the rest, and must then still serve a real
-  // workload.
+  // (algo-c's request) plain and with a get-tag-arr folded in (which only
+  // the coordinator serves), a tag array and a read-vals-batch-resp
+  // carrying one (replies), an eiger read, and a read-val-batch and a
+  // write-val naming an object id >= k.  The server must answer the first
+  // with found == false, serves both read-vals-batches without a tag array,
+  // must drop the rest, and must then still serve a real workload.
   const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
   FleetProc server;
   server.build(fleet, 0);
@@ -527,7 +528,11 @@ TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
   net::append_msg(bytes, reader, other, Message{1, ReadValReq{1, kInitialKey, 0}});
   net::append_msg(bytes, reader, other, Message{1, ReadValsReq{1}});
   net::append_msg(bytes, reader, other, Message{1, ReadValsBatchReq{0, {1}}});
+  net::append_msg(bytes, reader, other,
+                  Message{1, ReadValsBatchReq{0, {1}, GetTagArrReq{{0, 1}, 0}}});
   net::append_msg(bytes, reader, other, Message{1, GetTagArrResp{}});
+  net::append_msg(bytes, reader, other,
+                  Message{1, ReadValsBatchResp{{}, GetTagArrResp{3, 0, {}}}});
   net::append_msg(bytes, reader, other, Message{1, EigerReadReq{1, 3}});
   net::append_msg(bytes, reader, other,
                   Message{1, ReadValBatchReq{0, {{1, kInitialKey}, {2, kInitialKey}}}});
@@ -538,6 +543,7 @@ TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
   ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
 
   std::vector<BatchReadResult> read_vals;
+  int lists = 0;
   int others = 0;
   net::FrameDecoder dec;
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -558,7 +564,10 @@ TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
       if (const auto* rv = std::get_if<ReadValBatchResp>(&m.payload)) {
         ASSERT_EQ(rv->entries.size(), 1u);
         read_vals.push_back(rv->entries[0]);
-      } else if (!std::holds_alternative<ReadValsBatchResp>(m.payload)) {
+      } else if (const auto* lb = std::get_if<ReadValsBatchResp>(&m.payload)) {
+        ++lists;
+        EXPECT_FALSE(lb->tag_arr.has_value()) << "a non-coordinator answered get-tag-arr";
+      } else {
         ++others;
       }
     }
@@ -569,6 +578,7 @@ TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
   EXPECT_FALSE(read_vals[0].found);
   EXPECT_EQ(read_vals[1].key, kInitialKey);
   EXPECT_TRUE(read_vals[1].found);
+  EXPECT_EQ(lists, 2);
   EXPECT_EQ(others, 0) << "the server answered a payload it does not serve";
 
   FleetProc client;

@@ -1,9 +1,11 @@
 // A READ round sends one frame per server, not one per object: a server
 // hosting several objects of a READ gets one read-val-batch or
 // read-vals-batch and answers one response, for algo-a, algo-b, algo-c and
-// occ-reads as for adaptive; a failover re-sends one batch for the shard it
-// moved; and a batched response counts its versions per object.  Counted by
-// payload on the simulator.
+// occ-reads as for adaptive.  algo-c's and adaptive's get-tag-arr rides the
+// coordinator shard's read-vals-batch when the round sends it one, so the
+// coordinator is one of those servers too.  A failover re-sends one batch
+// for the shard it moved, and a batched response counts its versions per
+// object.  Counted by payload on the simulator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -13,19 +15,24 @@
 #include "checker/snow_monitor.hpp"
 #include "core/registry.hpp"
 #include "core/system.hpp"
+#include "sim/script.hpp"
 #include "sim/sim_runtime.hpp"
 
 namespace snowkit {
 namespace {
 
-/// Counts sends by payload name, and keeps each read-val-batch sent.
+/// Counts sends by payload name, and keeps each read-val-batch sent and the
+/// get-tag-arr folded into each read-vals-batch.
 struct Counter final : MessageObserver {
   std::map<std::string, int> sent;
   std::vector<std::pair<NodeId, ReadValBatchReq>> batches;  ///< (receiver, body).
+  std::vector<std::pair<NodeId, std::vector<ObjectId>>> folded;  ///< (receiver, I).
 
   void on_send(NodeId, NodeId to, const Message& m, std::size_t) override {
     ++sent[payload_name(m.payload)];
     if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) batches.emplace_back(to, *rb);
+    const auto* lb = std::get_if<ReadValsBatchReq>(&m.payload);
+    if (lb && lb->tag_arr) folded.emplace_back(to, lb->tag_arr->objs);
   }
   void on_deliver(NodeId, NodeId, const Message&) override {}
 
@@ -107,13 +114,36 @@ TEST(ReadFanOut, AlgoCReadSendsOneBatchPerServer) {
   rig.count.reset();
   const TxnResult r = rig.read({0, 1, 2, 3});
   EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 10}, {2, 20}, {3, 0}}));
-  EXPECT_EQ(rig.count.total(), 7);  // 11 with one read-vals per object
-  EXPECT_EQ(rig.count["get-tag-arr"], 1);
-  EXPECT_EQ(rig.count["tag-arr"], 1);
+  // 2 batches + 2 responses + read-done: the get-tag-arr and its tag-arr
+  // ride s*'s batch and response.  7 with them standalone, 11 with one
+  // read-vals per object.
+  EXPECT_EQ(rig.count.total(), 5);
+  EXPECT_EQ(rig.count["get-tag-arr"], 0);
+  EXPECT_EQ(rig.count["tag-arr"], 0);
   EXPECT_EQ(rig.count["read-vals-batch"], 2);
   EXPECT_EQ(rig.count["read-vals-batch-resp"], 2);
   EXPECT_EQ(rig.count["read-done"], 1);
   EXPECT_EQ(rig.count["read-vals"], 0);
+  // The folded get-tag-arr names the whole READ, not just s*'s objects.
+  EXPECT_EQ(rig.count.folded,
+            (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 1, 2, 3}}}));
+}
+
+TEST(ReadFanOut, AlgoCReadMissingTheCoordinatorsShardSendsItsGetTagArrAlone) {
+  // Objects 2 and 3 live on shard 1 only: s* gets a get-tag-arr of its own,
+  // 2S + 3 frames for S = 1.
+  Rig rig("algo-c");
+  rig.write({{2, 20}});
+  rig.count.reset();
+  const TxnResult r = rig.read({3, 2});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{3, 0}, {2, 20}}));
+  EXPECT_EQ(rig.count.total(), 5);
+  EXPECT_EQ(rig.count["get-tag-arr"], 1);
+  EXPECT_EQ(rig.count["tag-arr"], 1);
+  EXPECT_EQ(rig.count["read-vals-batch"], 1);
+  EXPECT_EQ(rig.count["read-vals-batch-resp"], 1);
+  EXPECT_EQ(rig.count["read-done"], 1);
+  EXPECT_TRUE(rig.count.folded.empty());
 }
 
 TEST(ReadFanOut, AlgoAReadSendsOneBatchPerServer) {
@@ -147,30 +177,50 @@ TEST(ReadFanOut, OccValidatedOptimisticRoundSendsOneBatchPerServer) {
   EXPECT_EQ(rig.count["read-val-batch-resp"], 4);
 }
 
-TEST(ReadFanOut, AdaptiveIsUnchanged) {
-  // Adaptive batched before the other readers did: a cold READ prefetches
-  // every uncached object, one batch per server; a warm one is served from
-  // its cache behind the tag array alone.
+TEST(ReadFanOut, AdaptiveFoldsItsGetTagArrIntoTheCoordinatorsPrefetch) {
+  // A cold READ prefetches every uncached object, one batch per server, and
+  // its get-tag-arr rides s*'s prefetch (7 frames with it standalone).
   Rig rig("adaptive");
   rig.read({0, 1, 2, 3});
-  EXPECT_EQ(rig.count.total(), 7);
-  EXPECT_EQ(rig.count["get-tag-arr"], 1);
-  EXPECT_EQ(rig.count["adapt-tag-arr"], 1);
+  EXPECT_EQ(rig.count.total(), 5);
+  EXPECT_EQ(rig.count["get-tag-arr"], 0);
+  EXPECT_EQ(rig.count["adapt-tag-arr"], 0);
   EXPECT_EQ(rig.count["read-vals-batch"], 2);
   EXPECT_EQ(rig.count["read-vals-batch-resp"], 2);
   EXPECT_EQ(rig.count["read-done"], 1);
+  EXPECT_EQ(rig.count.folded,
+            (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 1, 2, 3}}}));
+  // A warm one is served from its cache behind the tag array alone: s*'s
+  // objects still ride the get-tag-arr's frame, at no extra frame.
   rig.count.reset();
   rig.read({0, 1, 2, 3});
   EXPECT_EQ(rig.count.total(), 3);
+  EXPECT_EQ(rig.count["read-vals-batch"], 1);
+  EXPECT_EQ(rig.count.folded,
+            (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 1, 2, 3}}}));
+  // A warm READ that misses s*'s shard sends its get-tag-arr alone.
+  rig.count.reset();
+  rig.read({2, 3});
+  EXPECT_EQ(rig.count.total(), 3);
+  EXPECT_EQ(rig.count["get-tag-arr"], 1);
+  EXPECT_EQ(rig.count["adapt-tag-arr"], 1);
   // A WRITE makes the cached keys of two objects stale: round 2 fetches
   // both with one read-val-batch to their server.
   rig.write({{2, 20}, {3, 30}});
   rig.count.reset();
-  const TxnResult r = rig.read({0, 1, 2, 3});
+  TxnResult r = rig.read({0, 1, 2, 3});
   EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 0}, {2, 20}, {3, 30}}));
   EXPECT_EQ(rig.count.total(), 5);
   EXPECT_EQ(rig.count["read-val-batch"], 1);
   EXPECT_EQ(rig.count["read-val-batch-resp"], 1);
+  // Stale keys on s*'s shard need no round 2: s* read their lists in the
+  // step that built the tag array.
+  rig.write({{0, 5}, {1, 6}});
+  rig.count.reset();
+  r = rig.read({0, 1, 2, 3});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 5}, {1, 6}, {2, 20}, {3, 30}}));
+  EXPECT_EQ(rig.count.total(), 3);
+  EXPECT_EQ(rig.count["read-val-batch"], 0);
 }
 
 TEST(ReadFanOut, OneServerPerObjectKeepsThePaperFanOut) {
@@ -219,6 +269,39 @@ TEST(ReadFanOut, TakeoverResendsOneBatchForTheShardThatMoved) {
   EXPECT_EQ(entries[0].obj, 2u);
   EXPECT_EQ(entries[1].obj, 3u);
   EXPECT_EQ(rig.count["get-tag-arr"], 0) << "a non-coordinator takeover restarted the READ";
+  rig.sim.release_all();  // the dead primary's batch goes nowhere
+  rig.sim.run_until_idle();
+}
+
+TEST(ReadFanOut, TakeoverOfTheCoordinatorsShardResendsOneFoldedBatch) {
+  // s*'s primary dies with the READ's folded batch to it undelivered: the
+  // restarted attempt folds its get-tag-arr into one batch to the backup
+  // that took over, and sends no get-tag-arr of its own.
+  Rig rig("algo-c", 2, BuildOptions{}.set("replicas", std::int64_t{2}));
+  rig.write({{1, 11}, {2, 22}});
+  rig.sim.hold_matching(script::all_of({script::asks_tag_arr(), script::to_node(0)}));
+  TxnResult result;
+  bool done = false;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2, 3}, [&](const TxnResult& r) {
+    result = r;
+    done = true;
+  });
+  rig.sim.run_until_idle();
+  ASSERT_FALSE(done);
+  ASSERT_EQ(rig.sim.held().size(), 1u);
+  rig.sim.hold_matching(nullptr);
+  rig.count.reset();
+  rig.sim.crash(0);
+  rig.sim.run_until_idle();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(result.values,
+            (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 11}, {2, 22}, {3, 0}}));
+  SystemConfig cfg{4, 1, 1};
+  cfg.num_servers = 2;
+  EXPECT_EQ(rig.count.folded,
+            (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{cfg.backup_node(0),
+                                                                    {0, 1, 2, 3}}}));
+  EXPECT_EQ(rig.count["get-tag-arr"], 0);
   rig.sim.release_all();  // the dead primary's batch goes nowhere
   rig.sim.run_until_idle();
 }

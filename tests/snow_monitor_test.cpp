@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "checker/snow_monitor.hpp"
+#include "proto/algo_c/algo_c.hpp"
+#include "sim/sim_runtime.hpp"
 
 namespace snowkit {
 namespace {
@@ -115,6 +117,42 @@ TEST(SnowMonitor, MultiVersionResponseCounted) {
   EXPECT_EQ(report.max_read_rounds, 1);
   EXPECT_FALSE(report.satisfies_o());  // multi-version breaks one-version
   EXPECT_TRUE(report.one_round());
+}
+
+TEST(SnowMonitor, AFoldedTagArrayIsOneResponseOfTheRound) {
+  // algo-c over 2 shards (objects {0, 1} on s*'s): the READ's tag array
+  // rides shard 0's read-vals-batch-resp, which counts as one response of
+  // the READ's one round, its versions the longest list it carries (object
+  // 0's three, not the four of both objects).
+  SimRuntime sim(make_fixed_delay(1000));
+  HistoryRecorder rec(4);
+  AlgoCOptions opts;
+  opts.gc_versions = false;
+  SystemConfig cfg{4, 1, 1};
+  cfg.num_servers = 2;
+  cfg.placement = PlacementKind::kRange;
+  auto sys = build_algo_c(sim, rec, cfg, opts);
+  for (Value v : {1, 2}) {
+    invoke_write(sim, sys->writer(0), {{0, v}}, [](const TxnResult&) {});
+    sim.run_until_idle();
+  }
+  invoke_read(sim, sys->reader(0), {0, 1, 2}, [](const TxnResult&) {});
+  sim.run_until_idle();
+  const History h = rec.snapshot();
+  const NodeId reader = sys->reader(0).node_id();
+  int responses = 0;
+  for (const Action& a : sim.trace().actions()) {
+    if (a.kind == ActionKind::Recv && a.node == reader) {
+      ++responses;
+      EXPECT_EQ(a.msg, "read-vals-batch-resp");
+      EXPECT_EQ(a.versions, a.peer == 0 ? 3 : 1);
+    }
+  }
+  EXPECT_EQ(responses, 2);  // one per server, the coordinator's included
+  const auto report = analyze_snow_trace(sim.trace(), 2, h);
+  EXPECT_TRUE(report.satisfies_n());
+  EXPECT_EQ(report.max_read_rounds, 1);
+  EXPECT_EQ(report.max_versions_per_response, 3);
 }
 
 TEST(SnowMonitor, WriteTrafficIgnored) {

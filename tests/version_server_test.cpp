@@ -165,6 +165,68 @@ TEST(VersionServer, RequestsNamingObjectsOutsideKAreDropped) {
   }
 }
 
+TEST(VersionServer, OnlyTheCoordinatorAnswersAFoldedGetTagArr) {
+  // A read-vals-batch carrying a get-tag-arr is answered by every server;
+  // the coordinator adds its tag array (ids >= k in I skipped), any other
+  // server drops that part with a warning, as it drops a misrouted
+  // finalize-coor.
+  for (const Case c : {Case{"algo-b", 1}, Case{"algo-b", 2}, Case{"algo-c", 1},
+                       Case{"adaptive", 1}}) {
+    SCOPED_TRACE(std::string(c.protocol) + " replicas " + std::to_string(c.replicas));
+    SimRuntime sim(make_uniform_delay(10, 4000, 3));
+    HistoryRecorder rec(3);
+    BuildOptions opts;
+    if (c.replicas == 2) opts.set("replicas", std::int64_t{2});
+    auto sys = build_protocol(c.protocol, sim, rec, SystemConfig{3, 1, 2}, opts);
+    auto probe_node = std::make_unique<Probe>();
+    Probe& probe = *probe_node;
+    const NodeId prober = sim.add_node(std::move(probe_node));
+    sim.run_until_idle();  // replica boot
+
+    for (NodeId server = 0; server < sys->num_servers(); ++server) {
+      const Message m{1, ReadValsBatchReq{0, {server}, GetTagArrReq{{0, 2, 70'000}, 0}}};
+      sim.post(prober, [&sim, prober, server, m] { sim.send(prober, server, m); });
+    }
+    sim.run_until_idle();
+
+    for (NodeId server = 0; server < sys->num_servers(); ++server) {
+      SCOPED_TRACE("server " + std::to_string(server));
+      ASSERT_EQ(probe.got[server].size(), 1u);
+      const auto& resp = std::get<ReadValsBatchResp>(probe.got[server][0]);
+      ASSERT_EQ(resp.entries.size(), 1u);
+      EXPECT_EQ(resp.entries[0].obj, server);
+      if (server != 0) {
+        EXPECT_FALSE(resp.tag_arr.has_value());
+        continue;
+      }
+      ASSERT_TRUE(resp.tag_arr.has_value());
+      const std::vector<TagArrEntry>& entries =
+          std::visit([](const auto& ta) -> const std::vector<TagArrEntry>& { return ta.entries; },
+                     *resp.tag_arr);
+      ASSERT_EQ(entries.size(), 2u);
+      EXPECT_EQ(entries[0].obj, 0u);
+      EXPECT_EQ(entries[1].obj, 2u);
+      EXPECT_EQ(std::holds_alternative<AdaptTagArrResp>(*resp.tag_arr),
+                std::string(c.protocol) == "adaptive");
+    }
+
+    WorkloadSpec spec;
+    spec.ops_per_reader = 10;
+    spec.ops_per_writer = 6;
+    spec.read_span = 2;
+    spec.write_span = 2;
+    spec.seed = 13;
+    WorkloadDriver driver(sim, *sys, spec);
+    driver.start();
+    sim.run_until_idle();
+    ASSERT_TRUE(driver.done());
+    const History h = rec.snapshot();
+    EXPECT_EQ(h.completed_reads(), 10u);
+    const auto verdict = check_tag_order(h);
+    EXPECT_TRUE(verdict.ok) << verdict.explanation;
+  }
+}
+
 TEST(VersionServer, ForgedFinalizesAreDropped) {
   // A finalize naming a key the store does not hold, or a List position
   // already finalized under another key, would trip VersionStore::finalize's
