@@ -31,14 +31,14 @@ namespace snowkit::bench {
 /// One measured configuration inside a scenario run.  Every field is always
 /// emitted to JSON (zeros mean "not applicable to this scenario", except the
 /// sojourn percentiles, which serialize as `null` unless the scenario
-/// actually measured latency — a raw message flood has no sojourn and a
+/// actually measured latency — a figure reproduction has no sojourn and a
 /// fake 0.000 would read as "instant"); anything scenario-specific goes into
 /// `extra` as string key/values.
 struct BenchRecord {
-  std::string protocol;        ///< registry name, or a pseudo-name like "mailbox-flood".
+  std::string protocol;        ///< registry name.
   std::size_t shards{0};       ///< server-fleet size (0 = n/a).
   std::size_t threads{0};      ///< OS threads (ThreadRuntime nodes; 0 = simulated).
-  std::uint64_t ops{0};        ///< completed transactions / delivered messages.
+  std::uint64_t ops{0};        ///< completed transactions.
   double ops_per_sec{0};       ///< wall-clock throughput (0 for virtual-time runs).
   bool has_sojourn{false};     ///< set by latency(); false -> nulls in JSON.
   double sojourn_p50_us{0};    ///< client-perceived arrival->completion latency.
@@ -65,7 +65,7 @@ struct BenchRecord {
 
 struct ScenarioResult {
   std::vector<BenchRecord> records;
-  /// Scenario-level facts (e.g. "flood_speedup_x": "2.41") surfaced at the
+  /// Scenario-level facts (e.g. "adaptive_p99_max_ratio": "1.09") surfaced at the
   /// top of the JSON for CI gates to jq against.
   std::vector<std::pair<std::string, std::string>> notes;
 

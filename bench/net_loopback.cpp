@@ -8,7 +8,7 @@
 // 127.0.0.1; the scenario runs the client process in-process on a
 // NetRuntime and drives an OPEN-LOOP fixed-rate workload through the
 // unified TxnClient API — unchanged protocol code, unchanged driver,
-// snowkit-wire-v5 frames on the wire.
+// snowkit-wire-v6 frames on the wire.
 //
 // Each protocol is measured TWICE by default: a PACED open-loop run (5k
 // arrivals/s, sojourn percentiles — the longitudinal series, comparable
@@ -317,8 +317,8 @@ ScenarioResult run_scenario(const ScenarioOptions& opts) {
   // Saturation numbers are meaningless without the hardware context: the
   // whole fleet (4 processes) shares this machine's cores on loopback.
   result.note("host_cores", std::to_string(std::thread::hardware_concurrency()));
-  std::printf("\nshape check: paced sojourn sits above the ThreadRuntime numbers by the\n"
-              "loopback syscall + framing cost with protocol ORDER unchanged (fewer rounds\n"
+  std::printf("\nshape check: paced sojourn adds the loopback syscall + framing cost to the\n"
+              "protocol rounds, with protocol ORDER as in the latency scenario (fewer rounds\n"
               "-> lower sojourn).  sat ops/s is the transport's closed-loop ceiling; its\n"
               "frames/syscall column > 1 is the write-coalescing win (percentiles there are\n"
               "protocol READ latency — closed loops have no arrival backlog to sojourn in).\n");

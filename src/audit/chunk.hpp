@@ -21,8 +21,8 @@
 // chunk never appears under clean SIGTERM — the verification is the
 // backstop for kill -9 and full disks.
 //
-// This format is versioned INDEPENDENTLY of the frozen snowkit-wire-v2
-// frame format (docs/WIRE.md): chunks never travel between live peers, so
+// This format is versioned INDEPENDENTLY of the snowkit-wire frame
+// format (docs/WIRE.md): chunks never travel between live peers, so
 // the schema string may rev freely without a fleet flag day.
 #pragma once
 

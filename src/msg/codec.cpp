@@ -1,6 +1,8 @@
 #include "msg/codec.hpp"
 
 #include <limits>
+#include <string>
+#include <type_traits>
 
 #include "common/assert.hpp"
 #include "common/buffer.hpp"
@@ -51,7 +53,7 @@ WriteKey get_key(BufReader& r) {
   return k;
 }
 
-/// Version list, seq delta-coded (ReadValsResp).  Vals ships key-ordered, so
+/// Version list, seq delta-coded (read-vals-batch-resp).  Vals ships key-ordered, so
 /// the zigzag deltas are small non-negatives; arbitrary orders stay valid.
 template <typename W>
 void put_versions(W& w, const std::vector<Version>& vs) {
@@ -236,12 +238,10 @@ struct Encoder {
     w.uv(p.watermark);
     put_tag_entries(w, p.entries);
   }
-  void operator()(const ReadValReq& p) { w.uv(p.obj); put_key(w, p.key); w.uv(p.watermark); }
-  void operator()(const ReadValResp& p) {
-    w.uv(p.obj); put_key(w, p.key); w.zz(p.value); w.u8(p.found ? 1 : 0);
+  template <std::size_t N>
+  void operator()(const ReservedPayload<N>&) {
+    SNOW_UNREACHABLE("encoding reserved payload tag " + std::to_string(N));
   }
-  void operator()(const ReadValsReq& p) { w.uv(p.obj); }
-  void operator()(const ReadValsResp& p) { w.uv(p.obj); put_versions(w, p.versions); }
   void operator()(const FinalizeReq& p) {
     put_key(w, p.key);
     w.uv(p.position);
@@ -394,29 +394,6 @@ GetTagArrResp Decoder::get<GetTagArrResp>() {
   p.tag = r.uv();
   p.watermark = r.uv();
   p.entries = get_tag_entries(r);
-  return p;
-}
-template <>
-ReadValReq Decoder::get<ReadValReq>() {
-  ReadValReq p; p.obj = static_cast<ObjectId>(r.uv()); p.key = get_key(r); p.watermark = r.uv();
-  return p;
-}
-template <>
-ReadValResp Decoder::get<ReadValResp>() {
-  ReadValResp p;
-  p.obj = static_cast<ObjectId>(r.uv()); p.key = get_key(r); p.value = r.zz();
-  p.found = r.u8() != 0;
-  return p;
-}
-template <>
-ReadValsReq Decoder::get<ReadValsReq>() {
-  ReadValsReq p; p.obj = static_cast<ObjectId>(r.uv()); return p;
-}
-template <>
-ReadValsResp Decoder::get<ReadValsResp>() {
-  ReadValsResp p;
-  p.obj = static_cast<ObjectId>(r.uv());
-  p.versions = get_versions(r);
   return p;
 }
 template <>
@@ -611,8 +588,13 @@ template <std::size_t I>
 Payload decode_alternative(std::size_t index, BufReader& r) {
   if constexpr (I < std::variant_size_v<Payload>) {
     if (index == I) {
-      Decoder d{r};
-      return Payload{d.get<std::variant_alternative_t<I, Payload>>()};
+      using T = std::variant_alternative_t<I, Payload>;
+      if constexpr (std::is_same_v<T, ReservedPayload<I>>) {
+        throw CodecError("payload tag " + std::to_string(I) + " is reserved");
+      } else {
+        Decoder d{r};
+        return Payload{d.get<T>()};
+      }
     }
     return decode_alternative<I + 1>(index, r);
   } else {
@@ -630,15 +612,16 @@ static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one b
 // which snowkit-wire-v2 to v6 kept (v2 redefined only the bodies of tags 6,
 // 7 and 36; v3 those of 2, 4, 6, 36 and the replication record; v4 those of
 // 0, 1 and 12; v5 those of 37 and 39, and left 8-11 without a sender; v6
-// those of 39 and 40, which fold get-tag-arr and its reply).
+// those of 39 and 40, which fold get-tag-arr and its reply).  Tags 8-11 are
+// reserved placeholders now: decoding one is a CodecError.
 template <typename T>
 constexpr std::size_t payload_tag = Payload{T{}}.index();
 static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&
               payload_tag<InfoReaderReq> == 2 && payload_tag<InfoReaderAck> == 3 &&
               payload_tag<UpdateCoorReq> == 4 && payload_tag<UpdateCoorAck> == 5 &&
               payload_tag<GetTagArrReq> == 6 && payload_tag<GetTagArrResp> == 7 &&
-              payload_tag<ReadValReq> == 8 && payload_tag<ReadValResp> == 9 &&
-              payload_tag<ReadValsReq> == 10 && payload_tag<ReadValsResp> == 11 &&
+              payload_tag<ReservedPayload<8>> == 8 && payload_tag<ReservedPayload<9>> == 9 &&
+              payload_tag<ReservedPayload<10>> == 10 && payload_tag<ReservedPayload<11>> == 11 &&
               payload_tag<FinalizeReq> == 12 && payload_tag<EigerWriteReq> == 13 &&
               payload_tag<EigerWriteAck> == 14 && payload_tag<EigerReadReq> == 15 &&
               payload_tag<EigerReadResp> == 16 && payload_tag<EigerReadAtReq> == 17 &&

@@ -29,10 +29,7 @@ const char* payload_name(const Payload& p) {
           [](const UpdateCoorAck&) { return "update-coor-ack"; },
           [](const GetTagArrReq&) { return "get-tag-arr"; },
           [](const GetTagArrResp&) { return "tag-arr"; },
-          [](const ReadValReq&) { return "read-val"; },
-          [](const ReadValResp&) { return "read-val-resp"; },
-          [](const ReadValsReq&) { return "read-vals"; },
-          [](const ReadValsResp&) { return "read-vals-resp"; },
+          []<std::size_t N>(const ReservedPayload<N>&) { return "reserved"; },
           [](const FinalizeReq&) { return "finalize"; },
           [](const EigerWriteReq&) { return "eiger-write"; },
           [](const EigerWriteAck&) { return "eiger-write-ack"; },
@@ -67,16 +64,14 @@ const char* payload_name(const Payload& p) {
 }
 
 bool is_read_request(const Payload& p) {
-  return std::holds_alternative<ReadValReq>(p) || std::holds_alternative<ReadValsReq>(p) ||
-         std::holds_alternative<GetTagArrReq>(p) || std::holds_alternative<EigerReadReq>(p) ||
+  return std::holds_alternative<GetTagArrReq>(p) || std::holds_alternative<EigerReadReq>(p) ||
          std::holds_alternative<EigerReadAtReq>(p) || std::holds_alternative<SimpleReadReq>(p) ||
          std::holds_alternative<ReadValBatchReq>(p) ||
          std::holds_alternative<ReadValsBatchReq>(p);
 }
 
 bool is_read_response(const Payload& p) {
-  return std::holds_alternative<ReadValResp>(p) || std::holds_alternative<ReadValsResp>(p) ||
-         std::holds_alternative<GetTagArrResp>(p) || std::holds_alternative<EigerReadResp>(p) ||
+  return std::holds_alternative<GetTagArrResp>(p) || std::holds_alternative<EigerReadResp>(p) ||
          std::holds_alternative<EigerReadAtResp>(p) ||
          std::holds_alternative<SimpleReadResp>(p) ||
          std::holds_alternative<AdaptTagArrResp>(p) ||
@@ -85,7 +80,6 @@ bool is_read_response(const Payload& p) {
 }
 
 int version_count(const Payload& p) {
-  if (const auto* rv = std::get_if<ReadValsResp>(&p)) return static_cast<int>(rv->versions.size());
   if (const auto* bv = std::get_if<ReadValsBatchResp>(&p)) {
     std::size_t most = 0;
     for (const ObjectVersions& e : bv->entries) most = std::max(most, e.versions.size());

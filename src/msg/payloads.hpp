@@ -8,6 +8,7 @@
 // protocol messages that serve as comparators.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -119,44 +120,15 @@ struct GetTagArrResp {
   friend bool operator==(const GetTagArrResp&, const GetTagArrResp&) = default;
 };
 
-// Tags 8-11: the paper's per-object read-val and read-vals.  Since
-// snowkit-wire-v5 no reader sends them — every READ round goes out as one
-// read-val-batch or read-vals-batch per server (tags 37-40 below) — and the
-// version servers drop them like any payload they do not serve.  They keep
-// their tags, names and codec because the numbering is frozen (docs/WIRE.md).
-
-/// read-val: reader -> server s_i, naming the exact version kappa_i wanted.
-struct ReadValReq {
-  ObjectId obj{0};
-  WriteKey key;
-  Tag watermark{0};
-
-  friend bool operator==(const ReadValReq&, const ReadValReq&) = default;
-};
-
-/// one-version response: server -> reader (as BatchReadResult).
-struct ReadValResp {
-  ObjectId obj{0};
-  WriteKey key;
-  Value value{kInitialValue};
-  bool found{true};
-
-  friend bool operator==(const ReadValResp&, const ReadValResp&) = default;
-};
-
-/// read-vals: reader -> server s_i (Algorithm C; server returns its Vals).
-struct ReadValsReq {
-  ObjectId obj{0};
-
-  friend bool operator==(const ReadValsReq&, const ReadValsReq&) = default;
-};
-
-/// multi-version response: server -> reader (Algorithm C).
-struct ReadValsResp {
-  ObjectId obj{0};
-  std::vector<Version> versions;
-
-  friend bool operator==(const ReadValsResp&, const ReadValsResp&) = default;
+// Tags 8-11 are reserved.  They carried the paper's per-object read-val and
+// read-vals and their responses until snowkit-wire-v5 sent every READ round
+// as one read-val-batch or read-vals-batch per server (tags 37-40 below).
+// The numbering is frozen (docs/WIRE.md), so each tag keeps an empty
+// placeholder alternative: the decoder rejects it with CodecError and the
+// encoder never emits it.
+template <std::size_t N>
+struct ReservedPayload {
+  friend bool operator==(const ReservedPayload&, const ReservedPayload&) = default;
 };
 
 /// finalize: writer -> one server, piggybacking the List position assigned
@@ -537,8 +509,9 @@ struct ReadValsBatchResp {
 
 using Payload = std::variant<
     WriteValReq, WriteValAck, InfoReaderReq, InfoReaderAck, UpdateCoorReq,
-    UpdateCoorAck, GetTagArrReq, GetTagArrResp, ReadValReq, ReadValResp,
-    ReadValsReq, ReadValsResp, FinalizeReq, EigerWriteReq, EigerWriteAck,
+    UpdateCoorAck, GetTagArrReq, GetTagArrResp, ReservedPayload<8>,
+    ReservedPayload<9>, ReservedPayload<10>, ReservedPayload<11>, FinalizeReq,
+    EigerWriteReq, EigerWriteAck,
     EigerReadReq, EigerReadResp, EigerReadAtReq, EigerReadAtResp, LockReq,
     LockGrant, WriteUnlockReq, UnlockReq, UnlockAck, SimpleReadReq,
     SimpleReadResp, SimpleWriteReq, SimpleWriteAck, FinalizeCoorReq,

@@ -2,8 +2,8 @@
 // watermark-proved client version caches, and cross-object read batching.
 //
 // The paper's cost matrix says Algorithm B pays 2 rounds / 1 version per
-// READ and Algorithm C pays 1 round / <=|W|+1 versions; BENCH_skew.json
-// shows which one wins flips with the per-object write rate.  The adaptive
+// READ and Algorithm C pays 1 round / <=|W|+1 versions; BENCH_adaptive.json
+// shows which one wins flips with the read mix.  The adaptive
 // layer picks the point per object at runtime WITHOUT touching the
 // serialization rule:
 //

@@ -16,9 +16,9 @@
 // get-tag-arr; the coordinator answers it in the same response, registering
 // the READ and building the tag array before it reads the stores, and any
 // other server answers the batch and drops that part with a warning.
-// No handler asks which protocol it serves.  The per-object read-val and
-// read-vals (payload tags 8-11) have no sender since snowkit-wire-v5 and are
-// dropped like any other payload the server does not serve.  Reads are
+// No handler asks which protocol it serves.  Payload tags 8-11, the
+// per-object read-val and read-vals that no reader has sent since
+// snowkit-wire-v5, are reserved: the decoder rejects them.  Reads are
 // answered at once (N), from committed state, with the versions named: a key
 // that is not (or no longer) in Vals is answered with found == false.  That
 // is reachable for occ's speculative keys, after a failover GC'd past a key

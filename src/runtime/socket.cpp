@@ -178,7 +178,7 @@ void append_msg(std::vector<std::uint8_t>& out, NodeId from, NodeId to, const Me
   // no diagnostic.
   SNOW_CHECK_MSG(body <= kMaxFrameBytes,
                  "message " << payload_name(m.payload) << " encodes to " << scratch.size()
-                            << " bytes, above the snowkit-wire-v5 frame cap ("
+                            << " bytes, above the snowkit-wire-v6 frame cap ("
                             << kMaxFrameBytes << "); GC the version store or raise the cap");
   put_u32le(out, static_cast<std::uint32_t>(body));
   out.push_back(static_cast<std::uint8_t>(FrameType::kMsg));

@@ -1,4 +1,4 @@
-// snowkit-wire-v5 framing + TCP socket helpers for NetRuntime.
+// snowkit-wire-v6 framing + TCP socket helpers for NetRuntime.
 //
 // The stream format (frozen in docs/WIRE.md) wraps the existing message
 // codec (msg/codec.cpp, reused verbatim via encode_message_into) in
@@ -20,7 +20,7 @@
 // never the process (NetRuntime uses try_decode_message for frame
 // payloads).  What remains trusted is only control-plane INTENT: a
 // well-formed SHUTDOWN from any greeted peer stops the daemon, so fleet
-// ports must sit behind the operator's network boundary — snowkit-wire-v5
+// ports must sit behind the operator's network boundary — snowkit-wire-v6
 // has no peer authentication (see the trust model note in net_runtime.hpp).
 #pragma once
 
@@ -48,9 +48,10 @@ inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
 /// (tags 8-11) have no sender.  v6 folds the get-tag-arr into the
 /// coordinator shard's read-vals-batch and its reply into that batch's
 /// response (tags 39, 40), so a READ sends one frame per server per round,
-/// the coordinator included.  Bump on any incompatible codec or framing
-/// change (docs/WIRE.md is the contract); peers of another version are
-/// refused at HELLO.
+/// the coordinator included.  Since then tags 8-11 are reserved and the
+/// decoder rejects them; no v6 peer sends them, so that needed no bump.
+/// Bump on any incompatible codec or framing change (docs/WIRE.md is the
+/// contract); peers of another version are refused at HELLO.
 inline constexpr std::uint64_t kWireVersion = 6;
 /// Frames above this are a protocol error, not a large message: legitimate
 /// payloads scale with a READ's objects or a server's live version chains
@@ -114,7 +115,7 @@ struct IoSlice {
 /// past whatever the kernel actually accepted — including a partial write
 /// that stops at ANY byte offset inside or across frame boundaries (the next
 /// gather resumes mid-frame).  Frames are never re-encoded, split or merged:
-/// coalescing is purely how many of the SAME snowkit-wire-v5 bytes share one
+/// coalescing is purely how many of the SAME snowkit-wire-v6 bytes share one
 /// syscall, which frame_roundtrip_test proves by comparing gathered bytes
 /// against the flat reference stream.
 ///

@@ -27,13 +27,7 @@ void ThreadRuntime::start() {
   for (NodeId id = 0; id < node_count(); ++id) start_node(id);
   threads_.reserve(node_count());
   for (NodeId id = 0; id < node_count(); ++id) {
-    threads_.emplace_back([this, id] {
-      if (opts_.batched) {
-        worker_batched(id);
-      } else {
-        worker(id);
-      }
-    });
+    threads_.emplace_back([this, id] { worker(id); });
   }
 }
 
@@ -53,14 +47,7 @@ void ThreadRuntime::stop() {
 
 void ThreadRuntime::send(NodeId from, NodeId to, Message m) {
   SNOW_CHECK_MSG(to < node_count(), "send to unknown node " << to);
-  if (!opts_.batched) {
-    // Legacy baseline: fresh heap buffer per message.
-    auto bytes = encode_message(m);
-    if (observer() != nullptr) observer()->on_send(from, to, m, bytes.size());
-    enqueue(to, Mailbox::Item{from, std::move(bytes), nullptr});
-    return;
-  }
-  // Fast path: encode into this thread's scratch buffer (capacity persists
+  // Encode into this thread's scratch buffer (capacity persists
   // across sends), then swap it against a recycled buffer from the target
   // mailbox's pool under the single enqueue lock.  Once capacities warm up,
   // a send performs zero heap allocations.
@@ -144,7 +131,6 @@ TimeNs ThreadRuntime::now_ns() const {
 ThreadRuntime::DeliveryStats ThreadRuntime::delivery_stats() const {
   DeliveryStats s;
   s.messages = delivered_messages_.load(std::memory_order_relaxed);
-  s.tasks = delivered_tasks_.load(std::memory_order_relaxed);
   s.wakeups = wakeups_.load(std::memory_order_relaxed);
   return s;
 }
@@ -161,7 +147,6 @@ void ThreadRuntime::enqueue(NodeId to, Mailbox::Item item) {
 void ThreadRuntime::deliver(NodeId id, Mailbox::Item& item) {
   if (item.task) {
     item.task();
-    delivered_tasks_.fetch_add(1, std::memory_order_relaxed);
   } else {
     Message m = decode_message(item.bytes);
     if (observer() != nullptr) observer()->on_deliver(item.from, id, m);
@@ -180,28 +165,6 @@ void ThreadRuntime::notify_idle() {
 }
 
 void ThreadRuntime::worker(NodeId id) {
-  Mailbox& mb = *mailboxes_[id];
-  while (true) {
-    Mailbox::Item item;
-    {
-      std::unique_lock<std::mutex> lock(mb.mu);
-      mb.cv.wait(lock, [&] { return mb.stop || !mb.queue.empty(); });
-      if (mb.queue.empty()) return;  // stop requested and drained
-      item = std::move(mb.queue.front());
-      mb.queue.pop_front();
-      mb.busy = true;
-    }
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
-    deliver(id, item);
-    {
-      std::lock_guard<std::mutex> lock(mb.mu);
-      mb.busy = false;
-    }
-    notify_idle();
-  }
-}
-
-void ThreadRuntime::worker_batched(NodeId id) {
   Mailbox& mb = *mailboxes_[id];
   std::deque<Mailbox::Item> batch;       // capacity ping-pongs with mb.queue
   std::vector<std::vector<std::uint8_t>> drained;  // buffers to recycle

@@ -9,13 +9,11 @@
 // Delivery guarantees match the paper's model: reliable, unbounded delay
 // (scheduling), FIFO per (sender, receiver) pair.
 //
-// Fast path (default): a worker drains its WHOLE mailbox under one lock
-// acquisition (deque swap) and delivers the burst outside the critical
-// section, and senders encode into recycled byte buffers (thread-local
-// scratch swapped against a per-mailbox pool), so steady-state delivery
-// costs one lock round-trip per BURST and zero allocations per message.
-// Options{.batched = false} keeps the seed's per-message-lock behaviour so
-// benches can measure the fast path against its baseline in one binary.
+// A worker drains its WHOLE mailbox under one lock acquisition (deque
+// swap) and delivers the burst outside the critical section, and senders
+// encode into recycled byte buffers (thread-local scratch swapped against a
+// per-mailbox pool), so steady-state delivery costs one lock round-trip per
+// BURST and zero allocations per message.
 #pragma once
 
 #include <atomic>
@@ -33,23 +31,14 @@ namespace snowkit {
 
 class ThreadRuntime final : public Runtime {
  public:
-  struct Options {
-    /// Batch-drain mailboxes and recycle encode buffers (the fast path).
-    /// false = seed behaviour: one lock acquisition and one fresh heap
-    /// buffer per message (kept as the measurable baseline).
-    bool batched{true};
-  };
-
   /// Messages delivered vs. worker wakeups: messages / wakeups is the mean
-  /// burst size a node handles per lock round-trip (1.0 in legacy mode).
+  /// burst size a node handles per lock round-trip.
   struct DeliveryStats {
     std::uint64_t messages{0};
-    std::uint64_t tasks{0};
     std::uint64_t wakeups{0};
   };
 
   ThreadRuntime() = default;
-  explicit ThreadRuntime(Options opts) : opts_(opts) {}
   ~ThreadRuntime() override;
 
   /// Spawns one thread per registered node and calls on_start on each.
@@ -70,7 +59,6 @@ class ThreadRuntime final : public Runtime {
   /// when no external driver keeps injecting work.
   void wait_idle();
 
-  const Options& options() const { return opts_; }
   DeliveryStats delivery_stats() const;
 
  private:
@@ -79,20 +67,17 @@ class ThreadRuntime final : public Runtime {
   using Mailbox = NodeMailbox;
 
   void worker(NodeId id);
-  void worker_batched(NodeId id);
   void enqueue(NodeId to, Mailbox::Item item);
   void deliver(NodeId id, Mailbox::Item& item);
   void notify_idle();
   void timer_worker();
   void stop_timer_thread();
 
-  Options opts_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::thread> threads_;
   bool started_ = false;
 
   std::atomic<std::uint64_t> delivered_messages_{0};
-  std::atomic<std::uint64_t> delivered_tasks_{0};
   std::atomic<std::uint64_t> wakeups_{0};
 
   struct Timer {

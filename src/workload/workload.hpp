@@ -76,7 +76,7 @@ class ZipfSampler {
 /// even-bit power-of-two domain covering n, cycle-walked back into [0, n).
 /// O(1) state, deterministic per (n, seed), and uniform-ish scatter — the
 /// hot-shard fix: Zipf rank i maps identity to ObjectId i, so under range
-/// placement every hot key lands on shard 0 and a "skew" bench measures a
+/// placement every hot key lands on shard 0 and a skewed bench measures a
 /// placement artifact instead of protocol cost.  Permuting rank->object
 /// spreads the hot ranks across shards.  The default-constructed
 /// permutation is the identity (seed-compat for OpStream).

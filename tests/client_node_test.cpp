@@ -26,14 +26,14 @@ class Probe final : public Node {
 
 const WriteKey kAbsent{99, 99};
 
-/// One of every reply type any client consumes, the per-object read replies
-/// no server sends since wire v5, and a TakeoverNotice that advances no
-/// route, all naming `txn`.
+/// One of every reply type any client consumes, two read requests only
+/// servers serve, and a TakeoverNotice that advances no route, all naming
+/// `txn`.
 std::vector<Message> replies(TxnId txn) {
   const ObjectId obj = 1;
   std::vector<Payload> payloads{
-      ReadValResp{obj, kAbsent, 7, false},
-      ReadValsResp{obj, {Version{kAbsent, 7}}},
+      ReadValBatchReq{0, {{obj, kAbsent}}},
+      ReadValsBatchReq{0, {obj}},
       GetTagArrResp{5, 0, {}},
       AdaptTagArrResp{},
       ReadValBatchResp{{{obj, kAbsent, 7, false}}},

@@ -1,5 +1,5 @@
-// Round-trip tests for the wire codec: every payload alternative must
-// survive encode/decode bit-for-bit.
+// Round-trip tests for the wire codec: every live payload alternative must
+// survive encode/decode bit-for-bit, and the reserved tags 8-11 must not.
 #include <gtest/gtest.h>
 
 #include "msg/codec.hpp"
@@ -107,17 +107,31 @@ TEST(Codec, TagEntryLookupAbortsOnAMissingObject) {
   EXPECT_DEATH(tag_entry(entries, 3), "no entry for object 3");
 }
 
-TEST(Codec, ReadVal) { roundtrip(ReadValReq{0, WriteKey{5, 5}}); }
-TEST(Codec, ReadValResp) { roundtrip(ReadValResp{0, WriteKey{5, 5}, -3}); }
-TEST(Codec, ReadVals) { roundtrip(ReadValsReq{2}); }
-
-TEST(Codec, ReadValsRespVersions) {
-  ReadValsResp resp{1, {Version{kInitialKey, 0}, Version{WriteKey{1, 4}, 77}}};
-  Message m{1, resp};
-  const Message back = decode_message(encode_message(m));
-  const auto& p = std::get<ReadValsResp>(back.payload);
-  ASSERT_EQ(p.versions.size(), 2u);
-  EXPECT_EQ(p.versions[1].value, 77);
+// Tags 8-11 are reserved (docs/WIRE.md): a frame carrying one is a decode
+// error even with a body the wire-v4 codec accepted, no classifier counts
+// it as READ traffic, and the encoder refuses to emit it.
+TEST(Codec, ReservedTagsAreRejected) {
+  const std::vector<std::vector<std::uint8_t>> old_bodies{
+      {0x01, 0x05, 0x01, 0x00},        // read-val: obj 1, key (5, w0), watermark 0
+      {0x01, 0x05, 0x01, 0x06, 0x01},  // read-val-resp: obj 1, key, value 3, found
+      {0x02},                          // read-vals: obj 2
+      {0x01, 0x00},                    // read-vals-resp: obj 1, no versions
+  };
+  for (std::uint8_t tag = 8; tag <= 11; ++tag) {
+    std::vector<std::uint8_t> bytes{0x07, tag};
+    bytes.insert(bytes.end(), old_bodies[tag - 8].begin(), old_bodies[tag - 8].end());
+    Message out;
+    std::string err;
+    EXPECT_FALSE(try_decode_message(bytes, out, err)) << "tag " << int{tag};
+    EXPECT_EQ(err, "payload tag " + std::to_string(tag) + " is reserved");
+  }
+  const Payload reserved{ReservedPayload<10>{}};
+  EXPECT_STREQ(payload_name(reserved), "reserved");
+  EXPECT_FALSE(is_read_request(reserved));
+  EXPECT_FALSE(is_read_response(reserved));
+  EXPECT_EQ(version_count(reserved), 0);
+  EXPECT_DEATH(encode_message(Message{1, ReservedPayload<8>{}}), "reserved payload tag 8");
+  EXPECT_DEATH(encoded_size(Message{1, ReservedPayload<11>{}}), "reserved payload tag 11");
 }
 
 TEST(Codec, Finalize) {
@@ -148,7 +162,7 @@ TEST(Codec, SimpleWrite) { roundtrip(SimpleWriteReq{0, 1}); }
 TEST(Codec, SimpleWriteAck) { roundtrip(SimpleWriteAck{0}); }
 
 TEST(Codec, EncodedSizeMatches) {
-  Message m{3, ReadValsResp{0, {Version{kInitialKey, 0}}}};
+  Message m{3, ReadValsBatchResp{{{0, {Version{kInitialKey, 0}}}}}};
   EXPECT_EQ(encoded_size(m), encode_message(m).size());
 }
 
@@ -212,8 +226,7 @@ TEST(Codec, ReadValsBatchFoldsTheCoordinatorsTagArray) {
 }
 
 TEST(Codec, VersionCountClassifier) {
-  EXPECT_EQ(version_count(Payload{ReadValResp{}}), 1);
-  EXPECT_EQ(version_count(Payload{ReadValsResp{0, {Version{}, Version{}, Version{}}}}), 3);
+  EXPECT_EQ(version_count(Payload{GetTagArrResp{}}), 1);
   EXPECT_EQ(version_count(Payload{WriteValReq{}}), 0);
   // A batched response counts versions per object, not per frame: one for
   // every read-val-batch-resp entry, the longest list of a

@@ -2,10 +2,10 @@
 // must preserve FIFO order per (sender, receiver) pair — the delivery
 // guarantee the paper's channel model specifies and that snow_monitor and
 // the tag-order checker rely on when attributing rounds to transactions.
-// Covered on BOTH runtimes that batch: ThreadRuntime's fast path (vs the
-// legacy per-message-lock baseline) and NetRuntime, where write-side
-// coalescing packs many frames per sendmsg and read-side batch decode
-// delivers mailbox bursts — neither may reorder one sender's stream.
+// Covered on BOTH runtimes that batch: ThreadRuntime, whose workers drain a
+// whole mailbox per wakeup, and NetRuntime, where write-side coalescing
+// packs many frames per sendmsg and read-side batch decode delivers mailbox
+// bursts — neither may reorder one sender's stream.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -42,12 +42,12 @@ class Blaster final : public Node {
   void on_message(NodeId, const Message&) override {}
 };
 
-void run_fifo_flood(bool batched) {
+TEST(FifoOrder, BatchDrainPreservesPerSenderFifo) {
   constexpr std::size_t kSenders = 4;
   constexpr std::size_t kReceivers = 2;
   constexpr std::size_t kPerSenderPerReceiver = 2000;
 
-  ThreadRuntime rt(ThreadRuntime::Options{batched});
+  ThreadRuntime rt;
   std::vector<NodeId> receivers, senders;
   std::vector<OrderRecorder*> recorders;
   for (std::size_t i = 0; i < kReceivers; ++i) {
@@ -73,6 +73,14 @@ void run_fifo_flood(bool batched) {
   rt.wait_idle();
   rt.stop();
 
+  // The flood must actually have been batch-drained: more messages than
+  // worker wakeups, i.e. a mean burst above one.  A worker that took one
+  // message per lock round-trip fails here (the NetRuntime leg below makes
+  // the same check with frames_received > mailbox_bursts).
+  const ThreadRuntime::DeliveryStats stats = rt.delivery_stats();
+  EXPECT_EQ(stats.messages, kSenders * kReceivers * kPerSenderPerReceiver);
+  EXPECT_GT(stats.messages, stats.wakeups);
+
   for (std::size_t r = 0; r < kReceivers; ++r) {
     const auto& observed = recorders[r]->observed();
     ASSERT_EQ(observed.size(), kSenders) << "receiver " << r << " missed a sender entirely";
@@ -87,16 +95,12 @@ void run_fifo_flood(bool batched) {
   }
 }
 
-TEST(FifoOrder, BatchDrainPreservesPerSenderFifo) { run_fifo_flood(/*batched=*/true); }
-
-TEST(FifoOrder, LegacyModePreservesPerSenderFifo) { run_fifo_flood(/*batched=*/false); }
-
 // End-to-end guard for the same property: the Lemma-20 tag order that
 // snow_monitor-style checking depends on still holds when a protocol runs on
 // the batch-draining runtime (delivery reordering across senders is allowed,
 // reordering within a sender is not — a FIFO bug shows up as an S violation).
 TEST(FifoOrder, TagOrderHoldsUnderBatchedDelivery) {
-  ThreadRuntime rt;  // default = batched fast path
+  ThreadRuntime rt;
   HistoryRecorder rec(3);
   auto sys = build_protocol("algo-b", rt, rec, SystemConfig{3, 2, 2});
   rt.start();

@@ -37,15 +37,12 @@ std::vector<Message> corpus() {
                                              3, 0, {0, 3, 5, 6, 11}, {}}});
   msgs.push_back(Message{10, AdaptTagArrResp{900, 890, {TagArrEntry{5, WriteKey{5, 0}, {}}},
                                              9, 7, {12}, {3, 4000}}});
-  ReadValsResp vals;
-  vals.obj = 1;
-  vals.versions = {Version{kInitialKey, 0}, Version{WriteKey{2, 0}, 77},
-                   Version{WriteKey{6, 3}, -1}};
-  msgs.push_back(Message{11, vals});
+  const std::vector<Version> versions{Version{kInitialKey, 0}, Version{WriteKey{2, 0}, 77},
+                                      Version{WriteKey{6, 3}, -1}};
   msgs.push_back(Message{11, ReadValBatchReq{890, {{5, WriteKey{5, 0}}, {4095, kInitialKey}}}});
   msgs.push_back(Message{11, ReadValsBatchReq{0, {0, 130, 70'000}}});
   msgs.push_back(Message{11, ReadValsBatchReq{4, {0, 5}, GetTagArrReq{{0, 5, 130, 4095}, 3}}});
-  msgs.push_back(Message{11, ReadValsBatchResp{{ObjectVersions{1, vals.versions}}, tagarr}});
+  msgs.push_back(Message{11, ReadValsBatchResp{{ObjectVersions{1, versions}}, tagarr}});
   msgs.push_back(Message{11, ReadValsBatchResp{{ObjectVersions{5, {}}},
                                                AdaptTagArrResp{900, 890, {}, 9, 7, {12}, {3}}}});
   msgs.push_back(Message{kInvalidTxn, ReadDoneReq{42}});

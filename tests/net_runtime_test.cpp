@@ -502,14 +502,14 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
 TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
   SKIP_WITHOUT_TRANSPORT();
   // Frames that decode fine but that no algo-b reader sends: a
-  // read-val-batch for a key the server never stored, the per-object
-  // read-val and read-vals no reader sends since wire v5, a read-vals-batch
-  // (algo-c's request) plain and with a get-tag-arr folded in (which only
-  // the coordinator serves), a tag array and a read-vals-batch-resp
-  // carrying one (replies), an eiger read, and a read-val-batch and a
-  // write-val naming an object id >= k.  The server must answer the first
-  // with found == false, serves both read-vals-batches without a tag array,
-  // must drop the rest, and must then still serve a real workload.
+  // read-val-batch for a key the server never stored, simple's read and
+  // 2PL's lock request, a read-vals-batch (algo-c's request) plain and with
+  // a get-tag-arr folded in (which only the coordinator serves), a tag array
+  // and a read-vals-batch-resp carrying one (replies), an eiger read, and a
+  // read-val-batch and a write-val naming an object id >= k.  The server
+  // must answer the first with found == false, serves both read-vals-batches
+  // without a tag array, must drop the rest, and must then still serve a
+  // real workload.
   const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
   FleetProc server;
   server.build(fleet, 0);
@@ -525,8 +525,8 @@ TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, fleet.client_index());
   net::append_msg(bytes, reader, other, Message{1, ReadValBatchReq{0, {{1, absent}}}});
-  net::append_msg(bytes, reader, other, Message{1, ReadValReq{1, kInitialKey, 0}});
-  net::append_msg(bytes, reader, other, Message{1, ReadValsReq{1}});
+  net::append_msg(bytes, reader, other, Message{1, SimpleReadReq{1}});
+  net::append_msg(bytes, reader, other, Message{1, LockReq{1, true}});
   net::append_msg(bytes, reader, other, Message{1, ReadValsBatchReq{0, {1}}});
   net::append_msg(bytes, reader, other,
                   Message{1, ReadValsBatchReq{0, {1}, GetTagArrReq{{0, 1}, 0}}});

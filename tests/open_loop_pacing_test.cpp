@@ -219,6 +219,54 @@ TEST(OpenLoopPacing, PoissonEngineModeOnSimIsDeterministic) {
   EXPECT_NE(run(31), run(32));
 }
 
+// A multi-segment RateCurve end to end: the sharded engine on the simulator
+// over one cycle of a diurnal wave — plateau 2000/s for 1 s, peak 4000/s for
+// 0.5 s, trough 500/s for 0.5 s, 4250 arrivals.  Virtual time makes the
+// achieved rate exact, so it must sit on the curve's mean (4250 / 2 s) and
+// clear of a flat 2000/s run of the same length: a pacer that read only the
+// first segment, or never left it, lands on 2000.
+TEST(OpenLoopPacing, DiurnalCurveOnSimDeliversTheCurvesMeanRate) {
+  static constexpr std::size_t kCycleArrivals = 2000 + 2000 + 250;
+  auto achieved = [](const RateCurve& curve) {
+    SimRuntime sim;
+    HistoryRecorder rec(8);
+    auto sys = build_protocol("algo-c", sim, rec, SystemConfig{8, 2, 2});
+    WorkloadSpec spec;
+    spec.seed = 7;
+    DriverOptions opts;
+    opts.mode = ArrivalMode::kOpenLoop;
+    opts.total_ops = kCycleArrivals;
+    opts.arrival_interval_ns = 500'000;
+    TrafficModel model;
+    model.zipf_theta = 0.9;
+    model.permute_ranks = true;
+    model.read_fraction = 0.9;
+    model.logical_clients = 1'000'000;
+    model.rate = curve;
+    opts.traffic = model;
+    opts.arrival_shards = 4;
+    WorkloadDriver driver(sim, *sys, spec, opts);
+    driver.start();
+    sim.run_until_idle();
+    EXPECT_TRUE(driver.done());
+    EXPECT_EQ(driver.arrivals_issued(), kCycleArrivals);
+    EXPECT_EQ(driver.completed_reads() + driver.completed_writes(), kCycleArrivals);
+    return driver.achieved_arrival_rate();
+  };
+  RateCurve diurnal;
+  diurnal.segments = {{2000.0, 1'000'000'000}, {4000.0, 500'000'000}, {500.0, 500'000'000}};
+  RateCurve flat;
+  flat.segments = {{2000.0, 1'000'000'000}};
+
+  const double wave = achieved(diurnal);
+  EXPECT_EQ(wave, achieved(diurnal)) << "virtual-time pacing must replay exactly";
+  const double mean = static_cast<double>(kCycleArrivals) / 2.0;  // 2125 arrivals/s
+  EXPECT_NEAR(wave, mean, 0.01 * mean);
+  const double steady = achieved(flat);
+  EXPECT_NEAR(steady, 2000.0, 0.01 * 2000.0);
+  EXPECT_GT(wave - steady, 0.04 * steady) << "the curve's peak and trough left no trace";
+}
+
 // pause() must stop issuance, resume() must catch up the missed deadlines,
 // and the outage must be charged to sojourn (deadlines keep accruing).
 TEST(OpenLoopPacing, PauseResumeCatchesUpAndChargesSojourn) {

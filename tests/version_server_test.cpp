@@ -31,19 +31,18 @@ class Probe final : public Node {
 const WriteKey kAbsent{99, 99};
 
 /// Both read request types, naming kAbsent where they name a key, and
-/// payloads no version server serves: the per-object read requests no reader
-/// sends since wire v5, replies, another protocol's request and a C2C
-/// message.
+/// payloads no version server serves: replies, other protocols' requests
+/// and a C2C message.
 std::vector<Message> hostile_messages(ObjectId obj) {
   return {
-      Message{1, ReadValReq{obj, kAbsent, 0}},
-      Message{1, ReadValsReq{obj}},
       Message{1, ReadValBatchReq{0, {{obj, kAbsent}}}},
       Message{1, ReadValsBatchReq{0, {obj}}},
-      Message{1, ReadValResp{obj, kAbsent, 7, true}},
+      Message{1, ReadValBatchResp{{{obj, kAbsent, 7, true}}}},
       Message{1, GetTagArrResp{}},
       Message{1, ReadValsBatchResp{}},
       Message{1, EigerReadReq{obj, 1}},
+      Message{1, SimpleReadReq{obj}},
+      Message{1, LockReq{obj, true}},
       Message{1, InfoReaderReq{kAbsent, {obj}}},
       Message{1, UpdateCoorAck{1, 0}},
   };
