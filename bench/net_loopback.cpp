@@ -8,7 +8,7 @@
 // 127.0.0.1; the scenario runs the client process in-process on a
 // NetRuntime and drives an OPEN-LOOP fixed-rate workload through the
 // unified TxnClient API — unchanged protocol code, unchanged driver,
-// snowkit-wire-v6 frames on the wire.
+// snowkit-wire-v7 frames on the wire.
 //
 // Each protocol is measured TWICE by default: a PACED open-loop run (5k
 // arrivals/s, sojourn percentiles — the longitudinal series, comparable
@@ -314,6 +314,12 @@ ScenarioResult run_scenario(const ScenarioOptions& opts) {
   }
   result.note("transport", "tcp-loopback");
   result.note("fleet", "3 server processes + 1 client process on 127.0.0.1");
+  // One run per record: wall-clock ops/s and percentiles here carry no
+  // speed claim (snowbench's repeated tcp-* runs do).  What one run does
+  // pin is deterministic per frame: the framing bytes around the codec's.
+  result.note("claim",
+              "single run: backs no speed claim, only the per-frame framing figure "
+              "(tcp_bytes_sent - wire_bytes) / tcp_frames_sent");
   // Saturation numbers are meaningless without the hardware context: the
   // whole fleet (4 processes) shares this machine's cores on loopback.
   result.note("host_cores", std::to_string(std::thread::hardware_concurrency()));

@@ -47,7 +47,7 @@
 //
 // WAL format (`snowkit-wal-v2`): the magic line, then length-prefixed
 // batches [u32le len][encode_message(ReplAppendReq)][u64le FNV-1a(payload)].
-// Records use the snowkit-wire-v3 body (unchanged through v6), so a kListPush
+// Records use the snowkit-wire-v3 body (unchanged through v7), so a kListPush
 // record carries the WRITE's object set (ascending, gap-coded) and costs
 // O(|W|) bytes; v1 logged a k-bit mask instead, and a v1 log is refused by
 // name rather than misread.  A batch holds every record of one handler step,

@@ -749,70 +749,63 @@ void NetRuntime::io_apply_inbound_flow_control(IoThread& io) {
 }
 
 bool NetRuntime::io_handle_frame(IoThread& io, std::size_t peer, net::Frame& f) {
-  switch (f.type) {
-    case net::FrameType::kHello:
-      return true;  // duplicate hello on an established link: ignore.
-    case net::FrameType::kMsg: {
-      net::MsgHeader hdr;
-      std::string err;
-      if (!net::parse_msg_header(f.body, hdr, err)) {
-        io_link_failed(peer, "bad msg frame: " + err);
-        return false;
-      }
-      // A routable fleet shares ONE config, so a frame addressed to a node
-      // we do not own means either divergent fleet configs or a hostile /
-      // confused peer.  The HELLO handshake is unauthenticated, so this is
-      // untrusted input: treat it like any other malformed traffic — log and
-      // drop the connection — never abort the process.
-      if (hdr.to >= node_count() || !owns(hdr.to)) {
-        io_link_failed(peer, "misrouted frame for node " + std::to_string(hdr.to) +
-                                 " not owned by process " + std::to_string(opts_.index) +
-                                 " (divergent fleet configs?)");
-        return false;
-      }
-      // The sender node is equally untrusted: a foreign `from` would flow
-      // into the protocol handler's reply send(), whose to<node_count()
-      // invariant check would abort THIS process.  Legitimate traffic only
-      // ever carries a from-node owned by the peer the stream came from.
-      if (hdr.from >= node_count() || owner_of(hdr.from) != peer) {
-        io_link_failed(peer, "frame with foreign sender node " + std::to_string(hdr.from) +
-                                 " not owned by peer " + std::to_string(peer));
-        return false;
-      }
-      Mailbox::Item item;
-      item.from = hdr.from;
-      item.link_gen = links_[peer]->gen;
-      // Strip the routing header in place and MOVE the body: one memmove,
-      // zero allocations on the I/O thread's per-frame path.
-      f.body.erase(f.body.begin(),
-                   f.body.begin() + static_cast<std::ptrdiff_t>(hdr.payload_offset));
-      item.bytes = std::move(f.body);
-      // Charge the inbound budget (refunded by the worker after delivery);
-      // +64 floors the cost of tiny frames so a flood of 2-byte payloads
-      // still trips the pause.
-      item.charge = item.bytes.size() + 64;
-      inbound_bytes_.fetch_add(item.charge, std::memory_order_relaxed);
-      // Batch decode: bucket per destination node; io_deliver_ready flushes
-      // each bucket as ONE mailbox burst (one lock, one notify) per epoll
-      // iteration instead of per frame.  Per-sender FIFO holds: one ordered
-      // stream per peer, decoded in order, appended in order.
-      auto& bucket = io.ready[hdr.to];
-      if (bucket.empty()) io.touched.push_back(hdr.to);
-      bucket.push_back(std::move(item));
-      stats_.frames_received.fetch_add(1, std::memory_order_relaxed);
-      return true;
+  if (f.type == net::FrameType::kShutdown) {
+    shutdown_.store(true, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
     }
-    case net::FrameType::kShutdown: {
-      shutdown_.store(true, std::memory_order_release);
-      {
-        std::lock_guard<std::mutex> lock(conn_mu_);
-      }
-      conn_cv_.notify_all();
-      return true;
-    }
+    conn_cv_.notify_all();
+    return true;
   }
-  io_link_failed(peer, "unhandled frame type");
-  return false;
+  // A link's decoder is past the HELLO, so every other frame is a MSG.
+  net::MsgHeader hdr;
+  std::string err;
+  if (!net::parse_msg_header(f.body, hdr, err)) {
+    io_link_failed(peer, "bad msg frame: " + err);
+    return false;
+  }
+  // A routable fleet shares ONE config, so a frame addressed to a node
+  // we do not own means either divergent fleet configs or a hostile /
+  // confused peer.  The HELLO handshake is unauthenticated, so this is
+  // untrusted input: treat it like any other malformed traffic — log and
+  // drop the connection — never abort the process.
+  if (hdr.to >= node_count() || !owns(hdr.to)) {
+    io_link_failed(peer, "misrouted frame for node " + std::to_string(hdr.to) +
+                             " not owned by process " + std::to_string(opts_.index) +
+                             " (divergent fleet configs?)");
+    return false;
+  }
+  // The sender node is equally untrusted: a foreign `from` would flow
+  // into the protocol handler's reply send(), whose to<node_count()
+  // invariant check would abort THIS process.  Legitimate traffic only
+  // ever carries a from-node owned by the peer the stream came from.
+  if (hdr.from >= node_count() || owner_of(hdr.from) != peer) {
+    io_link_failed(peer, "frame with foreign sender node " + std::to_string(hdr.from) +
+                             " not owned by peer " + std::to_string(peer));
+    return false;
+  }
+  Mailbox::Item item;
+  item.from = hdr.from;
+  item.link_gen = links_[peer]->gen;
+  // Strip the routing header in place and MOVE the body: one memmove,
+  // zero allocations on the I/O thread's per-frame path.
+  f.body.erase(f.body.begin(),
+               f.body.begin() + static_cast<std::ptrdiff_t>(hdr.payload_offset));
+  item.bytes = std::move(f.body);
+  // Charge the inbound budget (refunded by the worker after delivery);
+  // +64 floors the cost of tiny frames so a flood of 2-byte payloads
+  // still trips the pause.
+  item.charge = item.bytes.size() + 64;
+  inbound_bytes_.fetch_add(item.charge, std::memory_order_relaxed);
+  // Batch decode: bucket per destination node; io_deliver_ready flushes
+  // each bucket as ONE mailbox burst (one lock, one notify) per epoll
+  // iteration instead of per frame.  Per-sender FIFO holds: one ordered
+  // stream per peer, decoded in order, appended in order.
+  auto& bucket = io.ready[hdr.to];
+  if (bucket.empty()) io.touched.push_back(hdr.to);
+  bucket.push_back(std::move(item));
+  stats_.frames_received.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 /// Flushes this iteration's decoded-frame buckets into their mailboxes, one
@@ -898,7 +891,7 @@ void NetRuntime::io_accept_all(IoThread& io) {
     }
     if (slot == pending_.size()) pending_.emplace_back();
     pending_[slot].fd = fd;
-    pending_[slot].decoder = net::FrameDecoder{};
+    pending_[slot].decoder = net::FrameDecoder::accepting();
     pending_[slot].accepted_ns = now_ns();
     pending_[slot].fed_bytes = 0;
     epoll_event ev{};
@@ -956,8 +949,9 @@ void NetRuntime::io_read_pending(IoThread& io, std::size_t slot) {
   }
   net::HelloBody hello;
   std::string err;
-  if (st == net::FrameDecoder::Status::kError || f.type != net::FrameType::kHello ||
-      !net::parse_hello(f.body, hello, err)) {
+  // An accepting decoder's first frame is always a HELLO; a compact frame
+  // here (a zero byte included) is a decoder error, never a SHUTDOWN.
+  if (st == net::FrameDecoder::Status::kError || !net::parse_hello(f.body, hello, err)) {
     std::fprintf(stderr, "[snowkit-net %zu] rejecting connection: bad hello (%s)\n",
                  opts_.index,
                  st == net::FrameDecoder::Status::kError ? pc.decoder.error().c_str()
@@ -983,7 +977,6 @@ void NetRuntime::io_read_pending(IoThread& io, std::size_t slot) {
     h.handoffs.push_back(Handoff{peer, pc.fd, std::move(pc.decoder)});
   }
   pc.fd = -1;
-  pc.decoder = net::FrameDecoder{};
   h.pending.store(true, std::memory_order_seq_cst);
   if (h.armed.load(std::memory_order_seq_cst)) io_wake(h);
 }

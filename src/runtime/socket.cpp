@@ -68,32 +68,55 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t n) {
 
 FrameDecoder::Status FrameDecoder::next(Frame& out) {
   if (failed()) return Status::kError;
+  const std::uint8_t* p = buf_.data() + pos_;
   const std::size_t avail = buf_.size() - pos_;
-  if (avail < 4) return Status::kNeedMore;
-  const std::uint32_t len = static_cast<std::uint32_t>(buf_[pos_]) |
-                            (static_cast<std::uint32_t>(buf_[pos_ + 1]) << 8) |
-                            (static_cast<std::uint32_t>(buf_[pos_ + 2]) << 16) |
-                            (static_cast<std::uint32_t>(buf_[pos_ + 3]) << 24);
-  if (len == 0) {
-    error_ = "zero-length frame";
-    return Status::kError;
+  std::size_t header = 0;  // length-prefix bytes
+  std::size_t len = 0;     // bytes after the prefix
+  if (hello_due_) {
+    // The frozen HELLO layout's u32le length.
+    if (avail < 4) return Status::kNeedMore;
+    len = static_cast<std::size_t>(p[0]) | (static_cast<std::size_t>(p[1]) << 8) |
+          (static_cast<std::size_t>(p[2]) << 16) | (static_cast<std::size_t>(p[3]) << 24);
+    header = 4;
+  } else {
+    // Compact: a LEB128 length of at most kMaxFrameLenBytes bytes.
+    while (true) {
+      if (header == avail) return Status::kNeedMore;
+      const std::uint8_t byte = p[header];
+      len |= static_cast<std::size_t>(byte & 0x7F) << (7 * header);
+      ++header;
+      if ((byte & 0x80) == 0) break;
+      if (header == kMaxFrameLenBytes) {
+        error_ = "frame length varint longer than " + std::to_string(kMaxFrameLenBytes) +
+                 " bytes";
+        return Status::kError;
+      }
+    }
   }
   if (len > kMaxFrameBytes) {
     error_ = "frame length " + std::to_string(len) + " exceeds kMaxFrameBytes";
     return Status::kError;
   }
-  if (avail < 4u + len) return Status::kNeedMore;
-  const std::uint8_t type = buf_[pos_ + 4];
-  if (type != static_cast<std::uint8_t>(FrameType::kHello) &&
-      type != static_cast<std::uint8_t>(FrameType::kMsg) &&
-      type != static_cast<std::uint8_t>(FrameType::kShutdown)) {
-    error_ = "unknown frame type " + std::to_string(type);
-    return Status::kError;
+  if (hello_due_) {
+    // The type byte is checked as soon as it is buffered, so a stream that
+    // is no HELLO (a compact frame, a foreign protocol) fails without
+    // waiting for its claimed body.
+    if (len == 0) {
+      error_ = "zero-length frame where a hello is due";
+      return Status::kError;
+    }
+    if (avail == header) return Status::kNeedMore;
+    if (p[header] != static_cast<std::uint8_t>(FrameType::kHello)) {
+      error_ = "expected a hello, got frame type " + std::to_string(p[header]);
+      return Status::kError;
+    }
   }
-  out.type = static_cast<FrameType>(type);
-  out.body.assign(buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 5),
-                  buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + 4 + len));
-  pos_ += 4u + len;
+  if (avail < header + len) return Status::kNeedMore;
+  out.type = hello_due_ ? FrameType::kHello : len == 0 ? FrameType::kShutdown : FrameType::kMsg;
+  const std::size_t type_byte = hello_due_ ? 1 : 0;  // not part of Frame::body
+  out.body.assign(p + header + type_byte, p + header + len);
+  hello_due_ = false;
+  pos_ += header + len;
   // Compact once the consumed prefix dominates, so the buffer cannot grow
   // without bound across a long-lived connection.
   if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
@@ -171,26 +194,22 @@ void append_msg(std::vector<std::uint8_t>& out, NodeId from, NodeId to, const Me
   // fast path.
   thread_local std::vector<std::uint8_t> scratch;
   encode_message_into(m, scratch);
-  const std::size_t body = 1 + uv_size(from) + uv_size(to) + scratch.size();
+  const std::size_t body = uv_size(from) + uv_size(to) + scratch.size();
   // Fail at the SENDER with the payload named: an oversize frame would pass
   // through the socket fine and then kill the link at the receiver's
   // decoder, losing the frame on reconnect and hanging the transaction with
   // no diagnostic.
   SNOW_CHECK_MSG(body <= kMaxFrameBytes,
                  "message " << payload_name(m.payload) << " encodes to " << scratch.size()
-                            << " bytes, above the snowkit-wire-v6 frame cap ("
+                            << " bytes, above the snowkit-wire-v7 frame cap ("
                             << kMaxFrameBytes << "); GC the version store or raise the cap");
-  put_u32le(out, static_cast<std::uint32_t>(body));
-  out.push_back(static_cast<std::uint8_t>(FrameType::kMsg));
+  put_uv(out, body);
   put_uv(out, from);
   put_uv(out, to);
   out.insert(out.end(), scratch.begin(), scratch.end());
 }
 
-void append_shutdown(std::vector<std::uint8_t>& out) {
-  put_u32le(out, 1);
-  out.push_back(static_cast<std::uint8_t>(FrameType::kShutdown));
-}
+void append_shutdown(std::vector<std::uint8_t>& out) { put_uv(out, 0); }
 
 // --- frame body parsers ------------------------------------------------------
 

@@ -1,14 +1,18 @@
-// snowkit-wire-v6 framing + TCP socket helpers for NetRuntime.
+// snowkit-wire-v7 framing + TCP socket helpers for NetRuntime.
 //
 // The stream format (frozen in docs/WIRE.md) wraps the existing message
 // codec (msg/codec.cpp, reused verbatim via encode_message_into) in
 // length-prefixed frames so it can cross process boundaries:
 //
-//   frame   := len:u32le  body
-//   body    := type:u8  type-specific bytes          (len = |body|)
-//   HELLO   := 0x01  magic:u32le("SNWK")  version:uv  process_index:uv
-//   MSG     := 0x02  from:uv  to:uv  encoded-Message  (codec bytes verbatim)
-//   SHUTDOWN:= 0x03                                    (empty)
+//   HELLO   := len:u32le  0x01  magic:u32le("SNWK")  version:uv  process_index:uv
+//   frame   := len:uv  body             (len = |body| <= 16 MiB, uv(len) <= 4 bytes)
+//   MSG     := body = from:uv  to:uv  encoded-Message  (codec bytes verbatim)
+//   SHUTDOWN:= the zero-length frame (one 0x00 byte)
+//
+// The HELLO keeps the v1-v6 layout forever and is valid only as the first
+// frame an ACCEPTING side reads: any peer, of any version, is then refused
+// by name ("wire version 6 (expected 7)") before a compact frame is parsed.
+// Everything after the HELLO, and everything a dialer reads, is compact.
 //
 // FrameDecoder is the incremental reassembly unit: bytes arrive in arbitrary
 // TCP chunks, frames pop out whole.  It is deliberately separable from the
@@ -19,9 +23,11 @@
 // Message payloads are all reported as errors and drop the CONNECTION,
 // never the process (NetRuntime uses try_decode_message for frame
 // payloads).  What remains trusted is only control-plane INTENT: a
-// well-formed SHUTDOWN from any greeted peer stops the daemon, so fleet
-// ports must sit behind the operator's network boundary — snowkit-wire-v6
-// has no peer authentication (see the trust model note in net_runtime.hpp).
+// zero-length frame (SHUTDOWN) from any greeted peer stops the daemon, so
+// fleet ports must sit behind the operator's network boundary —
+// snowkit-wire-v7 has no peer authentication (see the trust model note in
+// net_runtime.hpp).  Before the HELLO a zero byte is only the start of a
+// u32le length, never a SHUTDOWN.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +41,11 @@ namespace snowkit::net {
 
 /// "SNWK" little-endian: the first 4 body bytes of every HELLO.
 inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
-/// snowkit-wire-v6: v1's framing and payload tags.  v2 sized get-tag-arr,
-/// tag-arr and adapt-tag-arr (tags 6, 7, 36) by the READ's objects; v3 sizes
-/// info-reader, update-coor and replication records by the WRITE's objects
-/// and ships adaptive mode tables as deltas (tags 2, 4, 6, 36), so no
-/// per-operation body grows with the object count.  v4 packs one server's
+/// snowkit-wire-v7: v1's payload tags, framed as in v1 up to v6.  v2 sized
+/// get-tag-arr, tag-arr and adapt-tag-arr (tags 6, 7, 36) by the READ's
+/// objects; v3 sizes info-reader, update-coor and replication records by the
+/// WRITE's objects and ships adaptive mode tables as deltas (tags 2, 4, 6,
+/// 36), so no per-operation body grows with the object count.  v4 packs one server's
 /// share of a WRITE into one write-val, write-val-ack and finalize (tags 0,
 /// 1, 12), the last optionally carrying the finalize-coor notice.  v5 does
 /// the same for READs: every reader sends one read-val-batch or
@@ -50,30 +56,51 @@ inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
 /// response (tags 39, 40), so a READ sends one frame per server per round,
 /// the coordinator included.  Since then tags 8-11 are reserved and the
 /// decoder rejects them; no v6 peer sends them, so that needed no bump.
+/// v7 changes framing only: after the HELLO a frame is `uv(len) body`, the
+/// type byte is gone and SHUTDOWN is the empty frame (3 header bytes on a
+/// small MSG instead of 7); codec bytes are unchanged.
 /// Bump on any incompatible codec or framing change (docs/WIRE.md is the
 /// contract); peers of another version are refused at HELLO.
-inline constexpr std::uint64_t kWireVersion = 6;
+inline constexpr std::uint64_t kWireVersion = 7;
 /// Frames above this are a protocol error, not a large message: legitimate
 /// payloads scale with a READ's objects or a server's live version chains
 /// and stay orders of magnitude smaller, so an absurd length prefix means a
 /// desynced or hostile stream and must not drive a multi-gigabyte
 /// allocation.
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
+/// A compact frame's length varint never needs more bytes than this
+/// (kMaxFrameBytes < 2^28); a longer one is a corrupt stream.
+inline constexpr std::size_t kMaxFrameLenBytes = 4;
 
 enum class FrameType : std::uint8_t {
-  kHello = 0x01,     ///< handshake: identifies the sending fleet process.
-  kMsg = 0x02,       ///< one routed Message.
-  kShutdown = 0x03,  ///< fleet-wide stop notice (client -> servers).
+  kHello = 0x01,  ///< handshake: identifies the sending fleet process.  Its
+                  ///< value is the type byte of the frozen HELLO layout; the
+                  ///< other two kinds carry no type byte since v7.
+  kMsg,           ///< one routed Message.
+  kShutdown,      ///< fleet-wide stop notice (client -> servers).
 };
 
 struct Frame {
   FrameType type{FrameType::kMsg};
-  std::vector<std::uint8_t> body;  ///< bytes after the type byte.
+  /// A HELLO's bytes after its type byte; a MSG's whole body; empty for
+  /// SHUTDOWN.
+  std::vector<std::uint8_t> body;
 };
 
-/// Incremental frame reassembly over an untrusted byte stream.
+/// Incremental frame reassembly over an untrusted byte stream.  A
+/// default-constructed decoder (a dialer's) reads compact frames from the
+/// first byte; accepting() reads one HELLO-layout frame first and then
+/// switches to compact frames, carrying that state with it when NetRuntime
+/// hands the connection to a PeerLink.
 class FrameDecoder {
  public:
+  /// The decoder of an accepted connection: its first frame must be a HELLO.
+  static FrameDecoder accepting() {
+    FrameDecoder d;
+    d.hello_due_ = true;
+    return d;
+  }
+
   enum class Status {
     kNeedMore,  ///< no complete frame buffered yet.
     kFrame,     ///< one frame popped into `out`.
@@ -96,6 +123,7 @@ class FrameDecoder {
  private:
   std::vector<std::uint8_t> buf_;  ///< unconsumed bytes (compacted on pop).
   std::size_t pos_ = 0;            ///< consumed prefix of buf_.
+  bool hello_due_ = false;         ///< next frame uses the frozen HELLO layout.
   std::string error_;
 };
 
@@ -115,7 +143,7 @@ struct IoSlice {
 /// past whatever the kernel actually accepted — including a partial write
 /// that stops at ANY byte offset inside or across frame boundaries (the next
 /// gather resumes mid-frame).  Frames are never re-encoded, split or merged:
-/// coalescing is purely how many of the SAME snowkit-wire-v6 bytes share one
+/// coalescing is purely how many of the SAME snowkit-wire-v7 bytes share one
 /// syscall, which frame_roundtrip_test proves by comparing gathered bytes
 /// against the flat reference stream.
 ///
@@ -172,10 +200,12 @@ class WriteCoalescer {
 
 // --- frame builders (append to an outbox buffer) ----------------------------
 
+/// The handshake in the frozen v1-v7 HELLO layout (only kWireVersion moves).
 void append_hello(std::vector<std::uint8_t>& out, std::uint64_t process_index);
 /// Frames one routed message; the Message bytes are produced by
 /// encode_message_into — the exact bytes ThreadRuntime mailboxes carry.
 void append_msg(std::vector<std::uint8_t>& out, NodeId from, NodeId to, const Message& m);
+/// The zero-length frame: one 0x00 byte.
 void append_shutdown(std::vector<std::uint8_t>& out);
 
 // --- frame body parsers (untrusted until noted) -----------------------------

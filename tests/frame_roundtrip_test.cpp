@@ -1,8 +1,10 @@
-// snowkit-wire-v6 framing at the byte boundary: encoded frames must survive
+// snowkit-wire-v7 framing at the byte boundary: encoded frames must survive
 // arbitrary TCP segmentation (split at EVERY byte offset and reassembled
 // through the NetRuntime framing decoder), and malformed streams — garbage
 // prefixes, truncations, absurd lengths — must surface as decoder ERRORS,
 // never aborts: a TCP peer is untrusted input until its HELLO checks out.
+// The reference stream is what an accepted connection carries: one HELLO in
+// the frozen v1-v7 layout, then compact `uv(len) body` frames.
 #include "runtime/socket.hpp"
 
 #include <gtest/gtest.h>
@@ -51,6 +53,7 @@ std::vector<Message> corpus() {
 }
 
 /// The reference stream: HELLO, the whole corpus as MSG frames, SHUTDOWN.
+/// Decode it with FrameDecoder::accepting().
 std::vector<std::uint8_t> reference_stream(const std::vector<Message>& msgs) {
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, 3);
@@ -97,7 +100,7 @@ TEST(FrameRoundtrip, SplitAtEveryByteOffset) {
   const auto msgs = corpus();
   const auto bytes = reference_stream(msgs);
   for (std::size_t split = 0; split <= bytes.size(); ++split) {
-    FrameDecoder dec;
+    auto dec = FrameDecoder::accepting();
     Decoded out;
     dec.feed(bytes.data(), split);
     drain(dec, out);
@@ -120,7 +123,7 @@ TEST(FrameRoundtrip, SplitAtEveryByteOffset) {
 TEST(FrameRoundtrip, ByteAtATime) {
   const auto msgs = corpus();
   const auto bytes = reference_stream(msgs);
-  FrameDecoder dec;
+  auto dec = FrameDecoder::accepting();
   Decoded out;
   for (const std::uint8_t b : bytes) {
     dec.feed(&b, 1);
@@ -138,7 +141,7 @@ TEST(FrameRoundtrip, TruncatedPrefixNeverErrorsAndNeverCompletes) {
   // Every strict prefix of a valid stream is "need more", possibly with a
   // partial frame pending — never an error, never a phantom extra frame.
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    FrameDecoder dec;
+    auto dec = FrameDecoder::accepting();
     dec.feed(bytes.data(), len);
     Frame f;
     std::size_t frames = 0;
@@ -150,7 +153,8 @@ TEST(FrameRoundtrip, TruncatedPrefixNeverErrorsAndNeverCompletes) {
 }
 
 TEST(FrameRoundtrip, GarbagePrefixErrorsNotCrashes) {
-  // A desynced stream usually presents as an absurd length prefix.
+  // A desynced stream usually presents as an absurd length prefix: here a
+  // length varint that never ends.
   {
     FrameDecoder dec;
     const std::vector<std::uint8_t> garbage{0xFF, 0xFF, 0xFF, 0xFF, 0x00};
@@ -165,25 +169,25 @@ TEST(FrameRoundtrip, GarbagePrefixErrorsNotCrashes) {
     EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
   }
   {
-    FrameDecoder dec;  // zero-length frame
+    auto dec = FrameDecoder::accepting();  // zero-length frame where a HELLO is due
     const std::vector<std::uint8_t> zero{0x00, 0x00, 0x00, 0x00};
     dec.feed(zero);
     Frame f;
     EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
   }
   {
-    FrameDecoder dec;  // unknown frame type
+    auto dec = FrameDecoder::accepting();  // HELLO layout, unknown frame type
     const std::vector<std::uint8_t> unknown{0x01, 0x00, 0x00, 0x00, 0x7F};
     dec.feed(unknown);
     Frame f;
     EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
   }
-  // Seeded random garbage: the decoder must error or want more — never pop a
-  // frame that then parses as a valid HELLO (magic + version gate), and
-  // never crash.
+  // Seeded random garbage, through both decoder kinds: the decoder must
+  // error or want more — never pop a frame that then parses as a valid
+  // HELLO (magic + version gate), and never crash.
   Xoshiro256 rng(0xC0FFEE);
-  for (int round = 0; round < 200; ++round) {
-    FrameDecoder dec;
+  for (int round = 0; round < 400; ++round) {
+    auto dec = round % 2 == 0 ? FrameDecoder::accepting() : FrameDecoder{};
     std::vector<std::uint8_t> junk(1 + rng.next() % 64);
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
     dec.feed(junk);
@@ -196,6 +200,136 @@ TEST(FrameRoundtrip, GarbagePrefixErrorsNotCrashes) {
             << "random junk parsed as a plausible hello";
       }
     }
+  }
+}
+
+TEST(FrameRoundtrip, ZeroLengthFrameIsShutdown) {
+  // Since v7 SHUTDOWN is the empty frame: one 0x00 byte, no body.
+  std::vector<std::uint8_t> bytes;
+  net::append_shutdown(bytes);
+  ASSERT_EQ(bytes, std::vector<std::uint8_t>{0x00});
+  FrameDecoder dec;
+  dec.feed(bytes);
+  Frame f;
+  ASSERT_EQ(dec.next(f), FrameDecoder::Status::kFrame);
+  EXPECT_EQ(f.type, FrameType::kShutdown);
+  EXPECT_TRUE(f.body.empty());
+  EXPECT_EQ(dec.next(f), FrameDecoder::Status::kNeedMore);
+  EXPECT_FALSE(dec.mid_frame());
+}
+
+TEST(FrameRoundtrip, TruncatedLengthVarintNeedsMore) {
+  // 1-3 continuation bytes are a length still arriving, not an error.
+  for (std::size_t n = 1; n <= 3; ++n) {
+    FrameDecoder dec;
+    const std::vector<std::uint8_t> prefix(n, 0x80);
+    dec.feed(prefix);
+    Frame f;
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kNeedMore) << n << " bytes";
+    EXPECT_FALSE(dec.failed());
+    EXPECT_TRUE(dec.mid_frame());
+  }
+}
+
+TEST(FrameRoundtrip, FiveByteLengthVarintIsAnError) {
+  // kMaxFrameBytes fits 4 varint bytes, so a 4th continuation bit is
+  // already corrupt — the 5th byte is never waited for.
+  {
+    FrameDecoder dec;
+    dec.feed(std::vector<std::uint8_t>{0x80, 0x80, 0x80, 0x80, 0x00});
+    Frame f;
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
+    EXPECT_NE(dec.error().find("varint"), std::string::npos) << dec.error();
+  }
+  {
+    FrameDecoder dec;
+    dec.feed(std::vector<std::uint8_t>{0x81, 0x80, 0x80, 0x80});
+    Frame f;
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
+  }
+}
+
+TEST(FrameRoundtrip, LengthAboveMaxFrameBytesIsAnError) {
+  const auto length_varint = [](std::size_t len) {
+    std::vector<std::uint8_t> out;
+    while (len >= 0x80) {
+      out.push_back(static_cast<std::uint8_t>(len) | 0x80);
+      len >>= 7;
+    }
+    out.push_back(static_cast<std::uint8_t>(len));
+    return out;
+  };
+  {
+    FrameDecoder dec;  // exactly the cap: a legal length, body still due
+    dec.feed(length_varint(net::kMaxFrameBytes));
+    Frame f;
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kNeedMore);
+  }
+  {
+    FrameDecoder dec;
+    const auto over = length_varint(net::kMaxFrameBytes + 1);
+    ASSERT_EQ(over.size(), net::kMaxFrameLenBytes);
+    dec.feed(over);
+    Frame f;
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
+    EXPECT_NE(dec.error().find("exceeds kMaxFrameBytes"), std::string::npos) << dec.error();
+  }
+}
+
+TEST(FrameRoundtrip, CompactFrameWhereHelloIsDueIsRefused) {
+  // An accepted connection must open with the frozen HELLO layout.  A
+  // compact MSG frame in its place fails the u32le length or type checks.
+  {
+    std::vector<std::uint8_t> bytes;
+    net::append_msg(bytes, 9, 0, Message{5, SimpleReadReq{1}});
+    auto dec = FrameDecoder::accepting();
+    dec.feed(bytes);
+    Frame f;
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
+  }
+  {
+    // A SHUTDOWN before the HELLO is no SHUTDOWN: its zero byte is the
+    // start of a u32le length, and a zero length is refused.
+    auto dec = FrameDecoder::accepting();
+    std::vector<std::uint8_t> bytes;
+    net::append_shutdown(bytes);
+    dec.feed(bytes);
+    Frame f;
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kNeedMore);
+    dec.feed(std::vector<std::uint8_t>{0x00, 0x00, 0x00});
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
+  }
+  {
+    // The dialer's decoder never expects a HELLO: the HELLO layout read as a
+    // compact frame is a 7-byte MSG frame, not a handshake.
+    std::vector<std::uint8_t> bytes;
+    net::append_hello(bytes, 1);
+    FrameDecoder dec;
+    dec.feed(bytes);
+    Frame f;
+    ASSERT_EQ(dec.next(f), FrameDecoder::Status::kFrame);
+    EXPECT_EQ(f.type, FrameType::kMsg);
+  }
+}
+
+TEST(FrameRoundtrip, BytesAfterAnErrorStayTerminal) {
+  std::vector<std::uint8_t> valid;
+  net::append_msg(valid, 9, 0, Message{5, SimpleReadReq{1}});
+  net::append_shutdown(valid);
+  for (const bool accepting : {false, true}) {
+    auto dec = accepting ? FrameDecoder::accepting() : FrameDecoder{};
+    dec.feed(std::vector<std::uint8_t>{0xFF, 0xFF, 0xFF, 0xFF, 0xFF});
+    Frame f;
+    ASSERT_EQ(dec.next(f), FrameDecoder::Status::kError);
+    const std::string first = dec.error();
+    std::vector<std::uint8_t> hello;
+    net::append_hello(hello, 1);
+    dec.feed(hello);
+    dec.feed(valid);
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
+    EXPECT_EQ(dec.next(f), FrameDecoder::Status::kError);
+    EXPECT_EQ(dec.error(), first);
+    EXPECT_FALSE(dec.mid_frame());
   }
 }
 
@@ -225,36 +359,47 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
   // Wrong wire version must be rejected, not silently accepted.
-  std::vector<std::uint8_t> v7{0x53, 0x4E, 0x57, 0x4B, 0x07, 0x00};
-  EXPECT_FALSE(net::parse_hello(v7, hello, err));
+  std::vector<std::uint8_t> v8{0x53, 0x4E, 0x57, 0x4B, 0x08, 0x00};
+  EXPECT_FALSE(net::parse_hello(v8, hello, err));
   EXPECT_NE(err.find("wire version"), std::string::npos);
 }
 
-TEST(FrameRoundtrip, V6PeerRefusesOlderHellos) {
+TEST(FrameRoundtrip, V7PeerRefusesOlderHellos) {
   // v1 peers ship k-wide tag arrays, v2 peers k-bit write masks and mode
   // tables, v3 peers one write-val, ack and finalize per object, v4 peers
-  // one read-val or read-vals per object and unsorted read batches, and v5
-  // peers read-vals-batches without the coor byte — all of which v6 decodes
-  // as garbage or drops: the HELLO gate must refuse them by name before any
-  // MSG frame is parsed.
-  ASSERT_EQ(net::kWireVersion, 6u);
+  // one read-val or read-vals per object and unsorted read batches, v5
+  // peers read-vals-batches without the coor byte, and v1-v6 peers frame
+  // with a u32le length and a type byte — all of which v7 decodes as
+  // garbage: the HELLO, whose layout never changes, must refuse them by
+  // name before any compact frame is parsed.
+  ASSERT_EQ(net::kWireVersion, 7u);
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, 1);
-  FrameDecoder dec;
+  // The same HELLO with the version varint (byte 9: after the u32le
+  // length, the type byte and the magic) rewritten to 1 through 6, read by
+  // an accepting decoder exactly as a live connection's first bytes.
+  ASSERT_EQ(bytes[9], 0x07);
+  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04, 0x05, 0x06}) {
+    auto stale = bytes;
+    stale[9] = old;
+    auto dec = FrameDecoder::accepting();
+    dec.feed(stale);
+    Frame f;
+    ASSERT_EQ(dec.next(f), FrameDecoder::Status::kFrame);
+    ASSERT_EQ(f.type, FrameType::kHello);
+    net::HelloBody hello;
+    std::string err;
+    EXPECT_FALSE(net::parse_hello(f.body, hello, err));
+    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 7)");
+  }
+  auto dec = FrameDecoder::accepting();
   dec.feed(bytes);
   Frame f;
   ASSERT_EQ(dec.next(f), FrameDecoder::Status::kFrame);
   net::HelloBody hello;
   std::string err;
   ASSERT_TRUE(net::parse_hello(f.body, hello, err)) << err;
-  // The same HELLO with the version varint rewritten to 1 through 5.
-  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04, 0x05}) {
-    auto body = f.body;
-    ASSERT_EQ(body[4], 0x06);
-    body[4] = old;
-    EXPECT_FALSE(net::parse_hello(body, hello, err));
-    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 6)");
-  }
+  EXPECT_EQ(hello.process_index, 1u);
 }
 
 TEST(FrameRoundtrip, FramedCodecBytesMatchEncodeMessage) {
@@ -265,6 +410,8 @@ TEST(FrameRoundtrip, FramedCodecBytesMatchEncodeMessage) {
     std::vector<std::uint8_t> framed;
     net::append_msg(framed, 1, 2, m);
     const auto codec_bytes = encode_message(m);
+    // The whole envelope of a frame under 128 bytes: uv(len) uv(from) uv(to).
+    if (codec_bytes.size() + 2 < 0x80) EXPECT_EQ(framed.size(), codec_bytes.size() + 3);
     ASSERT_GE(framed.size(), codec_bytes.size());
     EXPECT_TRUE(std::equal(codec_bytes.begin(), codec_bytes.end(),
                            framed.end() - static_cast<std::ptrdiff_t>(codec_bytes.size())));
@@ -324,8 +471,9 @@ TEST(WriteCoalescerTest, PartialWriteResumesAtEveryByteOffset) {
     for (const auto& f : frames) wq.push(std::vector<std::uint8_t>(f));
     ASSERT_EQ(wq.pending_bytes(), reference.size());
     std::vector<std::uint8_t> wire;
-    // First write stops at `split` — inside a length prefix, a type byte, a
-    // payload, or exactly on a frame boundary — then the link drains.
+    // First write stops at `split` — inside a length prefix, a routing
+    // header, a payload, or exactly on a frame boundary — then the link
+    // drains.
     accept_bytes(wq, split, 8, wire);
     if (HasFatalFailure()) return;
     accept_bytes(wq, reference.size() - split, 8, wire);
@@ -334,7 +482,7 @@ TEST(WriteCoalescerTest, PartialWriteResumesAtEveryByteOffset) {
     ASSERT_EQ(wq.pending_bytes(), 0u) << "split at " << split;
     ASSERT_EQ(wire, reference) << "split at " << split;
     // And the stream a peer decoder sees is untouched by coalescing.
-    FrameDecoder dec;
+    auto dec = FrameDecoder::accepting();
     Decoded out;
     dec.feed(wire);
     drain(dec, out);
@@ -358,11 +506,8 @@ TEST(WriteCoalescerTest, ByteAtATimeKernelStillYieldsTheReferenceStream) {
 }
 
 TEST(WriteCoalescerTest, GatherHonorsFrameIovAndByteCapsWithoutStalling) {
-  auto five_byte_frame = [] {  // a SHUTDOWN frame is 5 bytes on the wire
-    std::vector<std::uint8_t> f;
-    net::append_shutdown(f);
-    return f;
-  };
+  // The coalescer never looks inside a frame, so any 5 bytes will do.
+  auto five_byte_frame = [] { return std::vector<std::uint8_t>(5, 0x5A); };
   WriteCoalescer wq;
   for (int i = 0; i < 100; ++i) wq.push(five_byte_frame());
   std::vector<IoSlice> slices(128);

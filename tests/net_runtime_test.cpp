@@ -299,6 +299,36 @@ bool wait_closed(int fd, int timeout_ms) {
   return ::read(fd, buf, sizeof buf) <= 0;
 }
 
+/// Runs `ops` READs and `ops` WRITEs from a genuine client process against
+/// the fleet's (already started) servers, then shuts the client down.
+History run_client_workload(const FleetConfig& fleet, std::size_t ops) {
+  FleetProc client;
+  client.build(fleet, fleet.client_index());
+  client.rt->start();
+  client.rt->wait_connected();
+  WorkloadSpec spec;
+  spec.ops_per_reader = ops;
+  spec.ops_per_writer = ops;
+  spec.read_span = 2;
+  spec.write_span = 2;
+  WorkloadDriver driver(*client.rt, *client.sys, spec);
+  driver.start();
+  driver.wait();
+  client.rt->broadcast_shutdown();
+  client.rt->stop();
+  return client.rec->snapshot();
+}
+
+/// The daemon survived whatever a test sent it: 5 READs and 5 WRITEs
+/// complete and pass the tag-order check.
+void expect_checked_workload(const FleetConfig& fleet) {
+  const History h = run_client_workload(fleet, 5);
+  EXPECT_EQ(h.completed_reads(), 5u);
+  EXPECT_EQ(h.completed_writes(), 5u);
+  const auto verdict = check_tag_order(h);
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
+}
+
 TEST(NetRuntime, MisroutedFrameDropsConnectionNotProcess) {
   SKIP_WITHOUT_TRANSPORT();
   // HELLO is unauthenticated (magic/version/index are public), so anything a
@@ -348,8 +378,8 @@ TEST(NetRuntime, MisroutedFrameDropsConnectionNotProcess) {
 
   // Routing header fine, payload bytes garbage: the worker's
   // try_decode_message must reject it and request the link drop, not abort
-  // in decode.  Hand-build the MSG frame: len u32le, type 0x02, from uv,
-  // to uv (both valid single-byte varints), then junk payload.
+  // in decode.  Hand-build the compact MSG frame: len uv, from uv, to uv
+  // (all valid single-byte varints), then junk payload.
   NodeId from_node = kInvalidNode;
   for (NodeId id = 0; id < 8; ++id) {
     if (server.rt->owner_of(id) == 1) {
@@ -361,30 +391,15 @@ TEST(NetRuntime, MisroutedFrameDropsConnectionNotProcess) {
   ASSERT_LT(from_node, 128u);  // single-byte varint below
   NodeId to_node = 0;
   ASSERT_TRUE(server.rt->owns(to_node));
-  std::vector<std::uint8_t> junk = {0, 0, 0, 0, 0x02, static_cast<std::uint8_t>(from_node),
+  std::vector<std::uint8_t> junk = {0, static_cast<std::uint8_t>(from_node),
                                     static_cast<std::uint8_t>(to_node), 0x00, 0xFF};
   // payload = txn varint 0x00, payload index 0xFF (out of range)
-  junk[0] = static_cast<std::uint8_t>(junk.size() - 4);
+  junk[0] = static_cast<std::uint8_t>(junk.size() - 1);
   attack(junk, "server survived but should also have dropped the junk-payload link");
 
   // And keep serving: a legitimate client fleet process still completes a
   // workload against the same server instance.
-  FleetProc client;
-  client.build(fleet, fleet.client_index());
-  client.rt->start();
-  client.rt->wait_connected();
-  WorkloadSpec spec;
-  spec.ops_per_reader = 5;
-  spec.ops_per_writer = 5;
-  spec.read_span = 2;
-  spec.write_span = 2;
-  WorkloadDriver driver(*client.rt, *client.sys, spec);
-  driver.start();
-  driver.wait();
-  EXPECT_EQ(client.rec->snapshot().completed_reads(), 5u);
-
-  client.rt->broadcast_shutdown();
-  client.rt->stop();
+  EXPECT_EQ(run_client_workload(fleet, 5).completed_reads(), 5u);
   server.rt->stop();
 }
 
@@ -476,26 +491,7 @@ TEST(NetRuntime, MalformedCoordinatorRequestsDoNotAbortTheDaemon) {
   EXPECT_EQ(tag_arr->entries[0].obj, 1u);
   EXPECT_EQ(tag_arr->entries[0].latest, kInitialKey);
 
-  FleetProc client;
-  client.build(fleet, fleet.client_index());
-  client.rt->start();
-  client.rt->wait_connected();
-  WorkloadSpec spec;
-  spec.ops_per_reader = 5;
-  spec.ops_per_writer = 5;
-  spec.read_span = 2;
-  spec.write_span = 2;
-  WorkloadDriver driver(*client.rt, *client.sys, spec);
-  driver.start();
-  driver.wait();
-  const History h = client.rec->snapshot();
-  EXPECT_EQ(h.completed_reads(), 5u);
-  EXPECT_EQ(h.completed_writes(), 5u);
-  const auto verdict = check_tag_order(h);
-  EXPECT_TRUE(verdict.ok) << verdict.explanation;
-
-  client.rt->broadcast_shutdown();
-  client.rt->stop();
+  expect_checked_workload(fleet);
   server.rt->stop();
 }
 
@@ -581,26 +577,7 @@ TEST(NetRuntime, ForeignPayloadsDoNotAbortTheDaemon) {
   EXPECT_EQ(lists, 2);
   EXPECT_EQ(others, 0) << "the server answered a payload it does not serve";
 
-  FleetProc client;
-  client.build(fleet, fleet.client_index());
-  client.rt->start();
-  client.rt->wait_connected();
-  WorkloadSpec spec;
-  spec.ops_per_reader = 5;
-  spec.ops_per_writer = 5;
-  spec.read_span = 2;
-  spec.write_span = 2;
-  WorkloadDriver driver(*client.rt, *client.sys, spec);
-  driver.start();
-  driver.wait();
-  const History h = client.rec->snapshot();
-  EXPECT_EQ(h.completed_reads(), 5u);
-  EXPECT_EQ(h.completed_writes(), 5u);
-  const auto verdict = check_tag_order(h);
-  EXPECT_TRUE(verdict.ok) << verdict.explanation;
-
-  client.rt->broadcast_shutdown();
-  client.rt->stop();
+  expect_checked_workload(fleet);
   server.rt->stop();
 }
 
@@ -616,11 +593,67 @@ TEST(NetRuntime, OversizedHandshakeIsDropped) {
 
   const int fd = raw_connect(fleet.processes[0].port);
   ASSERT_GE(fd, 0);
-  std::vector<std::uint8_t> bytes = {0xE8, 0x03, 0x00, 0x00};  // len = 1000
-  bytes.resize(bytes.size() + 600, 0x5A);                      // incomplete body
+  // The frozen HELLO layout: u32le len = 1000, the HELLO type byte, then an
+  // incomplete body.
+  std::vector<std::uint8_t> bytes = {0xE8, 0x03, 0x00, 0x00, 0x01};
+  bytes.resize(bytes.size() + 600, 0x5A);
   ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
   EXPECT_TRUE(wait_closed(fd, 5000)) << "server kept buffering an oversized handshake";
   ::close(fd);
+  server.rt->stop();
+}
+
+TEST(NetRuntime, OlderWireVersionHelloLosesItsLink) {
+  SKIP_WITHOUT_TRANSPORT();
+  // A v6 peer greets in the same frozen HELLO layout, so the daemon reads
+  // its version and refuses it by name instead of decoding its u32le-framed
+  // MSG frames as compact garbage.  The refusal costs that connection only.
+  const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
+  FleetProc server;
+  server.build(fleet, 0);
+  server.rt->start();
+
+  const int fd = raw_connect(fleet.processes[0].port);
+  ASSERT_GE(fd, 0);
+  std::vector<std::uint8_t> bytes;
+  net::append_hello(bytes, fleet.client_index());
+  ASSERT_EQ(bytes[9], net::kWireVersion);  // after u32le len, type and magic
+  bytes[9] = 6;
+  // What a v6 client sends next: a u32le-framed MSG (len 3, type 0x02, from
+  // 2, to 0, and a byte of payload).
+  bytes.insert(bytes.end(), {0x04, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00, 0x00});
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+  EXPECT_TRUE(wait_closed(fd, 5000)) << "server kept a link whose HELLO names wire v6";
+  ::close(fd);
+  EXPECT_FALSE(server.rt->shutdown_requested());
+
+  expect_checked_workload(fleet);
+  server.rt->stop();
+}
+
+TEST(NetRuntime, ZeroByteBeforeHelloDoesNotStopTheDaemon) {
+  SKIP_WITHOUT_TRANSPORT();
+  // After the HELLO a zero byte is a whole SHUTDOWN frame; before it, it is
+  // the first byte of the HELLO's u32le length.  An unauthenticated
+  // connection that sends one and hangs up must not stop the daemon, nor
+  // may one that completes a zero length.
+  const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
+  FleetProc server;
+  server.build(fleet, 0);
+  server.rt->start();
+
+  for (const std::size_t zeros : {1u, 4u}) {
+    const int fd = raw_connect(fleet.processes[0].port);
+    ASSERT_GE(fd, 0);
+    const std::vector<std::uint8_t> bytes(zeros, 0x00);
+    ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+    if (zeros == 4) EXPECT_TRUE(wait_closed(fd, 5000)) << "zero-length hello kept its link";
+    ::close(fd);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(server.rt->shutdown_requested()) << "a pre-HELLO zero byte stopped the daemon";
+
+  expect_checked_workload(fleet);
   server.rt->stop();
 }
 
@@ -786,23 +819,8 @@ TEST(NetRuntime, ReconnectStormUnderMultiThreadEpoll) {
 
   // The genuine client dials after the storm; its connection displaces the
   // last impostor and the workload must complete.
-  FleetProc client;
-  client.build(fleet, fleet.client_index());
-  client.rt->start();
-  client.rt->wait_connected();
-  WorkloadSpec spec;
-  spec.ops_per_reader = 10;
-  spec.ops_per_writer = 10;
-  spec.read_span = 2;
-  spec.write_span = 2;
-  WorkloadDriver driver(*client.rt, *client.sys, spec);
-  driver.start();
-  driver.wait();
-  EXPECT_EQ(client.rec->snapshot().completed_reads(), 10u);
+  EXPECT_EQ(run_client_workload(fleet, 10).completed_reads(), 10u);
   EXPECT_GT(server.rt->transport_stats().reconnects, 0u);  // displacements counted
-
-  client.rt->broadcast_shutdown();
-  client.rt->stop();
   server.rt->stop();
 }
 
