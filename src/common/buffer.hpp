@@ -150,6 +150,8 @@ class BufReader {
     std::uint64_t v = 0;
     for (unsigned shift = 0; shift < 64; shift += 7) {
       const std::uint8_t b = u8();
+      // The 10th byte holds bit 63 only; anything more does not fit a u64.
+      if (shift == 63 && b > 1) throw CodecError("varint overflows 64 bits");
       v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
       if ((b & 0x80) == 0) return v;
     }

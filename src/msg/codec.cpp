@@ -1,5 +1,6 @@
 #include "msg/codec.hpp"
 
+#include <iterator>
 #include <limits>
 #include <string>
 #include <type_traits>
@@ -172,37 +173,102 @@ std::vector<TagArrEntry> get_tag_entries(BufReader& r) {
   });
 }
 
-/// Replication log records: flat field-by-field encode.  Unused fields cost
-/// one varint byte each, and replica traffic never rides a hot client path.
+/// Replication log records (wire v8): the kind byte, then only the fields
+/// kFieldsOfKind names for that kind, in the order the switches below write
+/// them (docs/WIRE.md's v8 table).  The decoder leaves every other field at
+/// its default, so the encoder refuses a record that sets one rather than
+/// drop it silently.
+enum ReplField : unsigned {
+  kObj = 1u << 0, kKey = 1u << 1, kValue = 1u << 2, kPosition = 1u << 3,
+  kWatermark = 1u << 4, kObjs = 1u << 5, kTxn = 1u << 6, kWriter = 1u << 7,
+  kEpochNo = 1u << 8, kPrimary = 1u << 9,
+};
+constexpr unsigned kFieldsOfKind[] = {
+    kObj | kKey | kValue,                        // kInsert
+    kObj | kKey | kPosition | kWatermark,        // kFinalize
+    kKey | kObjs | kTxn | kWriter | kPosition,   // kListPush
+    kPosition,                                   // kCoorFinalize
+    kEpochNo | kPrimary,                         // kEpoch
+};
+static_assert(std::size(kFieldsOfKind) == ReplRecord::kEpoch + 1);
+
+/// The fields of `r` that differ from a default ReplRecord's.
+unsigned set_fields(const ReplRecord& r) {
+  const ReplRecord d;
+  return (r.obj != d.obj ? kObj : 0u) | (r.key != d.key ? kKey : 0u) |
+         (r.value != d.value ? kValue : 0u) | (r.position != d.position ? kPosition : 0u) |
+         (r.watermark != d.watermark ? kWatermark : 0u) | (!r.objs.empty() ? kObjs : 0u) |
+         (r.txn != d.txn ? kTxn : 0u) | (r.writer != d.writer ? kWriter : 0u) |
+         (r.epoch != d.epoch ? kEpochNo : 0u) | (r.primary != d.primary ? kPrimary : 0u);
+}
+
 template <typename W>
 void put_repl_record(W& w, const ReplRecord& r) {
+  SNOW_CHECK_MSG(r.kind <= ReplRecord::kEpoch, "encoding replication record kind " << int{r.kind});
+  SNOW_CHECK_MSG((set_fields(r) & ~kFieldsOfKind[r.kind]) == 0,
+                 "replication record kind " << int{r.kind} << " sets a field it does not carry");
   w.u8(r.kind);
-  w.uv(r.obj);
-  put_key(w, r.key);
-  w.zz(r.value);
-  w.uv(r.position);
-  w.uv(r.watermark);
-  put_obj_set(w, r.objs, "kListPush");
-  w.uv(r.txn);
-  put_writer(w, r.writer);
-  w.uv(r.epoch);
-  w.u8(r.primary);
+  switch (r.kind) {
+    case ReplRecord::kInsert:
+      w.uv(r.obj);
+      put_key(w, r.key);
+      w.zz(r.value);
+      return;
+    case ReplRecord::kFinalize:
+      w.uv(r.obj);
+      put_key(w, r.key);
+      w.uv(r.position);
+      w.uv(r.watermark);
+      return;
+    case ReplRecord::kListPush:
+      put_key(w, r.key);
+      put_obj_set(w, r.objs, "kListPush");
+      w.uv(r.txn);
+      put_writer(w, r.writer);
+      w.uv(r.position);
+      return;
+    case ReplRecord::kCoorFinalize:
+      w.uv(r.position);
+      return;
+    case ReplRecord::kEpoch:
+      w.uv(r.epoch);
+      w.u8(r.primary);
+      return;
+  }
 }
 
 ReplRecord get_repl_record(BufReader& r) {
   ReplRecord rec;
   rec.kind = r.u8();
-  rec.obj = static_cast<ObjectId>(r.uv());
-  rec.key = get_key(r);
-  rec.value = r.zz();
-  rec.position = r.uv();
-  rec.watermark = r.uv();
-  rec.objs = get_obj_set(r, "kListPush", rec.kind == ReplRecord::kListPush);
-  rec.txn = r.uv();
-  rec.writer = get_writer(r);
-  rec.epoch = r.uv();
-  rec.primary = r.u8();
-  return rec;
+  switch (rec.kind) {
+    case ReplRecord::kInsert:
+      rec.obj = static_cast<ObjectId>(r.uv());
+      rec.key = get_key(r);
+      rec.value = r.zz();
+      return rec;
+    case ReplRecord::kFinalize:
+      rec.obj = static_cast<ObjectId>(r.uv());
+      rec.key = get_key(r);
+      rec.position = r.uv();
+      rec.watermark = r.uv();
+      return rec;
+    case ReplRecord::kListPush:
+      rec.key = get_key(r);
+      rec.objs = get_obj_set(r, "kListPush", /*nonempty=*/true);
+      rec.txn = r.uv();
+      rec.writer = get_writer(r);
+      rec.position = r.uv();
+      return rec;
+    case ReplRecord::kCoorFinalize:
+      rec.position = r.uv();
+      return rec;
+    case ReplRecord::kEpoch:
+      rec.epoch = r.uv();
+      rec.primary = r.u8();
+      return rec;
+    default:
+      throw CodecError("replication record kind " + std::to_string(rec.kind) + " is not 0-4");
+  }
 }
 
 template <typename W>
@@ -609,10 +675,11 @@ static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one b
 // these numbers.  APPEND new payloads to the variant; reordering or
 // inserting breaks every stored trace and any mixed-version fleet, so it
 // requires a wire-version bump.  These asserts pin the frozen assignment,
-// which snowkit-wire-v2 to v6 kept (v2 redefined only the bodies of tags 6,
+// which snowkit-wire-v2 to v8 kept (v2 redefined only the bodies of tags 6,
 // 7 and 36; v3 those of 2, 4, 6, 36 and the replication record; v4 those of
 // 0, 1 and 12; v5 those of 37 and 39, and left 8-11 without a sender; v6
-// those of 39 and 40, which fold get-tag-arr and its reply).  Tags 8-11 are
+// those of 39 and 40, which fold get-tag-arr and its reply; v7 only the
+// framing; v8 the envelope txn and the replication record).  Tags 8-11 are
 // reserved placeholders now: decoding one is a CodecError.
 template <typename T>
 constexpr std::size_t payload_tag = Payload{T{}}.index();
@@ -648,19 +715,29 @@ static_assert(payload_tag<AdaptTagArrResp> == 36 && payload_tag<ReadValBatchReq>
 
 }  // namespace
 
+namespace {
+
+/// The envelope: uv(txn + 1), then the payload tag and body.  The +1 shift
+/// (wire v8, the audit chunks' rule) wraps kInvalidTxn, which every
+/// read-done and replication message carries, to a 1-byte 0.
+template <typename W>
+void put_message(W& w, const Message& m) {
+  w.uv(m.txn + 1);
+  w.u8(static_cast<std::uint8_t>(m.payload.index()));
+  std::visit(Encoder<W>{w}, m.payload);
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> encode_message(const Message& m) {
   BufWriter w;
-  w.uv(m.txn);
-  w.u8(static_cast<std::uint8_t>(m.payload.index()));
-  std::visit(Encoder<BufWriter>{w}, m.payload);
+  put_message(w, m);
   return w.take();
 }
 
 void encode_message_into(const Message& m, std::vector<std::uint8_t>& out) {
   BufWriter w(out);
-  w.uv(m.txn);
-  w.u8(static_cast<std::uint8_t>(m.payload.index()));
-  std::visit(Encoder<BufWriter>{w}, m.payload);
+  put_message(w, m);
 }
 
 namespace {
@@ -670,7 +747,7 @@ namespace {
 Message decode_message_impl(const std::vector<std::uint8_t>& bytes) {
   BufReader r(bytes);
   Message m;
-  m.txn = r.uv();
+  m.txn = r.uv() - 1;  // undo the envelope's +1 shift; 0 -> kInvalidTxn
   std::size_t index = r.u8();
   if (index >= std::variant_size_v<Payload>) {
     throw CodecError("payload index " + std::to_string(index) + " out of range");
@@ -714,9 +791,7 @@ bool try_decode_message(const std::vector<std::uint8_t>& bytes, Message& out,
 
 std::size_t encoded_size(const Message& m) {
   SizeWriter w;
-  w.uv(m.txn);
-  w.u8(static_cast<std::uint8_t>(m.payload.index()));
-  std::visit(Encoder<SizeWriter>{w}, m.payload);
+  put_message(w, m);
   return w.size();
 }
 

@@ -167,10 +167,10 @@ struct FinalizeCoorReq {
 /// read-done: reader -> coordinator (algorithms B/C and occ) or the read
 /// servers (eiger), fire-and-forget notice that the sender's READ `txn`
 /// completed.  Deregisters the read from watermark accounting.  The txn
-/// rides in the payload (the envelope carries kInvalidTxn so monitors don't
-/// count the notice as a READ round), and deregistration is keyed by
-/// (sender, txn): txn ids are monotone per client, so a reordered stale
-/// notice can never unpin a newer READ.
+/// rides in the payload (the envelope carries kInvalidTxn, 1 byte since
+/// wire v8, so monitors don't count the notice as a READ round), and
+/// deregistration is keyed by (sender, txn): txn ids are monotone per
+/// client, so a reordered stale notice can never unpin a newer READ.
 struct ReadDoneReq {
   TxnId txn{kInvalidTxn};
 
@@ -299,22 +299,26 @@ struct SimpleWriteAck {
 
 // --- per-shard primary/backup replication (proto/replica.hpp) ---------------
 //
-// Replication envelopes all carry txn = kInvalidTxn, so the SNOW monitors
-// never count replica traffic as transaction rounds.  The one exception is
-// a backup's redirect of a client request (a TakeoverNotice), which names
-// that request's txn because it answers it.  Tags 30-35; appended
-// per the payload-tag freeze (docs/WIRE.md).
+// Replication envelopes all carry txn = kInvalidTxn (1 byte since wire v8),
+// so the SNOW monitors never count replica traffic as transaction rounds.
+// The one exception is a backup's redirect of a client request (a
+// TakeoverNotice), which names that request's txn because it answers it.
+// Tags 30-35; appended per the payload-tag freeze (docs/WIRE.md).
 
 /// One entry of a shard's replicated operation log: the primary's mutations
 /// to its VersionStores (and, on the coordinator shard, its CoorList),
-/// exactly the stream a backup must apply to reach the same state.
+/// exactly the stream a backup must apply to reach the same state.  Each
+/// kind uses only the fields its comment names and leaves the rest at their
+/// defaults: the codec (wire v8, WAL v3) writes just those fields, decodes
+/// the others as defaults and refuses to encode a record that sets one.
 struct ReplRecord {
   enum Kind : std::uint8_t {
     kInsert = 0,        ///< VersionStore::insert(key, value) on `obj`.
-    kFinalize = 1,      ///< finalize(key, position) + advance_watermark on `obj`.
-    kListPush = 2,      ///< CoorList::push(key, objs) -> must yield `position`.
+    kFinalize = 1,      ///< finalize(key, position) + advance_watermark(watermark) on `obj`.
+    kListPush = 2,      ///< CoorList::push(key, objs) -> must yield `position`;
+                        ///< `txn` and `writer` dedup retries.
     kCoorFinalize = 3,  ///< CoorList::finalize(position).
-    kEpoch = 4,         ///< local-only WAL marker: epoch/role change (never shipped).
+    kEpoch = 4,         ///< local-only WAL marker: `epoch` and `primary` (never shipped).
   };
   std::uint8_t kind{kInsert};
   ObjectId obj{0};
@@ -332,7 +336,7 @@ struct ReplRecord {
 };
 
 /// Primary -> backup: log records [first_seq, first_seq + records.size()).
-/// Also the WAL batch format and the rejoin catch-up stream.
+/// Also the WAL batch format (snowkit-wal-v3) and the rejoin catch-up stream.
 struct ReplAppendReq {
   std::uint64_t epoch{0};
   std::uint64_t first_seq{0};

@@ -3,11 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
 
 #include "common/assert.hpp"
+#include "common/logging.hpp"
 #include "msg/codec.hpp"
 
 namespace snowkit {
@@ -45,6 +47,20 @@ std::uint64_t get_le64(const std::uint8_t* p) {
 
 std::vector<std::uint8_t> magic_bytes() {
   return std::vector<std::uint8_t>(kWalMagic, kWalMagic + kWalMagicLen);
+}
+
+/// `batch` without kEpoch records.  Those are local-only WAL markers that no
+/// replica ships, so one from the peer is dropped with a warning rather than
+/// logged as a sequenced record (WAL replay would read it as a role change
+/// that consumes no sequence number).  Copies only when there is one.
+template <typename Batch>
+const Batch& without_epoch_markers(const Batch& batch, Batch& filtered, NodeId from) {
+  const auto is_epoch = [](const ReplRecord& r) { return r.kind == ReplRecord::kEpoch; };
+  if (std::none_of(batch.records.begin(), batch.records.end(), is_epoch)) return batch;
+  SNOW_WARN("dropping a kEpoch record shipped by node " << from << ": epoch markers are local");
+  filtered = batch;
+  std::erase_if(filtered.records, is_epoch);
+  return filtered;
 }
 
 }  // namespace
@@ -114,12 +130,17 @@ WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes) {
   if (bytes.empty()) return out;
   if (bytes.size() < kWalMagicLen ||
       std::memcmp(bytes.data(), kWalMagic, kWalMagicLen) != 0) {
-    static constexpr char kV1Magic[] = "snowkit-wal-v1\n";
-    if (bytes.size() >= kWalMagicLen && std::memcmp(bytes.data(), kV1Magic, kWalMagicLen) == 0) {
-      throw std::invalid_argument(
-          "WAL is snowkit-wal-v1 (k-bit List masks); this build reads snowkit-wal-v2 only");
+    // Older logs are refused by name: their records decode as garbage here.
+    static constexpr const char* kOlder[][2] = {
+        {"snowkit-wal-v1\n", "k-bit List masks"},
+        {"snowkit-wal-v2\n", "full-field records under a 10-byte envelope txn"}};
+    for (const auto& [magic, why] : kOlder) {
+      if (bytes.size() >= kWalMagicLen && std::memcmp(bytes.data(), magic, kWalMagicLen) == 0) {
+        throw std::invalid_argument("WAL is " + std::string(magic, kWalMagicLen - 1) + " (" +
+                                    why + "); this build reads snowkit-wal-v3 only");
+      }
     }
-    throw std::invalid_argument("WAL head is not the snowkit-wal-v2 magic");
+    throw std::invalid_argument("WAL head is not the snowkit-wal-v3 magic");
   }
   out.fresh = false;
   std::size_t off = kWalMagicLen;
@@ -215,7 +236,8 @@ void Replicator::on_crash() {
 
 bool Replicator::consume(NodeId from, const Message& m) {
   if (const auto* ar = std::get_if<ReplAppendReq>(&m.payload)) {
-    if (from == cfg_.peer) on_append(from, *ar);
+    ReplAppendReq filtered;
+    if (from == cfg_.peer) on_append(from, without_epoch_markers(*ar, filtered, from));
     return true;
   }
   if (const auto* ak = std::get_if<ReplAppendAck>(&m.payload)) {
@@ -227,7 +249,8 @@ bool Replicator::consume(NodeId from, const Message& m) {
     return true;
   }
   if (const auto* js = std::get_if<ReplJoinResp>(&m.payload)) {
-    if (from == cfg_.peer) on_join_resp(*js);
+    ReplJoinResp filtered;
+    if (from == cfg_.peer) on_join_resp(without_epoch_markers(*js, filtered, from));
     return true;
   }
   if (const auto* nd = std::get_if<NodeDownNotice>(&m.payload)) {

@@ -45,18 +45,20 @@
 // simulator's detector is exact, so recorded schedules never hit this; the
 // net failover smoke kills processes for real.
 //
-// WAL format (`snowkit-wal-v2`): the magic line, then length-prefixed
+// WAL format (`snowkit-wal-v3`): the magic line, then length-prefixed
 // batches [u32le len][encode_message(ReplAppendReq)][u64le FNV-1a(payload)].
-// Records use the snowkit-wire-v3 body (unchanged through v7), so a kListPush
-// record carries the WRITE's object set (ascending, gap-coded) and costs
-// O(|W|) bytes; v1 logged a k-bit mask instead, and a v1 log is refused by
-// name rather than misread.  A batch holds every record of one handler step,
-// so a torn tail always ends at a step boundary: a write-val's inserts are
-// recovered all together or not at all.
+// Payloads use the snowkit-wire-v8 codec: a 1-byte kInvalidTxn envelope and
+// records that carry only their kind's fields, so a kListPush record costs
+// O(|W|) bytes for the WRITE's object set (ascending, gap-coded).  v1 logged
+// a k-bit mask instead and v2 full-field records under a 10-byte envelope;
+// both are refused by name rather than misread.  A batch holds every record
+// of one handler step, so a torn tail always ends at a step boundary: a
+// write-val's inserts are recovered all together or not at all.
 // Any malformed, checksum-failing, short, or non-contiguous trailing batch
 // is a torn tail: replay recovers the preceding prefix and stops.  Epoch and
 // role changes are persisted as local-only kEpoch records that never ship
-// and never consume a log sequence number.
+// and never consume a log sequence number; one that arrives from the peer
+// anyway is dropped with a warning.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +80,7 @@ namespace snowkit {
 
 // --- write-ahead log storage -------------------------------------------------
 
-inline constexpr char kWalMagic[] = "snowkit-wal-v2\n";
+inline constexpr char kWalMagic[] = "snowkit-wal-v3\n";
 inline constexpr std::size_t kWalMagicLen = sizeof(kWalMagic) - 1;
 
 /// Durable append-only byte storage for one replica's WAL.
@@ -149,7 +151,7 @@ struct WalReplayResult {
 /// first_seq that does not extend the log contiguously) ends replay with
 /// torn=true.  Bytes that exist but do not start with the magic throw
 /// std::invalid_argument — that is corruption of the head, not a torn tail;
-/// a `snowkit-wal-v1` head gets its own message naming both versions.
+/// a `snowkit-wal-v1` or `-v2` head gets its own message naming it.
 WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes);
 
 // --- the replica state machine -----------------------------------------------

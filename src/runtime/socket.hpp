@@ -1,4 +1,4 @@
-// snowkit-wire-v7 framing + TCP socket helpers for NetRuntime.
+// snowkit-wire-v8 framing + TCP socket helpers for NetRuntime.
 //
 // The stream format (frozen in docs/WIRE.md) wraps the existing message
 // codec (msg/codec.cpp, reused verbatim via encode_message_into) in
@@ -11,7 +11,7 @@
 //
 // The HELLO keeps the v1-v6 layout forever and is valid only as the first
 // frame an ACCEPTING side reads: any peer, of any version, is then refused
-// by name ("wire version 6 (expected 7)") before a compact frame is parsed.
+// by name ("wire version 7 (expected 8)") before a compact frame is parsed.
 // Everything after the HELLO, and everything a dialer reads, is compact.
 //
 // FrameDecoder is the incremental reassembly unit: bytes arrive in arbitrary
@@ -25,7 +25,7 @@
 // payloads).  What remains trusted is only control-plane INTENT: a
 // zero-length frame (SHUTDOWN) from any greeted peer stops the daemon, so
 // fleet ports must sit behind the operator's network boundary —
-// snowkit-wire-v7 has no peer authentication (see the trust model note in
+// snowkit-wire-v8 has no peer authentication (see the trust model note in
 // net_runtime.hpp).  Before the HELLO a zero byte is only the start of a
 // u32le length, never a SHUTDOWN.
 #pragma once
@@ -41,7 +41,7 @@ namespace snowkit::net {
 
 /// "SNWK" little-endian: the first 4 body bytes of every HELLO.
 inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
-/// snowkit-wire-v7: v1's payload tags, framed as in v1 up to v6.  v2 sized
+/// snowkit-wire-v8: v1's payload tags, framed as in v1 up to v6.  v2 sized
 /// get-tag-arr, tag-arr and adapt-tag-arr (tags 6, 7, 36) by the READ's
 /// objects; v3 sizes info-reader, update-coor and replication records by the
 /// WRITE's objects and ships adaptive mode tables as deltas (tags 2, 4, 6,
@@ -58,10 +58,13 @@ inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
 /// decoder rejects them; no v6 peer sends them, so that needed no bump.
 /// v7 changes framing only: after the HELLO a frame is `uv(len) body`, the
 /// type byte is gone and SHUTDOWN is the empty frame (3 header bytes on a
-/// small MSG instead of 7); codec bytes are unchanged.
+/// small MSG instead of 7); codec bytes are unchanged.  v8 changes codec
+/// bytes only: the envelope txn rides as uv(txn + 1), so kInvalidTxn (every
+/// read-done and replication message) costs 1 byte instead of 10, and each
+/// replication record kind writes only the fields it uses.
 /// Bump on any incompatible codec or framing change (docs/WIRE.md is the
 /// contract); peers of another version are refused at HELLO.
-inline constexpr std::uint64_t kWireVersion = 7;
+inline constexpr std::uint64_t kWireVersion = 8;
 /// Frames above this are a protocol error, not a large message: legitimate
 /// payloads scale with a READ's objects or a server's live version chains
 /// and stay orders of magnitude smaller, so an absurd length prefix means a
@@ -143,7 +146,7 @@ struct IoSlice {
 /// past whatever the kernel actually accepted — including a partial write
 /// that stops at ANY byte offset inside or across frame boundaries (the next
 /// gather resumes mid-frame).  Frames are never re-encoded, split or merged:
-/// coalescing is purely how many of the SAME snowkit-wire-v7 bytes share one
+/// coalescing is purely how many of the SAME snowkit-wire-v8 bytes share one
 /// syscall, which frame_roundtrip_test proves by comparing gathered bytes
 /// against the flat reference stream.
 ///
@@ -200,7 +203,7 @@ class WriteCoalescer {
 
 // --- frame builders (append to an outbox buffer) ----------------------------
 
-/// The handshake in the frozen v1-v7 HELLO layout (only kWireVersion moves).
+/// The handshake in the frozen v1-v8 HELLO layout (only kWireVersion moves).
 void append_hello(std::vector<std::uint8_t>& out, std::uint64_t process_index);
 /// Frames one routed message; the Message bytes are produced by
 /// encode_message_into — the exact bytes ThreadRuntime mailboxes carry.

@@ -127,19 +127,37 @@ SimpleWriteReq make_random(Xoshiro256& rng) { return {ru32(rng), ri64(rng)}; }
 template <>
 SimpleWriteAck make_random(Xoshiro256& rng) { return {ru32(rng)}; }
 
+/// A record of a random kind with random values in that kind's fields only:
+/// the codec carries no others (wire v8).
 ReplRecord rrecord(Xoshiro256& rng) {
   ReplRecord rec;
   rec.kind = static_cast<std::uint8_t>(rng.below(5));
-  rec.obj = ru32(rng);
-  rec.key = rkey(rng);
-  rec.value = ri64(rng);
-  rec.position = ru64(rng);
-  rec.watermark = ru64(rng);
-  rec.objs = robj_set(rng, rec.kind == ReplRecord::kListPush ? 1 : 0);
-  rec.txn = ru64(rng);
-  rec.writer = ru32(rng);
-  rec.epoch = ru64(rng);
-  rec.primary = static_cast<std::uint8_t>(rng.below(2));
+  switch (rec.kind) {
+    case ReplRecord::kInsert:
+      rec.obj = ru32(rng);
+      rec.key = rkey(rng);
+      rec.value = ri64(rng);
+      break;
+    case ReplRecord::kFinalize:
+      rec.obj = ru32(rng);
+      rec.key = rkey(rng);
+      rec.position = ru64(rng);
+      rec.watermark = ru64(rng);
+      break;
+    case ReplRecord::kListPush:
+      rec.key = rkey(rng);
+      rec.objs = robj_set(rng, 1);
+      rec.txn = ru64(rng);
+      rec.writer = ru32(rng);
+      rec.position = ru64(rng);
+      break;
+    case ReplRecord::kCoorFinalize:
+      rec.position = ru64(rng);
+      break;
+    default:
+      rec.epoch = ru64(rng);
+      rec.primary = static_cast<std::uint8_t>(rng.below(2));
+  }
   return rec;
 }
 

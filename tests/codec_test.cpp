@@ -2,6 +2,8 @@
 // survive encode/decode bit-for-bit, and the reserved tags 8-11 must not.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "msg/codec.hpp"
 
 namespace snowkit {
@@ -118,7 +120,7 @@ TEST(Codec, ReservedTagsAreRejected) {
       {0x01, 0x00},                    // read-vals-resp: obj 1, no versions
   };
   for (std::uint8_t tag = 8; tag <= 11; ++tag) {
-    std::vector<std::uint8_t> bytes{0x07, tag};
+    std::vector<std::uint8_t> bytes{0x08, tag};
     bytes.insert(bytes.end(), old_bodies[tag - 8].begin(), old_bodies[tag - 8].end());
     Message out;
     std::string err;
@@ -161,24 +163,226 @@ TEST(Codec, SimpleReadResp) { roundtrip(SimpleReadResp{0, 1}); }
 TEST(Codec, SimpleWrite) { roundtrip(SimpleWriteReq{0, 1}); }
 TEST(Codec, SimpleWriteAck) { roundtrip(SimpleWriteAck{0}); }
 
+ReplRecord insert_record() {
+  ReplRecord r;
+  r.kind = ReplRecord::kInsert;
+  r.obj = 70000;
+  r.key = WriteKey{3, 1};
+  r.value = -5;
+  return r;
+}
+
+ReplRecord finalize_record() {
+  ReplRecord r;
+  r.kind = ReplRecord::kFinalize;
+  r.obj = 2;
+  r.key = WriteKey{3, 1};
+  r.position = 9;
+  r.watermark = 4;
+  return r;
+}
+
+ReplRecord push_record() {
+  ReplRecord r;
+  r.kind = ReplRecord::kListPush;
+  r.key = WriteKey{3, 1};
+  r.objs = {2, 300};
+  r.txn = 40;
+  r.writer = 1;
+  r.position = 9;
+  return r;
+}
+
+ReplRecord coor_finalize_record(Tag position) {
+  ReplRecord r;
+  r.kind = ReplRecord::kCoorFinalize;
+  r.position = position;
+  return r;
+}
+
+ReplRecord epoch_record() {
+  ReplRecord r;
+  r.kind = ReplRecord::kEpoch;
+  r.epoch = 3;
+  r.primary = 1;
+  return r;
+}
+
+/// One message of every live payload, under small, large and invalid txns.
+std::vector<Message> every_payload() {
+  const std::vector<TagArrEntry> entries{
+      TagArrEntry{3, WriteKey{1, 0}, {ListedKey{1, WriteKey{1, 0}}}}};
+  const std::vector<Payload> payloads{
+      WriteValReq{WriteKey{3, 9}, {{1, 42}, {200, -3}}}, WriteValAck{WriteKey{1, 2}, {0, 7}},
+      InfoReaderReq{WriteKey{8, 1}, {0, 2}}, InfoReaderAck{99}, UpdateCoorReq{WriteKey{2, 3}, {1}},
+      UpdateCoorAck{12, 3}, GetTagArrReq{{3, 4}, 5}, GetTagArrResp{4, 2, entries},
+      FinalizeReq{WriteKey{9, 9}, 3, 17, {2}, true}, EigerWriteReq{0, 5, 3},
+      EigerWriteAck{0, 7, 7}, EigerReadReq{1, 2}, EigerReadResp{1, 10, 2, 5, 5},
+      EigerReadAtReq{1, 4, 6}, EigerReadAtResp{1, 10, 8}, LockReq{2, true}, LockGrant{2, 123},
+      WriteUnlockReq{2, 9}, UnlockReq{2}, UnlockAck{2}, SimpleReadReq{0}, SimpleReadResp{0, 1},
+      SimpleWriteReq{0, 1}, SimpleWriteAck{0}, FinalizeCoorReq{300}, ReadDoneReq{20000},
+      ReplAppendReq{1, 5000,
+                    {insert_record(), finalize_record(), push_record(), coor_finalize_record(9),
+                     epoch_record()}},
+      ReplAppendAck{1, 5000}, ReplJoinReq{2, 40, 1},
+      ReplJoinResp{2, 1, 0, {insert_record(), coor_finalize_record(1)}},
+      TakeoverNotice{1, 2, 3}, NodeDownNotice{2},
+      AdaptTagArrResp{4, 2, entries, 9, 7, {5}, {2, 300}},
+      ReadValBatchReq{9, {{5, WriteKey{3, 1}}}},
+      ReadValBatchResp{{{5, WriteKey{3, 1}, -4, true}}},
+      ReadValsBatchReq{0, {5}, GetTagArrReq{{5}, 2}},
+      ReadValsBatchResp{{{0, {Version{kInitialKey, 0}}}}, GetTagArrResp{4, 2, entries}}};
+  std::vector<Message> out;
+  for (const Payload& p : payloads) {
+    for (const TxnId txn : {TxnId{0}, TxnId{20000}, kInvalidTxn - 1, kInvalidTxn}) {
+      out.push_back(Message{txn, p});
+    }
+  }
+  return out;
+}
+
 TEST(Codec, EncodedSizeMatches) {
-  Message m{3, ReadValsBatchResp{{{0, {Version{kInitialKey, 0}}}}}};
-  EXPECT_EQ(encoded_size(m), encode_message(m).size());
+  const std::vector<Message> msgs = every_payload();
+  std::set<std::size_t> tags;
+  for (const Message& m : msgs) tags.insert(m.payload.index());
+  EXPECT_EQ(tags.size(), std::variant_size_v<Payload> - 4) << "a live payload is missing";
+  for (const Message& m : msgs) {
+    const auto bytes = encode_message(m);
+    EXPECT_EQ(encoded_size(m), bytes.size()) << payload_name(m.payload);
+    EXPECT_EQ(decode_message(bytes), m) << payload_name(m.payload);
+  }
+}
+
+// Wire v8's envelope is uv(txn + 1): kInvalidTxn, which every read-done and
+// replication message carries, wraps to a 1-byte 0.
+TEST(Codec, EnvelopeTxnIsShiftedByOne) {
+  const auto unlock_ack = [](std::vector<std::uint8_t> envelope) {
+    envelope.insert(envelope.end(), {0x17, 0x02});  // tag 23 (unlock-ack), obj 2
+    return envelope;
+  };
+  std::vector<std::uint8_t> max_varint(9, 0xFF);
+  max_varint.push_back(0x01);  // u64 max: 63 low bits, then bit 63
+  const std::vector<std::pair<TxnId, std::vector<std::uint8_t>>> cases{
+      {kInvalidTxn, unlock_ack({0x00})},
+      {0, unlock_ack({0x01})},
+      {126, unlock_ack({0x7F})},
+      {127, unlock_ack({0x80, 0x01})},
+      {kInvalidTxn - 1, unlock_ack(max_varint)}};
+  for (const auto& [txn, bytes] : cases) {
+    const Message m{txn, UnlockAck{2}};
+    EXPECT_EQ(encode_message(m), bytes) << txn;
+    EXPECT_EQ(encoded_size(m), bytes.size()) << txn;
+    EXPECT_EQ(decode_message(bytes), m) << txn;
+  }
+  // An envelope varint past 64 bits is malformed, not wrapped.
+  Message out;
+  std::string err;
+  std::vector<std::uint8_t> overflow(9, 0xFF);
+  overflow.push_back(0x02);
+  EXPECT_FALSE(try_decode_message(unlock_ack(overflow), out, err));
+  EXPECT_EQ(err, "varint overflows 64 bits");
+  EXPECT_FALSE(try_decode_message(unlock_ack(std::vector<std::uint8_t>(11, 0x80)), out, err));
+  EXPECT_EQ(err, "varint overflows 64 bits");
+}
+
+// The byte budget of the messages that carry kInvalidTxn.
+TEST(Codec, InvalidTxnMessagesCostOneEnvelopeByte) {
+  // read-done: envelope, tag, and the READ's txn (2 bytes below 2^14).
+  EXPECT_EQ(encoded_size(Message{kInvalidTxn, ReadDoneReq{(1u << 14) - 1}}), 4u);
+  EXPECT_EQ(encode_message(Message{kInvalidTxn, ReadDoneReq{20000}}).size(), 5u);
+  // repl-append-ack: envelope, tag, epoch, acked_seq (2 bytes).
+  EXPECT_EQ(encode_message(Message{kInvalidTxn, ReplAppendAck{1, 5000}}),
+            (std::vector<std::uint8_t>{0x00, 0x1F, 0x01, 0x88, 0x27}));
+}
+
+/// A record's bytes inside a repl-append: the batch's size less the empty
+/// batch's (both counts are one byte).
+std::size_t record_bytes(const ReplRecord& rec) {
+  return encoded_size(Message{kInvalidTxn, ReplAppendReq{1, 0, {rec}}}) -
+         encoded_size(Message{kInvalidTxn, ReplAppendReq{1, 0, {}}});
+}
+
+// Each record kind writes its kind byte and its own fields, nothing else.
+TEST(Codec, ReplRecordsCarryOnlyTheirKindsFields) {
+  const std::vector<ReplRecord> recs{insert_record(), finalize_record(), push_record(),
+                                     coor_finalize_record(300), epoch_record()};
+  for (const ReplRecord& rec : recs) {
+    for (const Message& m : {Message{kInvalidTxn, ReplAppendReq{1, 7, {rec}}},
+                             Message{kInvalidTxn, ReplJoinResp{1, 1, 7, {rec}}}}) {
+      EXPECT_EQ(decode_message(encode_message(m)), m) << int{rec.kind};
+    }
+  }
+  // kind, obj 70000 (3 bytes), key (seq, writer), zz(-5).
+  EXPECT_EQ(record_bytes(insert_record()), 1u + 3u + 2u + 1u);
+  // kind, obj, key, position, watermark.
+  EXPECT_EQ(record_bytes(finalize_record()), 1u + 1u + 2u + 1u + 1u);
+  // kind, key, count + gaps 2 and 298 (2 bytes), txn, writer, position.
+  EXPECT_EQ(record_bytes(push_record()), 1u + 2u + (1u + 1u + 2u) + 1u + 1u + 1u);
+  // kind and the position varint.
+  EXPECT_EQ(record_bytes(coor_finalize_record(5)), 1u + 1u);
+  EXPECT_EQ(record_bytes(coor_finalize_record(300)), 1u + 2u);
+  // kind, epoch, primary byte.
+  EXPECT_EQ(record_bytes(epoch_record()), 1u + 1u + 1u);
+  // A list push may leave its object set empty on encode (the decoder
+  // refuses one that names no object).
+  ReplRecord bare = push_record();
+  bare.objs.clear();
+  EXPECT_EQ(record_bytes(bare), record_bytes(push_record()) - 3u);
+}
+
+TEST(Codec, ReplRecordEncoderRefusesFieldsOutsideItsKind) {
+  // The decoder would leave such a field at its default, so the encoder
+  // aborts instead of dropping it.
+  ReplRecord coor = coor_finalize_record(3);
+  coor.obj = 1;
+  EXPECT_DEATH(encode_message(Message{kInvalidTxn, ReplAppendReq{1, 0, {coor}}}),
+               "kind 3 sets a field it does not carry");
+  ReplRecord insert = insert_record();
+  insert.txn = 12;
+  EXPECT_DEATH(encoded_size(Message{kInvalidTxn, ReplAppendReq{1, 0, {insert}}}),
+               "kind 0 sets a field it does not carry");
+  ReplRecord unknown;
+  unknown.kind = 9;
+  EXPECT_DEATH(encode_message(Message{kInvalidTxn, ReplAppendReq{1, 0, {unknown}}}),
+               "encoding replication record kind 9");
+}
+
+TEST(Codec, ReplRecordKindsAbove4AreRefused) {
+  // envelope, tag 30 (repl-append), epoch 1, first_seq 0, one record: kind
+  // 3 (kCoorFinalize), position 3.  The same for tag 33 (repl-join-resp),
+  // whose reset byte follows the epoch.
+  const std::vector<std::uint8_t> append{0x00, 0x1E, 0x01, 0x00, 0x01, 0x03, 0x03};
+  const std::vector<std::uint8_t> join{0x00, 0x21, 0x01, 0x00, 0x00, 0x01, 0x03, 0x03};
+  ASSERT_EQ(encode_message(Message{kInvalidTxn, ReplAppendReq{1, 0, {coor_finalize_record(3)}}}),
+            append);
+  ASSERT_EQ(
+      encode_message(Message{kInvalidTxn, ReplJoinResp{1, 0, 0, {coor_finalize_record(3)}}}),
+      join);
+  Message out;
+  std::string err;
+  for (const std::uint8_t kind : {5, 9, 255}) {
+    for (std::vector<std::uint8_t> bytes : {append, join}) {
+      bytes[bytes.size() - 2] = kind;
+      EXPECT_FALSE(try_decode_message(bytes, out, err)) << int{kind};
+      EXPECT_EQ(err, "replication record kind " + std::to_string(kind) + " is not 0-4");
+    }
+  }
 }
 
 TEST(Codec, ReadBatches) {
   // A server's share of one READ round: the objects ride as an ascending
   // set, each gap followed by the key (read-val-batch) or nothing
-  // (read-vals-batch).  txn 7, tag, watermark 9, count 2, then the entries.
+  // (read-vals-batch).  txn 7 (0x08: the envelope is uv(txn + 1)), tag,
+  // watermark 9, count 2, then the entries.
   const ReadValBatchReq batch{9, {{5, WriteKey{3, 1}}, {300, kInitialKey}}};
   EXPECT_EQ(encode_message(Message{7, batch}),
-            (std::vector<std::uint8_t>{0x07, 0x25, 0x09, 0x02, 0x05, 0x03, 0x02, 0xA7, 0x02,
+            (std::vector<std::uint8_t>{0x08, 0x25, 0x09, 0x02, 0x05, 0x03, 0x02, 0xA7, 0x02,
                                        0x00, 0x00}));
   // read-vals-batch's first varint is 2 * watermark + coor (0: no folded
   // get-tag-arr).
   const ReadValsBatchReq lists{0, {5, 300}};
   EXPECT_EQ(encode_message(Message{7, lists}),
-            (std::vector<std::uint8_t>{0x07, 0x27, 0x00, 0x02, 0x05, 0xA7, 0x02}));
+            (std::vector<std::uint8_t>{0x08, 0x27, 0x00, 0x02, 0x05, 0xA7, 0x02}));
   for (const Payload& p :
        {Payload{batch}, Payload{lists},
         Payload{ReadValBatchResp{{{5, WriteKey{3, 1}, -4, true}, {300, kInitialKey, 0, false}}}},
@@ -195,7 +399,7 @@ TEST(Codec, ReadValsBatchFoldsTheCoordinatorsTagArray) {
   const GetTagArrReq gt{{0, 5, 300}, 2};
   const ReadValsBatchReq folded{0, {5, 300}, gt};
   EXPECT_EQ(encode_message(Message{7, folded}),
-            (std::vector<std::uint8_t>{0x07, 0x27, 0x01, 0x02, 0x05, 0xA7, 0x02, 0x03, 0x00, 0x05,
+            (std::vector<std::uint8_t>{0x08, 0x27, 0x01, 0x02, 0x05, 0xA7, 0x02, 0x03, 0x00, 0x05,
                                        0xA7, 0x02, 0x02}));
   // Its response: 4 * entry count + the tag-array kind (0 none, 1 tag-arr,
   // 2 adapt-tag-arr), the entries, then that reply's body: tag 4,
@@ -204,9 +408,9 @@ TEST(Codec, ReadValsBatchFoldsTheCoordinatorsTagArray) {
   const ReadValsBatchResp plain{lists, std::nullopt};
   const ReadValsBatchResp with_tag_arr{lists, GetTagArrResp{4, 2, {}}};
   EXPECT_EQ(encode_message(Message{7, plain}),
-            (std::vector<std::uint8_t>{0x07, 0x28, 0x04, 0x05, 0x01, 0x00, 0x00, 0x00}));
+            (std::vector<std::uint8_t>{0x08, 0x28, 0x04, 0x05, 0x01, 0x00, 0x00, 0x00}));
   EXPECT_EQ(encode_message(Message{7, with_tag_arr}),
-            (std::vector<std::uint8_t>{0x07, 0x28, 0x05, 0x05, 0x01, 0x00, 0x00, 0x00, 0x04, 0x02,
+            (std::vector<std::uint8_t>{0x08, 0x28, 0x05, 0x05, 0x01, 0x00, 0x00, 0x00, 0x04, 0x02,
                                        0x00}));
   // A batch that does not fold pays nothing for the fold, and a fold costs
   // the standalone body alone: the get-tag-arr's or reply's txn and tag
@@ -257,7 +461,7 @@ TEST(Codec, TryDecodeRejectsMalformedBytes) {
   Message out;
   std::string err;
   // Out-of-range payload index.
-  EXPECT_FALSE(try_decode_message({0x00, 0xFF}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0xFF}, out, err));
   // Empty buffer.
   EXPECT_FALSE(try_decode_message({}, out, err));
   // Truncated: valid prefix of each tag-array body, cut at every byte offset.
@@ -310,16 +514,16 @@ TEST(Codec, TryDecodeRejectsMalformedReadSets) {
   std::string err;
   // txn 0, tag 6 (get-tag-arr), then the read set.
   // A repeated id (zero gap after the first) is not strictly ascending.
-  EXPECT_FALSE(try_decode_message({0x00, 0x06, 0x02, 0x05, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x06, 0x02, 0x05, 0x00}, out, err));
   EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
   // Gaps summing past the ObjectId range.
   EXPECT_FALSE(try_decode_message(
-      {0x00, 0x06, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x01}, out, err));
+      {0x01, 0x06, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 0x01}, out, err));
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
   // A count larger than the buffer.
-  EXPECT_FALSE(try_decode_message({0x00, 0x06, 0x7F, 0x01}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x06, 0x7F, 0x01}, out, err));
   // A leading zero id is fine (the last byte is the mode epoch).
-  ASSERT_TRUE(try_decode_message({0x00, 0x06, 0x02, 0x00, 0x01, 0x00}, out, err)) << err;
+  ASSERT_TRUE(try_decode_message({0x01, 0x06, 0x02, 0x00, 0x01, 0x00}, out, err)) << err;
   EXPECT_EQ(std::get<GetTagArrReq>(out.payload).objs, (std::vector<ObjectId>{0, 1}));
 }
 
@@ -331,19 +535,19 @@ TEST(Codec, TryDecodeRejectsMalformedWriteSets) {
   for (const std::uint8_t tag : {0x02, 0x04}) {
     // Unsorted: a wrapped gap would be huge, so "descending" shows up as a
     // repeated id (zero gap) or an id past the ObjectId range.
-    EXPECT_FALSE(try_decode_message({0x00, tag, 0x01, 0x01, 0x02, 0x05, 0x00}, out, err));
+    EXPECT_FALSE(try_decode_message({0x01, tag, 0x01, 0x01, 0x02, 0x05, 0x00}, out, err));
     EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
     EXPECT_FALSE(try_decode_message(
-        {0x00, tag, 0x01, 0x01, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
+        {0x01, tag, 0x01, 0x01, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
     EXPECT_NE(err.find("out of range"), std::string::npos) << err;
     // Empty: a WRITE writes at least one object.
-    EXPECT_FALSE(try_decode_message({0x00, tag, 0x01, 0x01, 0x00}, out, err));
+    EXPECT_FALSE(try_decode_message({0x01, tag, 0x01, 0x01, 0x00}, out, err));
     EXPECT_NE(err.find("names no object"), std::string::npos) << err;
     // A one-object set at id 0 is fine.
-    ASSERT_TRUE(try_decode_message({0x00, tag, 0x01, 0x01, 0x01, 0x00}, out, err)) << err;
+    ASSERT_TRUE(try_decode_message({0x01, tag, 0x01, 0x01, 0x01, 0x00}, out, err)) << err;
   }
   // A kListPush replication record must name its WRITE's objects too; other
-  // record kinds carry an empty set.
+  // record kinds carry no object set.
   ReplRecord rec;
   rec.kind = ReplRecord::kListPush;
   EXPECT_FALSE(try_decode_message(encode_message(Message{kInvalidTxn, ReplAppendReq{1, 0, {rec}}}),
@@ -360,28 +564,28 @@ TEST(Codec, TryDecodeRejectsMalformedServerShares) {
   std::string err;
   // txn 0, tag 0 (write-val), key (1, w0), then the object set with a value
   // after each id.
-  EXPECT_FALSE(try_decode_message({0x00, 0x00, 0x01, 0x01, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x00, 0x01, 0x01, 0x00}, out, err));
   EXPECT_NE(err.find("names no object"), std::string::npos) << err;
-  EXPECT_FALSE(try_decode_message({0x00, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x00, 0x04}, out,
+  EXPECT_FALSE(try_decode_message({0x01, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x00, 0x04}, out,
                                   err));
   EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
-  ASSERT_TRUE(try_decode_message({0x00, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x01, 0x04}, out,
+  ASSERT_TRUE(try_decode_message({0x01, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x01, 0x04}, out,
                                  err))
       << err;
   EXPECT_EQ(std::get<WriteValReq>(out.payload).writes,
             (std::vector<std::pair<ObjectId, Value>>{{5, 1}, {6, 2}}));
   // Tag 1 (write-val-ack): key, then the acked set.
-  EXPECT_FALSE(try_decode_message({0x00, 0x01, 0x01, 0x01, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x01, 0x01, 0x01, 0x00}, out, err));
   EXPECT_NE(err.find("names no object"), std::string::npos) << err;
-  EXPECT_FALSE(try_decode_message({0x00, 0x01, 0x01, 0x01, 0x02, 0x05, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x01, 0x01, 0x01, 0x02, 0x05, 0x00}, out, err));
   EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
   EXPECT_FALSE(try_decode_message(
-      {0x00, 0x01, 0x01, 0x01, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
+      {0x01, 0x01, 0x01, 0x01, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
   // Tag 12 (finalize): key (1, writer 0), position 3, watermark 2, the set,
   // coor.
   const auto finalize = [](std::vector<std::uint8_t> set, std::uint8_t coor) {
-    std::vector<std::uint8_t> b{0x00, 0x0C, 0x01, 0x01, 0x03, 0x02};
+    std::vector<std::uint8_t> b{0x01, 0x0C, 0x01, 0x01, 0x03, 0x02};
     b.insert(b.end(), set.begin(), set.end());
     b.push_back(coor);
     return b;
@@ -402,49 +606,49 @@ TEST(Codec, TryDecodeRejectsMalformedReadBatches) {
   std::string err;
   // txn 0, tag 37 (read-val-batch), watermark 0, then the set with a key
   // (seq 1, writer 0) after each id.
-  EXPECT_FALSE(try_decode_message({0x00, 0x25, 0x00, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x25, 0x00, 0x00}, out, err));
   EXPECT_NE(err.find("names no object"), std::string::npos) << err;
   EXPECT_FALSE(
-      try_decode_message({0x00, 0x25, 0x00, 0x02, 0x05, 0x01, 0x01, 0x00, 0x01, 0x01}, out, err));
+      try_decode_message({0x01, 0x25, 0x00, 0x02, 0x05, 0x01, 0x01, 0x00, 0x01, 0x01}, out, err));
   EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
   ASSERT_TRUE(
-      try_decode_message({0x00, 0x25, 0x00, 0x02, 0x05, 0x01, 0x01, 0x02, 0x01, 0x01}, out, err))
+      try_decode_message({0x01, 0x25, 0x00, 0x02, 0x05, 0x01, 0x01, 0x02, 0x01, 0x01}, out, err))
       << err;
   EXPECT_EQ(std::get<ReadValBatchReq>(out.payload),
             (ReadValBatchReq{0, {{5, WriteKey{1, 0}}, {7, WriteKey{1, 0}}}}));
   // Tag 39 (read-vals-batch): watermark 0, then the bare set.
-  EXPECT_FALSE(try_decode_message({0x00, 0x27, 0x00, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x00, 0x00}, out, err));
   EXPECT_NE(err.find("names no object"), std::string::npos) << err;
-  EXPECT_FALSE(try_decode_message({0x00, 0x27, 0x00, 0x02, 0x05, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x00, 0x02, 0x05, 0x00}, out, err));
   EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
   EXPECT_FALSE(
-      try_decode_message({0x00, 0x27, 0x00, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
+      try_decode_message({0x01, 0x27, 0x00, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
-  ASSERT_TRUE(try_decode_message({0x00, 0x27, 0x00, 0x01, 0x00}, out, err)) << err;
+  ASSERT_TRUE(try_decode_message({0x01, 0x27, 0x00, 0x01, 0x00}, out, err)) << err;
   EXPECT_EQ(std::get<ReadValsBatchReq>(out.payload), (ReadValsBatchReq{0, {0}}));
   // With the coor bit set (first varint odd) the get-tag-arr body must
   // follow, and its I names the READ's objects: never none, strictly
   // ascending.
-  EXPECT_FALSE(try_decode_message({0x00, 0x27, 0x01, 0x01, 0x00}, out, err));
-  EXPECT_FALSE(try_decode_message({0x00, 0x27, 0x01, 0x01, 0x00, 0x00, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x01, 0x01, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x01, 0x01, 0x00, 0x00, 0x00}, out, err));
   EXPECT_NE(err.find("names no object"), std::string::npos) << err;
   EXPECT_FALSE(
-      try_decode_message({0x00, 0x27, 0x01, 0x01, 0x00, 0x02, 0x05, 0x00, 0x00}, out, err));
+      try_decode_message({0x01, 0x27, 0x01, 0x01, 0x00, 0x02, 0x05, 0x00, 0x00}, out, err));
   EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
   ASSERT_TRUE(
-      try_decode_message({0x00, 0x27, 0x03, 0x01, 0x00, 0x02, 0x00, 0x05, 0x03}, out, err))
+      try_decode_message({0x01, 0x27, 0x03, 0x01, 0x00, 0x02, 0x00, 0x05, 0x03}, out, err))
       << err;
   EXPECT_EQ(std::get<ReadValsBatchReq>(out.payload),
             (ReadValsBatchReq{1, {0}, GetTagArrReq{{0, 5}, 3}}));
   // Tag 40 (read-vals-batch-resp): 4 * count + kind, where kind 3 means
   // nothing and a kind's body must follow the entries.
-  EXPECT_FALSE(try_decode_message({0x00, 0x28, 0x03}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x28, 0x03}, out, err));
   EXPECT_NE(err.find("tag-array kind"), std::string::npos) << err;
-  EXPECT_FALSE(try_decode_message({0x00, 0x28, 0x07, 0x05, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x28, 0x07, 0x05, 0x00}, out, err));
   EXPECT_NE(err.find("tag-array kind"), std::string::npos) << err;
-  EXPECT_FALSE(try_decode_message({0x00, 0x28, 0x01}, out, err));  // kind 1, no body
-  EXPECT_FALSE(try_decode_message({0x00, 0x28, 0x02, 0x04, 0x02, 0x00}, out, err));  // kind 2
-  ASSERT_TRUE(try_decode_message({0x00, 0x28, 0x01, 0x04, 0x02, 0x00}, out, err)) << err;
+  EXPECT_FALSE(try_decode_message({0x01, 0x28, 0x01}, out, err));  // kind 1, no body
+  EXPECT_FALSE(try_decode_message({0x01, 0x28, 0x02, 0x04, 0x02, 0x00}, out, err));  // kind 2
+  ASSERT_TRUE(try_decode_message({0x01, 0x28, 0x01, 0x04, 0x02, 0x00}, out, err)) << err;
   EXPECT_EQ(std::get<ReadValsBatchResp>(out.payload),
             (ReadValsBatchResp{{}, GetTagArrResp{4, 2, {}}}));
 }
@@ -453,7 +657,7 @@ TEST(Codec, TryDecodeRejectsMalformedModeDeltas) {
   Message out;
   std::string err;
   // txn 0, tag 36, tag 5, watermark 3, no entries, then the mode fields.
-  const std::vector<std::uint8_t> head{0x00, 0x24, 0x05, 0x03, 0x00};
+  const std::vector<std::uint8_t> head{0x01, 0x24, 0x05, 0x03, 0x00};
   const auto with = [&head](std::vector<std::uint8_t> tail) {
     std::vector<std::uint8_t> b = head;
     b.insert(b.end(), tail.begin(), tail.end());
@@ -476,13 +680,13 @@ TEST(Codec, TryDecodeRejectsHugeListCounts) {
   // unchecked; it must be a decode error like any other bad length.
   Message out;
   std::string err;
-  const std::vector<std::uint8_t> bytes{0x00, 0x07, 0x01, 0x00, 0x01, 0x02, 0x01, 0x00, 0x80,
+  const std::vector<std::uint8_t> bytes{0x01, 0x07, 0x01, 0x00, 0x01, 0x02, 0x01, 0x00, 0x80,
                                         0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01};
   EXPECT_FALSE(try_decode_message(bytes, out, err));
   // The same for a read-vals-batch-resp, whose count shares a varint with
   // the tag-array kind.
   EXPECT_FALSE(try_decode_message(
-      {0x00, 0x28, 0xFC, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, out, err));
+      {0x01, 0x28, 0xFC, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, out, err));
   EXPECT_NE(err.find("exceeds buffer"), std::string::npos) << err;
 }
 

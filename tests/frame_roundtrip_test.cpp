@@ -359,27 +359,28 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
   // Wrong wire version must be rejected, not silently accepted.
-  std::vector<std::uint8_t> v8{0x53, 0x4E, 0x57, 0x4B, 0x08, 0x00};
-  EXPECT_FALSE(net::parse_hello(v8, hello, err));
+  std::vector<std::uint8_t> v9{0x53, 0x4E, 0x57, 0x4B, 0x09, 0x00};
+  EXPECT_FALSE(net::parse_hello(v9, hello, err));
   EXPECT_NE(err.find("wire version"), std::string::npos);
 }
 
-TEST(FrameRoundtrip, V7PeerRefusesOlderHellos) {
+TEST(FrameRoundtrip, V8PeerRefusesOlderHellos) {
   // v1 peers ship k-wide tag arrays, v2 peers k-bit write masks and mode
   // tables, v3 peers one write-val, ack and finalize per object, v4 peers
   // one read-val or read-vals per object and unsorted read batches, v5
-  // peers read-vals-batches without the coor byte, and v1-v6 peers frame
-  // with a u32le length and a type byte — all of which v7 decodes as
-  // garbage: the HELLO, whose layout never changes, must refuse them by
-  // name before any compact frame is parsed.
-  ASSERT_EQ(net::kWireVersion, 7u);
+  // peers read-vals-batches without the coor byte, v1-v6 peers frame with a
+  // u32le length and a type byte, and v1-v7 peers write the envelope txn
+  // unshifted and every field of every replication record — all of which
+  // v8 decodes as garbage or as another txn: the HELLO, whose layout never
+  // changes, must refuse them by name before any compact frame is parsed.
+  ASSERT_EQ(net::kWireVersion, 8u);
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, 1);
   // The same HELLO with the version varint (byte 9: after the u32le
-  // length, the type byte and the magic) rewritten to 1 through 6, read by
+  // length, the type byte and the magic) rewritten to 1 through 7, read by
   // an accepting decoder exactly as a live connection's first bytes.
-  ASSERT_EQ(bytes[9], 0x07);
-  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04, 0x05, 0x06}) {
+  ASSERT_EQ(bytes[9], 0x08);
+  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07}) {
     auto stale = bytes;
     stale[9] = old;
     auto dec = FrameDecoder::accepting();
@@ -390,7 +391,7 @@ TEST(FrameRoundtrip, V7PeerRefusesOlderHellos) {
     net::HelloBody hello;
     std::string err;
     EXPECT_FALSE(net::parse_hello(f.body, hello, err));
-    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 7)");
+    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 8)");
   }
   auto dec = FrameDecoder::accepting();
   dec.feed(bytes);

@@ -605,9 +605,10 @@ TEST(NetRuntime, OversizedHandshakeIsDropped) {
 
 TEST(NetRuntime, OlderWireVersionHelloLosesItsLink) {
   SKIP_WITHOUT_TRANSPORT();
-  // A v6 peer greets in the same frozen HELLO layout, so the daemon reads
-  // its version and refuses it by name instead of decoding its u32le-framed
-  // MSG frames as compact garbage.  The refusal costs that connection only.
+  // A v7 peer greets in the same frozen HELLO layout, so the daemon reads
+  // its version and refuses it by name instead of decoding its unshifted
+  // envelope txns as other transactions.  The refusal costs that connection
+  // only.
   const FleetConfig fleet = make_fleet("algo-b", 2, 1, 1, 2, 1);
   FleetProc server;
   server.build(fleet, 0);
@@ -618,12 +619,15 @@ TEST(NetRuntime, OlderWireVersionHelloLosesItsLink) {
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, fleet.client_index());
   ASSERT_EQ(bytes[9], net::kWireVersion);  // after u32le len, type and magic
-  bytes[9] = 6;
-  // What a v6 client sends next: a u32le-framed MSG (len 3, type 0x02, from
-  // 2, to 0, and a byte of payload).
-  bytes.insert(bytes.end(), {0x04, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00, 0x00});
+  bytes[9] = 7;
+  // What a v7 client sends next: a compact MSG frame (len 14, from 2, to 0)
+  // holding a read-done whose envelope is kInvalidTxn as a 10-byte varint,
+  // which v8 would read as txn 2^64 - 2.
+  bytes.insert(bytes.end(), {0x0E, 0x02, 0x00});
+  bytes.insert(bytes.end(), 9, 0xFF);
+  bytes.insert(bytes.end(), {0x01, 0x1D, 0x01});
   ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
-  EXPECT_TRUE(wait_closed(fd, 5000)) << "server kept a link whose HELLO names wire v6";
+  EXPECT_TRUE(wait_closed(fd, 5000)) << "server kept a link whose HELLO names wire v7";
   ::close(fd);
   EXPECT_FALSE(server.rt->shutdown_requested());
 

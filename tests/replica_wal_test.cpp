@@ -134,21 +134,32 @@ TEST(ReplicaWal, NonMagicHeadThrows) {
   }
 }
 
-TEST(ReplicaWal, V1HeadIsRefusedByName) {
-  // A v1 log holds k-bit List masks where v2 expects write sets: replaying
-  // it would misread every kListPush, so the head check names both versions.
+/// Replaying a log stamped with an older magic must throw, naming that
+/// version and the one this build reads.
+void expect_refused_by_name(const std::string& old_magic) {
   std::vector<std::uint8_t> bytes = wal_bytes(sample_batches());
-  const std::string v1 = "snowkit-wal-v1\n";
-  ASSERT_EQ(v1.size(), kWalMagicLen);
-  std::copy(v1.begin(), v1.end(), bytes.begin());
+  ASSERT_EQ(old_magic.size(), kWalMagicLen);
+  std::copy(old_magic.begin(), old_magic.end(), bytes.begin());
   try {
     wal_replay(bytes);
-    FAIL() << "a v1 WAL replayed";
+    FAIL() << "a " << old_magic << " WAL replayed";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("snowkit-wal-v1"), std::string::npos) << what;
-    EXPECT_NE(what.find("snowkit-wal-v2"), std::string::npos) << what;
+    EXPECT_NE(what.find(old_magic.substr(0, kWalMagicLen - 1)), std::string::npos) << what;
+    EXPECT_NE(what.find("snowkit-wal-v3"), std::string::npos) << what;
   }
+}
+
+TEST(ReplicaWal, V1HeadIsRefusedByName) {
+  // A v1 log holds k-bit List masks where later logs hold write sets:
+  // replaying it would misread every kListPush.
+  expect_refused_by_name("snowkit-wal-v1\n");
+}
+
+TEST(ReplicaWal, V2HeadIsRefusedByName) {
+  // A v2 log holds wire-v7 records: every field of every kind, under a
+  // 10-byte kInvalidTxn envelope that v3 reads as a different txn.
+  expect_refused_by_name("snowkit-wal-v2\n");
 }
 
 TEST(ReplicaWal, TruncationAtEveryOffsetRecoversAPrefix) {
@@ -257,25 +268,70 @@ TEST(ReplicaWal, SequenceGapIsATornTail) {
   EXPECT_TRUE(r.was_primary);
 }
 
+/// Appends `payload` to `bytes` as one well-formed WAL frame: u32le length,
+/// the payload, and its FNV-1a checksum, exactly as wal_frame_batch does.
+void append_frame(std::vector<std::uint8_t>& bytes, const std::vector<std::uint8_t>& payload) {
+  for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<std::uint8_t>(payload.size() >> (8 * i)));
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (std::uint8_t b : payload) h = (h ^ b) * 0x100000001B3ull;
+  for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<std::uint8_t>(h >> (8 * i)));
+}
+
 TEST(ReplicaWal, ForeignPayloadIsATornTail) {
   // A well-framed message of the wrong type (e.g. a stray ack) ends replay.
   std::vector<std::uint8_t> bytes = wal_bytes({sample_batches()[1]});
-  const auto payload = encode_message(Message{kInvalidTxn, ReplAppendAck{0, 0}});
-  std::vector<std::uint8_t> frame;
-  frame.push_back(static_cast<std::uint8_t>(payload.size()));
-  frame.push_back(static_cast<std::uint8_t>(payload.size() >> 8));
-  frame.push_back(static_cast<std::uint8_t>(payload.size() >> 16));
-  frame.push_back(static_cast<std::uint8_t>(payload.size() >> 24));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  // FNV-1a over the payload, little-endian, matching wal_frame_batch.
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (std::uint8_t b : payload) h = (h ^ b) * 0x100000001B3ull;
-  for (int i = 0; i < 8; ++i) frame.push_back(static_cast<std::uint8_t>(h >> (8 * i)));
-  bytes.insert(bytes.end(), frame.begin(), frame.end());
-
+  append_frame(bytes, encode_message(Message{kInvalidTxn, ReplAppendAck{0, 0}}));
   const WalReplayResult r = wal_replay(bytes);
   EXPECT_TRUE(r.torn);
   EXPECT_EQ(r.records.size(), 2u);
+}
+
+TEST(ReplicaWal, UnknownRecordKindIsATornTail) {
+  // A frame whose checksum holds but whose record kind is 9: the codec
+  // refuses the kind, so replay keeps the two records before it and never
+  // hands the record to a store (whose switch has no case for it).
+  std::vector<std::uint8_t> bytes = wal_bytes({sample_batches()[1]});
+  std::vector<std::uint8_t> payload =
+      encode_message(Message{kInvalidTxn, ReplAppendReq{0, 2, {insert_rec(4, 2, 10, 5)}}});
+  // envelope, tag, epoch, first_seq, count, then the record's kind byte.
+  ASSERT_EQ(payload[5], ReplRecord::kInsert);
+  payload[5] = 9;
+  append_frame(bytes, payload);
+  const WalReplayResult r = wal_replay(bytes);
+  EXPECT_TRUE(r.torn);
+  ASSERT_EQ(r.records.size(), 2u);
+  EXPECT_EQ(r.records, sample_batches()[1].records);
+}
+
+TEST(ReplicaWal, ShippedEpochMarkerIsDroppedNotLogged) {
+  // kEpoch records are local WAL markers; a peer that ships one anyway must
+  // not get it logged as a sequenced record, where replay would read it as
+  // this replica's own role change.
+  auto owned = std::make_unique<MemWal>();
+  MemWal* disk = owned.get();
+  std::map<ObjectId, VersionStore> stores;
+  std::optional<CoorList> list;
+  Replicator::Config cfg;
+  cfg.self = 1;
+  cfg.peer = 0;
+  cfg.start_primary = false;
+  Replicator backup(cfg, std::move(owned), [](NodeId, Message) {},
+                    [](NodeId, const Message&) {}, &stores, &list);
+  backup.boot();
+  backup.consume(0, Message{kInvalidTxn, ReplJoinResp{0, 0, 0, {}}});
+  backup.consume(0, Message{kInvalidTxn, ReplAppendReq{0, 0, {epoch_rec(7, true),
+                                                              insert_rec(0, 1, 10, 111)}}});
+  backup.consume(0, Message{kInvalidTxn, ReplJoinResp{0, 0, 1, {epoch_rec(8, true),
+                                                                insert_rec(1, 1, 10, 222)}}});
+  EXPECT_EQ(backup.log_size(), 2u);
+  EXPECT_EQ(backup.epoch(), 0u);
+  const WalReplayResult r = wal_replay(disk->bytes());
+  EXPECT_FALSE(r.torn);
+  EXPECT_EQ(r.records, (std::vector<ReplRecord>{insert_rec(0, 1, 10, 111),
+                                                insert_rec(1, 1, 10, 222)}));
+  EXPECT_EQ(r.epoch, 0u);
+  EXPECT_FALSE(r.was_primary);
 }
 
 TEST(ReplicaWal, MemWalAppendIsByteExactAndResetClears) {
