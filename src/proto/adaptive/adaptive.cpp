@@ -188,8 +188,7 @@ class ReaderAdapt final : public ReadClient {
 
   void maybe_complete() {
     if (!have_tag_arr_ || got_.size() != objs().size()) return;
-    // Deregister from watermark accounting (fire-and-forget, sender-keyed).
-    send(route(coor_shard_), Message{kInvalidTxn, ReadDoneReq{txn()}});
+    release_registration(coor_shard_);
     std::vector<std::pair<ObjectId, Value>> values;
     for (ObjectId obj : objs()) {
       const Value v = got_.at(obj);

@@ -68,8 +68,7 @@ class ReaderB final : public ReadClient {
   }
 
   void complete() {
-    // Deregister from watermark accounting (fire-and-forget, sender-keyed).
-    send(route(coor_shard_), Message{kInvalidTxn, ReadDoneReq{txn()}});
+    release_registration(coor_shard_);
     std::vector<std::pair<ObjectId, Value>> values;
     for (ObjectId obj : objs()) values.emplace_back(obj, got_.at(obj));
     finish(std::move(values), tag_, /*rounds=*/2 * attempts(), /*max_versions=*/1);

@@ -109,9 +109,7 @@ class ReaderC final : public ReadClient {
       (void)obj;
       max_versions = std::max(max_versions, static_cast<int>(versions.size()));
     }
-    // Deregister from watermark accounting (fire-and-forget; keyed by sender
-    // node, so it carries no txn).
-    send(route(coor_shard_), Message{kInvalidTxn, ReadDoneReq{txn()}});
+    release_registration(coor_shard_);
     finish(std::move(values), t, /*rounds=*/attempts(), max_versions);
   }
 

@@ -113,6 +113,7 @@ void ReadClient::read(std::vector<ObjectId> objs, TxnCallback cb) {
   SNOW_CHECK_MSG(!in_flight(), "reader " << id() << " already has a READ in flight");
   SNOW_CHECK(!objs.empty());
   order(objs);
+  registered_.reset();  // this READ's registration replaces the last one
   begin(rec().begin_read(id(), objs));
   objs_ = std::move(objs);
   cb_ = std::move(cb);
@@ -129,6 +130,28 @@ std::size_t ReadClient::send_tag_arr_round(std::size_t coor_shard, GetTagArrReq 
     coor->second.tag_arr = std::move(gt);
   }
   return send_by_shard(std::move(batches));
+}
+
+void ReadClient::release_registration(std::size_t coor_shard) {
+  registered_ = Registration{coor_shard, txn(), rt().now_ns()};
+  if (linger_armed_) return;  // the pending timer re-arms for this READ
+  linger_armed_ = true;
+  rt().post_after(id(), kReadDoneLinger, [this] { linger_expired(); });
+}
+
+void ReadClient::linger_expired() {
+  linger_armed_ = false;
+  if (!registered_) return;  // a READ began since: its registration released the floor
+  const TimeNs due = registered_->done_at + kReadDoneLinger;
+  const TimeNs now = rt().now_ns();
+  if (now < due) {
+    linger_armed_ = true;
+    rt().post_after(id(), due - now, [this] { linger_expired(); });
+    return;
+  }
+  // Fire-and-forget and keyed by sender node, so it carries no txn.
+  send(route(registered_->coor_shard), Message{kInvalidTxn, ReadDoneReq{registered_->txn}});
+  registered_.reset();
 }
 
 void ReadClient::retry(const char* why) {

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -158,6 +159,13 @@ class TxnClient {
 /// unanswered, which the oracle convicts as a liveness violation, instead of
 /// retrying forever or aborting the client.
 inline constexpr int kMaxReadAttempts = 100;
+
+/// How long a reader keeps its last READ registered at the coordinator
+/// before it sends the read-done.  A READ that begins within it re-registers
+/// there, which replaces the old floor at no frame (CoorList::register_reader);
+/// one that does not gets the read-done, so an idle reader pins the
+/// watermark for at most this long.
+inline constexpr TimeNs kReadDoneLinger = 10'000'000;  // 10 ms
 
 /// Each client's view of which node serves each shard, ordered by epoch so
 /// reordered TakeoverNotices can never re-route backwards.  Per-client by
@@ -302,6 +310,12 @@ class ReadClient : public ClientNode {
   std::size_t send_tag_arr_round(std::size_t coor_shard, GetTagArrReq gt,
                                  std::map<std::size_t, ReadValsBatchReq> batches);
 
+  /// Notes that the READ in flight registered at the coordinator shard
+  /// `coor_shard` and is completing: its floor is released by the next
+  /// READ's registration, or by a read-done sent kReadDoneLinger after the
+  /// last completion if no READ begins by then.  Call it before finish().
+  void release_registration(std::size_t coor_shard);
+
   /// Re-runs attempt() for the READ in flight, within kMaxReadAttempts.
   /// `why` says what defeated the attempt, for the check when no retry is
   /// legal.
@@ -313,10 +327,24 @@ class ReadClient : public ClientNode {
               int max_versions);
 
  private:
+  /// Sends the read-done for the last READ's registration once it has
+  /// lingered kReadDoneLinger; re-arms if a later READ completed since.
+  void linger_expired();
+
+  /// The last completed READ's coordinator registration, until a READ
+  /// begins (its registration replaces this one) or the read-done goes out.
+  struct Registration {
+    std::size_t coor_shard;
+    TxnId txn;
+    TimeNs done_at;
+  };
+
   bool may_retry_;
   std::vector<ObjectId> objs_;
   int attempts_{0};
   TxnCallback cb_;
+  std::optional<Registration> registered_;
+  bool linger_armed_{false};  ///< a linger_expired() timer is pending.
 };
 
 /// A write-client node: executes only WRITE transactions.  The base owns

@@ -109,8 +109,7 @@ class ReaderO final : public ReadClient {
   }
 
   void complete(Tag tag) {
-    // Deregister from watermark accounting (fire-and-forget, sender-keyed).
-    send(route(coor_shard_), Message{kInvalidTxn, ReadDoneReq{txn()}});
+    release_registration(coor_shard_);
     std::vector<std::pair<ObjectId, Value>> values;
     for (ObjectId obj : objs()) values.emplace_back(obj, *got_.at(obj));
     finish(std::move(values), tag, rounds_, /*max_versions=*/1);

@@ -173,22 +173,22 @@ WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes) {
 
 // --- Replicator --------------------------------------------------------------
 
-Replicator::Replicator(Config cfg, std::unique_ptr<WalStorage> wal, SendFn send, ReplayFn replay,
+Replicator::Replicator(Config cfg, std::unique_ptr<WalStorage> wal, SendFn send,
                        std::map<ObjectId, VersionStore>* stores,
                        std::optional<CoorList>* list)
     : cfg_(std::move(cfg)), wal_(std::move(wal)), send_(std::move(send)),
-      replay_(std::move(replay)), stores_(stores), list_(list) {
+      stores_(stores), list_(list) {
   SNOW_CHECK(wal_ != nullptr && stores_ != nullptr && list_ != nullptr);
   SNOW_CHECK(!cfg_.has_list || cfg_.num_objects > 0);
 }
 
 void Replicator::boot() {
+  booted_ = true;
   log_.clear();
   waiters_.clear();
   buffered_.clear();
   dedup_.clear();
   pending_join_.reset();
-  parked_.clear();
   joining_ = false;
   acked_seq_ = 0;
   pending_pushes_ = 0;
@@ -219,12 +219,12 @@ void Replicator::boot() {
 }
 
 void Replicator::on_crash() {
+  booted_ = false;
   log_.clear();
   waiters_.clear();
   buffered_.clear();
   dedup_.clear();
   pending_join_.reset();
-  parked_.clear();
   joining_ = false;
   acked_seq_ = 0;
   pending_pushes_ = 0;
@@ -267,7 +267,8 @@ Tag Replicator::next_push_position() const {
 
 Replicator::PushStatus Replicator::check_push(NodeId writer, TxnId txn) const {
   const auto it = dedup_.find(writer);
-  if (it == dedup_.end() || it->second.txn != txn) return PushStatus::kNew;
+  if (it == dedup_.end() || it->second.txn < txn) return PushStatus::kNew;
+  if (it->second.txn > txn) return PushStatus::kStale;
   return it->second.committed ? PushStatus::kCommitted : PushStatus::kPending;
 }
 
@@ -386,10 +387,6 @@ void Replicator::takeover() {
     pending_join_.reset();
     on_join(cfg_.peer, jr);
   }
-  // Client traffic parked during our own rejoin is now ours to serve.
-  const std::vector<std::pair<NodeId, Message>> parked = std::move(parked_);
-  parked_.clear();
-  for (const auto& [from, m] : parked) replay_(from, m);
 }
 
 void Replicator::demote(std::uint64_t new_epoch) {
@@ -518,7 +515,13 @@ void Replicator::on_join(NodeId from, const ReplJoinReq& jr) {
 }
 
 void Replicator::on_join_resp(const ReplJoinResp& js) {
-  if (primary_) return;        // stale: we have since taken over
+  // Only while our join is outstanding: a restarted replica can send two
+  // (boot()'s, then demote()'s on a newer-epoch ack), and the second
+  // response — a reset built before appends that may overtake it — would
+  // rewind a log that has since taken them.  The first response answers a
+  // join made from the same log (a joining replica buffers every append),
+  // so it suffices.  Not joining also covers having taken over since.
+  if (!joining_) return;
   if (js.epoch < epoch_) return;  // stale lineage
   pending_join_.reset();
   joining_ = false;
@@ -548,7 +551,6 @@ void Replicator::on_join_resp(const ReplJoinResp& js) {
     drain_buffered();
     send_ack(cfg_.peer);
   }
-  redirect_parked();
 }
 
 void Replicator::drain_buffered() {
@@ -562,23 +564,9 @@ void Replicator::drain_buffered() {
   }
 }
 
-void Replicator::defer_client(NodeId from, const Message& m) {
+void Replicator::redirect_client(NodeId from, const Message& m) {
   SNOW_CHECK(!primary_);
-  if (joining_) {
-    parked_.emplace_back(from, m);
-    return;
-  }
-  // Synced backup: our epoch IS the primary's, so the redirect carries an
-  // epoch strictly newer than whatever stale route made the sender pick us.
   send_(from, Message{m.txn, TakeoverNotice{cfg_.shard, cfg_.peer, epoch_}});
-}
-
-void Replicator::redirect_parked() {
-  const std::vector<std::pair<NodeId, Message>> parked = std::move(parked_);
-  parked_.clear();
-  for (const auto& [from, m] : parked) {
-    send_(from, Message{m.txn, TakeoverNotice{cfg_.shard, cfg_.peer, epoch_}});
-  }
 }
 
 void Replicator::on_peer_down(NodeId node) {

@@ -178,14 +178,13 @@ class Replicator {
 
   using SendFn = std::function<void(NodeId, Message)>;
   using CommitFn = std::function<void()>;
-  /// Re-dispatches a parked client message through the owning server's
-  /// on_message once this replica has promoted to primary.
-  using ReplayFn = std::function<void(NodeId, const Message&)>;
 
-  Replicator(Config cfg, std::unique_ptr<WalStorage> wal, SendFn send, ReplayFn replay,
+  Replicator(Config cfg, std::unique_ptr<WalStorage> wal, SendFn send,
              std::map<ObjectId, VersionStore>* stores, std::optional<CoorList>* list);
 
   bool is_primary() const { return primary_; }
+  /// boot() has run since construction or the last on_crash().
+  bool booted() const { return booted_; }
   NodeId peer_node() const { return cfg_.peer; }
   std::uint64_t epoch() const { return epoch_; }
   std::size_t log_size() const { return log_.size(); }
@@ -203,23 +202,26 @@ class Replicator {
   bool consume(NodeId from, const Message& m);
 
   /// Backup-side handling of client traffic (the sender holds a stale route
-  /// from before a takeover).  A SYNCED backup redirects the sender to the
-  /// primary with a TakeoverNotice it can trust; while our own rejoin is
-  /// still in flight the local epoch is stale (a redirect would be ignored),
-  /// so the message parks until the join resolves: replayed locally if we
-  /// promote, redirected with the freshly-learned epoch otherwise.  Silently
-  /// dropping instead would wedge the sender forever — the sim has no
-  /// client retransmit timers.  A redirect names the request's txn, so a
-  /// synced backup's is the answer to that request (N).
-  void defer_client(NodeId from, const Message& m);
+  /// from before a takeover): answers at once with a TakeoverNotice naming
+  /// the peer at our epoch, and the request's txn, so it is the answer to
+  /// that request (N).  A synced backup's epoch IS the primary's, strictly
+  /// newer than the sender's stale route.  While our own rejoin is in
+  /// flight it may be stale and the sender ignores it; that sender is then
+  /// re-routed by the takeover broadcast that must follow — the peer's, or
+  /// ours if we promote — and re-sends there.  Silently dropping instead
+  /// would break N, and parking until the join resolves breaks it too: the
+  /// replica consumes other inputs before it answers.
+  void redirect_client(NodeId from, const Message& m);
 
   /// The List position the next append()ed kListPush will commit at (its
   /// entry is applied only at commit, so this accounts pending pushes).
   Tag next_push_position() const;
 
   /// Update-coor retry dedup, keyed by writer node (one outstanding WRITE
-  /// per writer) and txn.
-  enum class PushStatus { kNew, kPending, kCommitted };
+  /// per writer) and txn.  kStale: the writer has since listed a newer
+  /// WRITE, so this is a retry of one that completed, overtaken by its
+  /// successor's update-coor; listing it again would list it twice.
+  enum class PushStatus { kNew, kPending, kCommitted, kStale };
   PushStatus check_push(NodeId writer, TxnId txn) const;
   Tag committed_position(NodeId writer) const;
 
@@ -258,16 +260,15 @@ class Replicator {
   void on_join_resp(const ReplJoinResp& js);
   void on_peer_down(NodeId node);
   void send_ack(NodeId to);
-  void redirect_parked();
   void drain_buffered();
 
   Config cfg_;
   std::unique_ptr<WalStorage> wal_;
   SendFn send_;
-  ReplayFn replay_;
   std::map<ObjectId, VersionStore>* stores_;
   std::optional<CoorList>* list_;
 
+  bool booted_{false};
   bool primary_{false};
   /// True while this replica's log tail is not provably a prefix of the
   /// current lineage (it is or was a primary).  Persisted in kEpoch records;
@@ -284,10 +285,9 @@ class Replicator {
   /// A peer's join received while we were still backup with the higher node
   /// id: answered by takeover() once our NodeDownNotice arrives.
   std::optional<ReplJoinReq> pending_join_;
-  /// Our own rejoin is in flight: the local epoch may be stale, so client
-  /// traffic parks (defer_client) instead of being redirected.
+  /// Our own rejoin is in flight: the local epoch may be stale, and only a
+  /// join response is applied while it is (on_join_resp).
   bool joining_{false};
-  std::vector<std::pair<NodeId, Message>> parked_;
 };
 
 }  // namespace snowkit

@@ -43,13 +43,12 @@ VersionServer::VersionServer(Config cfg)
   if (cfg.repl) {
     repl_ = std::make_unique<Replicator>(
         std::move(*cfg.repl), std::move(cfg.wal),
-        [this](NodeId to, Message m) { send(to, std::move(m)); },
-        [this](NodeId from, const Message& m) { on_message(from, m); }, &stores_, &list_);
+        [this](NodeId to, Message m) { send(to, std::move(m)); }, &stores_, &list_);
   }
 }
 
 void VersionServer::on_start() {
-  if (repl_ != nullptr) {
+  if (repl_ != nullptr && !repl_->booted()) {
     rt().watch_node(id(), repl_->peer_node());
     repl_->boot();
   }
@@ -64,10 +63,15 @@ void VersionServer::on_crash() {
 
 void VersionServer::on_message(NodeId from, const Message& m) {
   if (repl_ != nullptr) {
+    // A restarted replica recovers from its WAL before its first input,
+    // also one the runtime delivers ahead of the restart task: handled on
+    // the state on_crash() cleared, a newer-epoch ack would demote it and
+    // a join response refill its List, which boot() would then re-apply.
+    on_start();
     if (repl_->consume(from, m)) return;
     if (!repl_->is_primary()) {
-      // Stale route: park or redirect, never drop (see defer_client).
-      repl_->defer_client(from, m);
+      // Stale route: redirect at once, never drop (see redirect_client).
+      repl_->redirect_client(from, m);
       return;
     }
   }
@@ -244,6 +248,8 @@ bool VersionServer::handle_update_coor(NodeId from, TxnId txn, const UpdateCoorR
   switch (repl_->check_push(from, txn)) {
     case Replicator::PushStatus::kPending:
       return false;  // already logged; the commit waiter will ack
+    case Replicator::PushStatus::kStale:
+      return false;  // its WRITE completed: no one waits for this ack
     case Replicator::PushStatus::kCommitted:
       send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from), list_->watermark()}});
       return false;

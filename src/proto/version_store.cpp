@@ -126,7 +126,13 @@ void CoorList::finalize(Tag position) {
 
 Tag CoorList::register_reader(NodeId reader, TxnId txn) {
   const Tag floor = max_finalized_;
-  floors_[reader] = ReaderSlot{txn, floor};
+  const auto [it, added] = floors_.try_emplace(reader, ReaderSlot{txn, floor});
+  if (added) return floor;
+  // A newer READ replaces the reader's last one, releasing its floor as
+  // that READ's read-done would; a retry of the same READ just re-pins.
+  const bool replaces = it->second.txn < txn;
+  it->second = ReaderSlot{txn, floor};
+  if (replaces) advance_();
   return floor;
 }
 

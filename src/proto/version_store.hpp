@@ -18,10 +18,15 @@
 // The watermark rule.  Let G be the newest List position whose WRITE has
 // completed (the coordinator learns completion from finalize-coor notices).
 // Every READ is registered at the coordinator when its get-tag-arr is served,
-// with floor = G at that instant; it deregisters with a read-done notice.
-// The read watermark is
+// with floor = G at that instant, one slot per reader node.  The reader's
+// next READ replaces that slot (and advances W) when it registers; a reader
+// that begins no READ within kReadDoneLinger of its last completion
+// deregisters with a read-done notice instead.  The read watermark is
 //
-//     W = min(G, min over in-flight READs of their floor).
+//     W = min(G, min over registered READs of their floor).
+//
+// A completed READ that stays registered only holds W lower than needed,
+// never above a floor some in-flight READ relies on.
 //
 // A store that has advanced its watermark to W retains, per object, the
 // newest finalized version at position <= W (the anchor), every finalized
@@ -160,9 +165,10 @@ class CoorList {
 
   /// Registers/deregisters the in-flight READ of `reader` for watermark
   /// accounting.  Keyed by sender and guarded by the READ's txn id (monotone
-  /// per client): re-registration overwrites (retries), and a reordered
-  /// stale done-notice — one whose txn is older than the registered READ —
-  /// is ignored, so it can never unpin a newer READ.
+  /// per client): re-registration overwrites — a retry re-pins, a newer
+  /// READ releases the last one's floor and may advance the watermark — and
+  /// a reordered stale done-notice — one whose txn is older than the
+  /// registered READ — is ignored, so it can never unpin a newer READ.
   Tag register_reader(NodeId reader, TxnId txn);
   void reader_done(NodeId reader, TxnId txn);
 

@@ -79,7 +79,10 @@ void ThreadRuntime::post_after(NodeId node, TimeNs delay_ns, std::function<void(
   const auto due = std::chrono::steady_clock::now() + std::chrono::nanoseconds(delay_ns);
   {
     std::lock_guard<std::mutex> lock(timer_mu_);
-    SNOW_CHECK_MSG(!timer_stop_, "post_after after stop()");
+    // Once stop() has begun, a timer is discarded like one pending at
+    // stop(): work that stop() drains may still arm one (a READ completing
+    // arms its read-done linger).
+    if (timer_stop_) return;
     timers_.emplace(due, Timer{due, node, std::move(fn)});
     if (!timer_thread_.joinable()) {
       timer_thread_ = std::thread([this] { timer_worker(); });

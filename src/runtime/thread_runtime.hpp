@@ -50,8 +50,8 @@ class ThreadRuntime final : public Runtime {
 
   void send(NodeId from, NodeId to, Message m) override;
   void post(NodeId node, std::function<void()> fn) override;
-  /// Delivered by a dedicated timer thread; timers still pending at stop()
-  /// are discarded.
+  /// Delivered by a dedicated timer thread; timers still pending at stop(),
+  /// or posted while it drains, are discarded.
   void post_after(NodeId node, TimeNs delay_ns, std::function<void()> fn) override;
   TimeNs now_ns() const override;
 

@@ -127,7 +127,7 @@ FuzzCase sharded_case(const std::string& protocol, std::uint64_t seed) {
 
 TEST(AdaptiveFuzz, ShardedCrashSchedulesHitBatchedWriteValsAndStayGreen) {
   // Crash schedules, restarts on even seeds as in the unsharded battery: a
-  // request parked at the restarted replica mid-rejoin is redirected with
+  // request reaching the restarted replica mid-rejoin is redirected with
   // its txn, so a multi-record batch survives the rejoin too.
   std::size_t write_vals = 0;
   std::size_t written_objects = 0;
@@ -163,6 +163,50 @@ TEST(AdaptiveFuzz, DISABLED_RejoinSweepStaysGreenOver150Seeds) {
       }
     }
   }
+}
+
+/// One crash schedule of the rejoin sweep, widened to seeds 1-1000, that a
+/// rejoin defect broke; restarts follow restart_for().
+struct PinnedCrash {
+  const char* protocol;
+  std::uint64_t seed;
+  bool sharded;
+  std::size_t crash_at;
+};
+
+void expect_green_pinned(const std::vector<PinnedCrash>& cases) {
+  for (const PinnedCrash& p : cases) {
+    FuzzCase c = generate_case(p.protocol, GenParams{}, p.seed);
+    c.replicas = 2;
+    if (p.sharded) c = sharded_case(p.protocol, p.seed);
+    expect_green_crash_run(p.protocol, c, p.seed, p.crash_at);
+  }
+}
+
+TEST(AdaptiveFuzz, ARejoinAppliesOnlyTheResponseToItsOutstandingJoin) {
+  // A restarted replica sends two joins, boot()'s and then demote()'s on a
+  // newer-epoch ack.  Applying the second response, a reset, rewound a log
+  // that had taken newer appends, and the WRITE they carried never
+  // completed.
+  expect_green_pinned({{"algo-b", 60, true, 90},
+                       {"algo-b", 126, false, 90},
+                       {"adaptive", 786, false, 40},
+                       {"algo-c", 786, false, 40}});
+}
+
+TEST(AdaptiveFuzz, AReplicaMidRejoinAnswersAReadAtOnce) {
+  // Parking a READ's request until the rejoin resolved let the replica
+  // consume other inputs first, which breaks N.
+  expect_green_pinned({{"algo-c", 72, false, 40},
+                       {"algo-b", 848, false, 40},
+                       {"adaptive", 950, true, 40}});
+}
+
+TEST(AdaptiveFuzz, AnOvertakenUpdateCoorRetryIsNotListedTwice) {
+  // A WRITE's update-coor retry, overtaken by the writer's next WRITE, was
+  // listed again; the List then named a version GC had pruned, and the
+  // READ retried until it gave up.
+  expect_green_pinned({{"algo-b", 833, true, 90}});
 }
 
 TEST(AdaptiveFuzz, BrokenLostackIsConvictedOnTheShardedSlice) {

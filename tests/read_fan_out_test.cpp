@@ -5,7 +5,9 @@
 // coordinator shard's read-vals-batch when the round sends it one, so the
 // coordinator is one of those servers too.  A failover re-sends one batch
 // for the shard it moved, and a batched response counts its versions per
-// object.  Counted by payload on the simulator.
+// object.  A reader's next READ releases the last one's registration at
+// the coordinator, so a read-done goes out only after a reader idles for
+// kReadDoneLinger.  Counted by payload on the simulator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -15,24 +17,35 @@
 #include "checker/snow_monitor.hpp"
 #include "core/registry.hpp"
 #include "core/system.hpp"
+#include "metrics/gc_stats.hpp"
 #include "sim/script.hpp"
 #include "sim/sim_runtime.hpp"
 
 namespace snowkit {
 namespace {
 
-/// Counts sends by payload name, and keeps each read-val-batch sent and the
-/// get-tag-arr folded into each read-vals-batch.
+/// Counts sends by payload name, and keeps each read-val-batch sent, the
+/// get-tag-arr folded into each read-vals-batch, and when each read-done
+/// and update-coor-ack left.
 struct Counter final : MessageObserver {
+  const SimRuntime* sim{nullptr};  ///< the clock for the send times.
   std::map<std::string, int> sent;
   std::vector<std::pair<NodeId, ReadValBatchReq>> batches;  ///< (receiver, body).
   std::vector<std::pair<NodeId, std::vector<ObjectId>>> folded;  ///< (receiver, I).
+  std::vector<std::pair<TimeNs, TxnId>> read_dones;           ///< (sent at, READ).
+  std::vector<std::pair<TimeNs, UpdateCoorAck>> coor_acks;    ///< (sent at, body).
 
   void on_send(NodeId, NodeId to, const Message& m, std::size_t) override {
     ++sent[payload_name(m.payload)];
     if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) batches.emplace_back(to, *rb);
     const auto* lb = std::get_if<ReadValsBatchReq>(&m.payload);
     if (lb && lb->tag_arr) folded.emplace_back(to, lb->tag_arr->objs);
+    if (const auto* rd = std::get_if<ReadDoneReq>(&m.payload)) {
+      read_dones.emplace_back(sim->now_ns(), rd->txn);
+    }
+    if (const auto* ack = std::get_if<UpdateCoorAck>(&m.payload)) {
+      coor_acks.emplace_back(sim->now_ns(), *ack);
+    }
   }
   void on_deliver(NodeId, NodeId, const Message&) override {}
 
@@ -45,7 +58,11 @@ struct Counter final : MessageObserver {
     for (const auto& [name, count] : sent) n += count;
     return n;
   }
-  void reset() { *this = Counter{}; }
+  void reset() {
+    const SimRuntime* clock = sim;
+    *this = Counter{};
+    sim = clock;
+  }
 };
 
 /// 4 objects; with `servers` = 2 under range placement objects {0, 1} live
@@ -63,6 +80,7 @@ struct Rig {
     cfg.num_servers = servers;
     cfg.placement = PlacementKind::kRange;
     sys = ProtocolRegistry::global().build(protocol, sim, rec, cfg, opts);
+    count.sim = &sim;
     sim.set_observer(&count);
     sim.run_until_idle();  // replica boot
     count.reset();
@@ -302,6 +320,100 @@ TEST(ReadFanOut, TakeoverOfTheCoordinatorsShardResendsOneFoldedBatch) {
   EXPECT_EQ(rig.count["get-tag-arr"], 0);
   rig.sim.release_all();  // the dead primary's batch goes nowhere
   rig.sim.run_until_idle();
+}
+
+/// The protocols whose READs register at the coordinator.
+const char* const kRegisteringProtocols[] = {"algo-b", "algo-c", "adaptive", "occ-reads"};
+
+TEST(ReadFanOut, ALoneReadSendsItsReadDoneOneLingerAfterItCompletes) {
+  for (const char* protocol : kRegisteringProtocols) {
+    SCOPED_TRACE(protocol);
+    Rig rig(protocol);
+    TxnId txn = kInvalidTxn;
+    TimeNs done_at = 0;
+    invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2, 3}, [&](const TxnResult& r) {
+      txn = r.txn;
+      done_at = rig.sim.now_ns();
+    });
+    rig.sim.run_until_idle();
+    ASSERT_NE(txn, kInvalidTxn);
+    EXPECT_EQ(rig.count.read_dones,
+              (std::vector<std::pair<TimeNs, TxnId>>{{done_at + kReadDoneLinger, txn}}));
+  }
+}
+
+TEST(ReadFanOut, BackToBackReadsSendOneReadDone) {
+  // The second READ begins inside the first's linger, at once or halfway
+  // through it: its registration releases the first's floor, and the one
+  // read-done, the second's, leaves one linger after the second completes.
+  for (const TimeNs gap : {TimeNs{0}, kReadDoneLinger / 2}) {
+    for (const char* protocol : kRegisteringProtocols) {
+      SCOPED_TRACE(std::string(protocol) + " gap " + std::to_string(gap));
+      Rig rig(protocol);
+      ReadClient& reader = rig.sys->reader(0);
+      TxnId second = kInvalidTxn;
+      TimeNs done_at = 0;
+      invoke_read(rig.sim, reader, {0, 2}, [&](const TxnResult&) {
+        rig.sim.post_after(reader.id(), gap, [&] {
+          invoke_read(rig.sim, reader, {1, 3}, [&](const TxnResult& r) {
+            second = r.txn;
+            done_at = rig.sim.now_ns();
+          });
+        });
+      });
+      rig.sim.run_until_idle();
+      ASSERT_NE(second, kInvalidTxn);
+      EXPECT_EQ(rig.count.read_dones,
+                (std::vector<std::pair<TimeNs, TxnId>>{{done_at + kReadDoneLinger, second}}));
+    }
+  }
+}
+
+TEST(ReadFanOut, AnIdleReaderStopsPinningTheWatermarkAfterTheLinger) {
+  // One READ at t = 0, then the reader idles while a WRITE of object 0
+  // lands every millisecond for three lingers.  The READ's floor (G = 0)
+  // pins the watermark W, so object 0's chain grows, until its read-done
+  // goes out one linger after it completed; then W reaches G and the chain
+  // shrinks back to its anchor and the newest version.  occ-reads prunes
+  // only with gc_versions set.
+  constexpr TimeNs kMs = 1'000'000;
+  constexpr int kWrites = 3 * static_cast<int>(kReadDoneLinger / kMs);
+  for (const char* protocol : kRegisteringProtocols) {
+    SCOPED_TRACE(protocol);
+    Rig rig(protocol, 2, BuildOptions{}.set("gc_versions", true));
+    std::uint64_t live_before = 0;  // the READ has made every object's store
+    TxnId read_txn = kInvalidTxn;
+    TimeNs done_at = 0;
+    invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2, 3}, [&](const TxnResult& r) {
+      read_txn = r.txn;
+      done_at = rig.sim.now_ns();
+      live_before = GcCounters::global().snapshot().live;
+    });
+    WriteClient& writer = rig.sys->writer(0);
+    for (int i = 1; i <= kWrites; ++i) {
+      rig.sim.post_after(writer.id(), static_cast<TimeNs>(i) * kMs, [&writer, i] {
+        writer.write({{0, i}}, [](const TxnResult&) {});
+      });
+    }
+    // Half a write before the linger ends, every WRITE so far is retained.
+    rig.sim.run_until([&] { return rig.sim.now_ns() >= kReadDoneLinger - kMs / 2; });
+    ASSERT_GT(done_at, 0u);
+    const std::uint64_t live_pinned = GcCounters::global().snapshot().live - live_before;
+    rig.sim.run_until_idle();
+    const std::uint64_t live_after = GcCounters::global().snapshot().live - live_before;
+
+    const TimeNs released_at = done_at + kReadDoneLinger;
+    ASSERT_EQ(rig.count.coor_acks.size(), static_cast<std::size_t>(kWrites));
+    for (const auto& [at, ack] : rig.count.coor_acks) {
+      if (at < released_at) EXPECT_EQ(ack.watermark, 0u) << "position " << ack.tag;
+    }
+    const UpdateCoorAck& last = rig.count.coor_acks.back().second;
+    EXPECT_EQ(last.watermark, last.tag - 1) << "W never reached G";
+    EXPECT_GE(live_pinned, static_cast<std::uint64_t>(kWrites / 3 - 1));
+    EXPECT_LE(live_after, 1u) << "object 0's chain did not shrink back to two versions";
+    EXPECT_EQ(rig.count.read_dones,
+              (std::vector<std::pair<TimeNs, TxnId>>{{released_at, read_txn}}));
+  }
 }
 
 TEST(ReadFanOut, ABatchedResponseCountsVersionsPerObject) {

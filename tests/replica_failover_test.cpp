@@ -208,5 +208,96 @@ TEST(ReplicaFailover, UpdateCoorRetryIsDeduplicatedNotDoubleListed) {
   expect_clean_history(rig, "update-coor dedup");
 }
 
+TEST(ReplicaFailover, AnOvertakenUpdateCoorRetryIsNotListedAgain) {
+  // The dead coordinator's held ack completes WRITE 1 after the writer has
+  // re-sent its update-coor to the new primary, and that retry arrives
+  // after WRITE 2's update-coor.  Listing it would put WRITE 1 after
+  // WRITE 2 in the List, a second serialization point.
+  Rig rig(false, 2, 1, 1);
+  const NodeId backup0 = backup_of(2, 1, 1, 0);
+  rig.sim.start();
+  rig.sim.hold_matching(script::payload_is("update-coor-ack"));
+  bool w1 = false;
+  invoke_write(rig.sim, rig.sys->writer(0), {{0, 10}, {1, 20}},
+               [&](const TxnResult&) { w1 = true; });
+  rig.sim.run_until_idle();
+  ASSERT_FALSE(w1);
+
+  rig.sim.hold_matching(script::all_of({script::payload_is("update-coor"), script::to_node(backup0)}));
+  rig.sim.crash(0);
+  rig.sim.run_until_idle();
+  ASSERT_FALSE(w1);
+  rig.sim.hold_matching(nullptr);
+  ASSERT_EQ(rig.sim.release_if(script::payload_is("update-coor-ack")), 1u);
+  ASSERT_TRUE(w1) << "the listed WRITE's own ack did not complete it";
+
+  bool w2 = false;
+  invoke_write(rig.sim, rig.sys->writer(0), {{0, 11}, {1, 21}},
+               [&](const TxnResult&) { w2 = true; });
+  rig.sim.run_until_idle();
+  ASSERT_TRUE(w2);
+  ASSERT_EQ(rig.sim.release_if(script::payload_is("update-coor")), 1u);  // WRITE 1's retry
+  rig.sim.run_until_idle();
+
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
+  rig.sim.run_until_idle();
+  EXPECT_EQ(result.values, (std::vector<std::pair<ObjectId, Value>>{{0, 11}, {1, 21}}));
+  expect_clean_history(rig, "overtaken update-coor retry");
+}
+
+TEST(ReplicaFailover, ARestartedReplicaRecoversBeforeItsFirstInput) {
+  // A restarted node's first input can arrive ahead of its restart task.
+  // Here it is the new primary's answer to the node's last append, a
+  // newer-epoch ack that demotes it into a rejoin whose reset response
+  // arrives before that task too.  Handled on the state on_crash()
+  // cleared, the response refilled the List, and the boot that followed
+  // re-applied the WAL onto it ("replicated List push landed at ...").
+  Rig rig(false, 2, 1, 1);
+  const NodeId backup0 = backup_of(2, 1, 1, 0);
+  auto write = [&](Value a, Value b) {
+    bool done = false;
+    invoke_write(rig.sim, rig.sys->writer(0), {{0, a}, {1, b}},
+                 [&](const TxnResult&) { done = true; });
+    rig.sim.run_until_idle();
+    EXPECT_TRUE(done);
+  };
+  write(10, 20);
+  // Shard 0's primary logs WRITE 2's insert, but its append never reaches
+  // the backup before the crash; the backup takes over and completes it.
+  rig.sim.hold_matching(script::all_of({script::payload_is("repl-append"), script::from_node(0)}));
+  bool done = false;
+  invoke_write(rig.sim, rig.sys->writer(0), {{0, 11}, {1, 21}},
+               [&](const TxnResult&) { done = true; });
+  rig.sim.run_until_idle();
+  ASSERT_FALSE(done);
+  rig.sim.crash(0);
+  rig.sim.run_until_idle();
+  ASSERT_TRUE(done);
+
+  // Everything to and from node 0 now waits for the script.
+  rig.sim.hold_matching(script::any_of({script::to_node(0), script::from_node(0)}));
+  ASSERT_EQ(rig.sim.release_if(script::between(0, backup0)), 1u);  // the stale append
+  rig.sim.restart(0);  // posts the restart task; nothing runs yet
+  ASSERT_EQ(rig.sim.release_if(script::payload_is("repl-append-ack")), 1u);
+  ASSERT_GE(rig.sim.release_if(script::payload_is("repl-join")), 1u);
+  ASSERT_GE(rig.sim.release_if(script::payload_is("repl-join-resp")), 1u);
+  rig.sim.hold_matching(nullptr);
+  rig.sim.release_all();
+  rig.sim.run_until_idle();  // the restart task runs last
+
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
+  rig.sim.run_until_idle();
+  EXPECT_EQ(result.values, (std::vector<std::pair<ObjectId, Value>>{{0, 11}, {1, 21}}));
+  rig.sim.crash(backup0);  // the restarted node takes over with the full log
+  rig.sim.run_until_idle();
+  write(12, 22);
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
+  rig.sim.run_until_idle();
+  EXPECT_EQ(result.values, (std::vector<std::pair<ObjectId, Value>>{{0, 12}, {1, 22}}));
+  expect_clean_history(rig, "input ahead of the restart task");
+}
+
 }  // namespace
 }  // namespace snowkit

@@ -199,8 +199,7 @@ TEST(ReplicaWal, TornLogOfBatchedStepsStopsAtAStepBoundary) {
   cfg.peer = 1;
   cfg.has_list = true;
   cfg.num_objects = 4;
-  Replicator repl(cfg, std::move(owned), [](NodeId, Message) {}, [](NodeId, const Message&) {},
-                  &stores, &list);
+  Replicator repl(cfg, std::move(owned), [](NodeId, Message) {}, &stores, &list);
   repl.boot();
   repl.append({insert_rec(0, 1, 9, 10), insert_rec(1, 1, 9, 11), insert_rec(3, 1, 9, 13)},
               nullptr);
@@ -316,14 +315,12 @@ TEST(ReplicaWal, ShippedEpochMarkerIsDroppedNotLogged) {
   cfg.self = 1;
   cfg.peer = 0;
   cfg.start_primary = false;
-  Replicator backup(cfg, std::move(owned), [](NodeId, Message) {},
-                    [](NodeId, const Message&) {}, &stores, &list);
-  backup.boot();
-  backup.consume(0, Message{kInvalidTxn, ReplJoinResp{0, 0, 0, {}}});
-  backup.consume(0, Message{kInvalidTxn, ReplAppendReq{0, 0, {epoch_rec(7, true),
-                                                              insert_rec(0, 1, 10, 111)}}});
-  backup.consume(0, Message{kInvalidTxn, ReplJoinResp{0, 0, 1, {epoch_rec(8, true),
-                                                                insert_rec(1, 1, 10, 222)}}});
+  Replicator backup(cfg, std::move(owned), [](NodeId, Message) {}, &stores, &list);
+  backup.boot();  // its join is outstanding: the response below is applied
+  backup.consume(0, Message{kInvalidTxn, ReplJoinResp{0, 0, 0, {epoch_rec(8, true),
+                                                                insert_rec(0, 1, 10, 111)}}});
+  backup.consume(0, Message{kInvalidTxn, ReplAppendReq{0, 1, {epoch_rec(7, true),
+                                                              insert_rec(1, 1, 10, 222)}}});
   EXPECT_EQ(backup.log_size(), 2u);
   EXPECT_EQ(backup.epoch(), 0u);
   const WalReplayResult r = wal_replay(disk->bytes());

@@ -88,5 +88,20 @@ TEST(ThreadRuntime, StopIsIdempotentAndDrains) {
   SUCCEED();
 }
 
+TEST(ThreadRuntime, StopDrainsAReadInFlight) {
+  // The READ completes while stop() drains and arms its read-done linger;
+  // that timer is discarded with the rest.
+  for (int i = 0; i < 20; ++i) {
+    ThreadRuntime rt;
+    HistoryRecorder rec(4);
+    auto sys = build_protocol("algo-c", rt, rec, SystemConfig{4, 1, 1});
+    rt.start();
+    int done = 0;
+    invoke_read(rt, sys->reader(0), {0, 1, 2, 3}, [&](const TxnResult&) { ++done; });
+    rt.stop();
+    EXPECT_EQ(done, 1);
+  }
+}
+
 }  // namespace
 }  // namespace snowkit

@@ -267,6 +267,18 @@ TEST(CoorListProperty, StaleReadDoneNeverUnpinsANewerRead) {
   EXPECT_EQ(list.watermark(), 2u);
 }
 
+TEST(CoorListProperty, ANewerReadsRegistrationReleasesTheLastOnesFloor) {
+  // A reader's next READ registers with no read-done for its last one: the
+  // new registration replaces the old floor and advances the watermark.
+  CoorList list(1);
+  list.push(WriteKey{1, 0}, std::vector<ObjectId>{0});
+  list.register_reader(7, /*txn=*/10);  // floor 0
+  list.finalize(1);
+  EXPECT_EQ(list.watermark(), 0u) << "reader 7's floor must pin the watermark";
+  EXPECT_EQ(list.register_reader(7, /*txn=*/11), 1u);
+  EXPECT_EQ(list.watermark(), 1u);
+}
+
 // --- end-to-end: the GC'd protocols stay safe and actually prune -------------
 
 int run_protocol_once(const std::string& kind, std::uint64_t seed, std::size_t ops,
