@@ -64,6 +64,7 @@ struct CellRun {
   LatencySummary sojourn;
   std::uint64_t wire_messages{0};
   std::uint64_t wire_bytes{0};
+  std::string mean_read_rounds;  ///< over the measured READs.
   bool has_adaptive{false};
   AdaptiveStats adaptive;
 };
@@ -104,6 +105,7 @@ CellRun run_cell(const std::string& kind, const TrafficModel& model, std::size_t
     sim.run_until_idle();
     opts.value_base = 1 + warm.total_ops * 8;  // past any value warmup handed out
   }
+  const std::size_t warm_txns = rec.snapshot().txns.size();
   const std::uint64_t warm_messages = wire.messages();
   const std::uint64_t warm_bytes = wire.bytes();
 
@@ -119,6 +121,7 @@ CellRun run_cell(const std::string& kind, const TrafficModel& model, std::size_t
   out.sojourn = driver.sojourn_latency();
   out.wire_messages = wire.messages() - warm_messages;
   out.wire_bytes = wire.bytes() - warm_bytes;
+  out.mean_read_rounds = bench::mean_read_rounds(rec.snapshot(), warm_txns);
   if (const auto* adaptive = dynamic_cast<const AdaptiveSystem*>(sys.get())) {
     out.has_adaptive = true;
     out.adaptive = adaptive->stats();
@@ -187,6 +190,7 @@ ScenarioResult run_scenario(const ScenarioOptions& opts) {
         rec.set("logical_clients", std::to_string(kLogicalClients));
         rec.set("arrival_shards", std::to_string(kArrivalShards));
         rec.set("placement", "range");
+        rec.set("mean_read_rounds", r.mean_read_rounds);
         if (r.has_adaptive) {
           const AdaptiveStats& s = r.adaptive;
           const double one_round =

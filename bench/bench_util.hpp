@@ -80,6 +80,22 @@ inline SimRunResult run_sim_workload(const std::string& kind, SystemConfig cfg, 
   return out;
 }
 
+/// Rounds per completed READ among `h`'s transactions from index `first`
+/// on, averaged to 3 decimals ("0.000" with none).
+inline std::string mean_read_rounds(const History& h, std::size_t first = 0) {
+  double rounds = 0;
+  std::size_t reads = 0;
+  for (std::size_t i = first; i < h.txns.size(); ++i) {
+    const TxnRecord& t = h.txns[i];
+    if (!t.is_read || !t.complete) continue;
+    rounds += t.rounds;
+    ++reads;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f", reads == 0 ? 0.0 : rounds / static_cast<double>(reads));
+  return buf;
+}
+
 inline std::string us(double ns) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.1f", ns / 1000.0);

@@ -9,7 +9,7 @@
 // reports what each costs and what each guarantees:
 //   simple  — one round, but torn timelines possible (and detected);
 //   algo-c  — one round, strictly serializable (the paper's SNW+1-round);
-//   algo-b  — two rounds, strictly serializable, one-version responses.
+//   algo-b  — up to two rounds, strictly serializable, one-version responses.
 #include <cstdio>
 
 #include "checker/serializability.hpp"

@@ -53,9 +53,9 @@ class ReaderAdapt final : public ReadClient {
     // cache is on, objects with NO cache entry, since those are certain to
     // need a fetch and the prefetch turns their round 2 into round 1.
     // Objects on the coordinator's shard always: their batch carries the
-    // get-tag-arr, so they cost no frame, and the coordinator reads their
-    // lists in the step that builds the tag array, so each list holds
-    // latest[obj] and never sends the object to round 2.  The mode table
+    // get-tag-arr, so they cost no frame, and the coordinator answers each
+    // in the step that builds the tag array with the one version stored
+    // under latest[obj], so none goes to round 2.  The mode table
     // thus governs exactly the contested case: a cached object on another
     // shard whose proof may or may not hold at the tag array.
     std::vector<ObjectId> prefetch;

@@ -1,5 +1,6 @@
 #include "proto/algo_b/algo_b.hpp"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -17,9 +18,21 @@ class ReaderB final : public ReadClient {
 
  private:
   void attempt() override {
+    if (attempts() == 1) rounds_ = 0;  // a new READ
+    ++rounds_;
     want_.clear();
     got_.clear();
-    send(route(coor_shard_), Message{txn(), tag_arr_req(objs())});
+    round2_sent_ = false;
+    // Round 1: the get-tag-arr, folded into a read-vals-batch for the
+    // READ's objects on the coordinator's shard when it has any.  The
+    // coordinator answers those with the one version its tag array names.
+    std::vector<ObjectId> on_coordinator;
+    for (ObjectId obj : objs()) {
+      if (place().shard_of(obj) == coor_shard_) on_coordinator.push_back(obj);
+    }
+    folded_ = !on_coordinator.empty();
+    send_tag_arr_round(coor_shard_, tag_arr_req(objs()),
+                       read_batches_by_shard(place(), last_watermark_, std::move(on_coordinator)));
   }
 
   bool on_reply(NodeId, const Message& m) override {
@@ -29,8 +42,27 @@ class ReaderB final : public ReadClient {
       if (!want_.empty()) return true;
       tag_ = ta->tag;
       watermark_ = ta->watermark;
+      last_watermark_ = std::max(last_watermark_, ta->watermark);
       for (ObjectId obj : objs()) want_[obj] = tag_entry(ta->entries, obj).latest;
-      send_by_shard(read_batches_by_shard(place(), watermark_, want_));
+      // A folded tag array arrives just ahead of its batch: round 2 waits
+      // for what the batch resolves.
+      if (!folded_) send_round2();
+      return true;
+    }
+    if (const auto* rv = std::get_if<ReadValsBatchResp>(&m.payload)) {
+      if (want_.empty()) return true;  // no tag array yet: a superseded attempt's
+      // Any list is safe to consume, a superseded attempt's too: only the
+      // version stored under latest[obj] is taken, and keys name immutable
+      // versions.  A miss goes to round 2.
+      for (const ObjectVersions& e : rv->entries) {
+        const auto it = want_.find(e.obj);
+        if (it == want_.end()) continue;
+        for (const Version& v : e.versions) {
+          if (v.key == it->second) got_[e.obj] = v.value;
+        }
+      }
+      send_round2();
+      maybe_complete();
       return true;
     }
     if (const auto* rb = std::get_if<ReadValBatchResp>(&m.payload)) {
@@ -45,10 +77,22 @@ class ReaderB final : public ReadClient {
         }
         got_[e.obj] = e.value;
       }
-      if (got_.size() == objs().size()) complete();
+      maybe_complete();
       return true;
     }
     return false;
+  }
+
+  /// Round 2, once per attempt: one read-val-batch per shard for the exact
+  /// keys of the objects round 1 did not resolve.  None when it resolved
+  /// them all.
+  void send_round2() {
+    if (round2_sent_) return;
+    round2_sent_ = true;
+    const std::map<ObjectId, WriteKey> missing = unresolved();
+    if (missing.empty()) return;
+    ++rounds_;
+    send_by_shard(read_batches_by_shard(place(), watermark_, missing));
   }
 
   void on_takeover(const TakeoverNotice& tn) override {
@@ -59,22 +103,38 @@ class ReaderB final : public ReadClient {
       retry("the coordinator failed over");
       return;
     }
-    // Re-send the failed-over shard's batch, minus what it already answered.
-    std::map<ObjectId, WriteKey> missing;  // empty while round 1 is in flight
-    for (const auto& [obj, key] : want_) {
-      if (place().shard_of(obj) == tn.shard && got_.count(obj) == 0) missing.emplace(obj, key);
-    }
+    // Re-send the failed-over shard's round-2 batch, minus what it already
+    // answered.  Round 1 never reaches it.
+    if (!round2_sent_) return;
+    std::map<ObjectId, WriteKey> missing = unresolved();
+    std::erase_if(missing, [&](const auto& e) { return place().shard_of(e.first) != tn.shard; });
     send_by_shard(read_batches_by_shard(place(), watermark_, missing));
   }
 
-  void complete() {
+  /// This attempt's objects without a value yet, with their keys.
+  std::map<ObjectId, WriteKey> unresolved() const {
+    std::map<ObjectId, WriteKey> out;
+    for (const auto& [obj, key] : want_) {
+      if (got_.count(obj) == 0) out.emplace(obj, key);
+    }
+    return out;
+  }
+
+  void maybe_complete() {
+    if (want_.empty() || got_.size() != objs().size()) return;
     release_registration(coor_shard_);
     std::vector<std::pair<ObjectId, Value>> values;
     for (ObjectId obj : objs()) values.emplace_back(obj, got_.at(obj));
-    finish(std::move(values), tag_, /*rounds=*/2 * attempts(), /*max_versions=*/1);
+    finish(std::move(values), tag_, rounds_, /*max_versions=*/1);
   }
 
   std::size_t coor_shard_;
+  Tag last_watermark_{0};  ///< the newest tag-array watermark, for round 1.
+  // The READ in flight: its rounds (client send-waves, for finish_read)
+  // span its attempts; the rest is per attempt.
+  int rounds_{0};
+  bool folded_{false};  ///< round 1 read objects on the coordinator's shard.
+  bool round2_sent_{false};
   std::map<ObjectId, WriteKey> want_;  ///< this attempt's requested keys.
   std::map<ObjectId, Value> got_;
   Tag tag_{0};
@@ -84,12 +144,12 @@ class ReaderB final : public ReadClient {
 const ProtocolRegistration kRegisterAlgoB{
     ProtocolTraits{
         .name = "algo-b",
-        .summary = "§8: SNW + one-version two-round READs, MWMR, coordinator-ordered",
+        .summary = "§8: SNW + one-version READs in 1-2 rounds, MWMR, coordinator-ordered",
         .claims_strict_serializability = true,
         .provides_tags = true,
         .snow_s = true,
         .snow_n = true,
-        .snow_o = false,  // two rounds
+        .snow_o = false,  // two rounds unless every object is on s*'s shard
         .snow_w = true,
         .mwmr = true,
         .supports_replication = true,

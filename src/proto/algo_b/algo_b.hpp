@@ -1,15 +1,20 @@
 // Algorithm B (paper §8, Pseudocodes 5 and 6): SNW + one-version READ
 // transactions in the multi-writer multi-reader (MWMR) setting, with no
-// client-to-client communication.  READs take exactly two rounds:
+// client-to-client communication.  READs take at most two rounds, and one
+// when every object they read is on the coordinator's shard:
 //
 //   get-tag-array: reader -> coordinator s*, which returns t_r and kappa_i
 //                  — the newest key in the coordinator's List — for each
 //                  object i the READ names (the paper's array restricted
-//                  to the read set: the reader never consults the rest);
-//   read-value:    reader -> each server, one read-val-batch naming the
-//                  exact key kappa_i of each object of the READ it hosts;
-//                  servers respond non-blocking with exactly one version per
-//                  object.
+//                  to the read set: the reader never consults the rest).
+//                  It rides a read-vals-batch for the READ's objects on
+//                  s*'s shard, which s* answers in the same step with the
+//                  one version stored under each kappa_i;
+//   read-value:    reader -> each other server, one read-val-batch naming
+//                  the exact key kappa_i of each object of the READ it
+//                  hosts; servers respond non-blocking with exactly one
+//                  version per object.  Skipped when round 1 resolved
+//                  every object.
 //
 // WRITEs do write-value to the servers then update-coor to s* (which assigns
 // the List position = the Lemma-20 tag).  Theorem 4: every fair well-formed
@@ -31,7 +36,7 @@ struct AlgoBOptions {
   /// Which server shard acts as coordinator s* (index < server_count()).
   std::size_t coordinator{0};
   /// Watermark version GC (DEFAULT ON): writers fan out finalize notices and
-  /// readers piggyback the coordinator watermark on read-val-batch, so Vals
+  /// readers piggyback the coordinator watermark on their batches, so Vals
   /// keeps only the per-object anchor plus versions above the watermark.
   /// READs still see exactly one version either way; off restores
   /// keep-everything Vals (the paper's literal state).

@@ -208,7 +208,7 @@ void Replicator::boot() {
     epoch_ = replay.epoch;
     tainted_ = replay.was_primary;
     log_ = std::move(replay.records);
-    for (const ReplRecord& rec : log_) apply_record(rec);
+    for (const ReplRecord& rec : log_) apply_peer_record(rec);
   }
   if (!primary_) {
     joining_ = true;
@@ -327,6 +327,42 @@ void Replicator::apply_record(const ReplRecord& rec) {
       break;  // local-only WAL marker, no state effect
     default:
       apply_store_record(rec, *stores_, *list_);
+  }
+}
+
+void Replicator::apply_peer_record(const ReplRecord& rec) {
+  if (const char* why = unappliable(rec)) {
+    SNOW_WARN("replica " << cfg_.self << " dropping a replicated record of kind "
+                         << static_cast<int>(rec.kind) << ": " << why);
+    return;
+  }
+  apply_record(rec);
+}
+
+const char* Replicator::unappliable(const ReplRecord& rec) const {
+  const auto outside_k = [this](ObjectId obj) { return obj >= cfg_.num_objects; };
+  switch (rec.kind) {
+    case ReplRecord::kInsert:
+      return outside_k(rec.obj) ? "it names an object outside the k objects" : nullptr;
+    case ReplRecord::kFinalize: {
+      if (outside_k(rec.obj)) return "it names an object outside the k objects";
+      const auto it = stores_->find(rec.obj);
+      if (it == stores_->end() || !it->second.can_finalize(rec.key, rec.position)) {
+        return "it finalizes a version this replica does not hold, or a taken List position";
+      }
+      return nullptr;
+    }
+    case ReplRecord::kListPush:
+      if (!list_->has_value()) return "this replica keeps no List";
+      if (rec.position != (*list_)->tag() + 1) return "its List position is not the next one";
+      if (std::any_of(rec.objs.begin(), rec.objs.end(), outside_k)) {
+        return "it names an object outside the k objects";
+      }
+      return nullptr;
+    case ReplRecord::kCoorFinalize:
+      return list_->has_value() ? nullptr : "this replica keeps no List";
+    default:
+      return nullptr;  // kEpoch: no state effect
   }
 }
 
@@ -453,7 +489,7 @@ void Replicator::ingest(const ReplAppendReq& ar) {
     frame.records = suffix;
     wal_->append(wal_frame_batch(frame));
     for (ReplRecord& rec : suffix) {
-      apply_record(rec);
+      apply_peer_record(rec);
       log_.push_back(std::move(rec));
     }
   }

@@ -168,7 +168,8 @@ class Replicator {
     NodeId peer{kInvalidNode};
     bool start_primary{true};
     bool has_list{false};        ///< coordinator shard (owns a CoorList).
-    std::size_t num_objects{0};  ///< to rebuild the CoorList on reset.
+    /// k: rebuilds the CoorList on reset; records naming an id >= k drop.
+    std::size_t num_objects{0};
     std::vector<NodeId> notify;  ///< client nodes told on takeover.
     /// FAULT INJECTION ONLY (fuzz/broken_lostack): ack writers immediately,
     /// before the backup confirms — the lost-acknowledged-write bug the
@@ -247,6 +248,15 @@ class Replicator {
   };
 
   void apply_record(const ReplRecord& rec);
+  /// Applies a record the peer shipped or the WAL replayed, or drops it
+  /// with a warning when unappliable() names a reason: a forged or corrupt
+  /// record must not abort this replica.  It stays in the log either way,
+  /// so sequence numbers keep matching the peer's.
+  void apply_peer_record(const ReplRecord& rec);
+  /// Why `rec` cannot take effect on this replica's state (an object id
+  /// >= k, a finalize of a version it does not hold, a List record without
+  /// a List or off its next position); null when it can.
+  const char* unappliable(const ReplRecord& rec) const;
   void commit_range(std::size_t first, std::size_t end);
   void flush_ready();
   void flush_all();

@@ -56,6 +56,7 @@ void VersionServer::on_start() {
 
 void VersionServer::on_crash() {
   stores_.clear();
+  watermark_ = 0;
   if (is_coordinator_) list_.emplace(k_);
   if (tracker_) tracker_->reset();
   repl_->on_crash();
@@ -106,9 +107,15 @@ bool VersionServer::misrouted(NodeId from, const Message& m) const {
   return true;
 }
 
+Tag VersionServer::note_watermark(Tag w) {
+  watermark_ = std::max(watermark_, w);
+  if (list_) watermark_ = std::max(watermark_, list_->watermark());
+  return watermark_;
+}
+
 VersionStore& VersionServer::store(ObjectId obj, Tag watermark) {
   VersionStore& vals = stores_[obj];
-  if (gc_) vals.advance_watermark(watermark);
+  if (gc_) vals.advance_watermark(note_watermark(watermark));
   return vals;
 }
 
@@ -166,11 +173,27 @@ bool VersionServer::serve_read(NodeId from, const Message& m) {
       SNOW_WARN("dropping the get-tag-arr part of read-vals-batch from node "
                 << from << ": this node is not the coordinator");
     }
-    // The live chains of one READ's objects on this server: with the
-    // watermark flowing, each is the paper's <=|W|+1 candidate versions,
-    // not the full history.
+    // A coordinator that ships no List history (algo-b, adaptive) answers
+    // each object of a folded batch with the one version the tag array just
+    // named, latest[obj]: a WRITE is listed only after its write-vals were
+    // acked, and latest is never pruned (it is unfinalized or the anchor),
+    // so a correct fleet always holds it.  A miss gets an empty list.
+    // Otherwise: the live chains of one READ's objects on this server; with
+    // the watermark flowing, each is the paper's <=|W|+1 candidate
+    // versions, not the full history.
+    const bool latest_only = resp.tag_arr.has_value() && !tag_history_;
     resp.entries.reserve(pb->objs.size());
-    for (ObjectId obj : pb->objs) resp.entries.push_back({obj, store(obj, pb->watermark).all()});
+    for (ObjectId obj : pb->objs) {
+      const VersionStore& vals = store(obj, pb->watermark);
+      if (!latest_only) {
+        resp.entries.push_back({obj, vals.all()});
+        continue;
+      }
+      const WriteKey& key = list_->latest(obj);
+      std::vector<Version> one;
+      if (const std::optional<Value> v = vals.try_get(key)) one.push_back(Version{key, *v});
+      resp.entries.push_back({obj, std::move(one)});
+    }
     send(from, Message{m.txn, std::move(resp)});
     return true;
   }
@@ -220,7 +243,7 @@ bool VersionServer::handle_write_path(NodeId from, const Message& m) {
       recs[i].obj = fin->objs[i];
       recs[i].key = fin->key;
       recs[i].position = fin->position;
-      recs[i].watermark = fin->watermark;
+      recs[i].watermark = note_watermark(fin->watermark);
     }
     if (fin->coor && list_) recs.push_back(coor_finalize_record(fin->position));
     commit_step(std::move(recs), stores_, list_, repl, kNoAck);

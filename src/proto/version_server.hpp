@@ -15,7 +15,9 @@
 // On the coordinator's shard a read-vals-batch may also carry the READ's
 // get-tag-arr; the coordinator answers it in the same response, registering
 // the READ and building the tag array before it reads the stores, and any
-// other server answers the batch and drops that part with a warning.
+// other server answers the batch and drops that part with a warning.  A
+// coordinator that ships no List history (algo-b, adaptive) answers such a
+// folded batch with one version per object, the one the tag array names.
 // No handler asks which protocol it serves.  Payload tags 8-11, the
 // per-object read-val and read-vals that no reader has sent since
 // snowkit-wire-v5, are reserved: the decoder rejects them.  Reads are
@@ -30,8 +32,9 @@
 // AdaptTagArrResp with a mode delta) and adaptive's write-rate tracker.
 //
 // With `gc` on, the watermark flow of proto/version_store.hpp is active:
-// finalize notices and read piggybacks advance per-object watermarks and
-// prune superseded versions.  With a Replicator (replicas 2) state mutations
+// finalize notices, read piggybacks and the coordinator's own List raise
+// one server watermark, and every store a request touches advances to it
+// and prunes superseded versions.  With a Replicator (replicas 2) state mutations
 // ride the replicated log, write acks wait for the backup, and the node
 // survives crash/restart through its WAL (proto/replica.hpp).
 #pragma once
@@ -94,6 +97,12 @@ class VersionServer final : public Node {
   /// Registers `from`'s READ `txn` for watermark accounting and builds the
   /// reply to its get-tag-arr, standalone or folded into a read-vals-batch.
   TagArrReply answer_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& gt);
+  /// Raises the server's watermark to `w` (and, on the coordinator, to its
+  /// List's) and returns it.  W is one global List position, so the newest
+  /// one seen from any finalize, read piggyback or the List is safe for
+  /// every store here.
+  Tag note_watermark(Tag w);
+  /// `obj`'s store, its watermark advanced to note_watermark(`watermark`).
   VersionStore& store(ObjectId obj, Tag watermark);
 
   std::size_t k_;
@@ -101,6 +110,7 @@ class VersionServer final : public Node {
   bool gc_;
   bool tag_history_;
   std::map<ObjectId, VersionStore> stores_;    ///< per hosted object.
+  Tag watermark_{0};                           ///< the newest watermark seen.
   std::optional<CoorList> list_;               ///< coordinator only.
   std::unique_ptr<Replicator> repl_;           ///< replicas 2 only.
   std::optional<WriteRateTracker> tracker_;    ///< adaptive coordinator only.

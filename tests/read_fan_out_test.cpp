@@ -10,6 +10,7 @@
 // kReadDoneLinger.  Counted by payload on the simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -109,19 +110,83 @@ struct Rig {
 TEST(ReadFanOut, AlgoBReadSendsOneBatchPerServer) {
   Rig rig("algo-b");
   rig.read({3, 0, 2, 1});
-  // get-tag-arr + tag-arr + 2 batches + 2 responses + read-done; one
-  // read-val and one response per object made it 11.
-  EXPECT_EQ(rig.count.total(), 7);
-  EXPECT_EQ(rig.count["get-tag-arr"], 1);
-  EXPECT_EQ(rig.count["tag-arr"], 1);
-  EXPECT_EQ(rig.count["read-val-batch"], 2);
-  EXPECT_EQ(rig.count["read-val-batch-resp"], 2);
+  // s*'s objects ride the folded read-vals-batch and its response; round 2
+  // is one read-val-batch to the other server, and the read-done.  A
+  // get-tag-arr and its reply of their own with a round-2 batch to each
+  // server made it 7, and one read-val and one response per object 11.
+  EXPECT_EQ(rig.count.total(), 5);
+  EXPECT_EQ(rig.count["get-tag-arr"], 0);
+  EXPECT_EQ(rig.count["tag-arr"], 0);
+  EXPECT_EQ(rig.count["read-vals-batch"], 1);
+  EXPECT_EQ(rig.count["read-vals-batch-resp"], 1);
+  EXPECT_EQ(rig.count["read-val-batch"], 1);
+  EXPECT_EQ(rig.count["read-val-batch-resp"], 1);
   EXPECT_EQ(rig.count["read-done"], 1);
-  ASSERT_EQ(rig.count.batches.size(), 2u);
-  for (const auto& [to, batch] : rig.count.batches) {
-    std::vector<ObjectId> objs;
-    for (const BatchReadEntry& e : batch.entries) objs.push_back(e.obj);
-    EXPECT_EQ(objs, to == 0u ? (std::vector<ObjectId>{0, 1}) : (std::vector<ObjectId>{2, 3}));
+  EXPECT_EQ(rig.count.folded,
+            (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 1, 2, 3}}}));
+  ASSERT_EQ(rig.count.batches.size(), 1u);
+  EXPECT_EQ(rig.count.batches[0].first, 1u);
+  std::vector<ObjectId> objs;
+  for (const BatchReadEntry& e : rig.count.batches[0].second.entries) objs.push_back(e.obj);
+  EXPECT_EQ(objs, (std::vector<ObjectId>{2, 3}));
+}
+
+TEST(ReadFanOut, AlgoBReadOfTheCoordinatorsShardTakesOneRoundAndOneVersion) {
+  // Every object on s*'s shard: the folded response resolves them all, so
+  // no round 2 goes out.  Without GC each store keeps every version, and
+  // s* still answers the one its tag array names.
+  Rig rig("algo-b", 2, BuildOptions{}.set("gc_versions", false));
+  rig.write({{0, 10}, {1, 11}});
+  rig.write({{0, 20}, {1, 21}});
+  rig.count.reset();
+  const TxnResult r = rig.read({1, 0});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{1, 21}, {0, 20}}));
+  EXPECT_EQ(rig.count.total(), 3);  // folded batch, its response, read-done
+  EXPECT_EQ(rig.count["read-val-batch"], 0);
+  const History h = rig.rec.snapshot();
+  ASSERT_EQ(h.completed_reads(), 1u);
+  for (const TxnRecord& t : h.txns) {
+    if (t.is_read) EXPECT_EQ(t.rounds, 1);
+  }
+  const SnowTraceReport report = analyze_snow_trace(rig.sim.trace(), 2, h);
+  EXPECT_EQ(report.max_read_rounds, 1);
+  EXPECT_EQ(report.max_versions_per_response, 1);
+}
+
+TEST(ReadFanOut, AlgoBMixedReadSendsRoundTwoToTheOtherShardsOnly) {
+  // One object per server, s* = server 0: a READ of objects 0, 2 and 3
+  // resolves object 0 in round 1 and sends round 2 to servers 2 and 3.
+  Rig rig("algo-b", /*servers=*/0);
+  rig.write({{0, 10}, {2, 12}, {3, 13}});
+  rig.count.reset();
+  const TxnResult r = rig.read({3, 0, 2});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{3, 13}, {0, 10}, {2, 12}}));
+  std::vector<NodeId> round2;
+  for (const auto& [to, batch] : rig.count.batches) round2.push_back(to);
+  std::sort(round2.begin(), round2.end());
+  EXPECT_EQ(round2, (std::vector<NodeId>{2, 3}));
+  EXPECT_EQ(rig.count.folded,
+            (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 2, 3}}}));
+  const SnowTraceReport report = analyze_snow_trace(rig.sim.trace(), 4, rig.rec.snapshot());
+  EXPECT_EQ(report.max_read_rounds, 2);
+  EXPECT_EQ(report.max_versions_per_response, 1);
+}
+
+TEST(ReadFanOut, AlgoBFoldReturnsAWriteThatCompletedBeforeTheRead) {
+  // Each READ follows a WRITE of s*'s objects that completed before it
+  // began: the folded response alone must carry that WRITE's values, with
+  // GC pruning the older versions and without.
+  for (const bool gc : {true, false}) {
+    SCOPED_TRACE(gc ? "gc on" : "gc off");
+    Rig rig("algo-b", 2, BuildOptions{}.set("gc_versions", gc));
+    for (Value v = 1; v <= 3; ++v) {
+      rig.write({{0, 10 * v}, {1, 10 * v + 1}});
+      rig.count.reset();
+      const TxnResult r = rig.read({0, 1});
+      EXPECT_EQ(r.values,
+                (std::vector<std::pair<ObjectId, Value>>{{0, 10 * v}, {1, 10 * v + 1}}));
+      EXPECT_EQ(rig.count["read-val-batch"], 0) << "the fold missed the completed WRITE";
+    }
   }
 }
 
@@ -418,11 +483,18 @@ TEST(ReadFanOut, AnIdleReaderStopsPinningTheWatermarkAfterTheLinger) {
 
 TEST(ReadFanOut, ABatchedResponseCountsVersionsPerObject) {
   // Two objects on one server answer in one frame; that frame still carries
-  // one version per object, which is what the O property counts.
+  // one version per object, which is what the O property counts: s*'s
+  // folded response in round 1, and the other server's read-val-batch
+  // response in round 2.
   Rig rig("algo-b");
-  rig.write({{0, 1}, {1, 2}});
+  rig.write({{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   rig.read({0, 1});
-  const SnowTraceReport report = analyze_snow_trace(rig.sim.trace(), 2, rig.rec.snapshot());
+  SnowTraceReport report = analyze_snow_trace(rig.sim.trace(), 2, rig.rec.snapshot());
+  EXPECT_EQ(rig.count["read-vals-batch-resp"], 1);
+  EXPECT_EQ(report.max_versions_per_response, 1);
+  EXPECT_EQ(report.max_read_rounds, 1);
+  rig.read({2, 3});
+  report = analyze_snow_trace(rig.sim.trace(), 2, rig.rec.snapshot());
   EXPECT_EQ(rig.count["read-val-batch-resp"], 1);
   EXPECT_EQ(report.max_versions_per_response, 1);
   EXPECT_EQ(report.max_read_rounds, 2);

@@ -86,6 +86,49 @@ TEST(ReplicaFailover, AlgoCReplicatedFleetKeepsOneRound) {
   expect_clean_history(rig, "algo-c replicated, no faults");
 }
 
+TEST(ReplicaFailover, AlgoBFoldSurvivesACoordinatorCrash) {
+  // An algo-b READ's round 1 is a read-vals-batch folding the get-tag-arr,
+  // to s* (object 0's server).  s* dies with that batch undelivered, or
+  // after it answered but with the answer undelivered: the READ restarts
+  // at the backup that took over, whose fold returns the last WRITE with
+  // one version per object.
+  const std::vector<std::pair<const char*, script::Pred>> holds{
+      {"the fold", script::all_of({script::asks_tag_arr(), script::to_node(0)})},
+      {"its answer",
+       script::all_of({script::payload_is("read-vals-batch-resp"), script::from_node(0)})},
+  };
+  for (const auto& [what, hold] : holds) {
+    SCOPED_TRACE(what);
+    Rig rig(false, 2, 1, 1);
+    bool wrote = false;
+    invoke_write(rig.sim, rig.sys->writer(0), {{0, 10}, {1, 20}},
+                 [&](const TxnResult&) { wrote = true; });
+    rig.sim.run_until_idle();
+    ASSERT_TRUE(wrote);
+    rig.sim.hold_matching(hold);
+    TxnResult result;
+    bool done = false;
+    invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) {
+      result = r;
+      done = true;
+    });
+    rig.sim.run_until_idle();
+    ASSERT_FALSE(done);
+    ASSERT_EQ(rig.sim.held().size(), 1u);
+    rig.sim.hold_matching(nullptr);
+    rig.sim.crash(0);
+    rig.sim.run_until_idle();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(result.values, (std::vector<std::pair<ObjectId, Value>>{{0, 10}, {1, 20}}));
+    rig.sim.release_all();  // the dead primary's message reaches a finished READ
+    rig.sim.run_until_idle();
+    const auto report = analyze_snow_trace(rig.sim.trace(), 2, rig.rec.snapshot());
+    EXPECT_TRUE(report.satisfies_n()) << (report.violations.empty() ? "" : report.violations[0]);
+    EXPECT_EQ(report.max_versions_per_response, 1);
+    expect_clean_history(rig, "algo-b fold across a coordinator crash");
+  }
+}
+
 // --- killing a primary mid-run ----------------------------------------------
 
 void crash_mid_workload(bool algo_c, std::size_t victim_shard, std::uint64_t seed) {

@@ -315,6 +315,7 @@ TEST(ReplicaWal, ShippedEpochMarkerIsDroppedNotLogged) {
   cfg.self = 1;
   cfg.peer = 0;
   cfg.start_primary = false;
+  cfg.num_objects = 2;
   Replicator backup(cfg, std::move(owned), [](NodeId, Message) {}, &stores, &list);
   backup.boot();  // its join is outstanding: the response below is applied
   backup.consume(0, Message{kInvalidTxn, ReplJoinResp{0, 0, 0, {epoch_rec(8, true),

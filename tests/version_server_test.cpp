@@ -226,6 +226,48 @@ TEST(VersionServer, OnlyTheCoordinatorAnswersAFoldedGetTagArr) {
   }
 }
 
+TEST(VersionServer, AFoldNamingAKeyTheCoordinatorLacksGetsAnEmptyList) {
+  // A forged update-coor lists kAbsent for object 0 with no write-val
+  // behind it.  A folded read-vals-batch then names a latest key s* does
+  // not hold: algo-b's and adaptive's s* answer it with an empty list, not
+  // an abort; algo-c's ships the live chain as always.
+  for (const Case c : {Case{"algo-b", 1}, Case{"algo-b", 2}, Case{"adaptive", 1},
+                       Case{"algo-c", 1}}) {
+    SCOPED_TRACE(std::string(c.protocol) + " replicas " + std::to_string(c.replicas));
+    SimRuntime sim(make_uniform_delay(10, 4000, 3));
+    HistoryRecorder rec(3);
+    BuildOptions opts;
+    if (c.replicas == 2) opts.set("replicas", std::int64_t{2});
+    auto sys = build_protocol(c.protocol, sim, rec, SystemConfig{3, 1, 2}, opts);
+    auto probe_node = std::make_unique<Probe>();
+    Probe& probe = *probe_node;
+    const NodeId prober = sim.add_node(std::move(probe_node));
+    sim.run_until_idle();  // replica boot
+
+    const auto send = [&](const Message& m) {
+      sim.post(prober, [&sim, prober, m] { sim.send(prober, 0, m); });
+      sim.run_until_idle();
+    };
+    send(Message{1, UpdateCoorReq{kAbsent, {0}}});
+    send(Message{2, ReadValsBatchReq{0, {0}, GetTagArrReq{{0}, 0}}});
+    ASSERT_EQ(probe.got[0].size(), 2u);
+    const auto& resp = std::get<ReadValsBatchResp>(probe.got[0][1]);
+    ASSERT_TRUE(resp.tag_arr.has_value());
+    const std::vector<TagArrEntry>& entries =
+        std::visit([](const auto& ta) -> const std::vector<TagArrEntry>& { return ta.entries; },
+                   *resp.tag_arr);
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].latest, kAbsent);
+    ASSERT_EQ(resp.entries.size(), 1u);
+    if (std::string(c.protocol) == "algo-c") {
+      ASSERT_EQ(resp.entries[0].versions.size(), 1u);
+      EXPECT_EQ(resp.entries[0].versions[0].key, kInitialKey);
+    } else {
+      EXPECT_TRUE(resp.entries[0].versions.empty());
+    }
+  }
+}
+
 TEST(VersionServer, ForgedFinalizesAreDropped) {
   // A finalize naming a key the store does not hold, or a List position
   // already finalized under another key, would trip VersionStore::finalize's

@@ -26,9 +26,12 @@ struct Counter final : MessageObserver {
     ++sent[payload_name(m.payload)];
     if (const auto* ar = std::get_if<ReplAppendReq>(&m.payload)) appends.emplace_back(from, *ar);
     if (const auto* fin = std::get_if<FinalizeReq>(&m.payload)) finalizes.emplace_back(to, *fin);
-    if (const auto* ta = std::get_if<GetTagArrResp>(&m.payload)) {
-      tag_arr_watermarks.push_back(ta->watermark);
+    // A tag array standalone or folded into s*'s read-vals-batch-resp.
+    const auto* ta = std::get_if<GetTagArrResp>(&m.payload);
+    if (const auto* rv = std::get_if<ReadValsBatchResp>(&m.payload); rv && rv->tag_arr) {
+      ta = std::get_if<GetTagArrResp>(&*rv->tag_arr);
     }
+    if (ta != nullptr) tag_arr_watermarks.push_back(ta->watermark);
   }
   void on_deliver(NodeId, NodeId, const Message&) override {}
 
