@@ -78,7 +78,7 @@ int main() {
         break;
       }
     }
-    std::printf("%-10s %12.1f %12.1f %8llu  %s\n", kind,
+    std::printf("%-10s %12.1f %12.1f %8llu  %s\n", kind.c_str(),
                 static_cast<double>(shown.read_latency.p50_ns) / 1000.0,
                 static_cast<double>(shown.read_latency.p99_ns) / 1000.0,
                 static_cast<unsigned long long>(shown.read_latency.count), shown.note.c_str());

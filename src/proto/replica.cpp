@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 
 #include "common/assert.hpp"
@@ -174,11 +175,11 @@ WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes) {
 // --- Replicator --------------------------------------------------------------
 
 Replicator::Replicator(Config cfg, std::unique_ptr<WalStorage> wal, SendFn send,
-                       std::map<ObjectId, VersionStore>* stores,
+                       PostAfterFn post_after, std::map<ObjectId, VersionStore>* stores,
                        std::optional<CoorList>* list)
     : cfg_(std::move(cfg)), wal_(std::move(wal)), send_(std::move(send)),
-      stores_(stores), list_(list) {
-  SNOW_CHECK(wal_ != nullptr && stores_ != nullptr && list_ != nullptr);
+      post_after_(std::move(post_after)), stores_(stores), list_(list) {
+  SNOW_CHECK(wal_ != nullptr && post_after_ && stores_ != nullptr && list_ != nullptr);
   SNOW_CHECK(!cfg_.has_list || cfg_.num_objects > 0);
 }
 
@@ -186,6 +187,7 @@ void Replicator::boot() {
   booted_ = true;
   log_.clear();
   waiters_.clear();
+  drop_deferred();
   buffered_.clear();
   dedup_.clear();
   pending_join_.reset();
@@ -222,6 +224,7 @@ void Replicator::on_crash() {
   booted_ = false;
   log_.clear();
   waiters_.clear();
+  drop_deferred();
   buffered_.clear();
   dedup_.clear();
   pending_join_.reset();
@@ -279,7 +282,21 @@ Tag Replicator::committed_position(NodeId writer) const {
 void Replicator::append(std::vector<ReplRecord> recs, CommitFn on_commit) {
   SNOW_CHECK_MSG(primary_, "append on a backup replica");
   SNOW_CHECK(!recs.empty());
-  const std::size_t first = log_.size();
+  if (!on_commit && peer_alive_) {
+    // No one waits: apply now and log with the next batch that has a waiter,
+    // or alone once the oldest deferred record has lingered.
+    if (deferred_.empty()) {
+      post_after_(kFinalizeLinger, [this, gen = linger_gen_] {
+        if (gen == linger_gen_) ship_deferred();
+      });
+    }
+    for (ReplRecord& rec : recs) {
+      SNOW_CHECK_MSG(rec.kind != ReplRecord::kListPush, "a List push needs a commit waiter");
+      apply_record(rec);
+      deferred_.push_back(std::move(rec));
+    }
+    return;
+  }
   for (const ReplRecord& rec : recs) {
     if (rec.kind == ReplRecord::kListPush) {
       // List entries stay invisible (un-applied) until commit: no get-tag-arr
@@ -289,8 +306,18 @@ void Replicator::append(std::vector<ReplRecord> recs, CommitFn on_commit) {
     } else {
       apply_record(rec);
     }
-    log_.push_back(rec);
   }
+  if (!deferred_.empty()) {
+    recs.insert(recs.begin(), std::make_move_iterator(deferred_.begin()),
+                std::make_move_iterator(deferred_.end()));
+    drop_deferred();
+  }
+  ship(std::move(recs), std::move(on_commit));
+}
+
+void Replicator::ship(std::vector<ReplRecord> recs, CommitFn on_commit) {
+  const std::size_t first = log_.size();
+  log_.insert(log_.end(), recs.begin(), recs.end());
   const std::size_t end = log_.size();
   ReplAppendReq batch;
   batch.epoch = epoch_;
@@ -303,7 +330,7 @@ void Replicator::append(std::vector<ReplRecord> recs, CommitFn on_commit) {
       // Fault injection: acknowledge before the backup confirms.
       commit_range(first, end);
       if (on_commit) on_commit();
-    } else {
+    } else if (on_commit) {
       waiters_.push_back(Waiter{end, first, std::move(on_commit)});
     }
   } else {
@@ -311,6 +338,18 @@ void Replicator::append(std::vector<ReplRecord> recs, CommitFn on_commit) {
     commit_range(first, end);
     if (on_commit) on_commit();
   }
+}
+
+void Replicator::drop_deferred() {
+  deferred_.clear();
+  ++linger_gen_;
+}
+
+void Replicator::ship_deferred() {
+  if (deferred_.empty()) return;
+  std::vector<ReplRecord> recs = std::move(deferred_);
+  drop_deferred();
+  ship(std::move(recs), nullptr);
 }
 
 void Replicator::apply_record(const ReplRecord& rec) {
@@ -430,8 +469,10 @@ void Replicator::demote(std::uint64_t new_epoch) {
   primary_ = false;
   // Un-fired waiters die un-acked: their writers have been re-routed by the
   // new primary's TakeoverNotice and will retry there.  Their records stay
-  // in log_ un-applied; the forced full resync below discards them.
+  // in log_ un-applied; the forced full resync below discards them, as it
+  // does the deferred records already applied here.
   waiters_.clear();
+  drop_deferred();
   pending_pushes_ = 0;
   for (auto it = dedup_.begin(); it != dedup_.end();) {
     it = it->second.committed ? std::next(it) : dedup_.erase(it);
@@ -608,9 +649,11 @@ void Replicator::redirect_client(NodeId from, const Message& m) {
 void Replicator::on_peer_down(NodeId node) {
   if (node != cfg_.peer) return;
   if (primary_) {
-    // Commit everything solo, in order; new appends commit immediately until
-    // an ack from the (restarted) peer flips peer_alive_ back.
+    // Commit everything solo, in order, the deferred records logged first;
+    // new appends commit immediately until an ack from the (restarted) peer
+    // flips peer_alive_ back.
     peer_alive_ = false;
+    ship_deferred();
     flush_all();
   } else {
     takeover();

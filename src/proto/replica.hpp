@@ -5,10 +5,13 @@
 //
 //   * The PRIMARY serves all client traffic and streams its state mutations
 //     (VersionStore inserts/finalizes, CoorList pushes/finalizes) to the
-//     BACKUP as a sequenced log of ReplRecords.  Each client message is one
-//     batch — a write-val's inserts, a finalize's per-object finalizes plus
-//     the coordinator's, an update-coor's push — written to the local WAL
-//     with one fdatasync and shipped as one ReplAppendReq before its ack.
+//     BACKUP as a sequenced log of ReplRecords.  A client message that
+//     someone waits on is one batch — a write-val's inserts, an
+//     update-coor's push — written to the local WAL with one fdatasync and
+//     shipped as one ReplAppendReq before its ack.  A finalize's records
+//     (the per-object finalizes plus the coordinator's) have no waiter:
+//     they apply at once and ride at the front of the next such batch, or
+//     ship alone once they have waited kFinalizeLinger.
 //
 //   * Acknowledged means replicated: the primary defers WriteValAck and
 //     UpdateCoorAck until the backup has acked the covering log prefix (or
@@ -52,8 +55,9 @@
 // O(|W|) bytes for the WRITE's object set (ascending, gap-coded).  v1 logged
 // a k-bit mask instead and v2 full-field records under a 10-byte envelope;
 // both are refused by name rather than misread.  A batch holds every record
-// of one handler step, so a torn tail always ends at a step boundary: a
-// write-val's inserts are recovered all together or not at all.
+// of one handler step, after any deferred finalize steps it carries, so a
+// torn tail always ends at a step boundary: a write-val's inserts are
+// recovered all together or not at all.
 // Any malformed, checksum-failing, short, or non-contiguous trailing batch
 // is a torn tail: replay recovers the preceding prefix and stops.  Epoch and
 // role changes are persisted as local-only kEpoch records that never ship
@@ -156,6 +160,10 @@ WalReplayResult wal_replay(const std::vector<std::uint8_t>& bytes);
 
 // --- the replica state machine -----------------------------------------------
 
+/// How long a primary holds records no one waits on (a finalize's) for the
+/// next batch that has a commit waiter before it ships them alone.
+inline constexpr TimeNs kFinalizeLinger = 10'000'000;  // 10 ms
+
 /// One shard replica's replication engine, embedded in a server Node.  The
 /// server forwards every incoming message to consume() first, drops client
 /// traffic while is_primary() is false, and routes its state mutations
@@ -178,9 +186,11 @@ class Replicator {
   };
 
   using SendFn = std::function<void(NodeId, Message)>;
+  /// Runs a task on the owning node's executor after a delay (Runtime::post_after).
+  using PostAfterFn = std::function<void(TimeNs, std::function<void()>)>;
   using CommitFn = std::function<void()>;
 
-  Replicator(Config cfg, std::unique_ptr<WalStorage> wal, SendFn send,
+  Replicator(Config cfg, std::unique_ptr<WalStorage> wal, SendFn send, PostAfterFn post_after,
              std::map<ObjectId, VersionStore>* stores, std::optional<CoorList>* list);
 
   bool is_primary() const { return primary_; }
@@ -228,11 +238,16 @@ class Replicator {
 
   /// Appends every record one handler step produces (the kInserts of a
   /// write-val, the kFinalizes and kCoorFinalize of a finalize, one
-  /// kListPush) to the replicated log as ONE batch: one WAL frame, one
-  /// fdatasync, one ReplAppendReq and one commit waiter (primary only).
-  /// Non-push kinds apply to the local state immediately; `on_commit` (may
-  /// be null) fires once the whole batch is covered by a backup ack — or
-  /// immediately when the backup is down (solo) or unsafe_ack is set.
+  /// kListPush) to the replicated log (primary only).  Non-push kinds apply
+  /// to the local state immediately.  A batch with a commit waiter ships at
+  /// once, after the deferred records below, as ONE batch: one WAL frame,
+  /// one fdatasync, one ReplAppendReq and one backup ack; `on_commit` fires
+  /// once the whole batch is covered by that ack — or immediately when the
+  /// backup is down (solo) or unsafe_ack is set.  A batch with a null
+  /// `on_commit` is not shipped alone while the backup lives: it waits,
+  /// without a log sequence number, for the next batch that has a waiter,
+  /// or ships on its own once it has waited kFinalizeLinger.  It must hold
+  /// no kListPush, which applies only at commit.
   void append(std::vector<ReplRecord> recs, CommitFn on_commit);
 
  private:
@@ -257,6 +272,13 @@ class Replicator {
   /// >= k, a finalize of a version it does not hold, a List record without
   /// a List or off its next position); null when it can.
   const char* unappliable(const ReplRecord& rec) const;
+  /// Logs `recs` at the end of log_ as one batch (WAL frame and, unless
+  /// solo, one ReplAppendReq) and commits it as append() describes.
+  void ship(std::vector<ReplRecord> recs, CommitFn on_commit);
+  /// Drops the deferred records and invalidates their linger timer.
+  void drop_deferred();
+  /// Ships the deferred records as one batch of their own, if any.
+  void ship_deferred();
   void commit_range(std::size_t first, std::size_t end);
   void flush_ready();
   void flush_all();
@@ -275,6 +297,7 @@ class Replicator {
   Config cfg_;
   std::unique_ptr<WalStorage> wal_;
   SendFn send_;
+  PostAfterFn post_after_;
   std::map<ObjectId, VersionStore>* stores_;
   std::optional<CoorList>* list_;
 
@@ -290,6 +313,11 @@ class Replicator {
   bool peer_alive_{true};
   std::size_t pending_pushes_{0};
   std::deque<Waiter> waiters_;
+  /// Applied records no one waits on, not yet logged: the front of the next
+  /// batch shipped (primary with a live backup only).
+  std::vector<ReplRecord> deferred_;
+  /// Bumped whenever deferred_ empties, so an older linger timer is a no-op.
+  std::uint64_t linger_gen_{0};
   std::map<std::uint64_t, std::vector<ReplRecord>> buffered_;  ///< out-of-order batches.
   std::map<NodeId, PushInfo> dedup_;
   /// A peer's join received while we were still backup with the higher node

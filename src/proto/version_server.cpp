@@ -1,7 +1,9 @@
 #include "proto/version_server.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -12,20 +14,19 @@ namespace snowkit {
 
 namespace {
 
-/// Logs `recs` through `repl` as one batch, or applies them at once without
-/// replication; `on_commit` runs when they are committed.
-template <typename OnCommit>
+/// Logs `recs` through `repl`, or applies them at once without replication;
+/// `on_commit` runs when they are committed.  A step no one waits on passes
+/// no `on_commit`, and a replicated primary ships it with its next batch.
+template <typename OnCommit = std::nullptr_t>
 void commit_step(std::vector<ReplRecord> recs, std::map<ObjectId, VersionStore>& stores,
-                 std::optional<CoorList>& list, Replicator* repl, OnCommit on_commit) {
+                 std::optional<CoorList>& list, Replicator* repl, OnCommit on_commit = nullptr) {
   if (repl != nullptr) {
     repl->append(std::move(recs), std::move(on_commit));
     return;
   }
   for (const ReplRecord& rec : recs) apply_store_record(rec, stores, list);
-  on_commit();
+  if constexpr (std::is_invocable_v<OnCommit>) on_commit();
 }
-
-constexpr auto kNoAck = [] {};
 
 ReplRecord coor_finalize_record(Tag position) {
   ReplRecord rec;
@@ -43,7 +44,11 @@ VersionServer::VersionServer(Config cfg)
   if (cfg.repl) {
     repl_ = std::make_unique<Replicator>(
         std::move(*cfg.repl), std::move(cfg.wal),
-        [this](NodeId to, Message m) { send(to, std::move(m)); }, &stores_, &list_);
+        [this](NodeId to, Message m) { send(to, std::move(m)); },
+        [this](TimeNs delay, std::function<void()> fn) {
+          rt().post_after(id(), delay, std::move(fn));
+        },
+        &stores_, &list_);
   }
 }
 
@@ -246,11 +251,11 @@ bool VersionServer::handle_write_path(NodeId from, const Message& m) {
       recs[i].watermark = note_watermark(fin->watermark);
     }
     if (fin->coor && list_) recs.push_back(coor_finalize_record(fin->position));
-    commit_step(std::move(recs), stores_, list_, repl, kNoAck);
+    commit_step(std::move(recs), stores_, list_, repl);
     return true;
   }
   if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-    if (gc_) commit_step({coor_finalize_record(fc->position)}, stores_, list_, repl, kNoAck);
+    if (gc_) commit_step({coor_finalize_record(fc->position)}, stores_, list_, repl);
     return true;
   }
   if (const auto* rd = std::get_if<ReadDoneReq>(&m.payload)) {

@@ -4,6 +4,11 @@
 // stay non-blocking and strictly serializable across the failover.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "checker/snow_monitor.hpp"
 #include "checker/tag_order.hpp"
 #include "core/run_workload.hpp"
@@ -173,6 +178,93 @@ TEST(ReplicaFailover, AlgoCSurvivesDataShardCrash) {
 
 TEST(ReplicaFailover, AlgoCSurvivesCoordinatorCrash) {
   for (std::uint64_t seed : {51ull, 52ull, 53ull}) crash_mid_workload(true, 0, seed);
+}
+
+// --- a finalize the primary applied but has not shipped ---------------------
+
+/// Counts finalize deliveries per node, the replication batches that carry
+/// a finalize, and keeps every read-vals-batch response by sender.
+struct FinalizeWatch final : MessageObserver {
+  std::map<NodeId, int> finalizes_delivered;
+  int finalize_batches_sent{0};
+  std::vector<std::pair<NodeId, ReadValsBatchResp>> chains;
+
+  void on_send(NodeId from, NodeId, const Message& m, std::size_t) override {
+    if (const auto* ar = std::get_if<ReplAppendReq>(&m.payload)) {
+      const auto is_fin = [](const ReplRecord& r) { return r.kind == ReplRecord::kFinalize; };
+      finalize_batches_sent += std::any_of(ar->records.begin(), ar->records.end(), is_fin);
+    }
+    if (const auto* rv = std::get_if<ReadValsBatchResp>(&m.payload)) chains.emplace_back(from, *rv);
+  }
+  void on_deliver(NodeId, NodeId to, const Message& m) override {
+    if (std::holds_alternative<FinalizeReq>(m.payload)) ++finalizes_delivered[to];
+  }
+};
+
+TEST(ReplicaFailover, APrimaryCrashInsideTheFinalizeLingerLosesNoAckedWrite) {
+  // A finalize applies on the primary at once but reaches the log only with
+  // the shard's next acknowledged batch, or alone after kFinalizeLinger.
+  // The primary dies inside that linger, so the finalize is lost with it:
+  // no acknowledged WRITE may go with it, and all the new primary may keep
+  // beyond the paper's chain is the lost finalize's version, unfinalized.
+  for (const std::size_t victim : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE(victim == 0 ? "coordinator shard" : "data shard");
+    Rig rig(/*algo_c=*/true, 2, 1, 1);
+    const NodeId backup = backup_of(2, 1, 1, victim);
+    FinalizeWatch watch;
+    rig.sim.set_observer(&watch);
+    const auto read = [&](Value a, Value b) {
+      TxnResult result;
+      invoke_read(rig.sim, rig.sys->reader(0), {0, 1}, [&](const TxnResult& r) { result = r; });
+      rig.sim.run_until_idle();
+      EXPECT_EQ(result.values, (std::vector<std::pair<ObjectId, Value>>{{0, a}, {1, b}}));
+    };
+
+    bool w1 = false;
+    invoke_write(rig.sim, rig.sys->writer(0), {{0, 10}, {1, 20}},
+                 [&](const TxnResult&) { w1 = true; });
+    ASSERT_TRUE(rig.sim.run_until([&] {
+      return watch.finalizes_delivered[0] == 1 && watch.finalizes_delivered[1] == 1;
+    }));
+    ASSERT_TRUE(w1);
+    EXPECT_EQ(watch.finalize_batches_sent, 0) << "a finalize shipped inside the linger";
+    rig.sim.crash(static_cast<NodeId>(victim));
+    rig.sim.run_until_idle();
+    read(10, 20);
+
+    // WRITEs 2 and 3: WRITE 3's finalizes carry watermark 2, WRITE 2's List
+    // position, to the stores.
+    for (const Value v : {Value{1}, Value{2}}) {
+      bool done = false;
+      invoke_write(rig.sim, rig.sys->writer(0), {{0, 10 + v}, {1, 20 + v}},
+                   [&](const TxnResult&) { done = true; });
+      rig.sim.run_until_idle();
+      ASSERT_TRUE(done);
+    }
+    watch.chains.clear();
+    read(12, 22);
+    // The new primary's chain for the victim's object: the paper's chain at
+    // watermark 2 (WRITE 2's version, the anchor, and WRITE 3's), and at
+    // most WRITE 1's, whose finalize died unshipped.
+    const ObjectId obj = static_cast<ObjectId>(victim);
+    const Value base = victim == 0 ? 10 : 20;
+    bool seen = false;
+    for (const auto& [from, resp] : watch.chains) {
+      if (from != backup) continue;
+      for (const ObjectVersions& ov : resp.entries) {
+        if (ov.obj != obj) continue;
+        seen = true;
+        for (const Version& v : ov.versions) {
+          EXPECT_TRUE(v.value >= base && v.value <= base + 2) << "kept value " << v.value;
+        }
+      }
+    }
+    EXPECT_TRUE(seen) << "the READ did not reach the new primary " << backup;
+    const auto report = analyze_snow_trace(rig.sim.trace(), 2, rig.rec.snapshot());
+    EXPECT_TRUE(report.satisfies_n()) << (report.violations.empty() ? "" : report.violations[0]);
+    expect_clean_history(rig, "crash inside the finalize linger");
+    rig.sim.set_observer(nullptr);
+  }
 }
 
 // --- WAL recovery: restart, rejoin, and survive a SECOND failover ------------

@@ -7,6 +7,7 @@
 // and records after it still apply.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -73,7 +74,8 @@ struct Backup {
     cfg.num_objects = kObjects;
     if (has_list) list.emplace(kObjects);
     repl = std::make_unique<Replicator>(cfg, std::make_unique<MemWal>(),
-                                        [](NodeId, Message) {}, &stores, &list);
+                                        [](NodeId, Message) {},
+                                        [](TimeNs, std::function<void()>) {}, &stores, &list);
     repl->boot();
     repl->consume(0, Message{kInvalidTxn, ReplJoinResp{0, 0, 0, {}}});
   }
@@ -152,7 +154,8 @@ TEST(ReplicaHostileInput, AWalHoldingUnappliableRecordsStillBoots) {
   cfg.self = 1;
   cfg.peer = 0;
   cfg.num_objects = kObjects;
-  Replicator repl(cfg, std::move(owned), [](NodeId, Message) {}, &stores, &list);
+  Replicator repl(cfg, std::move(owned), [](NodeId, Message) {},
+                  [](TimeNs, std::function<void()>) {}, &stores, &list);
   repl.boot();
   EXPECT_EQ(repl.log_size(), 5u);
   EXPECT_EQ(stores.count(1u << 30), 0u);

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -186,10 +187,13 @@ TEST(ReplicaWal, TruncationAtEveryOffsetRecoversAPrefix) {
 }
 
 TEST(ReplicaWal, TornLogOfBatchedStepsStopsAtAStepBoundary) {
-  // The WAL as a primary writes it: one batch per handler step — a
-  // write-val's three inserts, the update-coor's push, and the finalize's
-  // three object finalizes plus the coordinator's.  Tearing it at any byte
-  // recovers whole steps only: never a write-val with some of its inserts.
+  // The WAL as a primary with a live backup writes it: one batch per handler
+  // step someone waits on — a write-val's three inserts, the update-coor's
+  // push — while the finalize's three object finalizes plus the
+  // coordinator's wait for the next such step, the next write-val's two
+  // inserts, and share its batch.  Tearing it at any byte recovers whole
+  // steps only: never a write-val with some of its inserts, and never the
+  // deferred finalize without the write-val it rode with.
   auto owned = std::make_unique<MemWal>();
   MemWal* disk = owned.get();
   std::map<ObjectId, VersionStore> stores;
@@ -199,11 +203,15 @@ TEST(ReplicaWal, TornLogOfBatchedStepsStopsAtAStepBoundary) {
   cfg.peer = 1;
   cfg.has_list = true;
   cfg.num_objects = 4;
-  Replicator repl(cfg, std::move(owned), [](NodeId, Message) {}, &stores, &list);
+  std::size_t timers = 0;
+  Replicator repl(
+      cfg, std::move(owned), [](NodeId, Message) {},
+      [&](TimeNs, std::function<void()>) { ++timers; }, &stores, &list);
   repl.boot();
+  const auto waiter = [] {};
   repl.append({insert_rec(0, 1, 9, 10), insert_rec(1, 1, 9, 11), insert_rec(3, 1, 9, 13)},
-              nullptr);
-  repl.append({push_rec(1, 9, 1, 50, {0, 1, 3})}, nullptr);
+              waiter);
+  repl.append({push_rec(1, 9, 1, 50, {0, 1, 3})}, waiter);
   std::vector<ReplRecord> fin;
   for (const ObjectId obj : {0u, 1u, 3u}) {
     ReplRecord r;
@@ -218,13 +226,21 @@ TEST(ReplicaWal, TornLogOfBatchedStepsStopsAtAStepBoundary) {
   coor.position = 1;
   fin.push_back(coor);
   repl.append(fin, nullptr);
-  ASSERT_EQ(repl.log_size(), 8u);
+  EXPECT_EQ(repl.log_size(), 4u) << "a finalize is logged with the next batch, not alone";
+  EXPECT_EQ(timers, 1u) << "the deferred finalize arms one linger timer";
+  repl.append({insert_rec(0, 2, 9, 20), insert_rec(1, 2, 9, 21)}, waiter);
+  ASSERT_EQ(repl.log_size(), 10u);
 
   const std::vector<std::uint8_t> full = disk->bytes();
   const WalReplayResult whole = wal_replay(full);
   ASSERT_FALSE(whole.torn);
-  ASSERT_EQ(whole.records.size(), 8u);
-  const std::vector<std::size_t> step_ends{0, 3, 4, 8};
+  ASSERT_EQ(whole.records.size(), 10u);
+  std::vector<int> combined;
+  for (std::size_t i = 4; i < whole.records.size(); ++i) combined.push_back(whole.records[i].kind);
+  EXPECT_EQ(combined, (std::vector<int>{ReplRecord::kFinalize, ReplRecord::kFinalize,
+                                        ReplRecord::kFinalize, ReplRecord::kCoorFinalize,
+                                        ReplRecord::kInsert, ReplRecord::kInsert}));
+  const std::vector<std::size_t> step_ends{0, 3, 4, 10};
   for (std::size_t cut = kWalMagicLen; cut < full.size(); ++cut) {
     const std::vector<std::uint8_t> head(full.begin(), full.begin() + cut);
     WalReplayResult r;
@@ -316,7 +332,8 @@ TEST(ReplicaWal, ShippedEpochMarkerIsDroppedNotLogged) {
   cfg.peer = 0;
   cfg.start_primary = false;
   cfg.num_objects = 2;
-  Replicator backup(cfg, std::move(owned), [](NodeId, Message) {}, &stores, &list);
+  Replicator backup(cfg, std::move(owned), [](NodeId, Message) {},
+                    [](TimeNs, std::function<void()>) {}, &stores, &list);
   backup.boot();  // its join is outstanding: the response below is applied
   backup.consume(0, Message{kInvalidTxn, ReplJoinResp{0, 0, 0, {epoch_rec(8, true),
                                                                 insert_rec(0, 1, 10, 111)}}});

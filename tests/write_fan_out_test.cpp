@@ -1,8 +1,11 @@
 // The WRITE path sends one frame per server per step, not one per object:
 // a server hosting several objects of a WRITE gets one write-val, answers
 // one ack and gets one finalize; the coordinator's shard's finalize carries
-// the finalize-coor notice; and each replicated handler step ships exactly
-// one ReplAppendReq.  Counted by payload on the simulator.
+// the finalize-coor notice; and each replicated handler step someone waits
+// on ships exactly one ReplAppendReq, carrying any finalize the shard
+// applied before it, while a finalize with no such step after it ships
+// alone once it has waited kFinalizeLinger.  Counted by payload on the
+// simulator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,21 +13,29 @@
 
 #include "core/registry.hpp"
 #include "core/system.hpp"
+#include "proto/replica.hpp"
 #include "sim/sim_runtime.hpp"
 
 namespace snowkit {
 namespace {
 
-/// Counts sends by payload name, and keeps the replication batches.
+/// Counts sends and deliveries by payload name, and keeps the replication
+/// batches with the virtual time each was sent at.
 struct Counter final : MessageObserver {
+  const Runtime* rt{nullptr};
   std::map<std::string, int> sent;
+  std::map<std::string, int> delivered;
+  std::vector<TimeNs> append_times;
   std::vector<std::pair<NodeId, ReplAppendReq>> appends;  ///< (sender, batch).
   std::vector<std::pair<NodeId, FinalizeReq>> finalizes;  ///< (receiver, body).
   std::vector<Tag> tag_arr_watermarks;
 
   void on_send(NodeId from, NodeId to, const Message& m, std::size_t) override {
     ++sent[payload_name(m.payload)];
-    if (const auto* ar = std::get_if<ReplAppendReq>(&m.payload)) appends.emplace_back(from, *ar);
+    if (const auto* ar = std::get_if<ReplAppendReq>(&m.payload)) {
+      appends.emplace_back(from, *ar);
+      append_times.push_back(rt->now_ns());
+    }
     if (const auto* fin = std::get_if<FinalizeReq>(&m.payload)) finalizes.emplace_back(to, *fin);
     // A tag array standalone or folded into s*'s read-vals-batch-resp.
     const auto* ta = std::get_if<GetTagArrResp>(&m.payload);
@@ -33,13 +44,19 @@ struct Counter final : MessageObserver {
     }
     if (ta != nullptr) tag_arr_watermarks.push_back(ta->watermark);
   }
-  void on_deliver(NodeId, NodeId, const Message&) override {}
+  void on_deliver(NodeId, NodeId, const Message& m) override {
+    ++delivered[payload_name(m.payload)];
+  }
 
   int operator[](const std::string& name) const {
     const auto it = sent.find(name);
     return it == sent.end() ? 0 : it->second;
   }
-  void reset() { *this = Counter{}; }
+  void reset() {
+    const Runtime* keep = rt;
+    *this = Counter{};
+    rt = keep;
+  }
 };
 
 /// 4 objects; with `servers` = 2 under range placement objects {0, 1} live
@@ -57,6 +74,7 @@ struct Rig {
     cfg.num_servers = servers;
     cfg.placement = PlacementKind::kRange;
     sys = ProtocolRegistry::global().build(protocol, sim, rec, cfg, opts);
+    count.rt = &sim;
     sim.set_observer(&count);
     sim.run_until_idle();  // replica boot: joins, no appends
     count.reset();
@@ -69,6 +87,13 @@ struct Rig {
     ASSERT_TRUE(done);
   }
 };
+
+/// A replication batch's record kinds, in log order.
+std::vector<int> kinds(const ReplAppendReq& batch) {
+  std::vector<int> out;
+  for (const ReplRecord& r : batch.records) out.push_back(r.kind);
+  return out;
+}
 
 /// The protocols whose writer is CoorWriter, with finalize on (occ-reads
 /// keeps every version unless asked).
@@ -136,15 +161,11 @@ TEST(WriteFanOut, ReplicatedHandlerStepsSendOneAppendEach) {
     SCOPED_TRACE(protocol);
     Rig rig(protocol, 2, BuildOptions{}.set("replicas", 2));
     // Same-shard WRITE on the coordinator's shard: write-val, update-coor and
-    // finalize are three handler steps on node 0, so three batches.
+    // finalize are three handler steps on node 0, so three batches.  No
+    // WRITE follows, so the finalize's batch goes alone after the linger.
     rig.write({{1, 11}, {0, 10}});
     ASSERT_EQ(rig.count.appends.size(), 3u);
     for (const auto& [from, batch] : rig.count.appends) EXPECT_EQ(from, 0u);
-    const auto kinds = [](const ReplAppendReq& b) {
-      std::vector<int> out;
-      for (const ReplRecord& r : b.records) out.push_back(r.kind);
-      return out;
-    };
     EXPECT_EQ(kinds(rig.count.appends[0].second),
               (std::vector<int>{ReplRecord::kInsert, ReplRecord::kInsert}));
     EXPECT_EQ(kinds(rig.count.appends[1].second), (std::vector<int>{ReplRecord::kListPush}));
@@ -157,12 +178,53 @@ TEST(WriteFanOut, ReplicatedHandlerStepsSendOneAppendEach) {
     // The backup acks each batch once.
     EXPECT_EQ(rig.count["repl-append-ack"], 3);
     rig.count.reset();
-    // Spanning both shards: shard 1 logs its write-val and its finalize.
+    // Spanning both shards: shard 1 logs its write-val and, after the
+    // linger, its finalize.
     rig.write({{2, 22}, {1, 21}});
     EXPECT_EQ(rig.count.appends.size(), 5u);
     int from_shard1 = 0;
     for (const auto& [from, batch] : rig.count.appends) from_shard1 += from == 1u ? 1 : 0;
     EXPECT_EQ(from_shard1, 2);
+  }
+}
+
+TEST(WriteFanOut, ReplicatedFinalizesRideTheNextAckedBatch) {
+  for (const char* protocol : {"algo-b", "algo-c", "adaptive"}) {
+    SCOPED_TRACE(protocol);
+    Rig rig(protocol, 2, BuildOptions{}.set("replicas", 2));
+    // WRITE 1 on the coordinator's shard, stopped as its finalize lands.
+    bool done = false;
+    invoke_write(rig.sim, rig.sys->writer(0), {{0, 10}, {1, 11}},
+                 [&](const TxnResult&) { done = true; });
+    ASSERT_TRUE(rig.sim.run_until([&] { return rig.count.delivered["finalize"] == 1; }));
+    ASSERT_TRUE(done);
+    ASSERT_EQ(rig.count.appends.size(), 2u) << "the finalize shipped without a waiter";
+    // WRITE 2 to the same shard inside the linger: its write-val's batch
+    // carries WRITE 1's finalize first, under one first_seq and one ack.
+    done = false;
+    invoke_write(rig.sim, rig.sys->writer(0), {{0, 20}, {1, 21}},
+                 [&](const TxnResult&) { done = true; });
+    ASSERT_TRUE(rig.sim.run_until([&] { return rig.count.delivered["finalize"] == 2; }));
+    ASSERT_TRUE(done);
+    const TimeNs landed = rig.sim.now_ns();
+    rig.sim.run_until_idle();
+    ASSERT_EQ(rig.count.appends.size(), 5u);
+    for (const auto& [from, batch] : rig.count.appends) EXPECT_EQ(from, 0u);
+    const ReplAppendReq& combined = rig.count.appends[2].second;
+    EXPECT_EQ(kinds(combined),
+              (std::vector<int>{ReplRecord::kFinalize, ReplRecord::kFinalize,
+                                ReplRecord::kCoorFinalize, ReplRecord::kInsert,
+                                ReplRecord::kInsert}));
+    EXPECT_EQ(combined.first_seq, 3u);                     // after WRITE 1's inserts and push
+    EXPECT_EQ(rig.count.appends[3].second.first_seq, 8u);  // WRITE 2's push
+    EXPECT_EQ(rig.count["repl-append-ack"], 5);
+    // WRITE 2's own finalize: nothing follows it, so it ships alone, once,
+    // exactly the linger after it landed.
+    const ReplAppendReq& lone = rig.count.appends[4].second;
+    EXPECT_EQ(kinds(lone), (std::vector<int>{ReplRecord::kFinalize, ReplRecord::kFinalize,
+                                             ReplRecord::kCoorFinalize}));
+    EXPECT_EQ(lone.first_seq, 9u);
+    EXPECT_EQ(rig.count.append_times[4], landed + kFinalizeLinger);
   }
 }
 
