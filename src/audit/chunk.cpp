@@ -131,7 +131,7 @@ std::vector<std::uint8_t> ChunkWriter::finish(std::uint64_t drops) {
 ChunkFile decode_chunk(const std::vector<std::uint8_t>& bytes, const std::string& context) {
   verify_seal(bytes, context);
 
-  UntrustedReader r(bytes, context);
+  BufReader r(bytes, context);
   const std::string schema = r.str();
   if (schema != kChunkSchema) {
     throw std::invalid_argument(context + ": unknown schema '" + schema + "' (expected " +
@@ -157,12 +157,9 @@ ChunkFile decode_chunk(const std::vector<std::uint8_t>& bytes, const std::string
       const std::uint64_t ring_uid = r.u64();
       const TimeNs base_time = r.u64();
       const std::uint64_t base_seq = r.u64();
-      const std::uint64_t count = r.uv();
-      // Every encoded event is at least 8 bytes; reject absurd counts
-      // before reserving.
-      if (count > r.remaining()) r.fail("ring group count exceeds buffer");
+      const std::size_t count = r.count(r.uv());
       TimeNs prev = base_time;
-      for (std::uint64_t i = 0; i < count; ++i) {
+      for (std::size_t i = 0; i < count; ++i) {
         AuditEvent e;
         e.time = prev + static_cast<TimeNs>(r.zz());
         prev = e.time;
@@ -185,7 +182,7 @@ ChunkFile decode_chunk(const std::vector<std::uint8_t>& bytes, const std::string
     } else if (tag == kTagStringTable) {
       if (saw_table) r.fail("duplicate string table");
       saw_table = true;
-      names = r.cvec<std::string>([](UntrustedReader& r2) { return r2.str(); });
+      names = r.cvec<std::string>([](BufReader& r2) { return r2.str(); });
     } else if (tag == kTagTrailer) {
       trailer_events = r.u64();
       f.drops = r.u64();
@@ -245,15 +242,15 @@ void encode_history(const History& h, std::vector<std::uint8_t>& out) {
   append(out, w);
 }
 
-History decode_history(UntrustedReader& r) {
+History decode_history(BufReader& r) {
   History h;
   h.num_objects = r.u32();
-  auto pair_reader = [](UntrustedReader& r3) {
+  auto pair_reader = [](BufReader& r3) {
     const ObjectId obj = r3.u32();
     const Value v = r3.i64();
     return std::pair<ObjectId, Value>{obj, v};
   };
-  h.txns = r.cvec<TxnRecord>([&](UntrustedReader& r2) {
+  h.txns = r.cvec<TxnRecord>([&](BufReader& r2) {
     TxnRecord t;
     t.id = r2.u64();
     t.client = r2.u32();

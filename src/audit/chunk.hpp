@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "audit/audit_event.hpp"
-#include "common/untrusted_reader.hpp"
+#include "common/buffer.hpp"
 #include "history/history.hpp"
 
 namespace snowkit::audit {
@@ -118,7 +118,7 @@ void seal(std::vector<std::uint8_t>& buf);
 std::size_t verify_seal(const std::vector<std::uint8_t>& bytes, const std::string& context);
 
 void encode_history(const History& h, std::vector<std::uint8_t>& out);
-History decode_history(UntrustedReader& r);
+History decode_history(BufReader& r);
 
 std::vector<std::uint8_t> read_file(const std::string& path);
 /// Writes via `<path>.tmp` + rename, so readers never observe a partial file.

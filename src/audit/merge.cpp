@@ -231,7 +231,7 @@ std::vector<std::uint8_t> encode_merged(const MergedAudit& m) {
 
 MergedAudit decode_merged(const std::vector<std::uint8_t>& bytes, const std::string& context) {
   verify_seal(bytes, context);
-  UntrustedReader r(bytes, context);
+  BufReader r(bytes, context);
   const std::string schema = r.str();
   if (schema != kMergedSchema) {
     throw std::invalid_argument(context + ": unknown schema '" + schema + "' (expected " +
@@ -243,34 +243,17 @@ MergedAudit decode_merged(const std::vector<std::uint8_t>& bytes, const std::str
   m.fleet_text = r.str();
   if (r.u8() != 0) m.history = decode_history(r);
   {
-    // Mirrors the sim trace codec's action layout (sim/trace.cpp); decoded
-    // here with the throwing reader because file bytes are untrusted.
+    // The sim trace codec's blob; audits capture sends and receives only.
     const std::string blob = r.str();
-    std::vector<std::uint8_t> tb(blob.begin(), blob.end());
-    UntrustedReader tr(tb, context + ": trace");
-    const auto actions = tr.vec<Action>([](UntrustedReader& r2) {
-      Action a;
-      const std::uint8_t kind = r2.u8();
-      if (kind > 3) r2.fail("bad action kind " + std::to_string(kind));
-      a.kind = static_cast<ActionKind>(kind);
-      a.time = r2.u64();
-      a.node = r2.u32();
-      a.peer = r2.u32();
-      a.txn = r2.u64();
-      a.msg = r2.str();
-      a.msg_seq = r2.u64();
-      a.versions = static_cast<int>(r2.u32());
-      return a;
-    });
-    if (!tr.done()) tr.fail("trailing bytes");
-    for (const Action& a : actions) m.trace.append(a);
+    m.trace = decode_trace(std::vector<std::uint8_t>(blob.begin(), blob.end()),
+                           context + ": trace", ActionKind::Recv);
   }
   m.total_events = r.u64();
   m.total_drops = r.u64();
   m.processes = r.u32();
   m.unmatched_recvs = r.u64();
   m.unmatched_sends = r.u64();
-  m.warnings = r.cvec<std::string>([](UntrustedReader& r2) { return r2.str(); });
+  m.warnings = r.cvec<std::string>([](BufReader& r2) { return r2.str(); });
   (void)r.u64();  // fingerprint — verified above
   (void)r.u64();  // end magic
   if (!r.done()) r.fail("trailing bytes after trailer");

@@ -1,30 +1,56 @@
-// Byte-buffer reader/writer used by the wire codec (src/msg/codec.cpp).
+// The one byte layer: LEB128 varints and the writer/reader pair behind the
+// wire codec (src/msg/codec.cpp), the socket framing (src/runtime/socket.cpp)
+// and the on-disk formats (fuzz trace files, audit chunks; the WAL is codec
+// bytes).
 //
 // The threaded runtime serializes every message through this codec so that
 // protocols exchange bytes, not shared pointers — the closest in-process
 // equivalent of the gRPC deployment the reproduction hint calls for.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "common/assert.hpp"
 
 namespace snowkit {
 
-/// Thrown by BufReader on malformed bytes (truncation, overlong varints,
-/// absurd lengths).  Trusted-input entry points (decode_message,
-/// decode_trace) catch it and abort — in-process bytes are produced by our
-/// own encoder, so corruption there is an invariant violation.  Untrusted
-/// entry points (try_decode_message, fed by the TCP transport) catch it and
-/// error-return so a hostile peer cannot crash the process.
-class CodecError : public std::runtime_error {
+/// Thrown by BufReader on malformed bytes (truncation, overflowing varints,
+/// absurd counts) and by the checks decoders run on what it reads.  Trusted
+/// entry points (decode_message, decode_trace) catch it and abort: in-process
+/// bytes come from our own encoder, so corruption there is an invariant
+/// violation.  Untrusted entry points catch it and error-return
+/// (try_decode_message and the frame-header parsers, fed by the TCP
+/// transport) or let it through as the std::invalid_argument it is (fuzz
+/// trace files, audit chunks), so hostile bytes cannot crash the process.
+class CodecError : public std::invalid_argument {
  public:
-  explicit CodecError(const std::string& what) : std::runtime_error(what) {}
+  explicit CodecError(const std::string& what) : std::invalid_argument(what) {}
 };
+
+/// LEB128 varint: 7 value bits per byte, low group first, high bit set on
+/// every byte but the last.  1 byte for values < 128 (the common case for
+/// object ids, tags, set sizes and deltas), at most 10.  BufReader::uv is
+/// the one decoder.
+inline std::size_t uv_size(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+
+inline void put_uv(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    v >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/// ZigZag: signed values near zero map to small unsigned ones.
+inline std::uint64_t zigzag(std::int64_t v) {
+  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
+}
 
 class BufWriter {
  public:
@@ -45,21 +71,8 @@ class BufWriter {
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void i64(std::int64_t v) { raw(&v, sizeof v); }
-
-  /// LEB128 varint: 1 byte for values < 128, the common case for object ids,
-  /// tags, set sizes and delta-coded positions on the wire.
-  void uv(std::uint64_t v) {
-    while (v >= 0x80) {
-      buf_->push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    buf_->push_back(static_cast<std::uint8_t>(v));
-  }
-
-  /// ZigZag-mapped varint for signed values near zero.
-  void zz(std::int64_t v) {
-    uv((static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63));
-  }
+  void uv(std::uint64_t v) { put_uv(*buf_, v); }
+  void zz(std::int64_t v) { uv(zigzag(v)); }
 
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
@@ -91,40 +104,13 @@ class BufWriter {
   std::vector<std::uint8_t>* buf_;
 };
 
-/// Drop-in BufWriter stand-in that only counts bytes: encoded_size() runs the
+/// BufWriter stand-in that only counts bytes: encoded_size() runs the
 /// encoder against this, so wire-volume accounting never heap-allocates.
 class SizeWriter {
  public:
   void u8(std::uint8_t) { n_ += 1; }
-  void u32(std::uint32_t) { n_ += 4; }
-  void u64(std::uint64_t) { n_ += 8; }
-  void i64(std::int64_t) { n_ += 8; }
-
-  void uv(std::uint64_t v) {
-    ++n_;
-    while (v >= 0x80) {
-      ++n_;
-      v >>= 7;
-    }
-  }
-
-  void zz(std::int64_t v) {
-    uv((static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63));
-  }
-
-  void str(const std::string& s) { n_ += 4 + s.size(); }
-
-  template <typename T, typename Fn>
-  void vec(const std::vector<T>& v, Fn&& write_elem) {
-    n_ += 4;
-    for (const auto& e : v) write_elem(*this, e);
-  }
-
-  template <typename T, typename Fn>
-  void cvec(const std::vector<T>& v, Fn&& write_elem) {
-    uv(v.size());
-    for (const auto& e : v) write_elem(*this, e);
-  }
+  void uv(std::uint64_t v) { n_ += uv_size(v); }
+  void zz(std::int64_t v) { uv(zigzag(v)); }
 
   std::size_t size() const { return n_; }
 
@@ -132,15 +118,18 @@ class SizeWriter {
   std::size_t n_ = 0;
 };
 
-/// Bounds-checked reader; every malformation throws CodecError (see above
-/// for who catches it and how).
+/// Bounds-checked reader over trusted or untrusted bytes; every malformation
+/// throws CodecError (see above for who catches it and how).
 class BufReader {
  public:
-  explicit BufReader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
+  /// `context` (a file path, "fuzz trace") prefixes every error message.
+  /// The wire path leaves it empty: nothing is allocated unless a read fails.
+  explicit BufReader(const std::vector<std::uint8_t>& buf, std::string_view context = {})
+      : p_(buf.data()), end_(buf.data() + buf.size()), context_(context) {}
 
   std::uint8_t u8() {
     need(1);
-    return buf_[pos_++];
+    return *p_++;
   }
   std::uint32_t u32() { std::uint32_t v; raw(&v, sizeof v); return v; }
   std::uint64_t u64() { std::uint64_t v; raw(&v, sizeof v); return v; }
@@ -148,14 +137,13 @@ class BufReader {
 
   std::uint64_t uv() {
     std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
+    for (unsigned shift = 0;; shift += 7) {
       const std::uint8_t b = u8();
       // The 10th byte holds bit 63 only; anything more does not fit a u64.
-      if (shift == 63 && b > 1) throw CodecError("varint overflows 64 bits");
+      if (shift == 63 && b > 1) fail("varint overflows 64 bits");
       v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) return v;
+      if (b < 0x80) return v;
     }
-    throw CodecError("varint longer than 10 bytes");
   }
 
   std::int64_t zz() {
@@ -164,51 +152,58 @@ class BufReader {
   }
 
   std::string str() {
-    std::uint32_t n = u32();
+    const std::uint32_t n = u32();
     need(n);
-    std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
-    pos_ += n;
+    std::string s(reinterpret_cast<const char*>(p_), n);
+    p_ += n;
     return s;
+  }
+
+  /// An element count `n`, refused unless every element can still take at
+  /// least one byte, so a hostile count never reaches reserve().
+  std::size_t count(std::uint64_t n) const {
+    if (n > remaining()) fail("count exceeds buffer");
+    return static_cast<std::size_t>(n);
   }
 
   template <typename T, typename Fn>
   std::vector<T> vec(Fn&& read_elem) {
-    std::uint32_t n = u32();
-    if (n > buf_.size()) throw CodecError("vec length exceeds buffer");
-    std::vector<T> v;
-    v.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) v.push_back(read_elem(*this));
-    return v;
+    return elems<T>(count(u32()), read_elem);
   }
 
+  /// Varint-length-prefixed vector (the compact sibling of vec()).
   template <typename T, typename Fn>
   std::vector<T> cvec(Fn&& read_elem) {
-    return cvec<T>(uv(), read_elem);
+    return elems<T>(count(uv()), read_elem);
   }
 
-  /// cvec whose count `n` was already read (packed into another varint).
-  template <typename T, typename Fn>
-  std::vector<T> cvec(std::uint64_t n, Fn&& read_elem) {
-    if (n > buf_.size()) throw CodecError("cvec length exceeds buffer");
-    std::vector<T> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_elem(*this));
-    return v;
-  }
+  std::size_t remaining() const { return static_cast<std::size_t>(end_ - p_); }
+  bool done() const { return p_ == end_; }
 
-  bool done() const { return pos_ == buf_.size(); }
+  [[noreturn]] void fail(std::string_view why) const {
+    if (context_.empty()) throw CodecError(std::string(why));
+    throw CodecError(std::string(context_) + ": " + std::string(why));
+  }
 
  private:
+  template <typename T, typename Fn>
+  std::vector<T> elems(std::size_t n, Fn& read_elem) {
+    std::vector<T> v;
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) v.push_back(read_elem(*this));
+    return v;
+  }
   void need(std::size_t n) const {
-    if (pos_ + n > buf_.size()) throw CodecError("truncated buffer");
+    if (n > remaining()) fail("truncated buffer");
   }
   void raw(void* p, std::size_t n) {
     need(n);
-    std::memcpy(p, buf_.data() + pos_, n);
-    pos_ += n;
+    std::memcpy(p, p_, n);
+    p_ += n;
   }
-  const std::vector<std::uint8_t>& buf_;
-  std::size_t pos_ = 0;
+  const std::uint8_t* p_;
+  const std::uint8_t* end_;
+  std::string_view context_;
 };
 
 }  // namespace snowkit

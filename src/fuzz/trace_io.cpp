@@ -5,16 +5,10 @@
 #include <stdexcept>
 
 #include "common/buffer.hpp"
-#include "common/untrusted_reader.hpp"
 
 namespace snowkit::fuzz {
 
 namespace {
-
-// A malformed trace FILE is expected input (repros come off disks and CI
-// artifacts), so decoding runs over the shared bounds-checked reader for
-// untrusted bytes instead of BufReader's abort-on-corruption contract.
-using ThrowingReader = UntrustedReader;
 
 void encode_case(const FuzzCase& c, BufWriter& w) {
   w.str(c.protocol);
@@ -35,7 +29,7 @@ void encode_case(const FuzzCase& c, BufWriter& w) {
   });
 }
 
-FuzzCase decode_case(ThrowingReader& r, bool has_replicas) {
+FuzzCase decode_case(BufReader& r, bool has_replicas) {
   FuzzCase c;
   c.protocol = r.str();
   c.num_objects = r.u32();
@@ -43,16 +37,20 @@ FuzzCase decode_case(ThrowingReader& r, bool has_replicas) {
   c.num_writers = r.u32();
   c.num_servers = r.u32();
   c.replicas = has_replicas ? r.u32() : 1;  // v1 predates replication
-  c.placement = static_cast<PlacementKind>(r.u8());
+  const std::uint8_t placement = r.u8();
+  if (placement > static_cast<std::uint8_t>(PlacementKind::kRange)) {
+    r.fail("bad placement " + std::to_string(placement));
+  }
+  c.placement = static_cast<PlacementKind>(placement);
   c.schedule_seed = r.u64();
   c.hold_probability = std::bit_cast<double>(r.u64());
   c.release_probability = std::bit_cast<double>(r.u64());
-  c.ops = r.vec<FuzzOp>([](ThrowingReader& r2) {
+  c.ops = r.vec<FuzzOp>([](BufReader& r2) {
     FuzzOp op;
     op.client = r2.u32();
     op.is_read = r2.u8() != 0;
-    op.objects = r2.vec<ObjectId>([](ThrowingReader& r3) { return r3.u32(); });
-    op.values = r2.vec<Value>([](ThrowingReader& r3) { return r3.i64(); });
+    op.objects = r2.vec<ObjectId>([](BufReader& r3) { return r3.u32(); });
+    op.values = r2.vec<Value>([](BufReader& r3) { return r3.i64(); });
     return op;
   });
   return c;
@@ -72,11 +70,13 @@ std::vector<std::uint8_t> encode_trace_file(const FuzzTraceFile& f) {
 }
 
 FuzzTraceFile decode_trace_file(const std::vector<std::uint8_t>& bytes) {
-  ThrowingReader r(bytes, "fuzz trace");
+  // A malformed trace FILE is expected input (repros come off disks and CI
+  // artifacts): every malformation is a "fuzz trace: ..." CodecError.
+  BufReader r(bytes, "fuzz trace");
   const std::string schema = r.str();
   if (schema != kFuzzTraceSchema && schema != kFuzzTraceSchemaV1) {
-    throw std::invalid_argument("fuzz trace: unknown schema '" + schema + "' (expected " +
-                                kFuzzTraceSchema + " or " + kFuzzTraceSchemaV1 + ")");
+    r.fail("unknown schema '" + schema + "' (expected " + kFuzzTraceSchema + " or " +
+           kFuzzTraceSchemaV1 + ")");
   }
   FuzzTraceFile f;
   f.c = decode_case(r, /*has_replicas=*/schema == kFuzzTraceSchema);
@@ -84,7 +84,7 @@ FuzzTraceFile decode_trace_file(const std::vector<std::uint8_t>& bytes) {
   f.checker = r.str();
   f.explanation = r.str();
   f.trace_hash = r.u64();
-  if (!r.done()) throw std::invalid_argument("fuzz trace: trailing bytes");
+  if (!r.done()) r.fail("trailing bytes");
   return f;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/buffer.hpp"
 #include "msg/codec.hpp"
 
 #ifdef __linux__
@@ -19,42 +20,11 @@ namespace snowkit::net {
 
 namespace {
 
-/// Bounded varint appender (LEB128, same encoding as BufWriter::uv).
-void put_uv(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::size_t uv_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    ++n;
-    v >>= 7;
-  }
-  return n;
-}
-
 void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
   out.push_back(static_cast<std::uint8_t>(v >> 16));
   out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-/// Bounds-checked varint read over untrusted bytes; false on truncation or
-/// over-length (a varint never legitimately exceeds 10 bytes).
-bool get_uv(const std::vector<std::uint8_t>& buf, std::size_t& pos, std::uint64_t& out) {
-  out = 0;
-  for (unsigned shift = 0; shift < 64; shift += 7) {
-    if (pos >= buf.size()) return false;
-    const std::uint8_t b = buf[pos++];
-    out |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -214,59 +184,42 @@ void append_shutdown(std::vector<std::uint8_t>& out) { put_uv(out, 0); }
 // --- frame body parsers ------------------------------------------------------
 
 bool parse_hello(const std::vector<std::uint8_t>& body, HelloBody& out, std::string& err) {
-  if (body.size() < 4) {
-    err = "hello too short";
+  try {
+    BufReader r(body);
+    std::uint32_t magic = 0;
+    for (int shift = 0; shift < 32; shift += 8) magic |= std::uint32_t{r.u8()} << shift;
+    if (magic != kWireMagic) r.fail("bad hello magic");
+    const std::uint64_t version = r.uv();
+    if (version != kWireVersion) {
+      r.fail("wire version " + std::to_string(version) + " (expected " +
+             std::to_string(kWireVersion) + ")");
+    }
+    out.process_index = r.uv();
+    if (!r.done()) r.fail("trailing bytes after hello");
+    return true;
+  } catch (const CodecError& e) {
+    err = e.what();
     return false;
   }
-  const std::uint32_t magic = static_cast<std::uint32_t>(body[0]) |
-                              (static_cast<std::uint32_t>(body[1]) << 8) |
-                              (static_cast<std::uint32_t>(body[2]) << 16) |
-                              (static_cast<std::uint32_t>(body[3]) << 24);
-  if (magic != kWireMagic) {
-    err = "bad hello magic";
-    return false;
-  }
-  std::size_t pos = 4;
-  std::uint64_t version = 0;
-  if (!get_uv(body, pos, version)) {
-    err = "truncated hello version";
-    return false;
-  }
-  if (version != kWireVersion) {
-    err = "wire version " + std::to_string(version) + " (expected " +
-          std::to_string(kWireVersion) + ")";
-    return false;
-  }
-  if (!get_uv(body, pos, out.process_index)) {
-    err = "truncated hello process index";
-    return false;
-  }
-  if (pos != body.size()) {
-    err = "trailing bytes after hello";
-    return false;
-  }
-  return true;
 }
 
 bool parse_msg_header(const std::vector<std::uint8_t>& body, MsgHeader& out, std::string& err) {
-  std::size_t pos = 0;
-  std::uint64_t from = 0, to = 0;
-  if (!get_uv(body, pos, from) || !get_uv(body, pos, to)) {
-    err = "truncated msg routing header";
+  try {
+    BufReader r(body);
+    const std::uint64_t from = r.uv();
+    const std::uint64_t to = r.uv();
+    if (from >= kInvalidNode || to >= kInvalidNode) {
+      r.fail("msg routing header node id out of range");
+    }
+    if (r.done()) r.fail("msg frame carries no payload");
+    out.from = static_cast<NodeId>(from);
+    out.to = static_cast<NodeId>(to);
+    out.payload_offset = body.size() - r.remaining();
+    return true;
+  } catch (const CodecError& e) {
+    err = e.what();
     return false;
   }
-  if (from >= kInvalidNode || to >= kInvalidNode) {
-    err = "msg routing header node id out of range";
-    return false;
-  }
-  if (pos >= body.size()) {
-    err = "msg frame carries no payload";
-    return false;
-  }
-  out.from = static_cast<NodeId>(from);
-  out.to = static_cast<NodeId>(to);
-  out.payload_offset = pos;
-  return true;
 }
 
 Message decode_msg_payload(const std::vector<std::uint8_t>& body, std::size_t payload_offset) {

@@ -1,5 +1,7 @@
 #include "sim/schedule.hpp"
 
+#include <string>
+
 namespace snowkit {
 
 void encode_schedule_log(const ScheduleLog& log, BufWriter& w) {
@@ -8,6 +10,19 @@ void encode_schedule_log(const ScheduleLog& log, BufWriter& w) {
     w2.u8(static_cast<std::uint8_t>(d.kind));
     w2.u32(d.held_index);
   });
+}
+
+ScheduleLog decode_schedule_log(BufReader& r) {
+  ScheduleLog log;
+  log.holds = r.vec<std::uint8_t>([](BufReader& r2) { return r2.u8(); });
+  log.decisions = r.vec<ScheduleDecision>([](BufReader& r2) {
+    const std::uint8_t kind = r2.u8();
+    if (kind > static_cast<std::uint8_t>(ScheduleDecisionKind::kSwitch)) {
+      r2.fail("bad schedule decision kind " + std::to_string(kind));
+    }
+    return ScheduleDecision{static_cast<ScheduleDecisionKind>(kind), r2.u32()};
+  });
+  return log;
 }
 
 ScheduleRunStats run_scheduled(SimRuntime& sim, SchedulePolicy& policy, ScheduleLog* record,

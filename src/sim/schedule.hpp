@@ -63,22 +63,9 @@ struct ScheduleLog {
 
 void encode_schedule_log(const ScheduleLog& log, BufWriter& w);
 
-/// Generic over the reader so callers choose the failure mode: BufReader
-/// (throws CodecError, which trusted in-process entry points turn into an
-/// abort) or the fuzz trace file's throwing reader (std::invalid_argument,
-/// for untrusted on-disk artifacts).
-template <typename Reader>
-ScheduleLog decode_schedule_log(Reader& r) {
-  ScheduleLog log;
-  log.holds = r.template vec<std::uint8_t>([](Reader& r2) { return r2.u8(); });
-  log.decisions = r.template vec<ScheduleDecision>([](Reader& r2) {
-    ScheduleDecision d;
-    d.kind = static_cast<ScheduleDecisionKind>(r2.u8());
-    d.held_index = r2.u32();
-    return d;
-  });
-  return log;
-}
+/// Refuses a decision kind above kSwitch (CodecError, which trusted callers
+/// turn into an abort and trace files surface as std::invalid_argument).
+ScheduleLog decode_schedule_log(BufReader& r);
 
 class SchedulePolicy {
  public:

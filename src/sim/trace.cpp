@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/assert.hpp"
 #include "common/buffer.hpp"
 
 namespace snowkit {
@@ -69,28 +70,35 @@ std::vector<std::uint8_t> encode_trace(const Trace& t) {
   return w.take();
 }
 
+Trace decode_trace(const std::vector<std::uint8_t>& bytes, std::string_view context,
+                   ActionKind last_kind) {
+  BufReader r(bytes, context);
+  Trace t;
+  for (std::size_t n = r.count(r.u32()); n > 0; --n) {
+    Action a;
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(last_kind)) {
+      r.fail("bad action kind " + std::to_string(kind));
+    }
+    a.kind = static_cast<ActionKind>(kind);
+    a.time = r.u64();
+    a.node = r.u32();
+    a.peer = r.u32();
+    a.txn = r.u64();
+    a.msg = r.str();
+    a.msg_seq = r.u64();
+    a.versions = static_cast<int>(r.u32());
+    t.append(std::move(a));
+  }
+  if (!r.done()) r.fail("trailing bytes");
+  return t;
+}
+
 Trace decode_trace(const std::vector<std::uint8_t>& bytes) {
-  // Trusted in-process bytes (roundtrips of our own encode_trace): keep the
-  // historical abort-on-corruption contract now that BufReader throws.
-  // Untrusted on-disk trace FILES go through fuzz/trace_io's throwing
-  // reader, not this function.
+  // Trusted in-process bytes (roundtrips of our own encode_trace): a
+  // malformation means our encoder or memory is corrupt.
   try {
-    BufReader r(bytes);
-    Trace t;
-    const auto actions = r.vec<Action>([](BufReader& r2) {
-      Action a;
-      a.kind = static_cast<ActionKind>(r2.u8());
-      a.time = r2.u64();
-      a.node = r2.u32();
-      a.peer = r2.u32();
-      a.txn = r2.u64();
-      a.msg = r2.str();
-      a.msg_seq = r2.u64();
-      a.versions = static_cast<int>(r2.u32());
-      return a;
-    });
-    for (const Action& a : actions) t.append(a);
-    return t;
+    return decode_trace(bytes, {}, ActionKind::Restart);
   } catch (const CodecError& e) {
     SNOW_UNREACHABLE("decode_trace on trusted bytes failed: " + std::string(e.what()));
   }

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -80,6 +81,12 @@ class Trace {
 /// are byte-identical executions iff their encoded traces compare equal —
 /// the determinism contract the fuzzer's record/replay machinery pins.
 std::vector<std::uint8_t> encode_trace(const Trace& t);
+/// Decodes untrusted bytes (a merged audit file's trace): every malformation,
+/// trailing bytes and an action kind above `last_kind` included, throws
+/// CodecError (a std::invalid_argument) prefixed with `context`.
+Trace decode_trace(const std::vector<std::uint8_t>& bytes, std::string_view context,
+                   ActionKind last_kind);
+/// Decodes TRUSTED bytes (our own encode_trace's): malformation aborts.
 Trace decode_trace(const std::vector<std::uint8_t>& bytes);
 
 /// FNV-1a fingerprint of encode_trace(t); stored in fuzz trace files so a

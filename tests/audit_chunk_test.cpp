@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "common/buffer.hpp"
+
 namespace snowkit::audit {
 namespace {
 
@@ -139,6 +141,51 @@ TEST(AuditChunk, GarbageAndTrailingJunkAreRejected) {
   auto padded = sealed_chunk(/*with_history=*/false);
   padded.push_back(0);  // the seal must sit at EOF exactly
   EXPECT_THROW(decode_chunk(padded, "padded"), std::invalid_argument);
+}
+
+TEST(AuditChunk, OverflowingVarintIsRejectedUnderAValidSeal) {
+  // A hand-built chunk of one event whose `bytes` varint is `event_bytes`,
+  // sealed with a correct fingerprint so only the parser can refuse it.
+  const auto chunk = [](std::vector<std::uint8_t> event_bytes) {
+    BufWriter w;
+    w.str(kChunkSchema);
+    w.u32(0);  // process index
+    w.u32(0);  // chunk seq
+    w.str("algo-b");
+    w.u32(1);  // servers
+    w.str("");
+    w.u8(1);   // ring group
+    w.u64(1);  // ring uid
+    w.u64(0);  // base time
+    w.u64(0);  // base seq
+    w.uv(1);   // one event
+    w.zz(0);   // time delta
+    w.uv(0);   // node
+    w.uv(0);   // peer
+    w.uv(1);   // txn + 1
+    w.uv(0);   // payload name index
+    auto out = w.take();
+    out.insert(out.end(), event_bytes.begin(), event_bytes.end());
+    BufWriter tail;
+    tail.uv(0);  // versions
+    tail.u8(0);  // kSend
+    tail.u8(3);  // string table
+    tail.uv(1);
+    tail.str("x");
+    tail.u8(0);  // trailer: events, drops
+    tail.u64(1);
+    tail.u64(0);
+    const auto t = tail.take();
+    out.insert(out.end(), t.begin(), t.end());
+    seal(out);
+    return out;
+  };
+  std::vector<std::uint8_t> u64_max(9, 0xFF);
+  u64_max.push_back(0x01);
+  EXPECT_NO_THROW(decode_chunk(chunk(u64_max), "max"));
+  std::vector<std::uint8_t> overflow(9, 0xFF);
+  overflow.push_back(0x02);
+  EXPECT_THROW(decode_chunk(chunk(overflow), "overflow"), std::invalid_argument);
 }
 
 TEST(AuditChunk, FilenameFormat) {

@@ -276,6 +276,17 @@ TEST(CodecRoundtripProperty, EveryAlternativeSurvivesRandomRoundtrips) {
       const Message back = decode_message(bytes);
       ASSERT_TRUE(back == m) << "roundtrip mismatch for " << payload_name(m.payload)
                              << " at alternative " << index << " iter " << iter;
+
+      // The format is prefix-free: every strict prefix is a truncation the
+      // untrusted decoder refuses (an error return, never an abort).
+      for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+        const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                               bytes.begin() + static_cast<std::ptrdiff_t>(cut));
+        Message out;
+        std::string err;
+        ASSERT_FALSE(try_decode_message(prefix, out, err))
+            << payload_name(m.payload) << " prefix of " << cut << " bytes decoded";
+      }
     }
   }
 }

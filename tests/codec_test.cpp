@@ -253,6 +253,123 @@ TEST(Codec, EncodedSizeMatches) {
   }
 }
 
+// Golden bytes: one fixed message of every live payload tag and one
+// repl-append of every replication record kind, each pinned to the exact
+// bytes wire v8 puts on the wire.  The roundtrip tests cannot see an encoder
+// and a decoder that change together; this one can.
+TEST(Codec, GoldenBytesOfEveryLiveTagAndRecordKind) {
+  const std::vector<TagArrEntry> entries{
+      TagArrEntry{3, WriteKey{1, 0},
+                  {ListedKey{1, WriteKey{1, 0}}, ListedKey{4, WriteKey{2, kInvalidNode}}}},
+      TagArrEntry{300, WriteKey{2, 1}, {}}};
+  const std::vector<std::pair<Message, std::vector<std::uint8_t>>> golden{
+      {Message{5, WriteValReq{WriteKey{3, 9}, {{1, 42}, {200, -3}}}},
+       {0x06, 0x00, 0x03, 0x0A, 0x02, 0x01, 0x54, 0xC7, 0x01, 0x05}},
+      {Message{6, WriteValAck{WriteKey{1, 2}, {0, 7}}},
+       {0x07, 0x01, 0x01, 0x03, 0x02, 0x00, 0x07}},
+      {Message{7, InfoReaderReq{WriteKey{8, 1}, {0, 2}}},
+       {0x08, 0x02, 0x08, 0x02, 0x02, 0x00, 0x02}},
+      {Message{8, InfoReaderAck{99}},
+       {0x09, 0x03, 0x63}},
+      {Message{9, UpdateCoorReq{WriteKey{2, 3}, {1, 300}}},
+       {0x0A, 0x04, 0x02, 0x04, 0x02, 0x01, 0xAB, 0x02}},
+      {Message{10, UpdateCoorAck{12, 3}},
+       {0x0B, 0x05, 0x0C, 0x03}},
+      {Message{11, GetTagArrReq{{3, 4}, 5}},
+       {0x0C, 0x06, 0x02, 0x03, 0x01, 0x05}},
+      {Message{12, GetTagArrResp{4, 2, entries}},
+       {0x0D, 0x07, 0x04, 0x02, 0x02, 0x03, 0x01, 0x01, 0x02, 0x02, 0x01, 0x01, 0x06, 0x02, 0x00,
+        0xAC, 0x02, 0x02, 0x02, 0x00}},
+      {Message{13, FinalizeReq{WriteKey{9, 9}, 3, 17, {2, 5}, true}},
+       {0x0E, 0x0C, 0x09, 0x0A, 0x03, 0x11, 0x02, 0x02, 0x03, 0x01}},
+      {Message{14, EigerWriteReq{0, 5, 3}},
+       {0x0F, 0x0D, 0x00, 0x0A, 0x03}},
+      {Message{15, EigerWriteAck{0, 7, 7}},
+       {0x10, 0x0E, 0x00, 0x07, 0x07}},
+      {Message{16, EigerReadReq{1, 2}},
+       {0x11, 0x0F, 0x01, 0x02}},
+      {Message{17, EigerReadResp{1, -10, 2, 5, 5}},
+       {0x12, 0x10, 0x01, 0x13, 0x02, 0x05, 0x05}},
+      {Message{18, EigerReadAtReq{1, 4, 6}},
+       {0x13, 0x11, 0x01, 0x04, 0x06}},
+      {Message{19, EigerReadAtResp{1, 10, 8}},
+       {0x14, 0x12, 0x01, 0x14, 0x08}},
+      {Message{20, LockReq{2, true}},
+       {0x15, 0x13, 0x02, 0x01}},
+      {Message{21, LockGrant{2, 123}},
+       {0x16, 0x14, 0x02, 0xF6, 0x01}},
+      {Message{22, WriteUnlockReq{2, -9}},
+       {0x17, 0x15, 0x02, 0x11}},
+      {Message{23, UnlockReq{2}},
+       {0x18, 0x16, 0x02}},
+      {Message{24, UnlockAck{2}},
+       {0x19, 0x17, 0x02}},
+      {Message{25, SimpleReadReq{0}},
+       {0x1A, 0x18, 0x00}},
+      {Message{26, SimpleReadResp{0, 1}},
+       {0x1B, 0x19, 0x00, 0x02}},
+      {Message{27, SimpleWriteReq{0, -1}},
+       {0x1C, 0x1A, 0x00, 0x01}},
+      {Message{28, SimpleWriteAck{0}},
+       {0x1D, 0x1B, 0x00}},
+      {Message{29, FinalizeCoorReq{300}},
+       {0x1E, 0x1C, 0xAC, 0x02}},
+      {Message{kInvalidTxn, ReadDoneReq{20000}},
+       {0x00, 0x1D, 0xA0, 0x9C, 0x01}},
+      {Message{kInvalidTxn, ReplAppendReq{1, 5000, {insert_record(), coor_finalize_record(300)}}},
+       {0x00, 0x1E, 0x01, 0x88, 0x27, 0x02, 0x00, 0xF0, 0xA2, 0x04, 0x03, 0x02, 0x09, 0x03, 0xAC,
+        0x02}},
+      {Message{kInvalidTxn, ReplAppendAck{1, 5000}},
+       {0x00, 0x1F, 0x01, 0x88, 0x27}},
+      {Message{kInvalidTxn, ReplJoinReq{2, 40, 1}},
+       {0x00, 0x20, 0x02, 0x28, 0x01}},
+      {Message{kInvalidTxn, ReplJoinResp{2, 1, 0, {push_record()}}},
+       {0x00, 0x21, 0x02, 0x01, 0x00, 0x01, 0x02, 0x03, 0x02, 0x02, 0x02, 0xAA, 0x02, 0x28, 0x02,
+        0x09}},
+      {Message{30, TakeoverNotice{1, 2, 3}},
+       {0x1F, 0x22, 0x01, 0x03, 0x03}},
+      {Message{kInvalidTxn, NodeDownNotice{2}},
+       {0x00, 0x23, 0x03}},
+      {Message{200, AdaptTagArrResp{4, 2, entries, 9, 7, {5}, {2, 300}}},
+       {0xC9, 0x01, 0x24, 0x04, 0x02, 0x02, 0x03, 0x01, 0x01, 0x02, 0x02, 0x01, 0x01, 0x06, 0x02,
+        0x00, 0xAC, 0x02, 0x02, 0x02, 0x00, 0x09, 0x07, 0x01, 0x05, 0x02, 0x02, 0xAA, 0x02}},
+      {Message{201, ReadValBatchReq{9, {{5, WriteKey{3, 1}}, {300, kInitialKey}}}},
+       {0xCA, 0x01, 0x25, 0x09, 0x02, 0x05, 0x03, 0x02, 0xA7, 0x02, 0x00, 0x00}},
+      {Message{202, ReadValBatchResp{{{5, WriteKey{3, 1}, -4, true}, {6, kInitialKey, 0, false}}}},
+       {0xCB, 0x01, 0x26, 0x02, 0x05, 0x03, 0x02, 0x07, 0x01, 0x06, 0x00, 0x00, 0x00, 0x00}},
+      {Message{203, ReadValsBatchReq{3, {5}, GetTagArrReq{{5, 9}, 2}}},
+       {0xCC, 0x01, 0x27, 0x07, 0x01, 0x05, 0x02, 0x05, 0x04, 0x02}},
+      {Message{204, ReadValsBatchResp{{{0, {Version{kInitialKey, 0}, Version{WriteKey{3, 1}, -8}}},
+                                       {7, {}}},
+                                      AdaptTagArrResp{4, 2, {}, 9, 0, {5}, {}}}},
+       {0xCD, 0x01, 0x28, 0x0A, 0x00, 0x02, 0x00, 0x00, 0x00, 0x06, 0x02, 0x0F, 0x07, 0x00, 0x04,
+        0x02, 0x00, 0x09, 0x00, 0x01, 0x05, 0x00}},
+      {Message{kInvalidTxn, ReplAppendReq{1, 0, {insert_record()}}},
+       {0x00, 0x1E, 0x01, 0x00, 0x01, 0x00, 0xF0, 0xA2, 0x04, 0x03, 0x02, 0x09}},
+      {Message{kInvalidTxn, ReplAppendReq{1, 0, {finalize_record()}}},
+       {0x00, 0x1E, 0x01, 0x00, 0x01, 0x01, 0x02, 0x03, 0x02, 0x09, 0x04}},
+      {Message{kInvalidTxn, ReplAppendReq{1, 0, {push_record()}}},
+       {0x00, 0x1E, 0x01, 0x00, 0x01, 0x02, 0x03, 0x02, 0x02, 0x02, 0xAA, 0x02, 0x28, 0x02, 0x09}},
+      {Message{kInvalidTxn, ReplAppendReq{1, 0, {coor_finalize_record(300)}}},
+       {0x00, 0x1E, 0x01, 0x00, 0x01, 0x03, 0xAC, 0x02}},
+      {Message{kInvalidTxn, ReplAppendReq{1, 0, {epoch_record()}}},
+       {0x00, 0x1E, 0x01, 0x00, 0x01, 0x04, 0x03, 0x01}}
+  };
+  std::set<std::size_t> tags;
+  std::set<int> kinds;
+  for (const auto& [m, bytes] : golden) {
+    tags.insert(m.payload.index());
+    if (const auto* append = std::get_if<ReplAppendReq>(&m.payload)) {
+      for (const ReplRecord& rec : append->records) kinds.insert(rec.kind);
+    }
+    EXPECT_EQ(encode_message(m), bytes) << payload_name(m.payload);
+    EXPECT_EQ(encoded_size(m), bytes.size()) << payload_name(m.payload);
+    EXPECT_EQ(decode_message(bytes), m) << payload_name(m.payload);
+  }
+  EXPECT_EQ(tags.size(), std::variant_size_v<Payload> - 4) << "a live payload is missing";
+  EXPECT_EQ(kinds.size(), ReplRecord::kEpoch + 1u) << "a record kind is missing";
+}
+
 // Wire v8's envelope is uv(txn + 1): kInvalidTxn, which every read-done and
 // replication message carries, wraps to a 1-byte 0.
 TEST(Codec, EnvelopeTxnIsShiftedByOne) {

@@ -355,6 +355,11 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   EXPECT_FALSE(net::parse_msg_header({}, hdr, err));
   EXPECT_FALSE(net::parse_msg_header({0x80}, hdr, err));        // truncated varint
   EXPECT_FALSE(net::parse_msg_header({0x01, 0x02}, hdr, err));  // header, no payload
+  // A `from` varint past 64 bits: its 10th byte's bit 1 would land at bit
+  // 64, so it is malformed, not `from = 0`.
+  std::vector<std::uint8_t> overflow(9, 0x80);
+  overflow.insert(overflow.end(), {0x02, 0x01, 0x00});
+  EXPECT_FALSE(net::parse_msg_header(overflow, hdr, err));
   net::HelloBody hello;
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
@@ -362,6 +367,14 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   std::vector<std::uint8_t> v9{0x53, 0x4E, 0x57, 0x4B, 0x09, 0x00};
   EXPECT_FALSE(net::parse_hello(v9, hello, err));
   EXPECT_NE(err.find("wire version"), std::string::npos);
+  // A version varint whose low bits say 8 but whose 10th byte overflows 64
+  // bits is malformed, not version 8.
+  std::vector<std::uint8_t> v8_overflow{0x53, 0x4E, 0x57, 0x4B, 0x88};
+  v8_overflow.insert(v8_overflow.end(), 8, 0x80);
+  v8_overflow.insert(v8_overflow.end(), {0x02, 0x00});
+  EXPECT_FALSE(net::parse_hello(v8_overflow, hello, err));
+  v8_overflow[v8_overflow.size() - 2] = 0x00;  // the same bytes, 64 bits wide
+  EXPECT_TRUE(net::parse_hello(v8_overflow, hello, err)) << err;
 }
 
 TEST(FrameRoundtrip, V8PeerRefusesOlderHellos) {

@@ -14,6 +14,7 @@
 #include "fuzz/oracle.hpp"
 #include "fuzz/shrink.hpp"
 #include "fuzz/trace_io.hpp"
+#include "sim/trace.hpp"
 
 namespace snowkit::fuzz {
 namespace {
@@ -100,6 +101,44 @@ TEST(TraceIo, RejectsForeignAndTruncatedFiles) {
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(decode_trace_file(bytes), std::exception);
   EXPECT_THROW(read_trace_file("/nonexistent/path.trace"), std::runtime_error);
+}
+
+/// What decoding `bytes` as a trace file throws, or "" when it decodes.
+std::string decode_error(const std::vector<std::uint8_t>& bytes) {
+  try {
+    decode_trace_file(bytes);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIo, RejectsOutOfRangeDecisionKindsAndPlacements) {
+  FuzzTraceFile file;
+  file.c = generate_case("algo-b", GenParams{}, 2);
+  file.c.placement = PlacementKind::kRange;
+  file.log.decisions = {{ScheduleDecisionKind::kStep, 0}, {ScheduleDecisionKind::kSwitch, 3}};
+  ASSERT_EQ(decode_trace_file(encode_trace_file(file)), file);
+  // A decision kind the runner has no case for would replay as a no-op.
+  FuzzTraceFile forged = file;
+  forged.log.decisions.back().kind = static_cast<ScheduleDecisionKind>(5);
+  EXPECT_EQ(decode_error(encode_trace_file(forged)), "fuzz trace: bad schedule decision kind 5");
+  forged = file;
+  forged.c.placement = static_cast<PlacementKind>(2);
+  EXPECT_EQ(decode_error(encode_trace_file(forged)), "fuzz trace: bad placement 2");
+}
+
+TEST(TraceIo, SimTraceDecoderRefusesUnknownActionKinds) {
+  Action a;
+  a.kind = ActionKind::Restart;
+  a.node = 1;
+  Trace t;
+  t.append(a);
+  EXPECT_EQ(decode_trace(encode_trace(t)).size(), 1u);
+  a.kind = static_cast<ActionKind>(6);
+  Trace forged;
+  forged.append(a);
+  EXPECT_DEATH(decode_trace(encode_trace(forged)), "bad action kind 6");
 }
 
 TEST(TraceIo, StaleLogOnAShrunkCaseStillTerminates) {
