@@ -67,7 +67,7 @@ void print_closed_loop_table(const ScenarioOptions& opts) {
   }
   std::printf("\nshape check (paper §1/§2): one-round protocols (algo-a, algo-c) match the\n"
               "simple-read floor (p50 ratio ~1x of %.1fus); algo-b pays up to ~2x (a\n"
-              "second round for the objects off the coordinator's shard);\n"
+              "second round for the objects whose version a racing WRITE refuted);\n"
               "blocking-2pl pays multi-round + lock waits.  Latency-optimal + strongest\n"
               "guarantees together only where the SNOW theorem permits.\n",
               floor_p50 / 1000.0);

@@ -8,7 +8,7 @@
 // 127.0.0.1; the scenario runs the client process in-process on a
 // NetRuntime and drives an OPEN-LOOP fixed-rate workload through the
 // unified TxnClient API — unchanged protocol code, unchanged driver,
-// snowkit-wire-v8 frames on the wire.
+// snowkit-wire-v9 frames on the wire.
 //
 // Each protocol is measured TWICE by default: a PACED open-loop run (5k
 // arrivals/s, sojourn percentiles — the longitudinal series, comparable

@@ -112,8 +112,16 @@ struct Get {
   static constexpr bool kDecode = true;
   BufReader& r;
 
+  /// A varint past T's range (an id above 2^32 - 1) is refused, never
+  /// truncated onto a small one.
   template <typename T>
-  void uv(T& v) { v = static_cast<T>(r.uv()); }
+  void uv(T& v) {
+    const std::uint64_t x = r.uv();
+    if constexpr (sizeof(T) < sizeof(x)) {
+      if (x > std::numeric_limits<T>::max()) fail("varint " + std::to_string(x) + " out of range");
+    }
+    v = static_cast<T>(x);
+  }
   void zz(Value& v) { v = r.zz(); }
   void u8(std::uint8_t& v) { v = r.u8(); }
   /// Any non-zero byte is true, unless `strict` names a flag that must be 0 or 1.
@@ -124,6 +132,7 @@ struct Get {
   }
   void writer(NodeId& n) {
     const std::uint64_t v = r.uv();
+    if (v > kInvalidNode) fail("node id " + std::to_string(v - 1) + " out of range");
     n = v == 0 ? kInvalidNode : static_cast<NodeId>(v - 1);
   }
   void key(WriteKey& k) {
@@ -441,17 +450,31 @@ void fields(Io& io, P& p) {
 template <typename Io, Of<NodeDownNotice> P>
 void fields(Io& io, P& p) { io.writer(p.node); }
 
+/// The mode fields (wire v9): uv(mode_epoch), then uv(0) in the steady
+/// state — a delta based at the epoch itself, which lists no flip — and
+/// otherwise uv(mode_base + 1) followed by the C-mode and B-mode sets.
 template <typename Io, Of<AdaptTagArrResp> P>
 void fields(Io& io, P& p) {
   io.uv(p.tag);
   io.uv(p.watermark);
   io.list(p.entries);
   io.uv(p.mode_epoch);
-  io.uv(p.mode_base);
+  std::uint64_t base = 0;
+  if constexpr (!Io::kDecode) {
+    SNOW_CHECK_MSG(p.mode_base < std::numeric_limits<std::uint64_t>::max(),
+                   "mode base " << p.mode_base << " leaves no room for the steady state");
+    const bool steady = p.mode_base == p.mode_epoch && p.c_mode.empty() && p.b_mode.empty();
+    if (!steady) base = p.mode_base + 1;
+  }
+  io.uv(base);
+  if constexpr (Io::kDecode) p.mode_base = base == 0 ? p.mode_epoch : base - 1;
+  if (base == 0) return;
   io.require(p.mode_base <= p.mode_epoch, "mode delta based past its epoch");
   io.set(p.c_mode, "C-mode", kMayBeEmpty);
   io.set(p.b_mode, "B-mode", kMayBeEmpty);
   io.require(p.mode_base != 0 || p.b_mode.empty(), "mode snapshot lists B-mode objects");
+  io.require(p.mode_base != p.mode_epoch || !p.c_mode.empty() || !p.b_mode.empty(),
+             "steady mode state not in its 1-byte form");
 }
 
 template <typename Io, Of<ReadValBatchReq> P>

@@ -477,7 +477,7 @@ struct ReadValBatchResp {
 
 /// read-vals-batch: reader -> one server, the read-vals (live version list)
 /// of every object of one READ round that server hosts, in a single frame:
-/// algo-c's READ and adaptive's round-1 prefetch.
+/// algo-b's round 1, algo-c's READ and adaptive's round-1 prefetch.
 struct ReadValsBatchReq {
   /// The last watermark the reader saw: adaptive's, or 0 (algo-c; a no-op
   /// in VersionStore::advance_watermark).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -18,21 +19,23 @@ class ReaderB final : public ReadClient {
 
  private:
   void attempt() override {
-    if (attempts() == 1) rounds_ = 0;  // a new READ
+    if (attempts() == 1) {  // a new READ
+      rounds_ = 0;
+      max_versions_ = 1;
+    }
     ++rounds_;
     want_.clear();
     got_.clear();
+    guesses_.clear();
     round2_sent_ = false;
-    // Round 1: the get-tag-arr, folded into a read-vals-batch for the
-    // READ's objects on the coordinator's shard when it has any.  The
-    // coordinator answers those with the one version its tag array names.
-    std::vector<ObjectId> on_coordinator;
-    for (ObjectId obj : objs()) {
-      if (place().shard_of(obj) == coor_shard_) on_coordinator.push_back(obj);
-    }
-    folded_ = !on_coordinator.empty();
-    send_tag_arr_round(coor_shard_, tag_arr_req(objs()),
-                       read_batches_by_shard(place(), last_watermark_, std::move(on_coordinator)));
+    // Round 1: one read-vals-batch per shard the READ touches, the
+    // get-tag-arr folded into s*'s.  Every server answers each object with
+    // one version: s* the one its tag array names, the others a guess.
+    std::map<std::size_t, ReadValsBatchReq> batches =
+        read_batches_by_shard(place(), last_watermark_, objs());
+    pending_.clear();
+    for (const auto& [shard, batch] : batches) pending_.insert(shard);
+    send_tag_arr_round(coor_shard_, tag_arr_req(objs()), std::move(batches));
   }
 
   bool on_reply(NodeId, const Message& m) override {
@@ -44,25 +47,19 @@ class ReaderB final : public ReadClient {
       watermark_ = ta->watermark;
       last_watermark_ = std::max(last_watermark_, ta->watermark);
       for (ObjectId obj : objs()) want_[obj] = tag_entry(ta->entries, obj).latest;
-      // A folded tag array arrives just ahead of its batch: round 2 waits
-      // for what the batch resolves.
-      if (!folded_) send_round2();
+      resolve_and_continue();
       return true;
     }
     if (const auto* rv = std::get_if<ReadValsBatchResp>(&m.payload)) {
-      if (want_.empty()) return true;  // no tag array yet: a superseded attempt's
       // Any list is safe to consume, a superseded attempt's too: only the
       // version stored under latest[obj] is taken, and keys name immutable
-      // versions.  A miss goes to round 2.
+      // versions.  A refuted guess goes to round 2.
       for (const ObjectVersions& e : rv->entries) {
-        const auto it = want_.find(e.obj);
-        if (it == want_.end()) continue;
-        for (const Version& v : e.versions) {
-          if (v.key == it->second) got_[e.obj] = v.value;
-        }
+        max_versions_ = std::max(max_versions_, static_cast<int>(e.versions.size()));
+        guesses_[e.obj] = e.versions;
       }
-      send_round2();
-      maybe_complete();
+      if (!rv->entries.empty()) pending_.erase(place().shard_of(rv->entries.front().obj));
+      if (!want_.empty()) resolve_and_continue();
       return true;
     }
     if (const auto* rb = std::get_if<ReadValBatchResp>(&m.payload)) {
@@ -83,16 +80,30 @@ class ReaderB final : public ReadClient {
     return false;
   }
 
-  /// Round 2, once per attempt: one read-val-batch per shard for the exact
-  /// keys of the objects round 1 did not resolve.  None when it resolved
-  /// them all.
-  void send_round2() {
-    if (round2_sent_) return;
-    round2_sent_ = true;
-    const std::map<ObjectId, WriteKey> missing = unresolved();
-    if (missing.empty()) return;
-    ++rounds_;
-    send_by_shard(read_batches_by_shard(place(), watermark_, missing));
+  /// With the tag array in: takes every round-1 version whose key is
+  /// latest[obj], then sends round 2 once every round-1 batch is in (a
+  /// batch about to arrive usually resolves its objects for free), or
+  /// completes.
+  void resolve_and_continue() {
+    for (const auto& [obj, versions] : guesses_) {
+      const auto wit = want_.find(obj);
+      if (wit == want_.end()) continue;
+      for (const Version& v : versions) {
+        if (v.key == wit->second) got_[obj] = v.value;
+      }
+    }
+    guesses_.clear();
+    if (!round2_sent_ && pending_.empty()) {
+      // Round 2, once per attempt: one read-val-batch per shard for the
+      // exact keys of the objects round 1 did not resolve.
+      round2_sent_ = true;
+      const std::map<ObjectId, WriteKey> missing = unresolved();
+      if (!missing.empty()) {
+        ++rounds_;
+        send_by_shard(read_batches_by_shard(place(), watermark_, missing));
+      }
+    }
+    maybe_complete();
   }
 
   void on_takeover(const TakeoverNotice& tn) override {
@@ -103,8 +114,15 @@ class ReaderB final : public ReadClient {
       retry("the coordinator failed over");
       return;
     }
-    // Re-send the failed-over shard's round-2 batch, minus what it already
-    // answered.  Round 1 never reaches it.
+    // Re-send the failed-over shard's outstanding batch: its round-1 batch
+    // if it has not answered, else its round-2 batch minus what it answered.
+    if (pending_.count(tn.shard) != 0) {
+      std::map<std::size_t, ReadValsBatchReq> batches =
+          read_batches_by_shard(place(), last_watermark_, objs());
+      std::erase_if(batches, [&](const auto& e) { return e.first != tn.shard; });
+      send_by_shard(std::move(batches));
+      return;
+    }
     if (!round2_sent_) return;
     std::map<ObjectId, WriteKey> missing = unresolved();
     std::erase_if(missing, [&](const auto& e) { return place().shard_of(e.first) != tn.shard; });
@@ -125,17 +143,20 @@ class ReaderB final : public ReadClient {
     release_registration(coor_shard_);
     std::vector<std::pair<ObjectId, Value>> values;
     for (ObjectId obj : objs()) values.emplace_back(obj, got_.at(obj));
-    finish(std::move(values), tag_, rounds_, /*max_versions=*/1);
+    finish(std::move(values), tag_, rounds_, max_versions_);
   }
 
   std::size_t coor_shard_;
   Tag last_watermark_{0};  ///< the newest tag-array watermark, for round 1.
-  // The READ in flight: its rounds (client send-waves, for finish_read)
-  // span its attempts; the rest is per attempt.
+  // The READ in flight: its rounds (client send-waves, for finish_read) and
+  // the longest version list it was sent span its attempts; the rest is per
+  // attempt.
   int rounds_{0};
-  bool folded_{false};  ///< round 1 read objects on the coordinator's shard.
+  int max_versions_{1};
+  std::set<std::size_t> pending_;  ///< shards whose round-1 batch is unanswered.
   bool round2_sent_{false};
   std::map<ObjectId, WriteKey> want_;  ///< this attempt's requested keys.
+  std::map<ObjectId, std::vector<Version>> guesses_;  ///< round-1 lists not yet resolved.
   std::map<ObjectId, Value> got_;
   Tag tag_{0};
   Tag watermark_{0};
@@ -149,7 +170,7 @@ const ProtocolRegistration kRegisterAlgoB{
         .provides_tags = true,
         .snow_s = true,
         .snow_n = true,
-        .snow_o = false,  // two rounds unless every object is on s*'s shard
+        .snow_o = false,  // two rounds when a WRITE races the READ
         .snow_w = true,
         .mwmr = true,
         .supports_replication = true,
@@ -165,8 +186,10 @@ const ProtocolRegistration kRegisterAlgoB{
 
 std::unique_ptr<ProtocolSystem> build_algo_b(Runtime& rt, HistoryRecorder& rec,
                                              const SystemConfig& cfg, AlgoBOptions opts) {
+  VersionFleetSpec spec = fleet_spec(opts);
+  spec.last_inserted_reads = true;
   VersionFleet fleet = build_version_fleet(
-      rt, rec, cfg, fleet_spec(opts), [&](const Placement& place, bool replicated) {
+      rt, rec, cfg, spec, [&](const Placement& place, bool replicated) {
         return std::make_unique<ReaderB>(rec, place, opts.coordinator, replicated);
       });
   return std::make_unique<ProtocolSystem>(opts.name, cfg, rt, std::move(fleet.readers),

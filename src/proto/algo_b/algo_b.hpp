@@ -1,18 +1,21 @@
 // Algorithm B (paper §8, Pseudocodes 5 and 6): SNW + one-version READ
 // transactions in the multi-writer multi-reader (MWMR) setting, with no
 // client-to-client communication.  READs take at most two rounds, and one
-// when every object they read is on the coordinator's shard:
+// when no WRITE races them:
 //
-//   get-tag-array: reader -> coordinator s*, which returns t_r and kappa_i
-//                  — the newest key in the coordinator's List — for each
-//                  object i the READ names (the paper's array restricted
-//                  to the read set: the reader never consults the rest).
-//                  It rides a read-vals-batch for the READ's objects on
-//                  s*'s shard, which s* answers in the same step with the
-//                  one version stored under each kappa_i;
-//   read-value:    reader -> each other server, one read-val-batch naming
-//                  the exact key kappa_i of each object of the READ it
-//                  hosts; servers respond non-blocking with exactly one
+//   round 1:       reader -> every server the READ touches, one
+//                  read-vals-batch for its objects there.  s*'s batch carries
+//                  the get-tag-array (it goes alone when the READ misses s*'s
+//                  shard): s* returns t_r and kappa_i — the newest key in the
+//                  coordinator's List — for each object i the READ names (the
+//                  paper's array restricted to the read set), and answers its
+//                  own objects in the same step with the one version stored
+//                  under each kappa_i.  Every other server answers each object
+//                  with the one version it inserted last, a guess the reader
+//                  keeps only where its key is kappa_i;
+//   read-value:    reader -> each server holding an object whose guess the
+//                  tag array refuted, one read-val-batch naming the exact key
+//                  kappa_i; servers respond non-blocking with exactly one
 //                  version per object.  Skipped when round 1 resolved
 //                  every object.
 //

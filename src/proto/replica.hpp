@@ -50,9 +50,10 @@
 //
 // WAL format (`snowkit-wal-v3`): the magic line, then length-prefixed
 // batches [u32le len][encode_message(ReplAppendReq)][u64le FNV-1a(payload)].
-// Payloads use the snowkit-wire-v8 codec: a 1-byte kInvalidTxn envelope and
-// records that carry only their kind's fields, so a kListPush record costs
-// O(|W|) bytes for the WRITE's object set (ascending, gap-coded).  v1 logged
+// Payloads use the wire codec, in the bytes of snowkit-wire-v8 (v9 kept
+// them): a 1-byte kInvalidTxn envelope and records that carry only their
+// kind's fields, so a kListPush record costs O(|W|) bytes for the WRITE's
+// object set (ascending, gap-coded).  v1 logged
 // a k-bit mask instead and v2 full-field records under a 10-byte envelope;
 // both are refused by name rather than misread.  A batch holds every record
 // of one handler step, after any deferred finalize steps it carries, so a

@@ -39,7 +39,8 @@ ReplRecord coor_finalize_record(Tag position) {
 
 VersionServer::VersionServer(Config cfg)
     : k_(cfg.num_objects), is_coordinator_(cfg.is_coordinator), gc_(cfg.gc),
-      tag_history_(cfg.tag_history), tracker_(std::move(cfg.tracker)) {
+      tag_history_(cfg.tag_history), last_inserted_reads_(cfg.last_inserted_reads),
+      tracker_(std::move(cfg.tracker)) {
   if (is_coordinator_) list_.emplace(k_);
   if (cfg.repl) {
     repl_ = std::make_unique<Replicator>(
@@ -182,19 +183,23 @@ bool VersionServer::serve_read(NodeId from, const Message& m) {
     // each object of a folded batch with the one version the tag array just
     // named, latest[obj]: a WRITE is listed only after its write-vals were
     // acked, and latest is never pruned (it is unfinalized or the anchor),
-    // so a correct fleet always holds it.  A miss gets an empty list.
+    // so a correct fleet always holds it.  A miss gets an empty list.  In an
+    // algo-b fleet a batch without a tag array gets one version per object
+    // too, the one its store inserted last: a guess the reader keeps only
+    // where the tag array names it (an empty list once that was pruned).
     // Otherwise: the live chains of one READ's objects on this server; with
     // the watermark flowing, each is the paper's <=|W|+1 candidate
     // versions, not the full history.
     const bool latest_only = resp.tag_arr.has_value() && !tag_history_;
+    const bool last_only = !resp.tag_arr && last_inserted_reads_;
     resp.entries.reserve(pb->objs.size());
     for (ObjectId obj : pb->objs) {
       const VersionStore& vals = store(obj, pb->watermark);
-      if (!latest_only) {
+      if (!latest_only && !last_only) {
         resp.entries.push_back({obj, vals.all()});
         continue;
       }
-      const WriteKey& key = list_->latest(obj);
+      const WriteKey& key = latest_only ? list_->latest(obj) : vals.last_inserted();
       std::vector<Version> one;
       if (const std::optional<Value> v = vals.try_get(key)) one.push_back(Version{key, *v});
       resp.entries.push_back({obj, std::move(one)});
@@ -328,6 +333,7 @@ VersionFleet build_version_fleet(Runtime& rt, HistoryRecorder& rec, const System
     c.is_coordinator = s == spec.coordinator;
     c.gc = spec.gc_versions;
     c.tag_history = spec.tag_history;
+    c.last_inserted_reads = spec.last_inserted_reads;
     if (c.is_coordinator) c.tracker = spec.tracker;
     if (repl) {
       Replicator::Config r;

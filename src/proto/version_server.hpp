@@ -17,8 +17,10 @@
 // the READ and building the tag array before it reads the stores, and any
 // other server answers the batch and drops that part with a warning.  A
 // coordinator that ships no List history (algo-b, adaptive) answers such a
-// folded batch with one version per object, the one the tag array names.
-// No handler asks which protocol it serves.  Payload tags 8-11, the
+// folded batch with one version per object, the one the tag array names;
+// in an algo-b fleet every other server answers its batches with one
+// version per object too, the one it inserted last.  No handler asks which
+// protocol it serves.  Payload tags 8-11, the
 // per-object read-val and read-vals that no reader has sent since
 // snowkit-wire-v5, are reserved: the decoder rejects them.  Reads are
 // answered at once (N), from committed state, with the versions named: a key
@@ -64,6 +66,9 @@ class VersionServer final : public Node {
     bool gc{false};
     /// Algorithm C: get-tag-arr replies carry each object's live history.
     bool tag_history{false};
+    /// Algorithm B: a read-vals-batch with no folded get-tag-arr is answered
+    /// with one version per object, the one its store inserted last.
+    bool last_inserted_reads{false};
     /// Adaptive's coordinator: the write-rate tracker; the get-tag-arr reply
     /// becomes an AdaptTagArrResp with the tracker's mode delta.
     std::optional<WriteRateTracker> tracker;
@@ -109,6 +114,7 @@ class VersionServer final : public Node {
   bool is_coordinator_;
   bool gc_;
   bool tag_history_;
+  bool last_inserted_reads_;
   std::map<ObjectId, VersionStore> stores_;    ///< per hosted object.
   Tag watermark_{0};                           ///< the newest watermark seen.
   std::optional<CoorList> list_;               ///< coordinator only.
@@ -126,6 +132,7 @@ struct VersionFleetSpec {
   std::string wal_dir;         ///< empty: in-memory WALs.
   bool unsafe_ack{false};      ///< FAULT INJECTION ONLY (Replicator::Config).
   bool tag_history{false};     ///< VersionServer::Config::tag_history.
+  bool last_inserted_reads{false};  ///< VersionServer::Config::last_inserted_reads.
   /// Adaptive: the coordinator's tracker, copied into its primary and its
   /// backup.  Empty elsewhere.
   std::optional<WriteRateTracker> tracker;

@@ -21,6 +21,7 @@ VersionStore::~VersionStore() {
 }
 
 void VersionStore::insert(const WriteKey& key, Value value) {
+  last_ = key;
   auto [it, inserted] = vals_.try_emplace(key, Slot{value, kInvalidTag});
   if (!inserted) {
     it->second.value = value;

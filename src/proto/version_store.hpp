@@ -78,7 +78,7 @@ class VersionStore {
   VersionStore& operator=(const VersionStore&) = delete;
 
   /// Adds an (unfinalized) version.  Overwriting the same key is allowed and
-  /// keeps its finalization state.
+  /// keeps its finalization state.  Either way `key` becomes last_inserted().
   void insert(const WriteKey& key, Value value);
 
   /// Marks `key` as the WRITE listed at `position` and prunes any finalized
@@ -114,6 +114,11 @@ class VersionStore {
   /// versions, i.e. concurrent WRITEs) + (finalized above the watermark) + 1.
   std::vector<Version> all() const;
 
+  /// The key insert() stored last (kInitialKey before any insert): the
+  /// version a reader without the tag array is most likely to want.  It may
+  /// be pruned since; try_get() then misses.
+  const WriteKey& last_inserted() const { return last_; }
+
   bool erase(const WriteKey& key);
 
   std::size_t size() const { return vals_.size(); }
@@ -131,6 +136,7 @@ class VersionStore {
 
   std::map<WriteKey, Slot> vals_;
   std::map<Tag, WriteKey> by_pos_;  ///< finalized versions by List position.
+  WriteKey last_{kInitialKey};
   Tag watermark_{0};
   std::uint64_t pruned_{0};
 };

@@ -96,10 +96,20 @@ TEST(Codec, AdaptTagArrRespCarriesAModeDeltaOrSnapshot) {
   // A snapshot (base 0) of the C-mode set.
   const Message snapshot{12, AdaptTagArrResp{5, 3, entries, 6, 0, {1, 4, 5, 9}, {}}};
   EXPECT_EQ(decode_message(encode_message(snapshot)), snapshot);
-  // Mode bytes scale with the objects listed, not with k: an empty delta
-  // costs its base and two empty sets.
+  // Mode bytes scale with the objects listed, not with k: the steady state,
+  // an empty delta based at the epoch itself, costs the epoch and one 0
+  // byte (wire v9; its base and two empty sets made it 4 bytes before).
   const Message none{12, AdaptTagArrResp{5, 3, entries, 6, 6, {}, {}}};
-  EXPECT_EQ(encoded_size(none), encoded_size(Message{12, GetTagArrResp{5, 3, entries}}) + 4u);
+  EXPECT_EQ(decode_message(encode_message(none)), none);
+  EXPECT_EQ(encoded_size(none), encoded_size(Message{12, GetTagArrResp{5, 3, entries}}) + 2u);
+  // Any other base rides as base + 1 ahead of its sets: an empty delta from
+  // an older epoch, and the empty snapshot of epoch 0.
+  for (const AdaptTagArrResp& r : {AdaptTagArrResp{5, 3, entries, 6, 4, {}, {}},
+                                   AdaptTagArrResp{5, 3, entries, 0, 0, {}, {}}}) {
+    EXPECT_EQ(decode_message(encode_message(Message{12, r})), (Message{12, r}));
+  }
+  EXPECT_EQ(encoded_size(Message{12, AdaptTagArrResp{5, 3, entries, 6, 4, {}, {}}}),
+            encoded_size(none) + 2u);
 }
 
 TEST(Codec, TagEntryLookupAbortsOnAMissingObject) {
@@ -255,7 +265,7 @@ TEST(Codec, EncodedSizeMatches) {
 
 // Golden bytes: one fixed message of every live payload tag and one
 // repl-append of every replication record kind, each pinned to the exact
-// bytes wire v8 puts on the wire.  The roundtrip tests cannot see an encoder
+// bytes wire v9 puts on the wire.  The roundtrip tests cannot see an encoder
 // and a decoder that change together; this one can.
 TEST(Codec, GoldenBytesOfEveryLiveTagAndRecordKind) {
   const std::vector<TagArrEntry> entries{
@@ -332,7 +342,9 @@ TEST(Codec, GoldenBytesOfEveryLiveTagAndRecordKind) {
        {0x00, 0x23, 0x03}},
       {Message{200, AdaptTagArrResp{4, 2, entries, 9, 7, {5}, {2, 300}}},
        {0xC9, 0x01, 0x24, 0x04, 0x02, 0x02, 0x03, 0x01, 0x01, 0x02, 0x02, 0x01, 0x01, 0x06, 0x02,
-        0x00, 0xAC, 0x02, 0x02, 0x02, 0x00, 0x09, 0x07, 0x01, 0x05, 0x02, 0x02, 0xAA, 0x02}},
+        0x00, 0xAC, 0x02, 0x02, 0x02, 0x00, 0x09, 0x08, 0x01, 0x05, 0x02, 0x02, 0xAA, 0x02}},
+      {Message{205, AdaptTagArrResp{4, 2, {}, 9, 9, {}, {}}},
+       {0xCE, 0x01, 0x24, 0x04, 0x02, 0x00, 0x09, 0x00}},
       {Message{201, ReadValBatchReq{9, {{5, WriteKey{3, 1}}, {300, kInitialKey}}}},
        {0xCA, 0x01, 0x25, 0x09, 0x02, 0x05, 0x03, 0x02, 0xA7, 0x02, 0x00, 0x00}},
       {Message{202, ReadValBatchResp{{{5, WriteKey{3, 1}, -4, true}, {6, kInitialKey, 0, false}}}},
@@ -343,7 +355,7 @@ TEST(Codec, GoldenBytesOfEveryLiveTagAndRecordKind) {
                                        {7, {}}},
                                       AdaptTagArrResp{4, 2, {}, 9, 0, {5}, {}}}},
        {0xCD, 0x01, 0x28, 0x0A, 0x00, 0x02, 0x00, 0x00, 0x00, 0x06, 0x02, 0x0F, 0x07, 0x00, 0x04,
-        0x02, 0x00, 0x09, 0x00, 0x01, 0x05, 0x00}},
+        0x02, 0x00, 0x09, 0x01, 0x01, 0x05, 0x00}},
       {Message{kInvalidTxn, ReplAppendReq{1, 0, {insert_record()}}},
        {0x00, 0x1E, 0x01, 0x00, 0x01, 0x00, 0xF0, 0xA2, 0x04, 0x03, 0x02, 0x09}},
       {Message{kInvalidTxn, ReplAppendReq{1, 0, {finalize_record()}}},
@@ -780,16 +792,49 @@ TEST(Codec, TryDecodeRejectsMalformedModeDeltas) {
     b.insert(b.end(), tail.begin(), tail.end());
     return b;
   };
+  // The mode fields are uv(epoch), then uv(0) for the steady state or
+  // uv(base + 1) and the C-mode and B-mode sets.
   // epoch 6, base 4, C {9}, B {1}: valid.
-  ASSERT_TRUE(try_decode_message(with({0x06, 0x04, 0x01, 0x09, 0x01, 0x01}), out, err)) << err;
-  // A base past the epoch.
+  ASSERT_TRUE(try_decode_message(with({0x06, 0x05, 0x01, 0x09, 0x01, 0x01}), out, err)) << err;
+  // epoch 6, steady: base 6 and no flips.
+  ASSERT_TRUE(try_decode_message(with({0x06, 0x00}), out, err)) << err;
+  EXPECT_EQ(std::get<AdaptTagArrResp>(out.payload), (AdaptTagArrResp{5, 3, {}, 6, 6, {}, {}}));
+  // The steady state carries no sets.
+  EXPECT_FALSE(try_decode_message(with({0x06, 0x00, 0x00, 0x00}), out, err));
+  EXPECT_NE(err.find("trailing bytes"), std::string::npos) << err;
+  // ...and has one encoding: its long form is refused.
   EXPECT_FALSE(try_decode_message(with({0x06, 0x07, 0x00, 0x00}), out, err));
+  EXPECT_NE(err.find("steady"), std::string::npos) << err;
+  // A base past the epoch.
+  EXPECT_FALSE(try_decode_message(with({0x06, 0x08, 0x00, 0x00}), out, err));
   EXPECT_NE(err.find("past its epoch"), std::string::npos) << err;
   // A snapshot (base 0) that lists B-mode objects.
-  EXPECT_FALSE(try_decode_message(with({0x06, 0x00, 0x00, 0x01, 0x01}), out, err));
+  EXPECT_FALSE(try_decode_message(with({0x06, 0x01, 0x00, 0x01, 0x01}), out, err));
   EXPECT_NE(err.find("snapshot"), std::string::npos) << err;
   // A repeated C-mode id.
-  EXPECT_FALSE(try_decode_message(with({0x06, 0x04, 0x02, 0x09, 0x00, 0x00}), out, err));
+  EXPECT_FALSE(try_decode_message(with({0x06, 0x05, 0x02, 0x09, 0x00, 0x00}), out, err));
+}
+
+TEST(Codec, TryDecodeRefusesIdsPastTheirRange) {
+  // Object and node ids are 32 bits wide; a varint above 2^32 - 1 is
+  // refused, not truncated onto a small id.
+  Message out;
+  std::string err;
+  // simple-read of object 2^32 + 1, which truncation read as object 1.
+  EXPECT_FALSE(try_decode_message({0x01, 0x18, 0x81, 0x80, 0x80, 0x80, 0x10}, out, err));
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  // The largest object id still decodes.
+  ASSERT_TRUE(try_decode_message({0x01, 0x18, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err)) << err;
+  EXPECT_EQ(std::get<SimpleReadReq>(out.payload).obj, 0xFFFFFFFFu);
+  // A node id rides as node + 1 (kInvalidNode as 0), so 2^32 names no
+  // node: a node-down notice of it is refused...
+  EXPECT_FALSE(try_decode_message({0x00, 0x23, 0x80, 0x80, 0x80, 0x80, 0x10}, out, err));
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+  // ...and so is a write key whose writer varint is 2^32 + 1: a
+  // write-val-ack of key (1, that writer) for object 0.
+  EXPECT_FALSE(try_decode_message({0x01, 0x01, 0x01, 0x81, 0x80, 0x80, 0x80, 0x10, 0x01, 0x00},
+                                  out, err));
+  EXPECT_NE(err.find("out of range"), std::string::npos) << err;
 }
 
 TEST(Codec, TryDecodeRejectsHugeListCounts) {

@@ -364,17 +364,17 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
   // Wrong wire version must be rejected, not silently accepted.
-  std::vector<std::uint8_t> v9{0x53, 0x4E, 0x57, 0x4B, 0x09, 0x00};
-  EXPECT_FALSE(net::parse_hello(v9, hello, err));
+  std::vector<std::uint8_t> v10{0x53, 0x4E, 0x57, 0x4B, 0x0A, 0x00};
+  EXPECT_FALSE(net::parse_hello(v10, hello, err));
   EXPECT_NE(err.find("wire version"), std::string::npos);
-  // A version varint whose low bits say 8 but whose 10th byte overflows 64
-  // bits is malformed, not version 8.
-  std::vector<std::uint8_t> v8_overflow{0x53, 0x4E, 0x57, 0x4B, 0x88};
-  v8_overflow.insert(v8_overflow.end(), 8, 0x80);
-  v8_overflow.insert(v8_overflow.end(), {0x02, 0x00});
-  EXPECT_FALSE(net::parse_hello(v8_overflow, hello, err));
-  v8_overflow[v8_overflow.size() - 2] = 0x00;  // the same bytes, 64 bits wide
-  EXPECT_TRUE(net::parse_hello(v8_overflow, hello, err)) << err;
+  // A version varint whose low bits say 9 but whose 10th byte overflows 64
+  // bits is malformed, not version 9.
+  std::vector<std::uint8_t> v9_overflow{0x53, 0x4E, 0x57, 0x4B, 0x89};
+  v9_overflow.insert(v9_overflow.end(), 8, 0x80);
+  v9_overflow.insert(v9_overflow.end(), {0x02, 0x00});
+  EXPECT_FALSE(net::parse_hello(v9_overflow, hello, err));
+  v9_overflow[v9_overflow.size() - 2] = 0x00;  // the same bytes, 64 bits wide
+  EXPECT_TRUE(net::parse_hello(v9_overflow, hello, err)) << err;
 }
 
 TEST(FrameRoundtrip, V8PeerRefusesOlderHellos) {
@@ -383,17 +383,18 @@ TEST(FrameRoundtrip, V8PeerRefusesOlderHellos) {
   // one read-val or read-vals per object and unsorted read batches, v5
   // peers read-vals-batches without the coor byte, v1-v6 peers frame with a
   // u32le length and a type byte, and v1-v7 peers write the envelope txn
-  // unshifted and every field of every replication record — all of which
-  // v8 decodes as garbage or as another txn: the HELLO, whose layout never
+  // unshifted and every field of every replication record, and v1-v8 peers
+  // write adaptive's steady mode state as a 2-varint delta — all of which
+  // v9 decodes as garbage or as another txn: the HELLO, whose layout never
   // changes, must refuse them by name before any compact frame is parsed.
-  ASSERT_EQ(net::kWireVersion, 8u);
+  ASSERT_EQ(net::kWireVersion, 9u);
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, 1);
   // The same HELLO with the version varint (byte 9: after the u32le
-  // length, the type byte and the magic) rewritten to 1 through 7, read by
+  // length, the type byte and the magic) rewritten to 1 through 8, read by
   // an accepting decoder exactly as a live connection's first bytes.
-  ASSERT_EQ(bytes[9], 0x08);
-  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07}) {
+  ASSERT_EQ(bytes[9], 0x09);
+  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08}) {
     auto stale = bytes;
     stale[9] = old;
     auto dec = FrameDecoder::accepting();
@@ -404,7 +405,7 @@ TEST(FrameRoundtrip, V8PeerRefusesOlderHellos) {
     net::HelloBody hello;
     std::string err;
     EXPECT_FALSE(net::parse_hello(f.body, hello, err));
-    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 8)");
+    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 9)");
   }
   auto dec = FrameDecoder::accepting();
   dec.feed(bytes);

@@ -1,11 +1,13 @@
 // A READ round sends one frame per server, not one per object: a server
 // hosting several objects of a READ gets one read-val-batch or
 // read-vals-batch and answers one response, for algo-a, algo-b, algo-c and
-// occ-reads as for adaptive.  algo-c's and adaptive's get-tag-arr rides the
-// coordinator shard's read-vals-batch when the round sends it one, so the
-// coordinator is one of those servers too.  A failover re-sends one batch
-// for the shard it moved, and a batched response counts its versions per
-// object.  A reader's next READ releases the last one's registration at
+// occ-reads as for adaptive.  algo-b's, algo-c's and adaptive's get-tag-arr
+// rides the coordinator shard's read-vals-batch when the round sends it
+// one, so the coordinator is one of those servers too.  algo-b's round 1
+// reaches every server, each answering one version per object, and its
+// round 2 only the objects whose version the tag array refuted.  A
+// failover re-sends one batch for the shard it moved, and a batched
+// response counts its versions per object.  A reader's next READ releases the last one's registration at
 // the coordinator, so a read-done goes out only after a reader idles for
 // kReadDoneLinger.  Counted by payload on the simulator.
 #include <gtest/gtest.h>
@@ -26,12 +28,13 @@ namespace snowkit {
 namespace {
 
 /// Counts sends by payload name, and keeps each read-val-batch sent, the
-/// get-tag-arr folded into each read-vals-batch, and when each read-done
-/// and update-coor-ack left.
+/// objects of each read-vals-batch, the get-tag-arr folded into each
+/// read-vals-batch, and when each read-done and update-coor-ack left.
 struct Counter final : MessageObserver {
   const SimRuntime* sim{nullptr};  ///< the clock for the send times.
   std::map<std::string, int> sent;
   std::vector<std::pair<NodeId, ReadValBatchReq>> batches;  ///< (receiver, body).
+  std::vector<std::pair<NodeId, std::vector<ObjectId>>> lists;   ///< (receiver, objs).
   std::vector<std::pair<NodeId, std::vector<ObjectId>>> folded;  ///< (receiver, I).
   std::vector<std::pair<TimeNs, TxnId>> read_dones;           ///< (sent at, READ).
   std::vector<std::pair<TimeNs, UpdateCoorAck>> coor_acks;    ///< (sent at, body).
@@ -40,6 +43,7 @@ struct Counter final : MessageObserver {
     ++sent[payload_name(m.payload)];
     if (const auto* rb = std::get_if<ReadValBatchReq>(&m.payload)) batches.emplace_back(to, *rb);
     const auto* lb = std::get_if<ReadValsBatchReq>(&m.payload);
+    if (lb) lists.emplace_back(to, lb->objs);
     if (lb && lb->tag_arr) folded.emplace_back(to, lb->tag_arr->objs);
     if (const auto* rd = std::get_if<ReadDoneReq>(&m.payload)) {
       read_dones.emplace_back(sim->now_ns(), rd->txn);
@@ -105,30 +109,112 @@ struct Rig {
     sim.run_until_idle();
     ASSERT_TRUE(done);
   }
+
+  /// Runs a WRITE up to its update-coor, which is held: every server of
+  /// `writes` then stores a version the coordinator has not listed.
+  /// release_all() lets the WRITE finish.
+  void write_unlisted(std::vector<std::pair<ObjectId, Value>> writes) {
+    sim.hold_matching([](NodeId, NodeId, const Message& m) {
+      return std::holds_alternative<UpdateCoorReq>(m.payload);
+    });
+    invoke_write(sim, sys->writer(0), std::move(writes), [](const TxnResult&) {});
+    sim.run_until_idle();
+    sim.hold_matching(nullptr);
+    ASSERT_EQ(sim.held().size(), 1u);
+  }
+
+  /// The most rounds and the most versions per object of any response.
+  SnowTraceReport report() const {
+    return analyze_snow_trace(sim.trace(), sys->num_servers(), rec.snapshot());
+  }
 };
 
 TEST(ReadFanOut, AlgoBReadSendsOneBatchPerServer) {
   Rig rig("algo-b");
   rig.read({3, 0, 2, 1});
-  // s*'s objects ride the folded read-vals-batch and its response; round 2
-  // is one read-val-batch to the other server, and the read-done.  A
-  // get-tag-arr and its reply of their own with a round-2 batch to each
-  // server made it 7, and one read-val and one response per object 11.
+  // Round 1 is one read-vals-batch per server, s*'s carrying the folded
+  // get-tag-arr, and no WRITE refutes the other server's guesses: 2S + 1
+  // frames with the read-done.  A round 2 to the other server made it 5
+  // too, but in two rounds; a get-tag-arr and its reply of their own with a
+  // round-2 batch to each server made it 7, and one read-val and one
+  // response per object 11.
   EXPECT_EQ(rig.count.total(), 5);
   EXPECT_EQ(rig.count["get-tag-arr"], 0);
   EXPECT_EQ(rig.count["tag-arr"], 0);
-  EXPECT_EQ(rig.count["read-vals-batch"], 1);
-  EXPECT_EQ(rig.count["read-vals-batch-resp"], 1);
-  EXPECT_EQ(rig.count["read-val-batch"], 1);
-  EXPECT_EQ(rig.count["read-val-batch-resp"], 1);
+  EXPECT_EQ(rig.count["read-vals-batch"], 2);
+  EXPECT_EQ(rig.count["read-vals-batch-resp"], 2);
+  EXPECT_EQ(rig.count["read-val-batch"], 0);
   EXPECT_EQ(rig.count["read-done"], 1);
   EXPECT_EQ(rig.count.folded,
             (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 1, 2, 3}}}));
+  EXPECT_EQ(rig.count.lists,
+            (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 1}}, {1, {2, 3}}}));
+}
+
+TEST(ReadFanOut, AlgoBConfirmedGuessTakesOneRoundAndFiveFrames) {
+  // Server 1 last inserted the WRITE the tag array lists for objects 2 and
+  // 3, so its round-1 guesses hold: one round, 2S + 1 frames, one version
+  // per object in every response.
+  Rig rig("algo-b");
+  rig.write({{0, 10}, {1, 11}, {2, 12}, {3, 13}});
+  rig.write({{2, 22}, {3, 23}});
+  rig.count.reset();
+  const TxnResult r = rig.read({0, 1, 2, 3});
+  EXPECT_EQ(r.values,
+            (std::vector<std::pair<ObjectId, Value>>{{0, 10}, {1, 11}, {2, 22}, {3, 23}}));
+  EXPECT_EQ(rig.count.total(), 5);
+  EXPECT_EQ(rig.count["read-vals-batch"], 2);
+  EXPECT_EQ(rig.count["read-vals-batch-resp"], 2);
+  EXPECT_EQ(rig.count["read-val-batch"], 0);
+  EXPECT_EQ(rig.count["read-done"], 1);
+  const SnowTraceReport report = rig.report();
+  EXPECT_EQ(report.max_read_rounds, 1);
+  EXPECT_EQ(report.max_versions_per_response, 1);
+}
+
+TEST(ReadFanOut, AlgoBRefutedGuessTakesRoundTwoForTheListedValue) {
+  // Server 1 stores a WRITE of object 2 whose update-coor is held, so the
+  // version it inserted last is newer than the one the tag array lists.
+  // The READ must not return it: round 2 fetches the listed key of object 2
+  // alone, and every response still carries one version per object.
+  Rig rig("algo-b");
+  rig.write({{2, 12}, {3, 13}});
+  rig.write_unlisted({{2, 22}});
+  rig.count.reset();
+  const TxnResult r = rig.read({0, 1, 2, 3});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 0}, {2, 12}, {3, 13}}));
   ASSERT_EQ(rig.count.batches.size(), 1u);
   EXPECT_EQ(rig.count.batches[0].first, 1u);
-  std::vector<ObjectId> objs;
-  for (const BatchReadEntry& e : rig.count.batches[0].second.entries) objs.push_back(e.obj);
-  EXPECT_EQ(objs, (std::vector<ObjectId>{2, 3}));
+  ASSERT_EQ(rig.count.batches[0].second.entries.size(), 1u);
+  EXPECT_EQ(rig.count.batches[0].second.entries[0].obj, 2u);
+  SnowTraceReport report = rig.report();
+  EXPECT_EQ(report.max_read_rounds, 2);
+  EXPECT_EQ(report.max_versions_per_response, 1);
+  // Once the WRITE is listed, the same guess holds: one round.
+  rig.sim.release_all();
+  rig.sim.run_until_idle();
+  rig.count.reset();
+  const TxnResult after = rig.read({2, 3});
+  EXPECT_EQ(after.values, (std::vector<std::pair<ObjectId, Value>>{{2, 22}, {3, 13}}));
+  EXPECT_EQ(rig.count["read-val-batch"], 0);
+}
+
+TEST(ReadFanOut, AlgoBGuessesHoldWithoutGc) {
+  // gc_versions=false: finalizes are not applied, and every store keeps
+  // every version, yet each server still answers one version per object,
+  // the one it inserted last, and the READ takes one round.
+  Rig rig("algo-b", 2, BuildOptions{}.set("gc_versions", false));
+  rig.write({{0, 10}, {2, 12}});
+  rig.write({{1, 21}, {2, 22}, {3, 23}});
+  rig.count.reset();
+  const TxnResult r = rig.read({0, 1, 2, 3});
+  EXPECT_EQ(r.values,
+            (std::vector<std::pair<ObjectId, Value>>{{0, 10}, {1, 21}, {2, 22}, {3, 23}}));
+  EXPECT_EQ(rig.count.total(), 5);
+  EXPECT_EQ(rig.count["read-val-batch"], 0);
+  const SnowTraceReport report = rig.report();
+  EXPECT_EQ(report.max_read_rounds, 1);
+  EXPECT_EQ(report.max_versions_per_response, 1);
 }
 
 TEST(ReadFanOut, AlgoBReadOfTheCoordinatorsShardTakesOneRoundAndOneVersion) {
@@ -155,21 +241,30 @@ TEST(ReadFanOut, AlgoBReadOfTheCoordinatorsShardTakesOneRoundAndOneVersion) {
 
 TEST(ReadFanOut, AlgoBMixedReadSendsRoundTwoToTheOtherShardsOnly) {
   // One object per server, s* = server 0: a READ of objects 0, 2 and 3
-  // resolves object 0 in round 1 and sends round 2 to servers 2 and 3.
+  // sends round 1 to servers 0, 2 and 3.  Servers 2 and 3 both hold an
+  // unlisted WRITE, and round 2 goes to them alone; object 0 resolved in
+  // round 1 at s*, whatever WRITE races it there.
   Rig rig("algo-b", /*servers=*/0);
   rig.write({{0, 10}, {2, 12}, {3, 13}});
+  rig.write_unlisted({{0, 20}, {2, 22}, {3, 23}});
   rig.count.reset();
   const TxnResult r = rig.read({3, 0, 2});
   EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{3, 13}, {0, 10}, {2, 12}}));
+  std::vector<NodeId> round1;
+  for (const auto& [to, objs] : rig.count.lists) round1.push_back(to);
+  std::sort(round1.begin(), round1.end());
+  EXPECT_EQ(round1, (std::vector<NodeId>{0, 2, 3}));
   std::vector<NodeId> round2;
   for (const auto& [to, batch] : rig.count.batches) round2.push_back(to);
   std::sort(round2.begin(), round2.end());
   EXPECT_EQ(round2, (std::vector<NodeId>{2, 3}));
   EXPECT_EQ(rig.count.folded,
             (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 2, 3}}}));
-  const SnowTraceReport report = analyze_snow_trace(rig.sim.trace(), 4, rig.rec.snapshot());
+  const SnowTraceReport report = rig.report();
   EXPECT_EQ(report.max_read_rounds, 2);
   EXPECT_EQ(report.max_versions_per_response, 1);
+  rig.sim.release_all();
+  rig.sim.run_until_idle();
 }
 
 TEST(ReadFanOut, AlgoBFoldReturnsAWriteThatCompletedBeforeTheRead) {
@@ -318,40 +413,54 @@ TEST(ReadFanOut, OneServerPerObjectKeepsThePaperFanOut) {
 
 TEST(ReadFanOut, TakeoverResendsOneBatchForTheShardThatMoved) {
   // Shard 1's primary dies with the READ's batch to it undelivered: the
-  // reader re-sends one batch, naming both of the shard's objects, to the
-  // backup that took over — and nothing for shard 0, which already answered.
-  Rig rig("algo-b", 2, BuildOptions{}.set("replicas", std::int64_t{2}));
-  rig.write({{1, 11}, {2, 22}});
-  rig.sim.hold_matching([](NodeId, NodeId to, const Message& m) {
-    return to == 1 && std::holds_alternative<ReadValBatchReq>(m.payload);
-  });
-  TxnResult result;
-  bool done = false;
-  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2, 3}, [&](const TxnResult& r) {
-    result = r;
-    done = true;
-  });
-  rig.sim.run_until_idle();
-  ASSERT_FALSE(done);
-  ASSERT_EQ(rig.sim.held().size(), 1u);
-  rig.sim.hold_matching(nullptr);
-  rig.count.reset();
-  rig.sim.crash(1);
-  rig.sim.run_until_idle();
-  ASSERT_TRUE(done);
-  EXPECT_EQ(result.values,
-            (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 11}, {2, 22}, {3, 0}}));
-  ASSERT_EQ(rig.count.batches.size(), 1u);
+  // reader re-sends one batch, naming the shard's objects it still needs,
+  // to the backup that took over — and nothing for shard 0, which already
+  // answered.  First with the round-1 read-vals-batch held, then with the
+  // round-2 read-val-batch for a guess an unlisted WRITE refuted.
   SystemConfig cfg{4, 1, 1};
   cfg.num_servers = 2;
-  EXPECT_EQ(rig.count.batches[0].first, cfg.backup_node(1));
-  const std::vector<BatchReadEntry>& entries = rig.count.batches[0].second.entries;
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].obj, 2u);
-  EXPECT_EQ(entries[1].obj, 3u);
-  EXPECT_EQ(rig.count["get-tag-arr"], 0) << "a non-coordinator takeover restarted the READ";
-  rig.sim.release_all();  // the dead primary's batch goes nowhere
-  rig.sim.run_until_idle();
+  for (const bool round2 : {false, true}) {
+    SCOPED_TRACE(round2 ? "round 2" : "round 1");
+    Rig rig("algo-b", 2, BuildOptions{}.set("replicas", std::int64_t{2}));
+    rig.write({{1, 11}, {2, 22}});
+    if (round2) rig.write_unlisted({{2, 32}});
+    rig.sim.hold_matching([round2](NodeId, NodeId to, const Message& m) {
+      return to == 1 && (round2 ? std::holds_alternative<ReadValBatchReq>(m.payload)
+                                : std::holds_alternative<ReadValsBatchReq>(m.payload));
+    });
+    TxnResult result;
+    bool done = false;
+    invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2, 3}, [&](const TxnResult& r) {
+      result = r;
+      done = true;
+    });
+    rig.sim.run_until_idle();
+    ASSERT_FALSE(done);
+    const std::size_t held = round2 ? 2u : 1u;  // with the unlisted WRITE's update-coor
+    ASSERT_EQ(rig.sim.held().size(), held);
+    rig.sim.hold_matching(nullptr);
+    rig.count.reset();
+    rig.sim.crash(1);
+    rig.sim.run_until_idle();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(result.values,
+              (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 11}, {2, 22}, {3, 0}}));
+    if (round2) {
+      EXPECT_TRUE(rig.count.lists.empty());
+      ASSERT_EQ(rig.count.batches.size(), 1u);
+      EXPECT_EQ(rig.count.batches[0].first, cfg.backup_node(1));
+      const std::vector<BatchReadEntry>& entries = rig.count.batches[0].second.entries;
+      ASSERT_EQ(entries.size(), 1u);
+      EXPECT_EQ(entries[0].obj, 2u);
+    } else {
+      EXPECT_TRUE(rig.count.batches.empty());
+      EXPECT_EQ(rig.count.lists, (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{
+                                     {cfg.backup_node(1), {2, 3}}}));
+    }
+    EXPECT_EQ(rig.count["get-tag-arr"], 0) << "a non-coordinator takeover restarted the READ";
+    rig.sim.release_all();  // the dead primary's batch goes nowhere
+    rig.sim.run_until_idle();
+  }
 }
 
 TEST(ReadFanOut, TakeoverOfTheCoordinatorsShardResendsOneFoldedBatch) {
@@ -484,20 +593,22 @@ TEST(ReadFanOut, AnIdleReaderStopsPinningTheWatermarkAfterTheLinger) {
 TEST(ReadFanOut, ABatchedResponseCountsVersionsPerObject) {
   // Two objects on one server answer in one frame; that frame still carries
   // one version per object, which is what the O property counts: s*'s
-  // folded response in round 1, and the other server's read-val-batch
-  // response in round 2.
+  // folded response, and the other server's response to a batch that
+  // misses s*'s shard (its get-tag-arr goes alone), each in round 1.
   Rig rig("algo-b");
   rig.write({{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   rig.read({0, 1});
-  SnowTraceReport report = analyze_snow_trace(rig.sim.trace(), 2, rig.rec.snapshot());
+  SnowTraceReport report = rig.report();
   EXPECT_EQ(rig.count["read-vals-batch-resp"], 1);
   EXPECT_EQ(report.max_versions_per_response, 1);
   EXPECT_EQ(report.max_read_rounds, 1);
   rig.read({2, 3});
-  report = analyze_snow_trace(rig.sim.trace(), 2, rig.rec.snapshot());
-  EXPECT_EQ(rig.count["read-val-batch-resp"], 1);
+  report = rig.report();
+  EXPECT_EQ(rig.count["read-vals-batch-resp"], 2);
+  EXPECT_EQ(rig.count["get-tag-arr"], 1);
+  EXPECT_EQ(rig.count["read-val-batch-resp"], 0);
   EXPECT_EQ(report.max_versions_per_response, 1);
-  EXPECT_EQ(report.max_read_rounds, 2);
+  EXPECT_EQ(report.max_read_rounds, 1);
 }
 
 }  // namespace

@@ -39,6 +39,25 @@ TEST(VersionStore, InsertOverwritesSameKey) {
   EXPECT_EQ(s.size(), 2u);
 }
 
+TEST(VersionStore, LastInsertedNamesTheNewestInsertEvenOnceItIsPruned) {
+  VersionStore s;
+  EXPECT_EQ(s.last_inserted(), kInitialKey);
+  const WriteKey a{1, 0};
+  const WriteKey b{1, 1};
+  s.insert(b, 20);
+  s.insert(a, 10);  // arrival order, not key order
+  EXPECT_EQ(s.last_inserted(), a);
+  s.insert(b, 21);  // an overwrite counts too
+  EXPECT_EQ(s.last_inserted(), b);
+  // b finalized at 1 and a at 2; a watermark of 2 keeps only a, so the
+  // last-inserted key names a pruned version and try_get misses.
+  s.finalize(b, 1);
+  s.finalize(a, 2);
+  s.advance_watermark(2);
+  EXPECT_EQ(s.last_inserted(), b);
+  EXPECT_FALSE(s.try_get(s.last_inserted()).has_value());
+}
+
 TEST(VersionStore, TryGetMissing) {
   VersionStore s;
   EXPECT_FALSE(s.try_get(WriteKey{9, 9}).has_value());
