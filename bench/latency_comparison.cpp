@@ -95,6 +95,10 @@ void run_open_loop_rows(const ScenarioOptions& opts, ScenarioResult& result) {
     rec.set("guarantee", line.guarantee);
     rec.set("max_read_rounds", std::to_string(r.snow.max_read_rounds));
     rec.set("mean_read_rounds", bench::mean_read_rounds(r.history));
+    // WRITE service latency, invoke to respond (the sojourn above mixes in
+    // the READs): CI's bench-smoke gates algo-b's and algo-c's p99.
+    rec.set("write_p50_us", bench::us(static_cast<double>(r.write_latency.p50_ns)));
+    rec.set("write_p99_us", bench::us(static_cast<double>(r.write_latency.p99_ns)));
     bench::row({line.kind, std::to_string(rec.ops),
                 bench::us(static_cast<double>(r.sojourn_latency.p50_ns)),
                 bench::us(static_cast<double>(r.sojourn_latency.p95_ns)),

@@ -203,11 +203,33 @@ concept Of = (std::same_as<std::remove_const_t<P>, Ts> || ...);
 // Calls to `fields` on a nested type resolve by argument-dependent lookup
 // through `io`, so the lists may appear in any order.
 
+/// Wire v10: a head uv(2 * node + folded) names the ack's node the way a
+/// writer id rides (0 for kInvalidNode, else id + 1) and whether the
+/// update-coor is folded; the folded update-coor's W follows the writes,
+/// and its key is the write-val's.
 template <typename Io, Of<WriteValReq> P>
 void fields(Io& io, P& p) {
+  std::uint64_t head = 0;
+  if constexpr (!Io::kDecode) {
+    SNOW_CHECK_MSG(!p.update_coor || p.update_coor->key == p.key,
+                   "a folded update-coor names another key than its write-val");
+    head = 2 * (p.ack_to == kInvalidNode ? 0 : std::uint64_t{p.ack_to} + 1) +
+           (p.update_coor ? 1 : 0);
+  }
+  io.uv(head);
+  if constexpr (Io::kDecode) {
+    const std::uint64_t node = head / 2;
+    if (node > kInvalidNode) io.fail("write-val ack node " + std::to_string(node - 1) + " out of range");
+    p.ack_to = node == 0 ? kInvalidNode : static_cast<NodeId>(node - 1);
+    if (head % 2 == 1) p.update_coor.emplace();
+  }
   io.key(p.key);
   io.ascending(p.writes, &std::pair<ObjectId, Value>::first, "write-val", kNonEmpty,
                [](auto& io2, auto& ov) { io2.zz(ov.second); });
+  if (p.update_coor) {
+    if constexpr (Io::kDecode) p.update_coor->key = p.key;
+    io.set(p.update_coor->objs, "folded update-coor", kNonEmpty);
+  }
 }
 
 template <typename Io, Of<WriteValAck> P>
@@ -496,8 +518,8 @@ template <typename Io, Of<ReadValBatchResp> P>
 void fields(Io& io, P& p) { io.list(p.entries); }
 
 // The coordinator fold (wire v6) adds no byte to a batch that does not
-// fold: the request's coor bit rides in its watermark varint
-// (2 * watermark + coor) and the response's tag-array kind in its entry
+// fold: the request's coor bit rides in its floor varint (2 * floor + coor;
+// the watermark before v10) and the response's tag-array kind in its entry
 // count (4 * count + kind: 0 none, 1 tag-arr, 2 adapt-tag-arr).  The folded
 // get-tag-arr or reply follows the batch, encoded exactly as the standalone
 // payload's body.  These two heads are the codec's only direction-specific
@@ -506,13 +528,13 @@ void fields(Io& io, P& p) { io.list(p.entries); }
 template <typename Io, Of<ReadValsBatchReq> P>
 void fields(Io& io, P& p) {
   if constexpr (!Io::kDecode) {
-    SNOW_CHECK_MSG(p.watermark <= std::numeric_limits<Tag>::max() / 2,
-                   "read-vals-batch watermark " << p.watermark << " leaves no room for coor");
+    SNOW_CHECK_MSG(p.floor <= std::numeric_limits<Tag>::max() / 2,
+                   "read-vals-batch floor " << p.floor << " leaves no room for coor");
   }
-  std::uint64_t head = p.watermark * 2 + (p.tag_arr ? 1 : 0);
+  std::uint64_t head = p.floor * 2 + (p.tag_arr ? 1 : 0);
   io.uv(head);
   if constexpr (Io::kDecode) {
-    p.watermark = head / 2;
+    p.floor = head / 2;
     if (head % 2 == 1) p.tag_arr.emplace();
   }
   io.set(p.objs, "read-vals-batch", kNonEmpty);
@@ -555,12 +577,13 @@ static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one b
 // these numbers.  APPEND new payloads to the variant; reordering or
 // inserting breaks every stored trace and any mixed-version fleet, so it
 // requires a wire-version bump.  These asserts pin the frozen assignment,
-// which snowkit-wire-v2 to v8 kept (v2 redefined only the bodies of tags 6,
-// 7 and 36; v3 those of 2, 4, 6, 36 and the replication record; v4 those of
-// 0, 1 and 12; v5 those of 37 and 39, and left 8-11 without a sender; v6
+// which snowkit-wire-v2 to v10 kept (v2 redefined only the bodies of tags
+// 6, 7 and 36; v3 those of 2, 4, 6, 36 and the replication record; v4 those
+// of 0, 1 and 12; v5 those of 37 and 39, and left 8-11 without a sender; v6
 // those of 39 and 40, which fold get-tag-arr and its reply; v7 only the
-// framing; v8 the envelope txn and the replication record).  Tags 8-11 are
-// reserved placeholders now: decoding one is a CodecError.
+// framing; v8 the envelope txn and the replication record; v9 that of 36;
+// v10 that of 0, which names the ack's node and may fold update-coor).
+// Tags 8-11 are reserved placeholders now: decoding one is a CodecError.
 template <typename T>
 constexpr std::size_t payload_tag = Payload{T{}}.index();
 static_assert(payload_tag<WriteValReq> == 0 && payload_tag<WriteValAck> == 1 &&

@@ -36,6 +36,17 @@ struct ListedKey {
 
 // --- Algorithms A / B / C (paper pseudocodes 4-7) -------------------------
 
+/// update-coor: writer -> coordinator s* (Algorithms B and C), carrying
+/// (kappa, b_1..b_k) as the written set {i : b_i = 1}.  It rides s*'s
+/// write-val (WriteValReq::update_coor) and goes alone only when the WRITE
+/// misses s*'s shard.
+struct UpdateCoorReq {
+  WriteKey key;
+  std::vector<ObjectId> objs;  ///< the written objects W, ascending, non-empty.
+
+  friend bool operator==(const UpdateCoorReq&, const UpdateCoorReq&) = default;
+};
+
 /// write-val: writer -> one server, carrying (kappa, v_i) for every object
 /// of the WRITE that server hosts.  In the paper's model each object is its
 /// own server and `writes` has one entry; sharded fleets pack a server's
@@ -43,11 +54,19 @@ struct ListedKey {
 struct WriteValReq {
   WriteKey key;
   std::vector<std::pair<ObjectId, Value>> writes;  ///< ascending obj, non-empty.
+  /// Where the server sends its ack once the inserts are stored: s*'s
+  /// primary, which lists the WRITE when every written server has reported
+  /// (wire v10).  kInvalidNode: back to the sender (algo-a's writer).
+  NodeId ack_to{kInvalidNode};
+  /// Set on s*'s shard: this frame also carries the WRITE's update-coor,
+  /// whose key is `key`; no separate update-coor is sent.
+  std::optional<UpdateCoorReq> update_coor;
 
   friend bool operator==(const WriteValReq&, const WriteValReq&) = default;
 };
 
-/// ack for write-val: server -> writer, naming the objects it stored.
+/// ack for write-val: server -> the write-val's `ack_to` (s*), or the
+/// writer when it names none, naming the objects it stored.
 struct WriteValAck {
   WriteKey key;
   std::vector<ObjectId> objs;  ///< ascending, non-empty.
@@ -69,15 +88,6 @@ struct InfoReaderAck {
   Tag tag{0};
 
   friend bool operator==(const InfoReaderAck&, const InfoReaderAck&) = default;
-};
-
-/// update-coor: writer -> coordinator s* (Algorithms B and C), carrying
-/// (kappa, b_1..b_k) as the written set {i : b_i = 1}.
-struct UpdateCoorReq {
-  WriteKey key;
-  std::vector<ObjectId> objs;  ///< the written objects W, ascending, non-empty.
-
-  friend bool operator==(const UpdateCoorReq&, const UpdateCoorReq&) = default;
 };
 
 /// (ack, t_w): coordinator -> writer.  `watermark` is the coordinator's
@@ -479,9 +489,13 @@ struct ReadValBatchResp {
 /// of every object of one READ round that server hosts, in a single frame:
 /// algo-b's round 1, algo-c's READ and adaptive's round-1 prefetch.
 struct ReadValsBatchReq {
-  /// The last watermark the reader saw: adaptive's, or 0 (algo-c; a no-op
-  /// in VersionStore::advance_watermark).
-  Tag watermark{0};
+  /// The reader's read floor (wire v10): a List position at or below which
+  /// the READ needs no version older than the newest one listed.  The server
+  /// leaves the finalized versions older than that out of this response
+  /// only (VersionStore::chain_from); it never prunes a store for it.
+  /// Algo-c's reader sends the tag of its last completed READ, the others
+  /// the last watermark they saw (any watermark is one), or 0.
+  Tag floor{0};
   std::vector<ObjectId> objs;  ///< ascending, non-empty.
   /// Set on the coordinator's shard (the `coor` bit): this frame also
   /// carries the round's get-tag-arr, whose I names the whole READ (not

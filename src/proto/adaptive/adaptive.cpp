@@ -64,9 +64,13 @@ class ReaderAdapt final : public ReadClient {
       const bool on_coordinator = place().shard_of(obj) == coor_shard_;
       if (modes_.c_mode(obj) || uncached || on_coordinator) prefetch.push_back(obj);
     }
+    // Each prefetch carries the tag of this reader's last READ as its read
+    // floor: every position up to it was listed, and so stored everywhere,
+    // before this READ began, and latest[obj] at this READ's tag array is at
+    // or above it, so the older finalized versions cannot be wanted.
     prefetch_outstanding_ = send_tag_arr_round(
         coor_shard_, std::move(req),
-        read_batches_by_shard(place(), last_watermark_, std::move(prefetch)));
+        read_batches_by_shard(place(), floor_, std::move(prefetch)));
   }
 
   bool on_reply(NodeId from, const Message& m) override {
@@ -115,7 +119,6 @@ class ReaderAdapt final : public ReadClient {
     have_tag_arr_ = true;
     tag_ = ta.tag;
     watermark_ = ta.watermark;
-    last_watermark_ = std::max(last_watermark_, ta.watermark);
     // Epoch fence (ModeView::adopt): a held/reordered response can't roll
     // modes back.  Only the current coordinator's answers count: a straggler
     // from a deposed lineage is a delta against a table we reset.
@@ -195,6 +198,10 @@ class ReaderAdapt final : public ReadClient {
       values.emplace_back(obj, v);
       if (cache_reads_ || broken_cache_) cache_[obj] = Version{want_.at(obj), v};
     }
+    // The floor costs a byte or two per batch and can only trim a list of
+    // more than one version: after a READ whose prefetched lists held one
+    // version each, the next one sends none.
+    floor_ = max_versions_ > 1 ? tag_ : 0;
     ++stats_.reads;
     if (rounds_ == 1) ++stats_.one_round_reads;
     finish(std::move(values), tag_, rounds_, max_versions_);
@@ -204,7 +211,7 @@ class ReaderAdapt final : public ReadClient {
   bool cache_reads_;
   bool broken_cache_;
   ModeView modes_;  ///< adopted per-object fetch modes.
-  Tag last_watermark_{0};
+  Tag floor_{0};  ///< the read floor: t_r of the last READ this reader completed, or 0.
   std::map<ObjectId, Version> cache_;  ///< (key, value) per object.
   AdaptiveStats stats_;
   // The READ in flight: rounds (client send-waves, for finish_read) and the

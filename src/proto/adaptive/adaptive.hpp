@@ -15,8 +15,9 @@
 //  * B-mode (default, write-cold objects): fetch on demand in round 2, all
 //    same-server objects packed into one ReadValBatchReq frame.
 //  * C-mode (write-hot objects): prefetch the server's bounded version list
-//    (ReadValsBatchReq) in parallel with get-tag-arr; when latest[obj] is in
-//    the snapshot the read finishes in one round, Algorithm-C style.
+//    (ReadValsBatchReq, from the reader's read floor, the tag of its last
+//    READ, up) in parallel with get-tag-arr; when latest[obj] is in the
+//    snapshot the read finishes in one round, Algorithm-C style.
 //  * The coordinator's shard: its objects are prefetched whatever their
 //    mode, in the read-vals-batch that carries the get-tag-arr.  The
 //    coordinator reads their lists in the step that builds the tag array,

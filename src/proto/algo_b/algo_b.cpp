@@ -30,9 +30,10 @@ class ReaderB final : public ReadClient {
     round2_sent_ = false;
     // Round 1: one read-vals-batch per shard the READ touches, the
     // get-tag-arr folded into s*'s.  Every server answers each object with
-    // one version: s* the one its tag array names, the others a guess.
+    // one version: s* the one its tag array names, the others a guess, so
+    // the batches need no read floor.
     std::map<std::size_t, ReadValsBatchReq> batches =
-        read_batches_by_shard(place(), last_watermark_, objs());
+        read_batches_by_shard(place(), /*floor=*/0, objs());
     pending_.clear();
     for (const auto& [shard, batch] : batches) pending_.insert(shard);
     send_tag_arr_round(coor_shard_, tag_arr_req(objs()), std::move(batches));
@@ -45,7 +46,6 @@ class ReaderB final : public ReadClient {
       if (!want_.empty()) return true;
       tag_ = ta->tag;
       watermark_ = ta->watermark;
-      last_watermark_ = std::max(last_watermark_, ta->watermark);
       for (ObjectId obj : objs()) want_[obj] = tag_entry(ta->entries, obj).latest;
       resolve_and_continue();
       return true;
@@ -118,7 +118,7 @@ class ReaderB final : public ReadClient {
     // if it has not answered, else its round-2 batch minus what it answered.
     if (pending_.count(tn.shard) != 0) {
       std::map<std::size_t, ReadValsBatchReq> batches =
-          read_batches_by_shard(place(), last_watermark_, objs());
+          read_batches_by_shard(place(), /*floor=*/0, objs());
       std::erase_if(batches, [&](const auto& e) { return e.first != tn.shard; });
       send_by_shard(std::move(batches));
       return;
@@ -147,7 +147,6 @@ class ReaderB final : public ReadClient {
   }
 
   std::size_t coor_shard_;
-  Tag last_watermark_{0};  ///< the newest tag-array watermark, for round 1.
   // The READ in flight: its rounds (client send-waves, for finish_read) and
   // the longest version list it was sent span its attempts; the rest is per
   // attempt.

@@ -19,8 +19,9 @@
 //                  version per object.  Skipped when round 1 resolved
 //                  every object.
 //
-// WRITEs do write-value to the servers then update-coor to s* (which assigns
-// the List position = the Lemma-20 tag).  Theorem 4: every fair well-formed
+// WRITEs do write-value to the servers and update-coor to s*, which assigns
+// the List position = the Lemma-20 tag once every written server has relayed
+// it the ack (proto/coor_writer.hpp).  Theorem 4: every fair well-formed
 // execution is strictly serializable, non-blocking, one-version.
 //
 // Objects route to servers through the SystemConfig's Placement, so several

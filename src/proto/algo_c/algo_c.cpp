@@ -23,11 +23,13 @@ class ReaderC final : public ReadClient {
     tag_arr_.reset();
     vals_.clear();
     // One read-vals-batch per server, the coordinator's carrying the
-    // get-tag-arr.  Watermark 0 leaves the stores' watermarks where the
-    // write path put them: they answer with the same live chains a
-    // per-object read-vals got.
+    // get-tag-arr, each with the tag of this reader's last READ as its read
+    // floor.  Every position up to that tag was listed, so every server had
+    // stored its versions, before this READ began: the descent below always
+    // finds that cut feasible and never settles under it, so no server need
+    // send a finalized version older than the newest one at or below it.
     send_tag_arr_round(coor_shard_, tag_arr_req(objs()),
-                       read_batches_by_shard(place(), /*watermark=*/0, objs()));
+                       read_batches_by_shard(place(), floor_, objs()));
   }
 
   // Responses from a superseded attempt are indistinguishable from current
@@ -110,10 +112,20 @@ class ReaderC final : public ReadClient {
       max_versions = std::max(max_versions, static_cast<int>(versions.size()));
     }
     release_registration(coor_shard_);
+    // The floor costs a byte or two per batch and can only trim an object
+    // with more than one live version.  This READ's lists and its tag
+    // array's histories show whether its objects had any (the histories
+    // even where a floor trimmed the lists), so a reader of cold objects
+    // sends none.
+    const bool hot = max_versions > 1 ||
+                     std::any_of(tag_arr_->entries.begin(), tag_arr_->entries.end(),
+                                 [](const TagArrEntry& e) { return e.history.size() > 1; });
+    floor_ = hot ? tag_arr_->tag : 0;
     finish(std::move(values), t, /*rounds=*/attempts(), max_versions);
   }
 
   std::size_t coor_shard_;
+  Tag floor_{0};  ///< the read floor: t_r of the last READ this reader completed, or 0.
   std::optional<GetTagArrResp> tag_arr_;
   std::map<ObjectId, std::vector<Version>> vals_;
 };

@@ -26,8 +26,12 @@
 //    read watermark — to servers on a finalize fan-out (no extra round), and
 //    report completion back to the coordinator, whose watermark rule
 //    (proto/version_store.hpp) retires versions no in-flight or future READ
-//    can legally be served.  This bounds read-vals responses by |W|+1
-//    versions and the tag-array history by the live window, but — per the
+//    can legally be served.  Each read-vals-batch also carries the reader's
+//    read floor, the tag of its last READ, below which the descent never
+//    settles, and the server trims that response to it, so a watermark an
+//    idle reader pins does not grow the lists.  This bounds read-vals
+//    responses by about |W|+1 versions and the tag-array history by the
+//    live window, but — per the
 //    race above — can make a descent fail; the reader then retries the whole
 //    READ (giving up one-round, counted in `rounds`).  The ablation bench
 //    measures both effects; gc_versions=false restores the paper's

@@ -235,6 +235,8 @@ class ClientNode : public Node {
   virtual void on_takeover(const TakeoverNotice& /*tn*/) {}
 
   bool in_flight() const { return txn_ != kInvalidTxn; }
+  /// Shards have backups, so TakeoverNotices re-route them.
+  bool replicated() const { return replicated_; }
   /// The transaction in flight (kInvalidTxn when idle).
   TxnId txn() const { return txn_; }
   const Placement& place() const { return place_; }

@@ -15,7 +15,10 @@
 //
 //   * Acknowledged means replicated: the primary defers WriteValAck and
 //     UpdateCoorAck until the backup has acked the covering log prefix (or
-//     the backup is known dead, in which case it commits solo).  A List
+//     the backup is known dead, in which case it commits solo).  That holds
+//     for the WriteValAcks a server relays to s* (wire v10) as for any
+//     other, so s* lists a WRITE only on replicated inserts; s*'s own
+//     inserts ride the same batch as the List push.  A List
 //     entry is not applied to the CoorList — and therefore never visible to
 //     any get-tag-arr — until that moment, so no READ can observe a listing
 //     that a crash could un-happen.  SNOW's N is preserved: reads are served
@@ -26,8 +29,10 @@
 //     replays nothing — it already applied the stream — bumps its EPOCH,
 //     persists the new role to its WAL, and broadcasts a TakeoverNotice to
 //     every client node.  Clients re-route the shard and re-send un-acked
-//     requests; update-coor retries are deduplicated by (writer, txn) so a
-//     WRITE listed by the old lineage is re-acked, never double-listed.
+//     requests — for s*'s shard every write-val of the unlisted WRITE and its
+//     update-coor, since s*'s listing gate is primary-local; update-coor
+//     retries are deduplicated by (writer, txn) so a WRITE listed by the old
+//     lineage is re-acked, never double-listed.
 //
 //   * Epochs fence stale primaries: any replication message carrying a
 //     higher epoch demotes the receiver to backup, which drops its un-fired

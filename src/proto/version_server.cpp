@@ -28,6 +28,18 @@ void commit_step(std::vector<ReplRecord> recs, std::map<ObjectId, VersionStore>&
   if constexpr (std::is_invocable_v<OnCommit>) on_commit();
 }
 
+std::vector<ReplRecord> insert_records(const WriteKey& key,
+                                       const std::vector<std::pair<ObjectId, Value>>& writes) {
+  std::vector<ReplRecord> recs(writes.size());
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    recs[i].kind = ReplRecord::kInsert;
+    recs[i].obj = writes[i].first;
+    recs[i].key = key;
+    recs[i].value = writes[i].second;
+  }
+  return recs;
+}
+
 ReplRecord coor_finalize_record(Tag position) {
   ReplRecord rec;
   rec.kind = ReplRecord::kCoorFinalize;
@@ -64,6 +76,7 @@ void VersionServer::on_crash() {
   stores_.clear();
   watermark_ = 0;
   if (is_coordinator_) list_.emplace(k_);
+  listings_.clear();
   if (tracker_) tracker_->reset();
   repl_->on_crash();
 }
@@ -77,6 +90,9 @@ void VersionServer::on_message(NodeId from, const Message& m) {
     on_start();
     if (repl_->consume(from, m)) return;
     if (!repl_->is_primary()) {
+      // An ack relayed to a deposed s*: the writers re-send the WRITE to
+      // the new primary, whose takeover they are told of.
+      if (std::holds_alternative<WriteValAck>(m.payload)) return;
       // Stale route: redirect at once, never drop (see redirect_client).
       repl_->redirect_client(from, m);
       return;
@@ -86,8 +102,11 @@ void VersionServer::on_message(NodeId from, const Message& m) {
   if (handle_write_path(from, m)) return;
   if (serve_read(from, m)) return;
   if (const auto* uc = std::get_if<UpdateCoorReq>(&m.payload)) {
-    // A deduplicated retry is not credited to the write-rate tracker twice.
-    if (handle_update_coor(from, m.txn, *uc) && tracker_) tracker_->observe(rt(), uc->objs);
+    handle_update_coor(from, m.txn, *uc, {});
+    return;
+  }
+  if (const auto* ack = std::get_if<WriteValAck>(&m.payload)) {
+    if (auto ready = listings().ack(from, *ack)) list_write(std::move(*ready));
     return;
   }
   if (const auto* gt = std::get_if<GetTagArrReq>(&m.payload)) {
@@ -103,6 +122,7 @@ void VersionServer::on_message(NodeId from, const Message& m) {
 bool VersionServer::misrouted(NodeId from, const Message& m) const {
   if (is_coordinator_) return false;
   if (!std::holds_alternative<UpdateCoorReq>(m.payload) &&
+      !std::holds_alternative<WriteValAck>(m.payload) &&
       !std::holds_alternative<GetTagArrReq>(m.payload) &&
       !std::holds_alternative<FinalizeCoorReq>(m.payload) &&
       !std::holds_alternative<ReadDoneReq>(m.payload)) {
@@ -187,16 +207,17 @@ bool VersionServer::serve_read(NodeId from, const Message& m) {
     // algo-b fleet a batch without a tag array gets one version per object
     // too, the one its store inserted last: a guess the reader keeps only
     // where the tag array names it (an empty list once that was pruned).
-    // Otherwise: the live chains of one READ's objects on this server; with
-    // the watermark flowing, each is the paper's <=|W|+1 candidate
-    // versions, not the full history.
+    // Otherwise: the live chains of one READ's objects on this server, from
+    // the reader's floor up: with the watermark flowing and the floor at the
+    // reader's last READ, each is about the paper's <=|W|+1 candidate
+    // versions, however long another reader's floor pins the watermark.
     const bool latest_only = resp.tag_arr.has_value() && !tag_history_;
     const bool last_only = !resp.tag_arr && last_inserted_reads_;
     resp.entries.reserve(pb->objs.size());
     for (ObjectId obj : pb->objs) {
-      const VersionStore& vals = store(obj, pb->watermark);
+      const VersionStore& vals = store(obj, /*watermark=*/0);
       if (!latest_only && !last_only) {
-        resp.entries.push_back({obj, vals.all()});
+        resp.entries.push_back({obj, vals.chain_from(pb->floor)});
         continue;
       }
       const WriteKey& key = latest_only ? list_->latest(obj) : vals.last_inserted();
@@ -225,19 +246,32 @@ TagArrReply VersionServer::answer_tag_arr(NodeId from, TxnId txn, const GetTagAr
 bool VersionServer::handle_write_path(NodeId from, const Message& m) {
   Replicator* repl = repl_.get();
   if (const auto* wv = std::get_if<WriteValReq>(&m.payload)) {
-    std::vector<ReplRecord> recs(wv->writes.size());
+    if (wv->update_coor && list_) {
+      // s*'s share of the WRITE: its inserts wait in the listing gate and
+      // commit in the same step as the List push.
+      handle_update_coor(from, m.txn, *wv->update_coor, wv->writes);
+      return true;
+    }
+    if (wv->update_coor) {
+      SNOW_WARN("dropping the update-coor part of write-val from node "
+                << from << ": this node is not the coordinator");
+    }
     WriteValAck ack{wv->key, {}};
     ack.objs.reserve(wv->writes.size());
-    for (std::size_t i = 0; i < wv->writes.size(); ++i) {
-      recs[i].kind = ReplRecord::kInsert;
-      recs[i].obj = wv->writes[i].first;
-      recs[i].key = wv->key;
-      recs[i].value = wv->writes[i].second;
-      ack.objs.push_back(wv->writes[i].first);
-    }
-    commit_step(std::move(recs), stores_, list_, repl,
-                [this, from, txn = m.txn, ack = std::move(ack)]() mutable {
-                  send(from, Message{txn, std::move(ack)});
+    for (const auto& [obj, value] : wv->writes) ack.objs.push_back(obj);
+    // The ack goes where the write-val names: s*, which lists the WRITE
+    // once every written server has reported, or the writer (algo-a).
+    const NodeId to = wv->ack_to == kInvalidNode ? from : wv->ack_to;
+    commit_step(insert_records(wv->key, wv->writes), stores_, list_, repl,
+                [this, to, txn = m.txn, ack = std::move(ack)]() mutable {
+                  if (to != id()) {
+                    send(to, Message{txn, std::move(ack)});
+                  } else if (!list_) {
+                    SNOW_WARN("dropping the ack of a write-val that names this node, "
+                              "which is not the coordinator");
+                  } else if (auto ready = listings().ack(id(), ack)) {
+                    list_write(std::move(*ready));
+                  }
                 });
     return true;
   }
@@ -246,21 +280,36 @@ bool VersionServer::handle_write_path(NodeId from, const Message& m) {
       SNOW_WARN("dropping the finalize-coor part of finalize from node "
                 << from << ": this node is not the coordinator");
     }
-    if (!gc_ || names_unfinalizable_version(from, *fin)) return true;
-    std::vector<ReplRecord> recs(fin->objs.size());
-    for (std::size_t i = 0; i < fin->objs.size(); ++i) {
-      recs[i].kind = ReplRecord::kFinalize;
-      recs[i].obj = fin->objs[i];
-      recs[i].key = fin->key;
-      recs[i].position = fin->position;
-      recs[i].watermark = note_watermark(fin->watermark);
+    if (!gc_) return true;
+    // A finalize re-sent after a failover may name versions this replica
+    // already finalized or pruned: those parts are no-ops, not faults.
+    std::vector<ObjectId> objs;
+    for (ObjectId obj : fin->objs) {
+      const auto it = stores_.find(obj);
+      if (it == stores_.end() || !it->second.finalize_is_noop(fin->key, fin->position)) {
+        objs.push_back(obj);
+      }
     }
-    if (fin->coor && list_) recs.push_back(coor_finalize_record(fin->position));
-    commit_step(std::move(recs), stores_, list_, repl);
+    FinalizeReq rest{fin->key, fin->position, fin->watermark, std::move(objs), fin->coor};
+    if (names_unfinalizable_version(from, rest)) return true;
+    std::vector<ReplRecord> recs(rest.objs.size());
+    for (std::size_t i = 0; i < rest.objs.size(); ++i) {
+      recs[i].kind = ReplRecord::kFinalize;
+      recs[i].obj = rest.objs[i];
+      recs[i].key = rest.key;
+      recs[i].position = rest.position;
+      recs[i].watermark = note_watermark(rest.watermark);
+    }
+    if (rest.coor && list_ && !list_->finalized(rest.position)) {
+      recs.push_back(coor_finalize_record(rest.position));
+    }
+    if (!recs.empty()) commit_step(std::move(recs), stores_, list_, repl);
     return true;
   }
   if (const auto* fc = std::get_if<FinalizeCoorReq>(&m.payload)) {
-    if (gc_) commit_step({coor_finalize_record(fc->position)}, stores_, list_, repl);
+    if (gc_ && !list_->finalized(fc->position)) {
+      commit_step({coor_finalize_record(fc->position)}, stores_, list_, repl);
+    }
     return true;
   }
   if (const auto* rd = std::get_if<ReadDoneReq>(&m.payload)) {
@@ -271,36 +320,58 @@ bool VersionServer::handle_write_path(NodeId from, const Message& m) {
   return false;
 }
 
-bool VersionServer::handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc) {
-  if (!list_->admits(from, uc)) return false;
+PendingListings& VersionServer::listings() {
+  // The gate is primary-local: a takeover starts it empty, and the writers
+  // re-send every write-val and update-coor to the new primary.
+  if (repl_ != nullptr && repl_->epoch() != listings_epoch_) {
+    listings_.clear();
+    listings_epoch_ = repl_->epoch();
+  }
+  return listings_;
+}
+
+void VersionServer::handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc,
+                                       const std::vector<std::pair<ObjectId, Value>>& own) {
+  if (!list_->admits(from, uc)) return;
+  if (repl_ != nullptr) {
+    switch (repl_->check_push(from, txn)) {
+      case Replicator::PushStatus::kPending:
+        return;  // already logged; the commit waiter will ack
+      case Replicator::PushStatus::kStale:
+        return;  // its WRITE completed: no one waits for this ack
+      case Replicator::PushStatus::kCommitted:
+        // Listed by this lineage, own inserts included: re-ack at its position.
+        listings().listed(uc.key);
+        send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from), list_->watermark()}});
+        return;
+      case Replicator::PushStatus::kNew:
+        break;
+    }
+  }
+  if (auto ready = listings().update_coor(from, txn, uc, own)) list_write(std::move(*ready));
+}
+
+void VersionServer::list_write(PendingListings::Ready w) {
+  // A deduplicated retry never gets here, so it is not credited twice.
+  if (tracker_) tracker_->observe(rt(), w.uc.objs);
+  std::vector<ReplRecord> recs = insert_records(w.uc.key, w.own);
   if (repl_ == nullptr) {
-    const Tag pos = list_->push(uc.key, uc.objs);
-    send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
-    return true;
+    for (const ReplRecord& rec : recs) apply_store_record(rec, stores_, list_);
+    const Tag pos = list_->push(w.uc.key, w.uc.objs);
+    send(w.writer, Message{w.txn, UpdateCoorAck{pos, list_->watermark()}});
+    return;
   }
-  switch (repl_->check_push(from, txn)) {
-    case Replicator::PushStatus::kPending:
-      return false;  // already logged; the commit waiter will ack
-    case Replicator::PushStatus::kStale:
-      return false;  // its WRITE completed: no one waits for this ack
-    case Replicator::PushStatus::kCommitted:
-      send(from, Message{txn, UpdateCoorAck{repl_->committed_position(from), list_->watermark()}});
-      return false;
-    case Replicator::PushStatus::kNew:
-      break;
-  }
-  ReplRecord rec;
-  rec.kind = ReplRecord::kListPush;
-  rec.key = uc.key;
-  rec.objs = uc.objs;
-  rec.txn = txn;
-  rec.writer = from;
-  rec.position = repl_->next_push_position();
-  const Tag pos = rec.position;
-  repl_->append({std::move(rec)}, [this, from, txn, pos] {
-    send(from, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
+  ReplRecord& push = recs.emplace_back();
+  push.kind = ReplRecord::kListPush;
+  push.key = w.uc.key;
+  push.objs = std::move(w.uc.objs);
+  push.txn = w.txn;
+  push.writer = w.writer;
+  push.position = repl_->next_push_position();
+  const Tag pos = push.position;
+  repl_->append(std::move(recs), [this, to = w.writer, txn = w.txn, pos] {
+    send(to, Message{txn, UpdateCoorAck{pos, list_->watermark()}});
   });
-  return true;
 }
 
 // --- the shared fleet --------------------------------------------------------

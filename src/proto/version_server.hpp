@@ -8,6 +8,15 @@
 // One server may host many objects under a sharded Placement; every request
 // names its object, so the stores stay disjoint.
 //
+// A write-val names the node its ack goes to (wire v10): s*'s primary, which
+// lists the WRITE once every written server has reported its inserts stored
+// (proto/pending_listings.hpp), or none, and then the ack goes back to the
+// sender (algo-a's writer).  The ack leaves once the inserts commit, so on a
+// replicated shard "acknowledged means replicated" covers the acks relayed
+// to s* too.  s*'s own share of a WRITE rides the write-val that carries the
+// update-coor; s* holds those inserts in its listing gate and commits them
+// in the same step (one replication batch) as the List push.
+//
 // Every READ round reaches a server as one frame naming all of the READ's
 // objects it hosts, and the server answers it with one frame: read-val-batch
 // asks for exact keys (A, B's round 2, occ's rounds, adaptive's round 2) and
@@ -19,8 +28,9 @@
 // coordinator that ships no List history (algo-b, adaptive) answers such a
 // folded batch with one version per object, the one the tag array names;
 // in an algo-b fleet every other server answers its batches with one
-// version per object too, the one it inserted last.  No handler asks which
-// protocol it serves.  Payload tags 8-11, the
+// version per object too, the one it inserted last.  Any other batch gets
+// each object's live chain from the reader's read floor up
+// (ReadValsBatchReq::floor).  No handler asks which protocol it serves.  Payload tags 8-11, the
 // per-object read-val and read-vals that no reader has sent since
 // snowkit-wire-v5, are reserved: the decoder rejects them.  Reads are
 // answered at once (N), from committed state, with the versions named: a key
@@ -52,6 +62,7 @@
 #include "core/registry.hpp"
 #include "proto/adaptive/adaptive.hpp"
 #include "proto/api.hpp"
+#include "proto/pending_listings.hpp"
 #include "proto/replica.hpp"
 #include "proto/version_store.hpp"
 
@@ -98,7 +109,16 @@ class VersionServer final : public Node {
   bool names_unfinalizable_version(NodeId from, const FinalizeReq& fin) const;
   bool serve_read(NodeId from, const Message& m);
   bool handle_write_path(NodeId from, const Message& m);
-  bool handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc);
+  /// s*: `from`'s update-coor, standalone (`own` empty) or folded into the
+  /// write-val whose writes are `own`.  A replicated retry the log already
+  /// answers is re-acked or dropped; otherwise it enters the listing gate.
+  void handle_update_coor(NodeId from, TxnId txn, const UpdateCoorReq& uc,
+                          const std::vector<std::pair<ObjectId, Value>>& own);
+  /// s*'s listing gate, emptied when this replica's epoch moves.
+  PendingListings& listings();
+  /// Lists `w`: s*'s own inserts and the List push commit as one step
+  /// (one replication batch), then the writer gets its update-coor-ack.
+  void list_write(PendingListings::Ready w);
   /// Registers `from`'s READ `txn` for watermark accounting and builds the
   /// reply to its get-tag-arr, standalone or folded into a read-vals-batch.
   TagArrReply answer_tag_arr(NodeId from, TxnId txn, const GetTagArrReq& gt);
@@ -118,6 +138,8 @@ class VersionServer final : public Node {
   std::map<ObjectId, VersionStore> stores_;    ///< per hosted object.
   Tag watermark_{0};                           ///< the newest watermark seen.
   std::optional<CoorList> list_;               ///< coordinator only.
+  PendingListings listings_;                   ///< coordinator only; see listings().
+  std::uint64_t listings_epoch_{0};            ///< the replica epoch listings_ belongs to.
   std::unique_ptr<Replicator> repl_;           ///< replicas 2 only.
   std::optional<WriteRateTracker> tracker_;    ///< adaptive coordinator only.
 };

@@ -1,6 +1,7 @@
 #include "proto/version_store.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hpp"
 #include "metrics/gc_stats.hpp"
@@ -49,6 +50,13 @@ bool VersionStore::can_finalize(const WriteKey& key, Tag position) const {
   return pit == by_pos_.end() || pit->second == key;
 }
 
+bool VersionStore::finalize_is_noop(const WriteKey& key, Tag position) const {
+  const auto it = vals_.find(key);
+  if (it != vals_.end()) return it->second.position != kInvalidTag;
+  auto anchor = by_pos_.upper_bound(watermark_);
+  return anchor != by_pos_.begin() && std::prev(anchor)->first > position;
+}
+
 void VersionStore::advance_watermark(Tag w) {
   if (w <= watermark_) return;  // monotone
   watermark_ = w;
@@ -78,6 +86,19 @@ std::vector<Version> VersionStore::all() const {
   std::vector<Version> out;
   out.reserve(vals_.size());
   for (const auto& [k, slot] : vals_) out.push_back(Version{k, slot.value});
+  return out;
+}
+
+std::vector<Version> VersionStore::chain_from(Tag floor) const {
+  const auto above = by_pos_.upper_bound(floor);
+  if (floor <= watermark_ || above == by_pos_.begin()) return all();
+  const Tag anchor = std::prev(above)->first;  // the newest finalized at or below `floor`
+  std::vector<Version> out;
+  out.reserve(vals_.size());
+  for (const auto& [k, slot] : vals_) {
+    if (slot.position != kInvalidTag && slot.position < anchor) continue;
+    out.push_back(Version{k, slot.value});
+  }
   return out;
 }
 
@@ -242,13 +263,13 @@ std::map<std::size_t, ReadValBatchReq> read_batches_by_shard(
 }
 
 std::map<std::size_t, ReadValsBatchReq> read_batches_by_shard(const Placement& place,
-                                                              Tag watermark,
+                                                              Tag floor,
                                                               std::vector<ObjectId> objs) {
   std::sort(objs.begin(), objs.end());
   std::map<std::size_t, ReadValsBatchReq> by_shard;
   for (ObjectId obj : objs) {
     ReadValsBatchReq& batch = by_shard[place.shard_of(obj)];
-    batch.watermark = watermark;
+    batch.floor = floor;
     batch.objs.push_back(obj);
   }
   return by_shard;

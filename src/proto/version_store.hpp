@@ -45,7 +45,8 @@
 // Watermarks travel on existing messages only: update-coor acks carry W to
 // writers, writers forward it on their finalize fan-out, tag arrays carry it
 // to readers, and readers piggyback it on read-val-batch — advancement costs
-// no extra round anywhere.  tests/version_store_gc_property_test.cpp checks the
+// no extra round anywhere.  A read-vals-batch carries a read floor instead
+// (VersionStore::chain_from): it trims one response and prunes nothing.  tests/version_store_gc_property_test.cpp checks the
 // retention invariant, watermark monotonicity and the bounded-chain-length
 // consequence against a keep-everything reference model.
 #pragma once
@@ -90,6 +91,11 @@ class VersionStore {
   /// and `position` is not finalized under another key.  Finalize frames are
   /// untrusted, so a server drops one naming a version that fails this.
   bool can_finalize(const WriteKey& key, Tag position) const;
+  /// Whether finalize(key, position) would change nothing: `key` is held
+  /// and already finalized, or it is gone and the anchor is newer than
+  /// `position` (it was pruned).  A finalize re-sent after a failover is
+  /// such a no-op.
+  bool finalize_is_noop(const WriteKey& key, Tag position) const;
 
   /// Raises the watermark (lower values are ignored — watermarks are
   /// monotone) and prunes finalized versions strictly below the new anchor.
@@ -113,6 +119,11 @@ class VersionStore {
   /// carries.  With the watermark flowing this is at most (unfinalized
   /// versions, i.e. concurrent WRITEs) + (finalized above the watermark) + 1.
   std::vector<Version> all() const;
+  /// The live chain less the finalized versions older than the newest one
+  /// at or below `floor`: all a READ can need that will cut at `floor` or
+  /// above (ReadValsBatchReq::floor).  all() when `floor` is at or below
+  /// the watermark.
+  std::vector<Version> chain_from(Tag floor) const;
 
   /// The key insert() stored last (kInitialKey before any insert): the
   /// version a reader without the tag array is most likely to want.  It may
@@ -168,6 +179,8 @@ class CoorList {
 
   /// Marks the WRITE at `position` complete; may advance the watermark.
   void finalize(Tag position);
+  /// Whether finalize(position) would change nothing.
+  bool finalized(Tag position) const { return position <= max_finalized_; }
 
   /// Registers/deregisters the in-flight READ of `reader` for watermark
   /// accounting.  Keyed by sender and guarded by the READ's txn id (monotone
@@ -238,9 +251,9 @@ std::map<std::size_t, ReadValBatchReq> read_batches_by_shard(
 
 /// A READ's version-list fetches, one read-vals-batch per server shard under
 /// `place`, keyed by shard: each names that shard's objects of `objs` (any
-/// order, no repeats) in ascending order and carries `watermark`.
+/// order, no repeats) in ascending order and carries the read `floor`.
 std::map<std::size_t, ReadValsBatchReq> read_batches_by_shard(const Placement& place,
-                                                              Tag watermark,
+                                                              Tag floor,
                                                               std::vector<ObjectId> objs);
 
 /// Applies one state mutation — kInsert, kFinalize (finalize + watermark

@@ -6,7 +6,7 @@
 // the node ids (NetOptions::owner) and only owned nodes get executors and
 // receive on_start.  A send between two locally-owned nodes goes through the
 // local mailbox exactly like ThreadRuntime; a send to a remote node is
-// framed (runtime/socket.hpp, snowkit-wire-v9: the codec bytes of
+// framed (runtime/socket.hpp, snowkit-wire-v10: the codec bytes of
 // encode_message_into behind a varint length and a routing header) and
 // shipped over a per-peer TCP connection.  Protocols run unmodified: the
 // paper's model — clients and servers as separate processes over
@@ -49,7 +49,7 @@
 // plus bytes already handed to the dead socket (TCP's contract).  The SNOW
 // protocols tolerate that only at fleet shutdown, where the SHUTDOWN frame
 // (broadcast_shutdown) already ends the run; mid-run process crashes are out
-// of scope for snowkit-wire-v9.
+// of scope for snowkit-wire-v10.
 //
 // Trust model: a peer's only credential is its unauthenticated HELLO, so
 // every byte off the wire is handled as untrusted input — malformed frames,
@@ -65,7 +65,7 @@
 // trip a reader's protocol-invariant check (algo-b's "watermark-protected
 // key" check, for one).  And a finalize naming a version the server never
 // stored, or a List position already finalized under another key, trips
-// VersionStore::finalize's checks.  What wire-v9 does
+// VersionStore::finalize's checks.  What wire-v10 does
 // NOT defend against is control-plane spoofing: any process that can reach
 // a fleet port and speak the public HELLO can deliver a SHUTDOWN (the
 // zero-length frame, stopping the daemon) or displace a genuine peer's

@@ -171,7 +171,7 @@ void append_msg(std::vector<std::uint8_t>& out, NodeId from, NodeId to, const Me
   // no diagnostic.
   SNOW_CHECK_MSG(body <= kMaxFrameBytes,
                  "message " << payload_name(m.payload) << " encodes to " << scratch.size()
-                            << " bytes, above the snowkit-wire-v9 frame cap ("
+                            << " bytes, above the snowkit-wire-v10 frame cap ("
                             << kMaxFrameBytes << "); GC the version store or raise the cap");
   put_uv(out, body);
   put_uv(out, from);

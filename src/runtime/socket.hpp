@@ -1,4 +1,4 @@
-// snowkit-wire-v9 framing + TCP socket helpers for NetRuntime.
+// snowkit-wire-v10 framing + TCP socket helpers for NetRuntime.
 //
 // The stream format (frozen in docs/WIRE.md) wraps the existing message
 // codec (msg/codec.cpp, reused verbatim via encode_message_into) in
@@ -25,7 +25,7 @@
 // payloads).  What remains trusted is only control-plane INTENT: a
 // zero-length frame (SHUTDOWN) from any greeted peer stops the daemon, so
 // fleet ports must sit behind the operator's network boundary —
-// snowkit-wire-v9 has no peer authentication (see the trust model note in
+// snowkit-wire-v10 has no peer authentication (see the trust model note in
 // net_runtime.hpp).  Before the HELLO a zero byte is only the start of a
 // u32le length, never a SHUTDOWN.
 #pragma once
@@ -41,7 +41,7 @@ namespace snowkit::net {
 
 /// "SNWK" little-endian: the first 4 body bytes of every HELLO.
 inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
-/// snowkit-wire-v9: v1's payload tags, framed as in v1 up to v6.  v2 sized
+/// snowkit-wire-v10: v1's payload tags, framed as in v1 up to v6.  v2 sized
 /// get-tag-arr, tag-arr and adapt-tag-arr (tags 6, 7, 36) by the READ's
 /// objects; v3 sizes info-reader, update-coor and replication records by the
 /// WRITE's objects and ships adaptive mode tables as deltas (tags 2, 4, 6,
@@ -64,10 +64,14 @@ inline constexpr std::uint32_t kWireMagic = 0x4B574E53u;
 /// replication record kind writes only the fields it uses.  v9 changes
 /// adapt-tag-arr only (tag 36): its steady mode state, a delta based at the
 /// epoch with no flip, rides as uv(0) after the epoch (2 bytes instead of
-/// 4), and any other base as uv(base + 1) ahead of its sets.
+/// 4), and any other base as uv(base + 1) ahead of its sets.  v10 changes
+/// write-val only (tag 0): a head names the node its ack goes to (s*'s
+/// primary, which lists the WRITE when every written server has reported)
+/// and whether the WRITE's update-coor is folded into it, whose object set
+/// then follows the writes.
 /// Bump on any incompatible codec or framing change (docs/WIRE.md is the
 /// contract); peers of another version are refused at HELLO.
-inline constexpr std::uint64_t kWireVersion = 9;
+inline constexpr std::uint64_t kWireVersion = 10;
 /// Frames above this are a protocol error, not a large message: legitimate
 /// payloads scale with a READ's objects or a server's live version chains
 /// and stay orders of magnitude smaller, so an absurd length prefix means a
@@ -149,7 +153,7 @@ struct IoSlice {
 /// past whatever the kernel actually accepted — including a partial write
 /// that stops at ANY byte offset inside or across frame boundaries (the next
 /// gather resumes mid-frame).  Frames are never re-encoded, split or merged:
-/// coalescing is purely how many of the SAME snowkit-wire-v9 bytes share one
+/// coalescing is purely how many of the SAME snowkit-wire-v10 bytes share one
 /// syscall, which frame_roundtrip_test proves by comparing gathered bytes
 /// against the flat reference stream.
 ///
@@ -206,7 +210,7 @@ class WriteCoalescer {
 
 // --- frame builders (append to an outbox buffer) ----------------------------
 
-/// The handshake in the frozen v1-v9 HELLO layout (only kWireVersion moves).
+/// The handshake in the frozen v1-v10 HELLO layout (only kWireVersion moves).
 void append_hello(std::vector<std::uint8_t>& out, std::uint64_t process_index);
 /// Frames one routed message; the Message bytes are produced by
 /// encode_message_into — the exact bytes ThreadRuntime mailboxes carry.

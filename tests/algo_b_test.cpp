@@ -101,13 +101,14 @@ TEST(AlgoB, NonDefaultCoordinator) {
 }
 
 TEST(AlgoB, ReadConcurrentWithWriteGetsConsistentCut) {
-  // Hold the writer's update-coor: servers already store the new versions
+  // Hold server 1's ack, relayed to the coordinator (server 0), which lists
+  // the WRITE only once it arrives: server 1 already stores the new version
   // but the coordinator's List does not — a READ must return the old cut.
   SimRuntime sim;
   HistoryRecorder rec(2);
   auto sys = build_algo_b(sim, rec, SystemConfig{2, 1, 1});
   sim.start();
-  sim.hold_matching(script::payload_is("update-coor"));
+  sim.hold_matching(script::payload_is("write-val-ack"));
   bool w_done = false;
   invoke_write(sim, sys->writer(0), {{0, 10}, {1, 20}}, [&](const TxnResult&) { w_done = true; });
   sim.run_until_idle();

@@ -70,6 +70,8 @@ template <>
 WriteValReq make_random(Xoshiro256& rng) {
   WriteValReq p{rkey(rng), {}};
   for (ObjectId obj : robj_set(rng, 1)) p.writes.emplace_back(obj, ri64(rng));
+  p.ack_to = rbool(rng) ? kInvalidNode : ru32(rng);
+  if (rbool(rng)) p.update_coor = UpdateCoorReq{p.key, robj_set(rng, 1)};
   return p;
 }
 template <>

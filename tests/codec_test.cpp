@@ -30,9 +30,24 @@ TEST(Codec, WriteVal) {
   const auto& p = std::get<WriteValReq>(back.payload);
   EXPECT_EQ(p.key, (WriteKey{3, 9}));
   EXPECT_EQ(p.writes, (std::vector<std::pair<ObjectId, Value>>{{1, 42}, {200, -3}}));
-  // txn, tag, key (seq, writer), count, gap 1 + zz(42), gap 199 (2 bytes) +
-  // zz(-3).
-  EXPECT_EQ(bytes.size(), 1u + 1u + 2u + 1u + (1u + 1u) + (2u + 1u));
+  // txn, tag, head (no ack node, nothing folded), key (seq, writer), count,
+  // gap 1 + zz(42), gap 199 (2 bytes) + zz(-3).
+  EXPECT_EQ(bytes.size(), 1u + 1u + 1u + 2u + 1u + (1u + 1u) + (2u + 1u));
+}
+
+TEST(Codec, WriteValNamingItsAckNodeWithAFoldedUpdateCoor) {
+  // Wire v10: s*'s share names s*'s node and carries the WRITE's update-coor,
+  // whose key is the write-val's and whose W follows the writes.
+  const WriteKey key{3, 9};
+  const Message m{5, WriteValReq{key, {{1, 42}}, 4, UpdateCoorReq{key, {1, 300}}}};
+  const auto bytes = encode_message(m);
+  EXPECT_EQ(decode_message(bytes), m);
+  // The head uv(2 * (4 + 1) + 1) costs the byte a write-val without either
+  // costs too; W adds count, gap 1, gap 299 (2 bytes).
+  const Message plain{5, WriteValReq{key, {{1, 42}}}};
+  EXPECT_EQ(bytes.size(), encode_message(plain).size() + 1u + 1u + 2u);
+  roundtrip(WriteValReq{key, {{1, 42}}, 7, std::nullopt});
+  roundtrip(WriteValReq{key, {{1, 42}}, kInvalidNode, UpdateCoorReq{key, {1}}});
 }
 
 TEST(Codec, WriteValAck) {
@@ -274,7 +289,9 @@ TEST(Codec, GoldenBytesOfEveryLiveTagAndRecordKind) {
       TagArrEntry{300, WriteKey{2, 1}, {}}};
   const std::vector<std::pair<Message, std::vector<std::uint8_t>>> golden{
       {Message{5, WriteValReq{WriteKey{3, 9}, {{1, 42}, {200, -3}}}},
-       {0x06, 0x00, 0x03, 0x0A, 0x02, 0x01, 0x54, 0xC7, 0x01, 0x05}},
+       {0x06, 0x00, 0x00, 0x03, 0x0A, 0x02, 0x01, 0x54, 0xC7, 0x01, 0x05}},
+      {Message{5, WriteValReq{WriteKey{3, 9}, {{1, 42}}, 4, UpdateCoorReq{WriteKey{3, 9}, {1, 300}}}},
+       {0x06, 0x00, 0x0B, 0x03, 0x0A, 0x01, 0x01, 0x54, 0x02, 0x01, 0xAB, 0x02}},
       {Message{6, WriteValAck{WriteKey{1, 2}, {0, 7}}},
        {0x07, 0x01, 0x01, 0x03, 0x02, 0x00, 0x07}},
       {Message{7, InfoReaderReq{WriteKey{8, 1}, {0, 2}}},
@@ -691,18 +708,32 @@ TEST(Codec, TryDecodeRejectsMalformedWriteSets) {
 TEST(Codec, TryDecodeRejectsMalformedServerShares) {
   Message out;
   std::string err;
-  // txn 0, tag 0 (write-val), key (1, w0), then the object set with a value
-  // after each id.
-  EXPECT_FALSE(try_decode_message({0x01, 0x00, 0x01, 0x01, 0x00}, out, err));
+  // txn 0, tag 0 (write-val), head 0 (ack the sender, nothing folded), key
+  // (1, w0), then the object set with a value after each id.
+  EXPECT_FALSE(try_decode_message({0x01, 0x00, 0x00, 0x01, 0x01, 0x00}, out, err));
   EXPECT_NE(err.find("names no object"), std::string::npos) << err;
-  EXPECT_FALSE(try_decode_message({0x01, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x00, 0x04}, out,
-                                  err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x00, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x00, 0x04},
+                                  out, err));
   EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
-  ASSERT_TRUE(try_decode_message({0x01, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x01, 0x04}, out,
-                                 err))
+  ASSERT_TRUE(try_decode_message({0x01, 0x00, 0x00, 0x01, 0x01, 0x02, 0x05, 0x02, 0x01, 0x04},
+                                 out, err))
       << err;
   EXPECT_EQ(std::get<WriteValReq>(out.payload).writes,
             (std::vector<std::pair<ObjectId, Value>>{{5, 1}, {6, 2}}));
+  // Head 2 * 2^32: an ack node past the 32-bit ids.  Head 1: a folded
+  // update-coor, whose W may not be empty.
+  EXPECT_FALSE(try_decode_message({0x01, 0x00, 0x80, 0x80, 0x80, 0x80, 0x20, 0x01, 0x01, 0x01,
+                                   0x05, 0x01},
+                                  out, err));
+  EXPECT_NE(err.find("ack node"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message({0x01, 0x00, 0x01, 0x01, 0x01, 0x01, 0x05, 0x01, 0x00}, out,
+                                  err));
+  EXPECT_NE(err.find("folded update-coor names no object"), std::string::npos) << err;
+  ASSERT_TRUE(try_decode_message({0x01, 0x00, 0x01, 0x01, 0x01, 0x01, 0x05, 0x01, 0x01, 0x05},
+                                 out, err))
+      << err;
+  EXPECT_EQ(std::get<WriteValReq>(out.payload),
+            (WriteValReq{WriteKey{1, 0}, {{5, -1}}, kInvalidNode, UpdateCoorReq{WriteKey{1, 0}, {5}}}));
   // Tag 1 (write-val-ack): key, then the acked set.
   EXPECT_FALSE(try_decode_message({0x01, 0x01, 0x01, 0x01, 0x00}, out, err));
   EXPECT_NE(err.find("names no object"), std::string::npos) << err;

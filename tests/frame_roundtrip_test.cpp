@@ -364,17 +364,17 @@ TEST(FrameRoundtrip, MsgHeaderParsersRejectMalformedBodies) {
   EXPECT_FALSE(net::parse_hello({}, hello, err));
   EXPECT_FALSE(net::parse_hello({0x53, 0x4E, 0x57, 0x4B}, hello, err));  // magic only
   // Wrong wire version must be rejected, not silently accepted.
-  std::vector<std::uint8_t> v10{0x53, 0x4E, 0x57, 0x4B, 0x0A, 0x00};
-  EXPECT_FALSE(net::parse_hello(v10, hello, err));
+  std::vector<std::uint8_t> v11{0x53, 0x4E, 0x57, 0x4B, 0x0B, 0x00};
+  EXPECT_FALSE(net::parse_hello(v11, hello, err));
   EXPECT_NE(err.find("wire version"), std::string::npos);
-  // A version varint whose low bits say 9 but whose 10th byte overflows 64
-  // bits is malformed, not version 9.
-  std::vector<std::uint8_t> v9_overflow{0x53, 0x4E, 0x57, 0x4B, 0x89};
-  v9_overflow.insert(v9_overflow.end(), 8, 0x80);
-  v9_overflow.insert(v9_overflow.end(), {0x02, 0x00});
-  EXPECT_FALSE(net::parse_hello(v9_overflow, hello, err));
-  v9_overflow[v9_overflow.size() - 2] = 0x00;  // the same bytes, 64 bits wide
-  EXPECT_TRUE(net::parse_hello(v9_overflow, hello, err)) << err;
+  // A version varint whose low bits say 10 but whose 10th byte overflows 64
+  // bits is malformed, not version 10.
+  std::vector<std::uint8_t> v10_overflow{0x53, 0x4E, 0x57, 0x4B, 0x8A};
+  v10_overflow.insert(v10_overflow.end(), 8, 0x80);
+  v10_overflow.insert(v10_overflow.end(), {0x02, 0x00});
+  EXPECT_FALSE(net::parse_hello(v10_overflow, hello, err));
+  v10_overflow[v10_overflow.size() - 2] = 0x00;  // the same bytes, 64 bits wide
+  EXPECT_TRUE(net::parse_hello(v10_overflow, hello, err)) << err;
 }
 
 TEST(FrameRoundtrip, V8PeerRefusesOlderHellos) {
@@ -384,17 +384,18 @@ TEST(FrameRoundtrip, V8PeerRefusesOlderHellos) {
   // peers read-vals-batches without the coor byte, v1-v6 peers frame with a
   // u32le length and a type byte, and v1-v7 peers write the envelope txn
   // unshifted and every field of every replication record, and v1-v8 peers
-  // write adaptive's steady mode state as a 2-varint delta — all of which
-  // v9 decodes as garbage or as another txn: the HELLO, whose layout never
-  // changes, must refuse them by name before any compact frame is parsed.
-  ASSERT_EQ(net::kWireVersion, 9u);
+  // write adaptive's steady mode state as a 2-varint delta, and v1-v9 peers
+  // a write-val without its ack-node head — all of which v10 decodes as
+  // garbage or as another txn: the HELLO, whose layout never changes, must
+  // refuse them by name before any compact frame is parsed.
+  ASSERT_EQ(net::kWireVersion, 10u);
   std::vector<std::uint8_t> bytes;
   net::append_hello(bytes, 1);
   // The same HELLO with the version varint (byte 9: after the u32le
-  // length, the type byte and the magic) rewritten to 1 through 8, read by
+  // length, the type byte and the magic) rewritten to 1 through 9, read by
   // an accepting decoder exactly as a live connection's first bytes.
-  ASSERT_EQ(bytes[9], 0x09);
-  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08}) {
+  ASSERT_EQ(bytes[9], 0x0A);
+  for (const std::uint8_t old : {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09}) {
     auto stale = bytes;
     stale[9] = old;
     auto dec = FrameDecoder::accepting();
@@ -405,7 +406,7 @@ TEST(FrameRoundtrip, V8PeerRefusesOlderHellos) {
     net::HelloBody hello;
     std::string err;
     EXPECT_FALSE(net::parse_hello(f.body, hello, err));
-    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 9)");
+    EXPECT_EQ(err, "wire version " + std::to_string(old) + " (expected 10)");
   }
   auto dec = FrameDecoder::accepting();
   dec.feed(bytes);

@@ -81,10 +81,11 @@ TEST(OccReads, ContentionForcesRetries) {
   HistoryRecorder rec(2);
   auto sys = build_protocol("occ-reads", sim, rec, SystemConfig{2, 1, 1});
   sim.start();
+  // Server 1's ack, relayed to s* (server 0), is what lists each WRITE.
   sim.hold_matching(script::any_of(
-      {script::payload_is("update-coor"), script::payload_is("get-tag-arr")}));
+      {script::payload_is("write-val-ack"), script::payload_is("get-tag-arr")}));
 
-  // Chain 4 writes; each blocks at its held update-coor until released.
+  // Chain 4 writes; each blocks at its held relayed ack until released.
   int writes_done = 0;
   std::function<void()> next_write = [&] {
     invoke_write(sim, sys->writer(0), {{0, 10 + writes_done}, {1, 20 + writes_done}},
@@ -105,7 +106,7 @@ TEST(OccReads, ContentionForcesRetries) {
   // the tag array always names a key newer than the reader's guesses.
   for (int i = 0; i < 4; ++i) {
     ASSERT_FALSE(r_done);
-    ASSERT_TRUE(script::release_one_and_drain(sim, script::payload_is("update-coor")));
+    ASSERT_TRUE(script::release_one_and_drain(sim, script::payload_is("write-val-ack")));
     ASSERT_TRUE(script::release_one_and_drain(sim, script::payload_is("get-tag-arr")));
   }
   sim.hold_matching(nullptr);

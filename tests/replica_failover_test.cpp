@@ -205,8 +205,9 @@ TEST(ReplicaFailover, APrimaryCrashInsideTheFinalizeLingerLosesNoAckedWrite) {
   // A finalize applies on the primary at once but reaches the log only with
   // the shard's next acknowledged batch, or alone after kFinalizeLinger.
   // The primary dies inside that linger, so the finalize is lost with it:
-  // no acknowledged WRITE may go with it, and all the new primary may keep
-  // beyond the paper's chain is the lost finalize's version, unfinalized.
+  // no acknowledged WRITE may go with it, and the writer re-sends the
+  // finalizes it sent within 2 x kFinalizeLinger to the new primary, so
+  // that keeps the paper's chain and nothing more.
   for (const std::size_t victim : {std::size_t{0}, std::size_t{1}}) {
     SCOPED_TRACE(victim == 0 ? "coordinator shard" : "data shard");
     Rig rig(/*algo_c=*/true, 2, 1, 1);
@@ -243,20 +244,26 @@ TEST(ReplicaFailover, APrimaryCrashInsideTheFinalizeLingerLosesNoAckedWrite) {
     }
     watch.chains.clear();
     read(12, 22);
-    // The new primary's chain for the victim's object: the paper's chain at
-    // watermark 2 (WRITE 2's version, the anchor, and WRITE 3's), and at
-    // most WRITE 1's, whose finalize died unshipped.
+    // The new primary's chain for the victim's object is the paper's chain
+    // at its watermark, and WRITE 1's version, whose finalize died
+    // unshipped, is gone: the re-sent finalize finalized it and it was
+    // pruned.  The data shard's watermark is 2, WRITE 2's List position,
+    // from WRITE 3's finalizes, so it keeps WRITE 2's version (the anchor)
+    // and WRITE 3's; s*'s shard follows its own List's watermark, 3 by the
+    // time the READ lands, so it keeps WRITE 3's alone.
     const ObjectId obj = static_cast<ObjectId>(victim);
     const Value base = victim == 0 ? 10 : 20;
+    const std::vector<Value> paper_chain =
+        victim == 0 ? std::vector<Value>{base + 2} : std::vector<Value>{base + 1, base + 2};
     bool seen = false;
     for (const auto& [from, resp] : watch.chains) {
       if (from != backup) continue;
       for (const ObjectVersions& ov : resp.entries) {
         if (ov.obj != obj) continue;
         seen = true;
-        for (const Version& v : ov.versions) {
-          EXPECT_TRUE(v.value >= base && v.value <= base + 2) << "kept value " << v.value;
-        }
+        std::vector<Value> kept;
+        for (const Version& v : ov.versions) kept.push_back(v.value);
+        EXPECT_EQ(kept, paper_chain);
       }
     }
     EXPECT_TRUE(seen) << "the READ did not reach the new primary " << backup;
@@ -345,9 +352,9 @@ TEST(ReplicaFailover, UpdateCoorRetryIsDeduplicatedNotDoubleListed) {
 
 TEST(ReplicaFailover, AnOvertakenUpdateCoorRetryIsNotListedAgain) {
   // The dead coordinator's held ack completes WRITE 1 after the writer has
-  // re-sent its update-coor to the new primary, and that retry arrives
-  // after WRITE 2's update-coor.  Listing it would put WRITE 1 after
-  // WRITE 2 in the List, a second serialization point.
+  // re-sent its update-coor to the new primary, folded into s*'s write-val,
+  // and that retry arrives after WRITE 2's.  Listing it would put WRITE 1
+  // after WRITE 2 in the List, a second serialization point.
   Rig rig(false, 2, 1, 1);
   const NodeId backup0 = backup_of(2, 1, 1, 0);
   rig.sim.start();
@@ -358,7 +365,8 @@ TEST(ReplicaFailover, AnOvertakenUpdateCoorRetryIsNotListedAgain) {
   rig.sim.run_until_idle();
   ASSERT_FALSE(w1);
 
-  rig.sim.hold_matching(script::all_of({script::payload_is("update-coor"), script::to_node(backup0)}));
+  const script::Pred retry = script::all_of({script::payload_is("write-val"), script::to_node(backup0)});
+  rig.sim.hold_matching(retry);
   rig.sim.crash(0);
   rig.sim.run_until_idle();
   ASSERT_FALSE(w1);
@@ -371,7 +379,7 @@ TEST(ReplicaFailover, AnOvertakenUpdateCoorRetryIsNotListedAgain) {
                [&](const TxnResult&) { w2 = true; });
   rig.sim.run_until_idle();
   ASSERT_TRUE(w2);
-  ASSERT_EQ(rig.sim.release_if(script::payload_is("update-coor")), 1u);  // WRITE 1's retry
+  ASSERT_EQ(rig.sim.release_if(retry), 1u);  // WRITE 1's retry
   rig.sim.run_until_idle();
 
   TxnResult result;
@@ -379,6 +387,49 @@ TEST(ReplicaFailover, AnOvertakenUpdateCoorRetryIsNotListedAgain) {
   rig.sim.run_until_idle();
   EXPECT_EQ(result.values, (std::vector<std::pair<ObjectId, Value>>{{0, 11}, {1, 21}}));
   expect_clean_history(rig, "overtaken update-coor retry");
+}
+
+TEST(ReplicaFailover, ACoordinatorCrashBetweenTwoRelayedAcksListsTheWriteOnce) {
+  // s* (server 0) has the WRITE's update-coor and its own share and one of
+  // the two acks servers 1 and 2 relay to it when its primary dies.  The
+  // listing gate is primary-local, so the writer re-sends every write-val
+  // and the update-coor to the new primary, which lists the WRITE once the
+  // re-sent write-vals' acks arrive: the WRITE completes at List position
+  // 1, and the next one lands at 2.
+  Rig rig(false, 3, 1, 1);
+  rig.sim.start();
+  const script::Pred relayed =
+      script::all_of({script::payload_is("write-val-ack"), script::to_node(0)});
+  rig.sim.hold_matching(relayed);
+  bool w1 = false;
+  invoke_write(rig.sim, rig.sys->writer(0), {{0, 10}, {1, 11}, {2, 12}},
+               [&](const TxnResult&) { w1 = true; });
+  rig.sim.run_until_idle();
+  ASSERT_EQ(rig.sim.held_count(), 2u);
+  rig.sim.hold_matching(nullptr);
+  ASSERT_TRUE(script::release_one_and_drain(rig.sim, relayed));
+  ASSERT_FALSE(w1) << "listed on one of two acks";
+  rig.sim.crash(0);
+  rig.sim.run_until_idle();
+  ASSERT_TRUE(w1) << "the new primary did not list the re-sent WRITE";
+  rig.sim.release_all();  // the other ack, to the dead primary
+  rig.sim.run_until_idle();
+
+  bool w2 = false;
+  invoke_write(rig.sim, rig.sys->writer(0), {{0, 20}, {2, 22}},
+               [&](const TxnResult&) { w2 = true; });
+  rig.sim.run_until_idle();
+  ASSERT_TRUE(w2);
+  std::vector<Tag> tags;
+  for (const TxnRecord& t : rig.rec.snapshot().txns) {
+    if (!t.is_read) tags.push_back(t.tag);
+  }
+  EXPECT_EQ(tags, (std::vector<Tag>{1, 2}));
+  TxnResult result;
+  invoke_read(rig.sim, rig.sys->reader(0), {0, 1, 2}, [&](const TxnResult& r) { result = r; });
+  rig.sim.run_until_idle();
+  EXPECT_EQ(result.values, (std::vector<std::pair<ObjectId, Value>>{{0, 20}, {1, 11}, {2, 22}}));
+  expect_clean_history(rig, "coordinator crash between relayed acks");
 }
 
 TEST(ReplicaFailover, ARestartedReplicaRecoversBeforeItsFirstInput) {

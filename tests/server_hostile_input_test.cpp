@@ -2,7 +2,9 @@
 // lock server and the parallel server behind simple and naive — drop with a
 // warning every payload they do not serve, and the lock server drops an
 // unlock for a lock nobody holds: any registry protocol runs under
-// snowkit_server, so nothing a network peer sends may abort one.  Sent on
+// snowkit_server, so nothing a network peer sends may abort one.  The
+// version servers' coordinator drops the relayed write-val acks it cannot
+// place.  Sent on
 // the simulator from a probe node, then a real workload must still pass.
 // The lock server also records who holds each lock, so an unlock forged
 // while another client holds it releases nothing.
@@ -83,6 +85,94 @@ TEST(ServerHostileInput, ForeignPayloadsAndForgedUnlocksDoNotAbortAnyServer) {
       const auto verdict = check_strict_serializability(h);
       EXPECT_TRUE(verdict.ok) << verdict.explanation;
     }
+  }
+}
+
+TEST(ServerHostileInput, RelayedAcksTheCoordinatorCannotPlaceAreDropped) {
+  // s* lists a WRITE when every object of its W is confirmed stored, by
+  // acks its servers relay.  An ack naming an object outside W, an older
+  // key of the writer, a key newer than the WRITE awaiting listing, or no
+  // WRITE's key at all is dropped with a warning: none may list the WRITE,
+  // and the real acks still do.  A probe plays the writer (its WRITEs
+  // store the initial value, so the workload after them stays checkable)
+  // and forges the acks.
+  for (const std::size_t replicas : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("replicas " + std::to_string(replicas));
+    SimRuntime sim(make_uniform_delay(10, 4000, 3));
+    const std::size_t k = 3;
+    HistoryRecorder rec(k);
+    BuildOptions opts;
+    if (replicas == 2) opts.set("replicas", std::int64_t{2});
+    auto sys = build_protocol("algo-b", sim, rec, SystemConfig{k, 1, 2}, opts);
+    auto probe_node = std::make_unique<Probe>();
+    Probe& probe = *probe_node;
+    const NodeId prober = sim.add_node(std::move(probe_node));
+    sim.run_until_idle();  // replica boot
+    const auto send_to = [&](NodeId server, Message m) {
+      sim.post(prober, [&sim, prober, server, m] { sim.send(prober, server, m); });
+      sim.run_until_idle();
+    };
+    const auto send = [&](Message m) { send_to(0, std::move(m)); };
+    /// A real write-val of `obj`, which its server acks to s* (node 0).
+    const auto store = [&](const WriteKey& key, ObjectId obj) {
+      send_to(static_cast<NodeId>(obj), Message{1, WriteValReq{key, {{obj, kInitialValue}}, 0}});
+    };
+    const auto listed = [&] {
+      std::size_t n = 0;
+      for (const Payload& p : probe.got[0]) n += std::holds_alternative<UpdateCoorAck>(p) ? 1 : 0;
+      return n;
+    };
+
+    // The probe's WRITE 1 is listed; WRITE 5 awaits its acks.
+    send(Message{1, UpdateCoorReq{WriteKey{1, prober}, {1}}});
+    store(WriteKey{1, prober}, 1);
+    ASSERT_EQ(listed(), 1u);
+    const WriteKey key{5, prober};
+    send(Message{2, UpdateCoorReq{key, {1, 2}}});
+    const std::vector<std::pair<WriteValAck, const char*>> forged{
+        {WriteValAck{key, {0, 1, 2}}, "outside the write set"},
+        {WriteValAck{WriteKey{3, prober}, {1, 2}}, "newer WRITE pending"},
+        {WriteValAck{WriteKey{9, prober}, {1, 2}}, "no WRITE of its writer names that key"},
+        {WriteValAck{WriteKey{0, prober}, {1, 2}}, "names no WRITE's key"},
+        {WriteValAck{WriteKey{4, kInvalidNode}, {1, 2}}, "names no WRITE's key"},
+    };
+    for (const auto& [ack, warning] : forged) {
+      SCOPED_TRACE(warning);
+      testing::internal::CaptureStderr();
+      send(Message{2, ack});
+      const std::string err = testing::internal::GetCapturedStderr();
+      EXPECT_NE(err.find(warning), std::string::npos) << err;
+      EXPECT_EQ(listed(), 1u) << "a forged ack listed the WRITE";
+    }
+    // WRITE 1's ack again is a duplicate: silent, and no second listing.
+    testing::internal::CaptureStderr();
+    send(Message{2, WriteValAck{WriteKey{1, prober}, {1}}});
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    store(key, 1);
+    EXPECT_EQ(listed(), 1u);
+    store(key, 2);
+    EXPECT_EQ(listed(), 2u) << "the real acks did not list the WRITE";
+    // An older key than the writer's last listed one.
+    testing::internal::CaptureStderr();
+    send(Message{2, WriteValAck{WriteKey{2, prober}, {1}}});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("has listed a newer WRITE"), std::string::npos) << err;
+
+    WorkloadSpec spec;
+    spec.ops_per_reader = 10;
+    spec.ops_per_writer = 6;
+    spec.read_span = 2;
+    spec.write_span = 2;
+    spec.seed = 11;
+    WorkloadDriver driver(sim, *sys, spec);
+    driver.start();
+    sim.run_until_idle();
+    ASSERT_TRUE(driver.done());
+    const History h = rec.snapshot();
+    EXPECT_EQ(h.completed_reads(), 10u);
+    EXPECT_EQ(h.completed_writes(), 12u);
+    const auto verdict = check_strict_serializability(h);
+    EXPECT_TRUE(verdict.ok) << verdict.explanation;
   }
 }
 

@@ -227,8 +227,8 @@ TEST(VersionServer, OnlyTheCoordinatorAnswersAFoldedGetTagArr) {
 }
 
 TEST(VersionServer, AFoldNamingAKeyTheCoordinatorLacksGetsAnEmptyList) {
-  // A forged update-coor lists kAbsent for object 0 with no write-val
-  // behind it.  A folded read-vals-batch then names a latest key s* does
+  // A forged update-coor and a forged relayed ack list kAbsent for object 0
+  // with no write-val behind it.  A folded read-vals-batch then names a latest key s* does
   // not hold: algo-b's and adaptive's s* answer it with an empty list, not
   // an abort; algo-c's ships the live chain as always.
   for (const Case c : {Case{"algo-b", 1}, Case{"algo-b", 2}, Case{"adaptive", 1},
@@ -249,6 +249,7 @@ TEST(VersionServer, AFoldNamingAKeyTheCoordinatorLacksGetsAnEmptyList) {
       sim.run_until_idle();
     };
     send(Message{1, UpdateCoorReq{kAbsent, {0}}});
+    send(Message{1, WriteValAck{kAbsent, {0}}});
     send(Message{2, ReadValsBatchReq{0, {0}, GetTagArrReq{{0}, 0}}});
     ASSERT_EQ(probe.got[0].size(), 2u);
     const auto& resp = std::get<ReadValsBatchResp>(probe.got[0][1]);
