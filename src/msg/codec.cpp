@@ -1,6 +1,8 @@
 #include "msg/codec.hpp"
 
+#include <algorithm>
 #include <concepts>
+#include <cstddef>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -71,22 +73,27 @@ struct Put {
   }
 
   /// uv(count), then per item the gap of its object id `id` to the previous
-  /// one (the first: to 0) and whatever `rest` writes after it.
-  template <typename T, typename Id, typename Rest>
+  /// one (the first: to 0) and whatever `rest` writes after it.  A `mark`
+  /// rides in the count's low bit, uv(2 * count + mark), and an item's
+  /// `flag` in its gap's, uv(2 * gap + flag).
+  template <typename T, typename Id, typename Rest, typename Flag = std::nullptr_t>
   void ascending(const std::vector<T>& items, Id id, const char* what, bool /*nonempty*/,
-                 Rest rest) {
-    w.uv(items.size());
+                 Rest rest, const bool* mark = nullptr, Flag flag = nullptr) {
+    w.uv(mark == nullptr ? items.size() : 2 * items.size() + (*mark ? 1 : 0));
     ObjectId prev = 0;
     for (std::size_t i = 0; i < items.size(); ++i) {
       const ObjectId obj = std::invoke(id, items[i]);
       SNOW_CHECK_MSG(i == 0 || obj > prev, what << " object ids must strictly ascend");
-      w.uv(obj - prev);
+      std::uint64_t gap = obj - prev;
+      if constexpr (!std::is_null_pointer_v<Flag>) gap = 2 * gap + (items[i].*flag ? 1 : 0);
+      w.uv(gap);
       rest(*this, items[i]);
       prev = obj;
     }
   }
-  void set(const std::vector<ObjectId>& objs, const char* what, bool nonempty) {
-    ascending(objs, std::identity{}, what, nonempty, [](auto&, auto&) {});
+  void set(const std::vector<ObjectId>& objs, const char* what, bool nonempty,
+           const bool* mark = nullptr) {
+    ascending(objs, std::identity{}, what, nonempty, [](auto&, auto&) {}, mark);
   }
 
   /// uv(count), then per item zz(x - previous x) for its u64 `x`, then
@@ -153,13 +160,24 @@ struct Get {
 
   /// Unsorted or duplicate ids are refused, and so is an empty set where
   /// `nonempty`.
-  template <typename T, typename Id, typename Rest>
-  void ascending(std::vector<T>& items, Id id, const char* what, bool nonempty, Rest rest) {
-    const std::size_t n = r.count(r.uv());
+  template <typename T, typename Id, typename Rest, typename Flag = std::nullptr_t>
+  void ascending(std::vector<T>& items, Id id, const char* what, bool nonempty, Rest rest,
+                 bool* mark = nullptr, Flag flag = nullptr) {
+    std::uint64_t head = r.uv();
+    if (mark != nullptr) {
+      *mark = head % 2 == 1;
+      head /= 2;
+    }
+    const std::size_t n = r.count(head);
     items.reserve(n);
     std::uint64_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t gap = r.uv();
+      std::uint64_t gap = r.uv();
+      bool flagged = false;
+      if constexpr (!std::is_null_pointer_v<Flag>) {
+        flagged = gap % 2 == 1;
+        gap /= 2;
+      }
       if (i > 0 && gap == 0) fail(std::string(what) + " object ids not strictly ascending");
       if (gap > std::numeric_limits<ObjectId>::max() - prev) {
         fail(std::string(what) + " object id out of range");
@@ -167,12 +185,13 @@ struct Get {
       prev += gap;
       T& item = items.emplace_back();
       std::invoke(id, item) = static_cast<ObjectId>(prev);
+      if constexpr (!std::is_null_pointer_v<Flag>) item.*flag = flagged;
       rest(*this, item);
     }
     if (nonempty && items.empty()) fail(std::string(what) + " names no object");
   }
-  void set(std::vector<ObjectId>& objs, const char* what, bool nonempty) {
-    ascending(objs, std::identity{}, what, nonempty, [](auto&, auto&) {});
+  void set(std::vector<ObjectId>& objs, const char* what, bool nonempty, bool* mark = nullptr) {
+    ascending(objs, std::identity{}, what, nonempty, [](auto&, auto&) {}, mark);
   }
 
   template <typename T, typename X, typename Rest>
@@ -481,6 +500,13 @@ void fields(Io& io, P& p) {
   io.uv(p.watermark);
   io.list(p.entries);
   io.uv(p.mode_epoch);
+  // Wire v10: the empty snapshot at epoch 0, what a current reader gets, is
+  // the epoch byte alone.
+  if constexpr (!Io::kDecode) {
+    SNOW_CHECK_MSG(p.mode_epoch != 0 || (p.mode_base == 0 && p.c_mode.empty() && p.b_mode.empty()),
+                   "a mode table at epoch 0 has no flips");
+  }
+  if (p.mode_epoch == 0) return;
   std::uint64_t base = 0;
   if constexpr (!Io::kDecode) {
     SNOW_CHECK_MSG(p.mode_base < std::numeric_limits<std::uint64_t>::max(),
@@ -537,7 +563,23 @@ void fields(Io& io, P& p) {
     p.floor = head / 2;
     if (head % 2 == 1) p.tag_arr.emplace();
   }
-  io.set(p.objs, "read-vals-batch", kNonEmpty);
+  // Wire v10: the objects' count says whether a held list follows, so a
+  // batch without one costs no byte more, and each held object's `list`
+  // bit rides in its gap.
+  bool held = !p.held.empty();
+  io.set(p.objs, "read-vals-batch", kMayBeEmpty, &held);
+  io.require(!p.objs.empty() || held, "read-vals-batch names no object");
+  if (held) {
+    io.ascending(p.held, &HeldVersion::obj, "read-vals-batch held", kNonEmpty,
+                 [](auto& io2, auto& e) { io2.key(e.key); }, nullptr, &HeldVersion::list);
+  }
+  if constexpr (Io::kDecode) {
+    io.require(std::ranges::none_of(p.held,
+                                    [&](const HeldVersion& e) {
+                                      return std::ranges::binary_search(p.objs, e.obj);
+                                    }),
+               "read-vals-batch names an object twice");
+  }
   if (p.tag_arr) {
     fields(io, *p.tag_arr);
     io.require(!p.tag_arr->objs.empty(), "folded get-tag-arr names no object");
@@ -582,7 +624,9 @@ static_assert(std::variant_size_v<Payload> <= 256, "payload index must fit one b
 // of 0, 1 and 12; v5 those of 37 and 39, and left 8-11 without a sender; v6
 // those of 39 and 40, which fold get-tag-arr and its reply; v7 only the
 // framing; v8 the envelope txn and the replication record; v9 that of 36;
-// v10 that of 0, which names the ack's node and may fold update-coor).
+// v10 those of 0, which names the ack's node and may fold update-coor, 36,
+// whose epoch-0 table is one byte, and 39, which may name the versions a
+// reader holds).
 // Tags 8-11 are reserved placeholders now: decoding one is a CodecError.
 template <typename T>
 constexpr std::size_t payload_tag = Payload{T{}}.index();

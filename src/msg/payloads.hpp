@@ -433,7 +433,10 @@ struct NodeDownNotice {
 /// SNAPSHOT: `c_mode` is the whole C-mode set and replaces the reader's
 /// table.  Readers adopt only when `mode_epoch` is >= their own epoch, so a
 /// held or reordered response can never roll the table backwards — and an
-/// in-flight read always completes under the plan it started with.
+/// in-flight read always completes under the plan it started with.  A
+/// reader already at the coordinator's epoch gets the empty snapshot at
+/// epoch 0 (wire v10: one byte), which it adopts only at epoch 0, where it
+/// is the table it has.
 struct AdaptTagArrResp {
   Tag tag{0};
   Tag watermark{0};
@@ -485,23 +488,38 @@ struct ReadValBatchResp {
   friend bool operator==(const ReadValBatchResp&, const ReadValBatchResp&) = default;
 };
 
+/// One object of a read-vals-batch whose version the reader already holds
+/// (adaptive, wire v10): the server answers it with its live version list
+/// from the floor (`list`, C-mode) or with one version, latest[obj] on the
+/// coordinator's shard and the version it inserted last elsewhere (B-mode),
+/// and leaves the held version out, the whole object when nothing is left.
+struct HeldVersion {
+  ObjectId obj{0};
+  WriteKey key;  ///< the held version's; kInitialKey for a reader with none cached.
+  bool list{false};
+  friend bool operator==(const HeldVersion&, const HeldVersion&) = default;
+};
+
 /// read-vals-batch: reader -> one server, the read-vals (live version list)
 /// of every object of one READ round that server hosts, in a single frame:
-/// algo-b's round 1, algo-c's READ and adaptive's round-1 prefetch.
+/// algo-b's round 1, algo-c's READ and adaptive's round 1.
 struct ReadValsBatchReq {
   /// The reader's read floor (wire v10): a List position at or below which
   /// the READ needs no version older than the newest one listed.  The server
   /// leaves the finalized versions older than that out of this response
   /// only (VersionStore::chain_from); it never prunes a store for it.
-  /// Algo-c's reader sends the tag of its last completed READ, the others
-  /// the last watermark they saw (any watermark is one), or 0.
+  /// Algo-c's and adaptive's readers send the tag of their last completed
+  /// READ, or 0; algo-b's sends 0.
   Tag floor{0};
-  std::vector<ObjectId> objs;  ///< ascending, non-empty.
+  /// Ascending; with `held`, non-empty, and no object in both.
+  std::vector<ObjectId> objs;
   /// Set on the coordinator's shard (the `coor` bit): this frame also
   /// carries the round's get-tag-arr, whose I names the whole READ (not
   /// just this server's objects, and never empty); no separate get-tag-arr
   /// is sent.
   std::optional<GetTagArrReq> tag_arr;
+  /// The objects whose version the reader holds, ascending (adaptive).
+  std::vector<HeldVersion> held;
   friend bool operator==(const ReadValsBatchReq&, const ReadValsBatchReq&) = default;
 };
 

@@ -15,15 +15,15 @@
 namespace snowkit {
 namespace {
 
-/// Adaptive reader.  Round 1: get-tag-arr to the coordinator plus batched
-/// prefetches for C-mode, locally-uncached and coordinator-shard objects,
-/// the get-tag-arr riding in the coordinator shard's prefetch when the READ
-/// reads that shard (and alone otherwise).  At the tag array, every object
-/// resolves
-/// through the first applicable source — client cache (iff the cached key IS
-/// latest[obj]), prefetched list, or a batched round-2 fetch.  Whatever the
-/// source, the value served is the one stored under latest[obj], so the
-/// history is exactly what ReaderB would have produced.
+/// Adaptive reader.  Round 1: get-tag-arr to the coordinator plus one
+/// read-vals-batch per server the READ reads, naming the version it holds
+/// of each object, the get-tag-arr riding in the coordinator shard's batch
+/// when the READ reads that shard (and alone otherwise).  At the tag array,
+/// every object resolves through the first applicable source — client cache
+/// (iff the cached key IS latest[obj]), the initial version, a round-1
+/// answer, or a batched round-2 fetch.  Whatever the source, the value
+/// served is the one stored under latest[obj], so the history is exactly
+/// what ReaderB would have produced.
 class ReaderAdapt final : public ReadClient {
  public:
   ReaderAdapt(HistoryRecorder& rec, const Placement& place, std::size_t coor_shard,
@@ -48,29 +48,30 @@ class ReaderAdapt final : public ReadClient {
     round2_sent_ = false;
     GetTagArrReq req = tag_arr_req(objs());
     req.mode_epoch = modes_.epoch();
-    // Prefetch (one batched frame per server shard): C-mode objects always —
-    // their write rate says any cache entry is probably stale — and, when the
-    // cache is on, objects with NO cache entry, since those are certain to
-    // need a fetch and the prefetch turns their round 2 into round 1.
-    // Objects on the coordinator's shard always: their batch carries the
-    // get-tag-arr, so they cost no frame, and the coordinator answers each
-    // in the step that builds the tag array with the one version stored
-    // under latest[obj], so none goes to round 2.  The mode table
-    // thus governs exactly the contested case: a cached object on another
-    // shard whose proof may or may not hold at the tag array.
-    std::vector<ObjectId> prefetch;
-    for (ObjectId obj : objs()) {
-      const bool uncached = cache_reads_ && cache_.find(obj) == cache_.end();
-      const bool on_coordinator = place().shard_of(obj) == coor_shard_;
-      if (modes_.c_mode(obj) || uncached || on_coordinator) prefetch.push_back(obj);
+    // Round 1 reaches every object, one read-vals-batch per server shard,
+    // and names the version the reader holds of each: its cached one, else
+    // the initial version, which every reader knows.  A B-mode object gets
+    // one version back, the one its server inserted last, algo-b's guess; a
+    // C-mode object its version list from the read floor, Algorithm C's, so
+    // a WRITE racing the READ still resolves in one round.  Either way the
+    // server leaves the held version out, so a cache hit costs no value
+    // bytes.  The coordinator answers its shard's objects in the step that
+    // builds the tag array, with the one version stored under latest[obj].
+    // The floor is the tag of this reader's last READ: every position up to
+    // it was listed, and so stored everywhere, before this READ began, and
+    // latest[obj] at this READ's tag array is at or above it, so the older
+    // finalized versions cannot be wanted.
+    std::vector<ObjectId> sorted = objs();
+    std::sort(sorted.begin(), sorted.end());
+    std::map<std::size_t, ReadValsBatchReq> batches;
+    for (ObjectId obj : sorted) {
+      const auto it = cache_.find(obj);
+      ReadValsBatchReq& batch = batches[place().shard_of(obj)];
+      batch.floor = floor_;
+      batch.held.push_back({obj, it == cache_.end() ? kInitialKey : it->second.key,
+                            modes_.c_mode(obj)});
     }
-    // Each prefetch carries the tag of this reader's last READ as its read
-    // floor: every position up to it was listed, and so stored everywhere,
-    // before this READ began, and latest[obj] at this READ's tag array is at
-    // or above it, so the older finalized versions cannot be wanted.
-    prefetch_outstanding_ = send_tag_arr_round(
-        coor_shard_, std::move(req),
-        read_batches_by_shard(place(), floor_, std::move(prefetch)));
+    prefetch_outstanding_ = send_tag_arr_round(coor_shard_, std::move(req), std::move(batches));
   }
 
   bool on_reply(NodeId from, const Message& m) override {
@@ -140,6 +141,10 @@ class ReaderAdapt final : public ReadClient {
         }
       }
       ++stats_.cache_misses;
+      if (key == kInitialKey) {  // the initial version, which every reader knows
+        got_[obj] = kInitialValue;
+        ++stats_.prefetch_resolved;
+      }
     }
     resolve_prefetched();
     maybe_send_round2();
@@ -297,9 +302,14 @@ bool ModeTable::set(ObjectId obj, bool c_mode) {
 }
 
 void ModeTable::answer(std::uint64_t reader_epoch, AdaptTagArrResp& resp) const {
-  resp.mode_epoch = epoch_;
   resp.c_mode.clear();
   resp.b_mode.clear();
+  if (reader_epoch == epoch_) {  // nothing flipped since: the one-byte answer
+    resp.mode_epoch = 0;
+    resp.mode_base = 0;
+    return;
+  }
+  resp.mode_epoch = epoch_;
   // flips_ holds exactly the flips that made epochs (epoch_ - size, epoch_].
   if (reader_epoch != 0 && reader_epoch <= epoch_ && epoch_ - reader_epoch <= flips_.size()) {
     std::vector<ObjectId> flipped(flips_.end() - static_cast<std::ptrdiff_t>(epoch_ - reader_epoch),

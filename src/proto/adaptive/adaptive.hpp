@@ -12,21 +12,28 @@
 //    per-object mode only changes how the value for latest[obj] reaches the
 //    reader, so adaptive histories are a subset of algo-b-reachable
 //    histories by construction, under ANY mode mix or switch interleaving.
-//  * B-mode (default, write-cold objects): fetch on demand in round 2, all
-//    same-server objects packed into one ReadValBatchReq frame.
-//  * C-mode (write-hot objects): prefetch the server's bounded version list
-//    (ReadValsBatchReq, from the reader's read floor, the tag of its last
-//    READ, up) in parallel with get-tag-arr; when latest[obj] is in the
-//    snapshot the read finishes in one round, Algorithm-C style.
-//  * The coordinator's shard: its objects are prefetched whatever their
-//    mode, in the read-vals-batch that carries the get-tag-arr.  The
-//    coordinator reads their lists in the step that builds the tag array,
-//    so those objects always resolve in round 1, at no extra frame.
+//  * Round 1 reaches every object of the READ, one ReadValsBatchReq per
+//    server, in parallel with get-tag-arr (which rides the coordinator
+//    shard's batch).  Each object names the version the reader holds (its
+//    cached one, else the initial version) and the server leaves that
+//    version out of its answer.
+//  * B-mode (default, write-cold objects): the server answers the one
+//    version it inserted last, algo-b's guess; a WRITE racing the READ can
+//    refute it, and round 2 then fetches latest[obj] with one
+//    ReadValBatchReq per server.
+//  * C-mode (write-hot objects): the server answers its bounded version
+//    list past the held version (and from the reader's read floor, the tag
+//    of its last READ, up); when latest[obj] is in it the read finishes in
+//    one round, Algorithm-C style, a racing WRITE or not.
+//  * The coordinator's shard: the coordinator answers its objects, whatever
+//    their mode, with the one version latest[obj] in the step that builds
+//    the tag array, so those objects always resolve in round 1.
 //  * Client cache: readers remember (key, value) per object from completed
 //    READs.  A later READ serves the cached value iff the fresh tag array
 //    proves the cached key IS still latest[obj] — keys name immutable
-//    versions, so the proof is exact.  All cache state dies on any
-//    TakeoverNotice epoch bump.
+//    versions, so the proof is exact — and a hit costs no value bytes,
+//    because the server left the held version out.  All cache state dies
+//    on any TakeoverNotice epoch bump.
 //
 // The coordinator tracks per-object write rates with a lazily-decayed EWMA
 // over update-coor write sets and flips modes with hysteresis (switch_up /
@@ -67,10 +74,10 @@ struct AdaptiveOptions {
   /// when it decays to switch_down.  The gap is the hysteresis band; the
   /// thresholds are deliberately low so small sim/fuzz workloads exercise
   /// both modes and the switch path.  Steady-state credit is write_rate*tau,
-  /// so the defaults flip an object to prefetching at a sustained ~2
-  /// writes/s and back below ~0.5/s — a B-mode object whose proof keeps
-  /// failing at the tag array is exactly the one that should have been
-  /// prefetched.
+  /// so the defaults flip an object to its version list at a sustained ~2
+  /// writes/s and back below ~0.5/s — a B-mode object whose guess a racing
+  /// WRITE keeps refuting is exactly the one whose list resolves in one
+  /// round.
   double switch_up{4.0};
   double switch_down{1.0};
   /// EWMA decay time constant: credit halves every tau*ln2 of runtime time.
@@ -100,7 +107,7 @@ struct AdaptiveStats {
   std::uint64_t cache_hits{0};           ///< objects served from the client cache.
   std::uint64_t cache_misses{0};         ///< objects that failed the cache proof.
   std::uint64_t cache_invalidations{0};  ///< entries dropped on TakeoverNotice.
-  std::uint64_t prefetch_resolved{0};    ///< objects resolved from a C-mode prefetch.
+  std::uint64_t prefetch_resolved{0};    ///< misses resolved in round 1.
   std::uint64_t round2_objects{0};       ///< objects fetched via ReadValBatchReq.
   std::uint64_t switches{0};             ///< coordinator mode flips (note_switch calls).
 };
@@ -123,7 +130,9 @@ class ModeTable {
   /// `reader_epoch`: a delta against it (base = reader_epoch) when the flip
   /// log reaches back that far and the delta lists no more objects than a
   /// snapshot would; otherwise a snapshot (base 0) — always for a reader at
-  /// epoch 0 or ahead of this table.  O(flips since reader_epoch) or O(|C|).
+  /// epoch 0 or ahead of this table.  A reader at this table's epoch gets
+  /// the empty snapshot at epoch 0, which changes no table it adopts into.
+  /// O(flips since reader_epoch) or O(|C|).
   void answer(std::uint64_t reader_epoch, AdaptTagArrResp& resp) const;
 
  private:

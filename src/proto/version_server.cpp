@@ -155,6 +155,7 @@ bool VersionServer::names_unknown_object(NodeId from, const Message& m) const {
     for (const BatchReadEntry& e : rb->entries) top = std::max(top, e.obj);
   } else if (const auto* pb = std::get_if<ReadValsBatchReq>(&m.payload)) {
     for (ObjectId obj : pb->objs) top = std::max(top, obj);
+    for (const HeldVersion& h : pb->held) top = std::max(top, h.obj);
   }
   if (top < k_) return false;
   SNOW_WARN("dropping " << payload_name(m.payload) << " from node " << from << ": object "
@@ -211,19 +212,26 @@ bool VersionServer::serve_read(NodeId from, const Message& m) {
     // the reader's floor up: with the watermark flowing and the floor at the
     // reader's last READ, each is about the paper's <=|W|+1 candidate
     // versions, however long another reader's floor pins the watermark.
+    // An adaptive reader's held objects get the answer their mode asks for,
+    // one version or the chain past the held one, less the held version.
     const bool latest_only = resp.tag_arr.has_value() && !tag_history_;
     const bool last_only = !resp.tag_arr && last_inserted_reads_;
-    resp.entries.reserve(pb->objs.size());
-    for (ObjectId obj : pb->objs) {
+    const auto answer = [&](ObjectId obj, bool list) {
       const VersionStore& vals = store(obj, /*watermark=*/0);
-      if (!latest_only && !last_only) {
-        resp.entries.push_back({obj, vals.chain_from(pb->floor)});
-        continue;
-      }
-      const WriteKey& key = latest_only ? list_->latest(obj) : vals.last_inserted();
+      if (list && !latest_only) return vals.chain_from(pb->floor);
+      const WriteKey& key = resp.tag_arr ? list_->latest(obj) : vals.last_inserted();
       std::vector<Version> one;
       if (const std::optional<Value> v = vals.try_get(key)) one.push_back(Version{key, *v});
-      resp.entries.push_back({obj, std::move(one)});
+      return one;
+    };
+    resp.entries.reserve(pb->objs.size() + pb->held.size());
+    for (ObjectId obj : pb->objs) resp.entries.push_back({obj, answer(obj, !last_only)});
+    for (const HeldVersion& h : pb->held) {
+      std::vector<Version> versions = h.list && !latest_only
+                                          ? store(h.obj, 0).chain_past(h.key, pb->floor)
+                                          : answer(h.obj, false);
+      std::erase_if(versions, [&](const Version& v) { return v.key == h.key; });
+      if (!versions.empty()) resp.entries.push_back({h.obj, std::move(versions)});
     }
     send(from, Message{m.txn, std::move(resp)});
     return true;

@@ -102,6 +102,16 @@ std::vector<Version> VersionStore::chain_from(Tag floor) const {
   return out;
 }
 
+std::vector<Version> VersionStore::chain_past(const WriteKey& held, Tag floor) const {
+  const auto it = vals_.find(held);
+  if (it != vals_.end() && it->second.position != kInvalidTag) {
+    floor = std::max(floor, it->second.position);
+  }
+  std::vector<Version> out = chain_from(floor);
+  std::erase_if(out, [&](const Version& v) { return v.key == held; });
+  return out;
+}
+
 bool VersionStore::erase(const WriteKey& key) {
   auto it = vals_.find(key);
   if (it == vals_.end()) return false;

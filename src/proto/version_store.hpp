@@ -124,6 +124,10 @@ class VersionStore {
   /// above (ReadValsBatchReq::floor).  all() when `floor` is at or below
   /// the watermark.
   std::vector<Version> chain_from(Tag floor) const;
+  /// What a reader holding `held` can still need: chain_from(floor), from
+  /// `held`'s List position instead when that is higher (no later READ cuts
+  /// below the version a READ saw as latest), less `held` itself.
+  std::vector<Version> chain_past(const WriteKey& held, Tag floor) const;
 
   /// The key insert() stored last (kInitialKey before any insert): the
   /// version a reader without the tag array is most likely to want.  It may

@@ -209,7 +209,9 @@ TEST(ModeDelta, AnyReaderEpochFromBaseToNowAdoptsTheCoordinatorTable) {
   // table is the coordinator's at some c' with base <= c' <= mode_epoch —
   // or any reader at all, for a base-0 snapshot — ends up holding exactly
   // the coordinator's table at mode_epoch.  Long flip runs overflow the
-  // k-bounded flip log, so old epochs fall back to snapshots.
+  // k-bounded flip log, so old epochs fall back to snapshots.  A reader
+  // already at the coordinator's epoch gets the one-byte answer, the empty
+  // snapshot at epoch 0, and keeps its table.
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Xoshiro256 rng(seed);
     const std::size_t k = 1 + rng.below(12);
@@ -236,6 +238,16 @@ TEST(ModeDelta, AnyReaderEpochFromBaseToNowAdoptsTheCoordinatorTable) {
       AdaptTagArrResp resp;
       table.answer(c, resp);
       const std::string where = "seed " + std::to_string(seed) + " c " + std::to_string(c);
+      if (c == now) {
+        EXPECT_EQ(resp.mode_epoch, 0u) << where;
+        EXPECT_EQ(resp.mode_base, 0u) << where;
+        EXPECT_TRUE(resp.c_mode.empty() && resp.b_mode.empty()) << where;
+        ModeView view = view_at(now, at[now]);
+        EXPECT_EQ(view.adopt(resp), now == 0) << where;
+        EXPECT_EQ(view.epoch(), now) << where;
+        expect_table(view, at[now], k, where);
+        continue;
+      }
       EXPECT_EQ(resp.mode_epoch, now) << where;
       if (c == 0 || c > now) EXPECT_EQ(resp.mode_base, 0u) << where;
       if (resp.mode_base != 0) {

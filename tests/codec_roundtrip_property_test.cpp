@@ -211,9 +211,18 @@ ReadValBatchResp make_random(Xoshiro256& rng) {
 }
 template <>
 ReadValsBatchReq make_random(Xoshiro256& rng) {
-  // The watermark shares its varint with the coor bit, so it stays below
-  // 2^63; half fold a get-tag-arr, whose I is never empty.
-  ReadValsBatchReq p{ru64(rng) / 2, robj_set(rng, 1)};
+  // The floor shares its varint with the coor bit, so it stays below 2^63;
+  // half fold a get-tag-arr, whose I is never empty.  The READ's objects
+  // split at random between the bare set and the held list, so either may
+  // be empty, but not both.
+  ReadValsBatchReq p{ru64(rng) / 2, {}};
+  for (ObjectId obj : robj_set(rng, 1)) {
+    if (rbool(rng)) {
+      p.held.push_back({obj, rkey(rng), rbool(rng)});
+    } else {
+      p.objs.push_back(obj);
+    }
+  }
   if (rbool(rng)) p.tag_arr = GetTagArrReq{robj_set(rng, 1), ru64(rng)};
   return p;
 }

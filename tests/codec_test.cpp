@@ -118,13 +118,15 @@ TEST(Codec, AdaptTagArrRespCarriesAModeDeltaOrSnapshot) {
   EXPECT_EQ(decode_message(encode_message(none)), none);
   EXPECT_EQ(encoded_size(none), encoded_size(Message{12, GetTagArrResp{5, 3, entries}}) + 2u);
   // Any other base rides as base + 1 ahead of its sets: an empty delta from
-  // an older epoch, and the empty snapshot of epoch 0.
-  for (const AdaptTagArrResp& r : {AdaptTagArrResp{5, 3, entries, 6, 4, {}, {}},
-                                   AdaptTagArrResp{5, 3, entries, 0, 0, {}, {}}}) {
-    EXPECT_EQ(decode_message(encode_message(Message{12, r})), (Message{12, r}));
-  }
-  EXPECT_EQ(encoded_size(Message{12, AdaptTagArrResp{5, 3, entries, 6, 4, {}, {}}}),
-            encoded_size(none) + 2u);
+  // an older epoch.
+  const AdaptTagArrResp older{5, 3, entries, 6, 4, {}, {}};
+  EXPECT_EQ(decode_message(encode_message(Message{12, older})), (Message{12, older}));
+  EXPECT_EQ(encoded_size(Message{12, older}), encoded_size(none) + 2u);
+  // The empty snapshot of epoch 0, what a reader already at the
+  // coordinator's epoch gets, is the epoch byte alone (wire v10).
+  const Message current{12, AdaptTagArrResp{5, 3, entries, 0, 0, {}, {}}};
+  EXPECT_EQ(decode_message(encode_message(current)), current);
+  EXPECT_EQ(encoded_size(current), encoded_size(Message{12, GetTagArrResp{5, 3, entries}}) + 1u);
 }
 
 TEST(Codec, TagEntryLookupAbortsOnAMissingObject) {
@@ -280,7 +282,7 @@ TEST(Codec, EncodedSizeMatches) {
 
 // Golden bytes: one fixed message of every live payload tag and one
 // repl-append of every replication record kind, each pinned to the exact
-// bytes wire v9 puts on the wire.  The roundtrip tests cannot see an encoder
+// bytes wire v10 puts on the wire.  The roundtrip tests cannot see an encoder
 // and a decoder that change together; this one can.
 TEST(Codec, GoldenBytesOfEveryLiveTagAndRecordKind) {
   const std::vector<TagArrEntry> entries{
@@ -362,12 +364,17 @@ TEST(Codec, GoldenBytesOfEveryLiveTagAndRecordKind) {
         0x00, 0xAC, 0x02, 0x02, 0x02, 0x00, 0x09, 0x08, 0x01, 0x05, 0x02, 0x02, 0xAA, 0x02}},
       {Message{205, AdaptTagArrResp{4, 2, {}, 9, 9, {}, {}}},
        {0xCE, 0x01, 0x24, 0x04, 0x02, 0x00, 0x09, 0x00}},
+      {Message{207, AdaptTagArrResp{4, 2, {}, 0, 0, {}, {}}},
+       {0xD0, 0x01, 0x24, 0x04, 0x02, 0x00, 0x00}},
       {Message{201, ReadValBatchReq{9, {{5, WriteKey{3, 1}}, {300, kInitialKey}}}},
        {0xCA, 0x01, 0x25, 0x09, 0x02, 0x05, 0x03, 0x02, 0xA7, 0x02, 0x00, 0x00}},
       {Message{202, ReadValBatchResp{{{5, WriteKey{3, 1}, -4, true}, {6, kInitialKey, 0, false}}}},
        {0xCB, 0x01, 0x26, 0x02, 0x05, 0x03, 0x02, 0x07, 0x01, 0x06, 0x00, 0x00, 0x00, 0x00}},
       {Message{203, ReadValsBatchReq{3, {5}, GetTagArrReq{{5, 9}, 2}}},
-       {0xCC, 0x01, 0x27, 0x07, 0x01, 0x05, 0x02, 0x05, 0x04, 0x02}},
+       {0xCC, 0x01, 0x27, 0x07, 0x02, 0x05, 0x02, 0x05, 0x04, 0x02}},
+      {Message{206, ReadValsBatchReq{3, {5}, std::nullopt,
+                                     {{9, WriteKey{3, 1}, true}, {300, kInitialKey, false}}}},
+       {0xCF, 0x01, 0x27, 0x06, 0x03, 0x05, 0x02, 0x13, 0x03, 0x02, 0xC6, 0x04, 0x00, 0x00}},
       {Message{204, ReadValsBatchResp{{{0, {Version{kInitialKey, 0}, Version{WriteKey{3, 1}, -8}}},
                                        {7, {}}},
                                       AdaptTagArrResp{4, 2, {}, 9, 0, {5}, {}}}},
@@ -524,11 +531,11 @@ TEST(Codec, ReadBatches) {
   EXPECT_EQ(encode_message(Message{7, batch}),
             (std::vector<std::uint8_t>{0x08, 0x25, 0x09, 0x02, 0x05, 0x03, 0x02, 0xA7, 0x02,
                                        0x00, 0x00}));
-  // read-vals-batch's first varint is 2 * watermark + coor (0: no folded
-  // get-tag-arr).
+  // read-vals-batch's first varint is 2 * floor + coor (0: no folded
+  // get-tag-arr), and its count 2 * count + held (0: no held list).
   const ReadValsBatchReq lists{0, {5, 300}};
   EXPECT_EQ(encode_message(Message{7, lists}),
-            (std::vector<std::uint8_t>{0x08, 0x27, 0x00, 0x02, 0x05, 0xA7, 0x02}));
+            (std::vector<std::uint8_t>{0x08, 0x27, 0x00, 0x04, 0x05, 0xA7, 0x02}));
   for (const Payload& p :
        {Payload{batch}, Payload{lists},
         Payload{ReadValBatchResp{{{5, WriteKey{3, 1}, -4, true}, {300, kInitialKey, 0, false}}}},
@@ -545,7 +552,7 @@ TEST(Codec, ReadValsBatchFoldsTheCoordinatorsTagArray) {
   const GetTagArrReq gt{{0, 5, 300}, 2};
   const ReadValsBatchReq folded{0, {5, 300}, gt};
   EXPECT_EQ(encode_message(Message{7, folded}),
-            (std::vector<std::uint8_t>{0x08, 0x27, 0x01, 0x02, 0x05, 0xA7, 0x02, 0x03, 0x00, 0x05,
+            (std::vector<std::uint8_t>{0x08, 0x27, 0x01, 0x04, 0x05, 0xA7, 0x02, 0x03, 0x00, 0x05,
                                        0xA7, 0x02, 0x02}));
   // Its response: 4 * entry count + the tag-array kind (0 none, 1 tag-arr,
   // 2 adapt-tag-arr), the entries, then that reply's body: tag 4,
@@ -776,27 +783,43 @@ TEST(Codec, TryDecodeRejectsMalformedReadBatches) {
       << err;
   EXPECT_EQ(std::get<ReadValBatchReq>(out.payload),
             (ReadValBatchReq{0, {{5, WriteKey{1, 0}}, {7, WriteKey{1, 0}}}}));
-  // Tag 39 (read-vals-batch): watermark 0, then the bare set.
+  // Tag 39 (read-vals-batch): floor 0, then the bare set, its count doubled.
   EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x00, 0x00}, out, err));
   EXPECT_NE(err.find("names no object"), std::string::npos) << err;
-  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x00, 0x02, 0x05, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x00, 0x04, 0x05, 0x00}, out, err));
   EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
   EXPECT_FALSE(
-      try_decode_message({0x01, 0x27, 0x00, 0x02, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
+      try_decode_message({0x01, 0x27, 0x00, 0x04, 0x05, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, out, err));
   EXPECT_NE(err.find("out of range"), std::string::npos) << err;
-  ASSERT_TRUE(try_decode_message({0x01, 0x27, 0x00, 0x01, 0x00}, out, err)) << err;
+  ASSERT_TRUE(try_decode_message({0x01, 0x27, 0x00, 0x02, 0x00}, out, err)) << err;
   EXPECT_EQ(std::get<ReadValsBatchReq>(out.payload), (ReadValsBatchReq{0, {0}}));
+  // An odd count announces the held list: never empty, strictly ascending,
+  // each gap 2 * gap + list and a key; the set may then be empty, but no
+  // object may sit in both.
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x00, 0x01, 0x00}, out, err));
+  EXPECT_NE(err.find("names no object"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x00, 0x01, 0x02, 0x0A, 0x00, 0x00, 0x00, 0x00, 0x00},
+                                  out, err));
+  EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x00, 0x03, 0x05, 0x01, 0x0A, 0x00, 0x00}, out, err));
+  EXPECT_NE(err.find("names an object twice"), std::string::npos) << err;
+  ASSERT_TRUE(try_decode_message({0x01, 0x27, 0x00, 0x01, 0x02, 0x0B, 0x03, 0x02, 0x04, 0x00, 0x00},
+                                 out, err))
+      << err;
+  EXPECT_EQ(std::get<ReadValsBatchReq>(out.payload),
+            (ReadValsBatchReq{0, {}, std::nullopt,
+                              {{5, WriteKey{3, 1}, true}, {7, kInitialKey, false}}}));
   // With the coor bit set (first varint odd) the get-tag-arr body must
   // follow, and its I names the READ's objects: never none, strictly
   // ascending.
-  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x01, 0x01, 0x00}, out, err));
-  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x01, 0x01, 0x00, 0x00, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x01, 0x02, 0x00}, out, err));
+  EXPECT_FALSE(try_decode_message({0x01, 0x27, 0x01, 0x02, 0x00, 0x00, 0x00}, out, err));
   EXPECT_NE(err.find("names no object"), std::string::npos) << err;
   EXPECT_FALSE(
-      try_decode_message({0x01, 0x27, 0x01, 0x01, 0x00, 0x02, 0x05, 0x00, 0x00}, out, err));
+      try_decode_message({0x01, 0x27, 0x01, 0x02, 0x00, 0x02, 0x05, 0x00, 0x00}, out, err));
   EXPECT_NE(err.find("strictly ascending"), std::string::npos) << err;
   ASSERT_TRUE(
-      try_decode_message({0x01, 0x27, 0x03, 0x01, 0x00, 0x02, 0x00, 0x05, 0x03}, out, err))
+      try_decode_message({0x01, 0x27, 0x03, 0x02, 0x00, 0x02, 0x00, 0x05, 0x03}, out, err))
       << err;
   EXPECT_EQ(std::get<ReadValsBatchReq>(out.payload),
             (ReadValsBatchReq{1, {0}, GetTagArrReq{{0, 5}, 3}}));

@@ -28,14 +28,17 @@ namespace snowkit {
 namespace {
 
 /// Counts sends by payload name, and keeps each read-val-batch sent, the
-/// objects of each read-vals-batch, the get-tag-arr folded into each
-/// read-vals-batch, and when each read-done and update-coor-ack left.
+/// objects and held versions of each read-vals-batch, the get-tag-arr folded
+/// into each read-vals-batch, the objects each read-vals-batch-resp answers,
+/// and when each read-done and update-coor-ack left.
 struct Counter final : MessageObserver {
   const SimRuntime* sim{nullptr};  ///< the clock for the send times.
   std::map<std::string, int> sent;
   std::vector<std::pair<NodeId, ReadValBatchReq>> batches;  ///< (receiver, body).
   std::vector<std::pair<NodeId, std::vector<ObjectId>>> lists;   ///< (receiver, objs).
   std::vector<std::pair<NodeId, std::vector<ObjectId>>> folded;  ///< (receiver, I).
+  std::vector<std::pair<NodeId, std::vector<HeldVersion>>> held;  ///< (receiver, held).
+  std::vector<ObjectId> answered;  ///< the objects of every read-vals-batch-resp.
   std::vector<std::pair<TimeNs, TxnId>> read_dones;           ///< (sent at, READ).
   std::vector<std::pair<TimeNs, UpdateCoorAck>> coor_acks;    ///< (sent at, body).
 
@@ -45,6 +48,10 @@ struct Counter final : MessageObserver {
     const auto* lb = std::get_if<ReadValsBatchReq>(&m.payload);
     if (lb) lists.emplace_back(to, lb->objs);
     if (lb && lb->tag_arr) folded.emplace_back(to, lb->tag_arr->objs);
+    if (lb && !lb->held.empty()) held.emplace_back(to, lb->held);
+    if (const auto* resp = std::get_if<ReadValsBatchResp>(&m.payload)) {
+      for (const ObjectVersions& e : resp->entries) answered.push_back(e.obj);
+    }
     if (const auto* rd = std::get_if<ReadDoneReq>(&m.payload)) {
       read_dones.emplace_back(sim->now_ns(), rd->txn);
     }
@@ -355,9 +362,12 @@ TEST(ReadFanOut, OccValidatedOptimisticRoundSendsOneBatchPerServer) {
 }
 
 TEST(ReadFanOut, AdaptiveFoldsItsGetTagArrIntoTheCoordinatorsPrefetch) {
-  // A cold READ prefetches every uncached object, one batch per server, and
-  // its get-tag-arr rides s*'s prefetch (7 frames with it standalone).
+  // Every READ reaches each server it reads with one read-vals-batch, and
+  // its get-tag-arr rides s*'s (7 frames with it standalone).  Each object
+  // names the version the reader holds, the initial one before any READ
+  // cached another, and a server leaves a held version out of its answer.
   Rig rig("adaptive");
+  const auto rounds = [&] { return rig.rec.snapshot().txns.back().rounds; };
   rig.read({0, 1, 2, 3});
   EXPECT_EQ(rig.count.total(), 5);
   EXPECT_EQ(rig.count["get-tag-arr"], 0);
@@ -367,37 +377,52 @@ TEST(ReadFanOut, AdaptiveFoldsItsGetTagArrIntoTheCoordinatorsPrefetch) {
   EXPECT_EQ(rig.count["read-done"], 1);
   EXPECT_EQ(rig.count.folded,
             (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 1, 2, 3}}}));
-  // A warm one is served from its cache behind the tag array alone: s*'s
-  // objects still ride the get-tag-arr's frame, at no extra frame.
-  rig.count.reset();
-  rig.read({0, 1, 2, 3});
-  EXPECT_EQ(rig.count.total(), 3);
-  EXPECT_EQ(rig.count["read-vals-batch"], 1);
-  EXPECT_EQ(rig.count.folded,
-            (std::vector<std::pair<NodeId, std::vector<ObjectId>>>{{0, {0, 1, 2, 3}}}));
-  // A warm READ that misses s*'s shard sends its get-tag-arr alone.
+  EXPECT_EQ(rig.count.held,
+            (std::vector<std::pair<NodeId, std::vector<HeldVersion>>>{
+                {0, {{0, kInitialKey, false}, {1, kInitialKey, false}}},
+                {1, {{2, kInitialKey, false}, {3, kInitialKey, false}}}}));
+  EXPECT_TRUE(rig.count.answered.empty());
+  // A READ that misses s*'s shard sends its get-tag-arr alone.
   rig.count.reset();
   rig.read({2, 3});
-  EXPECT_EQ(rig.count.total(), 3);
+  EXPECT_EQ(rig.count.total(), 5);
   EXPECT_EQ(rig.count["get-tag-arr"], 1);
   EXPECT_EQ(rig.count["adapt-tag-arr"], 1);
-  // A WRITE makes the cached keys of two objects stale: round 2 fetches
-  // both with one read-val-batch to their server.
+  // A WRITE makes the cached keys of two objects stale: their server
+  // answers the versions it inserted last, which the tag array confirms, so
+  // the READ still takes one round, and s*'s cache hits cost no version.
   rig.write({{2, 20}, {3, 30}});
   rig.count.reset();
   TxnResult r = rig.read({0, 1, 2, 3});
   EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 0}, {1, 0}, {2, 20}, {3, 30}}));
+  EXPECT_EQ(rounds(), 1);
   EXPECT_EQ(rig.count.total(), 5);
-  EXPECT_EQ(rig.count["read-val-batch"], 1);
-  EXPECT_EQ(rig.count["read-val-batch-resp"], 1);
-  // Stale keys on s*'s shard need no round 2: s* read their lists in the
-  // step that built the tag array.
+  EXPECT_EQ(rig.count["read-val-batch"], 0);
+  EXPECT_EQ(rig.count.answered, (std::vector<ObjectId>{2, 3}));
+  // Stale keys on s*'s shard: s* answers latest[obj] in the step that built
+  // the tag array; server 1's objects now hit.
   rig.write({{0, 5}, {1, 6}});
   rig.count.reset();
   r = rig.read({0, 1, 2, 3});
   EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{0, 5}, {1, 6}, {2, 20}, {3, 30}}));
-  EXPECT_EQ(rig.count.total(), 3);
-  EXPECT_EQ(rig.count["read-val-batch"], 0);
+  EXPECT_EQ(rounds(), 1);
+  EXPECT_EQ(rig.count.total(), 5);
+  EXPECT_EQ(rig.count.answered, (std::vector<ObjectId>{0, 1}));
+  // A guess an unlisted WRITE refutes: server 1 inserted a version of
+  // object 2 the tag array does not name yet, so round 2 fetches the listed
+  // one, for that object alone.
+  rig.write({{2, 21}});
+  rig.write_unlisted({{2, 22}});
+  rig.count.reset();
+  r = rig.read({2, 3});
+  EXPECT_EQ(r.values, (std::vector<std::pair<ObjectId, Value>>{{2, 21}, {3, 30}}));
+  EXPECT_EQ(rounds(), 2);
+  ASSERT_EQ(rig.count.batches.size(), 1u);
+  EXPECT_EQ(rig.count.batches[0].first, 1u);
+  ASSERT_EQ(rig.count.batches[0].second.entries.size(), 1u);
+  EXPECT_EQ(rig.count.batches[0].second.entries[0].obj, 2u);
+  rig.sim.release_all();
+  rig.sim.run_until_idle();
 }
 
 TEST(ReadFanOut, OneServerPerObjectKeepsThePaperFanOut) {

@@ -132,6 +132,7 @@ TEST(VersionServer, RequestsNamingObjectsOutsideKAreDropped) {
     const std::vector<Message> forged{
         Message{1, ReadValsBatchReq{0, {k}}},
         Message{1, ReadValsBatchReq{0, {0, 4'000'000'000u}}},
+        Message{1, ReadValsBatchReq{0, {0}, std::nullopt, {{k + 4, kInitialKey, true}}}},
         Message{1, ReadValBatchReq{0, {{0, kInitialKey}, {k + 1, kInitialKey}}}},
         Message{1, WriteValReq{kAbsent, {{k + 2, 5}}}},
         Message{1, FinalizeReq{kAbsent, 1, 1, {k + 3}, false}},

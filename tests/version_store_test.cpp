@@ -58,6 +58,34 @@ TEST(VersionStore, LastInsertedNamesTheNewestInsertEvenOnceItIsPruned) {
   EXPECT_FALSE(s.try_get(s.last_inserted()).has_value());
 }
 
+TEST(VersionStore, ChainPastLeavesOutTheHeldVersionAndAllItSupersedes) {
+  VersionStore s;
+  const WriteKey a{1, 0};
+  const WriteKey b{1, 1};
+  const WriteKey c{2, 0};
+  s.insert(a, 10);
+  s.insert(b, 20);
+  s.insert(c, 30);
+  s.finalize(a, 1);
+  s.finalize(b, 2);  // c is inserted but not listed yet
+  const auto keys = [](const std::vector<Version>& vs) {
+    std::vector<WriteKey> out;
+    for (const Version& v : vs) out.push_back(v.key);
+    return out;
+  };
+  // Holding a, listed at 1: the initial version is older than a, and a is
+  // held, so b and the unlisted c remain.
+  EXPECT_EQ(keys(s.chain_past(a, 0)), (std::vector<WriteKey>{b, c}));
+  // Holding b, listed at 2: only c.  A floor above the held position wins.
+  EXPECT_EQ(keys(s.chain_past(b, 0)), (std::vector<WriteKey>{c}));
+  EXPECT_EQ(keys(s.chain_past(a, 2)), (std::vector<WriteKey>{b, c}));
+  // The initial version is held at position 0, and an unlisted or unknown
+  // held version trims nothing but itself.
+  EXPECT_EQ(keys(s.chain_past(kInitialKey, 0)), (std::vector<WriteKey>{a, b, c}));
+  EXPECT_EQ(keys(s.chain_past(c, 0)), (std::vector<WriteKey>{kInitialKey, a, b}));
+  EXPECT_EQ(keys(s.chain_past(WriteKey{9, 9}, 1)), (std::vector<WriteKey>{a, b, c}));
+}
+
 TEST(VersionStore, TryGetMissing) {
   VersionStore s;
   EXPECT_FALSE(s.try_get(WriteKey{9, 9}).has_value());
